@@ -9,8 +9,8 @@
 //! tone. This module slices those channels back into symbols and measures
 //! link quality.
 
-use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold};
-use mmwave_sigproc::stats::{bit_error_rate, mean};
+use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold_into};
+use mmwave_sigproc::stats::bit_error_rate;
 use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
 
@@ -85,8 +85,9 @@ impl UplinkReceiver {
         }
         let sa = self.symbol_statistics(trace_a);
         let sb = self.symbol_statistics(trace_b);
-        let ta = midpoint_threshold(&sa).ok_or(UplinkRxError::NoContrast)?;
-        let tb = midpoint_threshold(&sb).ok_or(UplinkRxError::NoContrast)?;
+        let mut sorted = Vec::with_capacity(sa.len());
+        let ta = midpoint_threshold_into(&sa, &mut sorted).ok_or(UplinkRxError::NoContrast)?;
+        let tb = midpoint_threshold_into(&sb, &mut sorted).ok_or(UplinkRxError::NoContrast)?;
         Ok(sa
             .iter()
             .zip(&sb)
@@ -142,6 +143,12 @@ pub struct UplinkQuality {
 /// one channel: separates the on/off populations and compares the level
 /// separation to the within-population spread.
 ///
+/// Each population is streamed in index order rather than collected: the
+/// sums run left to right from `-0.0` exactly as
+/// [`mean`](mmwave_sigproc::stats::mean) and
+/// [`variance`](mmwave_sigproc::stats::variance) run them over a
+/// collected `Vec`, so the result is the same bits without an allocation.
+///
 /// # Panics
 /// Panics if the lengths differ or either population is empty.
 pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
@@ -150,34 +157,29 @@ pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
         tx_bits.len(),
         "stats/bits length mismatch"
     );
-    let on: Vec<f64> = symbol_stats
-        .iter()
-        .zip(tx_bits)
-        .filter(|(_, &b)| b)
-        .map(|(&v, _)| v)
-        .collect();
-    let off: Vec<f64> = symbol_stats
-        .iter()
-        .zip(tx_bits)
-        .filter(|(_, &b)| !b)
-        .map(|(&v, _)| v)
-        .collect();
-    assert!(
-        !on.is_empty() && !off.is_empty(),
-        "need both symbol populations"
-    );
-    let swing = (mean(&on) - mean(&off)) / 2.0;
-    let var_on = if on.len() > 1 {
-        mmwave_sigproc::stats::variance(&on)
-    } else {
-        0.0
+    let population = |level: bool| {
+        symbol_stats
+            .iter()
+            .zip(tx_bits)
+            .filter(move |(_, &b)| b == level)
+            .map(|(&v, _)| v)
     };
-    let var_off = if off.len() > 1 {
-        mmwave_sigproc::stats::variance(&off)
-    } else {
-        0.0
+    let n_on = tx_bits.iter().filter(|&&b| b).count();
+    let n_off = tx_bits.len() - n_on;
+    assert!(n_on > 0 && n_off > 0, "need both symbol populations");
+    let mean_on = population(true).sum::<f64>() / n_on as f64;
+    let mean_off = population(false).sum::<f64>() / n_off as f64;
+    // Unbiased sample variance; a lone sample contributes none.
+    let variance_of = |level: bool, n: usize, m: f64| {
+        if n > 1 {
+            population(level).map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64
+        } else {
+            0.0
+        }
     };
-    let noise = ((var_on + var_off) / 2.0).max(1e-300);
+    let swing = (mean_on - mean_off) / 2.0;
+    let noise = ((variance_of(true, n_on, mean_on) + variance_of(false, n_off, mean_off)) / 2.0)
+        .max(1e-300);
     10.0 * (swing * swing / noise).log10()
 }
 
@@ -192,6 +194,7 @@ pub fn symbol_ber(tx: &[OaqfmSymbol], rx: &[OaqfmSymbol]) -> f64 {
 mod tests {
     use super::*;
     use mmwave_sigproc::random::GaussianSource;
+    use mmwave_sigproc::stats::mean;
     use mmwave_sigproc::waveform::{bytes_to_symbols, ook_envelope, symbols_to_bytes};
 
     fn traces_for(symbols: &[OaqfmSymbol], sps: usize, hi: f64, lo: f64) -> (Vec<f64>, Vec<f64>) {
@@ -306,6 +309,48 @@ mod tests {
         let rx = UplinkReceiver::new(5);
         let out = rx.decide_with_thresholds(&ta, &tb, 0.5, 0.5).unwrap();
         assert_eq!(symbols_to_bytes(&out), vec![0xA5]);
+    }
+
+    #[test]
+    fn streamed_snr_matches_collected_populations_bitwise() {
+        use mmwave_sigproc::stats::variance;
+        // The collecting form: split into two `Vec`s, then mean/variance.
+        let collected = |stats: &[f64], bits: &[bool]| {
+            let pick = |level: bool| -> Vec<f64> {
+                stats
+                    .iter()
+                    .zip(bits)
+                    .filter(|(_, &b)| b == level)
+                    .map(|(&v, _)| v)
+                    .collect()
+            };
+            let (on, off) = (pick(true), pick(false));
+            let var = |x: &[f64]| if x.len() > 1 { variance(x) } else { 0.0 };
+            let swing = (mean(&on) - mean(&off)) / 2.0;
+            let noise = ((var(&on) + var(&off)) / 2.0).max(1e-300);
+            10.0 * (swing * swing / noise).log10()
+        };
+        let mut rng = GaussianSource::new(8);
+        for len in [2usize, 3, 5, 64, 999] {
+            for trial in 0..20 {
+                let mut bits = rng.bits(len);
+                // Force both populations, sometimes as singletons.
+                bits[0] = true;
+                bits[len - 1] = false;
+                if trial % 5 == 0 {
+                    bits.iter_mut().skip(1).for_each(|b| *b = false);
+                }
+                let stats: Vec<f64> = bits
+                    .iter()
+                    .map(|&b| f64::from(u8::from(b)) + rng.sample(0.3))
+                    .collect();
+                assert_eq!(
+                    measure_channel_snr_db(&stats, &bits).to_bits(),
+                    collected(&stats, &bits).to_bits(),
+                    "len {len} trial {trial}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,22 +14,32 @@
 //!   switching waveform with settling transitions and slices it through
 //!   the integrate-and-dump receiver — the two agree on BER within
 //!   Monte-Carlo error.
+//!
+//! The symbol-level uplink is split in two. An [`UplinkBudget`] holds
+//! everything that is a fixed function of the configuration and the node's
+//! pose (carriers, per-port levels and noise σ); [`UplinkBudget::run`] is
+//! the per-packet kernel that draws the noise, slices and measures, in
+//! reusable [`UplinkScratch`] buffers. [`LinkSimulator::uplink`] is one
+//! budget plus one kernel call; a campaign builds each node's budget once
+//! and calls only the kernel per packet.
 
 use crate::config::SystemConfig;
 use crate::error::{MilbackError, Result};
 use crate::scene::Scene;
 use milback_ap::query::QueryPlanner;
-use milback_ap::uplink_rx::{measure_channel_snr_db, symbol_ber, UplinkReceiver};
+use milback_ap::uplink_rx::{measure_channel_snr_db, symbol_ber, UplinkReceiver, UplinkRxError};
 use milback_ap::waveform::CarrierSet;
 use milback_node::downlink::{OaqfmDemodulator, SinrReport};
+use milback_node::mode::PortMode;
 use milback_node::node::PortPowers;
-use milback_node::uplink::UplinkModulator;
+use milback_node::uplink::{UplinkError, UplinkModulator};
 use mmwave_rf::antenna::fsa::{FsaGainEval, FsaPort};
 use mmwave_rf::channel::received_power_w;
+use mmwave_sigproc::detect::midpoint_threshold_into;
 use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::stats::q_function;
 use mmwave_sigproc::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
-use mmwave_sigproc::waveform::{bytes_to_symbols, symbols_to_bytes};
+use mmwave_sigproc::waveform::{bytes_to_symbols, symbols_to_bytes, OaqfmSymbol};
 use serde::{Deserialize, Serialize};
 
 /// Result of a downlink transfer.
@@ -472,84 +482,56 @@ impl LinkSimulator {
         })
     }
 
-    /// Runs a symbol-level Monte-Carlo uplink transfer of `payload`.
+    /// Runs a symbol-level Monte-Carlo uplink transfer of `payload`: this
+    /// scene's [`uplink_budget`](Self::uplink_budget) run once through the
+    /// [`UplinkBudget::run`] kernel.
     pub fn uplink(&self, payload: &[u8], rng: &mut GaussianSource) -> Result<UplinkOutcome> {
+        let mut scratch = UplinkScratch::default();
+        let m = self.uplink_budget()?.run(payload, rng, &mut scratch)?;
+        Ok(UplinkOutcome {
+            decoded: scratch.decoded,
+            ber: m.ber,
+            snr_db: m.snr_db,
+            analytic_snr_db: m.analytic_snr_db,
+        })
+    }
+
+    /// The node's uplink budget: everything a symbol-level uplink needs
+    /// that depends on neither the payload nor the noise. Built from
+    /// [`plan_carriers`](Self::plan_carriers) and
+    /// [`uplink_channel_snr_db`](Self::uplink_channel_snr_db); fails only
+    /// where carrier planning fails.
+    pub fn uplink_budget(&self) -> Result<UplinkBudget> {
         let carriers = self.plan_carriers(None)?;
-        if payload.is_empty() {
-            let snr = self.uplink_analytic_snr_db()?;
-            return Ok(UplinkOutcome {
-                decoded: Vec::new(),
-                ber: 0.0,
-                snr_db: snr,
-                analytic_snr_db: snr,
-            });
-        }
         let (f_a, f_b) = match carriers {
             CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
             CarrierSet::SingleToneOok { f } => (f, f),
         };
-        let modulator = UplinkModulator::new(
-            self.config.uplink_symbol_rate_hz,
-            &self.config.node.switch_a,
-        )
-        .map_err(MilbackError::UplinkTx)?;
-        let symbols = bytes_to_symbols(payload);
-        let schedule = modulator.schedule_for_symbols(&symbols);
+        let snr_a_db = self.uplink_channel_snr_db(f_a, FsaPort::A);
+        let snr_a = db_to_lin(snr_a_db);
+        let snr_b = db_to_lin(self.uplink_channel_snr_db(f_b, FsaPort::B));
         // Per-channel symbol statistics: level per state + AWGN anchored to
         // the analytic channel SNR.
-        let snr_a = db_to_lin(self.uplink_channel_snr_db(f_a, FsaPort::A));
-        let snr_b = db_to_lin(self.uplink_channel_snr_db(f_b, FsaPort::B));
         let node = &self.config.node;
-        let mk_channel = |port: FsaPort, snr_lin: f64, rng: &mut GaussianSource| -> Vec<f64> {
-            let hi = node.reflection_amplitude(port, milback_node::mode::PortMode::Reflective);
-            let lo = node.reflection_amplitude(port, milback_node::mode::PortMode::Absorptive);
+        let channel = |port: FsaPort, snr_lin: f64| {
+            let hi = node.reflection_amplitude(port, PortMode::Reflective);
+            let lo = node.reflection_amplitude(port, PortMode::Absorptive);
             let swing_half = (hi - lo) / 2.0;
-            let sigma = swing_half / snr_lin.sqrt();
-            schedule
-                .iter()
-                .map(|st| {
-                    let mode = match port {
-                        FsaPort::A => st.a,
-                        FsaPort::B => st.b,
-                    };
-                    let level = match mode {
-                        milback_node::mode::PortMode::Reflective => hi,
-                        milback_node::mode::PortMode::Absorptive => lo,
-                    };
-                    level + rng.sample(sigma)
-                })
-                .collect()
-        };
-        let stats_a = mk_channel(FsaPort::A, snr_a, rng);
-        let stats_b = mk_channel(FsaPort::B, snr_b, rng);
-        let receiver = UplinkReceiver::new(1);
-        let decided = receiver
-            .decide(&stats_a, &stats_b)
-            .map_err(MilbackError::UplinkRx)?;
-        let ber = symbol_ber(&symbols, &decided);
-        // Measured SNR from the symbol populations. A channel whose payload
-        // happens to contain only one level cannot be measured; fall back
-        // to the channels that can (and to the analytic figure if neither).
-        let bits_a: Vec<bool> = symbols.iter().map(|s| s.tone_a).collect();
-        let bits_b: Vec<bool> = symbols.iter().map(|s| s.tone_b).collect();
-        let analytic_db = 10.0 * ((snr_a + snr_b) / 2.0).log10();
-        let mut channel_snrs = Vec::with_capacity(2);
-        for (stats, bits) in [(&stats_a, &bits_a), (&stats_b, &bits_b)] {
-            let has_both = bits.iter().any(|&b| b) && bits.iter().any(|&b| !b);
-            if has_both {
-                channel_snrs.push(measure_channel_snr_db(stats, bits));
+            UplinkChannel {
+                hi,
+                lo,
+                sigma: swing_half / snr_lin.sqrt(),
             }
-        }
-        let measured = if channel_snrs.is_empty() {
-            analytic_db
-        } else {
-            mmwave_sigproc::stats::mean(&channel_snrs)
         };
-        Ok(UplinkOutcome {
-            decoded: symbols_to_bytes(&decided),
-            ber,
-            snr_db: measured,
-            analytic_snr_db: analytic_db,
+        Ok(UplinkBudget {
+            channels: [channel(FsaPort::A, snr_a), channel(FsaPort::B, snr_b)],
+            snr_a_db,
+            analytic_snr_db: 10.0 * ((snr_a + snr_b) / 2.0).log10(),
+            rate_check: UplinkModulator::new(
+                self.config.uplink_symbol_rate_hz,
+                &self.config.node.switch_a,
+            )
+            .map(|_| ()),
         })
     }
 
@@ -572,6 +554,154 @@ impl LinkSimulator {
         Ok(match direction {
             LinkDirection::Downlink => TransferOutcome::Downlink(self.downlink(payload, rng)?),
             LinkDirection::Uplink => TransferOutcome::Uplink(self.uplink(payload, rng)?),
+        })
+    }
+}
+
+/// One uplink channel's fixed symbol statistics: the reflective (`hi`)
+/// and absorptive (`lo`) levels of its port and the AWGN σ that anchors
+/// the channel to its analytic SNR.
+#[derive(Debug, Clone, Copy)]
+struct UplinkChannel {
+    hi: f64,
+    lo: f64,
+    sigma: f64,
+}
+
+/// A node's uplink budget: the part of a symbol-level uplink that is a
+/// fixed function of the configuration and the node's pose (carrier
+/// plan, per-port levels and noise σ). Built by
+/// [`LinkSimulator::uplink_budget`]; every packet then runs through
+/// [`run`](Self::run).
+#[derive(Debug, Clone, Copy)]
+pub struct UplinkBudget {
+    /// Port-A and port-B channel statistics.
+    channels: [UplinkChannel; 2],
+    /// Port-A channel SNR, dB: what an empty transfer reports.
+    snr_a_db: f64,
+    /// Mean of the two linear channel SNRs, dB.
+    analytic_snr_db: f64,
+    /// Whether the switches can key the configured symbol rate, reported
+    /// by a transfer after its empty-payload shortcut.
+    rate_check: std::result::Result<(), UplinkError>,
+}
+
+/// What one uplink transfer measured. The decoded bytes stay in the
+/// [`UplinkScratch`] the kernel ran in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UplinkMeasurement {
+    /// Measured bit error rate.
+    pub ber: f64,
+    /// Measured per-channel SNR (mean of the measurable channels), dB.
+    pub snr_db: f64,
+    /// The analytic SNR the transfer was anchored to, dB.
+    pub analytic_snr_db: f64,
+}
+
+/// Reusable buffers of the uplink kernel. Past their high-water mark a
+/// transfer touches the heap only inside the standard library's stable
+/// sort, which for traces of up to 512 symbols (128-byte payloads) sorts
+/// on the stack.
+#[derive(Debug, Default)]
+pub struct UplinkScratch {
+    /// Transmitted tone bits: every port-A symbol, then every port-B one.
+    bits: Vec<bool>,
+    /// Received symbol statistics, in the same layout.
+    stats: Vec<f64>,
+    /// Sort buffer of the slicing thresholds.
+    sorted: Vec<f64>,
+    /// The bytes of the last transfer, as the AP decided them.
+    decoded: Vec<u8>,
+}
+
+impl UplinkScratch {
+    /// The bytes the last [`UplinkBudget::run`] decoded.
+    pub fn decoded(&self) -> &[u8] {
+        &self.decoded
+    }
+}
+
+impl UplinkBudget {
+    /// The uplink kernel: transfers `payload` once. Draws every port-A
+    /// symbol's noise, then every port-B symbol's, from `rng`; slices each
+    /// channel at its self-calibrated midpoint threshold; and measures the
+    /// per-channel SNR from the two symbol populations, falling back to the
+    /// analytic figure when no channel carries both levels.
+    pub fn run(
+        &self,
+        payload: &[u8],
+        rng: &mut GaussianSource,
+        scratch: &mut UplinkScratch,
+    ) -> Result<UplinkMeasurement> {
+        let UplinkScratch {
+            bits,
+            stats,
+            sorted,
+            decoded,
+        } = scratch;
+        decoded.clear();
+        if payload.is_empty() {
+            return Ok(UplinkMeasurement {
+                ber: 0.0,
+                snr_db: self.snr_a_db,
+                analytic_snr_db: self.snr_a_db,
+            });
+        }
+        self.rate_check.map_err(MilbackError::UplinkTx)?;
+        // A present tone is reflected: each port keys its own bit of
+        // every OAQFM symbol.
+        let symbols = || {
+            payload.iter().flat_map(|&byte| {
+                [6u8, 4, 2, 0].map(|shift| OaqfmSymbol::from_bits((byte >> shift) & 0b11))
+            })
+        };
+        bits.clear();
+        bits.extend(symbols().map(|s| s.tone_a));
+        bits.extend(symbols().map(|s| s.tone_b));
+        let n = bits.len() / 2;
+        stats.clear();
+        for (port_bits, ch) in bits.chunks_exact(n).zip(&self.channels) {
+            stats.extend(
+                port_bits
+                    .iter()
+                    .map(|&on| if on { ch.hi } else { ch.lo } + rng.sample(ch.sigma)),
+            );
+        }
+        // One symbol per statistic, so integrate-and-dump is the identity.
+        let (stats_a, stats_b) = stats.split_at(n);
+        let (bits_a, bits_b) = bits.split_at(n);
+        let mut threshold = |channel: &[f64]| {
+            midpoint_threshold_into(channel, sorted)
+                .ok_or(MilbackError::UplinkRx(UplinkRxError::NoContrast))
+        };
+        let t_a = threshold(stats_a)?;
+        let t_b = threshold(stats_b)?;
+        let mut errors = 0usize;
+        decoded.extend((0..payload.len()).map(|byte| {
+            (4 * byte..4 * byte + 4).fold(0u8, |acc, i| {
+                let s = OaqfmSymbol {
+                    tone_a: stats_a[i] > t_a,
+                    tone_b: stats_b[i] > t_b,
+                };
+                errors += usize::from(s.tone_a != bits_a[i]) + usize::from(s.tone_b != bits_b[i]);
+                (acc << 2) | s.to_bits()
+            })
+        }));
+        // A channel whose payload happens to contain only one level cannot
+        // be measured; average the channels that can.
+        let measured = [(stats_a, bits_a), (stats_b, bits_b)].map(|(s, b)| {
+            let has_both = b.iter().any(|&x| x) && b.iter().any(|&x| !x);
+            has_both.then(|| measure_channel_snr_db(s, b))
+        });
+        let measurable = measured.iter().flatten().count();
+        Ok(UplinkMeasurement {
+            ber: errors as f64 / (2 * n) as f64,
+            snr_db: if measurable == 0 {
+                self.analytic_snr_db
+            } else {
+                measured.iter().flatten().sum::<f64>() / measurable as f64
+            },
+            analytic_snr_db: self.analytic_snr_db,
         })
     }
 }

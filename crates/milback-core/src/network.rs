@@ -7,7 +7,7 @@ use crate::config::SystemConfig;
 use crate::engine::{ps_to_secs, Actor, ActorId, Engine, Outbox, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::lifecycle::{DropReason, LifecycleStats, PacketId};
-use crate::link::{LinkSimulator, UplinkOutcome};
+use crate::link::{LinkSimulator, UplinkBudget, UplinkOutcome, UplinkScratch};
 use crate::pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 use crate::protocol::{Packet, SlotPlan};
 use crate::relay::RelayConfig;
@@ -74,14 +74,13 @@ impl Network {
     /// pattern steered at each node.
     pub fn sdm_margin_db(&self, idx: usize, other: usize) -> f64 {
         assert!(idx != other, "a node does not interfere with itself");
-        let gt_i = self.scene.ground_truth(idx);
-        let gt_o = self.scene.ground_truth(other);
+        let azimuth = |k: usize| self.scene.ap.azimuth_to(self.scene.nodes[k].position);
         let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
         // Beam steered at node idx: gain toward it is the boresight gain.
         let wanted = horn.gain_dbi(28e9, 0.0);
         // Beam steered at the other node: off-axis gain toward node idx is
         // evaluated at their angular separation.
-        let separation = (gt_i.azimuth_rad - gt_o.azimuth_rad).abs();
+        let separation = (azimuth(idx) - azimuth(other)).abs();
         let leak = horn.gain_dbi(28e9, separation);
         wanted - leak
     }
@@ -706,6 +705,8 @@ impl Network {
             forwarded: vec![0; n],
             relay_energy_j: vec![0.0; n],
             relay_latency_s: vec![0.0; n],
+            budgets: vec![None; n],
+            uplink: UplinkScratch::default(),
             gap_reason: Vec::new(),
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
@@ -747,6 +748,8 @@ impl Network {
             forwarded: recycle(&mut scratch.forwarded, n, 0),
             relay_energy_j: recycle(&mut scratch.relay_energy_j, n, 0.0),
             relay_latency_s: recycle(&mut scratch.relay_latency_s, n, 0.0),
+            budgets: recycle(&mut scratch.budgets, n, None),
+            uplink: std::mem::take(&mut scratch.uplink),
             gap_reason: Vec::new(),
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
@@ -1298,10 +1301,11 @@ impl Default for CampaignAggregate {
     }
 }
 
-/// Reusable per-worker ledger buffers for campaign runs: the five per-node
-/// ledger vectors a [`Network::run_mac_streaming`] campaign needs, recycled
+/// Reusable per-worker buffers for campaign runs: the per-node ledger
+/// vectors, the per-node uplink-budget cache and the uplink kernel's
+/// scratch a [`Network::run_mac_streaming`] campaign needs, recycled
 /// across a worker's cells instead of reallocated per cell. Contents are
-/// zeroed before every use, so (per the
+/// zeroed (the cache emptied) before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
 #[derive(Debug, Default)]
@@ -1317,6 +1321,8 @@ pub struct CampaignScratch {
     forwarded: Vec<usize>,
     relay_energy_j: Vec<f64>,
     relay_latency_s: Vec<f64>,
+    budgets: Vec<Option<UplinkBudget>>,
+    uplink: UplinkScratch,
 }
 
 impl CampaignScratch {
@@ -1338,6 +1344,8 @@ impl CampaignScratch {
         self.forwarded = m.forwarded;
         self.relay_energy_j = m.relay_energy_j;
         self.relay_latency_s = m.relay_latency_s;
+        self.budgets = m.budgets;
+        self.uplink = m.uplink;
     }
 }
 
@@ -1417,6 +1425,12 @@ struct SlotMedium<'a> {
     relay_energy_j: Vec<f64>,
     /// Extra relay latency over direct uplinks, seconds, per origin node.
     relay_latency_s: Vec<f64>,
+    /// Per-node uplink budgets, each built on its node's first service in
+    /// this campaign (see [`serve`](SlotMedium::serve)). Lazy on purpose:
+    /// a sharded city campaign serves only a small share of its nodes.
+    budgets: Vec<Option<UplinkBudget>>,
+    /// The uplink kernel's reusable buffers.
+    uplink: UplinkScratch,
     /// Per-node drop attribution for uncovered (gap) nodes, precomputed
     /// once per run from the relay topology: `None` for covered nodes,
     /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`]
@@ -1440,6 +1454,33 @@ struct SlotMedium<'a> {
 }
 
 impl<'a> SlotMedium<'a> {
+    /// Runs node `node`'s uplink of the campaign payload and returns
+    /// whether the payload decoded intact and the measured SNR, dB.
+    ///
+    /// The node's [`UplinkBudget`] is built on its first service in the
+    /// campaign — a miss, counted under the `link_budgets` probe counter —
+    /// and every later service only runs the kernel. A miss builds the
+    /// budget exactly as [`LinkSimulator::uplink`] would, so a node's
+    /// first service reports the same errors.
+    fn serve(&mut self, node: usize) -> Result<(bool, f64)> {
+        let nodes = self.budgets.len();
+        let cached = self
+            .budgets
+            .get_mut(node)
+            .ok_or(MilbackError::NodeOutOfScene { idx: node, nodes })?;
+        let budget = match cached {
+            Some(budget) => budget,
+            None => {
+                let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(node)?)?;
+                let budget = sim.uplink_budget()?;
+                self.probe.inc("link_budgets", 1);
+                cached.insert(budget)
+            }
+        };
+        let m = budget.run(self.payload, self.rng, &mut self.uplink)?;
+        Ok((self.uplink.decoded() == self.payload, m.snr_db))
+    }
+
     /// Resolves one slot's transmitter group: accounts attempts and uplink
     /// energy, arbitrates the group by SDM separability, and serves the
     /// survivors (drawing channel noise from the trial stream in node-index
@@ -1506,8 +1547,7 @@ impl<'a> SlotMedium<'a> {
             return Ok(true);
         }
         for &node in group {
-            let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(node)?)?;
-            let mut outcome = sim.uplink(self.payload, self.rng)?;
+            let (intact, mut snr_db) = self.serve(node)?;
             if group.len() > 1 {
                 let margin = group
                     .iter()
@@ -1515,21 +1555,21 @@ impl<'a> SlotMedium<'a> {
                     .map(|&o| self.net.sdm_margin_db(node, o))
                     .fold(f64::INFINITY, f64::min);
                 if margin.is_finite() {
-                    let sig = db_to_lin(outcome.snr_db);
-                    let interference = db_to_lin(outcome.snr_db - margin);
-                    outcome.snr_db = 10.0 * (sig / (1.0 + interference)).log10();
+                    let sig = db_to_lin(snr_db);
+                    let interference = db_to_lin(snr_db - margin);
+                    snr_db = 10.0 * (sig / (1.0 + interference)).log10();
                 }
             }
             // Coverage gates delivery, not transmission: a gap node still
             // burns the attempt and the airtime energy (it cannot know the
             // AP missed it), but nothing lands. The noise draw above stays
             // unconditional so covered nodes see an unchanged stream.
-            if outcome.decoded == self.payload && self.covered[node] {
+            if intact && self.covered[node] {
                 self.delivered[node] += 1;
-                self.snr_sum_db[node] += outcome.snr_db;
+                self.snr_sum_db[node] += snr_db;
                 self.lifecycle.deliver_direct(1);
                 self.probe
-                    .observe("delivered_snr_db", SNR_BUCKETS_DB, outcome.snr_db);
+                    .observe("delivered_snr_db", SNR_BUCKETS_DB, snr_db);
             } else if !self.covered[node] {
                 // A gap node's direct uplink can never land; the
                 // precomputed classification says whether a relay route
@@ -1604,9 +1644,8 @@ impl<'a> SlotMedium<'a> {
                 self.relay_energy_j[tx] += e_tx;
             }
         }
-        let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(terminal)?)?;
-        let mut outcome = sim.uplink(self.payload, self.rng)?;
-        outcome.snr_db -= hop_snr_penalty_db * tag_hops as f64;
+        let (intact, mut snr_db) = self.serve(terminal)?;
+        snr_db -= hop_snr_penalty_db * tag_hops as f64;
         self.probe.inc("relay_fired", 1);
         // The chain's flow id links its hop spans and terminal outcome in
         // the exported trace; hops fire back-to-back inside the slot, so
@@ -1624,18 +1663,18 @@ impl<'a> SlotMedium<'a> {
                 dur_ps: hop_dur_ps,
             });
         }
-        if outcome.decoded == self.payload && self.covered[terminal] {
+        if intact && self.covered[terminal] {
             self.delivered[origin] += 1;
             self.relayed[origin] += 1;
             self.relay_hops[origin] += route.len();
             self.relay_latency_s[origin] += tag_hops as f64 * slot_s;
-            self.snr_sum_db[origin] += outcome.snr_db;
+            self.snr_sum_db[origin] += snr_db;
             self.lifecycle.deliver_relayed(1);
             self.lifecycle
                 .observe_relay_extra_us(tag_hops as f64 * slot_s * 1e6);
             self.probe.inc("relayed_delivered", 1);
             self.probe
-                .observe("delivered_snr_db", SNR_BUCKETS_DB, outcome.snr_db);
+                .observe("delivered_snr_db", SNR_BUCKETS_DB, snr_db);
             self.probe.trace(|| TraceRecord::FlowEnd {
                 time_ps: now_ps,
                 flow,

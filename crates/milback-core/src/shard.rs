@@ -46,6 +46,7 @@ use crate::relay::RelayConfig;
 use crate::scene::Scene;
 use mmwave_sigproc::parallel;
 use mmwave_sigproc::random::GaussianSource;
+use std::ops::Range;
 
 /// The RNG seed for one cell's campaign stream: the campaign seed XOR'd
 /// with the cell index spread by the SplitMix64 golden-ratio increment —
@@ -72,22 +73,25 @@ pub fn cell_seed(campaign_seed: u64, cell_idx: usize) -> u64 {
 /// `debug_assert` (a malformed partition used to pass silently in release
 /// and quietly drop nodes from the campaign).
 pub fn partition_cells(scene: &Scene, n_cells: usize) -> Result<Vec<Scene>> {
-    let cells = n_cells.clamp(1, scene.nodes.len().max(1));
-    if cells <= 1 {
-        return Ok(vec![scene.clone()]);
-    }
-    let n = scene.nodes.len();
+    Ok(cell_ranges(scene.nodes.len(), n_cells)?
+        .into_iter()
+        .map(|nodes| cell_scene(scene, nodes))
+        .collect())
+}
+
+/// The node-index ranges of a [`partition_cells`] partition of `n` nodes:
+/// `n_cells` clamped to `[1, n]`, then contiguous runs balanced to within
+/// one node. A partition that does not cover every node exactly once is a
+/// [`MilbackError::Protocol`].
+fn cell_ranges(n: usize, n_cells: usize) -> Result<Vec<Range<usize>>> {
+    let cells = n_cells.clamp(1, n.max(1));
     let base = n / cells;
     let rem = n % cells;
     let mut out = Vec::with_capacity(cells);
     let mut start = 0usize;
     for c in 0..cells {
         let len = base + usize::from(c < rem);
-        out.push(Scene {
-            ap: scene.ap,
-            nodes: scene.nodes[start..start + len].to_vec(),
-            clutter: scene.clutter.clone(),
-        });
+        out.push(start..start + len);
         start += len;
     }
     if start != n {
@@ -98,26 +102,30 @@ pub fn partition_cells(scene: &Scene, n_cells: usize) -> Result<Vec<Scene>> {
     Ok(out)
 }
 
+/// One cell of `scene`: its AP frontend, the nodes in `nodes`, and the
+/// shared clutter. The full range is an identity clone of the scene.
+fn cell_scene(scene: &Scene, nodes: Range<usize>) -> Scene {
+    Scene {
+        ap: scene.ap,
+        nodes: scene.nodes[nodes].to_vec(),
+        clutter: scene.clutter.clone(),
+    }
+}
+
 /// Runs `run_cell` over every cell of `net`'s scene, one result slot per
 /// cell, fanned over `threads` workers with one [`CampaignScratch`] per
-/// worker. Results come back in cell index order; the first cell error (in
-/// cell order) aborts the campaign.
+/// worker. Each cell's [`Network`] is built inside its worker right before
+/// the cell runs and dropped right after, so at most one cell network per
+/// worker is alive at a time. Results come back in cell index order; the
+/// first cell error (in cell order) aborts the campaign.
 fn run_cells<T, F>(net: &Network, n_cells: usize, threads: usize, run_cell: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(&mut CampaignScratch, usize, &Network) -> Result<T> + Sync,
 {
-    let mut slots: Vec<(Network, Option<Result<T>>)> = partition_cells(&net.scene, n_cells)?
+    let mut slots: Vec<(Range<usize>, Option<Result<T>>)> = cell_ranges(net.node_count(), n_cells)?
         .into_iter()
-        .map(|scene| {
-            (
-                Network {
-                    config: net.config.clone(),
-                    scene,
-                },
-                None,
-            )
-        })
+        .map(|nodes| (nodes, None))
         .collect();
     parallel::for_each_chunk_with(
         &mut slots,
@@ -125,8 +133,12 @@ where
         threads,
         CampaignScratch::new,
         |scratch, idx, chunk| {
-            let (cell_net, out) = &mut chunk[0];
-            *out = Some(run_cell(scratch, idx, cell_net));
+            let (nodes, out) = &mut chunk[0];
+            let cell_net = Network {
+                config: net.config.clone(),
+                scene: cell_scene(&net.scene, nodes.clone()),
+            };
+            *out = Some(run_cell(scratch, idx, &cell_net));
         },
     );
     slots

@@ -7,8 +7,8 @@
 //! normal incidence (f_A = f_B) the scheme degenerates to single-tone OOK
 //! on one detector.
 
-use mmwave_sigproc::detect::integrate_and_dump;
-use mmwave_sigproc::stats::{mean, percentile};
+use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold};
+use mmwave_sigproc::stats::mean;
 use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
 
@@ -60,12 +60,7 @@ pub fn calibrate_threshold(trace: &[f64]) -> Result<f64, DemodError> {
     if trace.is_empty() {
         return Err(DemodError::TraceTooShort);
     }
-    let hi = percentile(trace, 90.0);
-    let lo = percentile(trace, 10.0);
-    if hi - lo <= 0.0 {
-        return Err(DemodError::NoContrast);
-    }
-    Ok((hi + lo) / 2.0)
+    midpoint_threshold(trace).ok_or(DemodError::NoContrast)
 }
 
 /// Reusable buffers for the demodulation hot path: per-port symbol

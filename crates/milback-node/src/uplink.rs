@@ -11,7 +11,7 @@ use mmwave_sigproc::waveform::{bytes_to_symbols, OaqfmSymbol};
 use serde::{Deserialize, Serialize};
 
 /// Errors from the uplink modulator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UplinkError {
     /// Requested symbol rate exceeds the switch toggle limit.
     RateTooHigh {

@@ -207,11 +207,22 @@ pub fn best_lag(a: &[f64], b: &[f64]) -> Option<f64> {
 /// between the robust bright (90th percentile) and dark (10th percentile)
 /// levels. Returns `None` for empty traces or traces with no contrast.
 pub fn midpoint_threshold(trace: &[f64]) -> Option<f64> {
+    midpoint_threshold_into(trace, &mut Vec::new())
+}
+
+/// [`midpoint_threshold`] with a caller-owned sort buffer: the trace is
+/// copied into `sorted` and sorted once, and both percentiles read that one
+/// copy, so a receiver that reuses the buffer slices without touching the
+/// heap past its high-water mark.
+pub fn midpoint_threshold_into(trace: &[f64], sorted: &mut Vec<f64>) -> Option<f64> {
     if trace.is_empty() {
         return None;
     }
-    let hi = crate::stats::percentile(trace, 90.0);
-    let lo = crate::stats::percentile(trace, 10.0);
+    sorted.clear();
+    sorted.extend_from_slice(trace);
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let hi = crate::stats::percentile_sorted(sorted, 90.0);
+    let lo = crate::stats::percentile_sorted(sorted, 10.0);
     if hi - lo <= 0.0 {
         None
     } else {
@@ -412,5 +423,46 @@ mod tests {
     #[should_panic(expected = "low < high")]
     fn schmitt_rejects_inverted_thresholds() {
         SchmittTrigger::new(0.7, 0.3);
+    }
+
+    #[test]
+    fn midpoint_threshold_sorts_once_with_identical_bits() {
+        use crate::random::GaussianSource;
+        use crate::stats::percentile;
+        // The pre-merge form: one clone-and-sort per percentile.
+        let two_sorts = |t: &[f64]| {
+            let hi = percentile(t, 90.0);
+            let lo = percentile(t, 10.0);
+            (hi - lo > 0.0).then(|| (hi + lo) / 2.0)
+        };
+        let mut rng = GaussianSource::new(17);
+        let mut traces: Vec<Vec<f64>> = Vec::new();
+        for len in [1usize, 2, 3, 7, 10, 63, 64, 257, 1001] {
+            // Random, even and odd lengths.
+            traces.push((0..len).map(|_| rng.sample(1.0)).collect());
+            // Heavy ties on a two-level trace, including signed zeros.
+            traces.push(
+                (0..len)
+                    .map(|i| match i % 3 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => 0.25,
+                    })
+                    .collect(),
+            );
+            traces.push((0..len).map(|i| f64::from(u8::from(i % 4 == 0))).collect());
+        }
+        traces.push(vec![0.5; 9]);
+        let mut buf = Vec::new();
+        for t in &traces {
+            let want = two_sorts(t).map(f64::to_bits);
+            assert_eq!(midpoint_threshold(t).map(f64::to_bits), want, "{t:?}");
+            assert_eq!(
+                midpoint_threshold_into(t, &mut buf).map(f64::to_bits),
+                want,
+                "{t:?}"
+            );
+        }
+        assert_eq!(midpoint_threshold(&[]), None);
     }
 }

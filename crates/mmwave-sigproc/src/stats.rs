@@ -63,18 +63,28 @@ pub fn mae(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 /// Panics if `x` is empty or `p` is out of range.
 pub fn percentile(x: &[f64], p: f64) -> f64 {
-    assert!(!x.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
     let mut v = x.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = p / 100.0 * (v.len() - 1) as f64;
+    percentile_sorted(&v, p)
+}
+
+/// [`percentile`] of data already sorted ascending: the interpolation
+/// step alone, so a caller that needs several percentiles of one trace
+/// sorts it once.
+///
+/// # Panics
+/// Panics if `sorted` is empty or `p` is out of range.
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!(!sorted.is_empty(), "percentile of empty slice");
+    assert!((0.0..=100.0).contains(&p), "percentile out of range");
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        v[lo]
+        sorted[lo]
     } else {
         let frac = rank - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
