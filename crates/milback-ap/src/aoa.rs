@@ -5,7 +5,7 @@
 //! node's beat bin equals `2π·d·sin(θ)/λ` for RX baseline `d` — one
 //! `asin` away from the node's angle.
 
-use crate::fmcw::{FmcwError, FmcwProcessor};
+use crate::fmcw::{EchoDetection, FmcwError, FmcwProcessor};
 use mmwave_rf::propagation::angle_from_phase_rad;
 use mmwave_sigproc::complex::Complex;
 use mmwave_sigproc::units::wrap_angle;
@@ -94,14 +94,40 @@ impl AoaEstimator {
         beats_rx2: &[Vec<Complex>],
     ) -> Result<AoaEstimate, AoaError> {
         let det = proc.detect_node(beats_rx1)?;
-        let s1 = proc.subtracted_spectrum(beats_rx1)?;
+        let mut rx1_spectra = proc.range_spectrum(&beats_rx1[0]);
+        rx1_spectra.extend(proc.range_spectrum(&beats_rx1[1]));
+        self.estimate_from_rx1(proc, &det, &rx1_spectra, beats_rx2)
+    }
+
+    /// [`Self::estimate`] for a caller that has already detected the node
+    /// on channel 1 and still holds channel 1's range spectra, so only
+    /// channel 2 is transformed here. `rx1_spectra` is row-major,
+    /// `fft_len()` per chirp, at least two chirps — e.g.
+    /// [`FmcwScratch::spectra`](crate::fmcw::FmcwScratch::spectra) right
+    /// after [`FmcwProcessor::detect_node_with`]. Bit-identical to
+    /// [`Self::estimate`] on the same captures.
+    pub fn estimate_from_rx1(
+        &self,
+        proc: &FmcwProcessor,
+        det: &EchoDetection,
+        rx1_spectra: &[Complex],
+        beats_rx2: &[Vec<Complex>],
+    ) -> Result<AoaEstimate, AoaError> {
+        let n = proc.fft_len();
+        if rx1_spectra.len() < 2 * n {
+            return Err(FmcwError::NotEnoughChirps {
+                got: rx1_spectra.len() / n,
+            }
+            .into());
+        }
+        let (s1a, s1b) = (&rx1_spectra[..n], &rx1_spectra[n..2 * n]);
         let s2 = proc.subtracted_spectrum(beats_rx2)?;
         let bin = det.bin_position.round() as usize;
         // Phase of RX2 relative to RX1 at the node's bin: average over the
         // adjacent bins inside the main lobe for robustness.
         let mut acc = Complex::new(0.0, 0.0);
-        for k in bin.saturating_sub(1)..=(bin + 1).min(s1.len() - 1) {
-            acc += s2[k] * s1[k].conj();
+        for k in bin.saturating_sub(1)..=(bin + 1).min(n - 1) {
+            acc += s2[k] * (s1a[k] - s1b[k]).conj();
         }
         let phase = acc.arg();
         let angle = angle_from_phase_rad(self.carrier_hz, self.baseline_m, phase)
@@ -127,6 +153,7 @@ impl AoaEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fmcw::FmcwScratch;
     use mmwave_rf::channel::{synthesize_beat, Echo};
     use mmwave_sigproc::random::GaussianSource;
 
@@ -206,6 +233,56 @@ mod tests {
         let (rx1, rx2) = capture2(&proc, &est, 6.2, 0.1, 1e-5, 1e-16, 21);
         let got = est.estimate(&proc, &rx1, &rx2).unwrap();
         assert!((got.range_m - 6.2).abs() < 0.05);
+    }
+
+    #[test]
+    fn estimate_from_rx1_matches_estimate_bit_exactly() {
+        // `estimate` detects on the allocating path and transforms RX1
+        // chirps one at a time; `estimate_from_rx1` reuses the detection
+        // and spectra of the batched scratch path. Same bits either way.
+        let proc = FmcwProcessor::milback_default();
+        let est = AoaEstimator::milback_default();
+        let mut draw = GaussianSource::new(0xA0A);
+        let mut scratch = FmcwScratch::new();
+        let mut estimated = 0;
+        for seed in 0..24 {
+            let range = draw.uniform(0.8, 9.0);
+            let angle = draw.uniform(-1.2, 1.2);
+            let amp = 10f64.powf(draw.uniform(-7.0, -4.0));
+            let noise = 10f64.powf(draw.uniform(-16.0, -9.0));
+            let (rx1, rx2) = capture2(&proc, &est, range, angle, amp, noise, seed);
+            let single = est.estimate(&proc, &rx1, &rx2);
+            let batched = proc
+                .detect_node_with(&rx1, &mut scratch)
+                .map_err(AoaError::from)
+                .and_then(|det| est.estimate_from_rx1(&proc, &det, scratch.spectra(), &rx2));
+            match (single, batched) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.angle_rad.to_bits(), b.angle_rad.to_bits(), "seed {seed}");
+                    assert_eq!(a.phase_rad.to_bits(), b.phase_rad.to_bits(), "seed {seed}");
+                    assert_eq!(a.range_m.to_bits(), b.range_m.to_bits(), "seed {seed}");
+                    estimated += 1;
+                }
+                (a, b) => assert_eq!(a, b, "seed {seed}"),
+            }
+        }
+        assert!(estimated >= 12, "only {estimated} of 24 captures estimated");
+    }
+
+    #[test]
+    fn estimate_from_rx1_needs_two_rx1_spectra() {
+        let proc = FmcwProcessor::milback_default();
+        let est = AoaEstimator::milback_default();
+        let (rx1, rx2) = capture2(&proc, &est, 4.0, 0.2, 1e-5, 1e-16, 5);
+        let det = proc.detect_node(&rx1).unwrap();
+        let one_row = proc.range_spectrum(&rx1[0]);
+        match est
+            .estimate_from_rx1(&proc, &det, &one_row, &rx2)
+            .unwrap_err()
+        {
+            AoaError::Fmcw(FmcwError::NotEnoughChirps { got: 1 }) => {}
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

@@ -88,6 +88,14 @@ impl FmcwScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Range spectra of the last chirp stack processed through this
+    /// workspace, row-major (`fft_len()` per chirp) — what
+    /// [`AoaEstimator::estimate_from_rx1`](crate::aoa::AoaEstimator::estimate_from_rx1)
+    /// reads instead of transforming channel 1 again.
+    pub fn spectra(&self) -> &[Complex] {
+        &self.flat
+    }
 }
 
 /// The AP's FMCW processor.

@@ -3,7 +3,8 @@
 //!
 //! The DSP half times the planned FFT layer (cached one-shot vs the seed's
 //! plan-per-call path, plus the allocation-free in-place path), a full
-//! range–Doppler frame serial vs parallel, beat synthesis, and one reduced
+//! range–Doppler frame serial vs parallel, beat synthesis, one five-chirp
+//! two-channel localization capture, and one reduced
 //! Figure-15 uplink run (through the trial-parallel runner). Every
 //! contender pair is sampled round-robin (one short burst each,
 //! alternating, min over many rounds) so background load on a shared
@@ -746,6 +747,32 @@ fn main() {
     );
     drop(beat_span);
 
+    // --- Five-chirp two-channel Field-2 capture -----------------------
+    // The localization capture: one phasor table per channel, then only
+    // the amplitude sum per chirp (serial synthesis, as trial runners use).
+    let capture_span = spans::span("dsp_capture");
+    let pipeline = milback_core::LocalizationPipeline::new(
+        SystemConfig::milback_default(),
+        milback_core::Scene::indoor(3.0, 12f64.to_radians()),
+    )
+    .expect("indoor pipeline")
+    .with_beat_threads(1);
+    let capture_echoes = pipeline.scene.clutter.len() + 4;
+    let mut capture_rng = GaussianSource::new(0xCAB);
+    let mut capture_two = || {
+        std::hint::black_box(pipeline.capture(
+            5,
+            milback_core::localization::ToggleSelection { a: true, b: true },
+            &mut capture_rng,
+        ));
+    };
+    let capture_ns = race(20, 2, &mut [&mut capture_two])[0];
+    println!(
+        "capture (5 chirps x 2 channels, {capture_echoes} echoes, 900 samples): {:.1} us",
+        capture_ns / 1e3,
+    );
+    drop(capture_span);
+
     // --- Reduced Figure-15 uplink run (through the runner) -----------
     let uplink_span = spans::span("uplink_fig15");
     let t = Instant::now();
@@ -815,6 +842,11 @@ fn main() {
         json_f(beat[0]),
         json_f(beat[1]),
         beat[0] / beat[1],
+    );
+    let _ = writeln!(
+        j,
+        "  \"capture\": {{ \"chirps\": 5, \"channels\": 2, \"echoes\": {capture_echoes}, \"samples\": 900, \"ns\": {} }},",
+        json_f(capture_ns),
     );
     let _ = writeln!(
         j,

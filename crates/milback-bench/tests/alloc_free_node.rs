@@ -12,34 +12,42 @@
 //! all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use milback_node::firmware::{Direction, Event, Firmware, State};
 use milback_node::power::NodePowerModel;
 use milback_node::{PortMode, ToggleSchedule};
 
-/// System allocator with an allocation counter. Deallocations and
-/// reallocations are counted too — the hot path must not touch the heap
-/// in any way.
+/// System allocator that counts every allocation, deallocation and
+/// reallocation made by the current thread — the hot path must not touch
+/// the heap in any way. The count is per thread, so tests running in
+/// parallel on other threads cannot move it.
 struct CountingAlloc;
 
-static ALLOC_OPS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_op() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = HEAP_OPS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// relaxed atomic with no effect on allocation behavior.
+// const-initialized thread-local that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,11 +55,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap operations it performed.
+/// Runs `f` and returns how many heap operations this thread performed
+/// meanwhile.
 fn alloc_ops_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOC_OPS.load(Ordering::Relaxed);
+    let before = HEAP_OPS.with(Cell::get);
     let out = f();
-    let after = ALLOC_OPS.load(Ordering::Relaxed);
+    let after = HEAP_OPS.with(Cell::get);
     (after - before, out)
 }
 
@@ -96,6 +105,12 @@ fn firmware_packet_walk_is_allocation_free() {
     // The ledger really ran: energy accumulated across the packets.
     assert!(fw.energy_j() > 0.0);
     assert_eq!(fw.packet_counts().0 + fw.packet_counts().1, 101);
+    // And the per-thread counter does see this thread's heap traffic.
+    let (ops, v) = alloc_ops_during(|| std::hint::black_box(vec![0u8; 64]));
+    assert!(
+        ops >= 1 && v.len() == 64,
+        "the counting allocator saw nothing"
+    );
 }
 
 #[test]

@@ -41,8 +41,8 @@ use milback_node::orientation::OrientationEstimator;
 use mmwave_rf::antenna::fsa::{FsaGainEval, FsaPort};
 use mmwave_rf::antenna::Antenna;
 use mmwave_rf::channel::{
-    backscatter_amplitude_sqrt_w, clutter_amplitude_sqrt_w, received_power_w,
-    synthesize_beat_with_threads, Echo, Vec2,
+    backscatter_amplitude_sqrt_w, clutter_amplitude_sqrt_w, received_power_w, BeatPhasors, Echo,
+    Vec2,
 };
 use mmwave_sigproc::complex::Complex;
 use mmwave_sigproc::parallel;
@@ -222,6 +222,26 @@ impl LocalizationPipeline {
         toggles: ToggleSelection,
         rng: &mut GaussianSource,
     ) -> (Vec<Vec<Complex>>, Vec<Vec<Complex>>) {
+        self.capture_channels(n_chirps, toggles, true, rng)
+    }
+
+    /// [`Self::capture`], optionally without synthesizing RX2. With
+    /// `with_rx2 == false` the returned RX2 stack is empty, but every chirp
+    /// still draws RX2's noise after RX1's, so the RNG stream (and thus
+    /// every later draw) is the same as a full capture's.
+    ///
+    /// The echo geometry (distances and extra phases) holds still for the
+    /// whole capture; only reflection amplitudes change chirp to chirp. So
+    /// each channel's carrier phasors are tabulated once, on the first
+    /// chirp ([`BeatPhasors`]), and every chirp runs only the amplitude
+    /// sum — bit-identical with synthesizing each chirp from scratch.
+    fn capture_channels(
+        &self,
+        n_chirps: usize,
+        toggles: ToggleSelection,
+        with_rx2: bool,
+        rng: &mut GaussianSource,
+    ) -> (Vec<Vec<Complex>>, Vec<Vec<Complex>>) {
         let gt = self.scene.ground_truth(0);
         let psi = gt.incidence_rad;
         let chirp = self.processor.chirp;
@@ -277,15 +297,17 @@ impl LocalizationPipeline {
         // upper sub-band for the whole capture (it cancels in background
         // subtraction but distorts the node echo's spectrum slightly).
         let stitch = Complex::cis(rng.sample(self.impairments.stitch_phase_rad));
-        // Per-sample port gains over the beat grid, hoisted out of the echo
-        // closures: every node-path echo queries the same
-        // `(port, f_inst, psi)` triple at each sample of each chirp, so
-        // evaluate each once and let the closures index by sample. The beat
-        // synthesizer passes `t = sample_index / fs`, so `(t·fs).round()`
-        // recovers the index and the lookup is bit-exact with the inline
-        // gain calls it replaces.
+        // Per-sample port gains and multipath ripple over the beat grid,
+        // hoisted out of the echo closures: every node-path echo queries
+        // the same `(port, f_inst, psi)` triple at each sample of each
+        // chirp, and the node echo's ripple depends only on `f_inst`, so
+        // evaluate each once per capture and let the closures index by
+        // sample. The beat synthesizer passes `t = sample_index / fs`, so
+        // `(t·fs).round()` recovers the index and the lookup is bit-exact
+        // with the inline calls it replaces.
         let n_samples = (chirp.duration_s * fs).round() as usize;
-        let (ga_t, gb_t): (Arc<[f64]>, Arc<[f64]>) = {
+        // Entry `i` is `(port-A gain, port-B gain, ripple)` at sample `i`.
+        let node_t: Arc<[(f64, f64, f64)]> = {
             let freqs: Vec<f64> = (0..n_samples)
                 .map(|i| chirp.instantaneous_freq(i as f64 / fs))
                 .collect();
@@ -297,21 +319,70 @@ impl LocalizationPipeline {
                 .gain_linear_freqs_into(FsaPort::A, &freqs, psi, &mut ga, false);
             self.gain_eval
                 .gain_linear_freqs_into(FsaPort::B, &freqs, psi, &mut gb, false);
-            (ga.into(), gb.into())
+            freqs
+                .iter()
+                .zip(ga.iter().zip(&gb))
+                .map(|(&f, (&g_a, &g_b))| {
+                    let ripple = 1.0
+                        + 2.0
+                            * mp_amp
+                            * (2.0 * std::f64::consts::PI * f * mp_delta
+                                / mmwave_sigproc::units::SPEED_OF_LIGHT
+                                + mp_phi)
+                                .cos();
+                    (g_a, g_b, ripple.max(0.0))
+                })
+                .collect()
+        };
+        // Per-capture echo constants: clutter geometry, gains and
+        // inter-antenna phase; the mirror and node-echo base amplitudes.
+        let clutter: Vec<(f64, f64, f64)> = self
+            .scene
+            .clutter
+            .iter()
+            .map(|c| {
+                let d = self.scene.ap.position.distance_to(c.position);
+                let az = self.scene.ap.azimuth_to(c.position);
+                let g = db_to_lin(horn.gain_dbi(chirp.center_hz(), az));
+                let amp =
+                    clutter_amplitude_sqrt_w(tx_w, g, g, c.rcs_m2, chirp.center_hz(), d) * impl_amp;
+                (d, amp, self.aoa.expected_phase_rad(az))
+            })
+            .collect();
+        let mirror_amp_base = clutter_amplitude_sqrt_w(
+            tx_w,
+            g_ap,
+            g_ap,
+            self.config.mirror.rcs_at(psi),
+            chirp.center_hz(),
+            gt.range_m,
+        ) * impl_amp;
+        let const_amp =
+            backscatter_amplitude_sqrt_w(tx_w, g_ap, g_ap, 1.0, 1.0, chirp.center_hz(), gt.range_m)
+                * impl_amp;
+        let fsa_center_hz = node.fsa.design.center_hz();
+        let threads = self.beat_threads;
+        let mut phasors1: Option<BeatPhasors> = None;
+        let mut phasors2: Option<BeatPhasors> = None;
+        // Sink for RX2's noise when RX2 is skipped: only the draws matter.
+        let mut rx2_sink = if with_rx2 {
+            Vec::new()
+        } else {
+            vec![mmwave_sigproc::complex::ZERO; n_samples]
         };
         let mut rx1 = Vec::with_capacity(n_chirps);
-        let mut rx2 = Vec::with_capacity(n_chirps);
+        let mut rx2 = Vec::with_capacity(if with_rx2 { n_chirps } else { 0 });
         for k in 0..n_chirps {
             let reflective = k % 2 == 0;
             // A port either toggles chirp-to-chirp or parks *absorptive*
             // (§5.2a: "we put one port of the node's FSA in absorptive mode
             // and switch the other port").
-            let ga_state = if !toggles.a || !reflective {
+            let ga = if !toggles.a || !reflective {
                 gamma_a
             } else {
                 gamma_r
             };
-            let gb_state = if !toggles.b || !reflective {
+            let gb = if !toggles.b || !reflective {
                 gamma_a
             } else {
                 gamma_r
@@ -322,14 +393,6 @@ impl LocalizationPipeline {
                 .iter()
                 .map(|_| 1.0 + rng.sample(self.impairments.clutter_flicker))
                 .collect();
-            let mirror_amp_base = clutter_amplitude_sqrt_w(
-                tx_w,
-                g_ap,
-                g_ap,
-                self.config.mirror.rcs_at(psi),
-                chirp.center_hz(),
-                gt.range_m,
-            ) * impl_amp;
             let mirror_state = 1.0
                 + if reflective {
                     self.config.mirror.switching_leakage
@@ -342,21 +405,11 @@ impl LocalizationPipeline {
             let mk_echoes = |extra_phase: f64, is_rx2: bool| -> Vec<Echo<'_>> {
                 let mut echoes: Vec<Echo<'_>> = Vec::new();
                 // Clutter with flicker.
-                for (c, &fl) in self.scene.clutter.iter().zip(&flicker) {
-                    let d = self.scene.ap.position.distance_to(c.position);
-                    let az = self.scene.ap.azimuth_to(c.position);
-                    let g = db_to_lin(horn.gain_dbi(chirp.center_hz(), az));
-                    let amp = clutter_amplitude_sqrt_w(tx_w, g, g, c.rcs_m2, chirp.center_hz(), d)
-                        * impl_amp
-                        * fl;
-                    let clutter_phase = if is_rx2 {
-                        self.aoa.expected_phase_rad(az)
-                    } else {
-                        0.0
-                    };
+                for (&(d, base_amp, rx2_phase), &fl) in clutter.iter().zip(&flicker) {
+                    let amp = base_amp * fl;
                     echoes.push(Echo {
                         distance_m: d,
-                        extra_phase_rad: clutter_phase,
+                        extra_phase_rad: if is_rx2 { rx2_phase } else { 0.0 },
                         amplitude: Box::new(move |_, _| Complex::real(amp)),
                     });
                 }
@@ -369,36 +422,17 @@ impl LocalizationPipeline {
                     amplitude: Box::new(move |_, _| Complex::real(m_amp)),
                 });
                 // The node's FSA echo: frequency-selective via the port
-                // gains, second sweep half carries the stitch phase.
-                let fsa = node.fsa.design;
-                let ga = ga_state;
-                let gb = gb_state;
-                let const_amp = backscatter_amplitude_sqrt_w(
-                    tx_w,
-                    g_ap,
-                    g_ap,
-                    1.0,
-                    1.0,
-                    chirp.center_hz(),
-                    gt.range_m,
-                ) * impl_amp;
-                let (ta, tb) = (Arc::clone(&ga_t), Arc::clone(&gb_t));
+                // gains, rippled by the lateral multipath, second sweep
+                // half carries the stitch phase.
+                let table = Arc::clone(&node_t);
                 echoes.push(Echo {
                     distance_m: gt.range_m,
                     extra_phase_rad: extra_phase,
                     amplitude: Box::new(move |t, f| {
                         let i = (t * fs).round() as usize;
-                        let g_a = ta[i];
-                        let g_b = tb[i];
-                        let ripple = 1.0
-                            + 2.0
-                                * mp_amp
-                                * (2.0 * std::f64::consts::PI * f * mp_delta
-                                    / mmwave_sigproc::units::SPEED_OF_LIGHT
-                                    + mp_phi)
-                                    .cos();
-                        let a = const_amp * (g_a * ga + g_b * gb) * ripple.max(0.0);
-                        if f > fsa.center_hz() {
+                        let (g_a, g_b, ripple) = table[i];
+                        let a = const_amp * (g_a * ga + g_b * gb) * ripple;
+                        if f > fsa_center_hz {
                             Complex::real(a) * stitch
                         } else {
                             Complex::real(a)
@@ -411,25 +445,25 @@ impl LocalizationPipeline {
                 // the excess shrinks below the 5 cm resolution cell and
                 // the bounce pulls the interpolated peak (Fig 12a).
                 if bounce_rel > 0.0 {
-                    let (ta, tb) = (Arc::clone(&ga_t), Arc::clone(&gb_t));
+                    let table = Arc::clone(&node_t);
                     echoes.push(Echo {
                         distance_m: gt.range_m + bounce_excess,
                         extra_phase_rad: extra_phase,
                         amplitude: Box::new(move |t, _| {
-                            let i = (t * fs).round() as usize;
-                            let a = const_amp * bounce_rel * (ta[i] * ga + tb[i] * gb);
+                            let (g_a, g_b, _) = table[(t * fs).round() as usize];
+                            let a = const_amp * bounce_rel * (g_a * ga + g_b * gb);
                             bounce_phase.scale(a)
                         }),
                     });
                     // Double bounce (floor on both legs): ρ², 2× excess.
                     let rel2 = bounce_rel * bounce_rel;
-                    let (ta, tb) = (Arc::clone(&ga_t), Arc::clone(&gb_t));
+                    let table = Arc::clone(&node_t);
                     echoes.push(Echo {
                         distance_m: gt.range_m + 2.0 * bounce_excess,
                         extra_phase_rad: extra_phase,
                         amplitude: Box::new(move |t, _| {
-                            let i = (t * fs).round() as usize;
-                            let a = const_amp * rel2 * (ta[i] * ga + tb[i] * gb);
+                            let (g_a, g_b, _) = table[(t * fs).round() as usize];
+                            let a = const_amp * rel2 * (g_a * ga + g_b * gb);
                             bounce2_phase.scale(a)
                         }),
                     });
@@ -438,13 +472,21 @@ impl LocalizationPipeline {
             };
 
             let echoes1 = mk_echoes(0.0, false);
-            let echoes2 = mk_echoes(aoa_phase, true);
-            let mut b1 = synthesize_beat_with_threads(&chirp, &echoes1, fs, self.beat_threads);
-            let mut b2 = synthesize_beat_with_threads(&chirp, &echoes2, fs, self.beat_threads);
+            let mut b1 = phasors1
+                .get_or_insert_with(|| BeatPhasors::new(&chirp, &echoes1, fs, threads))
+                .sum(&echoes1, threads);
             rng.add_complex_noise(&mut b1, noise_w);
-            rng.add_complex_noise(&mut b2, noise_w);
             rx1.push(b1);
-            rx2.push(b2);
+            if with_rx2 {
+                let echoes2 = mk_echoes(aoa_phase, true);
+                let mut b2 = phasors2
+                    .get_or_insert_with(|| BeatPhasors::new(&chirp, &echoes2, fs, threads))
+                    .sum(&echoes2, threads);
+                rng.add_complex_noise(&mut b2, noise_w);
+                rx2.push(b2);
+            } else {
+                rng.add_complex_noise(&mut rx2_sink, noise_w);
+            }
         }
         (rx1, rx2)
     }
@@ -468,7 +510,9 @@ impl LocalizationPipeline {
     ) -> Result<LocationFix> {
         let (rx1, rx2) = self.capture(5, ToggleSelection { a: true, b: true }, rng);
         let det = self.processor.detect_node_with(&rx1, scratch)?;
-        let aoa = self.aoa.estimate(&self.processor, &rx1, &rx2)?;
+        let aoa = self
+            .aoa
+            .estimate_from_rx1(&self.processor, &det, scratch.spectra(), &rx2)?;
         Ok(LocationFix {
             range_m: det.range_m,
             angle_rad: aoa.angle_rad,
@@ -480,7 +524,7 @@ impl LocalizationPipeline {
     /// AP-side orientation estimate (§5.2a): port A toggles, port B parked
     /// absorptive.
     pub fn orient_at_ap(&self, rng: &mut GaussianSource) -> Result<f64> {
-        let (rx1, _) = self.capture(5, ToggleSelection { a: true, b: false }, rng);
+        let (rx1, _) = self.capture_channels(5, ToggleSelection { a: true, b: false }, false, rng);
         let est = ApOrientationEstimator::milback_default();
         Ok(est
             .estimate(&self.processor, &rx1, &self.config.node.fsa.design)?

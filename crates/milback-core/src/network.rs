@@ -2620,7 +2620,7 @@ pub fn localize_all_doppler(
     use milback_ap::doppler::DopplerProcessor;
     use milback_ap::fmcw::FmcwProcessor;
     use mmwave_rf::antenna::Antenna;
-    use mmwave_rf::channel::{backscatter_amplitude_sqrt_w, synthesize_beat, Echo};
+    use mmwave_rf::channel::{backscatter_amplitude_sqrt_w, BeatPhasors, Echo};
     use mmwave_sigproc::units::{dbm_to_watts, noise_power_watts};
 
     let n_nodes = network.node_count();
@@ -2653,6 +2653,10 @@ pub fn localize_all_doppler(
     );
     // For multi-node ranging the AP widens its beam (or sweeps); model a
     // broad illumination by evaluating the horn at each node's azimuth.
+    // Node ranges hold still across the capture, so the carrier phasors
+    // are tabulated on the first chirp and every chirp only sums.
+    let threads = mmwave_sigproc::parallel::max_threads();
+    let mut phasors: Option<BeatPhasors> = None;
     let beats: Vec<Vec<mmwave_sigproc::Complex>> = (0..n_chirps)
         .map(|k| {
             let echoes: Vec<Echo<'_>> = (0..n_nodes)
@@ -2690,7 +2694,11 @@ pub fn localize_all_doppler(
                     Echo::constant(gt.range_m, amp)
                 })
                 .collect();
-            let mut b = synthesize_beat(&chirp, &echoes, proc.sample_rate_hz);
+            let mut b = phasors
+                .get_or_insert_with(|| {
+                    BeatPhasors::new(&chirp, &echoes, proc.sample_rate_hz, threads)
+                })
+                .sum(&echoes, threads);
             rng.add_complex_noise(&mut b, noise_w);
             b
         })

@@ -185,49 +185,124 @@ pub fn synthesize_beat(chirp: &Chirp, echoes: &[Echo<'_>], sample_rate_hz: f64) 
     synthesize_beat_with_threads(chirp, echoes, sample_rate_hz, parallel::max_threads())
 }
 
-/// Samples per worker block in [`synthesize_beat_with_threads`]; a standard
-/// 900-sample localization chirp splits into four blocks.
+/// Samples per worker block in [`BeatPhasors`]; a standard 900-sample
+/// localization chirp splits into four blocks.
 const BEAT_BLOCK: usize = 256;
 
-/// [`synthesize_beat`] with an explicit worker budget. Output samples are
-/// partitioned into `BEAT_BLOCK`-sized blocks; within each sample the
-/// echoes are summed in slice order, so the result is bit-identical for
-/// every `threads` value (`threads <= 1` runs inline on the caller).
+/// [`synthesize_beat`] with an explicit worker budget: one
+/// [`BeatPhasors`] table, then one [`BeatPhasors::sum`]. The result is
+/// bit-identical for every `threads` value (`threads <= 1` runs inline on
+/// the caller).
 pub fn synthesize_beat_with_threads(
     chirp: &Chirp,
     echoes: &[Echo<'_>],
     sample_rate_hz: f64,
     threads: usize,
 ) -> Vec<Complex> {
-    assert!(
-        chirp.shape == ChirpShape::Sawtooth,
-        "beat synthesis requires a sawtooth chirp"
-    );
-    assert!(sample_rate_hz > 0.0);
-    let n = (chirp.duration_s * sample_rate_hz).round() as usize;
-    let slope = chirp.slope();
-    // Per-echo constants, hoisted out of the sample loop.
-    let pre: Vec<(f64, f64)> = echoes
-        .iter()
-        .map(|echo| {
-            let tau = propagation::round_trip_delay_s(echo.distance_m);
-            let beat_hz = slope * tau;
-            let carrier_phase = 2.0 * PI * chirp.start_hz * tau + echo.extra_phase_rad;
-            (beat_hz, carrier_phase)
-        })
-        .collect();
-    let mut out = vec![mmwave_sigproc::complex::ZERO; n];
-    parallel::for_each_chunk(&mut out, BEAT_BLOCK, threads, |start, block| {
-        for (i, sample) in block.iter_mut().enumerate() {
-            let t = (start + i) as f64 / sample_rate_hz;
-            let f_inst = chirp.instantaneous_freq(t);
-            for (echo, &(beat_hz, carrier_phase)) in echoes.iter().zip(&pre) {
-                let a = (echo.amplitude)(t, f_inst);
-                *sample += a * Complex::cis(2.0 * PI * beat_hz * t + carrier_phase);
-            }
+    BeatPhasors::new(chirp, echoes, sample_rate_hz, threads).sum(echoes, threads)
+}
+
+/// The carrier phasors of a fixed echo geometry over one chirp.
+///
+/// Entry `(i, e)` is `cis(2π·beat_hz·t + carrier_phase)` of echo `e` at
+/// sample `i` (`t = i / fs`), stored sample-major. The table depends only on
+/// each echo's distance and extra phase, never on its amplitude, so a
+/// multi-chirp capture whose geometry holds still while its reflection
+/// amplitudes toggle builds the table once and runs only
+/// [`BeatPhasors::sum`] per chirp.
+#[derive(Debug, Clone)]
+pub struct BeatPhasors {
+    chirp: Chirp,
+    sample_rate_hz: f64,
+    samples: usize,
+    /// `(distance_m, extra_phase_rad)` of each echo, in echo order.
+    geometry: Vec<(f64, f64)>,
+    /// Sample-major phasors: `phasors[i * geometry.len() + e]`.
+    phasors: Vec<Complex>,
+}
+
+impl BeatPhasors {
+    /// Tabulates every echo's carrier phasor over one chirp, on up to
+    /// `threads` workers (entries are independent, so the table is the
+    /// same at any thread count).
+    ///
+    /// # Panics
+    /// Panics for triangular chirps or a non-positive sample rate.
+    pub fn new(chirp: &Chirp, echoes: &[Echo<'_>], sample_rate_hz: f64, threads: usize) -> Self {
+        assert!(
+            chirp.shape == ChirpShape::Sawtooth,
+            "beat synthesis requires a sawtooth chirp"
+        );
+        assert!(sample_rate_hz > 0.0);
+        let samples = (chirp.duration_s * sample_rate_hz).round() as usize;
+        let slope = chirp.slope();
+        let geometry: Vec<(f64, f64)> = echoes
+            .iter()
+            .map(|echo| (echo.distance_m, echo.extra_phase_rad))
+            .collect();
+        let pre: Vec<(f64, f64)> = geometry
+            .iter()
+            .map(|&(distance_m, extra_phase_rad)| {
+                let tau = propagation::round_trip_delay_s(distance_m);
+                let beat_hz = slope * tau;
+                let carrier_phase = 2.0 * PI * chirp.start_hz * tau + extra_phase_rad;
+                (beat_hz, carrier_phase)
+            })
+            .collect();
+        let width = pre.len();
+        let mut phasors = vec![mmwave_sigproc::complex::ZERO; samples * width];
+        if width > 0 {
+            parallel::for_each_chunk(&mut phasors, BEAT_BLOCK * width, threads, |start, rows| {
+                for (r, row) in rows.chunks_exact_mut(width).enumerate() {
+                    let t = (start / width + r) as f64 / sample_rate_hz;
+                    for (p, &(beat_hz, carrier_phase)) in row.iter_mut().zip(&pre) {
+                        *p = Complex::cis(2.0 * PI * beat_hz * t + carrier_phase);
+                    }
+                }
+            });
         }
-    });
-    out
+        Self {
+            chirp: *chirp,
+            sample_rate_hz,
+            samples,
+            geometry,
+            phasors,
+        }
+    }
+
+    /// One chirp's beat signal: at each sample, the echoes'
+    /// `amplitude(t, f_inst) · phasor` summed in echo order from zero.
+    /// Output samples are split into `BEAT_BLOCK`-sized blocks over up to
+    /// `threads` workers; each sample's sum is the same at any thread count.
+    ///
+    /// # Panics
+    /// Panics unless `echoes` has exactly the distances and extra phases
+    /// (to the bit, in order) the table was built from.
+    pub fn sum(&self, echoes: &[Echo<'_>], threads: usize) -> Vec<Complex> {
+        assert!(
+            echoes.len() == self.geometry.len()
+                && echoes.iter().zip(&self.geometry).all(|(echo, &(d, phi))| {
+                    echo.distance_m.to_bits() == d.to_bits()
+                        && echo.extra_phase_rad.to_bits() == phi.to_bits()
+                }),
+            "echo geometry differs from the phasor table's"
+        );
+        let width = self.geometry.len();
+        let (chirp, fs) = (&self.chirp, self.sample_rate_hz);
+        let mut out = vec![mmwave_sigproc::complex::ZERO; self.samples];
+        parallel::for_each_chunk(&mut out, BEAT_BLOCK, threads, |start, block| {
+            for (i, sample) in block.iter_mut().enumerate() {
+                let s = start + i;
+                let t = s as f64 / fs;
+                let f_inst = chirp.instantaneous_freq(t);
+                let row = &self.phasors[s * width..(s + 1) * width];
+                for (echo, &phasor) in echoes.iter().zip(row) {
+                    *sample += (echo.amplitude)(t, f_inst) * phasor;
+                }
+            }
+        });
+        out
+    }
 }
 
 /// Received power (watts) at a receive aperture of linear gain `rx_gain`
@@ -329,6 +404,7 @@ impl MirrorReflection {
 mod tests {
     use super::*;
     use mmwave_sigproc::fft::{fft, fft_frequencies};
+    use mmwave_sigproc::random::GaussianSource;
 
     #[test]
     fn beat_synthesis_bit_exact_across_thread_counts() {
@@ -347,6 +423,130 @@ mod tests {
                 "threads={threads} diverges from serial synthesis"
             );
         }
+    }
+
+    /// The per-sample synthesis loop beat synthesis used before the
+    /// table/sum split: a fresh `cis` for every echo at every sample.
+    fn reference_beat(chirp: &Chirp, echoes: &[Echo<'_>], fs: f64) -> Vec<Complex> {
+        let n = (chirp.duration_s * fs).round() as usize;
+        let slope = chirp.slope();
+        let pre: Vec<(f64, f64)> = echoes
+            .iter()
+            .map(|echo| {
+                let tau = propagation::round_trip_delay_s(echo.distance_m);
+                (
+                    slope * tau,
+                    2.0 * PI * chirp.start_hz * tau + echo.extra_phase_rad,
+                )
+            })
+            .collect();
+        (0..n)
+            .map(|i| {
+                let t = i as f64 / fs;
+                let f_inst = chirp.instantaneous_freq(t);
+                let mut sample = mmwave_sigproc::complex::ZERO;
+                for (echo, &(beat_hz, carrier_phase)) in echoes.iter().zip(&pre) {
+                    let a = (echo.amplitude)(t, f_inst);
+                    sample += a * Complex::cis(2.0 * PI * beat_hz * t + carrier_phase);
+                }
+                sample
+            })
+            .collect()
+    }
+
+    /// A random echo set: 0–12 echoes at 0.5–12 m with non-zero extra
+    /// phases, constant or `(t, f)`-dependent complex amplitudes.
+    fn random_echoes(rng: &mut GaussianSource) -> Vec<Echo<'static>> {
+        let count = (rng.uniform(0.0, 13.0) as usize).min(12);
+        (0..count)
+            .map(|_| {
+                let distance_m = rng.uniform(0.5, 12.0);
+                let extra_phase_rad = rng.uniform(-PI, PI);
+                let amp = Complex::new(rng.sample(1e-4), rng.sample(1e-4));
+                let amplitude: Box<dyn Fn(f64, f64) -> Complex + Send + Sync> =
+                    if rng.uniform(0.0, 1.0) < 0.5 {
+                        Box::new(move |_, _| amp)
+                    } else {
+                        let (rate, f_ref) = (rng.uniform(1e5, 1e6), rng.uniform(26.5e9, 29.5e9));
+                        Box::new(move |t, f| {
+                            amp.scale((2.0 * PI * rate * t).sin() + 1e-10 * (f - f_ref))
+                        })
+                    };
+                Echo {
+                    distance_m,
+                    extra_phase_rad,
+                    amplitude,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(x: &[Complex]) -> Vec<(u64, u64)> {
+        x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn table_and_sum_match_per_sample_reference_bit_exactly() {
+        let chirp = Chirp::sawtooth(26.5e9, 3e9, 18e-6);
+        let fs = 50e6;
+        let mut rng = GaussianSource::new(0xBEA7);
+        for _ in 0..24 {
+            let echoes = random_echoes(&mut rng);
+            let want = bits(&reference_beat(&chirp, &echoes, fs));
+            for threads in [1usize, 2, 4, 8] {
+                let got = synthesize_beat_with_threads(&chirp, &echoes, fs, threads);
+                assert!(
+                    bits(&got) == want,
+                    "{} echoes, threads={threads}: diverges from reference",
+                    echoes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_table_serves_every_chirp_of_a_fixed_geometry() {
+        // Same distances and phases, new amplitudes per chirp: one table,
+        // many sums, each bit-exact with a from-scratch synthesis.
+        let chirp = Chirp::sawtooth(26.5e9, 3e9, 18e-6);
+        let fs = 50e6;
+        let mut rng = GaussianSource::new(77);
+        let geometry: Vec<(f64, f64)> = (0..8)
+            .map(|_| (rng.uniform(0.5, 12.0), rng.uniform(-PI, PI)))
+            .collect();
+        let chirp_echoes = |k: usize| -> Vec<Echo<'static>> {
+            geometry
+                .iter()
+                .enumerate()
+                .map(|(e, &(distance_m, extra_phase_rad))| {
+                    let a = if (k + e).is_multiple_of(2) {
+                        1e-4
+                    } else {
+                        2e-5
+                    };
+                    Echo {
+                        distance_m,
+                        extra_phase_rad,
+                        amplitude: Box::new(move |t, _| Complex::real(a * (1.0 + t))),
+                    }
+                })
+                .collect()
+        };
+        let table = BeatPhasors::new(&chirp, &chirp_echoes(0), fs, 2);
+        for k in 0..5 {
+            let echoes = chirp_echoes(k);
+            let beat = table.sum(&echoes, 3);
+            assert_eq!(beat.len(), 900);
+            assert!(bits(&beat) == bits(&reference_beat(&chirp, &echoes, fs)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry")]
+    fn sum_rejects_a_different_geometry() {
+        let chirp = Chirp::sawtooth(26.5e9, 3e9, 18e-6);
+        let table = BeatPhasors::new(&chirp, &[Echo::constant(3.0, 1.0)], 50e6, 1);
+        table.sum(&[Echo::constant(3.5, 1.0)], 1);
     }
 
     #[test]
