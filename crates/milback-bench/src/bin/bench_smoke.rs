@@ -520,9 +520,9 @@ fn bench_batch_kernels() -> BatchBench {
 
 /// The sharded-campaign bench: single-cell vs 4-cell sharded nodes/s on
 /// the same sector campaign, plus the acceptance proofs — a 1-cell sharded
-/// run reproduces `run_mac` bit-for-bit, the sharded aggregate is
-/// invariant across 1/2/4/8 worker threads, and the streaming aggregate's
-/// report footprint does not grow with node count.
+/// run reproduces a plain `Network::run` bit-for-bit, the sharded
+/// aggregate is invariant across 1/2/4/8 worker threads, and the
+/// streaming aggregate's report footprint does not grow with node count.
 struct ShardBench {
     nodes: usize,
     cells: usize,
@@ -535,7 +535,9 @@ struct ShardBench {
 }
 
 fn bench_sharded_campaign() -> ShardBench {
-    use milback_core::{CampaignAggregate, MacPolicy, SlottedAloha};
+    use milback_core::{
+        CampaignAggregate, CampaignProbe, MacPolicy, SlottedAloha, SlottedRunReport,
+    };
 
     let _span = spans::span("sharded_campaign");
     let nodes = 64;
@@ -544,26 +546,25 @@ fn bench_sharded_campaign() -> ShardBench {
     let slots = 8;
     let seed = 0x5AD5u64;
     let c = experiments::sector_campaign(nodes, 16, slots, seed).expect("sector campaign");
+    let spec = c.spec(frames);
     let factory = |_: usize, s: u64| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>;
 
-    // Proof 1: one cell, many worker threads — the sharded path must
-    // reproduce today's `run_mac` report bit-for-bit (`==` and `to_bits`).
+    // Proof 1: one cell, many worker threads — the sharded path's per-node
+    // reports must reproduce a plain run bit-for-bit (`==` and `to_bits`).
     let sharded_reports = c
         .net
-        .run_sharded_mac_reports(1, 4, seed, frames, &c.payload, &c.plan, 20.0, factory)
+        .run_sharded::<SlottedRunReport>(&spec, 1, 4, seed, factory)
         .expect("1-cell sharded run");
     let mut rng = GaussianSource::new(seed);
-    let plain = c
+    let plain: SlottedRunReport = c
         .net
-        .run_mac(
+        .run(
+            &spec,
             Box::new(SlottedAloha::new(seed)),
-            frames,
-            &c.payload,
-            &c.plan,
-            20.0,
             &mut rng,
+            &mut CampaignProbe::disabled(),
         )
-        .expect("plain run_mac");
+        .expect("plain run");
     let mut shard_bit_exact = sharded_reports.len() == 1 && sharded_reports[0] == plain;
     for (a, b) in sharded_reports[0].nodes.iter().zip(&plain.nodes) {
         shard_bit_exact &= a.energy_j.to_bits() == b.energy_j.to_bits();
@@ -573,9 +574,7 @@ fn bench_sharded_campaign() -> ShardBench {
     // Proof 2: the sharded aggregate is invariant across thread counts.
     let run_agg = |n_cells: usize, threads: usize| {
         c.net
-            .run_sharded_mac(
-                n_cells, threads, seed, frames, &c.payload, &c.plan, 20.0, factory,
-            )
+            .run_sharded::<CampaignAggregate>(&spec, n_cells, threads, seed, factory)
             .expect("sharded campaign")
     };
     let baseline = run_agg(cells, 1);
@@ -592,16 +591,7 @@ fn bench_sharded_campaign() -> ShardBench {
     let half = experiments::sector_campaign(nodes / 2, 16, slots, seed).expect("half campaign");
     let half_agg = half
         .net
-        .run_sharded_mac(
-            cells,
-            2,
-            seed,
-            frames,
-            &half.payload,
-            &half.plan,
-            20.0,
-            factory,
-        )
+        .run_sharded::<CampaignAggregate>(&half.spec(frames), cells, 2, seed, factory)
         .expect("half-scale campaign");
     let bucket_footprint = baseline.bucket_footprint();
     let bounded_memory = bucket_footprint == half_agg.bucket_footprint()
@@ -921,7 +911,7 @@ fn main() {
         batch.bit_exact,
     );
     // The sharded city-scale campaign path: single-cell vs sharded
-    // throughput on the same campaign, with the 1-cell `run_mac` parity,
+    // throughput on the same campaign, with the 1-cell `Network::run` parity,
     // 1/2/4/8-thread invariance, and bounded-footprint proofs recorded as
     // acceptance keys.
     let _ = writeln!(

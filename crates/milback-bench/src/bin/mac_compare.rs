@@ -4,7 +4,7 @@
 //! as `net_scale`, sweeping the node count.
 //!
 //! Each (policy, node count) cell is one campaign on the discrete-event
-//! engine ([`milback_core::Network::run_mac`]) through the trial-parallel
+//! engine ([`milback_core::Network::run`]) through the trial-parallel
 //! runner, so the CSV is bit-identical at any thread count; the root seed
 //! and slot seeds match `net_scale`'s, so the ALOHA rows reproduce that
 //! baseline curve exactly.

@@ -3,7 +3,7 @@
 //!
 //! Each node count shards the ±60° sector scene into fixed-size spatial
 //! cells and runs one deterministic engine campaign per cell
-//! ([`milback_core::Network::run_sharded_mac`]), streaming every node
+//! ([`milback_core::Network::run_sharded`]), streaming every node
 //! straight into a [`milback_core::CampaignAggregate`] — so the campaign's
 //! report memory is O(cells + histogram buckets) no matter how many nodes
 //! run, and the cells fan out over `MILBACK_THREADS` workers without

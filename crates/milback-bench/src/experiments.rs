@@ -22,9 +22,10 @@ use milback_core::localization::{Impairments, LocationFix};
 use milback_core::protocol::SlotPlan;
 use milback_core::telemetry::{CampaignProbe, Metrics, TraceBuffer};
 use milback_core::{
-    ApServiceConfig, BackoffAloha, CampaignAggregate, CoverageModel, LifecycleStats, LinkSimulator,
-    LocalizationPipeline, MacPolicy, Network, OverflowPolicy, Packet, RelayAwareMac, RelayConfig,
-    RoundRobinPolling, Scene, SdmAwareAssignment, SlottedAloha, SlottedRunReport, SystemConfig,
+    ApServiceConfig, BackoffAloha, CampaignAggregate, CampaignSpec, CoverageModel, LifecycleStats,
+    LinkSimulator, LocalizationPipeline, MacPolicy, Network, OverflowPolicy, Packet, RelayAwareMac,
+    RelayConfig, RoundRobinPolling, Scene, SdmAwareAssignment, SlottedAloha, SlottedRunReport,
+    SystemConfig,
 };
 use mmwave_rf::channel::{ApFrontend, NodePose, Vec2};
 
@@ -500,51 +501,76 @@ fn sector_scene(n: usize) -> Scene {
 /// slot plan, network, and the per-node-count slot seed. One builder so
 /// `net_scale`, `mac_compare`, the instrumented sweep, and the city-scale
 /// sharded sweep all race over exactly the same campaign and stay
-/// comparable row-for-row.
+/// comparable row-for-row. [`spec`](Self::spec) turns it into the
+/// [`CampaignSpec`] the runners take.
 #[derive(Debug)]
 pub struct SectorCampaign {
     /// The uplink payload every node reports.
     pub payload: Vec<u8>,
     /// The slot plan sized for that payload.
     pub plan: SlotPlan,
-    /// The network over the ±60° sector scene.
+    /// The network over the campaign's scene.
     pub net: Network,
     /// The slot seed shared across sweeps at this node count, so e.g. the
     /// `mac_compare` "aloha" row reproduces the `net_scale` baseline.
     pub slot_seed: u64,
 }
 
-/// Builds the [`SectorCampaign`] for `n` nodes: default system config,
-/// a `0x42`-filled payload, a `slots`-slot plan with 10 µs guards, and the
-/// uniform sector scene. Errors are stringified for the fallible trial runner.
+impl SectorCampaign {
+    /// A campaign over `scene`: default system config, a `0x42`-filled
+    /// payload and a `slots`-slot plan with 10 µs guards. Errors are
+    /// stringified for the fallible trial runner.
+    pub fn over(
+        scene: Scene,
+        payload_bytes: usize,
+        slots: usize,
+        slot_seed: u64,
+    ) -> Result<Self, String> {
+        let config = SystemConfig::milback_default();
+        let payload = vec![0x42u8; payload_bytes];
+        let plan = SlotPlan::for_packet(
+            slots,
+            &Packet::uplink(payload.clone()),
+            &config.fmcw,
+            config.uplink_symbol_rate_hz,
+            10e-6,
+        )
+        .map_err(|e| e.to_string())?;
+        let net = Network::new(config, scene).map_err(|e| e.to_string())?;
+        Ok(Self {
+            payload,
+            plan,
+            net,
+            slot_seed,
+        })
+    }
+
+    /// The parity campaign spec over `frames` frames of this payload and
+    /// plan; sweeps adjust the AP service or relaying with its `with_*`
+    /// builders.
+    pub fn spec(&self, frames: usize) -> CampaignSpec<'_> {
+        CampaignSpec::new(frames, &self.payload, self.plan)
+    }
+}
+
+/// Builds the [`SectorCampaign`] over the uniform sector scene of `n`
+/// nodes (see [`SectorCampaign::over`]), with the per-node-count slot seed.
 pub fn sector_campaign(
     n: usize,
     payload_bytes: usize,
     slots: usize,
     root_seed: u64,
 ) -> Result<SectorCampaign, String> {
-    let config = SystemConfig::milback_default();
-    let payload = vec![0x42u8; payload_bytes];
-    let packet = Packet::uplink(payload.clone());
-    let plan = SlotPlan::for_packet(
+    SectorCampaign::over(
+        sector_scene(n),
+        payload_bytes,
         slots,
-        &packet,
-        &config.fmcw,
-        config.uplink_symbol_rate_hz,
-        10e-6,
+        root_seed.wrapping_add(n as u64),
     )
-    .map_err(|e| e.to_string())?;
-    let net = Network::new(config, sector_scene(n)).map_err(|e| e.to_string())?;
-    Ok(SectorCampaign {
-        payload,
-        plan,
-        net,
-        slot_seed: root_seed.wrapping_add(n as u64),
-    })
 }
 
 /// Network-scaling extension core: a slotted-ALOHA campaign (on the
-/// discrete-event engine's [`Network::run_slotted`]) for each node count,
+/// discrete-event engine's [`Network::run`]) for each node count,
 /// with the nodes spread over a ±60° sector at 4 m so growing density both
 /// fills slots *and* erodes SDM separability. Each node count is one
 /// independent trial with its own deterministic RNG stream, so the sweep
@@ -560,9 +586,14 @@ pub fn extension_net_scale(
     run_fallible(node_counts.len(), root_seed, cfg, |i, rng| {
         let n = node_counts[i];
         let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-        let r = c
+        let r: SlottedRunReport = c
             .net
-            .run_slotted(frames, &c.payload, &c.plan, c.slot_seed, 20.0, rng)
+            .run(
+                &c.spec(frames),
+                Box::new(SlottedAloha::new(c.slot_seed)),
+                rng,
+                &mut CampaignProbe::disabled(),
+            )
             .map_err(|e| e.to_string())?;
         let goodput = (0..n).map(|idx| r.goodput_bps(idx)).sum::<f64>() / n as f64;
         let collisions: usize = r.nodes.iter().map(|nd| nd.collisions).sum();
@@ -664,7 +695,7 @@ pub fn extension_mac_compare(
                 .ok_or_else(|| format!("unknown MAC policy {policy_name:?}"))?;
             let r = c
                 .net
-                .run_mac(policy, frames, &c.payload, &c.plan, 20.0, rng)
+                .run(&c.spec(frames), policy, rng, &mut CampaignProbe::disabled())
                 .map_err(|e| e.to_string())?;
             Ok(mac_compare_point(policy_name, &r))
         },
@@ -736,7 +767,7 @@ pub fn extension_mac_compare_instrumented(
             };
             let r = c
                 .net
-                .run_mac_probed(policy, frames, &c.payload, &c.plan, 20.0, rng, &mut probe)
+                .run(&c.spec(frames), policy, rng, &mut probe)
                 .map_err(|e| e.to_string())?;
             let metrics = probe.take_metrics().unwrap_or_default();
             let trace = probe.trace.take().map(|sink| sink.into_buffer());
@@ -837,7 +868,7 @@ pub struct NetScaleCityPoint {
 
 /// City-scale network sweep core: each node count shards the sector scene
 /// into `⌈nodes / cell_size⌉` spatial cells and runs one slotted-ALOHA
-/// campaign per cell via [`Network::run_sharded_mac`] — parallel across
+/// campaign per cell via [`Network::run_sharded`] — parallel across
 /// cells, streaming straight into a [`milback_core::CampaignAggregate`], so
 /// peak report
 /// memory is O(cells + buckets) and a 10⁵–10⁶-node campaign fits where the
@@ -883,16 +914,11 @@ pub fn extension_net_scale_city(
             // policy per cell.
             let agg = c
                 .net
-                .run_sharded_mac_relay(
+                .run_sharded::<CampaignAggregate>(
+                    &c.spec(frames).with_service(*service).with_relay(*relay),
                     cells,
                     cfg.threads,
                     campaign_seed,
-                    frames,
-                    &c.payload,
-                    &c.plan,
-                    20.0,
-                    service,
-                    relay,
                     |_, seed| {
                         if relay.is_disabled() {
                             Box::new(SlottedAloha::new(seed)) as Box<dyn MacPolicy>
@@ -1014,16 +1040,13 @@ pub fn extension_net_load(
             let service = ApServiceConfig::instantaneous()
                 .with_stage_latencies(2 * c.plan.slot_ps, 0, 0)
                 .with_queue(queue_capacity, policy);
-            let r = c
+            let r: SlottedRunReport = c
                 .net
-                .run_mac_service(
+                .run(
+                    &c.spec(frames).with_service(service),
                     Box::new(SlottedAloha::new(c.slot_seed)),
-                    frames,
-                    &c.payload,
-                    &c.plan,
-                    20.0,
                     rng,
-                    &service,
+                    &mut CampaignProbe::disabled(),
                 )
                 .map_err(|e| e.to_string())?;
             let airtime_s = frames as f64 * ps_to_secs(c.plan.frame_ps());
@@ -1162,33 +1185,22 @@ pub fn extension_net_relay(
         |i, rng| {
             let gap_fraction = gap_fractions[i / hop_budgets.len()];
             let max_hops = hop_budgets[i % hop_budgets.len()];
-            let config = SystemConfig::milback_default();
-            let payload = vec![0x42u8; payload_bytes];
-            let packet = Packet::uplink(payload.clone());
-            let plan = SlotPlan::for_packet(
+            let c = SectorCampaign::over(
+                gapped_sector_scene(nodes, gap_fraction),
+                payload_bytes,
                 slots,
-                &packet,
-                &config.fmcw,
-                config.uplink_symbol_rate_hz,
-                10e-6,
-            )
-            .map_err(|e| e.to_string())?;
-            let net = Network::new(config, gapped_sector_scene(nodes, gap_fraction))
-                .map_err(|e| e.to_string())?;
+                root_seed.wrapping_add(nodes as u64),
+            )?;
             let relay = relay_sweep_config(max_hops);
-            let slot_seed = root_seed.wrapping_add(nodes as u64);
-            let r = net
-                .run_mac_relay(
-                    Box::new(RelayAwareMac::new(slot_seed, relay)),
-                    frames,
-                    &payload,
-                    &plan,
-                    20.0,
+            let agg: CampaignAggregate = c
+                .net
+                .run(
+                    &c.spec(frames).with_relay(relay),
+                    Box::new(RelayAwareMac::new(c.slot_seed, relay)),
                     rng,
-                    &relay,
+                    &mut CampaignProbe::disabled(),
                 )
                 .map_err(|e| e.to_string())?;
-            let agg = CampaignAggregate::from_report(&r);
             Ok(NetRelayPoint {
                 gap_fraction,
                 max_hops,
@@ -1266,40 +1278,37 @@ pub fn extension_net_audit(
     run_fallible(policies.len() * 2, root_seed, cfg, |i, rng| {
         let policy_name = policies[i / 2];
         let with_relay = i % 2 == 1;
-        let config = SystemConfig::milback_default();
-        let payload = vec![0x42u8; payload_bytes];
-        let packet = Packet::uplink(payload.clone());
-        let plan = SlotPlan::for_packet(
-            slots,
-            &packet,
-            &config.fmcw,
-            config.uplink_symbol_rate_hz,
-            10e-6,
-        )
-        .map_err(|e| e.to_string())?;
         let scene = if with_relay {
             gapped_sector_scene(nodes, NET_AUDIT_GAP_FRACTION)
         } else {
             sector_scene(nodes)
         };
-        let net = Network::new(config, scene).map_err(|e| e.to_string())?;
+        let c = SectorCampaign::over(
+            scene,
+            payload_bytes,
+            slots,
+            root_seed.wrapping_add(nodes as u64),
+        )?;
         let relay = if with_relay {
             relay_sweep_config(2)
         } else {
             RelayConfig::disabled()
         };
-        let slot_seed = root_seed.wrapping_add(nodes as u64);
-        let service = net_audit_service(&plan);
         let policy: Box<dyn MacPolicy> = if with_relay && policy_name == "aloha" {
-            Box::new(RelayAwareMac::new(slot_seed, relay))
+            Box::new(RelayAwareMac::new(c.slot_seed, relay))
         } else {
-            mac_policy_by_name(policy_name, slot_seed)
+            mac_policy_by_name(policy_name, c.slot_seed)
                 .ok_or_else(|| format!("unknown MAC policy {policy_name:?}"))?
         };
-        let r = net
-            .run_mac_relay_service(policy, frames, &payload, &plan, 20.0, rng, &service, &relay)
+        let spec = c
+            .spec(frames)
+            .with_service(net_audit_service(&c.plan))
+            .with_relay(relay);
+        // The runner audits the ledger before it returns the report.
+        let r: SlottedRunReport = c
+            .net
+            .run(&spec, policy, rng, &mut CampaignProbe::disabled())
             .map_err(|e| e.to_string())?;
-        r.lifecycle.audit().map_err(|e| e.to_string())?;
         Ok(NetAuditPoint {
             policy: policy_name,
             relay: with_relay,
@@ -1312,7 +1321,7 @@ pub fn extension_net_audit(
 /// The sharded city path's merged lifecycle ledger at one worker-thread
 /// count: the gapped audit scene under [`net_audit_service`] congestion
 /// and a 2-hop relay budget, sharded into `cells` spatial cells via
-/// [`Network::run_sharded_mac_relay`]. Callers run this across
+/// [`Network::run_sharded`]. Callers run this across
 /// `MILBACK_THREADS`-style thread counts and demand the returned sketches
 /// be bit-identical — the merge happens serially in cell-index order, so
 /// they are. The merged ledger is conservation-audited here on top of the
@@ -1327,32 +1336,24 @@ pub fn net_audit_sharded_lifecycle(
     slots: usize,
     root_seed: u64,
 ) -> Result<LifecycleStats, String> {
-    let config = SystemConfig::milback_default();
-    let payload = vec![0x42u8; payload_bytes];
-    let packet = Packet::uplink(payload.clone());
-    let plan = SlotPlan::for_packet(
+    let c = SectorCampaign::over(
+        gapped_sector_scene(nodes, NET_AUDIT_GAP_FRACTION),
+        payload_bytes,
         slots,
-        &packet,
-        &config.fmcw,
-        config.uplink_symbol_rate_hz,
-        10e-6,
-    )
-    .map_err(|e| e.to_string())?;
-    let net = Network::new(config, gapped_sector_scene(nodes, NET_AUDIT_GAP_FRACTION))
-        .map_err(|e| e.to_string())?;
+        root_seed.wrapping_add(nodes as u64),
+    )?;
     let relay = relay_sweep_config(2);
-    let service = net_audit_service(&plan);
-    let agg = net
-        .run_sharded_mac_relay(
+    let spec = c
+        .spec(frames)
+        .with_service(net_audit_service(&c.plan))
+        .with_relay(relay);
+    let agg = c
+        .net
+        .run_sharded::<CampaignAggregate>(
+            &spec,
             cells,
             threads,
             trial_seed(root_seed, 0),
-            frames,
-            &payload,
-            &plan,
-            20.0,
-            &service,
-            &relay,
             |_, seed| Box::new(RelayAwareMac::new(seed, relay)) as Box<dyn MacPolicy>,
         )
         .map_err(|e| e.to_string())?;

@@ -7,7 +7,10 @@
 //! else a trial does.
 
 use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
-use milback_core::{Network, Packet, Scene, Session, SessionReport, SystemConfig};
+use milback_core::{
+    CampaignProbe, CampaignSpec, Network, Packet, Scene, Session, SessionReport, SlottedAloha,
+    SlottedRunReport, SystemConfig,
+};
 use mmwave_sigproc::random::GaussianSource;
 
 fn session() -> Session {
@@ -151,7 +154,9 @@ fn slotted_campaign_thread_count_invariant() {
                 10e-6,
             )
             .unwrap();
-            n.run_slotted(4 + i, &payload, &plan, i as u64, 20.0, rng)
+            let spec = CampaignSpec::new(4 + i, &payload, plan);
+            let policy = Box::new(SlottedAloha::new(i as u64));
+            n.run::<SlottedRunReport>(&spec, policy, rng, &mut CampaignProbe::disabled())
                 .unwrap()
         })
     };

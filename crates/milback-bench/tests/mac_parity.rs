@@ -7,7 +7,11 @@
 use milback_bench::experiments::{extension_mac_compare, MAC_POLICY_NAMES};
 use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
 use milback_core::protocol::SlotPlan;
-use milback_core::{Network, Packet, Scene, SlottedRunReport, SystemConfig};
+use milback_core::{
+    CampaignProbe, CampaignSpec, Network, Packet, Scene, SlottedAloha, SlottedRunReport,
+    SystemConfig,
+};
+use mmwave_sigproc::random::GaussianSource;
 
 fn network() -> Network {
     let scene = Scene::single_node(4.0, 12f64.to_radians())
@@ -24,6 +28,26 @@ fn plan_for(n: &Network, slots: usize, payload: &[u8]) -> SlotPlan {
         &n.config.fmcw,
         n.config.uplink_symbol_rate_hz,
         10e-6,
+    )
+    .unwrap()
+}
+
+/// Slotted ALOHA over `slot_seed` behind the `MacPolicy` trait, through
+/// the campaign runner.
+fn run_slotted(
+    n: &Network,
+    frames: usize,
+    payload: &[u8],
+    plan: &SlotPlan,
+    slot_seed: u64,
+    rng: &mut GaussianSource,
+) -> SlottedRunReport {
+    let policy = Box::new(SlottedAloha::new(slot_seed));
+    n.run(
+        &CampaignSpec::new(frames, payload, *plan),
+        policy,
+        rng,
+        &mut CampaignProbe::disabled(),
     )
     .unwrap()
 }
@@ -53,9 +77,7 @@ fn trait_aloha_matches_direct_through_trial_streams() {
     for trial in 0..4 {
         let mut rng_t = trial_rng(0xACE5, trial);
         let mut rng_d = trial_rng(0xACE5, trial);
-        let engine = n
-            .run_slotted(6, &payload, &plan, trial as u64, 20.0, &mut rng_t)
-            .unwrap();
+        let engine = run_slotted(&n, 6, &payload, &plan, trial as u64, &mut rng_t);
         let direct = n
             .run_slotted_direct(6, &payload, &plan, trial as u64, 20.0, &mut rng_d)
             .unwrap();
@@ -82,8 +104,7 @@ fn trait_aloha_matches_direct_at_every_thread_count() {
                     n.run_slotted_direct(4 + i, &payload, &plan, i as u64, 20.0, rng)
                         .unwrap()
                 } else {
-                    n.run_slotted(4 + i, &payload, &plan, i as u64, 20.0, rng)
-                        .unwrap()
+                    run_slotted(&n, 4 + i, &payload, &plan, i as u64, rng)
                 }
             },
         )

@@ -1,8 +1,8 @@
 //! Acceptance suite for the staged AP service pipeline
 //! (**Capture → Plan → Transmit**, [`milback_core::ApServiceConfig`]):
 //!
-//! * the zero-latency/unbounded configuration reproduces `run_mac`
-//!   bit-for-bit for every policy, through the trial runner, at any
+//! * the zero-latency/unbounded configuration reproduces the parity
+//!   `CampaignSpec` bit-for-bit for every policy, through the trial runner, at any
 //!   thread count (the instantaneous-parity half of the determinism
 //!   contract — the existing `mac_parity` suite covers the engine-vs-
 //!   direct half, which now routes through the pipeline too);
@@ -18,8 +18,10 @@ use milback_bench::experiments::mac_policy_by_name;
 use milback_bench::runner::trial_rng;
 use milback_core::protocol::SlotPlan;
 use milback_core::{
-    ApServiceConfig, Network, OverflowPolicy, Packet, Scene, SlottedRunReport, SystemConfig,
+    ApServiceConfig, CampaignProbe, CampaignSpec, MacPolicy, Network, OverflowPolicy, Packet,
+    Scene, SlottedRunReport, SystemConfig,
 };
+use mmwave_sigproc::random::GaussianSource;
 
 const MAC_POLICY_NAMES: [&str; 4] = ["aloha", "backoff", "polling", "sdm"];
 
@@ -59,6 +61,17 @@ fn assert_bit_exact(a: &SlottedRunReport, b: &SlottedRunReport) {
     }
 }
 
+/// One campaign of `spec` without a probe.
+fn campaign(
+    n: &Network,
+    spec: &CampaignSpec<'_>,
+    policy: Box<dyn MacPolicy>,
+    rng: &mut GaussianSource,
+) -> SlottedRunReport {
+    n.run(spec, policy, rng, &mut CampaignProbe::disabled())
+        .unwrap()
+}
+
 fn run_with(
     n: &Network,
     policy: &str,
@@ -66,51 +79,28 @@ fn run_with(
     service: &ApServiceConfig,
 ) -> SlottedRunReport {
     let payload = vec![0x42u8; 16];
-    let plan = plan_for(n, 3, &payload);
+    let spec = CampaignSpec::new(6, &payload, plan_for(n, 3, &payload)).with_service(*service);
     let mut rng = trial_rng(0x51A6, seed_trial);
-    n.run_mac_service(
-        mac_policy_by_name(policy, 9).unwrap(),
-        6,
-        &payload,
-        &plan,
-        20.0,
-        &mut rng,
-        service,
-    )
-    .unwrap()
+    campaign(n, &spec, mac_policy_by_name(policy, 9).unwrap(), &mut rng)
 }
 
-/// An explicit instantaneous config is bit-exact with `run_mac` for every
-/// policy, and its service ledger shows every offered grant served.
+/// An explicit instantaneous config is bit-exact with the parity spec for
+/// every policy, and its service ledger shows every offered grant served.
 #[test]
-fn instantaneous_config_reproduces_run_mac_for_every_policy() {
+fn instantaneous_config_reproduces_the_parity_spec_for_every_policy() {
     let n = network(5);
     let payload = vec![0x42u8; 16];
-    let plan = plan_for(&n, 3, &payload);
+    let spec = CampaignSpec::new(6, &payload, plan_for(&n, 3, &payload));
     for (k, &name) in MAC_POLICY_NAMES.iter().enumerate() {
         let mut rng_a = trial_rng(0x51A6, k);
         let mut rng_b = trial_rng(0x51A6, k);
-        let plain = n
-            .run_mac(
-                mac_policy_by_name(name, 9).unwrap(),
-                6,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_a,
-            )
-            .unwrap();
-        let staged = n
-            .run_mac_service(
-                mac_policy_by_name(name, 9).unwrap(),
-                6,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_b,
-                &ApServiceConfig::instantaneous(),
-            )
-            .unwrap();
+        let plain = campaign(&n, &spec, mac_policy_by_name(name, 9).unwrap(), &mut rng_a);
+        let staged = campaign(
+            &n,
+            &spec.with_service(ApServiceConfig::instantaneous()),
+            mac_policy_by_name(name, 9).unwrap(),
+            &mut rng_b,
+        );
         assert_bit_exact(&plain, &staged);
         assert_eq!(rng_a.sample(1.0).to_bits(), rng_b.sample(1.0).to_bits());
         assert!(plain.service.offered > 0, "policy {name} offered nothing");
@@ -215,16 +205,8 @@ fn degrade_policy_trades_concurrency_for_service() {
         .with_queue(0, OverflowPolicy::Degrade);
     let run = |service: &ApServiceConfig| {
         let mut rng = trial_rng(0x51A6, 0);
-        n.run_mac_service(
-            mac_policy_by_name("aloha", 9).unwrap(),
-            6,
-            &payload,
-            &plan,
-            20.0,
-            &mut rng,
-            service,
-        )
-        .unwrap()
+        let spec = CampaignSpec::new(6, &payload, plan).with_service(*service);
+        campaign(&n, &spec, mac_policy_by_name("aloha", 9).unwrap(), &mut rng)
     };
     let instant = run(&ApServiceConfig::instantaneous());
     let degraded = run(&congested);

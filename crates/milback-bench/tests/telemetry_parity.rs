@@ -16,9 +16,10 @@ use milback_bench::experiments::{
 use milback_bench::runner::{trial_rng, RunnerConfig};
 use milback_core::protocol::SlotPlan;
 use milback_core::{
-    CampaignProbe, DropReason, LifecycleStats, Network, Packet, Scene, Session, SessionReport,
-    SlottedRunReport, SystemConfig,
+    ApServiceConfig, CampaignProbe, CampaignSpec, DropReason, LifecycleStats, Network, Packet,
+    Scene, Session, SessionReport, SlottedRunReport, SystemConfig,
 };
+use mmwave_sigproc::random::GaussianSource;
 use proptest::prelude::*;
 
 fn network() -> Network {
@@ -38,6 +39,20 @@ fn plan_for(n: &Network, slots: usize, payload: &[u8]) -> SlotPlan {
         10e-6,
     )
     .unwrap()
+}
+
+/// One 6-frame campaign of the named MAC policy with `probe` attached.
+fn campaign(
+    n: &Network,
+    policy: &str,
+    plan: &SlotPlan,
+    payload: &[u8],
+    rng: &mut GaussianSource,
+    probe: &mut CampaignProbe,
+) -> SlottedRunReport {
+    let policy = milback_bench::experiments::mac_policy_by_name(policy, 9).unwrap();
+    n.run(&CampaignSpec::new(6, payload, *plan), policy, rng, probe)
+        .unwrap()
 }
 
 /// Float-bit equality across two campaign reports — stricter than
@@ -67,7 +82,7 @@ fn assert_point_bit_exact(a: &MacComparePoint, b: &MacComparePoint) {
     );
 }
 
-/// `run_mac` vs `run_mac_probed` (metrics + full trace) on shared trial
+/// A plain campaign vs a probed one (metrics + full trace) on shared trial
 /// streams, for every MAC policy: bit-identical reports, and the RNG
 /// streams advanced identically (the probe drew nothing).
 #[test]
@@ -78,28 +93,16 @@ fn probed_campaign_is_bit_identical_for_every_policy() {
     for (k, &name) in MAC_POLICY_NAMES.iter().enumerate() {
         let mut rng_plain = trial_rng(0x7E1E, k);
         let mut rng_probed = trial_rng(0x7E1E, k);
-        let plain = n
-            .run_mac(
-                milback_bench::experiments::mac_policy_by_name(name, 9).unwrap(),
-                6,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_plain,
-            )
-            .unwrap();
+        let plain = campaign(
+            &n,
+            name,
+            &plan,
+            &payload,
+            &mut rng_plain,
+            &mut CampaignProbe::disabled(),
+        );
         let mut probe = CampaignProbe::with_trace(4096);
-        let probed = n
-            .run_mac_probed(
-                milback_bench::experiments::mac_policy_by_name(name, 9).unwrap(),
-                6,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_probed,
-                &mut probe,
-            )
-            .unwrap();
+        let probed = campaign(&n, name, &plan, &payload, &mut rng_probed, &mut probe);
         assert_report_bit_exact(&plain, &probed);
         // The streams advanced identically too: the next draw matches.
         assert_eq!(
@@ -140,16 +143,7 @@ fn queue_depth_histograms_survive_trace_ring_eviction() {
     let run = |capacity: usize| {
         let mut rng = trial_rng(0xD0_0D, 0);
         let mut probe = CampaignProbe::with_trace(capacity);
-        n.run_mac_probed(
-            milback_bench::experiments::mac_policy_by_name("aloha", 9).unwrap(),
-            6,
-            &payload,
-            &plan,
-            20.0,
-            &mut rng,
-            &mut probe,
-        )
-        .unwrap();
+        campaign(&n, "aloha", &plan, &payload, &mut rng, &mut probe);
         let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
         let dropped = probe.trace.take().unwrap().into_buffer().dropped();
         (metrics, dropped)
@@ -266,28 +260,16 @@ fn lifecycle_recording_is_non_perturbing_at_every_thread_count() {
     for (k, &name) in MAC_POLICY_NAMES.iter().enumerate() {
         let mut rng_plain = trial_rng(0x11FE, k);
         let mut rng_probed = trial_rng(0x11FE, k);
-        let plain = n
-            .run_mac(
-                milback_bench::experiments::mac_policy_by_name(name, 9).unwrap(),
-                6,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_plain,
-            )
-            .unwrap();
+        let plain = campaign(
+            &n,
+            name,
+            &plan,
+            &payload,
+            &mut rng_plain,
+            &mut CampaignProbe::disabled(),
+        );
         let mut probe = CampaignProbe::with_trace(4096);
-        let probed = n
-            .run_mac_probed(
-                milback_bench::experiments::mac_policy_by_name(name, 9).unwrap(),
-                6,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_probed,
-                &mut probe,
-            )
-            .unwrap();
+        let probed = campaign(&n, name, &plan, &payload, &mut rng_probed, &mut probe);
         assert_eq!(plain.lifecycle, probed.lifecycle, "policy {name}");
         plain.lifecycle.audit().expect("plain ledger conserves");
         for (a, b) in [
@@ -474,7 +456,7 @@ fn assert_session_bit_exact(a: &SessionReport, b: &SessionReport) {
     assert_eq!(a.node_energy_j.to_bits(), b.node_energy_j.to_bits());
 }
 
-/// `run_packet` vs `run_packet_probed` on shared streams: the session
+/// `run_packet` vs a probed `run_packet_with` on shared streams: the session
 /// layer's probe (event counters, energy histogram, optional trace) is
 /// non-perturbing as well.
 #[test]
@@ -488,7 +470,12 @@ fn probed_session_is_bit_identical() {
         let plain = session.run_packet(&packet, &mut rng_plain).unwrap();
         let mut probe = CampaignProbe::with_trace(1024);
         let probed = session
-            .run_packet_probed(&packet, &mut rng_probed, &mut probe)
+            .run_packet_with(
+                &packet,
+                &mut rng_probed,
+                &ApServiceConfig::instantaneous(),
+                &mut probe,
+            )
             .unwrap();
         assert_session_bit_exact(&plain, &probed);
         assert_eq!(

@@ -37,9 +37,9 @@ pub use lifecycle::{DropReason, LifecycleStats, PacketId};
 pub use link::{DownlinkOutcome, LinkSimulator, TransferOutcome, UplinkOutcome};
 pub use localization::{Impairments, LocalizationPipeline, LocationFix};
 pub use network::{
-    BackoffAloha, CampaignAggregate, CampaignScratch, FrameSchedule, MacContext, MacPolicy,
-    Network, RelayGrant, RoundRobinPolling, SdmAwareAssignment, SlottedAloha, SlottedNodeReport,
-    SlottedRunReport,
+    BackoffAloha, CampaignAggregate, CampaignSink, CampaignSpec, FrameSchedule, MacContext,
+    MacPolicy, Network, RelayGrant, RoundRobinPolling, SdmAwareAssignment, SlottedAloha,
+    SlottedNodeReport, SlottedRunReport,
 };
 pub use pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 pub use protocol::Packet;

@@ -125,28 +125,11 @@ impl Network {
     /// (capture the granted transmission, plan the beam's interference
     /// margin, then run the link), dispatched in posting order so a fixed
     /// seed reproduces [`uplink_round_direct`](Self::uplink_round_direct)
-    /// bit-for-bit. This is
-    /// [`uplink_round_service`](Self::uplink_round_service) with the
-    /// instantaneous (zero-latency) service configuration.
+    /// bit-for-bit.
     pub fn uplink_round(
         &self,
         payloads: &[Vec<u8>],
         rng: &mut GaussianSource,
-    ) -> Result<Vec<NodeReport>> {
-        self.uplink_round_service(payloads, rng, &ApServiceConfig::instantaneous())
-    }
-
-    /// [`uplink_round`](Self::uplink_round) under an explicit
-    /// [`ApServiceConfig`]: each beam's Capture → Plan → Transmit events
-    /// are spaced by the configured stage latencies. Beams are concurrent
-    /// (one staged actor per node, no shared queue on this path), and the
-    /// physics never reads the clock, so the round report is identical for
-    /// any latency setting — only the event timeline stretches.
-    pub fn uplink_round_service(
-        &self,
-        payloads: &[Vec<u8>],
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
     ) -> Result<Vec<NodeReport>> {
         if payloads.len() != self.node_count() {
             return Err(MilbackError::Config(format!(
@@ -168,7 +151,6 @@ impl Network {
             let id = engine.add_actor(Box::new(BeamActor {
                 me: ActorId(idx),
                 idx,
-                service: *service,
             }));
             debug_assert_eq!(id, ActorId(idx));
             engine.post(0, id, RoundEvent::Stage(StageKind::Capture));
@@ -203,140 +185,42 @@ impl Network {
             .collect()
     }
 
-    /// Runs a slotted-ALOHA campaign on the engine: `frames` frames of the
-    /// given [`SlotPlan`], every node transmitting `payload` once per frame
-    /// in its hashed slot and sleeping otherwise (per-node duty cycling).
+    /// Runs one slotted campaign on the engine and folds its per-node
+    /// ledgers into the sink `S`: a per-node [`SlottedRunReport`] or a
+    /// streaming [`CampaignAggregate`].
     ///
-    /// When several nodes hash into the same slot, the AP attempts SDM: if
-    /// every pair in the slot is separable by at least `sdm_threshold_db`
-    /// of beam isolation, all are served concurrently (with
-    /// cross-beam-degraded SNR); otherwise the slot is a collision and
-    /// every packet in it is lost. Either way the transmitters spend uplink
-    /// energy for the packet airtime — a lost slot still drains the ledger,
-    /// which is exactly the cost ALOHA retries carry at scale.
+    /// `policy` decides which nodes transmit in which slot of each of the
+    /// spec's frames; the engine fires the slots on the shared clock, and
+    /// every granted slot walks the AP's **Capture → Plan → Transmit**
+    /// pipeline ([`CampaignSpec::service`]). When several nodes share a
+    /// slot the AP attempts SDM: if every pair is separable by at least
+    /// [`CampaignSpec::sdm_threshold_db`] of beam isolation, all are served
+    /// concurrently with cross-beam-degraded SNR; otherwise the slot is a
+    /// collision. Either way every transmitter spends uplink energy for
+    /// the airtime. Nodes outside [`CampaignSpec::relay`]'s coverage can
+    /// only deliver over the relay chains the policy grants. Accounting is
+    /// policy-independent, so reports compare across policies.
     ///
-    /// This is [`run_mac`](Self::run_mac) with the [`SlottedAloha`] policy;
-    /// [`run_slotted_direct`](Self::run_slotted_direct) retains the
-    /// pre-trait implementation as the bit-exactness reference.
-    pub fn run_slotted(
+    /// All randomness comes from `rng`, in a fixed order. `probe` records
+    /// counters, histograms and traces by copying values the campaign
+    /// already computed: it draws nothing and reads no clock, so a
+    /// disabled probe and an enabled one produce bit-identical results.
+    /// The run's lifecycle ledger is audited before the sink is built: a
+    /// packet that reached no terminal outcome is a
+    /// [`MilbackError::Conservation`].
+    pub fn run<S: CampaignSink>(
         &self,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        slot_seed: u64,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac(
-            Box::new(SlottedAloha::new(slot_seed)),
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-        )
-    }
-
-    /// Runs a slotted campaign under an arbitrary [`MacPolicy`]: the policy
-    /// decides which nodes transmit in which slot of each frame, the engine
-    /// fires the slots on the shared clock, and the AP arbitrates each
-    /// group by SDM separability exactly as in
-    /// [`run_slotted`](Self::run_slotted). Accounting (attempts, energy,
-    /// collisions, duty-cycled idle drain) is policy-independent, so the
-    /// per-node reports compare across policies.
-    pub fn run_mac(
-        &self,
+        spec: &CampaignSpec<'_>,
         policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-        )
-    }
-
-    /// [`run_mac`](Self::run_mac) under an explicit [`ApServiceConfig`]:
-    /// every granted slot flows through the AP's staged
-    /// **Capture → Plan → Transmit** pipeline, each stage a distinct engine
-    /// event with its configured processing latency and a bounded FIFO
-    /// queue (see [`OverflowPolicy`] for what a full queue does). The
-    /// instantaneous configuration reproduces [`run_mac`](Self::run_mac)
-    /// bit-for-bit — `run_mac` is literally this function with that
-    /// config — and the report's [`ApServiceStats`] ledger records
-    /// offered/served/dropped/deferred/degraded grants either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_service(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-    ) -> Result<SlottedRunReport> {
-        let mut probe = CampaignProbe::disabled();
-        self.run_mac_service_probed(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            service,
-            &mut probe,
-        )
-    }
-
-    /// [`run_mac`](Self::run_mac) with an instrumentation probe attached.
-    ///
-    /// The probe collects counters/histograms (slot occupancy, collisions,
-    /// energy, SNR) and — when tracing — structured records of every
-    /// engine dispatch, slot outcome, policy decision, and energy draw.
-    /// Recording is non-perturbing by construction: the probe only copies
-    /// values the campaign already computed, draws no randomness, and
-    /// reads no clocks; `run_mac` is literally this function with a
-    /// disabled probe, and the parity suite proves both produce
-    /// bit-identical reports.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_probed(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
         rng: &mut GaussianSource,
         probe: &mut CampaignProbe,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac_service_probed(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            probe,
-        )
+    ) -> Result<S> {
+        self.run_in(spec, policy, rng, probe, &mut CampaignScratch::default())
     }
 
-    /// [`run_mac_service`](Self::run_mac_service) with an instrumentation
-    /// probe attached: besides the campaign counters the probe already
-    /// collects, the staged pipeline records per-stage queue-occupancy
-    /// histograms (`ap_queue_*`), the offered/served/dropped/deferred/
-    /// degraded counters (`ap_*`), and — losslessly, straight from the
-    /// engine's dispatch-time tallies — per-event-kind queue-depth
-    /// histograms (`queue_depth_*`).
+    /// [`run`](Self::run) with relaying disabled, under positional
+    /// arguments. Kept, signature untouched, because the frozen `perfbench`
+    /// harness calls it.
     #[allow(clippy::too_many_arguments)]
     pub fn run_mac_service_probed(
         &self,
@@ -349,60 +233,15 @@ impl Network {
         service: &ApServiceConfig,
         probe: &mut CampaignProbe,
     ) -> Result<SlottedRunReport> {
-        let m = self.run_mac_engine(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            service,
-            &RelayConfig::disabled(),
-            probe,
-            None,
-        )?;
-        Ok(Self::finish_slotted(&m, frames, plan, payload))
+        let spec = CampaignSpec::new(frames, payload, *plan)
+            .with_sdm_threshold_db(sdm_threshold_db)
+            .with_service(*service);
+        self.run(&spec, policy, rng, probe)
     }
 
-    /// [`run_mac`](Self::run_mac) with multi-hop tag-to-tag relaying:
-    /// nodes outside `relay.coverage` (gap nodes) cannot be heard by the
-    /// AP directly — their delivery path, if any, is the relay schedule
-    /// the policy grants (see
-    /// [`RelayAwareMac`](crate::relay::RelayAwareMac)). Per-hop energy and
-    /// latency land in the report's relay columns.
-    ///
-    /// [`RelayConfig::disabled`] reproduces [`run_mac`](Self::run_mac)
-    /// bit-for-bit: full coverage gates nothing, no routes exist, and no
-    /// extra randomness is drawn — the parity suite proves it by `==` and
-    /// `to_bits`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_relay(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        relay: &RelayConfig,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac_relay_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            relay,
-        )
-    }
-
-    /// [`run_mac_relay`](Self::run_mac_relay) under an explicit
-    /// [`ApServiceConfig`]. Relay chains are tag-side transmissions, so
-    /// they bypass the AP's Capture → Plan → Transmit pipeline: only the
-    /// terminal uplink's direct-slot siblings contend for AP service, and
-    /// the service ledger counts direct grants exactly as without relays.
+    /// [`run`](Self::run) without a probe, under positional arguments.
+    /// Kept, signature untouched, because the frozen `perfbench` harness
+    /// calls it.
     #[allow(clippy::too_many_arguments)]
     pub fn run_mac_relay_service(
         &self,
@@ -415,176 +254,61 @@ impl Network {
         service: &ApServiceConfig,
         relay: &RelayConfig,
     ) -> Result<SlottedRunReport> {
-        let mut probe = CampaignProbe::disabled();
-        let m = self.run_mac_engine(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            service,
-            relay,
-            &mut probe,
-            None,
-        )?;
-        Ok(Self::finish_slotted(&m, frames, plan, payload))
+        let spec = CampaignSpec::new(frames, payload, *plan)
+            .with_sdm_threshold_db(sdm_threshold_db)
+            .with_service(*service)
+            .with_relay(*relay);
+        self.run(&spec, policy, rng, &mut CampaignProbe::disabled())
     }
 
-    /// [`run_mac`](Self::run_mac) with streaming accounting: instead of
-    /// materializing a per-node `Vec<SlottedNodeReport>`, each node's
-    /// ledger row is folded straight into `agg` — fixed-size counters and
-    /// fixed-bucket histograms — so peak report memory is O(buckets), not
-    /// O(nodes). `scratch` recycles the campaign's per-node ledger vectors
-    /// across calls (a sharded runner's workers reuse one scratch per
-    /// worker thread); its incoming contents are zeroed before use and
-    /// never influence the result.
-    ///
-    /// The folded values are bit-identical to what
-    /// [`run_mac`](Self::run_mac) reports: both paths share one engine run
-    /// and one per-node finishing computation, differing only in whether
-    /// each [`SlottedNodeReport`] is pushed into a `Vec` or observed into
-    /// the aggregate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_streaming(
+    /// [`run`](Self::run) on a caller-held scratch: the sharded runner
+    /// passes one per worker, so the per-node ledger vectors are recycled
+    /// across that worker's cells. The scratch's incoming contents never
+    /// influence the result.
+    pub(crate) fn run_in<S: CampaignSink>(
         &self,
+        spec: &CampaignSpec<'_>,
         policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
         rng: &mut GaussianSource,
+        probe: &mut CampaignProbe,
         scratch: &mut CampaignScratch,
-        agg: &mut CampaignAggregate,
-    ) -> Result<()> {
-        self.run_mac_streaming_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            scratch,
-            agg,
-        )
+    ) -> Result<S> {
+        let m = self.run_mac_engine(spec, policy, rng, probe, scratch)?;
+        Self::finish(m, spec, scratch)
     }
 
-    /// [`run_mac_streaming`](Self::run_mac_streaming) under an explicit
-    /// [`ApServiceConfig`]: the per-node fold is unchanged, and the run's
-    /// [`ApServiceStats`] (offered/served/dropped/deferred/degraded) fold
-    /// into the aggregate's service ledger — exactly what
-    /// [`CampaignAggregate::observe_run`] folds from a materialized
-    /// report, so the streaming and report paths stay interchangeable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_streaming_service(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-        scratch: &mut CampaignScratch,
-        agg: &mut CampaignAggregate,
-    ) -> Result<()> {
-        self.run_mac_streaming_relay_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            service,
-            &RelayConfig::disabled(),
-            scratch,
-            agg,
-        )
-    }
-
-    /// [`run_mac_streaming_service`](Self::run_mac_streaming_service) with
-    /// multi-hop relaying: the streaming counterpart of
-    /// [`run_mac_relay_service`](Self::run_mac_relay_service), folding the
-    /// per-node relay ledgers (gap classification, relayed deliveries,
-    /// hops, forwarding energy, hop latency) straight into the aggregate's
-    /// relay counters and hop histogram.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_streaming_relay_service(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-        relay: &RelayConfig,
-        scratch: &mut CampaignScratch,
-        agg: &mut CampaignAggregate,
-    ) -> Result<()> {
-        let mut probe = CampaignProbe::disabled();
-        let m = self.run_mac_engine(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            service,
-            relay,
-            &mut probe,
-            Some(scratch),
-        )?;
-        agg.begin_run(frames, ps_to_secs(plan.frame_ps()), payload.len());
-        Self::for_each_node_report(&m, frames, plan, |r| agg.observe_node(&r));
-        agg.service.merge_from(&m.service);
-        agg.lifecycle.merge_from(&m.lifecycle);
-        scratch.reclaim(m);
-        Ok(())
-    }
-
-    /// The shared engine core of every policy-driven campaign path: runs
-    /// `policy` over `frames` frames on a fresh [`Engine`] and returns the
-    /// settled medium with its per-node ledgers. Callers decide how to
-    /// finish the ledgers (per-node report `Vec` or streaming aggregate).
-    #[allow(clippy::too_many_arguments)]
+    /// The engine core of [`run`](Self::run): runs `policy` over the spec's
+    /// frames on a fresh [`Engine`] and returns the settled medium with its
+    /// per-node ledgers.
     fn run_mac_engine<'a>(
         &'a self,
+        spec: &CampaignSpec<'a>,
         mut policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &'a [u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
         rng: &'a mut GaussianSource,
-        service: &ApServiceConfig,
-        relay: &RelayConfig,
         probe: &mut CampaignProbe,
-        scratch: Option<&mut CampaignScratch>,
+        scratch: &mut CampaignScratch,
     ) -> Result<SlotMedium<'a>> {
-        let airtime_s = self.slotted_airtime_s(payload, plan)?;
-        {
-            let ctx = MacContext {
+        let airtime_s = self.slotted_airtime_s(spec.payload, &spec.plan)?;
+        policy.begin(
+            &MacContext {
                 net: self,
-                plan: *plan,
-                frames,
-                sdm_threshold_db,
-            };
-            policy.begin(&ctx, rng);
-        }
+                plan: spec.plan,
+                frames: spec.frames,
+                sdm_threshold_db: spec.sdm_threshold_db,
+            },
+            rng,
+        );
         // Jitter state is seeded from the trial stream only when jitter is
         // configured — the parity configuration draws nothing, leaving the
         // stream exactly where the pre-pipeline campaign expects it. Drawn
         // after `begin` so policies see the same stream position either way.
-        let jitter_state = (service.jitter_ps > 0)
+        let jitter_state = (spec.service.jitter_ps > 0)
             .then(|| u64::from_le_bytes(rng.bytes(8).try_into().expect("eight bytes")));
-        let mut medium = match scratch {
-            Some(s) => self.slot_medium_recycled(payload, airtime_s, rng, s),
-            None => self.slot_medium(payload, airtime_s, rng),
-        };
+        let mut medium = self.slot_medium(spec.payload, airtime_s, rng, scratch);
         // Coverage defaults to all-true; an unbounded model skips the
         // classification loop entirely so the parity path never touches
         // the per-node flags (delivery gating on `true` is an identity).
+        let relay = spec.relay;
         if !relay.coverage.is_unbounded() {
             for (idx, c) in medium.covered.iter_mut().enumerate() {
                 *c = relay.coverage.covers(&self.scene.ground_truth(idx));
@@ -596,7 +320,7 @@ impl Network {
             #[cfg(feature = "telemetry")]
             {
                 medium.gap_reason =
-                    crate::relay::classify_gap_reasons(&self.scene, &medium.covered, relay);
+                    crate::relay::classify_gap_reasons(&self.scene, &medium.covered, &relay);
             }
         }
         medium.probe = std::mem::take(probe);
@@ -611,18 +335,18 @@ impl Network {
         }
         let coordinator = engine.add_actor(Box::new(PolicyCoordinator {
             me: ActorId(0),
-            plan: *plan,
-            frames,
-            sdm_threshold_db,
+            plan: spec.plan,
+            frames: spec.frames,
+            sdm_threshold_db: spec.sdm_threshold_db,
             policy,
             schedule: Vec::new(),
-            service: *service,
-            relay: *relay,
+            service: spec.service,
+            relay,
             relay_schedule: Vec::new(),
             stages: Default::default(),
             jitter_state,
         }));
-        if frames > 0 {
+        if spec.frames > 0 {
             engine.post(0, coordinator, SlotEvent::FrameStart { frame: 0 });
         }
         engine.run()?;
@@ -648,8 +372,11 @@ impl Network {
         sdm_threshold_db: f64,
         rng: &mut GaussianSource,
     ) -> Result<SlottedRunReport> {
+        let spec =
+            CampaignSpec::new(frames, payload, *plan).with_sdm_threshold_db(sdm_threshold_db);
+        let mut scratch = CampaignScratch::default();
         let airtime_s = self.slotted_airtime_s(payload, plan)?;
-        let medium = self.slot_medium(payload, airtime_s, rng);
+        let medium = self.slot_medium(payload, airtime_s, rng, &mut scratch);
         let mut engine = Engine::new(medium);
         let coordinator = engine.add_actor(Box::new(SlotCoordinator {
             me: ActorId(0),
@@ -662,8 +389,7 @@ impl Network {
             engine.post(0, coordinator, SlotEvent::FrameStart { frame: 0 });
         }
         engine.run()?;
-        let m = engine.into_medium();
-        Ok(Self::finish_slotted(&m, frames, plan, payload))
+        Self::finish(engine.into_medium(), &spec, &mut scratch)
     }
 
     /// Validates that one `payload` packet (plus guard) fits a slot of
@@ -680,44 +406,9 @@ impl Network {
         Ok(airtime_s)
     }
 
-    /// A fresh campaign medium with zeroed per-node ledgers.
+    /// A campaign medium whose zeroed per-node ledgers reuse `scratch`'s
+    /// vectors. Only the allocations depend on what the scratch held.
     fn slot_medium<'a>(
-        &'a self,
-        payload: &'a [u8],
-        airtime_s: f64,
-        rng: &'a mut GaussianSource,
-    ) -> SlotMedium<'a> {
-        let n = self.node_count();
-        SlotMedium {
-            net: self,
-            rng,
-            payload,
-            airtime_s,
-            power: NodePowerModel::milback_default(),
-            attempts: vec![0; n],
-            delivered: vec![0; n],
-            collisions: vec![0; n],
-            energy_j: vec![0.0; n],
-            snr_sum_db: vec![0.0; n],
-            covered: vec![true; n],
-            relayed: vec![0; n],
-            relay_hops: vec![0; n],
-            forwarded: vec![0; n],
-            relay_energy_j: vec![0.0; n],
-            relay_latency_s: vec![0.0; n],
-            budgets: vec![None; n],
-            uplink: UplinkScratch::default(),
-            gap_reason: Vec::new(),
-            lifecycle: LifecycleStats::new(),
-            probe: CampaignProbe::disabled(),
-            service: ApServiceStats::default(),
-        }
-    }
-
-    /// A campaign medium whose per-node ledgers recycle `scratch`'s
-    /// vectors (zeroed before use). Bit-identical to
-    /// [`slot_medium`](Self::slot_medium): only the allocations differ.
-    fn slot_medium_recycled<'a>(
         &'a self,
         payload: &'a [u8],
         airtime_s: f64,
@@ -757,70 +448,163 @@ impl Network {
         }
     }
 
-    /// Runs each node's finished report — duty-cycled idle energy folded
-    /// in — through `each`, without materializing a report `Vec`. Shared
-    /// by every MAC finishing path so accounting cannot drift between the
-    /// per-node-report and streaming-aggregate outputs.
-    fn for_each_node_report(
-        m: &SlotMedium<'_>,
-        frames: usize,
-        plan: &SlotPlan,
-        mut each: impl FnMut(SlottedNodeReport),
-    ) {
-        let n = m.net.node_count();
-        // Duty cycling: outside its own transmissions every node idles.
-        let total_s = frames as f64 * ps_to_secs(plan.frame_ps());
-        for idx in 0..n {
-            // Forwarded relay transmissions are airtime too: without them
-            // the idle-energy complement would double-bill relays as both
-            // transmitting and idling. Zero forwards reproduces the
-            // pre-relay expression bit-for-bit.
-            let active_s = (m.attempts[idx] + m.forwarded[idx]) as f64 * m.airtime_s;
-            let energy_j =
-                m.energy_j[idx] + m.power.energy_j(NodeActivity::Idle, total_s - active_s);
-            each(SlottedNodeReport {
-                node_idx: idx,
-                attempts: m.attempts[idx],
-                delivered: m.delivered[idx],
-                collisions: m.collisions[idx],
-                energy_j,
-                mean_snr_db: (m.delivered[idx] > 0)
-                    .then(|| m.snr_sum_db[idx] / m.delivered[idx] as f64),
-                gap: !m.covered[idx],
-                relayed: m.relayed[idx],
-                relay_hops: m.relay_hops[idx],
-                forwarded: m.forwarded[idx],
-                relay_energy_j: m.relay_energy_j[idx],
-                relay_latency_s: m.relay_latency_s[idx],
-            });
+    /// The one finishing path of every campaign: audits the lifecycle
+    /// ledger, folds each node's finished report — duty-cycled idle energy
+    /// folded in — into the sink, and hands the ledger vectors back to
+    /// `scratch`. Sharing it keeps the per-node-report and streaming
+    /// outputs from drifting apart.
+    fn finish<S: CampaignSink>(
+        mut m: SlotMedium<'_>,
+        spec: &CampaignSpec<'_>,
+        scratch: &mut CampaignScratch,
+    ) -> Result<S> {
+        m.lifecycle.audit()?;
+        let lifecycle = std::mem::take(&mut m.lifecycle);
+        let sink = S::fold(spec, m.node_reports(spec), m.service, lifecycle);
+        scratch.reclaim(m);
+        Ok(sink)
+    }
+}
+
+/// One slotted campaign: its length, payload and airtime plan, and the AP
+/// it runs under. [`CampaignSpec::new`] gives the parity configuration —
+/// a 20 dB SDM threshold, the instantaneous AP pipeline, relaying
+/// disabled — and the `with_*` builders change one knob each.
+///
+/// A spec runs through [`Network::run`] (one engine on the caller's RNG
+/// stream) or [`Network::run_sharded`] (one engine per spatial cell, each
+/// on its own [`cell_seed`](crate::shard::cell_seed) stream).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CampaignSpec<'a> {
+    /// Campaign length, frames.
+    pub frames: usize,
+    /// The uplink payload every transmission carries.
+    pub payload: &'a [u8],
+    /// The airtime plan (slots per frame, slot width).
+    pub plan: SlotPlan,
+    /// Beam isolation, dB, two co-slotted nodes need to be served
+    /// concurrently.
+    pub sdm_threshold_db: f64,
+    /// The AP's Capture → Plan → Transmit service pipeline.
+    pub service: ApServiceConfig,
+    /// AP coverage and multi-hop relaying.
+    pub relay: RelayConfig,
+}
+
+impl<'a> CampaignSpec<'a> {
+    /// `frames` frames of `plan` carrying `payload`, under the parity
+    /// configuration.
+    pub fn new(frames: usize, payload: &'a [u8], plan: SlotPlan) -> Self {
+        Self {
+            frames,
+            payload,
+            plan,
+            sdm_threshold_db: 20.0,
+            service: ApServiceConfig::instantaneous(),
+            relay: RelayConfig::disabled(),
         }
     }
 
-    /// Assembles the per-node report `Vec` from a settled medium — the
-    /// collecting counterpart of the streaming fold in
-    /// [`run_mac_streaming`](Self::run_mac_streaming); both walk
-    /// [`for_each_node_report`](Self::for_each_node_report).
-    fn finish_slotted(
-        m: &SlotMedium<'_>,
-        frames: usize,
-        plan: &SlotPlan,
-        payload: &[u8],
-    ) -> SlottedRunReport {
-        let mut nodes = Vec::with_capacity(m.net.node_count());
-        Self::for_each_node_report(m, frames, plan, |r| nodes.push(r));
-        debug_assert!(
-            m.lifecycle.audit().is_ok(),
-            "lifecycle ledger must conserve at run end: {:?}",
-            m.lifecycle.audit()
-        );
-        SlottedRunReport {
-            frames,
-            frame_s: ps_to_secs(plan.frame_ps()),
-            payload_bytes: payload.len(),
-            nodes,
-            service: m.service,
-            lifecycle: m.lifecycle.clone(),
+    /// The spec with another SDM separability threshold.
+    pub fn with_sdm_threshold_db(self, sdm_threshold_db: f64) -> Self {
+        Self {
+            sdm_threshold_db,
+            ..self
         }
+    }
+
+    /// The spec under another AP service pipeline.
+    pub fn with_service(self, service: ApServiceConfig) -> Self {
+        Self { service, ..self }
+    }
+
+    /// The spec with another coverage and relay configuration.
+    pub fn with_relay(self, relay: RelayConfig) -> Self {
+        Self { relay, ..self }
+    }
+
+    /// Frame duration, seconds.
+    fn frame_s(&self) -> f64 {
+        ps_to_secs(self.plan.frame_ps())
+    }
+}
+
+/// What a campaign folds its settled per-node ledgers into. Two sinks
+/// exist: [`SlottedRunReport`] keeps every node's row (O(nodes) memory),
+/// and [`CampaignAggregate`] folds the rows into fixed-size counters and
+/// histograms as they are produced (O(buckets) memory, the city-scale
+/// choice). Both see the same rows in the same order, so the aggregate of
+/// a report equals the streamed aggregate bit-for-bit.
+pub trait CampaignSink: Sized + Send {
+    /// What [`Network::run_sharded`] returns for this sink.
+    type Cells;
+
+    /// Builds the sink from one settled run: the campaign shape, every
+    /// node's finished row in node order, and the run's AP service and
+    /// lifecycle ledgers.
+    fn fold(
+        spec: &CampaignSpec<'_>,
+        nodes: impl Iterator<Item = SlottedNodeReport>,
+        service: ApServiceStats,
+        lifecycle: LifecycleStats,
+    ) -> Self;
+
+    /// Combines the per-cell sinks of a sharded campaign, given in cell
+    /// index order.
+    fn cells(cells: Vec<Self>) -> Self::Cells;
+}
+
+impl CampaignSink for SlottedRunReport {
+    /// One report per cell, in cell index order (node indices cell-local).
+    type Cells = Vec<SlottedRunReport>;
+
+    fn fold(
+        spec: &CampaignSpec<'_>,
+        nodes: impl Iterator<Item = SlottedNodeReport>,
+        service: ApServiceStats,
+        lifecycle: LifecycleStats,
+    ) -> Self {
+        Self {
+            frames: spec.frames,
+            frame_s: spec.frame_s(),
+            payload_bytes: spec.payload.len(),
+            nodes: nodes.collect(),
+            service,
+            lifecycle,
+        }
+    }
+
+    fn cells(cells: Vec<Self>) -> Vec<Self> {
+        cells
+    }
+}
+
+impl CampaignSink for CampaignAggregate {
+    /// The campaign total, merged in cell index order.
+    type Cells = CampaignAggregate;
+
+    fn fold(
+        spec: &CampaignSpec<'_>,
+        nodes: impl Iterator<Item = SlottedNodeReport>,
+        service: ApServiceStats,
+        lifecycle: LifecycleStats,
+    ) -> Self {
+        let mut agg = Self::new();
+        agg.begin_run(spec.frames, spec.frame_s(), spec.payload.len());
+        for r in nodes {
+            agg.observe_node(&r);
+        }
+        agg.service.merge_from(&service);
+        agg.lifecycle.merge_from(&lifecycle);
+        agg
+    }
+
+    fn cells(cells: Vec<Self>) -> Self {
+        let mut total = Self::new();
+        for cell in &cells {
+            total.merge_from(cell);
+        }
+        total
     }
 }
 
@@ -850,11 +634,10 @@ struct RoundMedium<'a> {
 /// [`Network::serve_uplink`] computes (the margin fold and the SNR
 /// degradation are pure float expressions, and the RNG is drawn only in
 /// Transmit, in node order), so the parity suite's `==`/`to_bits` checks
-/// against [`Network::uplink_round_direct`] hold for any stage latency.
+/// against [`Network::uplink_round_direct`] hold.
 struct BeamActor {
     me: ActorId,
     idx: usize,
-    service: ApServiceConfig,
 }
 
 impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
@@ -872,11 +655,7 @@ impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
                 // view; anything else is a configuration error surfaced
                 // before any plan or transmission work is spent.
                 m.net.view_for(self.idx)?;
-                out.post_at(
-                    now_ps + self.service.stage_latency_ps(StageKind::Capture),
-                    self.me,
-                    RoundEvent::Stage(StageKind::Plan),
-                );
+                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Plan));
             }
             StageKind::Plan => {
                 // Beam plan: the worst concurrent-beam leakage toward this
@@ -886,11 +665,7 @@ impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
                     .map(|o| m.net.sdm_margin_db(self.idx, o))
                     .fold(f64::INFINITY, f64::min);
                 m.margins[self.idx] = Some(margin);
-                out.post_at(
-                    now_ps + self.service.stage_latency_ps(StageKind::Plan),
-                    self.me,
-                    RoundEvent::Stage(StageKind::Transmit),
-                );
+                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Transmit));
             }
             StageKind::Transmit => {
                 let margin = m.margins[self.idx]
@@ -961,7 +736,8 @@ pub struct SlottedNodeReport {
     pub relay_latency_s: f64,
 }
 
-/// The outcome of [`Network::run_slotted`].
+/// The per-node outcome of a slotted campaign: one of the two
+/// [`CampaignSink`]s [`Network::run`] folds into.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlottedRunReport {
     /// Frames simulated.
@@ -1301,15 +1077,15 @@ impl Default for CampaignAggregate {
     }
 }
 
-/// Reusable per-worker buffers for campaign runs: the per-node ledger
-/// vectors, the per-node uplink-budget cache and the uplink kernel's
-/// scratch a [`Network::run_mac_streaming`] campaign needs, recycled
-/// across a worker's cells instead of reallocated per cell. Contents are
-/// zeroed (the cache emptied) before every use, so (per the
+/// Reusable buffers for campaign runs: the per-node ledger vectors, the
+/// per-node uplink-budget cache and the uplink kernel's scratch. The
+/// sharded runner keeps one per worker, so a worker's cells recycle them
+/// instead of reallocating per cell. Contents are zeroed (the cache
+/// emptied) before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
 #[derive(Debug, Default)]
-pub struct CampaignScratch {
+pub(crate) struct CampaignScratch {
     attempts: Vec<usize>,
     delivered: Vec<usize>,
     collisions: Vec<usize>,
@@ -1326,11 +1102,6 @@ pub struct CampaignScratch {
 }
 
 impl CampaignScratch {
-    /// Empty scratch; buffers grow to the largest cell a worker runs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Takes a settled medium's ledger vectors back for the next cell.
     fn reclaim(&mut self, m: SlotMedium<'_>) {
         self.attempts = m.attempts;
@@ -1454,6 +1225,40 @@ struct SlotMedium<'a> {
 }
 
 impl<'a> SlotMedium<'a> {
+    /// Every node's finished report, in node order, with the duty-cycled
+    /// idle energy folded in: outside its own transmissions every node
+    /// idles for the rest of the campaign.
+    fn node_reports<'m>(
+        &'m self,
+        spec: &CampaignSpec<'_>,
+    ) -> impl Iterator<Item = SlottedNodeReport> + 'm {
+        let total_s = spec.frames as f64 * spec.frame_s();
+        (0..self.net.node_count()).map(move |idx| {
+            // Forwarded relay transmissions are airtime too: without them
+            // the idle-energy complement would double-bill relays as both
+            // transmitting and idling. Zero forwards reproduces the
+            // pre-relay expression bit-for-bit.
+            let active_s = (self.attempts[idx] + self.forwarded[idx]) as f64 * self.airtime_s;
+            let energy_j =
+                self.energy_j[idx] + self.power.energy_j(NodeActivity::Idle, total_s - active_s);
+            SlottedNodeReport {
+                node_idx: idx,
+                attempts: self.attempts[idx],
+                delivered: self.delivered[idx],
+                collisions: self.collisions[idx],
+                energy_j,
+                mean_snr_db: (self.delivered[idx] > 0)
+                    .then(|| self.snr_sum_db[idx] / self.delivered[idx] as f64),
+                gap: !self.covered[idx],
+                relayed: self.relayed[idx],
+                relay_hops: self.relay_hops[idx],
+                forwarded: self.forwarded[idx],
+                relay_energy_j: self.relay_energy_j[idx],
+                relay_latency_s: self.relay_latency_s[idx],
+            }
+        })
+    }
+
     /// Runs node `node`'s uplink of the campaign payload and returns
     /// whether the payload decoded intact and the measured SNR, dB.
     ///
@@ -1875,7 +1680,7 @@ pub struct MacContext<'a> {
 /// the occupied slots on the engine clock, and feeds the collision/served
 /// outcome of every slot back. Channel physics, SDM arbitration, and the
 /// per-node ledgers are policy-independent
-/// ([`Network::run_mac`] shares one serve path across all policies), so
+/// ([`Network::run`] shares one serve path across all policies), so
 /// reports compare apples-to-apples.
 ///
 /// Implementations in this module: [`SlottedAloha`] (the paper's baseline,
@@ -2721,6 +2526,39 @@ pub fn localize_all_doppler(
 mod tests {
     use super::*;
 
+    /// A plain campaign: the parity spec (20 dB threshold, instantaneous
+    /// AP, no relaying), no probe.
+    fn run_mac(
+        n: &Network,
+        policy: Box<dyn MacPolicy>,
+        frames: usize,
+        payload: &[u8],
+        plan: &SlotPlan,
+        rng: &mut GaussianSource,
+    ) -> Result<SlottedRunReport> {
+        let spec = CampaignSpec::new(frames, payload, *plan);
+        n.run(&spec, policy, rng, &mut CampaignProbe::disabled())
+    }
+
+    /// [`run_mac`] under slotted ALOHA over `slot_seed`.
+    fn run_slotted(
+        n: &Network,
+        frames: usize,
+        payload: &[u8],
+        plan: &SlotPlan,
+        slot_seed: u64,
+        rng: &mut GaussianSource,
+    ) -> Result<SlottedRunReport> {
+        run_mac(
+            n,
+            Box::new(SlottedAloha::new(slot_seed)),
+            frames,
+            payload,
+            plan,
+            rng,
+        )
+    }
+
     fn two_node_network(sep_deg: f64) -> Network {
         let scene = Scene::single_node(4.0, 12f64.to_radians()).with_node_at(
             4.0,
@@ -2816,9 +2654,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = GaussianSource::new(0x510);
-        let r = n
-            .run_slotted(6, &[0x42; 16], &plan, 0xFEED, 20.0, &mut rng)
-            .unwrap();
+        let r = run_slotted(&n, 6, &[0x42; 16], &plan, 0xFEED, &mut rng).unwrap();
         assert_eq!(r.frames, 6);
         assert_eq!(r.nodes.len(), 2);
         for node in &r.nodes {
@@ -2849,8 +2685,7 @@ mod tests {
             )
             .unwrap();
             let mut rng = GaussianSource::new(0xABCD);
-            n.run_slotted(4, &[7u8; 8], &plan, 1, 20.0, &mut rng)
-                .unwrap()
+            run_slotted(&n, 4, &[7u8; 8], &plan, 1, &mut rng).unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -2871,9 +2706,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = GaussianSource::new(0xC0);
-        let r = n
-            .run_slotted(12, &[0x42; 16], &plan, 3, 20.0, &mut rng)
-            .unwrap();
+        let r = run_slotted(&n, 12, &[0x42; 16], &plan, 3, &mut rng).unwrap();
         let shared: usize = (0..12)
             .filter(|&f| plan.slot_for(0, f, 3) == plan.slot_for(1, f, 3))
             .count();
@@ -2899,9 +2732,7 @@ mod tests {
         .unwrap();
         let mut rng = GaussianSource::new(1);
         // A much larger payload does not fit the 2-byte slots.
-        assert!(n
-            .run_slotted(1, &[0u8; 4096], &plan, 0, 20.0, &mut rng)
-            .is_err());
+        assert!(run_slotted(&n, 1, &[0u8; 4096], &plan, 0, &mut rng).is_err());
     }
 
     #[test]
@@ -2999,9 +2830,7 @@ mod tests {
         let plan = plan_for(&n, 4, &payload);
         let mut rng_t = GaussianSource::new(0xACE);
         let mut rng_d = GaussianSource::new(0xACE);
-        let via_trait = n
-            .run_slotted(6, &payload, &plan, 9, 20.0, &mut rng_t)
-            .unwrap();
+        let via_trait = run_slotted(&n, 6, &payload, &plan, 9, &mut rng_t).unwrap();
         let direct = n
             .run_slotted_direct(6, &payload, &plan, 9, 20.0, &mut rng_d)
             .unwrap();
@@ -3099,25 +2928,22 @@ mod tests {
         let plan = plan_for(&n, 1, &payload);
         let frames = 24;
         let mut rng_a = GaussianSource::new(0xD0);
-        let aloha = n
-            .run_slotted(frames, &payload, &plan, 1, 20.0, &mut rng_a)
-            .unwrap();
+        let aloha = run_slotted(&n, frames, &payload, &plan, 1, &mut rng_a).unwrap();
         assert_eq!(
             aloha.nodes.iter().map(|nd| nd.delivered).sum::<usize>(),
             0,
             "one shared slot must collide every frame under plain ALOHA"
         );
         let mut rng_b = GaussianSource::new(0xD0);
-        let backoff = n
-            .run_mac(
-                Box::new(BackoffAloha::new(1, 4)),
-                frames,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng_b,
-            )
-            .unwrap();
+        let backoff = run_mac(
+            &n,
+            Box::new(BackoffAloha::new(1, 4)),
+            frames,
+            &payload,
+            &plan,
+            &mut rng_b,
+        )
+        .unwrap();
         let delivered: usize = backoff.nodes.iter().map(|nd| nd.delivered).sum();
         assert!(delivered > 0, "backoff never desynchronized the pair");
         let collided: usize = backoff.nodes.iter().map(|nd| nd.collisions).sum();
@@ -3140,16 +2966,15 @@ mod tests {
         let plan = plan_for(&n, 2, &payload);
         let frames = 10; // 20 grants over 5 nodes → 4 each
         let mut rng = GaussianSource::new(0x90);
-        let r = n
-            .run_mac(
-                Box::new(RoundRobinPolling::new()),
-                frames,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng,
-            )
-            .unwrap();
+        let r = run_mac(
+            &n,
+            Box::new(RoundRobinPolling::new()),
+            frames,
+            &payload,
+            &plan,
+            &mut rng,
+        )
+        .unwrap();
         for node in &r.nodes {
             assert_eq!(node.attempts, 4, "node {} grants", node.node_idx);
             assert_eq!(node.collisions, 0);
@@ -3164,16 +2989,15 @@ mod tests {
         let payload = [3u8; 8];
         let plan = plan_for(&n, 4, &payload);
         let mut rng = GaussianSource::new(0x91);
-        let r = n
-            .run_mac(
-                Box::new(RoundRobinPolling::new()),
-                3,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng,
-            )
-            .unwrap();
+        let r = run_mac(
+            &n,
+            Box::new(RoundRobinPolling::new()),
+            3,
+            &payload,
+            &plan,
+            &mut rng,
+        )
+        .unwrap();
         for node in &r.nodes {
             assert_eq!(node.attempts, 6);
             assert_eq!(node.collisions, 0);
@@ -3190,16 +3014,15 @@ mod tests {
         let payload = [0x42u8; 8];
         let plan = plan_for(&n, 2, &payload);
         let mut rng = GaussianSource::new(0x5D);
-        let r = n
-            .run_mac(
-                Box::new(SdmAwareAssignment::new()),
-                8,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng,
-            )
-            .unwrap();
+        let r = run_mac(
+            &n,
+            Box::new(SdmAwareAssignment::new()),
+            8,
+            &payload,
+            &plan,
+            &mut rng,
+        )
+        .unwrap();
         for node in &r.nodes {
             assert_eq!(node.collisions, 0, "node {}", node.node_idx);
             assert_eq!(node.attempts, 8);
@@ -3242,16 +3065,15 @@ mod tests {
         let plan = plan_for(&n, 2, &payload);
         let frames = 4;
         let mut rng = GaussianSource::new(0x0F);
-        let r = n
-            .run_mac(
-                Box::new(SdmAwareAssignment::new()),
-                frames,
-                &payload,
-                &plan,
-                20.0,
-                &mut rng,
-            )
-            .unwrap();
+        let r = run_mac(
+            &n,
+            Box::new(SdmAwareAssignment::new()),
+            frames,
+            &payload,
+            &plan,
+            &mut rng,
+        )
+        .unwrap();
         let attempts: usize = r.nodes.iter().map(|nd| nd.attempts).sum();
         assert_eq!(attempts, frames * 2, "every slot grants exactly one group");
         for node in &r.nodes {
@@ -3274,9 +3096,7 @@ mod tests {
         let payload = [1u8; 4];
         let plan = plan_for(&n, 1, &payload);
         let mut rng = GaussianSource::new(0xE0);
-        let r = n
-            .run_slotted(4, &payload, &plan, 1, 20.0, &mut rng)
-            .unwrap();
+        let r = run_slotted(&n, 4, &payload, &plan, 1, &mut rng).unwrap();
         for node in &r.nodes {
             assert_eq!(node.delivered, 0);
             assert_eq!(node.mean_snr_db, None);

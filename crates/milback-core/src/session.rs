@@ -285,43 +285,24 @@ impl Session {
     /// any seed — the parity suite enforces this.
     pub fn run_packet(&self, packet: &Packet, rng: &mut GaussianSource) -> Result<SessionReport> {
         let mut probe = CampaignProbe::disabled();
-        self.run_packet_probed(packet, rng, &mut probe)
+        self.run_packet_with(packet, rng, &ApServiceConfig::instantaneous(), &mut probe)
     }
 
     /// [`run_packet`](Self::run_packet) under an explicit
-    /// [`ApServiceConfig`]: the AP's Field-2 processing, carrier planning,
-    /// and transmit setup each cost their configured stage latency, so the
-    /// payload starts `total_latency_ps` later than the instantaneous
-    /// timeline. The physics and the RNG draw order are unchanged — only
-    /// event timestamps shift — so the report is identical up to the
-    /// session clock.
-    pub fn run_packet_service(
-        &self,
-        packet: &Packet,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-    ) -> Result<SessionReport> {
-        let mut probe = CampaignProbe::disabled();
-        self.run_packet_service_probed(packet, rng, service, &mut probe)
-    }
-
-    /// [`run_packet`](Self::run_packet) with an instrumentation probe:
-    /// when tracing, every dispatched session event is recorded
+    /// [`ApServiceConfig`] and with an instrumentation probe.
+    ///
+    /// The AP's Field-2 processing, carrier planning, and transmit setup
+    /// each cost their configured stage latency, so the payload starts
+    /// `total_latency_ps` later than the instantaneous timeline. The
+    /// physics and the RNG draw order are unchanged — only event
+    /// timestamps shift — so the report is identical up to the session
+    /// clock.
+    ///
+    /// When tracing, every dispatched session event is recorded
     /// `(time_ps, seq, actor, kind)`; metrics count dispatches, mode
-    /// switches, and the node energy draw. `run_packet` is this function
-    /// with a disabled probe — the probe copies values the session already
-    /// computed and can never perturb it.
-    pub fn run_packet_probed(
-        &self,
-        packet: &Packet,
-        rng: &mut GaussianSource,
-        probe: &mut CampaignProbe,
-    ) -> Result<SessionReport> {
-        self.run_packet_service_probed(packet, rng, &ApServiceConfig::instantaneous(), probe)
-    }
-
-    /// The full session runner: explicit service config and probe.
-    pub fn run_packet_service_probed(
+    /// switches, and the node energy draw. The probe copies values the
+    /// session already computed and can never perturb it.
+    pub fn run_packet_with(
         &self,
         packet: &Packet,
         rng: &mut GaussianSource,
@@ -511,16 +492,6 @@ impl Session {
             node_energy_j: firmware.energy_j(),
         })
     }
-
-    /// Runs an alternating sequence of downlink/uplink packets and returns
-    /// the per-packet reports — a steady-state duty cycle.
-    pub fn run_duty_cycle(
-        &self,
-        packets: &[Packet],
-        rng: &mut GaussianSource,
-    ) -> Result<Vec<SessionReport>> {
-        packets.iter().map(|p| self.run_packet(p, rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -607,11 +578,12 @@ mod tests {
         let mut rng_b = GaussianSource::new(0xC0FFEE);
         let instant = s.run_packet(&packet, &mut rng_a).unwrap();
         let staged = s
-            .run_packet_service(
+            .run_packet_with(
                 &packet,
                 &mut rng_b,
                 &ApServiceConfig::instantaneous()
                     .with_stage_latencies(1_000_000, 2_000_000, 3_000_000),
+                &mut CampaignProbe::disabled(),
             )
             .unwrap();
         assert_eq!(instant, staged);
@@ -635,12 +607,15 @@ mod tests {
     fn duty_cycle_alternates() {
         let s = session(2.0, 10.0);
         let mut rng = GaussianSource::new(0x5E7);
-        let packets = vec![
+        let packets = [
             Packet::downlink(vec![1, 2, 3, 4]),
             Packet::uplink(vec![5, 6, 7, 8]),
             Packet::downlink(vec![9, 10, 11, 12]),
         ];
-        let reports = s.run_duty_cycle(&packets, &mut rng).unwrap();
+        let reports: Vec<SessionReport> = packets
+            .iter()
+            .map(|p| s.run_packet(p, &mut rng).unwrap())
+            .collect();
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[0].delivered, vec![1, 2, 3, 4]);
         assert_eq!(reports[1].delivered, vec![5, 6, 7, 8]);

@@ -28,22 +28,24 @@
 //!    the non-associative f64 sums see one fixed fold order.
 //!
 //! `cell_seed(seed, 0) == seed`, so a 1-cell sharded campaign reproduces a
-//! plain [`Network::run_mac`] over the same scene bit-for-bit — the parity
+//! plain [`Network::run`] over the same scene bit-for-bit — the parity
 //! suite proves it by `==` and `to_bits`.
 //!
 //! # Memory
 //!
 //! The sharded aggregate path never materializes a per-node report `Vec`:
 //! peak report memory is O(cells + histogram buckets), with the per-cell
-//! ledger vectors (O(largest cell)) recycled per worker through
-//! [`CampaignScratch`].
+//! ledger vectors (O(largest cell)) recycled per worker.
 
 use crate::error::{MilbackError, Result};
-use crate::network::{CampaignAggregate, CampaignScratch, MacPolicy, Network, SlottedRunReport};
+use crate::network::{
+    CampaignAggregate, CampaignScratch, CampaignSink, CampaignSpec, MacPolicy, Network,
+};
 use crate::pipeline::ApServiceConfig;
 use crate::protocol::SlotPlan;
 use crate::relay::RelayConfig;
 use crate::scene::Scene;
+use crate::telemetry::CampaignProbe;
 use mmwave_sigproc::parallel;
 use mmwave_sigproc::random::GaussianSource;
 use std::ops::Range;
@@ -113,7 +115,7 @@ fn cell_scene(scene: &Scene, nodes: Range<usize>) -> Scene {
 }
 
 /// Runs `run_cell` over every cell of `net`'s scene, one result slot per
-/// cell, fanned over `threads` workers with one [`CampaignScratch`] per
+/// cell, fanned over `threads` workers with one `CampaignScratch` per
 /// worker. Each cell's [`Network`] is built inside its worker right before
 /// the cell runs and dropped right after, so at most one cell network per
 /// worker is alive at a time. Results come back in cell index order; the
@@ -131,7 +133,7 @@ where
         &mut slots,
         1,
         threads,
-        CampaignScratch::new,
+        CampaignScratch::default,
         |scratch, idx, chunk| {
             let (nodes, out) = &mut chunk[0];
             let cell_net = Network {
@@ -151,88 +153,47 @@ where
 }
 
 impl Network {
-    /// Runs a sharded MAC campaign: the scene splits into `n_cells` spatial
-    /// cells ([`partition_cells`]), each cell runs its own deterministic
-    /// engine campaign under a policy built by
-    /// `policy_for_cell(cell_idx, cell_seed)` with its own
+    /// Runs a sharded campaign: the scene splits into `n_cells` spatial
+    /// cells ([`partition_cells`]), each cell runs `spec` on its own
+    /// deterministic engine under a policy built by
+    /// `policy_for_cell(cell_idx, cell_seed)` and on its own
     /// [`cell_seed`]-derived RNG stream, cells fan out over `threads`
-    /// workers, and the per-cell streaming aggregates merge in cell index
-    /// order. The result is bit-identical at any thread count, and peak
-    /// report memory is O(cells + buckets) — no per-node `Vec` exists on
-    /// this path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_mac<F>(
+    /// workers, and the per-cell sinks combine in cell index order
+    /// ([`CampaignSink::cells`]). Every cell's AP runs its own service
+    /// pipeline, and relay routes never cross a cell boundary.
+    ///
+    /// The result is bit-identical at any thread count. With
+    /// `S = CampaignAggregate` no per-node `Vec` exists on this path, so
+    /// peak report memory is O(cells + buckets); with
+    /// `S = SlottedRunReport` the result is one report per cell (node
+    /// indices cell-local). A 1-cell campaign reproduces [`Network::run`]
+    /// on `GaussianSource::new(campaign_seed)` bit-for-bit.
+    pub fn run_sharded<S: CampaignSink>(
         &self,
+        spec: &CampaignSpec<'_>,
         n_cells: usize,
         threads: usize,
         campaign_seed: u64,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        policy_for_cell: F,
-    ) -> Result<CampaignAggregate>
-    where
-        F: Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
-    {
-        self.run_sharded_mac_service(
-            n_cells,
-            threads,
-            campaign_seed,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            &ApServiceConfig::instantaneous(),
-            policy_for_cell,
-        )
+        policy_for_cell: impl Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
+    ) -> Result<S::Cells> {
+        let cells = run_cells(self, n_cells, threads, |scratch, idx, cell| {
+            let seed = cell_seed(campaign_seed, idx);
+            let mut rng = GaussianSource::new(seed);
+            let policy = policy_for_cell(idx, seed);
+            cell.run_in(
+                spec,
+                policy,
+                &mut rng,
+                &mut CampaignProbe::disabled(),
+                scratch,
+            )
+        })?;
+        Ok(S::cells(cells))
     }
 
-    /// [`run_sharded_mac`](Self::run_sharded_mac) under an explicit
-    /// [`ApServiceConfig`]: every cell's AP runs its own staged
-    /// **Capture → Plan → Transmit** pipeline (stage queues are per-cell —
-    /// cells are independent APs), and the per-cell
-    /// [`ApServiceStats`](crate::pipeline::ApServiceStats) ledgers fold
-    /// into the streaming aggregate's `service` counters in cell index
-    /// order, exact u64 adds all the way up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_mac_service<F>(
-        &self,
-        n_cells: usize,
-        threads: usize,
-        campaign_seed: u64,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        service: &ApServiceConfig,
-        policy_for_cell: F,
-    ) -> Result<CampaignAggregate>
-    where
-        F: Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
-    {
-        self.run_sharded_mac_relay(
-            n_cells,
-            threads,
-            campaign_seed,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            service,
-            &RelayConfig::disabled(),
-            policy_for_cell,
-        )
-    }
-
-    /// [`run_sharded_mac_service`](Self::run_sharded_mac_service) with
-    /// multi-hop tag-to-tag relaying: every cell classifies its nodes
-    /// against `relay.coverage` and runs relay chains for its gap nodes
-    /// (routes are per-cell — relays never cross a cell boundary, because
-    /// cells are independent engines). A
-    /// [`RelayConfig::disabled`] config reproduces
-    /// [`run_sharded_mac_service`](Self::run_sharded_mac_service)
-    /// bit-for-bit; the parity suite proves it.
+    /// [`run_sharded`](Self::run_sharded) into a [`CampaignAggregate`],
+    /// under positional arguments. Kept, signature untouched, because the
+    /// frozen `perfbench` harness calls it.
     #[allow(clippy::too_many_arguments)]
     pub fn run_sharded_mac_relay<F>(
         &self,
@@ -250,71 +211,17 @@ impl Network {
     where
         F: Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
     {
-        let per_cell = run_cells(self, n_cells, threads, |scratch, idx, cell| {
-            let seed = cell_seed(campaign_seed, idx);
-            let mut rng = GaussianSource::new(seed);
-            let mut agg = CampaignAggregate::new();
-            cell.run_mac_streaming_relay_service(
-                policy_for_cell(idx, seed),
-                frames,
-                payload,
-                plan,
-                sdm_threshold_db,
-                &mut rng,
-                service,
-                relay,
-                scratch,
-                &mut agg,
-            )?;
-            // Per-cell conservation gate: every packet a cell offered must
-            // have resolved to a delivery or an attributed drop before the
-            // cell folds into the campaign total. Trivially satisfied (all
-            // zeros) in a telemetry-off build.
-            agg.lifecycle.audit()?;
-            Ok(agg)
-        })?;
-        let mut total = CampaignAggregate::new();
-        for cell_agg in &per_cell {
-            total.merge_from(cell_agg);
-        }
-        Ok(total)
-    }
-
-    /// The report-materializing counterpart of
-    /// [`run_sharded_mac`](Self::run_sharded_mac): every cell runs the same
-    /// seeding/partition/scheduling, but returns its full per-node
-    /// [`SlottedRunReport`] (node indices cell-local). O(nodes) memory —
-    /// for tests and room-scale use; the parity suite uses it to prove a
-    /// 1-cell sharded run reproduces [`Network::run_mac`] bit-for-bit and
-    /// that [`CampaignAggregate::from_report`] folds to the exact streaming
-    /// aggregate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_mac_reports<F>(
-        &self,
-        n_cells: usize,
-        threads: usize,
-        campaign_seed: u64,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        policy_for_cell: F,
-    ) -> Result<Vec<SlottedRunReport>>
-    where
-        F: Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
-    {
-        run_cells(self, n_cells, threads, |_scratch, idx, cell| {
-            let seed = cell_seed(campaign_seed, idx);
-            let mut rng = GaussianSource::new(seed);
-            cell.run_mac(
-                policy_for_cell(idx, seed),
-                frames,
-                payload,
-                plan,
-                sdm_threshold_db,
-                &mut rng,
-            )
-        })
+        let spec = CampaignSpec::new(frames, payload, *plan)
+            .with_sdm_threshold_db(sdm_threshold_db)
+            .with_service(*service)
+            .with_relay(*relay);
+        self.run_sharded::<CampaignAggregate>(
+            &spec,
+            n_cells,
+            threads,
+            campaign_seed,
+            policy_for_cell,
+        )
     }
 }
 
@@ -322,8 +229,12 @@ impl Network {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::network::SlottedAloha;
+    use crate::network::{SlottedAloha, SlottedRunReport};
     use crate::protocol::Packet;
+
+    fn aloha(_: usize, seed: u64) -> Box<dyn MacPolicy> {
+        Box::new(SlottedAloha::new(seed))
+    }
 
     /// A nine-node ±40° arc at 4 m — node order is azimuth order, so the
     /// partition's contiguous runs are spatial cells. Built on the shared
@@ -404,26 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn one_cell_sharded_run_reproduces_run_mac_bit_for_bit() {
+    fn one_cell_sharded_run_reproduces_run_bit_for_bit() {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(5)).unwrap();
         let payload = [0x42u8; 8];
-        let plan = plan_for(&net, 4, &payload);
+        let spec = CampaignSpec::new(5, &payload, plan_for(&net, 4, &payload));
         let seed = 0xC17Fu64;
         let reports = net
-            .run_sharded_mac_reports(1, 4, seed, 5, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
+            .run_sharded::<SlottedRunReport>(&spec, 1, 4, seed, aloha)
             .unwrap();
         assert_eq!(reports.len(), 1);
         let mut rng = GaussianSource::new(seed);
-        let plain = net
-            .run_mac(
-                Box::new(SlottedAloha::new(seed)),
-                5,
-                &payload,
-                &plan,
-                20.0,
+        let plain: SlottedRunReport = net
+            .run(
+                &spec,
+                aloha(0, seed),
                 &mut rng,
+                &mut CampaignProbe::disabled(),
             )
             .unwrap();
         assert_eq!(reports[0], plain);
@@ -440,12 +347,10 @@ mod tests {
     fn sharded_aggregate_is_thread_count_invariant() {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(9)).unwrap();
         let payload = [0x42u8; 8];
-        let plan = plan_for(&net, 4, &payload);
+        let spec = CampaignSpec::new(4, &payload, plan_for(&net, 4, &payload));
         let run = |threads: usize| {
-            net.run_sharded_mac(3, threads, 0xBEEF, 4, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
-            .unwrap()
+            net.run_sharded::<CampaignAggregate>(&spec, 3, threads, 0xBEEF, aloha)
+                .unwrap()
         };
         let baseline = run(1);
         assert_eq!(baseline.cells, 3);
@@ -462,13 +367,12 @@ mod tests {
     fn streaming_aggregate_matches_report_fold_exactly() {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(8)).unwrap();
         let payload = [0x42u8; 8];
-        let plan = plan_for(&net, 4, &payload);
-        let factory = |_: usize, s: u64| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>;
+        let spec = CampaignSpec::new(3, &payload, plan_for(&net, 4, &payload));
         let streamed = net
-            .run_sharded_mac(4, 2, 0xA66, 3, &payload, &plan, 20.0, factory)
+            .run_sharded::<CampaignAggregate>(&spec, 4, 2, 0xA66, aloha)
             .unwrap();
         let reports = net
-            .run_sharded_mac_reports(4, 2, 0xA66, 3, &payload, &plan, 20.0, factory)
+            .run_sharded::<SlottedRunReport>(&spec, 4, 2, 0xA66, aloha)
             .unwrap();
         let mut folded = CampaignAggregate::new();
         for r in &reports {
@@ -489,22 +393,15 @@ mod tests {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(9)).unwrap();
         let payload = [0x42u8; 8];
         let plan = plan_for(&net, 4, &payload);
-        let service = crate::pipeline::ApServiceConfig::instantaneous()
-            .with_stage_latencies(3 * plan.slot_ps, 0, 0)
-            .with_queue(0, crate::pipeline::OverflowPolicy::Defer);
+        let instant_spec = CampaignSpec::new(4, &payload, plan);
+        let spec = instant_spec.with_service(
+            crate::pipeline::ApServiceConfig::instantaneous()
+                .with_stage_latencies(3 * plan.slot_ps, 0, 0)
+                .with_queue(0, crate::pipeline::OverflowPolicy::Defer),
+        );
         let run = |threads: usize| {
-            net.run_sharded_mac_service(
-                3,
-                threads,
-                0xBEEF,
-                4,
-                &payload,
-                &plan,
-                20.0,
-                &service,
-                |_, s| Box::new(SlottedAloha::new(s)),
-            )
-            .unwrap()
+            net.run_sharded::<CampaignAggregate>(&spec, 3, threads, 0xBEEF, aloha)
+                .unwrap()
         };
         let deferred = run(1);
         assert!(deferred.service.offered > 0);
@@ -515,9 +412,7 @@ mod tests {
             assert_eq!(run(threads), deferred, "{threads} threads");
         }
         let instant = net
-            .run_sharded_mac(3, 1, 0xBEEF, 4, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
+            .run_sharded::<CampaignAggregate>(&instant_spec, 3, 1, 0xBEEF, aloha)
             .unwrap();
         assert_eq!(instant.service.deferred, 0);
         assert_eq!(deferred.attempts, instant.attempts);
@@ -532,11 +427,9 @@ mod tests {
         let payload = [0x42u8; 8];
         let run = |n: usize| {
             let net = Network::new(SystemConfig::milback_default(), arc_scene(n)).unwrap();
-            let plan = plan_for(&net, 4, &payload);
-            net.run_sharded_mac(2, 2, 7, 2, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
-            .unwrap()
+            let spec = CampaignSpec::new(2, &payload, plan_for(&net, 4, &payload));
+            net.run_sharded::<CampaignAggregate>(&spec, 2, 2, 7, aloha)
+                .unwrap()
         };
         let small = run(4);
         let big = run(16);
@@ -549,9 +442,8 @@ mod tests {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(4)).unwrap();
         let small = [0u8; 2];
         let plan = plan_for(&net, 2, &small);
-        let err = net.run_sharded_mac(2, 1, 1, 1, &[0u8; 4096], &plan, 20.0, |_, s| {
-            Box::new(SlottedAloha::new(s))
-        });
+        let spec = CampaignSpec::new(1, &[0u8; 4096], plan);
+        let err = net.run_sharded::<CampaignAggregate>(&spec, 2, 1, 1, aloha);
         assert!(err.is_err());
     }
 }

@@ -1,11 +1,12 @@
 //! Relay-layer acceptance: a disabled relay configuration is bit-exact
-//! with the relay-free MAC paths (`==` plus `to_bits` on every f64), a
+//! with the relay-free MAC paths and the direct oracle (`==` plus `to_bits` on every f64), a
 //! sharded relay campaign is invariant across worker thread counts, and
 //! an enabled configuration actually bridges coverage gaps — delivery
 //! recovering with the hop budget, per-hop energy accounted, and
 //! routeless gap nodes kept in every denominator.
 
-use milback_core::{ApServiceConfig, Packet};
+use milback_core::protocol::SlotPlan;
+use milback_core::{ApServiceConfig, CampaignProbe, CampaignSpec, Packet};
 use milback_core::{
     CampaignAggregate, CoverageModel, MacPolicy, Network, RelayAwareMac, RelayConfig, Scene,
     SlottedAloha, SlottedRunReport, SystemConfig,
@@ -31,8 +32,8 @@ fn ringed_network(inner: usize, outer: usize) -> Network {
     Network::new(SystemConfig::milback_default(), scene).unwrap()
 }
 
-fn plan_for(n: &Network, slots: usize) -> milback_core::protocol::SlotPlan {
-    milback_core::protocol::SlotPlan::for_packet(
+fn plan_for(n: &Network, slots: usize) -> SlotPlan {
+    SlotPlan::for_packet(
         slots,
         &Packet::uplink(PAYLOAD.to_vec()),
         &n.config.fmcw,
@@ -40,6 +41,19 @@ fn plan_for(n: &Network, slots: usize) -> milback_core::protocol::SlotPlan {
         5e-6,
     )
     .unwrap()
+}
+
+/// One campaign of `FRAMES` frames of `PAYLOAD` under `relay`, on `rng`.
+fn run(
+    n: &Network,
+    policy: Box<dyn MacPolicy>,
+    plan: &SlotPlan,
+    relay: RelayConfig,
+    rng: &mut GaussianSource,
+) -> SlottedRunReport {
+    let spec = CampaignSpec::new(FRAMES, &PAYLOAD, *plan).with_relay(relay);
+    n.run(&spec, policy, rng, &mut CampaignProbe::disabled())
+        .unwrap()
 }
 
 fn gapped_relay(max_hops: usize) -> RelayConfig {
@@ -75,32 +89,21 @@ fn assert_agg_bit_exact(a: &CampaignAggregate, b: &CampaignAggregate) {
 }
 
 #[test]
-fn disabled_relay_is_bit_exact_with_run_mac() {
+fn disabled_relay_is_bit_exact_with_the_direct_oracle() {
     let n = ringed_network(4, 4);
     let plan = plan_for(&n, 8);
     let mut rng_a = GaussianSource::new(SEED);
     let mut rng_b = GaussianSource::new(SEED);
     let direct = n
-        .run_mac(
-            Box::new(SlottedAloha::new(SLOT_SEED)),
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &mut rng_a,
-        )
+        .run_slotted_direct(FRAMES, &PAYLOAD, &plan, SLOT_SEED, 20.0, &mut rng_a)
         .unwrap();
-    let relayed = n
-        .run_mac_relay(
-            Box::new(SlottedAloha::new(SLOT_SEED)),
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &mut rng_b,
-            &RelayConfig::disabled(),
-        )
-        .unwrap();
+    let relayed = run(
+        &n,
+        Box::new(SlottedAloha::new(SLOT_SEED)),
+        &plan,
+        RelayConfig::disabled(),
+        &mut rng_b,
+    );
     assert_bit_exact(&direct, &relayed);
     // The RNG streams must land in the same place too.
     assert_eq!(rng_a.bytes(8), rng_b.bytes(8));
@@ -120,27 +123,20 @@ fn disabled_relay_aware_policy_matches_plain_aloha() {
     let plan = plan_for(&n, 8);
     let mut rng_a = GaussianSource::new(SEED);
     let mut rng_b = GaussianSource::new(SEED);
-    let plain = n
-        .run_mac(
-            Box::new(SlottedAloha::new(SLOT_SEED)),
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &mut rng_a,
-        )
-        .unwrap();
-    let relay_aware = n
-        .run_mac_relay(
-            Box::new(RelayAwareMac::new(SLOT_SEED, RelayConfig::disabled())),
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &mut rng_b,
-            &RelayConfig::disabled(),
-        )
-        .unwrap();
+    let plain = run(
+        &n,
+        Box::new(SlottedAloha::new(SLOT_SEED)),
+        &plan,
+        RelayConfig::disabled(),
+        &mut rng_a,
+    );
+    let relay_aware = run(
+        &n,
+        Box::new(RelayAwareMac::new(SLOT_SEED, RelayConfig::disabled())),
+        &plan,
+        RelayConfig::disabled(),
+        &mut rng_b,
+    );
     assert_bit_exact(&plain, &relay_aware);
 }
 
@@ -168,17 +164,13 @@ fn sharded_disabled_relay_is_thread_count_invariant() {
     for threads in [2, 4, 8] {
         assert_agg_bit_exact(&reference, &run(threads));
     }
-    // Also bit-exact with the pre-relay sharded entry point.
+    // Also bit-exact with the parity spec, which never names a relay.
     let legacy = n
-        .run_sharded_mac_service(
+        .run_sharded::<CampaignAggregate>(
+            &CampaignSpec::new(FRAMES, &PAYLOAD, plan),
             4,
             3,
             SEED,
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &service,
             |_, s| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>,
         )
         .unwrap();
@@ -220,16 +212,13 @@ fn relaying_recovers_gap_delivery_with_the_hop_budget() {
     let run = |max_hops: usize| {
         let relay = gapped_relay(max_hops);
         let mut rng = GaussianSource::new(SEED);
-        n.run_mac_relay(
+        run(
+            &n,
             Box::new(RelayAwareMac::new(SLOT_SEED, relay)),
-            FRAMES,
-            &PAYLOAD,
             &plan,
-            20.0,
+            relay,
             &mut rng,
-            &relay,
         )
-        .unwrap()
     };
     let direct_only = CampaignAggregate::from_report(&run(1));
     let two_hop = CampaignAggregate::from_report(&run(2));
@@ -263,17 +252,13 @@ fn routeless_gap_node_stays_in_the_denominators() {
     let plan = plan_for(&n, 8);
     let relay = gapped_relay(4);
     let mut rng = GaussianSource::new(SEED);
-    let report = n
-        .run_mac_relay(
-            Box::new(RelayAwareMac::new(SLOT_SEED, relay)),
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &mut rng,
-            &relay,
-        )
-        .unwrap();
+    let report = run(
+        &n,
+        Box::new(RelayAwareMac::new(SLOT_SEED, relay)),
+        &plan,
+        relay,
+        &mut rng,
+    );
     assert_eq!(report.nodes.len(), 5);
     let stranded = &report.nodes[4];
     assert!(stranded.gap);

@@ -4,7 +4,8 @@
 # Runs the full quality bar in order of increasing cost:
 #   1. formatting check (cargo fmt --check)
 #   2. release build of every target, plus the no_std build of the node
-#      core (milback-node --no-default-features)
+#      core (milback-node --no-default-features) and the perfbench
+#      campaign benchmark package
 #   3. the complete test suite (tier-1 umbrella + all crate suites)
 #   4. clippy across all targets with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors
@@ -56,6 +57,10 @@ cargo build --release --workspace --all-targets
 # without std (the sim-facing modules are std-gated behind the default
 # feature).
 cargo build --release -p milback-node --no-default-features
+# The frozen campaign benchmark (perfbench/, its own workspace) builds
+# against the library's public API: a library change that breaks it fails
+# here rather than in the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> [3/16] cargo test --release --workspace"
 cargo test --release --workspace -q
@@ -116,7 +121,7 @@ for key in ("nodes", "cells", "threads", "single_cell_nodes_per_sec",
             "sharded_nodes_per_sec", "shard_bit_exact", "bucket_footprint",
             "bounded_memory"):
     assert key in sc, f"missing sharded_campaign key: {key}"
-assert sc["shard_bit_exact"] is True, "sharded campaign diverged from run_mac or across threads"
+assert sc["shard_bit_exact"] is True, "sharded campaign diverged from a plain Network::run or across threads"
 assert sc["bounded_memory"] is True, "campaign aggregate footprint grew with node count"
 assert sc["cells"] >= 4 and sc["sharded_nodes_per_sec"] > 0, sc
 acc = doc["acceptance"]

@@ -1,0 +1,328 @@
+//! Golden digests of the campaign entry points.
+//!
+//! An FNV-1a digest folds the `to_bits` of every float and every integer
+//! of the campaign outputs, plus a probe of the RNG position after each
+//! run, so a changed value, a changed draw count or a changed draw order
+//! fails here:
+//!
+//! * per-node reports of the 64-node ±60° sector scene for four MAC
+//!   policies × relay off/on × an instantaneous and a congested `Drop` AP
+//!   pipeline — every `SlottedNodeReport` field, the service ledger and
+//!   the whole lifecycle ledger;
+//! * sharded aggregates of the same scene at 4 cells on 1 and 4 worker
+//!   threads (the two must also be equal);
+//! * `Session::run_packet` uplink and downlink reports for seeds 1–4.
+//!
+//! The committed digests were recorded before the campaign entry points
+//! were collapsed onto one spec and two runners.
+
+use milback::ap::waveform::LinkDirection;
+use milback::core::protocol::SlotPlan;
+use milback::core::telemetry::Histogram;
+use milback::core::{
+    ApServiceConfig, ApServiceStats, BackoffAloha, CampaignAggregate, CoverageModel,
+    LifecycleStats, MacPolicy, Network, OverflowPolicy, Packet, RelayAwareMac, RelayConfig,
+    RoundRobinPolling, Scene, SdmAwareAssignment, Session, SlottedAloha, SlottedRunReport,
+    SystemConfig,
+};
+use milback::sigproc::random::GaussianSource;
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn opt_f64(&mut self, x: Option<f64>) {
+        match x {
+            Some(v) => {
+                self.word(1);
+                self.f64(v);
+            }
+            None => self.word(0),
+        }
+    }
+
+    /// Folds the RNG position without advancing it: a clone draws one
+    /// Gaussian (which sees any cached polar-method partner) and one
+    /// uniform (which sees the raw stream).
+    fn rng(&mut self, rng: &GaussianSource) {
+        let mut probe = rng.clone();
+        self.f64(probe.standard());
+        self.f64(probe.uniform(0.0, 1.0));
+    }
+
+    fn histogram(&mut self, h: &Histogram) {
+        self.usize(h.bounds.len());
+        for &b in h.bounds {
+            self.f64(b);
+        }
+        self.usize(h.counts.len());
+        for &c in &h.counts {
+            self.word(c);
+        }
+        self.word(h.count);
+        self.f64(h.sum);
+    }
+
+    fn service(&mut self, s: &ApServiceStats) {
+        for w in [s.offered, s.served, s.dropped, s.deferred, s.degraded] {
+            self.word(w);
+        }
+    }
+
+    fn lifecycle(&mut self, l: &LifecycleStats) {
+        self.word(l.offered);
+        self.word(l.delivered_direct);
+        self.word(l.delivered_relayed);
+        for &d in &l.drops {
+            self.word(d);
+        }
+        for &d in &l.shed_by_stage {
+            self.word(d);
+        }
+        self.histogram(&l.slot_wait_us);
+        self.histogram(&l.service_residence_us);
+        self.histogram(&l.relay_extra_us);
+    }
+
+    fn report(&mut self, r: &SlottedRunReport) {
+        self.usize(r.frames);
+        self.f64(r.frame_s);
+        self.usize(r.payload_bytes);
+        self.usize(r.nodes.len());
+        for n in &r.nodes {
+            self.usize(n.node_idx);
+            self.usize(n.attempts);
+            self.usize(n.delivered);
+            self.usize(n.collisions);
+            self.f64(n.energy_j);
+            self.opt_f64(n.mean_snr_db);
+            self.word(u64::from(n.gap));
+            self.usize(n.relayed);
+            self.usize(n.relay_hops);
+            self.usize(n.forwarded);
+            self.f64(n.relay_energy_j);
+            self.f64(n.relay_latency_s);
+        }
+        self.service(&r.service);
+        self.lifecycle(&r.lifecycle);
+    }
+
+    fn aggregate(&mut self, a: &CampaignAggregate) {
+        for w in [
+            a.cells,
+            a.nodes,
+            a.frames,
+            a.payload_bytes,
+            a.attempts,
+            a.delivered,
+            a.collisions,
+            a.delivering_nodes,
+            a.gap_nodes,
+            a.gap_attempts,
+            a.gap_delivered,
+            a.relayed,
+            a.relay_hops,
+            a.forwarded,
+        ] {
+            self.word(w);
+        }
+        for x in [
+            a.frame_s,
+            a.energy_j,
+            a.snr_sum_db,
+            a.relay_energy_j,
+            a.relay_latency_s,
+        ] {
+            self.f64(x);
+        }
+        self.histogram(&a.node_energy_j);
+        self.histogram(&a.node_snr_db);
+        self.histogram(&a.node_relay_hops);
+        self.service(&a.service);
+        self.lifecycle(&a.lifecycle);
+    }
+}
+
+const NODES: usize = 64;
+const FRAMES: usize = 6;
+const PAYLOAD: [u8; 16] = [0x42; 16];
+
+/// The 64-node ±60° sector at 4 m the network sweeps race over.
+fn sector_network() -> Network {
+    let scene = Scene::arc(NODES, 4.0, 120f64.to_radians(), 12f64.to_radians());
+    Network::new(SystemConfig::milback_default(), scene).unwrap()
+}
+
+fn plan_for(net: &Network) -> SlotPlan {
+    SlotPlan::for_packet(
+        8,
+        &Packet::uplink(PAYLOAD.to_vec()),
+        &net.config.fmcw,
+        net.config.uplink_symbol_rate_hz,
+        10e-6,
+    )
+    .unwrap()
+}
+
+/// Edge nodes past ±45° are coverage gaps; their neighbors within half a
+/// meter can bridge them in two transmissions, farther ones cannot.
+fn relay_on() -> RelayConfig {
+    RelayConfig {
+        coverage: CoverageModel {
+            ap_range_m: f64::INFINITY,
+            sector_half_rad: 45f64.to_radians(),
+        },
+        max_hops: 2,
+        tag_range_m: 0.5,
+        hop_snr_penalty_db: 3.0,
+    }
+}
+
+/// A Capture stage two slots deep behind a one-grant `Drop` queue.
+fn congested(plan: &SlotPlan) -> ApServiceConfig {
+    ApServiceConfig::instantaneous()
+        .with_stage_latencies(2 * plan.slot_ps, 0, 0)
+        .with_queue(1, OverflowPolicy::Drop)
+}
+
+fn policy(name: &str, seed: u64, relay: &RelayConfig) -> Box<dyn MacPolicy> {
+    match name {
+        "aloha" if !relay.is_disabled() => Box::new(RelayAwareMac::new(seed, *relay)),
+        "aloha" => Box::new(SlottedAloha::new(seed)),
+        "backoff" => Box::new(BackoffAloha::new(seed, 5)),
+        "polling" => Box::new(RoundRobinPolling::new()),
+        "sdm" => Box::new(SdmAwareAssignment::new()),
+        _ => unreachable!("unknown policy {name}"),
+    }
+}
+
+#[test]
+fn campaign_digest_reports() {
+    let net = sector_network();
+    let plan = plan_for(&net);
+    let mut h = Fnv::new();
+    let mut relayed = 0;
+    for (p, name) in ["aloha", "backoff", "polling", "sdm"].iter().enumerate() {
+        for relay in [RelayConfig::disabled(), relay_on()] {
+            for service in [ApServiceConfig::instantaneous(), congested(&plan)] {
+                let seed = 0xD16E_5700 + p as u64;
+                let mut rng = GaussianSource::new(seed);
+                let r = net
+                    .run_mac_relay_service(
+                        policy(name, seed, &relay),
+                        FRAMES,
+                        &PAYLOAD,
+                        &plan,
+                        20.0,
+                        &mut rng,
+                        &service,
+                        &relay,
+                    )
+                    .unwrap();
+                r.lifecycle.audit().unwrap();
+                relayed += r.nodes.iter().map(|n| n.relayed).sum::<usize>();
+                h.report(&r);
+                h.rng(&rng);
+            }
+        }
+    }
+    assert!(relayed > 0, "the relay leg must deliver over relay routes");
+    assert_eq!(
+        h.0, 10_357_797_013_807_218_911,
+        "per-node campaign digest moved"
+    );
+}
+
+#[test]
+fn campaign_digest_sharded() {
+    let net = sector_network();
+    let plan = plan_for(&net);
+    let mut h = Fnv::new();
+    for (relay, service) in [
+        (RelayConfig::disabled(), ApServiceConfig::instantaneous()),
+        (relay_on(), congested(&plan)),
+    ] {
+        let run = |threads: usize| {
+            net.run_sharded_mac_relay(
+                4,
+                threads,
+                0x5EED,
+                FRAMES,
+                &PAYLOAD,
+                &plan,
+                20.0,
+                &service,
+                &relay,
+                |_, seed| policy("aloha", seed, &relay),
+            )
+            .unwrap()
+        };
+        let one = run(1);
+        let four = run(4);
+        assert_eq!(one, four, "sharded aggregate depends on the thread count");
+        h.aggregate(&one);
+        h.aggregate(&four);
+    }
+    assert_eq!(
+        h.0, 2_453_619_731_934_983_145,
+        "sharded campaign digest moved"
+    );
+}
+
+#[test]
+fn campaign_digest_session() {
+    let session = Session::new(
+        SystemConfig::milback_default(),
+        Scene::indoor(3.0, 12f64.to_radians()),
+    )
+    .unwrap();
+    let mut h = Fnv::new();
+    for seed in 1..=4u64 {
+        let mut rng = GaussianSource::new(seed);
+        for packet in [
+            Packet::uplink(PAYLOAD.to_vec()),
+            Packet::downlink(PAYLOAD.to_vec()),
+        ] {
+            let r = session.run_packet(&packet, &mut rng).unwrap();
+            h.f64(r.fix.range_m);
+            h.f64(r.fix.angle_rad);
+            h.f64(r.fix.position.x);
+            h.f64(r.fix.position.y);
+            h.f64(r.fix.confidence_db);
+            h.f64(r.orientation_at_ap);
+            h.f64(r.orientation_at_node);
+            h.word(match r.decoded_direction {
+                LinkDirection::Uplink => 1,
+                LinkDirection::Downlink => 2,
+            });
+            h.usize(r.delivered.len());
+            for &b in &r.delivered {
+                h.word(u64::from(b));
+            }
+            h.f64(r.ber);
+            h.f64(r.airtime_s);
+            h.f64(r.node_energy_j);
+            h.rng(&rng);
+        }
+    }
+    assert_eq!(h.0, 9_112_576_461_647_850_446, "session digest moved");
+}

@@ -17,7 +17,8 @@ use milback::ap::waveform::CarrierSet;
 use milback::core::link::{UplinkOutcome, UplinkScratch};
 use milback::core::protocol::{Packet, SlotPlan};
 use milback::core::{
-    CampaignProbe, LinkSimulator, MilbackError, Network, Scene, SdmAwareAssignment, SystemConfig,
+    CampaignProbe, CampaignSpec, LinkSimulator, MilbackError, Network, Scene, SdmAwareAssignment,
+    SlottedRunReport, SystemConfig,
 };
 use milback::node::mode::PortMode;
 use milback::node::uplink::UplinkModulator;
@@ -263,13 +264,10 @@ fn campaign_builds_each_budget_once() {
     )
     .unwrap();
     let mut probe = CampaignProbe::with_metrics();
-    let report = net
-        .run_mac_probed(
+    let report: SlottedRunReport = net
+        .run(
+            &CampaignSpec::new(24, &payload, plan),
             Box::new(SdmAwareAssignment::new()),
-            24,
-            &payload,
-            &plan,
-            20.0,
             &mut GaussianSource::new(12),
             &mut probe,
         )
