@@ -177,8 +177,9 @@ fn main() {
 }
 
 /// Writes `results/METRICS_lifecycle.json`. In a telemetry-off build the
-/// ledgers are all zeros, so the document is skipped rather than written
-/// empty — the artifact always describes an instrumented campaign.
+/// latency sketches are empty, so the document is skipped rather than
+/// written half-filled — the artifact always describes an instrumented
+/// campaign.
 fn write_metrics(
     points: &[NetAuditPoint],
     nodes: usize,
@@ -186,7 +187,7 @@ fn write_metrics(
     reduced: bool,
     cfg: &RunnerConfig,
 ) {
-    if points.iter().all(|p| p.lifecycle.offered == 0) {
+    if !cfg!(feature = "telemetry") {
         log_info!("telemetry off: skipping METRICS_lifecycle.json");
         return;
     }

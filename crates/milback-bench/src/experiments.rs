@@ -854,7 +854,7 @@ pub struct NetScaleCityPoint {
     /// relayed (the relay-disabled CSV cell is empty).
     pub mean_relay_hops: Option<f64>,
     /// Packets offered on the lifecycle ledger, summed over cells in
-    /// cell-index order (0 in a telemetry-off build).
+    /// cell-index order.
     pub offered_packets: u64,
     /// Packets dropped on the lifecycle ledger, all reasons combined.
     pub dropped_packets: u64,
@@ -1442,8 +1442,8 @@ mod tests {
 
     /// The lifecycle audit sweep is bit-identical at any thread count,
     /// every cell's ledger conserves (a violation would have failed the
-    /// cell), and — with telemetry on — the sweep exercises all three loss
-    /// families plus relayed deliveries somewhere in the grid.
+    /// cell), and the sweep exercises all three loss families plus
+    /// relayed deliveries somewhere in the grid.
     #[test]
     fn net_audit_sweep_conserves_at_any_thread_count() {
         let run =
@@ -1461,30 +1461,27 @@ mod tests {
         );
         let parallel = run(&RunnerConfig::with_threads(4));
         assert_eq!(serial.results, parallel.results);
-        #[cfg(feature = "telemetry")]
-        {
-            let mut total = LifecycleStats::new();
-            for p in serial.oks() {
-                assert!(p.lifecycle.offered > 0, "{p:?}");
-                assert_eq!(
-                    p.lifecycle.offered,
-                    p.lifecycle.delivered() + p.lifecycle.dropped(),
-                    "{p:?}"
-                );
-                if !p.relay {
-                    // The uniform 4 m sector is fully covered: no
-                    // coverage-family drops without a gap ring.
-                    assert_eq!(p.lifecycle.drops[3] + p.lifecycle.drops[4], 0, "{p:?}");
-                }
-                total.merge_from(&p.lifecycle);
+        let mut total = LifecycleStats::new();
+        for p in serial.oks() {
+            assert!(p.lifecycle.offered > 0, "{p:?}");
+            assert_eq!(
+                p.lifecycle.offered,
+                p.lifecycle.delivered() + p.lifecycle.dropped(),
+                "{p:?}"
+            );
+            if !p.relay {
+                // The uniform 4 m sector is fully covered: no
+                // coverage-family drops without a gap ring.
+                assert_eq!(p.lifecycle.drops[3] + p.lifecycle.drops[4], 0, "{p:?}");
             }
-            total.audit().expect("the merged sweep ledger conserves");
-            assert!(total.delivered_relayed > 0, "no relay chain delivered");
-            let channel = total.drops[0] + total.drops[1] + total.drops[5];
-            assert!(channel > 0, "no channel-family drops: {total:?}");
-            assert!(total.drops[2] > 0, "the congested pipeline never shed");
-            assert!(total.drops[3] > 0, "no routeless gap drops: {total:?}");
+            total.merge_from(&p.lifecycle);
         }
+        total.audit().expect("the merged sweep ledger conserves");
+        assert!(total.delivered_relayed > 0, "no relay chain delivered");
+        let channel = total.drops[0] + total.drops[1] + total.drops[5];
+        assert!(channel > 0, "no channel-family drops: {total:?}");
+        assert!(total.drops[2] > 0, "the congested pipeline never shed");
+        assert!(total.drops[3] > 0, "no routeless gap drops: {total:?}");
     }
 
     /// The sharded city path reports the same lifecycle ledger — counters
@@ -1505,7 +1502,6 @@ mod tests {
                 assert_eq!(a.sum.to_bits(), b.sum.to_bits());
             }
         }
-        #[cfg(feature = "telemetry")]
         assert!(
             reference.offered > 0,
             "the sharded campaign offered nothing"

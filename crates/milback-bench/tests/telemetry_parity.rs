@@ -288,7 +288,6 @@ fn lifecycle_recording_is_non_perturbing_at_every_thread_count() {
         ] {
             assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "policy {name}");
         }
-        #[cfg(feature = "telemetry")]
         assert!(plain.lifecycle.offered > 0, "policy {name} offered nothing");
     }
 }
@@ -383,8 +382,8 @@ proptest! {
     /// per-packet outcomes — each offered packet resolving to exactly one
     /// delivery or drop — keeps the ledger conserving (`offered ==
     /// delivered + Σ drops`), the audit passing, and merges of arbitrary
-    /// splits agreeing with the whole. With telemetry on, one extra
-    /// unresolved offer must break the audit (the taxonomy has no
+    /// splits agreeing with the whole. One extra unresolved offer must
+    /// break the audit (the taxonomy has no
     /// "pending" bucket to leak into).
     #[test]
     fn drop_reasons_partition_offered_packets(
@@ -399,25 +398,17 @@ proptest! {
             dropped += x;
         }
         whole.audit().expect("a fully resolved ledger conserves");
-        #[cfg(feature = "telemetry")]
-        {
-            prop_assert_eq!(whole.offered, outcomes.len() as u64);
-            prop_assert_eq!(whole.delivered(), delivered);
-            prop_assert_eq!(whole.dropped(), dropped);
-            prop_assert_eq!(whole.offered, whole.delivered() + whole.dropped());
-            prop_assert_eq!(
-                whole.shed_by_stage.iter().sum::<u64>(),
-                whole.drops[DropReason::ServiceShed {
-                    stage: milback_core::StageKind::Capture,
-                    policy: milback_core::OverflowPolicy::Drop,
-                }.index()]
-            );
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (delivered, dropped);
-            prop_assert_eq!(whole.offered, 0);
-        }
+        prop_assert_eq!(whole.offered, outcomes.len() as u64);
+        prop_assert_eq!(whole.delivered(), delivered);
+        prop_assert_eq!(whole.dropped(), dropped);
+        prop_assert_eq!(whole.offered, whole.delivered() + whole.dropped());
+        prop_assert_eq!(
+            whole.shed_by_stage.iter().sum::<u64>(),
+            whole.drops[DropReason::ServiceShed {
+                stage: milback_core::StageKind::Capture,
+                policy: milback_core::OverflowPolicy::Drop,
+            }.index()]
+        );
 
         // Partition the outcome stream and merge: same ledger.
         let cut = split as usize % (outcomes.len() + 1);
@@ -434,11 +425,8 @@ proptest! {
         left.audit().expect("merged ledgers conserve");
 
         // A leak — one offer with no terminal outcome — must be caught.
-        #[cfg(feature = "telemetry")]
-        {
-            whole.offer(1);
-            prop_assert!(whole.audit().is_err(), "an unresolved offer must fail the audit");
-        }
+        whole.offer(1);
+        prop_assert!(whole.audit().is_err(), "an unresolved offer must fail the audit");
     }
 }
 

@@ -65,6 +65,16 @@ pub enum MilbackError {
         /// Packets dropped across the attribution taxonomy.
         dropped: u64,
     },
+    /// The lifecycle ledger's shed-stage breakdown disagrees with its
+    /// `service_shed` drop count (see [`LifecycleStats::audit`]).
+    ///
+    /// [`LifecycleStats::audit`]: crate::lifecycle::LifecycleStats::audit
+    ShedBreakdown {
+        /// Sheds summed over the per-stage breakdown.
+        by_stage: u64,
+        /// The `service_shed` drop count.
+        service_shed: u64,
+    },
 }
 
 impl std::fmt::Display for MilbackError {
@@ -95,6 +105,14 @@ impl std::fmt::Display for MilbackError {
                 "lifecycle conservation violated: offered {offered} != delivered {delivered} \
                  + dropped {dropped}"
             ),
+            MilbackError::ShedBreakdown {
+                by_stage,
+                service_shed,
+            } => write!(
+                f,
+                "lifecycle shed breakdown sums to {by_stage}, but {service_shed} packets \
+                 were shed"
+            ),
         }
     }
 }
@@ -119,7 +137,8 @@ impl std::error::Error for MilbackError {
             | MilbackError::Protocol(_)
             | MilbackError::Config(_)
             | MilbackError::NodeOutOfScene { .. }
-            | MilbackError::Conservation { .. } => None,
+            | MilbackError::Conservation { .. }
+            | MilbackError::ShedBreakdown { .. } => None,
         }
     }
 }

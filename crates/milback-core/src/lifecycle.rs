@@ -22,9 +22,10 @@
 //!
 //! Everything here obeys the telemetry module's contract: recorders copy
 //! integers and already-computed latencies, draw no RNG, and read no
-//! clocks. Built with `--no-default-features` every recording body
-//! compiles to a no-op and all counts stay zero (an empty ledger trivially
-//! conserves). Latency sketches use fixed log-spaced buckets
+//! clocks. The integer counts are live in every build, so the audit
+//! checks a real ledger with or without the `telemetry` feature; only the
+//! three latency-sketch observers compile to no-ops under
+//! `--no-default-features`. Latency sketches use fixed log-spaced buckets
 //! ([`crate::telemetry::LATENCY_BUCKETS_US`]), so
 //! sharded campaigns merge them bucket-by-bucket in cell-index order and
 //! report `p50/p95/p99` bit-identically at any `MILBACK_THREADS`.
@@ -171,52 +172,32 @@ impl LifecycleStats {
         }
     }
 
-    /// Counts `n` packets offered (no-op in a telemetry-off build).
+    /// Counts `n` packets offered.
     #[inline]
     pub fn offer(&mut self, n: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.offered += n;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
+        self.offered += n;
     }
 
-    /// Counts `n` direct deliveries (no-op in a telemetry-off build).
+    /// Counts `n` direct deliveries.
     #[inline]
     pub fn deliver_direct(&mut self, n: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.delivered_direct += n;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
+        self.delivered_direct += n;
     }
 
-    /// Counts `n` relayed deliveries (no-op in a telemetry-off build).
+    /// Counts `n` relayed deliveries.
     #[inline]
     pub fn deliver_relayed(&mut self, n: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.delivered_relayed += n;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
+        self.delivered_relayed += n;
     }
 
-    /// Counts `n` packets dropped for `reason` (no-op in a telemetry-off
-    /// build). `ServiceShed` drops also land in the per-stage breakdown.
+    /// Counts `n` packets dropped for `reason`. `ServiceShed` drops also
+    /// land in the per-stage breakdown.
     #[inline]
     pub fn record_drops(&mut self, reason: DropReason, n: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.drops[reason.index()] += n;
-            if let DropReason::ServiceShed { stage, .. } = reason {
-                self.shed_by_stage[stage as usize] += n;
-            }
+        self.drops[reason.index()] += n;
+        if let DropReason::ServiceShed { stage, .. } = reason {
+            self.shed_by_stage[stage as usize] += n;
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (reason, n);
     }
 
     /// Observes a slot wait for `packets` co-slotted packets (no-op in a
@@ -264,15 +245,19 @@ impl LifecycleStats {
     }
 
     /// The conservation audit: every offered packet must have resolved to
-    /// exactly one terminal outcome. Returns
-    /// [`MilbackError::Conservation`] on violation. In a telemetry-off
-    /// build every count is zero and the empty ledger passes trivially.
+    /// exactly one terminal outcome, and the shed-stage breakdown must sum
+    /// to the `service_shed` drop count. Returns
+    /// [`MilbackError::Conservation`] or [`MilbackError::ShedBreakdown`]
+    /// on violation, in every build profile.
     pub fn audit(&self) -> Result<()> {
-        debug_assert_eq!(
-            self.shed_by_stage.iter().sum::<u64>(),
-            self.drops[2],
-            "shed-stage breakdown must sum to the service_shed drop count"
-        );
+        let by_stage = self.shed_by_stage.iter().sum::<u64>();
+        let service_shed = self.drops[2]; // the `service_shed` slot
+        if by_stage != service_shed {
+            return Err(MilbackError::ShedBreakdown {
+                by_stage,
+                service_shed,
+            });
+        }
         let delivered = self.delivered();
         let dropped = self.dropped();
         if self.offered != delivered + dropped {
@@ -391,7 +376,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn conservation_audit_catches_leaks() {
         let mut s = LifecycleStats::new();
@@ -413,7 +397,30 @@ mod tests {
         assert!(err.to_string().contains("conservation"), "{err}");
     }
 
-    #[cfg(feature = "telemetry")]
+    #[test]
+    fn audit_rejects_a_shed_breakdown_that_disagrees() {
+        let mut s = LifecycleStats::new();
+        s.offer(3);
+        s.record_drops(
+            DropReason::ServiceShed {
+                stage: StageKind::Transmit,
+                policy: OverflowPolicy::Drop,
+            },
+            3,
+        );
+        s.audit().expect("a consistent breakdown passes");
+        // Take one shed out of the per-stage breakdown but not out of the
+        // drop table: offered still balances, the breakdown does not.
+        s.shed_by_stage[StageKind::Transmit as usize] -= 1;
+        assert_eq!(
+            s.audit(),
+            Err(MilbackError::ShedBreakdown {
+                by_stage: 2,
+                service_shed: 3,
+            })
+        );
+    }
+
     #[test]
     fn merge_is_exact_and_order_free_on_counters() {
         let mut a = LifecycleStats::new();
@@ -429,6 +436,7 @@ mod tests {
         let mut ba = b.clone();
         ba.merge_from(&a);
         assert_eq!(ab.offered, 7);
+        #[cfg(feature = "telemetry")]
         assert_eq!(ab.slot_wait_us.count, 7);
         assert_eq!(ab.offered, ba.offered);
         assert_eq!(ab.drops, ba.drops);
@@ -470,15 +478,21 @@ mod tests {
 
     #[cfg(not(feature = "telemetry"))]
     #[test]
-    fn telemetry_off_ledger_stays_empty_and_conserves() {
+    fn telemetry_off_ledger_counts_and_conserves_with_empty_sketches() {
         let mut s = LifecycleStats::new();
         s.offer(10);
         s.deliver_direct(4);
-        s.record_drops(DropReason::DecodeFailure, 1);
+        s.deliver_relayed(1);
+        s.record_drops(DropReason::DecodeFailure, 5);
         s.observe_slot_wait_us(45.0, 3);
-        assert_eq!(s.offered, 0);
-        assert_eq!(s.dropped(), 0);
+        s.observe_service_residence_us(10.0, 3);
+        s.observe_relay_extra_us(20.0);
+        assert_eq!((s.offered, s.delivered(), s.dropped()), (10, 5, 5));
+        s.audit().expect("the live counts conserve");
         assert_eq!(s.slot_wait_us.count, 0);
-        s.audit().expect("the empty ledger conserves trivially");
+        assert_eq!(s.service_residence_us.count, 0);
+        assert_eq!(s.relay_extra_us.count, 0);
+        s.offer(1);
+        assert!(s.audit().is_err(), "an unresolved offer fails the audit");
     }
 }

@@ -7,7 +7,7 @@ use crate::config::SystemConfig;
 use crate::engine::{ps_to_secs, Actor, ActorId, Engine, Outbox, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::lifecycle::{DropReason, LifecycleStats, PacketId};
-use crate::link::{LinkSimulator, UplinkBudget, UplinkOutcome, UplinkScratch};
+use crate::link::{LinkSimulator, UplinkBudget, UplinkScratch};
 use crate::pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 use crate::protocol::{Packet, SlotPlan};
 use crate::relay::RelayConfig;
@@ -22,18 +22,6 @@ use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::units::db_to_lin;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// One node's link report in a multi-node round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeReport {
-    /// Node index in the scene.
-    pub node_idx: usize,
-    /// Uplink outcome for this node's slot/beam.
-    pub outcome: UplinkOutcome,
-    /// Worst-case interference margin from other concurrently-served
-    /// nodes, dB (signal-to-cross-beam-interference).
-    pub sdm_margin_db: f64,
-}
 
 /// The multi-node network coordinator.
 #[derive(Debug, Clone)]
@@ -61,13 +49,6 @@ impl Network {
         self.scene.nodes.len()
     }
 
-    /// A single-node view of the scene for node `idx` (that node becomes
-    /// the primary; clutter is shared; other nodes' structures are ignored
-    /// except through [`sdm_margin_db`](Self::sdm_margin_db)).
-    fn view_for(&self, idx: usize) -> Result<Scene> {
-        self.scene.view_for_node_checked(idx)
-    }
-
     /// Signal-to-interference margin (dB) for serving `idx` while `other`
     /// is simultaneously illuminated by a second beam: how much weaker the
     /// other beam's energy is toward node `idx`, through the AP horn
@@ -89,100 +70,6 @@ impl Network {
     /// beam isolation.
     pub fn sdm_separable(&self, idx: usize, other: usize, margin_db: f64) -> bool {
         self.sdm_margin_db(idx, other) >= margin_db
-    }
-
-    /// Serves node `idx` one uplink beam/slot: runs the link, then degrades
-    /// the effective SNR by the worst concurrent-beam leakage.
-    fn serve_uplink(
-        &self,
-        idx: usize,
-        payload: &[u8],
-        rng: &mut GaussianSource,
-    ) -> Result<NodeReport> {
-        let sim = LinkSimulator::new(self.config.clone(), self.view_for(idx)?)?;
-        let mut outcome = sim.uplink(payload, rng)?;
-        // Degrade the effective SNR by concurrent-beam interference if
-        // another node's beam leaks over this one.
-        let margin = (0..self.node_count())
-            .filter(|&o| o != idx)
-            .map(|o| self.sdm_margin_db(idx, o))
-            .fold(f64::INFINITY, f64::min);
-        if margin.is_finite() {
-            let sig = db_to_lin(outcome.snr_db);
-            let interference = db_to_lin(outcome.snr_db - margin);
-            outcome.snr_db = 10.0 * (sig / (1.0 + interference)).log10();
-        }
-        Ok(NodeReport {
-            node_idx: idx,
-            outcome,
-            sdm_margin_db: if margin.is_finite() { margin } else { f64::MAX },
-        })
-    }
-
-    /// Runs an uplink round serving every node (each in its own beam/slot)
-    /// on the discrete-event engine, through the staged AP service: every
-    /// beam walks **Capture → Plan → Transmit** as three distinct events
-    /// (capture the granted transmission, plan the beam's interference
-    /// margin, then run the link), dispatched in posting order so a fixed
-    /// seed reproduces [`uplink_round_direct`](Self::uplink_round_direct)
-    /// bit-for-bit.
-    pub fn uplink_round(
-        &self,
-        payloads: &[Vec<u8>],
-        rng: &mut GaussianSource,
-    ) -> Result<Vec<NodeReport>> {
-        if payloads.len() != self.node_count() {
-            return Err(MilbackError::Config(format!(
-                "{} payloads for {} nodes",
-                payloads.len(),
-                self.node_count()
-            )));
-        }
-        let n = self.node_count();
-        let medium = RoundMedium {
-            net: self,
-            rng,
-            payloads,
-            margins: vec![None; n],
-            reports: vec![None; n],
-        };
-        let mut engine = Engine::new(medium);
-        for idx in 0..n {
-            let id = engine.add_actor(Box::new(BeamActor {
-                me: ActorId(idx),
-                idx,
-            }));
-            debug_assert_eq!(id, ActorId(idx));
-            engine.post(0, id, RoundEvent::Stage(StageKind::Capture));
-        }
-        engine.run()?;
-        let m = engine.into_medium();
-        m.reports
-            .into_iter()
-            .enumerate()
-            .map(|(idx, r)| {
-                r.ok_or_else(|| MilbackError::Engine(format!("node {idx} was never served")))
-            })
-            .collect()
-    }
-
-    /// The pre-engine synchronous round, retained verbatim as the parity
-    /// reference for [`uplink_round`](Self::uplink_round).
-    pub fn uplink_round_direct(
-        &self,
-        payloads: &[Vec<u8>],
-        rng: &mut GaussianSource,
-    ) -> Result<Vec<NodeReport>> {
-        if payloads.len() != self.node_count() {
-            return Err(MilbackError::Config(format!(
-                "{} payloads for {} nodes",
-                payloads.len(),
-                self.node_count()
-            )));
-        }
-        (0..self.node_count())
-            .map(|idx| self.serve_uplink(idx, &payloads[idx], rng))
-            .collect()
     }
 
     /// Runs one slotted campaign on the engine and folds its per-node
@@ -305,23 +192,17 @@ impl Network {
         let jitter_state = (spec.service.jitter_ps > 0)
             .then(|| u64::from_le_bytes(rng.bytes(8).try_into().expect("eight bytes")));
         let mut medium = self.slot_medium(spec.payload, airtime_s, rng, scratch);
-        // Coverage defaults to all-true; an unbounded model skips the
-        // classification loop entirely so the parity path never touches
-        // the per-node flags (delivery gating on `true` is an identity).
+        // Every node is covered by default; an unbounded model skips the
+        // classification entirely. Otherwise every gap node's drop reason
+        // is classified once per run (the relay topology is static over a
+        // campaign), so the serve path attributes uncovered losses by
+        // table lookup — no per-slot graph work, no RNG, no clock.
         let relay = spec.relay;
         if !relay.coverage.is_unbounded() {
-            for (idx, c) in medium.covered.iter_mut().enumerate() {
-                *c = relay.coverage.covers(&self.scene.ground_truth(idx));
-            }
-            // Pre-classify every gap node's drop reason once per run (the
-            // relay topology is static over a campaign), so the serve path
-            // attributes uncovered losses by table lookup — no per-slot
-            // graph work, no RNG, no clock.
-            #[cfg(feature = "telemetry")]
-            {
-                medium.gap_reason =
-                    crate::relay::classify_gap_reasons(&self.scene, &medium.covered, &relay);
-            }
+            let covered: Vec<bool> = (0..self.node_count())
+                .map(|idx| relay.coverage.covers(&self.scene.ground_truth(idx)))
+                .collect();
+            medium.gap = crate::relay::classify_gap_reasons(&self.scene, &covered, &relay);
         }
         medium.probe = std::mem::take(probe);
         let trace = medium.probe.trace.clone();
@@ -345,6 +226,7 @@ impl Network {
             relay_schedule: Vec::new(),
             stages: Default::default(),
             jitter_state,
+            scheduled: Vec::new(),
         }));
         if spec.frames > 0 {
             engine.post(0, coordinator, SlotEvent::FrameStart { frame: 0 });
@@ -361,8 +243,7 @@ impl Network {
 
     /// The pre-trait slotted-ALOHA campaign, retained verbatim as the
     /// parity reference for the [`SlottedAloha`]-behind-[`MacPolicy`]
-    /// refactor (the same role [`uplink_round_direct`](Self::uplink_round_direct)
-    /// plays for the engine re-layering).
+    /// refactor.
     pub fn run_slotted_direct(
         &self,
         frames: usize,
@@ -428,38 +309,38 @@ impl Network {
             payload,
             airtime_s,
             power: NodePowerModel::milback_default(),
-            attempts: recycle(&mut scratch.attempts, n, 0),
-            delivered: recycle(&mut scratch.delivered, n, 0),
-            collisions: recycle(&mut scratch.collisions, n, 0),
+            outcomes: recycle(&mut scratch.outcomes, n, NodeOutcomes::default()),
             energy_j: recycle(&mut scratch.energy_j, n, 0.0),
             snr_sum_db: recycle(&mut scratch.snr_sum_db, n, 0.0),
-            covered: recycle(&mut scratch.covered, n, true),
-            relayed: recycle(&mut scratch.relayed, n, 0),
+            gap: recycle(&mut scratch.gap, n, None),
             relay_hops: recycle(&mut scratch.relay_hops, n, 0),
             forwarded: recycle(&mut scratch.forwarded, n, 0),
             relay_energy_j: recycle(&mut scratch.relay_energy_j, n, 0.0),
             relay_latency_s: recycle(&mut scratch.relay_latency_s, n, 0.0),
             budgets: recycle(&mut scratch.budgets, n, None),
             uplink: std::mem::take(&mut scratch.uplink),
-            gap_reason: Vec::new(),
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
             service: ApServiceStats::default(),
         }
     }
 
-    /// The one finishing path of every campaign: audits the lifecycle
-    /// ledger, folds each node's finished report — duty-cycled idle energy
-    /// folded in — into the sink, and hands the ledger vectors back to
-    /// `scratch`. Sharing it keeps the per-node-report and streaming
-    /// outputs from drifting apart.
+    /// The one finishing path of every campaign: totals the per-node
+    /// outcome table into the lifecycle ledger and audits it against the
+    /// packets offered, folds each node's finished report — duty-cycled
+    /// idle energy folded in — into the sink, and hands the ledger vectors
+    /// back to `scratch`. Sharing it keeps the per-node-report and
+    /// streaming outputs from drifting apart.
     fn finish<S: CampaignSink>(
         mut m: SlotMedium<'_>,
         spec: &CampaignSpec<'_>,
         scratch: &mut CampaignScratch,
     ) -> Result<S> {
-        m.lifecycle.audit()?;
-        let lifecycle = std::mem::take(&mut m.lifecycle);
+        let mut lifecycle = std::mem::take(&mut m.lifecycle);
+        for row in &m.outcomes {
+            row.tally_into(&mut lifecycle);
+        }
+        lifecycle.audit()?;
         let sink = S::fold(spec, m.node_reports(spec), m.service, lifecycle);
         scratch.reclaim(m);
         Ok(sink)
@@ -608,86 +489,6 @@ impl CampaignSink for CampaignAggregate {
     }
 }
 
-/// Events of one SDM uplink round: each beam walks the three AP service
-/// stages (the staged replacement of the old single `ServeNode` event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundEvent {
-    /// One AP service stage of this actor's beam.
-    Stage(StageKind),
-}
-
-/// Shared medium of an uplink round.
-struct RoundMedium<'a> {
-    net: &'a Network,
-    rng: &'a mut GaussianSource,
-    payloads: &'a [Vec<u8>],
-    /// Per-beam planned interference margin (dB), set by the Plan stage
-    /// and consumed by Transmit. `f64::INFINITY` means no interferer.
-    margins: Vec<Option<f64>>,
-    reports: Vec<Option<NodeReport>>,
-}
-
-/// One beam, pointed at one node, serving it through the staged AP
-/// pipeline: Capture validates the node view, Plan computes the
-/// worst-case concurrent-beam margin, Transmit runs the link and applies
-/// it. The split computes exactly what the retained
-/// [`Network::serve_uplink`] computes (the margin fold and the SNR
-/// degradation are pure float expressions, and the RNG is drawn only in
-/// Transmit, in node order), so the parity suite's `==`/`to_bits` checks
-/// against [`Network::uplink_round_direct`] hold.
-struct BeamActor {
-    me: ActorId,
-    idx: usize,
-}
-
-impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
-    fn on_event(
-        &mut self,
-        now_ps: TimePs,
-        event: &RoundEvent,
-        m: &mut RoundMedium<'a>,
-        out: &mut Outbox<RoundEvent>,
-    ) -> Result<()> {
-        let RoundEvent::Stage(stage) = *event;
-        match stage {
-            StageKind::Capture => {
-                // Front-end capture: the beam exists and the node is in
-                // view; anything else is a configuration error surfaced
-                // before any plan or transmission work is spent.
-                m.net.view_for(self.idx)?;
-                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Plan));
-            }
-            StageKind::Plan => {
-                // Beam plan: the worst concurrent-beam leakage toward this
-                // node — the same pure fold `serve_uplink` computes.
-                let margin = (0..m.net.node_count())
-                    .filter(|&o| o != self.idx)
-                    .map(|o| m.net.sdm_margin_db(self.idx, o))
-                    .fold(f64::INFINITY, f64::min);
-                m.margins[self.idx] = Some(margin);
-                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Transmit));
-            }
-            StageKind::Transmit => {
-                let margin = m.margins[self.idx]
-                    .ok_or_else(|| MilbackError::Engine("transmit before plan".into()))?;
-                let sim = LinkSimulator::new(m.net.config.clone(), m.net.view_for(self.idx)?)?;
-                let mut outcome = sim.uplink(&m.payloads[self.idx], m.rng)?;
-                if margin.is_finite() {
-                    let sig = db_to_lin(outcome.snr_db);
-                    let interference = db_to_lin(outcome.snr_db - margin);
-                    outcome.snr_db = 10.0 * (sig / (1.0 + interference)).log10();
-                }
-                m.reports[self.idx] = Some(NodeReport {
-                    node_idx: self.idx,
-                    outcome,
-                    sdm_margin_db: if margin.is_finite() { margin } else { f64::MAX },
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One node's statistics over a slotted multi-node run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlottedNodeReport {
@@ -755,7 +556,8 @@ pub struct SlottedRunReport {
     /// Packet-lifecycle ledger for the run: offered/delivered totals,
     /// drop counts by [`DropReason`] taxonomy slot, and the three latency
     /// sketches. Defaults to empty when deserializing pre-lifecycle
-    /// reports; all-zero in a telemetry-off build.
+    /// reports. The counts are live in every build; the sketches stay
+    /// empty in a telemetry-off build.
     #[serde(default)]
     pub lifecycle: LifecycleStats,
 }
@@ -1086,13 +888,10 @@ impl Default for CampaignAggregate {
 /// contract) scratch state can never influence a result.
 #[derive(Debug, Default)]
 pub(crate) struct CampaignScratch {
-    attempts: Vec<usize>,
-    delivered: Vec<usize>,
-    collisions: Vec<usize>,
+    outcomes: Vec<NodeOutcomes>,
     energy_j: Vec<f64>,
     snr_sum_db: Vec<f64>,
-    covered: Vec<bool>,
-    relayed: Vec<usize>,
+    gap: Vec<Option<DropReason>>,
     relay_hops: Vec<usize>,
     forwarded: Vec<usize>,
     relay_energy_j: Vec<f64>,
@@ -1104,13 +903,10 @@ pub(crate) struct CampaignScratch {
 impl CampaignScratch {
     /// Takes a settled medium's ledger vectors back for the next cell.
     fn reclaim(&mut self, m: SlotMedium<'_>) {
-        self.attempts = m.attempts;
-        self.delivered = m.delivered;
-        self.collisions = m.collisions;
+        self.outcomes = m.outcomes;
         self.energy_j = m.energy_j;
         self.snr_sum_db = m.snr_sum_db;
-        self.covered = m.covered;
-        self.relayed = m.relayed;
+        self.gap = m.gap;
         self.relay_hops = m.relay_hops;
         self.forwarded = m.forwarded;
         self.relay_energy_j = m.relay_energy_j;
@@ -1170,6 +966,75 @@ fn slot_event_label(ev: &SlotEvent) -> &'static str {
     }
 }
 
+/// A packet's terminal outcome: delivered over one of two paths, or
+/// dropped for one [`DropReason`].
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    /// Delivered over the packet's own uplink.
+    Direct,
+    /// Delivered over a granted relay chain.
+    Relayed,
+    /// Lost, for this reason.
+    Dropped(DropReason),
+}
+
+/// The drop reasons that resolve a packet after it went on the air. The
+/// other two — a shed grant and a frame that never scheduled the node —
+/// resolve it before any transmission.
+const ON_AIR_DROPS: [DropReason; 5] = [
+    DropReason::ContentionCollision,
+    DropReason::SdmInseparable,
+    DropReason::NoRelayRoute,
+    DropReason::HopBudgetExhausted,
+    DropReason::DecodeFailure,
+];
+
+/// One node's row of the campaign's outcome table: every packet the node
+/// was offered, counted once, by terminal outcome. A report's attempts,
+/// deliveries, collisions and relayed deliveries, and the run's lifecycle
+/// totals, all derive from these rows.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeOutcomes {
+    /// Packets delivered over the node's own uplink.
+    direct: usize,
+    /// Packets delivered over a granted relay chain.
+    relayed: usize,
+    /// Packets dropped, by [`DropReason::index`].
+    drops: [usize; DropReason::COUNT],
+}
+
+impl NodeOutcomes {
+    /// Packets delivered, both paths.
+    fn delivered(&self) -> usize {
+        self.direct + self.relayed
+    }
+
+    /// Packets lost to a multi-transmitter slot, arbitrated or not.
+    fn collisions(&self) -> usize {
+        self.drops[DropReason::ContentionCollision.index()]
+            + self.drops[DropReason::SdmInseparable.index()]
+    }
+
+    /// Packets that went on the air: every delivery plus every on-air
+    /// drop.
+    fn attempts(&self) -> usize {
+        self.delivered()
+            + ON_AIR_DROPS
+                .iter()
+                .map(|r| self.drops[r.index()])
+                .sum::<usize>()
+    }
+
+    /// Adds this row's deliveries and drops to a run's ledger.
+    fn tally_into(&self, ledger: &mut LifecycleStats) {
+        ledger.delivered_direct += self.direct as u64;
+        ledger.delivered_relayed += self.relayed as u64;
+        for (total, &n) in ledger.drops.iter_mut().zip(&self.drops) {
+            *total += n as u64;
+        }
+    }
+}
+
 /// Shared medium of a slotted campaign.
 struct SlotMedium<'a> {
     net: &'a Network,
@@ -1177,17 +1042,17 @@ struct SlotMedium<'a> {
     payload: &'a [u8],
     airtime_s: f64,
     power: NodePowerModel,
-    attempts: Vec<usize>,
-    delivered: Vec<usize>,
-    collisions: Vec<usize>,
+    /// The outcome table: one row per node, written only by
+    /// [`resolve`](SlotMedium::resolve).
+    outcomes: Vec<NodeOutcomes>,
     energy_j: Vec<f64>,
     snr_sum_db: Vec<f64>,
-    /// Per-node AP reachability under the campaign's coverage model.
-    /// All-`true` by default (unbounded coverage), so the delivery gate
-    /// `&& covered[node]` is an identity on the parity path.
-    covered: Vec<bool>,
-    /// Deliveries that arrived over a relay route, per origin node.
-    relayed: Vec<usize>,
+    /// Per-node AP reachability under the campaign's coverage model:
+    /// `None` for a covered node (every node under the default unbounded
+    /// coverage), otherwise the drop a gap node's direct uplink earns —
+    /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`],
+    /// classified once per run from the relay topology.
+    gap: Vec<Option<DropReason>>,
     /// Route lengths summed across relayed deliveries, per origin node.
     relay_hops: Vec<usize>,
     /// Forwarding transmissions performed for other nodes' routes.
@@ -1202,16 +1067,10 @@ struct SlotMedium<'a> {
     budgets: Vec<Option<UplinkBudget>>,
     /// The uplink kernel's reusable buffers.
     uplink: UplinkScratch,
-    /// Per-node drop attribution for uncovered (gap) nodes, precomputed
-    /// once per run from the relay topology: `None` for covered nodes,
-    /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`]
-    /// otherwise. Empty under unbounded coverage or a telemetry-off
-    /// build; the serve path falls back to `NoRelayRoute`.
-    gap_reason: Vec<Option<DropReason>>,
-    /// The run's packet-lifecycle ledger: offered/delivered/dropped
-    /// counts and latency sketches (see [`LifecycleStats`]). Recording is
-    /// feature-gated, not probe-gated, so plain and probed runs account
-    /// identically.
+    /// The run's packets offered, shed-stage breakdown and latency
+    /// sketches (see [`LifecycleStats`]); [`Network::finish`] adds the
+    /// outcome table's totals. Recording is probe-independent, so plain
+    /// and probed runs account identically.
     lifecycle: LifecycleStats,
     /// The campaign's instrumentation surface. Disabled (all-`None`) on
     /// every uninstrumented path, so recording helpers no-op and both
@@ -1238,19 +1097,20 @@ impl<'a> SlotMedium<'a> {
             // the idle-energy complement would double-bill relays as both
             // transmitting and idling. Zero forwards reproduces the
             // pre-relay expression bit-for-bit.
-            let active_s = (self.attempts[idx] + self.forwarded[idx]) as f64 * self.airtime_s;
+            let row = &self.outcomes[idx];
+            let (attempts, delivered) = (row.attempts(), row.delivered());
+            let active_s = (attempts + self.forwarded[idx]) as f64 * self.airtime_s;
             let energy_j =
                 self.energy_j[idx] + self.power.energy_j(NodeActivity::Idle, total_s - active_s);
             SlottedNodeReport {
                 node_idx: idx,
-                attempts: self.attempts[idx],
-                delivered: self.delivered[idx],
-                collisions: self.collisions[idx],
+                attempts,
+                delivered,
+                collisions: row.collisions(),
                 energy_j,
-                mean_snr_db: (self.delivered[idx] > 0)
-                    .then(|| self.snr_sum_db[idx] / self.delivered[idx] as f64),
-                gap: !self.covered[idx],
-                relayed: self.relayed[idx],
+                mean_snr_db: (delivered > 0).then(|| self.snr_sum_db[idx] / delivered as f64),
+                gap: self.gap[idx].is_some(),
+                relayed: row.relayed,
                 relay_hops: self.relay_hops[idx],
                 forwarded: self.forwarded[idx],
                 relay_energy_j: self.relay_energy_j[idx],
@@ -1276,7 +1136,8 @@ impl<'a> SlotMedium<'a> {
         let budget = match cached {
             Some(budget) => budget,
             None => {
-                let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(node)?)?;
+                let view = self.net.scene.view_for_node_checked(node)?;
+                let sim = LinkSimulator::new(self.net.config.clone(), view)?;
                 let budget = sim.uplink_budget()?;
                 self.probe.inc("link_budgets", 1);
                 cached.insert(budget)
@@ -1286,8 +1147,25 @@ impl<'a> SlotMedium<'a> {
         Ok((self.uplink.decoded() == self.payload, m.snr_db))
     }
 
-    /// Resolves one slot's transmitter group: accounts attempts and uplink
-    /// energy, arbitrates the group by SDM separability, and serves the
+    /// Records one packet's terminal outcome in `node`'s row of the
+    /// outcome table — the campaign's only outcome write. A shed also
+    /// lands in the ledger's per-stage breakdown.
+    fn resolve(&mut self, node: usize, outcome: Outcome) {
+        let row = &mut self.outcomes[node];
+        match outcome {
+            Outcome::Direct => row.direct += 1,
+            Outcome::Relayed => row.relayed += 1,
+            Outcome::Dropped(reason) => {
+                row.drops[reason.index()] += 1;
+                if let DropReason::ServiceShed { stage, .. } = reason {
+                    self.lifecycle.shed_by_stage[stage as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// Resolves one slot's transmitter group: accounts uplink energy,
+    /// arbitrates the group by SDM separability, and serves the
     /// survivors (drawing channel noise from the trial stream in node-index
     /// order). Returns whether the slot was lost to a collision.
     ///
@@ -1317,7 +1195,6 @@ impl<'a> SlotMedium<'a> {
         degraded: bool,
     ) -> Result<bool> {
         for &node in group {
-            self.attempts[node] += 1;
             self.energy_j[node] += self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
         }
         // SDM arbitration: the slot survives concurrency only if every
@@ -1330,19 +1207,16 @@ impl<'a> SlotMedium<'a> {
                     .all(|&b| self.net.sdm_separable(a, b, sdm_threshold_db))
             });
         if group.len() > 1 && !separable {
-            for &node in group {
-                self.collisions[node] += 1;
-            }
             // A degraded grant never ran SDM arbitration — plain
             // contention; an arbitrated loss is an inseparability drop.
-            self.lifecycle.record_drops(
-                if degraded {
-                    DropReason::ContentionCollision
-                } else {
-                    DropReason::SdmInseparable
-                },
-                group.len() as u64,
-            );
+            let reason = if degraded {
+                DropReason::ContentionCollision
+            } else {
+                DropReason::SdmInseparable
+            };
+            for &node in group {
+                self.resolve(node, Outcome::Dropped(reason));
+            }
             self.probe.trace(|| TraceRecord::FlowEnd {
                 time_ps: now_ps,
                 flow: PacketId::direct(frame, slot).raw(),
@@ -1369,27 +1243,17 @@ impl<'a> SlotMedium<'a> {
             // burns the attempt and the airtime energy (it cannot know the
             // AP missed it), but nothing lands. The noise draw above stays
             // unconditional so covered nodes see an unchanged stream.
-            if intact && self.covered[node] {
-                self.delivered[node] += 1;
+            let outcome = if let Some(reason) = self.gap[node] {
+                Outcome::Dropped(reason)
+            } else if intact {
                 self.snr_sum_db[node] += snr_db;
-                self.lifecycle.deliver_direct(1);
                 self.probe
                     .observe("delivered_snr_db", SNR_BUCKETS_DB, snr_db);
-            } else if !self.covered[node] {
-                // A gap node's direct uplink can never land; the
-                // precomputed classification says whether a relay route
-                // could have existed within the hop budget.
-                self.lifecycle.record_drops(
-                    self.gap_reason
-                        .get(node)
-                        .copied()
-                        .flatten()
-                        .unwrap_or(DropReason::NoRelayRoute),
-                    1,
-                );
+                Outcome::Direct
             } else {
-                self.lifecycle.record_drops(DropReason::DecodeFailure, 1);
-            }
+                Outcome::Dropped(DropReason::DecodeFailure)
+            };
+            self.resolve(node, outcome);
         }
         self.probe.trace(|| TraceRecord::FlowEnd {
             time_ps: now_ps,
@@ -1440,7 +1304,6 @@ impl<'a> SlotMedium<'a> {
         let origin = route[0];
         let terminal = route[route.len() - 1];
         let tag_hops = route.len() - 1;
-        self.attempts[origin] += 1;
         let e_tx = self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
         for &tx in route {
             self.energy_j[tx] += e_tx;
@@ -1468,13 +1331,11 @@ impl<'a> SlotMedium<'a> {
                 dur_ps: hop_dur_ps,
             });
         }
-        if intact && self.covered[terminal] {
-            self.delivered[origin] += 1;
-            self.relayed[origin] += 1;
+        if intact && self.gap[terminal].is_none() {
+            self.resolve(origin, Outcome::Relayed);
             self.relay_hops[origin] += route.len();
             self.relay_latency_s[origin] += tag_hops as f64 * slot_s;
             self.snr_sum_db[origin] += snr_db;
-            self.lifecycle.deliver_relayed(1);
             self.lifecycle
                 .observe_relay_extra_us(tag_hops as f64 * slot_s * 1e6);
             self.probe.inc("relayed_delivered", 1);
@@ -1488,7 +1349,7 @@ impl<'a> SlotMedium<'a> {
         } else {
             // Routes terminate at covered nodes by construction, so the
             // only terminal failure mode is a decode miss at the AP.
-            self.lifecycle.record_drops(DropReason::DecodeFailure, 1);
+            self.resolve(origin, Outcome::Dropped(DropReason::DecodeFailure));
             self.probe.trace(|| TraceRecord::FlowEnd {
                 time_ps: now_ps,
                 flow,
@@ -2094,6 +1955,8 @@ struct PolicyCoordinator {
     /// SplitMix64 jitter state, seeded once from the trial stream —
     /// `None` when `jitter_ps == 0` (nothing was drawn).
     jitter_state: Option<u64>,
+    /// Per-node "in this frame's schedule" flags, reused every frame.
+    scheduled: Vec<bool>,
 }
 
 impl PolicyCoordinator {
@@ -2127,13 +1990,13 @@ impl PolicyCoordinator {
                         m.probe.inc("ap_dropped", 1);
                         // The whole group dies with the shed grant; the
                         // ledger records which stage's queue was full.
-                        m.lifecycle.record_drops(
-                            DropReason::ServiceShed {
-                                stage,
-                                policy: OverflowPolicy::Drop,
-                            },
-                            job.group.len() as u64,
-                        );
+                        let shed = DropReason::ServiceShed {
+                            stage,
+                            policy: OverflowPolicy::Drop,
+                        };
+                        for &node in &job.group {
+                            m.resolve(node, Outcome::Dropped(shed));
+                        }
                         m.probe.trace(|| TraceRecord::FlowEnd {
                             time_ps: now_ps,
                             flow: PacketId::direct(job.frame, job.slot).raw(),
@@ -2253,26 +2116,26 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                 // offered packet reaches exactly one terminal outcome.
                 // Integer bookkeeping over the already-built schedules:
                 // no RNG, no clock.
-                #[cfg(feature = "telemetry")]
-                {
-                    let mut scheduled = vec![false; m.net.node_count()];
-                    let mut direct = 0u64;
-                    for (_, group) in &self.schedule {
-                        direct += group.len() as u64;
-                        for &node in group {
-                            scheduled[node] = true;
-                        }
+                let scheduled = &mut self.scheduled;
+                scheduled.clear();
+                scheduled.resize(m.net.node_count(), false);
+                let mut offered = self.relay_schedule.len() as u64;
+                for (_, group) in &self.schedule {
+                    offered += group.len() as u64;
+                    for &node in group {
+                        scheduled[node] = true;
                     }
-                    for g in &self.relay_schedule {
-                        if let Some(&origin) = g.route.first() {
-                            scheduled[origin] = true;
-                        }
-                    }
-                    let never = scheduled.iter().filter(|&&s| !s).count() as u64;
-                    m.lifecycle
-                        .offer(direct + self.relay_schedule.len() as u64 + never);
-                    m.lifecycle.record_drops(DropReason::NeverScheduled, never);
                 }
+                for g in &self.relay_schedule {
+                    if let Some(&origin) = g.route.first() {
+                        scheduled[origin] = true;
+                    }
+                }
+                for (node, _) in scheduled.iter().enumerate().filter(|(_, &s)| !s) {
+                    offered += 1;
+                    m.resolve(node, Outcome::Dropped(DropReason::NeverScheduled));
+                }
+                m.lifecycle.offer(offered);
                 if frame + 1 < self.frames {
                     out.post_at(
                         now_ps + self.plan.frame_ps(),
@@ -2592,52 +2455,34 @@ mod tests {
     }
 
     #[test]
-    fn uplink_round_serves_all_nodes() {
-        let n = two_node_network(40.0);
-        let mut rng = GaussianSource::new(5);
-        let payloads = vec![vec![0xAA, 0x55], vec![0x0F, 0xF0]];
-        let reports = n.uplink_round(&payloads, &mut rng).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].outcome.decoded, payloads[0]);
-        assert_eq!(reports[1].outcome.decoded, payloads[1]);
-        assert!(reports[0].sdm_margin_db > 20.0);
-    }
-
-    #[test]
     fn interference_lowers_effective_snr_for_close_nodes() {
-        let mut rng1 = GaussianSource::new(6);
-        let mut rng2 = GaussianSource::new(6);
-        let payloads = vec![vec![1u8; 64], vec![2u8; 64]];
-        let far = two_node_network(40.0)
-            .uplink_round(&payloads, &mut rng1)
-            .unwrap();
-        let near = two_node_network(4.0)
-            .uplink_round(&payloads, &mut rng2)
-            .unwrap();
-        assert!(
-            near[0].outcome.snr_db < far[0].outcome.snr_db,
-            "near {:.1} dB !< far {:.1} dB",
-            near[0].outcome.snr_db,
-            far[0].outcome.snr_db
-        );
-    }
-
-    #[test]
-    fn engine_round_matches_direct_bit_for_bit() {
-        for sep_deg in [4.0, 40.0] {
+        // One frame of one slot: the two nodes share it, and at a 10 dB
+        // threshold both separations are SDM-separable, so the AP serves
+        // the pair concurrently. The closer pair leaks more beam energy
+        // into each other, so the same noise draws (same seed) land a
+        // lower effective SNR.
+        let snr_at = |sep_deg: f64| {
             let n = two_node_network(sep_deg);
-            let payloads = vec![vec![0xAA; 32], vec![0x55; 32]];
-            let mut rng_e = GaussianSource::new(0xD15C);
-            let mut rng_d = GaussianSource::new(0xD15C);
-            let engine = n.uplink_round(&payloads, &mut rng_e).unwrap();
-            let direct = n.uplink_round_direct(&payloads, &mut rng_d).unwrap();
-            assert_eq!(engine, direct, "round reports diverged at {sep_deg}°");
-            for (e, d) in engine.iter().zip(&direct) {
-                assert_eq!(e.outcome.snr_db.to_bits(), d.outcome.snr_db.to_bits());
+            assert!(n.sdm_separable(0, 1, 10.0), "{sep_deg}°");
+            let payload = [0x42u8; 16];
+            let spec = CampaignSpec::new(1, &payload, plan_for(&n, 1, &payload))
+                .with_sdm_threshold_db(10.0);
+            let mut rng = GaussianSource::new(6);
+            let r: SlottedRunReport = n
+                .run(
+                    &spec,
+                    Box::new(SlottedAloha::new(0)),
+                    &mut rng,
+                    &mut CampaignProbe::disabled(),
+                )
+                .unwrap();
+            for node in &r.nodes {
+                assert_eq!((node.attempts, node.delivered), (1, 1), "{sep_deg}°");
             }
-            // The shared stream advanced identically.
-            assert_eq!(rng_e.sample(1.0).to_bits(), rng_d.sample(1.0).to_bits());
-        }
+            r.nodes[0].mean_snr_db.unwrap()
+        };
+        let (near, far) = (snr_at(20.0), snr_at(40.0));
+        assert!(near < far, "near {near:.1} dB !< far {far:.1} dB");
     }
 
     #[test]
@@ -2733,23 +2578,6 @@ mod tests {
         let mut rng = GaussianSource::new(1);
         // A much larger payload does not fit the 2-byte slots.
         assert!(run_slotted(&n, 1, &[0u8; 4096], &plan, 0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn payload_count_mismatch_rejected() {
-        let n = two_node_network(30.0);
-        let mut rng = GaussianSource::new(7);
-        assert!(n.uplink_round(&[vec![1]], &mut rng).is_err());
-    }
-
-    #[test]
-    fn single_node_network_has_infinite_margin() {
-        let scene = Scene::single_node(3.0, 12f64.to_radians());
-        let n = Network::new(SystemConfig::milback_default(), scene).unwrap();
-        let mut rng = GaussianSource::new(8);
-        let r = n.uplink_round(&[vec![7, 8, 9]], &mut rng).unwrap();
-        assert_eq!(r[0].outcome.decoded, vec![7, 8, 9]);
-        assert_eq!(r[0].sdm_margin_db, f64::MAX);
     }
 
     #[test]

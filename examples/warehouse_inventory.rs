@@ -3,12 +3,13 @@
 //! inventory record over the uplink — the IoT deployment pattern the
 //! paper's abstract targets ("devices with limited energy sources").
 //!
-//! Exercises multi-node SDM separability, per-tag localization and uplink,
-//! and aggregates a success/energy report.
+//! Prints the pairwise SDM separability the shelf layout allows, then
+//! sweeps one beam at a time: per-tag localization and uplink, aggregated
+//! into a success/energy report.
 //!
 //! Run with: `cargo run --release --example warehouse_inventory`
 
-use milback::core::{LocalizationPipeline, Network, Scene, SystemConfig};
+use milback::core::{LinkSimulator, LocalizationPipeline, Network, Scene, SystemConfig};
 use milback::node::{NodeActivity, NodePowerModel};
 use milback::sigproc::random::GaussianSource;
 
@@ -53,24 +54,16 @@ fn main() {
         println!("{row}");
     }
 
-    // Inventory round: localize + read each tag.
+    // Inventory sweep: steer the beam at each tag in turn, localize it,
+    // then read its record over the uplink.
     println!(
         "\n{:>4} {:>8} {:>8} {:>9} {:>9} {:>8} {:>8}",
         "tag", "true r", "est r", "true az", "est az", "UL SNR", "BER"
     );
     let mut ok = 0;
-    let payloads: Vec<Vec<u8>> = (0..network.node_count())
-        .map(|i| format!("SKU-{i:04};qty=42;batt=93%").into_bytes())
-        .collect();
-    let reports = network.uplink_round(&payloads, &mut rng).expect("round");
-
-    for (idx, report) in reports.iter().enumerate() {
+    for idx in 0..network.node_count() {
         let gt = scene.ground_truth(idx);
-        // Localize this tag with the beam steered at it.
-        let mut view = scene.clone();
-        view.nodes.swap(0, idx);
-        view.nodes.truncate(1);
-        view.ap.boresight_rad = view.ap.position.bearing_to(view.nodes[0].position);
+        let view = scene.view_for_node(idx).expect("tag in scene");
         let pipeline = LocalizationPipeline::new(config.clone(), view.clone()).unwrap();
         let fix = pipeline.localize(&mut rng);
         let (est_r, est_az) = match &fix {
@@ -80,16 +73,18 @@ fn main() {
             ),
             Err(_) => (f64::NAN, f64::NAN),
         };
-        let delivered = report.outcome.decoded == payloads[idx];
-        if delivered && fix.is_ok() {
+        let payload = format!("SKU-{idx:04};qty=42;batt=93%").into_bytes();
+        let link = LinkSimulator::new(config.clone(), view).unwrap();
+        let read = link.uplink(&payload, &mut rng).expect("uplink");
+        if read.decoded == payload && fix.is_ok() {
             ok += 1;
         }
         println!(
             "{idx:>4} {:>8.2} {est_r:>8.2} {:>8.1}° {est_az:>8.1}° {:>8.1} {:>8.1e}",
             gt.range_m,
-            (gt.azimuth_rad + 0.0).to_degrees(),
-            report.outcome.snr_db,
-            report.outcome.ber
+            gt.azimuth_rad.to_degrees(),
+            read.snr_db,
+            read.ber
         );
     }
 

@@ -23,7 +23,9 @@
 #      JSONL files (monotone time_ps, no NaN/inf), and the combined Chrome
 #      trace JSON
 #  12. the telemetry-off build (--no-default-features): tests pass, the
-#      reduced anchors survive, and no metrics artifact is written
+#      reduced anchors survive, no metrics artifact is written, and a
+#      reduced net_audit from that build passes the step-16 audit gate
+#      with packets offered on every row (its outcome ledger is live)
 #  13. the net_scale_city sharded sweep in reduced mode (4+ cells, ~10³
 #      nodes) + schema validation of its full-scale CSV anchor, which must
 #      carry a completed 10⁵-node campaign with live AP-service columns
@@ -289,6 +291,34 @@ else
 fi
 rm -rf "$TRACE_DIR"
 
+AUDIT_CSV=results/extension_net_audit.csv
+LIFECYCLE=results/METRICS_lifecycle.json
+AUDIT_WANT="policy,relay,nodes,offered,delivered_direct,delivered_relayed,contention_collision,sdm_inseparable,service_shed,no_relay_route,hop_budget_exhausted,decode_failure,never_scheduled,slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,residence_p50_us,residence_p95_us,residence_p99_us,relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us"
+# Shared audit gate for the telemetry-off reduced CSV (step 12) and for
+# the reduced CSV and the full-scale anchor (step 16): exact schema
+# (all seven drop-reason columns, present even at zero), no NaN/inf
+# tokens, the conservation invariant on every row (offered = delivered +
+# Σ drops — the flight recorder's whole point), and ordered percentiles
+# on every non-empty sketch.
+check_audit_csv() {
+    local csv=$1
+    local header; header=$(head -1 "$csv")
+    [ "$header" = "$AUDIT_WANT" ] || { echo "FAIL: unexpected $csv header: $header" >&2; exit 1; }
+    if grep -qiE '(nan|inf)' "$csv"; then
+        echo "FAIL: $csv carries NaN/inf tokens" >&2; exit 1
+    fi
+    awk -F, 'NR==1 || NF==0 { next } {
+        drops = $7+$8+$9+$10+$11+$12+$13
+        if ($4+0 != $5+$6+drops) { printf "FAIL: row %d offered=%s != delivered=%d + drops=%d\n", NR, $4, $5+$6, drops > "/dev/stderr"; bad=1 }
+        if ($14 != "" && ($14+0 > $15+0 || $15+0 > $16+0)) { printf "FAIL: row %d slot-wait percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
+        if ($17 != "" && ($17+0 > $18+0 || $18+0 > $19+0)) { printf "FAIL: row %d residence percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
+        if ($20 != "" && ($20+0 > $21+0 || $21+0 > $22+0)) { printf "FAIL: row %d relay-extra percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
+        rows++
+    } END {
+        if (bad) exit 1
+        if (rows != 8) { printf "FAIL: %d data rows, expected 4 policies x 2 relay legs\n", rows > "/dev/stderr"; exit 1 }
+    }' "$csv"
+}
 echo "==> [12/16] telemetry-off build (--no-default-features) passes the anchor gates"
 cargo test --release -p milback-bench --no-default-features -q
 cargo build --release -p milback-bench --no-default-features
@@ -298,6 +328,22 @@ MILBACK_REDUCED=1 MILBACK_TRACE=1 ./target/release/mac_compare
 after=$(sha256sum "$MAC_CSV")
 [ "$before" = "$after" ] || { echo "FAIL: telemetry-off reduced run overwrote $MAC_CSV" >&2; exit 1; }
 [ ! -e "$METRICS" ] || { echo "FAIL: telemetry-off build wrote $METRICS" >&2; exit 1; }
+# The lifecycle outcome counts are live without telemetry: a reduced
+# net_audit from this build must pass the audit gate on every row and
+# offer packets on every row (a ledger of zeros conserves trivially).
+before=$(sha256sum "$AUDIT_CSV" "$LIFECYCLE" 2>/dev/null || echo absent)
+OFF_AUDIT_OUT=$(mktemp)
+MILBACK_REDUCED=1 ./target/release/net_audit > "$OFF_AUDIT_OUT"
+after=$(sha256sum "$AUDIT_CSV" "$LIFECYCLE" 2>/dev/null || echo absent)
+[ "$before" = "$after" ] || { echo "FAIL: telemetry-off reduced net_audit overwrote $AUDIT_CSV or $LIFECYCLE" >&2; exit 1; }
+OFF_AUDIT_CSV=$(mktemp)
+sed -n '/^policy,relay,/,$p' "$OFF_AUDIT_OUT" > "$OFF_AUDIT_CSV"
+[ -s "$OFF_AUDIT_CSV" ] || { echo "FAIL: telemetry-off reduced net_audit printed no CSV" >&2; exit 1; }
+check_audit_csv "$OFF_AUDIT_CSV"
+awk -F, 'NR==1 || NF==0 { next } !($4+0 > 0) {
+    printf "FAIL: telemetry-off row %d offered %s packets\n", NR, $4 > "/dev/stderr"; bad=1
+} END { exit bad }' "$OFF_AUDIT_CSV"
+rm -f "$OFF_AUDIT_OUT" "$OFF_AUDIT_CSV"
 # Restore the default (telemetry-on) binaries so the tree is left as built.
 cargo build --release -p milback-bench --all-targets
 # Regenerate the committed full-scale metrics artifact (the full campaign
@@ -426,33 +472,6 @@ check_relay_csv "$RELAY_CSV"
 rm -f "$RELAY_OUT" "$REDUCED_RELAY_CSV"
 
 echo "==> [16/16] net_audit packet-lifecycle sweep (conservation + percentile gates)"
-AUDIT_CSV=results/extension_net_audit.csv
-LIFECYCLE=results/METRICS_lifecycle.json
-AUDIT_WANT="policy,relay,nodes,offered,delivered_direct,delivered_relayed,contention_collision,sdm_inseparable,service_shed,no_relay_route,hop_budget_exhausted,decode_failure,never_scheduled,slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,residence_p50_us,residence_p95_us,residence_p99_us,relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us"
-# Shared gate for the reduced CSV and the full-scale anchor: exact schema
-# (all seven drop-reason columns, present even at zero), no NaN/inf
-# tokens, the conservation invariant on every row (offered = delivered +
-# Σ drops — the flight recorder's whole point), and ordered percentiles
-# on every non-empty sketch.
-check_audit_csv() {
-    local csv=$1
-    local header; header=$(head -1 "$csv")
-    [ "$header" = "$AUDIT_WANT" ] || { echo "FAIL: unexpected $csv header: $header" >&2; exit 1; }
-    if grep -qiE '(nan|inf)' "$csv"; then
-        echo "FAIL: $csv carries NaN/inf tokens" >&2; exit 1
-    fi
-    awk -F, 'NR==1 || NF==0 { next } {
-        drops = $7+$8+$9+$10+$11+$12+$13
-        if ($4+0 != $5+$6+drops) { printf "FAIL: row %d offered=%s != delivered=%d + drops=%d\n", NR, $4, $5+$6, drops > "/dev/stderr"; bad=1 }
-        if ($14 != "" && ($14+0 > $15+0 || $15+0 > $16+0)) { printf "FAIL: row %d slot-wait percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
-        if ($17 != "" && ($17+0 > $18+0 || $18+0 > $19+0)) { printf "FAIL: row %d residence percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
-        if ($20 != "" && ($20+0 > $21+0 || $21+0 > $22+0)) { printf "FAIL: row %d relay-extra percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
-        rows++
-    } END {
-        if (bad) exit 1
-        if (rows != 8) { printf "FAIL: %d data rows, expected 4 policies x 2 relay legs\n", rows > "/dev/stderr"; exit 1 }
-    }' "$csv"
-}
 before=$(sha256sum "$AUDIT_CSV" 2>/dev/null || echo absent)
 AUDIT_OUT=$(mktemp)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_audit | tee "$AUDIT_OUT"
