@@ -114,8 +114,8 @@ fn main() {
                 );
             }
             _ => {
-                // No span file (e.g. a telemetry-off build): only the
-                // parent's lump measurement exists.
+                // No span file (e.g. the child exited before exporting):
+                // only the parent's lump measurement exists.
                 println!(
                     "  {:<26} {:>8} {:>8} {:>8} {:>8.2}",
                     row.bin, "-", "-", "-", row.parent_total_s

@@ -928,7 +928,7 @@ fn main() {
         shard.bounded_memory,
     );
     // Host-side wall-clock profiling spans: the per-stage breakdown of
-    // this run (empty in a telemetry-off build, where spans are inert).
+    // this run.
     j.push_str("  \"spans\": [\n");
     for (i, s) in span_stats.iter().enumerate() {
         let _ = writeln!(

@@ -126,8 +126,8 @@ fn main() {
     milback_bench::spans::export_if_requested();
 }
 
-/// Writes `results/METRICS_mac.json` from the per-policy registries. In a
-/// telemetry-off build the registries are empty and nothing is written —
+/// Writes `results/METRICS_mac.json` from the per-policy registries. When
+/// no campaign recorded anything (every trial failed) nothing is written —
 /// the artifact never silently claims an instrumented campaign that did
 /// not happen.
 fn write_metrics(
@@ -139,7 +139,7 @@ fn write_metrics(
     reduced: bool,
 ) {
     if run.policies.iter().all(|p| p.metrics.is_empty()) {
-        log_info!("telemetry off: skipping METRICS_mac.json");
+        log_info!("no campaign metrics recorded: skipping METRICS_mac.json");
         return;
     }
     let node_list = node_counts
@@ -203,7 +203,7 @@ fn write_traces(
         sections.push((p.policy, buf));
     }
     if sections.is_empty() {
-        log_info!("telemetry off: no traces captured");
+        log_info!("no traces captured");
         return;
     }
     let chrome = chrome_trace(&sections);

@@ -24,7 +24,7 @@ use milback_bench::experiments::{
 };
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{log_info, metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_bench::{metrics_io, reduced_mode, results_dir, Report, Series};
 use milback_core::DropReason;
 
 /// Sweep shape: the acceptance scene is 64 nodes over the ±60° sector
@@ -176,10 +176,7 @@ fn main() {
     milback_bench::spans::export_if_requested();
 }
 
-/// Writes `results/METRICS_lifecycle.json`. In a telemetry-off build the
-/// latency sketches are empty, so the document is skipped rather than
-/// written half-filled — the artifact always describes an instrumented
-/// campaign.
+/// Writes `results/METRICS_lifecycle.json`.
 fn write_metrics(
     points: &[NetAuditPoint],
     nodes: usize,
@@ -187,10 +184,6 @@ fn write_metrics(
     reduced: bool,
     cfg: &RunnerConfig,
 ) {
-    if !cfg!(feature = "telemetry") {
-        log_info!("telemetry off: skipping METRICS_lifecycle.json");
-        return;
-    }
     let config = [
         ("reduced", reduced.to_string()),
         ("nodes", nodes.to_string()),

@@ -17,8 +17,6 @@ pub struct HostInfo {
     pub threads: usize,
     /// The compiler that built the binary (`rustc --version`).
     pub rustc: String,
-    /// Cargo features active in this build (currently just `telemetry`).
-    pub features: Vec<&'static str>,
 }
 
 impl HostInfo {
@@ -31,24 +29,13 @@ impl HostInfo {
             threads: parallel::max_threads(),
             // Baked in by build.rs from the toolchain that compiled us.
             rustc: env!("MILBACK_RUSTC_VERSION").to_string(),
-            features: if cfg!(feature = "telemetry") {
-                vec!["telemetry"]
-            } else {
-                Vec::new()
-            },
         }
     }
 
     /// The shared `"host"` JSON object embedded in every bench artifact.
     pub fn to_json(&self) -> String {
-        let features = self
-            .features
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(",");
         format!(
-            "{{ \"cores\": {}, \"threads\": {}, \"rustc\": \"{}\", \"features\": [{features}] }}",
+            "{{ \"cores\": {}, \"threads\": {}, \"rustc\": \"{}\" }}",
             self.cores,
             self.threads,
             self.rustc.replace('"', "'")
@@ -69,10 +56,5 @@ mod tests {
         let json = h.to_json();
         assert!(json.contains("\"cores\":"));
         assert!(json.contains("\"rustc\":"));
-        if cfg!(feature = "telemetry") {
-            assert!(json.contains("\"telemetry\""));
-        } else {
-            assert!(json.contains("\"features\": []"));
-        }
     }
 }

@@ -102,23 +102,18 @@ pub fn parse_policy_counter(text: &str, policy: &str, counter: &str) -> Option<u
     digits.parse().ok()
 }
 
-// Every test here exercises the metrics document, so the whole module is
-// telemetry-gated (a telemetry-off build has nothing to round-trip).
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(feature = "telemetry")]
     fn host() -> HostInfo {
         HostInfo {
             cores: 4,
             threads: 2,
             rustc: "rustc 1.99.0 (test)".into(),
-            features: vec!["telemetry"],
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn lifecycle_document_carries_every_label_and_round_trips() {
         use milback_core::DropReason;
@@ -157,7 +152,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn document_round_trips_counters() {
         let mut aloha = Metrics::new();

@@ -9,9 +9,7 @@
 //! Spans live entirely outside the simulation: they never touch simulated
 //! time, trial RNG streams, or campaign state, so they cannot perturb a
 //! result — the wall clock is read on the host side of the probe boundary
-//! only, exactly as the telemetry non-perturbation contract requires. In
-//! a telemetry-off build (`--no-default-features`) [`span`] returns an
-//! inert guard without reading the clock at all.
+//! only, exactly as the telemetry non-perturbation contract requires.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -36,15 +34,12 @@ static REGISTRY: Mutex<Vec<(String, u128, u64)>> = Mutex::new(Vec::new());
 #[must_use = "a span measures the scope it lives in — bind it to a variable"]
 pub struct SpanGuard {
     name: &'static str,
-    started: Option<Instant>,
+    started: Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(started) = self.started else {
-            return;
-        };
-        let elapsed_ns = started.elapsed().as_nanos();
+        let elapsed_ns = self.started.elapsed().as_nanos();
         let mut reg = match REGISTRY.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -69,7 +64,7 @@ impl Drop for SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard {
         name,
-        started: cfg!(feature = "telemetry").then(Instant::now),
+        started: Instant::now(),
     }
 }
 
@@ -145,7 +140,6 @@ mod tests {
     // uses its own unique span names rather than asserting on the full
     // snapshot.
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn spans_accumulate_totals_and_counts() {
         for _ in 0..3 {
@@ -158,18 +152,6 @@ mod tests {
             .find(|s| s.name == "test_spans_accumulate")
             .expect("span recorded");
         assert_eq!(s.count, 3);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn spans_are_inert_when_telemetry_is_off() {
-        {
-            let _g = span("test_spans_inert");
-        }
-        assert!(
-            !snapshot().iter().any(|s| s.name == "test_spans_inert"),
-            "telemetry-off spans must not record"
-        );
     }
 
     #[test]

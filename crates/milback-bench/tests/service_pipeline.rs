@@ -122,7 +122,6 @@ fn unbounded_latency_shifts_time_but_not_ledgers() {
     for (k, &name) in MAC_POLICY_NAMES.iter().enumerate() {
         let instant = run_with(&n, name, k, &ApServiceConfig::instantaneous());
         let staged = run_with(&n, name, k, &slow);
-        #[cfg(feature = "telemetry")]
         assert!(
             staged.lifecycle.service_residence_us.sum > 0.0,
             "policy {name}: a slow pipeline must show nonzero residence"
@@ -179,7 +178,6 @@ fn defer_policy_counts_spill_and_preserves_ledgers() {
     let deferred = run_with(&n, "aloha", 0, &congested);
     assert!(deferred.service.deferred > 0, "congestion must spill");
     assert_eq!(deferred.service.served, deferred.service.offered);
-    #[cfg(feature = "telemetry")]
     assert!(
         deferred.lifecycle.service_residence_us.sum > 0.0,
         "deferred grants must show nonzero pipeline residence"

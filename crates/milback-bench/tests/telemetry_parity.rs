@@ -5,9 +5,10 @@
 //! `==` plus `to_bits` on every float — through the trial-parallel runner
 //! at `MILBACK_THREADS` 1/2/4/8, for all four MAC policies.
 //!
-//! The suite also passes with `--no-default-features` (telemetry compiled
-//! out): the probed entry points still exist, the probes are inert, and
-//! the parity half of every assertion is feature-independent.
+//! Recording is switched per run by the probe a campaign is handed, so a
+//! probed run must equal a plain ([`CampaignProbe::disabled`]) run digest
+//! for digest, and the probed run must also show that it recorded
+//! something.
 
 use milback_bench::experiments::{
     extension_mac_compare, extension_mac_compare_instrumented, extension_net_audit,
@@ -110,20 +111,17 @@ fn probed_campaign_is_bit_identical_for_every_policy() {
             rng_probed.sample(1.0).to_bits(),
             "probe perturbed the RNG stream of policy {name}"
         );
-        #[cfg(feature = "telemetry")]
-        {
-            let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
-            assert!(
-                metrics.counter("slots_fired") > 0,
-                "policy {name} recorded no slots"
-            );
-            let trace = probe
-                .trace
-                .take()
-                .expect("tracing was requested")
-                .into_buffer();
-            assert!(!trace.is_empty(), "policy {name} recorded no trace");
-        }
+        let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
+        assert!(
+            metrics.counter("slots_fired") > 0,
+            "policy {name} recorded no slots"
+        );
+        let trace = probe
+            .trace
+            .take()
+            .expect("tracing was requested")
+            .into_buffer();
+        assert!(!trace.is_empty(), "policy {name} recorded no trace");
     }
 }
 
@@ -134,7 +132,6 @@ fn probed_campaign_is_bit_identical_for_every_policy() {
 /// at dispatch inside the engine. A 4-record ring and an effectively
 /// unbounded one must therefore report identical histograms — while the
 /// small ring demonstrably dropped records.
-#[cfg(feature = "telemetry")]
 #[test]
 fn queue_depth_histograms_survive_trace_ring_eviction() {
     let n = network();
@@ -471,16 +468,13 @@ fn probed_session_is_bit_identical() {
             rng_probed.sample(1.0).to_bits(),
             "session probe perturbed the RNG stream"
         );
-        #[cfg(feature = "telemetry")]
-        {
-            let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
-            assert!(metrics.counter("session_events") > 0);
-            let trace = probe
-                .trace
-                .take()
-                .expect("tracing was requested")
-                .into_buffer();
-            assert!(!trace.is_empty(), "session recorded no trace events");
-        }
+        let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
+        assert!(metrics.counter("session_events") > 0);
+        let trace = probe
+            .trace
+            .take()
+            .expect("tracing was requested")
+            .into_buffer();
+        assert!(!trace.is_empty(), "session recorded no trace events");
     }
 }

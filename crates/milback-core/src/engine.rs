@@ -635,7 +635,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn tracer_records_dispatches_without_changing_the_run() {
         use crate::telemetry::TraceSink;

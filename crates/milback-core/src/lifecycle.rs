@@ -22,13 +22,10 @@
 //!
 //! Everything here obeys the telemetry module's contract: recorders copy
 //! integers and already-computed latencies, draw no RNG, and read no
-//! clocks. The integer counts are live in every build, so the audit
-//! checks a real ledger with or without the `telemetry` feature; only the
-//! three latency-sketch observers compile to no-ops under
-//! `--no-default-features`. Latency sketches use fixed log-spaced buckets
-//! ([`crate::telemetry::LATENCY_BUCKETS_US`]), so
-//! sharded campaigns merge them bucket-by-bucket in cell-index order and
-//! report `p50/p95/p99` bit-identically at any `MILBACK_THREADS`.
+//! clocks. Latency sketches use fixed log-spaced buckets
+//! ([`crate::telemetry::LATENCY_BUCKETS_US`]), so sharded campaigns merge
+//! them bucket-by-bucket in cell-index order and report `p50/p95/p99`
+//! bit-identically at any `MILBACK_THREADS`.
 
 use crate::error::{MilbackError, Result};
 use crate::pipeline::{OverflowPolicy, StageKind};
@@ -200,38 +197,26 @@ impl LifecycleStats {
         }
     }
 
-    /// Observes a slot wait for `packets` co-slotted packets (no-op in a
-    /// telemetry-off build).
+    /// Observes a slot wait for `packets` co-slotted packets.
     #[inline]
     pub fn observe_slot_wait_us(&mut self, us: f64, packets: usize) {
-        #[cfg(feature = "telemetry")]
         for _ in 0..packets {
             self.slot_wait_us.observe(us);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (us, packets);
     }
 
-    /// Observes an AP service residence for `packets` co-slotted packets
-    /// (no-op in a telemetry-off build).
+    /// Observes an AP service residence for `packets` co-slotted packets.
     #[inline]
     pub fn observe_service_residence_us(&mut self, us: f64, packets: usize) {
-        #[cfg(feature = "telemetry")]
         for _ in 0..packets {
             self.service_residence_us.observe(us);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (us, packets);
     }
 
-    /// Observes one relayed delivery's extra latency (no-op in a
-    /// telemetry-off build).
+    /// Observes one relayed delivery's extra latency.
     #[inline]
     pub fn observe_relay_extra_us(&mut self, us: f64) {
-        #[cfg(feature = "telemetry")]
         self.relay_extra_us.observe(us);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = us;
     }
 
     /// Total deliveries, both paths.
@@ -436,7 +421,6 @@ mod tests {
         let mut ba = b.clone();
         ba.merge_from(&a);
         assert_eq!(ab.offered, 7);
-        #[cfg(feature = "telemetry")]
         assert_eq!(ab.slot_wait_us.count, 7);
         assert_eq!(ab.offered, ba.offered);
         assert_eq!(ab.drops, ba.drops);
@@ -457,7 +441,6 @@ mod tests {
         assert!(!doc.contains("NaN") && !doc.contains("inf"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn json_percentiles_appear_ordered_once_observed() {
         let mut s = LifecycleStats::new();
@@ -474,25 +457,5 @@ mod tests {
             s.slot_wait_us.quantile(0.99).unwrap(),
         );
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn telemetry_off_ledger_counts_and_conserves_with_empty_sketches() {
-        let mut s = LifecycleStats::new();
-        s.offer(10);
-        s.deliver_direct(4);
-        s.deliver_relayed(1);
-        s.record_drops(DropReason::DecodeFailure, 5);
-        s.observe_slot_wait_us(45.0, 3);
-        s.observe_service_residence_us(10.0, 3);
-        s.observe_relay_extra_us(20.0);
-        assert_eq!((s.offered, s.delivered(), s.dropped()), (10, 5, 5));
-        s.audit().expect("the live counts conserve");
-        assert_eq!(s.slot_wait_us.count, 0);
-        assert_eq!(s.service_residence_us.count, 0);
-        assert_eq!(s.relay_extra_us.count, 0);
-        s.offer(1);
-        assert!(s.audit().is_err(), "an unresolved offer fails the audit");
     }
 }

@@ -556,8 +556,7 @@ pub struct SlottedRunReport {
     /// Packet-lifecycle ledger for the run: offered/delivered totals,
     /// drop counts by [`DropReason`] taxonomy slot, and the three latency
     /// sketches. Defaults to empty when deserializing pre-lifecycle
-    /// reports. The counts are live in every build; the sketches stay
-    /// empty in a telemetry-off build.
+    /// reports.
     #[serde(default)]
     pub lifecycle: LifecycleStats,
 }

@@ -25,23 +25,17 @@
 //! bit-identical (`==` and `to_bits`) through the trial-parallel runner at
 //! 1/2/4/8 threads for every MAC policy.
 //!
-//! # The `telemetry` feature
+//! # Recording is a per-run choice
 //!
-//! With the default `telemetry` cargo feature enabled, recorders append
-//! into the sink/registry. Built with `--no-default-features`, every
-//! recording body compiles to a no-op (the types and APIs remain, exports
-//! emit empty data), so a telemetry-off build is the zero-overhead
-//! baseline. [`enabled`] reports which build this is.
+//! Whether a campaign records is decided per run by the probe it is
+//! handed: [`CampaignProbe::disabled`] skips every recording site behind
+//! one branch (trace records are not even built), while an enabled probe
+//! appends into its sink/registry.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
-
-/// Whether this build records telemetry (`telemetry` cargo feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
 
 /// Default trace ring-buffer capacity (records). At ~5 records per
 /// occupied slot this holds several 64-node frames comfortably.
@@ -400,13 +394,10 @@ impl TraceSink {
         Self(Rc::new(RefCell::new(TraceBuffer::new(capacity))))
     }
 
-    /// Appends a record (no-op in a telemetry-off build).
+    /// Appends a record.
     #[inline]
     pub fn record(&self, r: TraceRecord) {
-        #[cfg(feature = "telemetry")]
         self.0.borrow_mut().push(r);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = r;
     }
 
     /// Runs `f` over the underlying buffer (read-only snapshot access).
@@ -440,9 +431,6 @@ pub struct Histogram {
     pub sum: f64,
 }
 
-// Public regardless of the `telemetry` feature: the campaign aggregate
-// (`network::CampaignAggregate`) uses these as campaign *output*, not as
-// optional instrumentation, so a telemetry-off build still needs them.
 impl Histogram {
     /// An empty histogram over fixed ascending `bounds`.
     pub fn new(bounds: &'static [f64]) -> Self {
@@ -582,56 +570,41 @@ impl Metrics {
         Self::default()
     }
 
-    /// Adds `by` to counter `name` (no-op in a telemetry-off build).
+    /// Adds `by` to counter `name`.
     #[inline]
     pub fn inc(&mut self, name: &'static str, by: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            match self.counters.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, v)) => *v += by,
-                None => self.counters.push((name, by)),
-            }
+        match self.counters.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, v)) => *v += by,
+            None => self.counters.push((name, by)),
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (name, by);
     }
 
     /// Observes `value` into histogram `name` with the given fixed bucket
-    /// bounds (no-op in a telemetry-off build). Non-finite values are
-    /// ignored — they can never reach a serialized file.
+    /// bounds. Non-finite values are ignored — they can never reach a
+    /// serialized file.
     #[inline]
     pub fn observe(&mut self, name: &'static str, bounds: &'static [f64], value: f64) {
-        #[cfg(feature = "telemetry")]
-        {
-            match self.histograms.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, h)) => h.observe(value),
-                None => {
-                    let mut h = Histogram::new(bounds);
-                    h.observe(value);
-                    self.histograms.push((name, h));
-                }
+        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, h)) => h.observe(value),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(value);
+                self.histograms.push((name, h));
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (name, bounds, value);
     }
 
-    /// Folds a whole pre-aggregated histogram into histogram `name`
-    /// (no-op in a telemetry-off build). This is how the engine's lossless
-    /// per-label queue-depth tallies land in a campaign registry: the
-    /// tally is built outside the registry and merged bucket-by-bucket, so
-    /// no per-event registry lookup sits on the dispatch path.
+    /// Folds a whole pre-aggregated histogram into histogram `name`. This
+    /// is how the engine's lossless per-label queue-depth tallies land in a
+    /// campaign registry: the tally is built outside the registry and
+    /// merged bucket-by-bucket, so no per-event registry lookup sits on the
+    /// dispatch path.
     #[inline]
     pub fn merge_histogram(&mut self, name: &'static str, other: &Histogram) {
-        #[cfg(feature = "telemetry")]
-        {
-            match self.histograms.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, h)) => h.merge_from(other),
-                None => self.histograms.push((name, other.clone())),
-            }
+        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, h)) => h.merge_from(other),
+            None => self.histograms.push((name, other.clone())),
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (name, other);
     }
 
     /// A counter's current value (0 when never incremented).
@@ -1192,7 +1165,6 @@ mod tests {
         assert!(jsonl.contains("\"group\":[1,4]"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn non_finite_observations_never_reach_json() {
         let mut m = Metrics::new();
@@ -1207,7 +1179,6 @@ mod tests {
         assert_eq!(json_f64(f64::NAN), "0");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn histogram_buckets_and_mean() {
         let mut m = Metrics::new();
@@ -1222,7 +1193,6 @@ mod tests {
         assert!((h.mean().unwrap() - 26.125).abs() < 1e-12);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_merge_is_deterministic_and_ordered() {
         let mut a = Metrics::new();
@@ -1249,25 +1219,6 @@ mod tests {
         // "collisions" when a merges first.
         let json = ab.to_json();
         assert!(json.find("slots").unwrap() < json.find("collisions").unwrap());
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn telemetry_off_build_records_nothing() {
-        let mut m = Metrics::new();
-        m.inc("slots", 3);
-        m.observe("occ", OCCUPANCY_BUCKETS, 2.0);
-        assert!(m.is_empty(), "recording must compile to a no-op");
-        let sink = TraceSink::with_capacity(8);
-        sink.record(TraceRecord::Event {
-            time_ps: 0,
-            seq: 0,
-            actor: 0,
-            kind: "x",
-            queue_depth: 0,
-        });
-        assert!(sink.with_buffer(|b| b.is_empty()));
-        assert!(!enabled());
     }
 
     #[test]
@@ -1308,7 +1259,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn quantiles_interpolate_and_stay_monotone() {
         let mut h = Histogram::new(OCCUPANCY_BUCKETS);
@@ -1452,7 +1402,6 @@ mod tests {
         assert!(p.take_metrics().is_none());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn probe_records_fsa_stats_and_fmcw_batches() {
         let mut p = CampaignProbe::with_metrics();
@@ -1479,7 +1428,6 @@ mod tests {
         assert!(off.take_metrics().is_none());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn probe_with_trace_collects_both() {
         let mut p = CampaignProbe::with_trace(8);

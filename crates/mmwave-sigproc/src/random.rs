@@ -7,98 +7,61 @@
 
 use crate::complex::Complex;
 
-/// Randomness backend behind the optional `rand` Cargo feature: with the
-/// feature on, bits come from the external `rand` crate's `StdRng`; by
-/// default they come from the in-tree xoshiro256++ generator below. The
-/// in-tree generator implements the exact algorithm (SplitMix64 seeding,
-/// xoshiro256++ output, 53-bit `[0, 1)` floats) the workspace's `rand`
-/// stand-in uses, so every pinned seed yields the same stream either way
-/// when building against the shim.
-#[cfg(feature = "rand")]
-mod backend {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[derive(Debug, Clone)]
-    pub(super) struct Backend(StdRng);
-
-    impl Backend {
-        pub(super) fn from_seed(seed: u64) -> Self {
-            Self(StdRng::seed_from_u64(seed))
-        }
-
-        /// Uniform in `[0, 1)`.
-        pub(super) fn uniform_unit(&mut self) -> f64 {
-            self.0.gen::<f64>()
-        }
-
-        pub(super) fn bit(&mut self) -> bool {
-            self.0.gen::<bool>()
-        }
-
-        pub(super) fn byte(&mut self) -> u8 {
-            self.0.gen::<u8>()
-        }
-    }
+/// The randomness backend: xoshiro256++ seeded via SplitMix64 (the
+/// xoshiro reference recipe), with 53-bit `[0, 1)` floats. Every pinned
+/// seed in the workspace (CSV anchors, capture and campaign digests) is a
+/// stream of this exact algorithm.
+#[derive(Debug, Clone)]
+struct Backend {
+    s: [u64; 4],
 }
 
-#[cfg(not(feature = "rand"))]
-mod backend {
-    /// xoshiro256++ seeded via SplitMix64 (the xoshiro reference recipe).
-    #[derive(Debug, Clone)]
-    pub(super) struct Backend {
-        s: [u64; 4],
+impl Backend {
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
     }
 
-    impl Backend {
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
+    fn from_seed(seed: u64) -> Self {
+        let mut sm = seed;
+        let s = [
+            Self::splitmix64(&mut sm),
+            Self::splitmix64(&mut sm),
+            Self::splitmix64(&mut sm),
+            Self::splitmix64(&mut sm),
+        ];
+        Self { s }
+    }
 
-        pub(super) fn from_seed(seed: u64) -> Self {
-            let mut sm = seed;
-            let s = [
-                Self::splitmix64(&mut sm),
-                Self::splitmix64(&mut sm),
-                Self::splitmix64(&mut sm),
-                Self::splitmix64(&mut sm),
-            ];
-            Self { s }
-        }
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
 
-        fn next_u64(&mut self) -> u64 {
-            let s = &mut self.s;
-            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = s[3].rotate_left(45);
-            result
-        }
+    /// Uniform in `[0, 1)`: 53 mantissa bits.
+    fn uniform_unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 
-        /// Uniform in `[0, 1)`: 53 mantissa bits.
-        pub(super) fn uniform_unit(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-        }
+    fn bit(&mut self) -> bool {
+        self.next_u64() >> 63 == 1
+    }
 
-        pub(super) fn bit(&mut self) -> bool {
-            self.next_u64() >> 63 == 1
-        }
-
-        pub(super) fn byte(&mut self) -> u8 {
-            (self.next_u64() >> 56) as u8
-        }
+    fn byte(&mut self) -> u8 {
+        (self.next_u64() >> 56) as u8
     }
 }
-
-use backend::Backend;
 
 /// A seeded source of Gaussian samples (Marsaglia polar method).
 #[derive(Debug, Clone)]

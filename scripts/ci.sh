@@ -21,27 +21,24 @@
 #  11. an instrumented reduced campaign: mac_compare with tracing on, then
 #      schema validation of results/METRICS_mac.json, the per-policy trace
 #      JSONL files (monotone time_ps, no NaN/inf), and the combined Chrome
-#      trace JSON
-#  12. the telemetry-off build (--no-default-features): tests pass, the
-#      reduced anchors survive, no metrics artifact is written, and a
-#      reduced net_audit from that build passes the step-16 audit gate
-#      with packets offered on every row (its outcome ledger is live)
-#  13. the net_scale_city sharded sweep in reduced mode (4+ cells, ~10³
+#      trace JSON; the full-scale METRICS_mac.json is regenerated at the end
+#  12. the net_scale_city sharded sweep in reduced mode (4+ cells, ~10³
 #      nodes) + schema validation of its full-scale CSV anchor, which must
 #      carry a completed 10⁵-node campaign with live AP-service columns
-#  14. the net_load offered-vs-served sweep in reduced mode + schema,
+#  13. the net_load offered-vs-served sweep in reduced mode + schema,
 #      finiteness, and grant-conservation gates (served ≤ offered,
 #      served + dropped = offered) on both the reduced CSV and the
 #      full-scale anchor, which must show the served-load knee (nonzero
 #      drop and defer spill)
-#  15. the net_relay multi-hop recovery sweep in reduced mode + schema and
+#  14. the net_relay multi-hop recovery sweep in reduced mode + schema and
 #      finiteness gates on both the reduced CSV and the full-scale anchor:
 #      gap nodes deliver nothing at hop budget 1 and recover past one half
 #      at budget ≥ 2 with nonzero forwarding energy per relayed delivery
-#  16. the net_audit packet-lifecycle sweep in reduced mode: every row of
-#      the drop-attribution CSV must conserve (offered = delivered +
-#      Σ drops over all seven reasons, each label present even at zero)
-#      with ordered latency percentiles (p50 ≤ p95 ≤ p99), the reduced
+#  15. the net_audit packet-lifecycle sweep in reduced mode: every row of
+#      the drop-attribution CSV (reduced and full-scale anchor) must offer
+#      packets and conserve them (offered = delivered + Σ drops over all
+#      seven reasons, each label present even at zero) with ordered
+#      latency percentiles (p50 ≤ p95 ≤ p99), the reduced
 #      METRICS_lifecycle.json must validate cell-by-cell, and the
 #      full-scale anchors are regenerated at the end
 #
@@ -50,10 +47,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> [1/16] cargo fmt --check"
+echo "==> [1/15] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/16] cargo build --release --workspace --all-targets"
+echo "==> [2/15] cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
 # The node core must stay portable to an MCU: firmware/mode/power compile
 # without std (the sim-facing modules are std-gated behind the default
@@ -64,19 +61,19 @@ cargo build --release -p milback-node --no-default-features
 # here rather than in the benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "==> [3/16] cargo test --release --workspace"
+echo "==> [3/15] cargo test --release --workspace"
 cargo test --release --workspace -q
 
-echo "==> [4/16] cargo clippy --release --workspace --all-targets -- -D warnings"
+echo "==> [4/15] cargo clippy --release --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
-echo "==> [5/16] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+echo "==> [5/15] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [6/16] bench_smoke (writes results/BENCH_dsp.json + BENCH_experiments.json)"
+echo "==> [6/15] bench_smoke (writes results/BENCH_dsp.json + BENCH_experiments.json)"
 cargo run --release -p milback-bench --bin bench_smoke
 
-echo "==> [7/16] validating benchmark JSONs"
+echo "==> [7/15] validating benchmark JSONs"
 JSON=results/BENCH_dsp.json
 EXP_JSON=results/BENCH_experiments.json
 [ -s "$JSON" ] || { echo "FAIL: $JSON missing or empty" >&2; exit 1; }
@@ -160,14 +157,14 @@ else
     echo "OK: benchmark JSONs carry schema markers (python3 unavailable, shallow check)"
 fi
 
-echo "==> [8/16] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
+echo "==> [8/15] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
 CSV=results/figure_12a.csv
 before=$(sha256sum "$CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin fig12a_ranging
 after=$(sha256sum "$CSV" 2>/dev/null || echo absent)
 [ "$before" = "$after" ] || { echo "FAIL: reduced mode overwrote $CSV" >&2; exit 1; }
 
-echo "==> [9/16] net_scale extension (reduced run + full-scale CSV anchor)"
+echo "==> [9/15] net_scale extension (reduced run + full-scale CSV anchor)"
 NET_CSV=results/extension_net_scale.csv
 before=$(sha256sum "$NET_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_scale
@@ -182,7 +179,7 @@ esac
 rows=$(($(wc -l < "$NET_CSV") - 1))
 [ "$rows" -ge 7 ] || { echo "FAIL: $NET_CSV has $rows data rows, expected the 1..64 sweep (7)" >&2; exit 1; }
 
-echo "==> [10/16] mac_compare extension (reduced run + full-scale CSV anchor schema)"
+echo "==> [10/15] mac_compare extension (reduced run + full-scale CSV anchor schema)"
 MAC_CSV=results/extension_mac_compare.csv
 before=$(sha256sum "$MAC_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin mac_compare
@@ -217,7 +214,7 @@ awk -F, 'NR==1 { next } { last=$0 } END {
     }
 }' "$MAC_CSV"
 
-echo "==> [11/16] instrumented campaign (MILBACK_TRACE) + telemetry artifact schemas"
+echo "==> [11/15] instrumented campaign (MILBACK_TRACE) + telemetry artifact schemas"
 TRACE_DIR=$(mktemp -d)
 METRICS=results/METRICS_mac.json
 rm -f "$METRICS"
@@ -291,68 +288,13 @@ else
 fi
 rm -rf "$TRACE_DIR"
 
-AUDIT_CSV=results/extension_net_audit.csv
-LIFECYCLE=results/METRICS_lifecycle.json
-AUDIT_WANT="policy,relay,nodes,offered,delivered_direct,delivered_relayed,contention_collision,sdm_inseparable,service_shed,no_relay_route,hop_budget_exhausted,decode_failure,never_scheduled,slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,residence_p50_us,residence_p95_us,residence_p99_us,relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us"
-# Shared audit gate for the telemetry-off reduced CSV (step 12) and for
-# the reduced CSV and the full-scale anchor (step 16): exact schema
-# (all seven drop-reason columns, present even at zero), no NaN/inf
-# tokens, the conservation invariant on every row (offered = delivered +
-# Σ drops — the flight recorder's whole point), and ordered percentiles
-# on every non-empty sketch.
-check_audit_csv() {
-    local csv=$1
-    local header; header=$(head -1 "$csv")
-    [ "$header" = "$AUDIT_WANT" ] || { echo "FAIL: unexpected $csv header: $header" >&2; exit 1; }
-    if grep -qiE '(nan|inf)' "$csv"; then
-        echo "FAIL: $csv carries NaN/inf tokens" >&2; exit 1
-    fi
-    awk -F, 'NR==1 || NF==0 { next } {
-        drops = $7+$8+$9+$10+$11+$12+$13
-        if ($4+0 != $5+$6+drops) { printf "FAIL: row %d offered=%s != delivered=%d + drops=%d\n", NR, $4, $5+$6, drops > "/dev/stderr"; bad=1 }
-        if ($14 != "" && ($14+0 > $15+0 || $15+0 > $16+0)) { printf "FAIL: row %d slot-wait percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
-        if ($17 != "" && ($17+0 > $18+0 || $18+0 > $19+0)) { printf "FAIL: row %d residence percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
-        if ($20 != "" && ($20+0 > $21+0 || $21+0 > $22+0)) { printf "FAIL: row %d relay-extra percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
-        rows++
-    } END {
-        if (bad) exit 1
-        if (rows != 8) { printf "FAIL: %d data rows, expected 4 policies x 2 relay legs\n", rows > "/dev/stderr"; exit 1 }
-    }' "$csv"
-}
-echo "==> [12/16] telemetry-off build (--no-default-features) passes the anchor gates"
-cargo test --release -p milback-bench --no-default-features -q
-cargo build --release -p milback-bench --no-default-features
-rm -f "$METRICS"
-before=$(sha256sum "$MAC_CSV")
-MILBACK_REDUCED=1 MILBACK_TRACE=1 ./target/release/mac_compare
-after=$(sha256sum "$MAC_CSV")
-[ "$before" = "$after" ] || { echo "FAIL: telemetry-off reduced run overwrote $MAC_CSV" >&2; exit 1; }
-[ ! -e "$METRICS" ] || { echo "FAIL: telemetry-off build wrote $METRICS" >&2; exit 1; }
-# The lifecycle outcome counts are live without telemetry: a reduced
-# net_audit from this build must pass the audit gate on every row and
-# offer packets on every row (a ledger of zeros conserves trivially).
-before=$(sha256sum "$AUDIT_CSV" "$LIFECYCLE" 2>/dev/null || echo absent)
-OFF_AUDIT_OUT=$(mktemp)
-MILBACK_REDUCED=1 ./target/release/net_audit > "$OFF_AUDIT_OUT"
-after=$(sha256sum "$AUDIT_CSV" "$LIFECYCLE" 2>/dev/null || echo absent)
-[ "$before" = "$after" ] || { echo "FAIL: telemetry-off reduced net_audit overwrote $AUDIT_CSV or $LIFECYCLE" >&2; exit 1; }
-OFF_AUDIT_CSV=$(mktemp)
-sed -n '/^policy,relay,/,$p' "$OFF_AUDIT_OUT" > "$OFF_AUDIT_CSV"
-[ -s "$OFF_AUDIT_CSV" ] || { echo "FAIL: telemetry-off reduced net_audit printed no CSV" >&2; exit 1; }
-check_audit_csv "$OFF_AUDIT_CSV"
-awk -F, 'NR==1 || NF==0 { next } !($4+0 > 0) {
-    printf "FAIL: telemetry-off row %d offered %s packets\n", NR, $4 > "/dev/stderr"; bad=1
-} END { exit bad }' "$OFF_AUDIT_CSV"
-rm -f "$OFF_AUDIT_OUT" "$OFF_AUDIT_CSV"
-# Restore the default (telemetry-on) binaries so the tree is left as built.
-cargo build --release -p milback-bench --all-targets
-# Regenerate the committed full-scale metrics artifact (the full campaign
-# is memoized and cheap) so the tree does not end the run with a reduced
-# or missing METRICS_mac.json.
+# Leave the tree with the full-scale artifact: regenerate it (the full
+# campaign is memoized and cheap) so the run does not end with a reduced
+# METRICS_mac.json.
 ./target/release/mac_compare >/dev/null
 grep -q '"reduced": false' "$METRICS" || { echo "FAIL: regenerated $METRICS is not full-scale" >&2; exit 1; }
 
-echo "==> [13/16] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
+echo "==> [12/15] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
 CITY_CSV=results/extension_net_scale_city.csv
 before=$(sha256sum "$CITY_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_scale_city
@@ -386,7 +328,7 @@ awk -F, 'NR==1 { next } {
     }
 }' "$CITY_CSV"
 
-echo "==> [14/16] net_load offered-vs-served sweep (reduced run + full-scale CSV anchor)"
+echo "==> [13/15] net_load offered-vs-served sweep (reduced run + full-scale CSV anchor)"
 LOAD_CSV=results/extension_net_load.csv
 LOAD_WANT="overflow,nodes,offered,served,dropped,deferred,degraded,offered_per_s,served_per_s,delivered,delivery_rate"
 # Shared gate for the reduced CSV and the full-scale anchor: exact schema,
@@ -426,7 +368,7 @@ check_load_csv "$REDUCED_CSV"
 check_load_csv "$LOAD_CSV"
 rm -f "$LOAD_OUT" "$REDUCED_CSV"
 
-echo "==> [15/16] net_relay multi-hop recovery sweep (reduced run + full-scale CSV anchor)"
+echo "==> [14/15] net_relay multi-hop recovery sweep (reduced run + full-scale CSV anchor)"
 RELAY_CSV=results/extension_net_relay.csv
 RELAY_WANT="gap_fraction,max_hops,nodes,gap_nodes,attempts,delivered,delivery_rate,gap_attempts,gap_delivered,gap_delivery_rate,relayed,forwarded,mean_relay_hops,relay_energy_per_delivered_j,mean_relay_latency_s"
 # Shared gate for the reduced CSV and the full-scale anchor: exact schema,
@@ -471,7 +413,36 @@ check_relay_csv "$REDUCED_RELAY_CSV"
 check_relay_csv "$RELAY_CSV"
 rm -f "$RELAY_OUT" "$REDUCED_RELAY_CSV"
 
-echo "==> [16/16] net_audit packet-lifecycle sweep (conservation + percentile gates)"
+echo "==> [15/15] net_audit packet-lifecycle sweep (conservation + percentile gates)"
+AUDIT_CSV=results/extension_net_audit.csv
+LIFECYCLE=results/METRICS_lifecycle.json
+AUDIT_WANT="policy,relay,nodes,offered,delivered_direct,delivered_relayed,contention_collision,sdm_inseparable,service_shed,no_relay_route,hop_budget_exhausted,decode_failure,never_scheduled,slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,residence_p50_us,residence_p95_us,residence_p99_us,relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us"
+# Shared gate for the reduced CSV and the full-scale anchor: exact schema
+# (all seven drop-reason columns, present even at zero), no NaN/inf
+# tokens, packets offered on every row (a ledger of zeros conserves
+# trivially), the conservation invariant on every row (offered =
+# delivered + Σ drops — the flight recorder's whole point), and ordered
+# percentiles on every non-empty sketch.
+check_audit_csv() {
+    local csv=$1
+    local header; header=$(head -1 "$csv")
+    [ "$header" = "$AUDIT_WANT" ] || { echo "FAIL: unexpected $csv header: $header" >&2; exit 1; }
+    if grep -qiE '(nan|inf)' "$csv"; then
+        echo "FAIL: $csv carries NaN/inf tokens" >&2; exit 1
+    fi
+    awk -F, 'NR==1 || NF==0 { next } {
+        if (!($4+0 > 0)) { printf "FAIL: row %d offered %s packets\n", NR, $4 > "/dev/stderr"; bad=1 }
+        drops = $7+$8+$9+$10+$11+$12+$13
+        if ($4+0 != $5+$6+drops) { printf "FAIL: row %d offered=%s != delivered=%d + drops=%d\n", NR, $4, $5+$6, drops > "/dev/stderr"; bad=1 }
+        if ($14 != "" && ($14+0 > $15+0 || $15+0 > $16+0)) { printf "FAIL: row %d slot-wait percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
+        if ($17 != "" && ($17+0 > $18+0 || $18+0 > $19+0)) { printf "FAIL: row %d residence percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
+        if ($20 != "" && ($20+0 > $21+0 || $21+0 > $22+0)) { printf "FAIL: row %d relay-extra percentiles unordered\n", NR > "/dev/stderr"; bad=1 }
+        rows++
+    } END {
+        if (bad) exit 1
+        if (rows != 8) { printf "FAIL: %d data rows, expected 4 policies x 2 relay legs\n", rows > "/dev/stderr"; exit 1 }
+    }' "$csv"
+}
 before=$(sha256sum "$AUDIT_CSV" 2>/dev/null || echo absent)
 AUDIT_OUT=$(mktemp)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_audit | tee "$AUDIT_OUT"
@@ -525,7 +496,7 @@ else
     done
     echo "OK: lifecycle metrics carry schema markers (python3 unavailable, shallow check)"
 fi
-# Leave the tree with the full-scale artifacts, as step 12 does for
+# Leave the tree with the full-scale artifacts, as step 11 does for
 # METRICS_mac.json.
 ./target/release/net_audit >/dev/null
 grep -q '"reduced": false' "$LIFECYCLE" || { echo "FAIL: regenerated $LIFECYCLE is not full-scale" >&2; exit 1; }

@@ -245,7 +245,6 @@ fn split_uplink_reports_the_reference_errors() {
 /// The 64-node ±60° sector at 4 m under collision-free SDM-aware
 /// assignment, 8 slots a frame for 24 frames: every node is served about
 /// fifteen times, so a per-packet budget build shows as a 15× counter.
-#[cfg(feature = "telemetry")]
 #[test]
 fn campaign_builds_each_budget_once() {
     let config = SystemConfig::milback_default();
