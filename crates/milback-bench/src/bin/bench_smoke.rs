@@ -22,7 +22,6 @@
 //! count, thread count, and both sides of every ratio are recorded as
 //! measured.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::time::Instant;
 
@@ -31,6 +30,7 @@ use milback_bench::hostinfo::HostInfo;
 use milback_bench::results_dir;
 use milback_bench::runner::RunnerConfig;
 use milback_bench::spans;
+use milback_core::json;
 use milback_core::localization::Impairments;
 use milback_core::SystemConfig;
 use mmwave_rf::antenna::fsa::{FsaDesign, FsaGainEval, FsaPort};
@@ -158,14 +158,6 @@ fn bench_fft_size(n: usize, rounds: usize, iters: usize) -> FftRow {
         cached_oneshot_ns: times[0],
         plan_per_call_ns: times[1],
         planned_inplace_ns: times[2],
-    }
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "null".into()
     }
 }
 
@@ -459,7 +451,7 @@ fn bench_batch_kernels() -> BatchBench {
     // FMCW chirp stack: per-chirp allocating spectra vs one batched pass
     // through a reused scratch arena.
     let proc = milback_ap::fmcw::FmcwProcessor::milback_default();
-    let n_chirps = 8;
+    let n_chirps: usize = 8;
     let beats: Vec<Vec<Complex>> = (0..n_chirps)
         .map(|k| {
             test_signal(proc.samples_per_chirp())
@@ -669,7 +661,7 @@ fn main() {
     let proc = milback_ap::fmcw::FmcwProcessor::milback_default();
     let dp = milback_ap::doppler::DopplerProcessor::milback_default();
     let mut rng = GaussianSource::new(21);
-    let n_chirps = 8;
+    let n_chirps: usize = 8;
     let beats: Vec<Vec<Complex>> = (0..n_chirps)
         .map(|k| {
             let gamma = if k % 2 == 0 { 0.83 } else { 0.18 };
@@ -798,57 +790,65 @@ fn main() {
 
     // --- BENCH_dsp.json -----------------------------------------------
     let io_span = spans::span("io");
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"milback-bench-dsp-v1\",\n");
-    let _ = writeln!(j, "  \"host\": {},", host.to_json());
-    j.push_str("  \"timer\": \"min over round-robin rounds\",\n");
-    j.push_str("  \"fft\": [\n");
-    for (i, r) in fft_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{ \"n\": {}, \"kind\": \"{}\", \"cached_oneshot_ns\": {}, \"plan_per_call_ns\": {}, \"planned_inplace_ns\": {}, \"cached_vs_plan_per_call\": {:.2} }}{}",
-            r.n,
-            r.kind,
-            json_f(r.cached_oneshot_ns),
-            json_f(r.plan_per_call_ns),
-            json_f(r.planned_inplace_ns),
-            r.plan_per_call_ns / r.cached_oneshot_ns,
-            if i + 1 == fft_rows.len() { "" } else { "," },
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"range_doppler\": {{ \"n_chirps\": {n_chirps}, \"n_range\": {}, \"serial_ns\": {}, \"parallel_ns\": {}, \"threads\": {threads}, \"speedup\": {:.2}, \"bit_exact\": {rd_bit_exact} }},",
-        proc.fft_len() / 2,
-        json_f(rd[0]),
-        json_f(rd[1]),
-        rd_speedup,
-    );
-    let _ = writeln!(
-        j,
-        "  \"beat_synthesis\": {{ \"echoes\": 3, \"samples\": 900, \"serial_ns\": {}, \"parallel_ns\": {}, \"speedup\": {:.2} }},",
-        json_f(beat[0]),
-        json_f(beat[1]),
-        beat[0] / beat[1],
-    );
-    let _ = writeln!(
-        j,
-        "  \"capture\": {{ \"chirps\": 5, \"channels\": 2, \"echoes\": {capture_echoes}, \"samples\": 900, \"ns\": {} }},",
-        json_f(capture_ns),
-    );
-    let _ = writeln!(
-        j,
-        "  \"uplink_fig15_reduced\": {{ \"distance_m\": 8.0, \"bit_rate_mbps\": 10, \"payload_bytes\": 20000, \"wall_ms\": {:.1}, \"snr_db\": {:.2}, \"ber\": {:.3e} }},",
-        uplink_ms, spot.snr_db, spot.ber,
-    );
-    let _ = writeln!(
-        j,
-        "  \"acceptance\": {{ \"fft4096_cached_vs_plan_per_call\": {:.2}, \"fft4096_target\": 5.0, \"range_doppler_speedup\": {:.2}, \"range_doppler_target\": 1.5, \"range_doppler_target_needs_cores\": 4, \"cores\": {cores} }}",
-        fft4096_speedup, rd_speedup,
-    );
-    j.push_str("}\n");
+    let j = json::document(|d| {
+        d.field("schema", "milback-bench-dsp-v1")
+            .field("host", &host)
+            .field("timer", "min over round-robin rounds")
+            .array("fft", |a| {
+                for r in &fft_rows {
+                    a.object(|o| {
+                        o.field("n", r.n)
+                            .field("kind", r.kind)
+                            .field("cached_oneshot_ns", r.cached_oneshot_ns)
+                            .field("plan_per_call_ns", r.plan_per_call_ns)
+                            .field("planned_inplace_ns", r.planned_inplace_ns)
+                            .field(
+                                "cached_vs_plan_per_call",
+                                r.plan_per_call_ns / r.cached_oneshot_ns,
+                            );
+                    });
+                }
+            })
+            .object("range_doppler", |o| {
+                o.field("n_chirps", n_chirps)
+                    .field("n_range", proc.fft_len() / 2)
+                    .field("serial_ns", rd[0])
+                    .field("parallel_ns", rd[1])
+                    .field("threads", threads)
+                    .field("speedup", rd_speedup)
+                    .field("bit_exact", rd_bit_exact);
+            })
+            .object("beat_synthesis", |o| {
+                o.field("echoes", 3u64)
+                    .field("samples", 900u64)
+                    .field("serial_ns", beat[0])
+                    .field("parallel_ns", beat[1])
+                    .field("speedup", beat[0] / beat[1]);
+            })
+            .object("capture", |o| {
+                o.field("chirps", 5u64)
+                    .field("channels", 2u64)
+                    .field("echoes", capture_echoes)
+                    .field("samples", 900u64)
+                    .field("ns", capture_ns);
+            })
+            .object("uplink_fig15_reduced", |o| {
+                o.field("distance_m", 8.0)
+                    .field("bit_rate_mbps", 10u64)
+                    .field("payload_bytes", 20_000u64)
+                    .field("wall_ms", uplink_ms)
+                    .field("snr_db", spot.snr_db)
+                    .field("ber", spot.ber);
+            })
+            .object("acceptance", |o| {
+                o.field("fft4096_cached_vs_plan_per_call", fft4096_speedup)
+                    .field("fft4096_target", 5.0)
+                    .field("range_doppler_speedup", rd_speedup)
+                    .field("range_doppler_target", 1.5)
+                    .field("range_doppler_target_needs_cores", 4u64)
+                    .field("cores", cores);
+            });
+    });
 
     let dir = results_dir();
     let _ = fs::create_dir_all(&dir);
@@ -857,106 +857,130 @@ fn main() {
     println!("wrote {}", path.display());
 
     // --- BENCH_experiments.json ---------------------------------------
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"milback-bench-experiments-v1\",\n");
-    let _ = writeln!(j, "  \"host\": {},", host.to_json());
-    j.push_str("  \"timer\": \"min over rounds, serial/parallel round-robin\",\n");
-    j.push_str("  \"experiments\": [\n");
-    for (i, r) in exp_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{ \"name\": \"{}\", \"trials\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"speedup\": {:.2}, \"bit_exact\": {} }}{}",
-            r.name,
-            r.trials,
-            r.serial_ms,
-            r.parallel_ms,
-            r.speedup(),
-            r.bit_exact,
-            if i + 1 == exp_rows.len() { "" } else { "," },
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"fsa_gain_eval\": {{ \"points\": {}, \"unhoisted_ns_per_point\": {}, \"hoisted_ns_per_point\": {}, \"memoized_ns_per_point\": {}, \"hoisted_speedup\": {:.2}, \"memoized_speedup\": {:.2}, \"bit_exact\": {} }},",
-        fsa.points,
-        json_f(fsa.unhoisted_ns / fsa.points as f64),
-        json_f(fsa.hoisted_ns / fsa.points as f64),
-        json_f(fsa.memoized_ns / fsa.points as f64),
-        fsa.unhoisted_ns / fsa.hoisted_ns,
-        fsa.unhoisted_ns / fsa.memoized_ns,
-        fsa.bit_exact,
-    );
-    // The batched hot-path kernels: cold-grid FSA batches vs the cold
-    // memoized per-point path, the localization-shaped frequency sweep,
-    // and the scratch-fed FMCW chirp stack. The zero-alloc claim is pinned
-    // by the counting-allocator integration test, referenced here so the
-    // JSON is self-describing.
-    let _ = writeln!(
-        j,
-        "  \"batch_kernels\": {{ \"fsa_points\": {}, \"fsa_cold_memoized_ns_per_point\": {}, \"fsa_batch_ns_per_point\": {}, \"fsa_batch_speedup\": {:.2}, \"fsa_freq_points\": {}, \"fsa_freq_cold_ns_per_point\": {}, \"fsa_freq_batch_ns_per_point\": {}, \"fsa_freq_batch_speedup\": {:.2}, \"fmcw_chirps\": {}, \"fmcw_sequential_chirps_per_s\": {}, \"fmcw_batched_chirps_per_s\": {}, \"fmcw_batch_speedup\": {:.2}, \"firmware_allocs_per_packet\": 0, \"allocs_proof\": \"crates/milback-bench/tests/alloc_free_node.rs\", \"batch_bit_exact\": {} }},",
-        batch.points,
-        json_f(batch.cold_memoized_ns / batch.points as f64),
-        json_f(batch.batch_ns / batch.points as f64),
-        batch.cold_memoized_ns / batch.batch_ns,
-        batch.freq_points,
-        json_f(batch.freq_cold_ns / batch.freq_points as f64),
-        json_f(batch.freq_batch_ns / batch.freq_points as f64),
-        batch.freq_cold_ns / batch.freq_batch_ns,
-        batch.fmcw_chirps,
-        json_f(batch.fmcw_chirps as f64 / batch.fmcw_sequential_ns * 1e9),
-        json_f(batch.fmcw_chirps as f64 / batch.fmcw_batched_ns * 1e9),
-        batch.fmcw_sequential_ns / batch.fmcw_batched_ns,
-        batch.bit_exact,
-    );
-    // The sharded city-scale campaign path: single-cell vs sharded
-    // throughput on the same campaign, with the 1-cell `Network::run` parity,
-    // 1/2/4/8-thread invariance, and bounded-footprint proofs recorded as
-    // acceptance keys.
-    let _ = writeln!(
-        j,
-        "  \"sharded_campaign\": {{ \"nodes\": {}, \"cells\": {}, \"threads\": {}, \"single_cell_nodes_per_sec\": {}, \"sharded_nodes_per_sec\": {}, \"shard_speedup\": {:.2}, \"shard_bit_exact\": {}, \"bucket_footprint\": {}, \"bounded_memory\": {} }},",
-        shard.nodes,
-        shard.cells,
-        shard.threads,
-        json_f(shard.single_cell_nodes_per_sec),
-        json_f(shard.sharded_nodes_per_sec),
-        shard.sharded_nodes_per_sec / shard.single_cell_nodes_per_sec,
-        shard.shard_bit_exact,
-        shard.bucket_footprint,
-        shard.bounded_memory,
-    );
-    // Host-side wall-clock profiling spans: the per-stage breakdown of
-    // this run.
-    j.push_str("  \"spans\": [\n");
-    for (i, s) in span_stats.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{ \"name\": \"{}\", \"total_ms\": {:.1}, \"count\": {} }}{}",
-            s.name,
-            s.total_ns as f64 / 1e6,
-            s.count,
-            if i + 1 == span_stats.len() { "" } else { "," },
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"acceptance\": {{ \"runner_target_speedup\": 1.8, \"runner_target_needs_cores\": 4, \"cores\": {cores}, \"threads\": {threads}, \"runner_best_speedup\": {:.2}, \"runner_median_speedup\": {:.2}, \"fsa_target_speedup\": 2.0, \"fsa_hoisted_speedup\": {:.2}, \"fsa_memoized_speedup\": {:.2}, \"fsa_batch_speedup\": {:.2}, \"batch_bit_exact\": {}, \"shard_bit_exact\": {}, \"shard_bounded_memory\": {}, \"all_bit_exact\": {all_bit_exact} }}",
-        best_speedup,
-        median_speedup,
-        fsa.unhoisted_ns / fsa.hoisted_ns,
-        fsa.unhoisted_ns / fsa.memoized_ns,
-        // The cold-grid number: a dense sweep of distinct frequencies is
-        // the grid on which the memo never hits (localization's capture
-        // tables) and where the batch path's lock/hash bypass pays off.
-        batch.freq_cold_ns / batch.freq_batch_ns,
-        batch.bit_exact,
-        shard.shard_bit_exact,
-        shard.bounded_memory,
-    );
-    j.push_str("}\n");
+    let fsa_hoisted_speedup = fsa.unhoisted_ns / fsa.hoisted_ns;
+    let fsa_memoized_speedup = fsa.unhoisted_ns / fsa.memoized_ns;
+    // The cold-grid number: a dense sweep of distinct frequencies is the
+    // grid on which the memo never hits (localization's capture tables)
+    // and where the batch path's lock/hash bypass pays off.
+    let fsa_freq_batch_speedup = batch.freq_cold_ns / batch.freq_batch_ns;
+    let j = json::document(|d| {
+        d.field("schema", "milback-bench-experiments-v1")
+            .field("host", &host)
+            .field("timer", "min over rounds, serial/parallel round-robin")
+            .array("experiments", |a| {
+                for r in &exp_rows {
+                    a.object(|o| {
+                        o.field("name", r.name)
+                            .field("trials", r.trials)
+                            .field("serial_ms", r.serial_ms)
+                            .field("parallel_ms", r.parallel_ms)
+                            .field("speedup", r.speedup())
+                            .field("bit_exact", r.bit_exact);
+                    });
+                }
+            })
+            .object("fsa_gain_eval", |o| {
+                let per_point = fsa.points as f64;
+                o.field("points", fsa.points)
+                    .field("unhoisted_ns_per_point", fsa.unhoisted_ns / per_point)
+                    .field("hoisted_ns_per_point", fsa.hoisted_ns / per_point)
+                    .field("memoized_ns_per_point", fsa.memoized_ns / per_point)
+                    .field("hoisted_speedup", fsa_hoisted_speedup)
+                    .field("memoized_speedup", fsa_memoized_speedup)
+                    .field("bit_exact", fsa.bit_exact);
+            })
+            // The batched hot-path kernels: cold-grid FSA batches vs the
+            // cold memoized per-point path, the localization-shaped
+            // frequency sweep, and the scratch-fed FMCW chirp stack. The
+            // zero-alloc claim is pinned by the counting-allocator
+            // integration test, referenced here so the JSON is
+            // self-describing.
+            .object("batch_kernels", |o| {
+                let (points, freq_points) = (batch.points as f64, batch.freq_points as f64);
+                let chirps = batch.fmcw_chirps as f64;
+                o.field("fsa_points", batch.points)
+                    .field(
+                        "fsa_cold_memoized_ns_per_point",
+                        batch.cold_memoized_ns / points,
+                    )
+                    .field("fsa_batch_ns_per_point", batch.batch_ns / points)
+                    .field("fsa_batch_speedup", batch.cold_memoized_ns / batch.batch_ns)
+                    .field("fsa_freq_points", batch.freq_points)
+                    .field(
+                        "fsa_freq_cold_ns_per_point",
+                        batch.freq_cold_ns / freq_points,
+                    )
+                    .field(
+                        "fsa_freq_batch_ns_per_point",
+                        batch.freq_batch_ns / freq_points,
+                    )
+                    .field("fsa_freq_batch_speedup", fsa_freq_batch_speedup)
+                    .field("fmcw_chirps", batch.fmcw_chirps)
+                    .field(
+                        "fmcw_sequential_chirps_per_s",
+                        chirps / batch.fmcw_sequential_ns * 1e9,
+                    )
+                    .field(
+                        "fmcw_batched_chirps_per_s",
+                        chirps / batch.fmcw_batched_ns * 1e9,
+                    )
+                    .field(
+                        "fmcw_batch_speedup",
+                        batch.fmcw_sequential_ns / batch.fmcw_batched_ns,
+                    )
+                    .field("firmware_allocs_per_packet", 0u64)
+                    .field(
+                        "allocs_proof",
+                        "crates/milback-bench/tests/alloc_free_node.rs",
+                    )
+                    .field("batch_bit_exact", batch.bit_exact);
+            })
+            // The sharded city-scale campaign path: single-cell vs sharded
+            // throughput on the same campaign, with the 1-cell
+            // `Network::run` parity, 1/2/4/8-thread invariance, and
+            // bounded-footprint proofs recorded as acceptance keys.
+            .object("sharded_campaign", |o| {
+                o.field("nodes", shard.nodes)
+                    .field("cells", shard.cells)
+                    .field("threads", shard.threads)
+                    .field("single_cell_nodes_per_sec", shard.single_cell_nodes_per_sec)
+                    .field("sharded_nodes_per_sec", shard.sharded_nodes_per_sec)
+                    .field(
+                        "shard_speedup",
+                        shard.sharded_nodes_per_sec / shard.single_cell_nodes_per_sec,
+                    )
+                    .field("shard_bit_exact", shard.shard_bit_exact)
+                    .field("bucket_footprint", shard.bucket_footprint)
+                    .field("bounded_memory", shard.bounded_memory);
+            })
+            // Host-side wall-clock profiling spans: the per-stage breakdown
+            // of this run.
+            .array("spans", |a| {
+                for s in &span_stats {
+                    a.object(|o| {
+                        o.field("name", &s.name)
+                            .field("total_ms", s.total_ns as f64 / 1e6)
+                            .field("count", s.count);
+                    });
+                }
+            })
+            .object("acceptance", |o| {
+                o.field("runner_target_speedup", 1.8)
+                    .field("runner_target_needs_cores", 4u64)
+                    .field("cores", cores)
+                    .field("threads", threads)
+                    .field("runner_best_speedup", best_speedup)
+                    .field("runner_median_speedup", median_speedup)
+                    .field("fsa_target_speedup", 2.0)
+                    .field("fsa_hoisted_speedup", fsa_hoisted_speedup)
+                    .field("fsa_memoized_speedup", fsa_memoized_speedup)
+                    .field("fsa_batch_speedup", fsa_freq_batch_speedup)
+                    .field("batch_bit_exact", batch.bit_exact)
+                    .field("shard_bit_exact", shard.shard_bit_exact)
+                    .field("shard_bounded_memory", shard.bounded_memory)
+                    .field("all_bit_exact", all_bit_exact);
+            });
+    });
 
     let path = dir.join("BENCH_experiments.json");
     fs::write(&path, &j).expect("write BENCH_experiments.json");

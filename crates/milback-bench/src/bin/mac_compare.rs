@@ -22,6 +22,7 @@ use milback_bench::experiments::{extension_mac_compare_instrumented, MAC_POLICY_
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
 use milback_bench::{log_info, log_warn, metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_core::json::Json;
 use milback_core::telemetry::{chrome_trace, DEFAULT_TRACE_CAPACITY};
 use std::path::PathBuf;
 
@@ -142,25 +143,26 @@ fn write_metrics(
         log_info!("no campaign metrics recorded: skipping METRICS_mac.json");
         return;
     }
-    let node_list = node_counts
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let config = [
-        ("reduced", reduced.to_string()),
-        ("frames", frames.to_string()),
-        ("slots", slots.to_string()),
-        ("payload_bytes", payload_bytes.to_string()),
-        ("seed", 0xE4u64.to_string()),
-        ("node_counts", format!("[{node_list}]")),
+    let config: [(&str, &dyn Json); 6] = [
+        ("reduced", &reduced),
+        ("frames", &frames),
+        ("slots", &slots),
+        ("payload_bytes", &payload_bytes),
+        ("seed", &0xE4u64),
+        ("node_counts", &node_counts),
     ];
     let policies: Vec<(&str, &milback_core::telemetry::Metrics)> = run
         .policies
         .iter()
         .map(|p| (p.policy, &p.metrics))
         .collect();
-    let doc = metrics_io::metrics_mac_json(&HostInfo::capture(), &config, &policies);
+    let doc = metrics_io::metrics_document(
+        metrics_io::METRICS_MAC_SCHEMA,
+        &HostInfo::capture(),
+        &config,
+        "policies",
+        &policies,
+    );
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         log_warn!("cannot create {}", dir.display());

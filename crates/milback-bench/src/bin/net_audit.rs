@@ -25,6 +25,7 @@ use milback_bench::experiments::{
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
 use milback_bench::{metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_core::json::Json;
 use milback_core::DropReason;
 
 /// Sweep shape: the acceptance scene is 64 nodes over the ±60° sector
@@ -184,15 +185,15 @@ fn write_metrics(
     reduced: bool,
     cfg: &RunnerConfig,
 ) {
-    let config = [
-        ("reduced", reduced.to_string()),
-        ("nodes", nodes.to_string()),
-        ("frames", frames.to_string()),
-        ("slots", SLOTS.to_string()),
-        ("payload_bytes", PAYLOAD_BYTES.to_string()),
-        ("gap_fraction", NET_AUDIT_GAP_FRACTION.to_string()),
-        ("threads", cfg.threads.to_string()),
-        ("seed", ROOT_SEED.to_string()),
+    let config: [(&str, &dyn Json); 8] = [
+        ("reduced", &reduced),
+        ("nodes", &nodes),
+        ("frames", &frames),
+        ("slots", &SLOTS),
+        ("payload_bytes", &PAYLOAD_BYTES),
+        ("gap_fraction", &NET_AUDIT_GAP_FRACTION),
+        ("threads", &cfg.threads),
+        ("seed", &ROOT_SEED),
     ];
     let cells: Vec<(String, &milback_core::LifecycleStats)> = points
         .iter()
@@ -201,7 +202,13 @@ fn write_metrics(
             (format!("{}/{leg}", p.policy), &p.lifecycle)
         })
         .collect();
-    let doc = metrics_io::metrics_lifecycle_json(&HostInfo::capture(), &config, &cells);
+    let doc = metrics_io::metrics_document(
+        metrics_io::METRICS_LIFECYCLE_SCHEMA,
+        &HostInfo::capture(),
+        &config,
+        "cells",
+        &cells,
+    );
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;

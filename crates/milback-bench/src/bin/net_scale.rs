@@ -9,15 +9,11 @@
 //! runs through the trial-parallel runner (one deterministic RNG stream per
 //! node count), so the CSV is bit-identical at any thread count.
 //!
-//! When `mac_compare` has left a `results/METRICS_mac.json` behind, the
-//! report cross-references the ALOHA campaign counters from it (both
-//! sweeps share the sector scene and seeds).
-//!
 //! Run with: `cargo run --release -p milback-bench --bin net_scale`
 
 use milback_bench::experiments::extension_net_scale;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_bench::{reduced_mode, Report, Series};
 
 fn main() {
     // Named `main`/`io` so `all_experiments` can derive its per-stage
@@ -69,9 +65,6 @@ fn main() {
             p.nodes, p.delivery_rate, first_rate
         ));
     }
-    if let Some(note) = mac_metrics_note() {
-        report.note(note);
-    }
     report.note(format!(
         "{} slots/frame, {} frames, {}-byte payloads, SDM threshold 20 dB; {}; {} worker threads",
         slots,
@@ -84,19 +77,4 @@ fn main() {
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();
-}
-
-/// Cross-references the ALOHA campaign counters out of the artifact
-/// `mac_compare` writes. Informational only — the two sweeps share seeds
-/// and scenes but may have run at different frame counts, so the note
-/// reports what the instrumented campaign saw rather than asserting
-/// equality.
-fn mac_metrics_note() -> Option<String> {
-    let text = std::fs::read_to_string(results_dir().join("METRICS_mac.json")).ok()?;
-    let slots_fired = metrics_io::parse_policy_counter(&text, "aloha", "slots_fired")?;
-    let slot_collisions = metrics_io::parse_policy_counter(&text, "aloha", "slot_collisions")?;
-    Some(format!(
-        "METRICS_mac.json (mac_compare, aloha): {slots_fired} slots fired, \
-         {slot_collisions} collided across the instrumented campaign"
-    ))
 }

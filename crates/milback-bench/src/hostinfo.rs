@@ -1,11 +1,10 @@
 //! Host metadata shared by every benchmark artifact.
 //!
-//! Both `BENCH_*.json` files (and `METRICS_mac.json`) embed the same
-//! [`HostInfo`] block, so speedup numbers can always be judged against
-//! the machine that produced them — the two hand-rolled `"cores"` fields
-//! the bench reports used to carry drifted independently; this is the one
-//! source of truth.
+//! Both `BENCH_*.json` files and both `METRICS_*.json` files embed the
+//! same [`HostInfo`] block, so speedup numbers can always be judged
+//! against the machine that produced them.
 
+use milback_core::json::{self, Json};
 use mmwave_sigproc::parallel;
 
 /// The host facts that contextualize a benchmark number.
@@ -31,15 +30,16 @@ impl HostInfo {
             rustc: env!("MILBACK_RUSTC_VERSION").to_string(),
         }
     }
+}
 
-    /// The shared `"host"` JSON object embedded in every bench artifact.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"cores\": {}, \"threads\": {}, \"rustc\": \"{}\" }}",
-            self.cores,
-            self.threads,
-            self.rustc.replace('"', "'")
-        )
+impl Json for HostInfo {
+    /// The shared `host` object embedded in every bench artifact.
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("cores", self.cores)
+                .field("threads", self.threads)
+                .field("rustc", &self.rustc);
+        });
     }
 }
 
@@ -53,8 +53,8 @@ mod tests {
         assert!(h.cores >= 1);
         assert!(h.threads >= 1);
         assert!(h.rustc.contains("rustc"), "got {:?}", h.rustc);
-        let json = h.to_json();
-        assert!(json.contains("\"cores\":"));
-        assert!(json.contains("\"rustc\":"));
+        let json = json::to_string(&h);
+        assert!(json.starts_with(r#"{"cores":"#), "{json}");
+        assert!(json.contains(r#","rustc":"rustc"#), "{json}");
     }
 }

@@ -1,17 +1,16 @@
-//! Campaign-metrics serialization: the `results/METRICS_mac.json`
-//! artifact `mac_compare` writes and `net_scale` consumes.
+//! Campaign-metrics documents: `results/METRICS_mac.json`, which
+//! `mac_compare` writes, and `results/METRICS_lifecycle.json`, which
+//! `net_audit` writes.
 //!
-//! All JSON here is hand-rolled (the workspace's serde shim is a no-op
-//! marker), with the same hygiene rules as the CSV anchors: no `NaN`/`inf`
-//! token can ever appear (the telemetry layer filters non-finite values at
-//! observation time), and reduced-mode runs write nothing so the artifact
-//! always describes a full-scale campaign unless CI regenerates it
-//! deliberately.
+//! Both are one [`metrics_document`] written through the workspace's one
+//! JSON writer ([`milback_core::json`]), so they share its rules: floats in
+//! `{:e}` form and never a `NaN`/`inf` token (the telemetry layer also
+//! filters non-finite values at observation time), escaped strings, and
+//! insertion-ordered members. Reduced-mode runs are flagged in `config`,
+//! and CI regenerates the full-scale artifacts after validating them.
 
 use crate::hostinfo::HostInfo;
-use milback_core::telemetry::Metrics;
-use milback_core::LifecycleStats;
-use std::fmt::Write as _;
+use milback_core::json::{self, Json};
 
 /// Schema tag of `results/METRICS_mac.json`.
 pub const METRICS_MAC_SCHEMA: &str = "milback-metrics-mac-v1";
@@ -19,92 +18,41 @@ pub const METRICS_MAC_SCHEMA: &str = "milback-metrics-mac-v1";
 /// Schema tag of `results/METRICS_lifecycle.json`.
 pub const METRICS_LIFECYCLE_SCHEMA: &str = "milback-metrics-lifecycle-v1";
 
-// `fold_queue_depths` — the trace-ring reconstruction of the engine's
-// queue-depth histogram — is gone: a bounded ring evicts its oldest
-// records, so any histogram rebuilt from it silently truncated on long
-// campaigns. The engine now tallies dispatch-time depths losslessly
-// (`Engine::enable_depth_stats`) and the campaign runner folds them into
-// the probe's metrics directly.
-
-/// Renders the full `METRICS_mac.json` document: schema, host block,
-/// campaign configuration, and one merged metrics registry per policy (in
-/// the given order, which the writer keeps deterministic).
-pub fn metrics_mac_json(
+/// Renders a metrics document: `schema`, the `host` block, the campaign
+/// `config` (typed values, in the given order), and one `section_key`
+/// object holding each named section in the given order — the per-policy
+/// [`Metrics`](milback_core::Metrics) registries of `METRICS_mac.json`
+/// under `policies`, or the per-cell
+/// [`LifecycleStats`](milback_core::LifecycleStats) ledgers of
+/// `METRICS_lifecycle.json` under `cells`.
+pub fn metrics_document<K: AsRef<str>, V: Json>(
+    schema: &str,
     host: &HostInfo,
-    config: &[(&str, String)],
-    policies: &[(&str, &Metrics)],
+    config: &[(&str, &dyn Json)],
+    section_key: &str,
+    sections: &[(K, V)],
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{METRICS_MAC_SCHEMA}\",");
-    let _ = writeln!(out, "  \"host\": {},", host.to_json());
-    out.push_str("  \"config\": { ");
-    for (i, (k, v)) in config.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{k}\": {v}");
-    }
-    out.push_str(" },\n  \"policies\": {\n");
-    for (i, (name, metrics)) in policies.iter().enumerate() {
-        let _ = write!(out, "    \"{name}\": {}", metrics.to_json());
-        out.push_str(if i + 1 < policies.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Renders the full `METRICS_lifecycle.json` document: schema, host
-/// block, campaign configuration, and one [`LifecycleStats::to_json`]
-/// ledger per sweep cell (in the given order, which `net_audit` keeps
-/// deterministic: policy-major, direct before relay). Every cell carries
-/// all seven canonical drop labels even at zero, and percentile keys
-/// appear only on non-empty sketches — the same hygiene contract as the
-/// MAC document.
-pub fn metrics_lifecycle_json(
-    host: &HostInfo,
-    config: &[(&str, String)],
-    cells: &[(String, &LifecycleStats)],
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{METRICS_LIFECYCLE_SCHEMA}\",");
-    let _ = writeln!(out, "  \"host\": {},", host.to_json());
-    out.push_str("  \"config\": { ");
-    for (i, (k, v)) in config.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{k}\": {v}");
-    }
-    out.push_str(" },\n  \"cells\": {\n");
-    for (i, (name, lifecycle)) in cells.iter().enumerate() {
-        let _ = write!(out, "    \"{name}\": {}", lifecycle.to_json());
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Extracts one counter from a policy's section of a `METRICS_mac.json`
-/// document. A substring reader over the writer's known layout — not a
-/// JSON parser — which is all the cross-consumer (`net_scale`) needs
-/// without a JSON dependency.
-pub fn parse_policy_counter(text: &str, policy: &str, counter: &str) -> Option<u64> {
-    let section_start = text.find(&format!("\"{policy}\": {{"))?;
-    let section = &text[section_start..];
-    // Sections are one line each; stay inside this policy's line.
-    let section = section.lines().next()?;
-    let key = format!("\"{counter}\":");
-    let at = section.find(&key)? + key.len();
-    let digits: String = section[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    json::document(|doc| {
+        doc.field("schema", schema)
+            .field("host", host)
+            .object("config", |c| {
+                for (key, value) in config {
+                    c.field(key, value);
+                }
+            })
+            .object(section_key, |s| {
+                for (name, section) in sections {
+                    s.field(name.as_ref(), section);
+                }
+            });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use milback_core::telemetry::Metrics;
+    use milback_core::{DropReason, LifecycleStats};
 
     fn host() -> HostInfo {
         HostInfo {
@@ -115,67 +63,89 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_document_carries_every_label_and_round_trips() {
-        use milback_core::DropReason;
+    fn lifecycle_document_carries_every_label() {
         let mut direct = LifecycleStats::new();
         direct.offer(5);
         direct.deliver_direct(3);
         direct.record_drops(DropReason::SdmInseparable, 2);
         direct.observe_slot_wait_us(120.0, 3);
         let relayed = LifecycleStats::new();
-        let doc = metrics_lifecycle_json(
+        let doc = metrics_document(
+            METRICS_LIFECYCLE_SCHEMA,
             &host(),
-            &[("nodes", "64".into()), ("frames", "24".into())],
+            &[("nodes", &64usize), ("gap_fraction", &0.25)],
+            "cells",
             &[
-                ("aloha/direct".into(), &direct),
-                ("aloha/relay".into(), &relayed),
+                ("aloha/direct".to_string(), &direct),
+                ("aloha/relay".to_string(), &relayed),
             ],
         );
-        assert!(doc.contains(METRICS_LIFECYCLE_SCHEMA));
+        let lines: Vec<&str> = doc.lines().collect();
+        assert_eq!(
+            lines[..4],
+            [
+                "{",
+                r#""schema":"milback-metrics-lifecycle-v1","#,
+                r#""host":{"cores":4,"threads":2,"rustc":"rustc 1.99.0 (test)"},"#,
+                r#""config":{"nodes":64,"gap_fraction":2.5e-1},"#,
+            ]
+        );
+        let cells = format!(
+            r#""cells":{{"aloha/direct":{},"aloha/relay":{}}}"#,
+            json::to_string(&direct),
+            json::to_string(&relayed)
+        );
+        assert_eq!(lines[4..], [cells.as_str(), "}"]);
+        assert!(doc.ends_with("}\n"));
         assert!(!doc.contains("NaN") && !doc.contains("inf"));
+        // The cells' counters land under their keys.
+        let direct_json = json::to_string(&direct);
+        assert!(direct_json.starts_with(r#"{"offered":5,"delivered_direct":3,"#));
+        assert!(direct_json.contains(r#""sdm_inseparable":2,"#));
+        assert!(json::to_string(&relayed).starts_with(r#"{"offered":0,"#));
         for label in DropReason::LABELS {
             // Both cells carry the full drop table, even the empty one.
-            assert_eq!(doc.matches(&format!("\"{label}\":")).count(), 2);
+            assert_eq!(doc.matches(&format!(r#""{label}":"#)).count(), 2);
         }
-        // The section reader works on lifecycle cells too.
-        assert_eq!(
-            parse_policy_counter(&doc, "aloha/direct", "offered"),
-            Some(5)
-        );
-        assert_eq!(
-            parse_policy_counter(&doc, "aloha/direct", "sdm_inseparable"),
-            Some(2)
-        );
-        assert_eq!(
-            parse_policy_counter(&doc, "aloha/relay", "offered"),
-            Some(0)
-        );
     }
 
     #[test]
-    fn document_round_trips_counters() {
+    fn mac_document_carries_each_policy_registry() {
         let mut aloha = Metrics::new();
         aloha.inc("slots_fired", 42);
         aloha.inc("slot_collisions", 7);
         let mut sdm = Metrics::new();
         sdm.inc("slots_fired", 42);
         sdm.inc("slot_collisions", 0);
-        let doc = metrics_mac_json(
+        let doc = metrics_document(
+            METRICS_MAC_SCHEMA,
             &host(),
-            &[("frames", "24".into()), ("slots", "8".into())],
+            &[
+                ("reduced", &false),
+                ("frames", &24usize),
+                ("node_counts", &[1usize, 2, 4].as_slice()),
+            ],
+            "policies",
             &[("aloha", &aloha), ("sdm", &sdm)],
         );
-        assert!(doc.contains(METRICS_MAC_SCHEMA));
+        assert!(doc.contains(r#""schema":"milback-metrics-mac-v1","#));
+        assert!(doc.contains(r#""config":{"reduced":false,"frames":24,"node_counts":[1,2,4]},"#));
+        assert!(doc.contains(
+            r#""policies":{"aloha":{"counters":{"slots_fired":42,"slot_collisions":7},"histograms":{}},"sdm":{"counters":{"slots_fired":42,"slot_collisions":0},"histograms":{}}}"#
+        ));
+        assert!(!doc.contains("polling"));
         assert!(!doc.contains("NaN") && !doc.contains("inf"));
-        assert_eq!(
-            parse_policy_counter(&doc, "aloha", "slot_collisions"),
-            Some(7)
+    }
+
+    #[test]
+    fn host_strings_are_escaped_not_rewritten() {
+        let mut h = host();
+        h.rustc = r#"rustc "nightly" \ build"#.into();
+        let doc = metrics_document::<&str, u64>(METRICS_MAC_SCHEMA, &h, &[], "policies", &[]);
+        assert!(
+            doc.contains(r#""rustc":"rustc \"nightly\" \\ build""#),
+            "{doc}"
         );
-        assert_eq!(
-            parse_policy_counter(&doc, "sdm", "slot_collisions"),
-            Some(0)
-        );
-        assert_eq!(parse_policy_counter(&doc, "sdm", "slots_fired"), Some(42));
-        assert_eq!(parse_policy_counter(&doc, "polling", "slots_fired"), None);
+        assert!(doc.contains("\n\"policies\":{}\n}\n"), "{doc}");
     }
 }

@@ -208,7 +208,11 @@ fn instrumented_sweep_matches_plain_at_every_thread_count() {
             assert_point_bit_exact(p, q);
         }
         // The serialized registries are schedule-invariant too.
-        let jsons: Vec<String> = inst.policies.iter().map(|p| p.metrics.to_json()).collect();
+        let jsons: Vec<String> = inst
+            .policies
+            .iter()
+            .map(|p| milback_core::json::to_string(&p.metrics))
+            .collect();
         match &merged_json {
             None => merged_json = Some(jsons),
             Some(reference) => assert_eq!(

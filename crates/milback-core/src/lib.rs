@@ -17,6 +17,7 @@ pub mod config;
 pub mod dense;
 pub mod engine;
 pub mod error;
+pub mod json;
 pub mod lifecycle;
 pub mod link;
 pub mod localization;

@@ -28,6 +28,7 @@
 //! bit-identically at any `MILBACK_THREADS`.
 
 use crate::error::{MilbackError, Result};
+use crate::json::{self, Json};
 use crate::pipeline::{OverflowPolicy, StageKind};
 use crate::telemetry::{Histogram, LATENCY_BUCKETS_US};
 
@@ -281,42 +282,37 @@ impl LifecycleStats {
             + self.service_residence_us.counts.len()
             + self.relay_extra_us.counts.len()
     }
+}
 
-    /// JSON object for metrics documents: the totals, the drop table keyed
-    /// by **every** canonical [`DropReason::LABELS`] entry (present even at
+impl Json for LifecycleStats {
+    /// The metrics-document object: the totals, the drop table keyed by
+    /// **every** canonical [`DropReason::LABELS`] entry (present even at
     /// zero, so consumers never probe for missing keys), the shed-stage
-    /// breakdown, and the three latency sketches — each a
-    /// [`Histogram::to_json`] object whose `p50/p95/p99` keys appear only
-    /// when the sketch is non-empty. No `NaN`/`inf` token can appear: every
-    /// float comes from the histogram serializer, which filters non-finite
-    /// values at observation time.
-    pub fn to_json(&self) -> String {
-        use core::fmt::Write as _;
-        let mut s = format!(
-            "{{\"offered\":{},\"delivered_direct\":{},\"delivered_relayed\":{},\"drops\":{{",
-            self.offered, self.delivered_direct, self.delivered_relayed
-        );
-        for (k, label) in DropReason::LABELS.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{label}\":{}", self.drops[k]);
-        }
-        s.push_str("},\"shed_by_stage\":{");
-        for (k, label) in ["capture", "plan", "transmit"].iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{label}\":{}", self.shed_by_stage[k]);
-        }
-        let _ = write!(
-            s,
-            "}},\"slot_wait_us\":{},\"service_residence_us\":{},\"relay_extra_us\":{}}}",
-            self.slot_wait_us.to_json(),
-            self.service_residence_us.to_json(),
-            self.relay_extra_us.to_json()
-        );
-        s
+    /// breakdown, and the three latency sketches — each a [`Histogram`]
+    /// object whose `p50/p95/p99` keys appear only when the sketch is
+    /// non-empty.
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("offered", self.offered)
+                .field("delivered_direct", self.delivered_direct)
+                .field("delivered_relayed", self.delivered_relayed)
+                .object("drops", |d| {
+                    for (label, n) in DropReason::LABELS.iter().zip(&self.drops) {
+                        d.field(label, n);
+                    }
+                })
+                .object("shed_by_stage", |d| {
+                    for (label, n) in ["capture", "plan", "transmit"]
+                        .iter()
+                        .zip(&self.shed_by_stage)
+                    {
+                        d.field(label, n);
+                    }
+                })
+                .field("slot_wait_us", &self.slot_wait_us)
+                .field("service_residence_us", &self.service_residence_us)
+                .field("relay_extra_us", &self.relay_extra_us);
+        });
     }
 }
 
@@ -429,7 +425,7 @@ mod tests {
 
     #[test]
     fn json_carries_every_drop_label_even_at_zero() {
-        let doc = LifecycleStats::new().to_json();
+        let doc = json::to_string(&LifecycleStats::new());
         for label in DropReason::LABELS {
             assert!(doc.contains(&format!("\"{label}\":0")), "{label} missing");
         }
@@ -449,7 +445,7 @@ mod tests {
         for us in [10.0, 100.0, 5000.0] {
             s.observe_slot_wait_us(us, 1);
         }
-        let doc = s.to_json();
+        let doc = json::to_string(&s);
         assert!(doc.contains("\"p50\""), "{doc}");
         let (p50, p95, p99) = (
             s.slot_wait_us.quantile(0.50).unwrap(),

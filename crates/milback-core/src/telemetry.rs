@@ -31,11 +31,20 @@
 //! handed: [`CampaignProbe::disabled`] skips every recording site behind
 //! one branch (trace records are not even built), while an enabled probe
 //! appends into its sink/registry.
+//!
+//! # Serialization
+//!
+//! Trace records, histograms and registries write themselves through the
+//! workspace's one JSON writer ([`crate::json`]): [`TraceBuffer::to_jsonl`]
+//! renders a trace as JSONL and [`chrome_trace`] as a Chrome
+//! `trace_event` document, both under the writer's float, string and
+//! ordering rules.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::rc::Rc;
+
+use crate::json::{self, Json};
 
 /// Default trace ring-buffer capacity (records). At ~5 records per
 /// occupied slot this holds several 64-node frames comfortably.
@@ -196,115 +205,103 @@ impl TraceRecord {
             _ => None,
         }
     }
-
-    /// One JSONL line (no trailing newline). Floats are guaranteed finite
-    /// by the recording sites; non-finite values are clamped to `0` so a
-    /// line can never carry a `NaN`/`inf` token.
-    pub fn to_jsonl(&self) -> String {
-        match self {
-            TraceRecord::Event {
-                time_ps,
-                seq,
-                actor,
-                kind,
-                queue_depth,
-            } => format!(
-                "{{\"type\":\"event\",\"time_ps\":{time_ps},\"seq\":{seq},\"actor\":{actor},\
-                 \"kind\":\"{kind}\",\"queue_depth\":{queue_depth}}}"
-            ),
-            TraceRecord::Slot {
-                time_ps,
-                frame,
-                slot,
-                group,
-                collided,
-                dur_ps,
-            } => format!(
-                "{{\"type\":\"slot\",\"time_ps\":{time_ps},\"frame\":{frame},\"slot\":{slot},\
-                 \"group\":{},\"collided\":{collided},\"dur_ps\":{dur_ps}}}",
-                json_usize_array(group)
-            ),
-            TraceRecord::Backoff {
-                time_ps,
-                node,
-                window_frames,
-            } => format!(
-                "{{\"type\":\"backoff\",\"time_ps\":{time_ps},\"node\":{node},\
-                 \"window_frames\":{window_frames}}}"
-            ),
-            TraceRecord::SdmRotation {
-                time_ps,
-                frame,
-                group_idx,
-                group_size,
-            } => format!(
-                "{{\"type\":\"sdm_rotation\",\"time_ps\":{time_ps},\"frame\":{frame},\
-                 \"group_idx\":{group_idx},\"group_size\":{group_size}}}"
-            ),
-            TraceRecord::Energy {
-                time_ps,
-                node,
-                cumulative_j,
-            } => format!(
-                "{{\"type\":\"energy\",\"time_ps\":{time_ps},\"node\":{node},\
-                 \"cumulative_j\":{}}}",
-                json_f64(*cumulative_j)
-            ),
-            TraceRecord::Stage {
-                time_ps,
-                stage,
-                flow,
-                dur_ps,
-            } => format!(
-                "{{\"type\":\"stage\",\"time_ps\":{time_ps},\"stage\":\"{stage}\",\
-                 \"flow\":{flow},\"dur_ps\":{dur_ps}}}"
-            ),
-            TraceRecord::RelayHop {
-                time_ps,
-                flow,
-                hop,
-                from,
-                to,
-                dur_ps,
-            } => format!(
-                "{{\"type\":\"relay_hop\",\"time_ps\":{time_ps},\"flow\":{flow},\
-                 \"hop\":{hop},\"from\":{from},\"to\":{to},\"dur_ps\":{dur_ps}}}"
-            ),
-            TraceRecord::FlowEnd {
-                time_ps,
-                flow,
-                outcome,
-            } => format!(
-                "{{\"type\":\"flow_end\",\"time_ps\":{time_ps},\"flow\":{flow},\
-                 \"outcome\":\"{outcome}\"}}"
-            ),
-        }
-    }
 }
 
-/// Formats a float for JSON: finite values in full precision, everything
-/// else clamped to `0` (trace/metric files must never carry NaN/inf).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v:e}");
-        // `{:e}` is compact and round-trippable but renders exponents as
-        // `1e0`; standard JSON parsers accept that form.
-        s
-    } else {
-        "0".into()
+impl Json for TraceRecord {
+    /// The record's JSONL object: its `type` label, `time_ps`, then its
+    /// other fields in declaration order.
+    fn write_json(&self, out: &mut String) {
+        let label = match self {
+            TraceRecord::Event { .. } => "event",
+            TraceRecord::Slot { .. } => "slot",
+            TraceRecord::Backoff { .. } => "backoff",
+            TraceRecord::SdmRotation { .. } => "sdm_rotation",
+            TraceRecord::Energy { .. } => "energy",
+            TraceRecord::Stage { .. } => "stage",
+            TraceRecord::RelayHop { .. } => "relay_hop",
+            TraceRecord::FlowEnd { .. } => "flow_end",
+        };
+        json::object(out, |o| {
+            o.field("type", label).field("time_ps", self.time_ps());
+            match self {
+                TraceRecord::Event {
+                    seq,
+                    actor,
+                    kind,
+                    queue_depth,
+                    ..
+                } => {
+                    o.field("seq", seq)
+                        .field("actor", actor)
+                        .field("kind", kind)
+                        .field("queue_depth", queue_depth);
+                }
+                TraceRecord::Slot {
+                    frame,
+                    slot,
+                    group,
+                    collided,
+                    dur_ps,
+                    ..
+                } => {
+                    o.field("frame", frame)
+                        .field("slot", slot)
+                        .field("group", group)
+                        .field("collided", collided)
+                        .field("dur_ps", dur_ps);
+                }
+                TraceRecord::Backoff {
+                    node,
+                    window_frames,
+                    ..
+                } => {
+                    o.field("node", node).field("window_frames", window_frames);
+                }
+                TraceRecord::SdmRotation {
+                    frame,
+                    group_idx,
+                    group_size,
+                    ..
+                } => {
+                    o.field("frame", frame)
+                        .field("group_idx", group_idx)
+                        .field("group_size", group_size);
+                }
+                TraceRecord::Energy {
+                    node, cumulative_j, ..
+                } => {
+                    o.field("node", node).field("cumulative_j", cumulative_j);
+                }
+                TraceRecord::Stage {
+                    stage,
+                    flow,
+                    dur_ps,
+                    ..
+                } => {
+                    o.field("stage", stage)
+                        .field("flow", flow)
+                        .field("dur_ps", dur_ps);
+                }
+                TraceRecord::RelayHop {
+                    flow,
+                    hop,
+                    from,
+                    to,
+                    dur_ps,
+                    ..
+                } => {
+                    o.field("flow", flow)
+                        .field("hop", hop)
+                        .field("from", from)
+                        .field("to", to)
+                        .field("dur_ps", dur_ps);
+                }
+                TraceRecord::FlowEnd { flow, outcome, .. } => {
+                    o.field("flow", flow).field("outcome", outcome);
+                }
+            }
+        });
     }
-}
-
-fn json_usize_array(v: &[usize]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in v.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{x}");
-    }
-    s.push(']');
-    s
 }
 
 /// A bounded in-memory trace: a ring buffer that drops its **oldest**
@@ -363,15 +360,15 @@ impl TraceBuffer {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&r.to_jsonl());
+            r.write_json(&mut out);
             out.push('\n');
         }
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"meta\",\"records\":{},\"dropped\":{}}}",
-            self.records.len(),
-            self.dropped
-        );
+        json::object(&mut out, |o| {
+            o.field("type", "meta")
+                .field("records", self.records.len())
+                .field("dropped", self.dropped);
+        });
+        out.push('\n');
         out
     }
 }
@@ -509,45 +506,25 @@ impl Histogram {
         }
         Some(self.bounds[self.bounds.len() - 1])
     }
+}
 
-    /// JSON object: `{"bounds":[..],"counts":[..],"count":N,"sum":S}`,
-    /// plus `"p50"/"p95"/"p99"` quantile estimates when non-empty.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"bounds\":[");
-        for (i, b) in self.bounds.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+impl Json for Histogram {
+    /// `{"bounds":[..],"counts":[..],"count":N,"sum":S}`, plus
+    /// `"p50"/"p95"/"p99"` quantile estimates when non-empty.
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("bounds", self.bounds)
+                .field("counts", &self.counts)
+                .field("count", self.count)
+                .field("sum", self.sum);
+            if let (Some(p50), Some(p95), Some(p99)) = (
+                self.quantile(0.50),
+                self.quantile(0.95),
+                self.quantile(0.99),
+            ) {
+                o.field("p50", p50).field("p95", p95).field("p99", p99);
             }
-            s.push_str(&json_f64(*b));
-        }
-        s.push_str("],\"counts\":[");
-        for (i, c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{c}");
-        }
-        let _ = write!(
-            s,
-            "],\"count\":{},\"sum\":{}",
-            self.count,
-            json_f64(self.sum)
-        );
-        if let (Some(p50), Some(p95), Some(p99)) = (
-            self.quantile(0.50),
-            self.quantile(0.95),
-            self.quantile(0.99),
-        ) {
-            let _ = write!(
-                s,
-                ",\"p50\":{},\"p95\":{},\"p99\":{}",
-                json_f64(p50),
-                json_f64(p95),
-                json_f64(p99)
-            );
-        }
-        s.push('}');
-        s
+        });
     }
 }
 
@@ -656,26 +633,24 @@ impl Metrics {
             }
         }
     }
+}
 
-    /// JSON object:
-    /// `{"counters":{..},"histograms":{name:{bounds,counts,count,sum}}}`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{v}");
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{}", h.to_json());
-        }
-        s.push_str("}}");
-        s
+impl Json for Metrics {
+    /// `{"counters":{..},"histograms":{name:{bounds,counts,count,sum}}}`,
+    /// both in first-registration order.
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.object("counters", |c| {
+                for (name, v) in &self.counters {
+                    c.field(name, v);
+                }
+            })
+            .object("histograms", |h| {
+                for (name, hist) in &self.histograms {
+                    h.field(name, hist);
+                }
+            });
+        });
     }
 }
 
@@ -834,15 +809,6 @@ pub fn queue_depth_metric(label: &'static str) -> &'static str {
 /// never leave a dangling flow id ([`validate_chrome_trace`] rejects
 /// those).
 pub fn chrome_trace(sections: &[(&str, &TraceBuffer)]) -> String {
-    let mut s = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            s.push(',');
-        }
-        *first = false;
-        s.push_str(&ev);
-    };
     // The tid lane of a flow-bearing record: stages get one lane each,
     // relay hops stack by hop index, terminals share one lane.
     fn flow_tid(r: &TraceRecord) -> usize {
@@ -856,155 +822,192 @@ pub fn chrome_trace(sections: &[(&str, &TraceBuffer)]) -> String {
             _ => 310,
         }
     }
-    for (pid, (name, buf)) in sections.iter().enumerate() {
-        // Pre-pass: how many records each flow id keeps in the buffer.
-        // Linear-scan map (flow counts are small) for deterministic order.
-        let mut chains: Vec<(u64, usize)> = Vec::new();
-        for r in buf.records() {
-            if let Some(flow) = r.flow() {
-                match chains.iter_mut().find(|(f, _)| *f == flow) {
-                    Some((_, n)) => *n += 1,
-                    None => chains.push((flow, 1)),
-                }
-            }
+    // The head every record's event starts with: `name`, `ph`, thread
+    // scope for instants, `ts`, `dur` for spans, `pid`, `tid`.
+    fn head(
+        ev: &mut json::Object<'_>,
+        name: &str,
+        ph: &str,
+        r: &TraceRecord,
+        dur_ps: Option<u64>,
+        pid: usize,
+        tid: usize,
+    ) {
+        ev.field("name", name).field("ph", ph);
+        if ph == "i" {
+            ev.field("s", "t");
         }
-        let mut emitted: Vec<(u64, usize)> = Vec::new();
-        push(
-            &mut s,
-            &mut first,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-        );
-        for r in buf.records() {
-            let ts = json_f64(r.time_ps() as f64 / 1e6);
-            let ev = match r {
-                TraceRecord::Event {
-                    actor,
-                    kind,
-                    seq,
-                    queue_depth,
-                    ..
-                } => format!(
-                    "{{\"name\":\"{kind}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\
-                     \"tid\":{actor},\"args\":{{\"seq\":{seq},\"queue_depth\":{queue_depth}}}}}"
-                ),
-                TraceRecord::Slot {
-                    frame,
-                    slot,
-                    group,
-                    collided,
-                    dur_ps,
-                    ..
-                } => format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\
-                     \"tid\":{},\"args\":{{\"frame\":{frame},\"group\":{},\
-                     \"collided\":{collided}}}}}",
-                    if *collided { "collision" } else { "slot" },
-                    json_f64(*dur_ps as f64 / 1e6),
-                    100 + slot,
-                    json_usize_array(group),
-                ),
-                TraceRecord::Backoff {
-                    node,
-                    window_frames,
-                    ..
-                } => format!(
-                    "{{\"name\":\"backoff\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\
-                     \"tid\":{},\"args\":{{\"node\":{node},\"window_frames\":{window_frames}}}}}",
-                    200 + node
-                ),
-                TraceRecord::SdmRotation {
-                    frame,
-                    group_idx,
-                    group_size,
-                    ..
-                } => format!(
-                    "{{\"name\":\"sdm_rotation\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
-                     \"pid\":{pid},\"tid\":0,\"args\":{{\"frame\":{frame},\
-                     \"group_idx\":{group_idx},\"group_size\":{group_size}}}}}"
-                ),
-                TraceRecord::Energy {
-                    node, cumulative_j, ..
-                } => format!(
-                    "{{\"name\":\"energy_node{node}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\
-                     \"tid\":0,\"args\":{{\"joules\":{}}}}}",
-                    json_f64(*cumulative_j)
-                ),
-                TraceRecord::Stage {
-                    stage,
-                    flow,
-                    dur_ps,
-                    ..
-                } => format!(
-                    "{{\"name\":\"{stage}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\
-                     \"tid\":{},\"args\":{{\"flow\":{flow}}}}}",
-                    json_f64(*dur_ps as f64 / 1e6),
-                    flow_tid(r),
-                ),
-                TraceRecord::RelayHop {
-                    flow,
-                    hop,
-                    from,
-                    to,
-                    dur_ps,
-                    ..
-                } => format!(
-                    "{{\"name\":\"relay_hop\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\
-                     \"tid\":{},\"args\":{{\"flow\":{flow},\"hop\":{hop},\"from\":{from},\
-                     \"to\":{to}}}}}",
-                    json_f64(*dur_ps as f64 / 1e6),
-                    flow_tid(r),
-                ),
-                TraceRecord::FlowEnd { flow, outcome, .. } => format!(
-                    "{{\"name\":\"{outcome}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\
-                     \"tid\":{},\"args\":{{\"flow\":{flow}}}}}",
-                    flow_tid(r),
-                ),
-            };
-            push(&mut s, &mut first, ev);
-            // Tie the packet's spans together with a flow event: only
-            // chains with ≥ 2 surviving records render, first record
-            // starts (`s`), last finishes (`f`), middles step (`t`).
-            if let Some(flow) = r.flow() {
-                let total = chains
-                    .iter()
-                    .find(|(f, _)| *f == flow)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0);
-                let pos = match emitted.iter_mut().find(|(f, _)| *f == flow) {
-                    Some((_, p)) => {
-                        *p += 1;
-                        *p
-                    }
-                    None => {
-                        emitted.push((flow, 0));
-                        0
-                    }
-                };
-                if total >= 2 {
-                    let ph = if pos == 0 {
-                        "s"
-                    } else if pos + 1 == total {
-                        "f"
-                    } else {
-                        "t"
-                    };
-                    push(
-                        &mut s,
-                        &mut first,
-                        format!(
-                            "{{\"name\":\"packet\",\"cat\":\"flow\",\"ph\":\"{ph}\",\
-                             \"id\":\"p{pid}.{flow}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
-                            flow_tid(r),
-                        ),
-                    );
-                }
-            }
+        ev.field("ts", r.time_ps() as f64 / 1e6);
+        if let Some(dur_ps) = dur_ps {
+            ev.field("dur", dur_ps as f64 / 1e6);
         }
+        ev.field("pid", pid).field("tid", tid);
     }
-    s.push_str("],\"displayTimeUnit\":\"ns\"}");
+    let mut s = String::new();
+    json::object(&mut s, |doc| {
+        doc.array("traceEvents", |events| {
+            for (pid, (name, buf)) in sections.iter().enumerate() {
+                // Pre-pass: how many records each flow id keeps in the
+                // buffer. Linear-scan map (flow counts are small) for
+                // deterministic order.
+                let mut chains: Vec<(u64, usize)> = Vec::new();
+                for r in buf.records() {
+                    if let Some(flow) = r.flow() {
+                        match chains.iter_mut().find(|(f, _)| *f == flow) {
+                            Some((_, n)) => *n += 1,
+                            None => chains.push((flow, 1)),
+                        }
+                    }
+                }
+                let mut emitted: Vec<(u64, usize)> = Vec::new();
+                events.object(|ev| {
+                    ev.field("name", "process_name")
+                        .field("ph", "M")
+                        .field("pid", pid)
+                        .field("tid", 0usize)
+                        .object("args", |a| {
+                            a.field("name", *name);
+                        });
+                });
+                for r in buf.records() {
+                    events.object(|ev| match r {
+                        TraceRecord::Event {
+                            actor,
+                            kind,
+                            seq,
+                            queue_depth,
+                            ..
+                        } => {
+                            head(ev, kind, "i", r, None, pid, *actor);
+                            ev.object("args", |a| {
+                                a.field("seq", seq).field("queue_depth", queue_depth);
+                            });
+                        }
+                        TraceRecord::Slot {
+                            frame,
+                            slot,
+                            group,
+                            collided,
+                            dur_ps,
+                            ..
+                        } => {
+                            let name = if *collided { "collision" } else { "slot" };
+                            head(ev, name, "X", r, Some(*dur_ps), pid, 100 + slot);
+                            ev.object("args", |a| {
+                                a.field("frame", frame)
+                                    .field("group", group)
+                                    .field("collided", collided);
+                            });
+                        }
+                        TraceRecord::Backoff {
+                            node,
+                            window_frames,
+                            ..
+                        } => {
+                            head(ev, "backoff", "i", r, None, pid, 200 + node);
+                            ev.object("args", |a| {
+                                a.field("node", node).field("window_frames", window_frames);
+                            });
+                        }
+                        TraceRecord::SdmRotation {
+                            frame,
+                            group_idx,
+                            group_size,
+                            ..
+                        } => {
+                            head(ev, "sdm_rotation", "i", r, None, pid, 0);
+                            ev.object("args", |a| {
+                                a.field("frame", frame)
+                                    .field("group_idx", group_idx)
+                                    .field("group_size", group_size);
+                            });
+                        }
+                        TraceRecord::Energy {
+                            node, cumulative_j, ..
+                        } => {
+                            head(ev, &format!("energy_node{node}"), "C", r, None, pid, 0);
+                            ev.object("args", |a| {
+                                a.field("joules", cumulative_j);
+                            });
+                        }
+                        TraceRecord::Stage {
+                            stage,
+                            flow,
+                            dur_ps,
+                            ..
+                        } => {
+                            head(ev, stage, "X", r, Some(*dur_ps), pid, flow_tid(r));
+                            ev.object("args", |a| {
+                                a.field("flow", flow);
+                            });
+                        }
+                        TraceRecord::RelayHop {
+                            flow,
+                            hop,
+                            from,
+                            to,
+                            dur_ps,
+                            ..
+                        } => {
+                            head(ev, "relay_hop", "X", r, Some(*dur_ps), pid, flow_tid(r));
+                            ev.object("args", |a| {
+                                a.field("flow", flow)
+                                    .field("hop", hop)
+                                    .field("from", from)
+                                    .field("to", to);
+                            });
+                        }
+                        TraceRecord::FlowEnd { flow, outcome, .. } => {
+                            head(ev, outcome, "i", r, None, pid, flow_tid(r));
+                            ev.object("args", |a| {
+                                a.field("flow", flow);
+                            });
+                        }
+                    });
+                    // Tie the packet's spans together with a flow event:
+                    // only chains with ≥ 2 surviving records render, first
+                    // record starts (`s`), last finishes (`f`), middles
+                    // step (`t`).
+                    if let Some(flow) = r.flow() {
+                        let total = chains
+                            .iter()
+                            .find(|(f, _)| *f == flow)
+                            .map(|(_, n)| *n)
+                            .unwrap_or(0);
+                        let pos = match emitted.iter_mut().find(|(f, _)| *f == flow) {
+                            Some((_, p)) => {
+                                *p += 1;
+                                *p
+                            }
+                            None => {
+                                emitted.push((flow, 0));
+                                0
+                            }
+                        };
+                        if total >= 2 {
+                            let ph = if pos == 0 {
+                                "s"
+                            } else if pos + 1 == total {
+                                "f"
+                            } else {
+                                "t"
+                            };
+                            events.object(|ev| {
+                                ev.field("name", "packet")
+                                    .field("cat", "flow")
+                                    .field("ph", ph)
+                                    .field("id", format!("p{pid}.{flow}"))
+                                    .field("ts", r.time_ps() as f64 / 1e6)
+                                    .field("pid", pid)
+                                    .field("tid", flow_tid(r));
+                            });
+                        }
+                    }
+                }
+            }
+        })
+        .field("displayTimeUnit", "ns");
+    });
     s
 }
 
@@ -1173,10 +1176,8 @@ mod tests {
         m.observe("e", ENERGY_BUCKETS_J, 1e-5);
         let h = m.histogram("e").unwrap();
         assert_eq!(h.count, 1, "non-finite values are ignored");
-        let json = m.to_json();
+        let json = json::to_string(&m);
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-        // And a non-finite trace float clamps rather than leaking.
-        assert_eq!(json_f64(f64::NAN), "0");
     }
 
     #[test]
@@ -1214,10 +1215,10 @@ mod tests {
         assert_eq!(ab.counter("collisions"), 1);
         assert_eq!(ab.histogram("occ").unwrap().count, 2);
         // Merging in a fixed order always serializes identically.
-        assert_eq!(ab.to_json(), merged(&[&a, &b]).to_json());
+        assert_eq!(json::to_string(&ab), json::to_string(&merged(&[&a, &b])));
         // First-registration order is preserved: "slots" precedes
         // "collisions" when a merges first.
-        let json = ab.to_json();
+        let json = json::to_string(&ab);
         assert!(json.find("slots").unwrap() < json.find("collisions").unwrap());
     }
 
@@ -1280,7 +1281,7 @@ mod tests {
             h.quantile(0.99).unwrap(),
         );
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        let json = h.to_json();
+        let json = json::to_string(&h);
         assert!(
             json.contains("\"p50\":") && json.contains("\"p99\":"),
             "{json}"
@@ -1303,7 +1304,7 @@ mod tests {
     #[test]
     fn empty_histogram_serializes_without_percentiles() {
         let h = Histogram::new(OCCUPANCY_BUCKETS);
-        let json = h.to_json();
+        let json = json::to_string(&h);
         assert!(!json.contains("\"p50\""), "{json}");
         assert!(json.contains("\"count\":0"), "{json}");
     }

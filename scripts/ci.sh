@@ -13,6 +13,7 @@
 #      results/BENCH_experiments.json
 #   7. structural validation of both benchmark JSONs, gating on the
 #      batch_kernels section (batch_bit_exact == true, zero firmware allocs)
+#      and on finiteness (no NaN/inf token, no null)
 #   8. one migrated figure binary end-to-end in reduced mode (shrunken
 #      grids, CSV anchors untouched)
 #   9. the net_scale extension in reduced mode + its full-scale CSV anchor
@@ -47,6 +48,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Every JSON check runs scripts/validate_artifacts.py.
+command -v python3 >/dev/null 2>&1 || { echo "FAIL: python3 is required" >&2; exit 1; }
+
 echo "==> [1/15] cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -78,84 +82,8 @@ JSON=results/BENCH_dsp.json
 EXP_JSON=results/BENCH_experiments.json
 [ -s "$JSON" ] || { echo "FAIL: $JSON missing or empty" >&2; exit 1; }
 [ -s "$EXP_JSON" ] || { echo "FAIL: $EXP_JSON missing or empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$JSON" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "milback-bench-dsp-v1", doc.get("schema")
-for key in ("host", "fft", "range_doppler", "beat_synthesis",
-            "uplink_fig15_reduced", "acceptance"):
-    assert key in doc, f"missing top-level key: {key}"
-assert doc["fft"], "fft section is empty"
-for row in doc["fft"]:
-    assert row["cached_oneshot_ns"] > 0 and row["plan_per_call_ns"] > 0, row
-assert doc["range_doppler"]["bit_exact"] is True
-print(f"OK: {sys.argv[1]} is well-formed "
-      f"({len(doc['fft'])} FFT rows, "
-      f"fft4096 speedup {doc['acceptance']['fft4096_cached_vs_plan_per_call']:.2f}x)")
-PY
-    python3 - "$EXP_JSON" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "milback-bench-experiments-v1", doc.get("schema")
-for key in ("host", "experiments", "fsa_gain_eval", "batch_kernels",
-            "sharded_campaign", "acceptance"):
-    assert key in doc, f"missing top-level key: {key}"
-assert doc["experiments"], "experiments section is empty"
-for row in doc["experiments"]:
-    assert row["serial_ms"] > 0 and row["parallel_ms"] > 0, row
-    assert row["bit_exact"] is True, f"schedule divergence in {row['name']}"
-fsa = doc["fsa_gain_eval"]
-assert fsa["bit_exact"] is True, "FSA evaluator diverged from the direct path"
-bk = doc["batch_kernels"]
-for key in ("fsa_points", "fsa_cold_memoized_ns_per_point", "fsa_batch_ns_per_point",
-            "fsa_batch_speedup", "fsa_freq_points", "fsa_freq_batch_speedup",
-            "fmcw_chirps", "fmcw_sequential_chirps_per_s", "fmcw_batched_chirps_per_s",
-            "firmware_allocs_per_packet", "batch_bit_exact"):
-    assert key in bk, f"missing batch_kernels key: {key}"
-assert bk["batch_bit_exact"] is True, "a batch kernel diverged from the scalar path"
-assert bk["firmware_allocs_per_packet"] == 0, "firmware hot loop must stay heap-free"
-sc = doc["sharded_campaign"]
-for key in ("nodes", "cells", "threads", "single_cell_nodes_per_sec",
-            "sharded_nodes_per_sec", "shard_bit_exact", "bucket_footprint",
-            "bounded_memory"):
-    assert key in sc, f"missing sharded_campaign key: {key}"
-assert sc["shard_bit_exact"] is True, "sharded campaign diverged from a plain Network::run or across threads"
-assert sc["bounded_memory"] is True, "campaign aggregate footprint grew with node count"
-assert sc["cells"] >= 4 and sc["sharded_nodes_per_sec"] > 0, sc
-acc = doc["acceptance"]
-for key in ("runner_target_speedup", "runner_target_needs_cores", "cores",
-            "runner_best_speedup", "runner_median_speedup",
-            "fsa_target_speedup", "fsa_hoisted_speedup", "fsa_batch_speedup",
-            "batch_bit_exact", "shard_bit_exact", "shard_bounded_memory",
-            "all_bit_exact"):
-    assert key in acc, f"missing acceptance key: {key}"
-assert acc["batch_bit_exact"] is True
-assert acc["shard_bit_exact"] is True
-assert acc["shard_bounded_memory"] is True
-assert acc["all_bit_exact"] is True
-print(f"OK: {sys.argv[1]} is well-formed "
-      f"({len(doc['experiments'])} experiment rows, "
-      f"runner best {acc['runner_best_speedup']:.2f}x on {acc['cores']} core(s), "
-      f"fsa hoisted {acc['fsa_hoisted_speedup']:.2f}x, "
-      f"cold-grid batch {acc['fsa_batch_speedup']:.2f}x, "
-      f"sharded {sc['sharded_nodes_per_sec']:.0f} nodes/s over {sc['cells']} cells)")
-PY
-else
-    # Minimal fallback: the files must at least carry the schema markers
-    # and the acceptance/bit-exactness blocks.
-    grep -q '"schema": "milback-bench-dsp-v1"' "$JSON"
-    grep -q '"acceptance"' "$JSON"
-    grep -q '"schema": "milback-bench-experiments-v1"' "$EXP_JSON"
-    grep -q '"acceptance"' "$EXP_JSON"
-    grep -q '"batch_kernels"' "$EXP_JSON"
-    grep -q '"batch_bit_exact": true' "$EXP_JSON"
-    grep -q '"sharded_campaign"' "$EXP_JSON"
-    grep -q '"shard_bit_exact": true' "$EXP_JSON"
-    grep -q '"bounded_memory": true' "$EXP_JSON"
-    grep -q '"all_bit_exact": true' "$EXP_JSON"
-    echo "OK: benchmark JSONs carry schema markers (python3 unavailable, shallow check)"
-fi
+python3 scripts/validate_artifacts.py bench-dsp "$JSON"
+python3 scripts/validate_artifacts.py bench-experiments "$EXP_JSON"
 
 echo "==> [8/15] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
 CSV=results/figure_12a.csv
@@ -224,75 +152,14 @@ MILBACK_REDUCED=1 MILBACK_TRACE="$TRACE_DIR" cargo run --release -p milback-benc
 for p in aloha backoff polling sdm; do
     [ -s "$TRACE_DIR/mac_$p.trace.jsonl" ] || { echo "FAIL: trace JSONL for $p missing" >&2; exit 1; }
 done
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$METRICS" "$TRACE_DIR" <<'PY'
-import json, math, sys, os
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "milback-metrics-mac-v1", doc.get("schema")
-for key in ("host", "config", "policies"):
-    assert key in doc, f"missing top-level key: {key}"
-def finite(x, path):
-    if isinstance(x, float):
-        assert math.isfinite(x), f"non-finite value at {path}"
-    elif isinstance(x, dict):
-        for k, v in x.items():
-            finite(v, f"{path}.{k}")
-    elif isinstance(x, list):
-        for i, v in enumerate(x):
-            finite(v, f"{path}[{i}]")
-finite(doc, "$")
-for policy in ("aloha", "backoff", "polling", "sdm"):
-    m = doc["policies"][policy]
-    assert m["counters"]["slots_fired"] > 0, f"{policy}: no slots fired"
-    for h in ("slot_occupancy", "energy_per_attempt_j"):
-        assert h in m["histograms"], f"{policy}: missing histogram {h}"
-trace_dir = sys.argv[2]
-for name in sorted(os.listdir(trace_dir)):
-    path = os.path.join(trace_dir, name)
-    if name.endswith(".trace.jsonl"):
-        last_ps, events = -1, 0
-        for line in open(path):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            finite(rec, name)
-            ps = rec.get("time_ps")
-            if ps is not None:
-                assert ps >= last_ps, f"{name}: time_ps went backwards ({ps} < {last_ps})"
-                last_ps, events = ps, events + 1
-        assert events > 0, f"{name}: no timestamped records"
-    elif name.endswith(".trace.json"):
-        chrome = json.load(open(path))
-        assert chrome["traceEvents"], f"{name}: no trace events"
-        finite(chrome, name)
-        flows = {}
-        for ev in chrome["traceEvents"]:
-            assert ev["ph"] in ("M", "i", "X", "C", "s", "t", "f"), ev
-            if ev["ph"] in ("s", "t", "f"):
-                flows.setdefault(ev["id"], set()).add(ev["ph"])
-        # Flow chains must pair up: every flow id that starts ends, and
-        # none materializes mid-air (a bare "t" with no "s"/"f").
-        for fid, phases in flows.items():
-            assert "s" in phases and "f" in phases, f"dangling flow {fid}: {phases}"
-print(f"OK: {sys.argv[1]} and {trace_dir}/*.trace.json* are well-formed "
-      f"({sum(1 for _ in open(os.path.join(trace_dir, 'mac_aloha.trace.jsonl')))} aloha trace lines)")
-PY
-else
-    grep -q '"schema": "milback-metrics-mac-v1"' "$METRICS"
-    if grep -qiE '(nan|inf)' "$METRICS"; then
-        echo "FAIL: $METRICS carries NaN/inf tokens" >&2; exit 1
-    fi
-    grep -q '"traceEvents"' "$TRACE_DIR/mac_compare.trace.json"
-    echo "OK: telemetry artifacts carry schema markers (python3 unavailable, shallow check)"
-fi
+python3 scripts/validate_artifacts.py mac "$METRICS" "$TRACE_DIR"
 rm -rf "$TRACE_DIR"
 
 # Leave the tree with the full-scale artifact: regenerate it (the full
 # campaign is memoized and cheap) so the run does not end with a reduced
 # METRICS_mac.json.
 ./target/release/mac_compare >/dev/null
-grep -q '"reduced": false' "$METRICS" || { echo "FAIL: regenerated $METRICS is not full-scale" >&2; exit 1; }
+python3 scripts/validate_artifacts.py full-scale "$METRICS"
 
 echo "==> [12/15] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
 CITY_CSV=results/extension_net_scale_city.csv
@@ -459,46 +326,10 @@ rm -f "$AUDIT_OUT" "$REDUCED_AUDIT_CSV"
 # METRICS_mac.json in step 11): validate it cell-by-cell, then regenerate
 # the full-scale anchor so the tree is left with "reduced": false.
 [ -s "$LIFECYCLE" ] || { echo "FAIL: $LIFECYCLE missing or empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$LIFECYCLE" <<'PY'
-import json, math, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "milback-metrics-lifecycle-v1", doc.get("schema")
-for key in ("host", "config", "cells"):
-    assert key in doc, f"missing top-level key: {key}"
-labels = ("contention_collision", "sdm_inseparable", "service_shed",
-          "no_relay_route", "hop_budget_exhausted", "decode_failure",
-          "never_scheduled")
-assert len(doc["cells"]) == 8, f"expected 8 cells, got {len(doc['cells'])}"
-for name, cell in doc["cells"].items():
-    drops = cell["drops"]
-    assert set(drops) == set(labels), f"{name}: drop table keys {sorted(drops)}"
-    total_drops = sum(drops.values())
-    delivered = cell["delivered_direct"] + cell["delivered_relayed"]
-    assert cell["offered"] == delivered + total_drops, \
-        f"{name}: offered {cell['offered']} != delivered {delivered} + drops {total_drops}"
-    assert sum(cell["shed_by_stage"].values()) == drops["service_shed"], name
-    for sketch in ("slot_wait_us", "service_residence_us", "relay_extra_us"):
-        h = cell[sketch]
-        assert sum(h["counts"]) == h["count"], f"{name}.{sketch}: bucket counts disagree"
-        if h["count"] > 0:
-            assert h["p50"] <= h["p95"] <= h["p99"], f"{name}.{sketch}: percentiles unordered"
-            for q in ("p50", "p95", "p99"):
-                assert math.isfinite(h[q]), f"{name}.{sketch}.{q} non-finite"
-        else:
-            assert "p50" not in h, f"{name}.{sketch}: percentiles on an empty sketch"
-print(f"OK: {sys.argv[1]} conserves across {len(doc['cells'])} cells")
-PY
-else
-    grep -q '"schema": "milback-metrics-lifecycle-v1"' "$LIFECYCLE"
-    for label in contention_collision sdm_inseparable service_shed no_relay_route hop_budget_exhausted decode_failure never_scheduled; do
-        grep -q "\"$label\":" "$LIFECYCLE" || { echo "FAIL: $LIFECYCLE missing drop label $label" >&2; exit 1; }
-    done
-    echo "OK: lifecycle metrics carry schema markers (python3 unavailable, shallow check)"
-fi
+python3 scripts/validate_artifacts.py lifecycle "$LIFECYCLE"
 # Leave the tree with the full-scale artifacts, as step 11 does for
 # METRICS_mac.json.
 ./target/release/net_audit >/dev/null
-grep -q '"reduced": false' "$LIFECYCLE" || { echo "FAIL: regenerated $LIFECYCLE is not full-scale" >&2; exit 1; }
+python3 scripts/validate_artifacts.py full-scale "$LIFECYCLE"
 
 echo "==> ci.sh: all gates passed"
