@@ -732,26 +732,34 @@ fn main() {
     // --- Five-chirp two-channel Field-2 capture -----------------------
     // The localization capture: one phasor table per channel, then only
     // the amplitude sum per chirp (serial synthesis, as trial runners use).
+    // `ns` reuses one pipeline, so its pose-static tables are warm (the
+    // session path); `cold_ns` builds a fresh pipeline per capture.
     let capture_span = spans::span("dsp_capture");
-    let pipeline = milback_core::LocalizationPipeline::new(
-        SystemConfig::milback_default(),
-        milback_core::Scene::indoor(3.0, 12f64.to_radians()),
-    )
-    .expect("indoor pipeline")
-    .with_beat_threads(1);
-    let capture_echoes = pipeline.scene.clutter.len() + 4;
-    let mut capture_rng = GaussianSource::new(0xCAB);
-    let mut capture_two = || {
-        std::hint::black_box(pipeline.capture(
-            5,
-            milback_core::localization::ToggleSelection { a: true, b: true },
-            &mut capture_rng,
-        ));
+    let new_pipeline = || {
+        milback_core::LocalizationPipeline::new(
+            SystemConfig::milback_default(),
+            milback_core::Scene::indoor(3.0, 12f64.to_radians()),
+        )
+        .expect("indoor pipeline")
+        .with_beat_threads(1)
     };
-    let capture_ns = race(20, 2, &mut [&mut capture_two])[0];
+    let pipeline = new_pipeline();
+    let capture_echoes = pipeline.scene.clutter.len() + 4;
+    let both = milback_core::localization::ToggleSelection { a: true, b: true };
+    let mut capture_rng = GaussianSource::new(0xCAB);
+    let mut capture_warm = || {
+        std::hint::black_box(pipeline.capture(5, both, &mut capture_rng));
+    };
+    let mut cold_rng = GaussianSource::new(0xCAB);
+    let mut capture_cold = || {
+        std::hint::black_box(new_pipeline().capture(5, both, &mut cold_rng));
+    };
+    let capture = race(20, 2, &mut [&mut capture_warm, &mut capture_cold]);
+    let (capture_ns, capture_cold_ns) = (capture[0], capture[1]);
     println!(
-        "capture (5 chirps x 2 channels, {capture_echoes} echoes, 900 samples): {:.1} us",
+        "capture (5 chirps x 2 channels, {capture_echoes} echoes, 900 samples): warm tables {:.1} us, fresh pipeline {:.1} us",
         capture_ns / 1e3,
+        capture_cold_ns / 1e3,
     );
     drop(capture_span);
 
@@ -830,7 +838,8 @@ fn main() {
                     .field("channels", 2u64)
                     .field("echoes", capture_echoes)
                     .field("samples", 900u64)
-                    .field("ns", capture_ns);
+                    .field("ns", capture_ns)
+                    .field("cold_ns", capture_cold_ns);
             })
             .object("uplink_fig15_reduced", |o| {
                 o.field("distance_m", 8.0)

@@ -509,6 +509,21 @@ pub struct FsaStats {
     pub batch_points: u64,
 }
 
+impl FsaStats {
+    /// The traffic between an `earlier` snapshot of the same evaluator and
+    /// this one, field by field: what one caller's queries added to an
+    /// evaluator it shares with others.
+    pub fn since(&self, earlier: &FsaStats) -> FsaStats {
+        FsaStats {
+            freq_hits: self.freq_hits - earlier.freq_hits,
+            freq_misses: self.freq_misses - earlier.freq_misses,
+            gain_hits: self.gain_hits - earlier.gain_hits,
+            gain_misses: self.gain_misses - earlier.gain_misses,
+            batch_points: self.batch_points - earlier.batch_points,
+        }
+    }
+}
+
 /// Relaxed atomic counters behind [`FsaStats`]. Monitoring only: the values
 /// never feed back into any computation, so observing them cannot perturb
 /// results.
@@ -1264,6 +1279,13 @@ mod tests {
         let mut out = [0.0; 4];
         eval.gain_dbi_freqs_into(FsaPort::B, &[27e9, 28e9, 29e9, 30e9], 0.0, &mut out, false);
         assert_eq!(eval.stats().batch_points, 4);
+        let before = eval.stats();
+        let _ = eval.gain_dbi(FsaPort::A, 28e9, 0.1); // hit
+        let delta = eval.stats().since(&before);
+        assert_eq!(
+            (delta.gain_hits, delta.gain_misses, delta.batch_points),
+            (1, 0, 0)
+        );
         // Clones start with fresh counters.
         assert_eq!(eval.clone().stats(), FsaStats::default());
     }

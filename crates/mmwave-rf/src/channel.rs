@@ -229,6 +229,26 @@ impl BeatPhasors {
     /// # Panics
     /// Panics for triangular chirps or a non-positive sample rate.
     pub fn new(chirp: &Chirp, echoes: &[Echo<'_>], sample_rate_hz: f64, threads: usize) -> Self {
+        let geometry = echoes
+            .iter()
+            .map(|echo| (echo.distance_m, echo.extra_phase_rad))
+            .collect();
+        Self::from_geometry(chirp, geometry, sample_rate_hz, threads)
+    }
+
+    /// [`Self::new`] from the echoes' `(distance_m, extra_phase_rad)` alone,
+    /// in echo order: the table never reads an amplitude, so echoes that
+    /// hold still across captures can be tabulated before any capture
+    /// draws its amplitudes.
+    ///
+    /// # Panics
+    /// Panics for triangular chirps or a non-positive sample rate.
+    pub fn from_geometry(
+        chirp: &Chirp,
+        geometry: Vec<(f64, f64)>,
+        sample_rate_hz: f64,
+        threads: usize,
+    ) -> Self {
         assert!(
             chirp.shape == ChirpShape::Sawtooth,
             "beat synthesis requires a sawtooth chirp"
@@ -236,10 +256,6 @@ impl BeatPhasors {
         assert!(sample_rate_hz > 0.0);
         let samples = (chirp.duration_s * sample_rate_hz).round() as usize;
         let slope = chirp.slope();
-        let geometry: Vec<(f64, f64)> = echoes
-            .iter()
-            .map(|echo| (echo.distance_m, echo.extra_phase_rad))
-            .collect();
         let pre: Vec<(f64, f64)> = geometry
             .iter()
             .map(|&(distance_m, extra_phase_rad)| {
@@ -279,25 +295,69 @@ impl BeatPhasors {
     /// Panics unless `echoes` has exactly the distances and extra phases
     /// (to the bit, in order) the table was built from.
     pub fn sum(&self, echoes: &[Echo<'_>], threads: usize) -> Vec<Complex> {
+        Self::sum_parts(&[self], echoes, threads)
+    }
+
+    /// [`Self::sum`] over a geometry split across two tables: `echoes` is
+    /// this table's echoes followed by `tail`'s. Each sample still sums
+    /// every echo in that order from zero, and every table entry is an
+    /// independent `cis`, so the result is bit-identical with one table
+    /// built from the whole list. A capture whose leading echoes hold still
+    /// from capture to capture keeps their table and tabulates only the
+    /// tail; neither table is copied.
+    ///
+    /// # Panics
+    /// Panics unless the two tables share a chirp and sample rate, and as
+    /// [`Self::sum`] for each part of `echoes`.
+    pub fn sum_with(
+        &self,
+        tail: &BeatPhasors,
+        echoes: &[Echo<'_>],
+        threads: usize,
+    ) -> Vec<Complex> {
         assert!(
-            echoes.len() == self.geometry.len()
-                && echoes.iter().zip(&self.geometry).all(|(echo, &(d, phi))| {
+            self.chirp == tail.chirp
+                && self.sample_rate_hz.to_bits() == tail.sample_rate_hz.to_bits(),
+            "phasor tables cover different chirps"
+        );
+        Self::sum_parts(&[self, tail], echoes, threads)
+    }
+
+    /// The sum over `tables` chained in echo order; `echoes` lists every
+    /// table's echoes in turn.
+    fn sum_parts(tables: &[&BeatPhasors], echoes: &[Echo<'_>], threads: usize) -> Vec<Complex> {
+        let geometry = tables.iter().flat_map(|table| &table.geometry);
+        assert!(
+            echoes.len() == geometry.clone().count()
+                && echoes.iter().zip(geometry).all(|(echo, &(d, phi))| {
                     echo.distance_m.to_bits() == d.to_bits()
                         && echo.extra_phase_rad.to_bits() == phi.to_bits()
                 }),
             "echo geometry differs from the phasor table's"
         );
-        let width = self.geometry.len();
-        let (chirp, fs) = (&self.chirp, self.sample_rate_hz);
-        let mut out = vec![mmwave_sigproc::complex::ZERO; self.samples];
+        // Each table with its own run of `echoes`.
+        let mut rest = echoes;
+        let parts: Vec<(&BeatPhasors, &[Echo<'_>])> = tables
+            .iter()
+            .map(|&table| {
+                let (part, tail) = rest.split_at(table.geometry.len());
+                rest = tail;
+                (table, part)
+            })
+            .collect();
+        let (chirp, fs) = (&tables[0].chirp, tables[0].sample_rate_hz);
+        let mut out = vec![mmwave_sigproc::complex::ZERO; tables[0].samples];
         parallel::for_each_chunk(&mut out, BEAT_BLOCK, threads, |start, block| {
             for (i, sample) in block.iter_mut().enumerate() {
                 let s = start + i;
                 let t = s as f64 / fs;
                 let f_inst = chirp.instantaneous_freq(t);
-                let row = &self.phasors[s * width..(s + 1) * width];
-                for (echo, &phasor) in echoes.iter().zip(row) {
-                    *sample += (echo.amplitude)(t, f_inst) * phasor;
+                for (table, part) in &parts {
+                    let width = part.len();
+                    let row = &table.phasors[s * width..(s + 1) * width];
+                    for (echo, &phasor) in part.iter().zip(row) {
+                        *sample += (echo.amplitude)(t, f_inst) * phasor;
+                    }
                 }
             }
         });
@@ -538,6 +598,32 @@ mod tests {
             let beat = table.sum(&echoes, 3);
             assert_eq!(beat.len(), 900);
             assert!(bits(&beat) == bits(&reference_beat(&chirp, &echoes, fs)));
+        }
+    }
+
+    #[test]
+    fn split_tables_sum_like_one_table() {
+        // A prefix table built from geometry alone plus a tail table, at
+        // every split point (empty prefix and empty tail included), sums
+        // bit-exactly like the per-sample reference.
+        let chirp = Chirp::sawtooth(26.5e9, 3e9, 18e-6);
+        let fs = 50e6;
+        let mut rng = GaussianSource::new(0x5B11);
+        for _ in 0..6 {
+            let echoes = random_echoes(&mut rng);
+            let want = bits(&reference_beat(&chirp, &echoes, fs));
+            for split in 0..=echoes.len() {
+                let geometry = echoes[..split]
+                    .iter()
+                    .map(|e| (e.distance_m, e.extra_phase_rad))
+                    .collect();
+                let prefix = BeatPhasors::from_geometry(&chirp, geometry, fs, 2);
+                let tail = BeatPhasors::new(&chirp, &echoes[split..], fs, 1);
+                for threads in [1usize, 3] {
+                    let got = prefix.sum_with(&tail, &echoes, threads);
+                    assert!(bits(&got) == want, "split at {split}, threads={threads}");
+                }
+            }
         }
     }
 

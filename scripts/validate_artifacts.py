@@ -45,11 +45,13 @@ def document(path, schema, keys):
 
 def bench_dsp(path):
     doc = document(path, "milback-bench-dsp-v1",
-                   ("host", "fft", "range_doppler", "beat_synthesis",
+                   ("host", "fft", "range_doppler", "beat_synthesis", "capture",
                     "uplink_fig15_reduced", "acceptance"))
     assert doc["fft"], "fft section is empty"
     for row in doc["fft"]:
         assert row["cached_oneshot_ns"] > 0 and row["plan_per_call_ns"] > 0, row
+    capture = doc["capture"]
+    assert capture["ns"] > 0 and capture["cold_ns"] > 0, capture
     assert doc["range_doppler"]["bit_exact"] is True
     print(f"OK: {path} is well-formed "
           f"({len(doc['fft'])} FFT rows, "
