@@ -119,8 +119,8 @@ pub struct ApServiceConfig {
 
 impl ApServiceConfig {
     /// The pre-pipeline AP: zero latency per stage, unbounded queues, no
-    /// jitter. Campaigns under this configuration are bit-exact with the
-    /// pre-refactor inline service — the parity suite proves it.
+    /// jitter. Every grant is served at its slot instant and nothing is
+    /// drawn; `tests/campaign_digest.rs` pins campaigns under it.
     pub fn instantaneous() -> Self {
         Self {
             capture_ps: 0,

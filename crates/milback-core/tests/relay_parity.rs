@@ -1,5 +1,6 @@
-//! Relay-layer acceptance: a disabled relay configuration is bit-exact
-//! with the relay-free MAC paths and the direct oracle (`==` plus `to_bits` on every f64), a
+//! Relay-layer acceptance: a disabled relay configuration leaves every
+//! relay column dormant and is bit-exact with the relay-free MAC paths
+//! (`==` plus `to_bits` on every f64), a
 //! sharded relay campaign is invariant across worker thread counts, and
 //! an enabled configuration actually bridges coverage gaps — delivery
 //! recovering with the hop budget, per-hop energy accounted, and
@@ -89,26 +90,21 @@ fn assert_agg_bit_exact(a: &CampaignAggregate, b: &CampaignAggregate) {
 }
 
 #[test]
-fn disabled_relay_is_bit_exact_with_the_direct_oracle() {
+fn disabled_relay_columns_stay_dormant() {
+    // The report itself is pinned by `tests/campaign_digest.rs`
+    // (`campaign_digest_ringed_aloha`); here the relay columns must be
+    // identically dormant.
     let n = ringed_network(4, 4);
     let plan = plan_for(&n, 8);
-    let mut rng_a = GaussianSource::new(SEED);
-    let mut rng_b = GaussianSource::new(SEED);
-    let direct = n
-        .run_slotted_direct(FRAMES, &PAYLOAD, &plan, SLOT_SEED, 20.0, &mut rng_a)
-        .unwrap();
-    let relayed = run(
+    let mut rng = GaussianSource::new(SEED);
+    let report = run(
         &n,
         Box::new(SlottedAloha::new(SLOT_SEED)),
         &plan,
         RelayConfig::disabled(),
-        &mut rng_b,
+        &mut rng,
     );
-    assert_bit_exact(&direct, &relayed);
-    // The RNG streams must land in the same place too.
-    assert_eq!(rng_a.bytes(8), rng_b.bytes(8));
-    // And the relay columns must be identically dormant.
-    for node in &relayed.nodes {
+    for node in &report.nodes {
         assert!(!node.gap);
         assert_eq!((node.relayed, node.relay_hops, node.forwarded), (0, 0, 0));
         assert_eq!(node.relay_energy_j.to_bits(), 0f64.to_bits());
