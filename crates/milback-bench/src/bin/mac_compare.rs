@@ -5,9 +5,9 @@
 //!
 //! Each (policy, node count) cell is one campaign on the discrete-event
 //! engine ([`milback_core::Network::run`]) through the trial-parallel
-//! runner, so the CSV is bit-identical at any thread count; the root seed
-//! and slot seeds match `net_scale`'s, so the ALOHA rows reproduce that
-//! baseline curve exactly.
+//! runner, so the CSV is bit-identical at any thread count; `net_scale`
+//! runs the same core over the ALOHA policy alone with the same root seed,
+//! so the ALOHA rows are that baseline curve.
 //!
 //! The campaigns run instrumented (bit-identical to the plain sweep — the
 //! parity suite proves it): per-policy counters and histograms land in

@@ -5,13 +5,13 @@
 //! ALOHA — every node duty-cycles into its hashed slot once per frame, the
 //! AP arbitrates co-slotted transmissions by SDM separability — and
 //! reports per-node goodput, slot collisions, and energy per delivered
-//! packet. The sweep
-//! runs through the trial-parallel runner (one deterministic RNG stream per
+//! packet. The sweep is the `mac_compare` core over the ALOHA policy alone,
+//! run through the trial-parallel runner (one deterministic RNG stream per
 //! node count), so the CSV is bit-identical at any thread count.
 //!
 //! Run with: `cargo run --release -p milback-bench --bin net_scale`
 
-use milback_bench::experiments::extension_net_scale;
+use milback_bench::experiments::extension_mac_compare;
 use milback_bench::runner::RunnerConfig;
 use milback_bench::{reduced_mode, Report, Series};
 
@@ -35,7 +35,15 @@ fn main() {
     let slots = 8;
     let payload_bytes = 16;
     let cfg = RunnerConfig::from_env();
-    let batch = extension_net_scale(node_counts, frames, payload_bytes, slots, 0xE4, &cfg);
+    let batch = extension_mac_compare(
+        &["aloha"],
+        node_counts,
+        frames,
+        payload_bytes,
+        slots,
+        0xE4,
+        &cfg,
+    );
 
     let io_span = milback_bench::spans::span("io");
     let mut goodput = Series::new("per-node goodput (kbps)");
@@ -44,7 +52,7 @@ fn main() {
     let mut delivery = Series::new("delivery rate");
     for p in batch.oks() {
         goodput.push(p.nodes as f64, p.per_node_goodput_bps / 1e3);
-        collisions.push(p.nodes as f64, p.collisions_per_node);
+        collisions.push(p.nodes as f64, p.collisions as f64 / p.nodes as f64);
         energy.push_opt(p.nodes as f64, p.energy_per_packet_j.map(|e| e * 1e3));
         delivery.push(p.nodes as f64, p.delivery_rate);
     }

@@ -470,26 +470,9 @@ pub fn extension_tracking_fixes(
     })
 }
 
-/// One node-count point of the network-scaling extension.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetScalePoint {
-    /// Number of nodes sharing the cell.
-    pub nodes: usize,
-    /// Mean per-node goodput over the campaign, bits/second.
-    pub per_node_goodput_bps: f64,
-    /// Mean slot collisions per node over the campaign.
-    pub collisions_per_node: f64,
-    /// Total node energy divided by total delivered packets, joules;
-    /// `None` when the campaign delivered nothing (an `inf` sentinel here
-    /// used to leak into CSV rows at high node counts).
-    pub energy_per_packet_j: Option<f64>,
-    /// Delivered packets over attempted packets, network-wide.
-    pub delivery_rate: f64,
-}
-
 /// N nodes across a ±60° sector at 4 m: evenly spaced, so density directly
-/// controls the neighbour separation SDM has to work with. Shared by the
-/// `net_scale` and `mac_compare` sweeps so their curves are comparable.
+/// controls the neighbour separation SDM has to work with. Shared by every
+/// sector-scene sweep so their curves are comparable.
 fn sector_scene(n: usize) -> Scene {
     // `Scene::arc` computes the same `-span/2 + span·k/(n-1)` azimuths
     // (with the n == 1 division guarded), so the CSV anchors built on
@@ -511,8 +494,8 @@ pub struct SectorCampaign {
     pub plan: SlotPlan,
     /// The network over the campaign's scene.
     pub net: Network,
-    /// The slot seed shared across sweeps at this node count, so e.g. the
-    /// `mac_compare` "aloha" row reproduces the `net_scale` baseline.
+    /// The slot seed shared across sweeps at this node count, so the
+    /// hashed-slot policies race over the same slot draws in every sweep.
     pub slot_seed: u64,
 }
 
@@ -567,47 +550,6 @@ pub fn sector_campaign(
         slots,
         root_seed.wrapping_add(n as u64),
     )
-}
-
-/// Network-scaling extension core: a slotted-ALOHA campaign (on the
-/// discrete-event engine's [`Network::run`]) for each node count,
-/// with the nodes spread over a ±60° sector at 4 m so growing density both
-/// fills slots *and* erodes SDM separability. Each node count is one
-/// independent trial with its own deterministic RNG stream, so the sweep
-/// is bit-identical at any thread count.
-pub fn extension_net_scale(
-    node_counts: &[usize],
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-) -> TrialBatch<NetScalePoint, String> {
-    run_fallible(node_counts.len(), root_seed, cfg, |i, rng| {
-        let n = node_counts[i];
-        let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-        let r: SlottedRunReport = c
-            .net
-            .run(
-                &c.spec(frames),
-                Box::new(SlottedAloha::new(c.slot_seed)),
-                rng,
-                &mut CampaignProbe::disabled(),
-            )
-            .map_err(|e| e.to_string())?;
-        let goodput = (0..n).map(|idx| r.goodput_bps(idx)).sum::<f64>() / n as f64;
-        let collisions: usize = r.nodes.iter().map(|nd| nd.collisions).sum();
-        let delivered: usize = r.nodes.iter().map(|nd| nd.delivered).sum();
-        let attempts: usize = r.nodes.iter().map(|nd| nd.attempts).sum();
-        let energy: f64 = r.nodes.iter().map(|nd| nd.energy_j).sum();
-        Ok(NetScalePoint {
-            nodes: n,
-            per_node_goodput_bps: goodput,
-            collisions_per_node: collisions as f64 / n as f64,
-            energy_per_packet_j: (delivered > 0).then(|| energy / delivered as f64),
-            delivery_rate: delivered as f64 / attempts.max(1) as f64,
-        })
-    })
 }
 
 /// The MAC policies the `mac_compare` sweep races against each other, by
@@ -668,12 +610,13 @@ fn mac_compare_point(policy: &'static str, r: &SlottedRunReport) -> MacComparePo
     }
 }
 
-/// MAC-comparison extension core: every policy in `policies` runs the same
-/// sector-scene campaign as [`extension_net_scale`] at each node count.
-/// Trials flatten as `policy-major × node-count-minor`; each cell is one
-/// independent trial with its own deterministic RNG stream, and the slot
-/// seed per node count matches `extension_net_scale`'s, so the "aloha" row
-/// reproduces that baseline curve exactly.
+/// MAC-comparison extension core: every policy in `policies` runs the
+/// [`sector_campaign`] at each node count — nodes spread over a ±60°
+/// sector at 4 m, so growing density both fills slots *and* erodes SDM
+/// separability. Trials flatten as `policy-major × node-count-minor`; each
+/// cell is one independent trial with its own deterministic RNG stream, so
+/// the sweep is bit-identical at any thread count. The network-scaling
+/// extension is this core over `&["aloha"]`.
 pub fn extension_mac_compare(
     policies: &[&'static str],
     node_counts: &[usize],
@@ -899,7 +842,9 @@ pub fn extension_net_scale_city(
     relay: &RelayConfig,
     cfg: &RunnerConfig,
 ) -> Result<Vec<NetScaleCityPoint>, String> {
-    assert!(cell_size > 0, "cells must hold at least one node");
+    if cell_size == 0 {
+        return Err("cells must hold at least one node".into());
+    }
     node_counts
         .iter()
         .enumerate()
@@ -1370,6 +1315,13 @@ mod tests {
         let results: Vec<Result<u32, ()>> = vec![Ok(1), Err(()), Ok(3), Ok(4), Ok(5), Err(())];
         let groups = group_by_point(3, &results);
         assert_eq!(groups, vec![(vec![1, 3], 1), (vec![4, 5], 1)]);
+    }
+
+    #[test]
+    fn city_sweep_rejects_empty_cells() {
+        let (service, relay) = (ApServiceConfig::instantaneous(), RelayConfig::disabled());
+        let cfg = RunnerConfig::serial();
+        assert!(extension_net_scale_city(&[4], 0, 1, 8, 4, 1, &service, &relay, &cfg).is_err());
     }
 
     /// The offered-load sweep is bit-identical at any thread count, and
