@@ -9,7 +9,7 @@
 //! self-interference) while the node's modulated echo survives.
 
 use mmwave_sigproc::complex::{Complex, ZERO};
-use mmwave_sigproc::detect::{find_peak, Peak};
+use mmwave_sigproc::detect::find_peak;
 use mmwave_sigproc::fft::{Direction, FftPlanner};
 use mmwave_sigproc::parallel;
 use mmwave_sigproc::units::SPEED_OF_LIGHT;
@@ -154,13 +154,6 @@ impl FmcwProcessor {
         SPEED_OF_LIGHT * beat_hz / (2.0 * self.chirp.slope())
     }
 
-    /// Range represented by each FFT bin (first half of the spectrum).
-    pub fn range_axis_m(&self) -> Vec<f64> {
-        (0..self.fft_len() / 2)
-            .map(|k| self.bin_to_range_m(k as f64))
-            .collect()
-    }
-
     /// Windowed, zero-padded range spectrum of one chirp's beat signal.
     pub fn range_spectrum(&self, beat: &[Complex]) -> Vec<Complex> {
         let n = self.fft_len();
@@ -180,7 +173,12 @@ impl FmcwProcessor {
     /// # Panics
     /// Panics unless `out.len() == fft_len()`, `beat.len() <= fft_len()`,
     /// and `scratch` is at least `FftPlanner::plan(fft_len()).scratch_len()`.
-    pub fn range_spectrum_into(&self, beat: &[Complex], out: &mut [Complex], scratch: &mut [f64]) {
+    pub(crate) fn range_spectrum_into(
+        &self,
+        beat: &[Complex],
+        out: &mut [Complex],
+        scratch: &mut [f64],
+    ) {
         let n = self.fft_len();
         assert_eq!(out.len(), n, "output buffer must be fft_len() long");
         assert!(beat.len() <= n, "beat signal longer than the FFT length");
@@ -258,24 +256,6 @@ impl FmcwProcessor {
         }
         plan.process_many_with_scratch(flat, fft, Direction::Forward);
         Ok(())
-    }
-
-    /// Pairwise spectrum differences across consecutive chirps — the
-    /// background-subtraction step. Input: one spectrum per chirp.
-    ///
-    /// # Panics
-    /// Panics on fewer than two spectra or mismatched lengths.
-    pub fn background_subtract(&self, spectra: &[Vec<Complex>]) -> Vec<Vec<Complex>> {
-        assert!(spectra.len() >= 2, "need at least two spectra");
-        let n = spectra[0].len();
-        assert!(
-            spectra.iter().all(|s| s.len() == n),
-            "spectrum lengths differ"
-        );
-        spectra
-            .windows(2)
-            .map(|pair| pair[0].iter().zip(&pair[1]).map(|(&a, &b)| a - b).collect())
-            .collect()
     }
 
     /// Full node detection: per-chirp spectra → pairwise subtraction →
@@ -384,12 +364,6 @@ impl FmcwProcessor {
         let s0 = self.range_spectrum(&beats[0]);
         let s1 = self.range_spectrum(&beats[1]);
         Ok(s0.iter().zip(&s1).map(|(&a, &b)| a - b).collect())
-    }
-
-    /// Refines a peak found on one channel to a [`Peak`] on an arbitrary
-    /// power spectrum (helper for multi-channel processing).
-    pub fn refine_on(&self, power: &[f64], index: usize) -> Peak {
-        mmwave_sigproc::detect::refine_peak(power, index)
     }
 }
 
@@ -527,7 +501,9 @@ mod tests {
     #[test]
     fn range_axis_is_monotone_from_zero() {
         let p = proc();
-        let axis = p.range_axis_m();
+        let axis: Vec<f64> = (0..p.fft_len() / 2)
+            .map(|k| p.bin_to_range_m(k as f64))
+            .collect();
         assert_eq!(axis.len(), p.fft_len() / 2);
         assert_eq!(axis[0], 0.0);
         for w in axis.windows(2) {
@@ -536,15 +512,6 @@ mod tests {
         // Max unambiguous range at 50 MS/s: c·(fs/2)/(2·slope) ≈ 22.5 m.
         let max = *axis.last().unwrap();
         assert!((max - 22.5).abs() < 0.5, "max range {max:.1}");
-    }
-
-    #[test]
-    fn five_chirps_give_four_subtraction_pairs() {
-        let p = proc();
-        let beats = capture(&p, 4.0, 1e-5, &[], 5, 0.0, 6);
-        let spectra: Vec<_> = beats.iter().map(|b| p.range_spectrum(b)).collect();
-        let diffs = p.background_subtract(&spectra);
-        assert_eq!(diffs.len(), 4);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //!   2×2 GHz sweeps,
 //! * [`txrx`] — PA/LNA/mixer/BPF chains with calibrated budgets,
 //! * [`fmcw`] — range spectra + background subtraction + node detection,
-//! * [`cfar`] — CA-CFAR multi-target detection on subtracted spectra,
 //! * [`doppler`] — range–Doppler maps; the toggling node at Nyquist Doppler,
 //! * [`aoa`] — phase-comparison angle estimation,
 //! * [`orientation`] — AP-side orientation sensing,
@@ -20,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod aoa;
-pub mod cfar;
 pub mod doppler;
 pub mod fmcw;
 pub mod orientation;
@@ -30,11 +28,10 @@ pub mod uplink_rx;
 pub mod waveform;
 
 pub use aoa::{AoaEstimate, AoaEstimator};
-pub use cfar::CaCfar;
 pub use doppler::DopplerProcessor;
 pub use fmcw::{EchoDetection, FmcwProcessor, FmcwScratch};
 pub use orientation::{ApOrientationEstimate, ApOrientationEstimator};
 pub use query::QueryPlanner;
 pub use txrx::{ApRadio, RxChain, TxChain};
 pub use uplink_rx::UplinkReceiver;
-pub use waveform::{CarrierSet, DownlinkKeying, FmcwConfig, LinkDirection};
+pub use waveform::{CarrierSet, FmcwConfig, LinkDirection};

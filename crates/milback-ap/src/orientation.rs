@@ -135,23 +135,6 @@ impl ApOrientationEstimator {
             peak_time_s: t,
         })
     }
-
-    /// Averages estimates over several independent chirp groups.
-    pub fn estimate_multi(
-        &self,
-        proc: &FmcwProcessor,
-        groups: &[Vec<Vec<Complex>>],
-        fsa: &FsaDesign,
-    ) -> Result<f64, ApOrientationError> {
-        let ests: Vec<f64> = groups
-            .iter()
-            .filter_map(|g| self.estimate(proc, g, fsa).ok().map(|e| e.orientation_rad))
-            .collect();
-        if ests.is_empty() {
-            return Err(ApOrientationError::EmptyResidual);
-        }
-        Ok(mmwave_sigproc::stats::mean(&ests))
-    }
 }
 
 /// Centered moving average with edge clamping.
@@ -236,23 +219,6 @@ mod tests {
             (got.peak_freq_hz - expected).abs() < 60e6,
             "peak {:.4e} vs {expected:.4e}",
             got.peak_freq_hz
-        );
-    }
-
-    #[test]
-    fn noise_robust_with_multi_group_averaging() {
-        let proc = FmcwProcessor::milback_default();
-        let fsa = FsaDesign::milback_default();
-        let est = ApOrientationEstimator::milback_default();
-        let psi = (-12f64).to_radians();
-        let groups: Vec<_> = (0..5)
-            .map(|s| capture(&proc, &fsa, psi, 3.0, 1e-6, 2e-14, 40 + s, 5))
-            .collect();
-        let got = est.estimate_multi(&proc, &groups, &fsa).unwrap();
-        assert!(
-            (got - psi).abs().to_degrees() < 2.0,
-            "got {:.2}°",
-            got.to_degrees()
         );
     }
 

@@ -6,7 +6,7 @@
 //! falls back to single-carrier OOK (§6.2).
 
 use crate::waveform::CarrierSet;
-use mmwave_rf::antenna::fsa::{DualPortFsa, FsaPort};
+use mmwave_rf::antenna::fsa::DualPortFsa;
 use serde::{Deserialize, Serialize};
 
 /// Errors from carrier planning.
@@ -72,69 +72,30 @@ impl QueryPlanner {
         }
         Ok(CarrierSet::TwoTone { f_a, f_b })
     }
-
-    /// Plans carriers and rolls the result into one report — the payload
-    /// an event-driven AP posts when its `PlanCarriers` event fires, so
-    /// downstream actors (TX scheduling, diagnostics) get the plan and its
-    /// expected cost in a single message.
-    pub fn plan_report(
-        &self,
-        fsa: &DualPortFsa,
-        estimated_orientation_rad: f64,
-        true_orientation_rad: f64,
-    ) -> Result<PlanReport, QueryError> {
-        let plan = self.plan(fsa, estimated_orientation_rad)?;
-        let (gain_a_dbi, gain_b_dbi) = self.plan_gain_dbi(fsa, &plan, true_orientation_rad);
-        Ok(PlanReport {
-            plan,
-            estimated_orientation_rad,
-            gain_a_dbi,
-            gain_b_dbi,
-            ook_fallback: matches!(plan, CarrierSet::SingleToneOok { .. }),
-        })
-    }
-
-    /// Verifies a plan against the true orientation: the per-port gain the
-    /// selected carriers achieve, in dBi — a diagnostic for how much an
-    /// orientation-estimate error costs (§9.3 argues ≤3–4° is harmless
-    /// because the beams are ~10° wide).
-    pub fn plan_gain_dbi(
-        &self,
-        fsa: &DualPortFsa,
-        plan: &CarrierSet,
-        true_orientation_rad: f64,
-    ) -> (f64, f64) {
-        match *plan {
-            CarrierSet::TwoTone { f_a, f_b } => (
-                fsa.gain_dbi(FsaPort::A, f_a, true_orientation_rad),
-                fsa.gain_dbi(FsaPort::B, f_b, true_orientation_rad),
-            ),
-            CarrierSet::SingleToneOok { f } => (
-                fsa.gain_dbi(FsaPort::A, f, true_orientation_rad),
-                fsa.gain_dbi(FsaPort::B, f, true_orientation_rad),
-            ),
-        }
-    }
-}
-
-/// The outcome of one carrier-planning step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlanReport {
-    /// The selected carrier set.
-    pub plan: CarrierSet,
-    /// The orientation estimate the plan was built from, radians.
-    pub estimated_orientation_rad: f64,
-    /// Port-A gain the plan achieves at the true orientation, dBi.
-    pub gain_a_dbi: f64,
-    /// Port-B gain the plan achieves at the true orientation, dBi.
-    pub gain_b_dbi: f64,
-    /// Whether the planner fell back to single-carrier OOK.
-    pub ook_fallback: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmwave_rf::antenna::fsa::FsaPort;
+
+    /// The per-port gain, dBi, that a plan's carriers achieve at the true
+    /// orientation — how much an orientation-estimate error costs (§9.3
+    /// argues ≤3–4° is harmless because the beams are ~10° wide).
+    fn plan_gain_dbi(
+        fsa: &DualPortFsa,
+        plan: &CarrierSet,
+        true_orientation_rad: f64,
+    ) -> (f64, f64) {
+        let (f_a, f_b) = match *plan {
+            CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
+            CarrierSet::SingleToneOok { f } => (f, f),
+        };
+        (
+            fsa.gain_dbi(FsaPort::A, f_a, true_orientation_rad),
+            fsa.gain_dbi(FsaPort::B, f_b, true_orientation_rad),
+        )
+    }
 
     fn setup() -> (QueryPlanner, DualPortFsa) {
         (
@@ -187,7 +148,7 @@ mod tests {
         let (p, fsa) = setup();
         let psi = 15f64.to_radians();
         let plan = p.plan(&fsa, psi).unwrap();
-        let (ga, gb) = p.plan_gain_dbi(&fsa, &plan, psi);
+        let (ga, gb) = plan_gain_dbi(&fsa, &plan, psi);
         // Both within ~1 dB of the achievable peak at that angle.
         assert!(ga > 9.0, "port A only {ga:.1} dBi");
         assert!(gb > 9.0, "port B only {gb:.1} dBi");
@@ -201,27 +162,11 @@ mod tests {
         let true_psi = 15f64.to_radians();
         let est_psi = 18f64.to_radians(); // 3° estimation error
         let plan = p.plan(&fsa, est_psi).unwrap();
-        let (ga, gb) = p.plan_gain_dbi(&fsa, &plan, true_psi);
+        let (ga, gb) = plan_gain_dbi(&fsa, &plan, true_psi);
         let ideal = p.plan(&fsa, true_psi).unwrap();
-        let (ia, ib) = p.plan_gain_dbi(&fsa, &ideal, true_psi);
+        let (ia, ib) = plan_gain_dbi(&fsa, &ideal, true_psi);
         assert!(ia - ga < 3.5, "port A loses {:.1} dB", ia - ga);
         assert!(ib - gb < 3.5, "port B loses {:.1} dB", ib - gb);
-    }
-
-    #[test]
-    fn plan_report_bundles_plan_and_cost() {
-        let (p, fsa) = setup();
-        let psi = 15f64.to_radians();
-        let r = p.plan_report(&fsa, psi, psi).unwrap();
-        assert!(!r.ook_fallback);
-        assert_eq!(r.estimated_orientation_rad, psi);
-        let (ga, gb) = p.plan_gain_dbi(&fsa, &r.plan, psi);
-        assert_eq!((r.gain_a_dbi, r.gain_b_dbi), (ga, gb));
-
-        let near = p.plan_report(&fsa, 0.0, 0.0).unwrap();
-        assert!(near.ook_fallback);
-
-        assert!(p.plan_report(&fsa, 45f64.to_radians(), 0.0).is_err());
     }
 
     #[test]
@@ -229,9 +174,9 @@ mod tests {
         // Sanity check of the diagnostic: a 12° error points the beams away.
         let (p, fsa) = setup();
         let plan = p.plan(&fsa, 27f64.to_radians()).unwrap();
-        let (ga, _) = p.plan_gain_dbi(&fsa, &plan, 15f64.to_radians());
+        let (ga, _) = plan_gain_dbi(&fsa, &plan, 15f64.to_radians());
         let ideal = p.plan(&fsa, 15f64.to_radians()).unwrap();
-        let (ia, _) = p.plan_gain_dbi(&fsa, &ideal, 15f64.to_radians());
+        let (ia, _) = plan_gain_dbi(&fsa, &ideal, 15f64.to_radians());
         assert!(ia - ga > 6.0, "only lost {:.1} dB", ia - ga);
     }
 }

@@ -6,7 +6,7 @@
 //! of numbers the link simulations need: EIRP, cascaded noise figure,
 //! implementation loss, digitizer rate.
 
-use mmwave_rf::components::{Amplifier, Mixer};
+use mmwave_rf::components::Amplifier;
 use mmwave_rf::noise::ReceiverChain;
 use serde::{Deserialize, Serialize};
 
@@ -38,11 +38,6 @@ impl TxChain {
     pub fn port_power_dbm(&self) -> f64 {
         self.pa.amplify_dbm(self.generator_dbm) - self.feed_loss_db
     }
-
-    /// Effective isotropic radiated power, dBm.
-    pub fn eirp_dbm(&self) -> f64 {
-        self.port_power_dbm() + self.antenna_gain_dbi
-    }
 }
 
 /// One AP receive chain (there are two, one per RX antenna).
@@ -52,8 +47,6 @@ pub struct RxChain {
     pub antenna_gain_dbi: f64,
     /// LNA → mixer → BPF cascade with implementation loss.
     pub chain: ReceiverChain,
-    /// The downconversion mixer (for LO-leakage bookkeeping).
-    pub mixer: Mixer,
     /// Digitizer (scope) sample rate, Hz.
     pub digitizer_rate_hz: f64,
 }
@@ -64,7 +57,6 @@ impl RxChain {
         Self {
             antenna_gain_dbi: 20.0,
             chain: ReceiverChain::milback_ap(),
-            mixer: Mixer::zmdb44h(),
             digitizer_rate_hz: 50e6,
         }
     }
@@ -72,25 +64,6 @@ impl RxChain {
     /// SNR for a signal power *at the antenna port* over a bandwidth, dB.
     pub fn snr_db(&self, signal_at_port_dbm: f64, bandwidth_hz: f64) -> f64 {
         self.chain.snr_db(signal_at_port_dbm, bandwidth_hz)
-    }
-
-    /// Input-referred noise floor over a bandwidth, dBm.
-    pub fn noise_floor_dbm(&self, bandwidth_hz: f64) -> f64 {
-        self.chain.noise_floor_dbm(bandwidth_hz)
-    }
-
-    /// Wall-clock duration of an `n_samples` capture at the digitizer
-    /// rate, seconds — the airtime an event-driven AP must reserve on the
-    /// timeline before its processing event fires.
-    ///
-    /// # Panics
-    /// Panics for a non-positive digitizer rate.
-    pub fn capture_s(&self, n_samples: usize) -> f64 {
-        assert!(
-            self.digitizer_rate_hz > 0.0,
-            "digitizer rate must be positive"
-        );
-        n_samples as f64 / self.digitizer_rate_hz
     }
 }
 
@@ -131,12 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn eirp_is_47_dbm() {
-        let tx = TxChain::milback_default();
-        assert!((tx.eirp_dbm() - 47.0).abs() < 0.3);
-    }
-
-    #[test]
     fn rx_snr_uses_cascade() {
         let rx = RxChain::milback_default();
         // −70 dBm in 10 MHz: floor ≈ −100.6 dBm, impl loss 13 dB → ≈17.6 dB.
@@ -148,14 +115,6 @@ mod tests {
     fn both_rx_chains_identical_by_default() {
         let ap = ApRadio::milback_default();
         assert_eq!(ap.rx1, ap.rx2);
-    }
-
-    #[test]
-    fn capture_duration_follows_digitizer_rate() {
-        let rx = RxChain::milback_default();
-        // 900 samples at 50 MS/s = 18 µs — one Field-2 chirp.
-        assert!((rx.capture_s(900) - 18e-6).abs() < 1e-15);
-        assert_eq!(rx.capture_s(0), 0.0);
     }
 
     #[test]

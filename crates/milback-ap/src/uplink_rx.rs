@@ -62,7 +62,7 @@ impl UplinkReceiver {
     }
 
     /// Integrate-and-dump symbol statistics for one channel.
-    pub fn symbol_statistics(&self, trace: &[f64]) -> Vec<f64> {
+    pub(crate) fn symbol_statistics(&self, trace: &[f64]) -> Vec<f64> {
         integrate_and_dump(trace, self.samples_per_symbol)
     }
 
@@ -97,46 +97,6 @@ impl UplinkReceiver {
             })
             .collect())
     }
-
-    /// Decides against known thresholds (when calibrated externally).
-    pub fn decide_with_thresholds(
-        &self,
-        trace_a: &[f64],
-        trace_b: &[f64],
-        threshold_a: f64,
-        threshold_b: f64,
-    ) -> Result<Vec<OaqfmSymbol>, UplinkRxError> {
-        if trace_a.len() != trace_b.len() {
-            return Err(UplinkRxError::LengthMismatch {
-                a: trace_a.len(),
-                b: trace_b.len(),
-            });
-        }
-        if trace_a.len() < self.samples_per_symbol {
-            return Err(UplinkRxError::TraceTooShort);
-        }
-        let sa = self.symbol_statistics(trace_a);
-        let sb = self.symbol_statistics(trace_b);
-        Ok(sa
-            .iter()
-            .zip(&sb)
-            .map(|(&va, &vb)| OaqfmSymbol {
-                tone_a: va > threshold_a,
-                tone_b: vb > threshold_b,
-            })
-            .collect())
-    }
-}
-
-/// Link-quality measurement for one uplink channel, as plotted in Fig 15.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UplinkQuality {
-    /// Measured SNR, dB: the ratio of the modulation swing power
-    /// `((hi−lo)/2)²` to the noise variance around each level.
-    pub snr_db: f64,
-    /// Measured bit error rate against known transmitted bits (`NaN` when
-    /// no reference bits were supplied).
-    pub ber: f64,
 }
 
 /// Measures SNR from symbol statistics given the known transmitted bits of
@@ -300,15 +260,6 @@ mod tests {
             rx.decide(&[0.0; 10], &[0.0; 10]).unwrap_err(),
             UplinkRxError::TraceTooShort
         );
-    }
-
-    #[test]
-    fn external_thresholds_path() {
-        let syms = bytes_to_symbols(&[0xA5]);
-        let (ta, tb) = traces_for(&syms, 5, 1.0, 0.0);
-        let rx = UplinkReceiver::new(5);
-        let out = rx.decide_with_thresholds(&ta, &tb, 0.5, 0.5).unwrap();
-        assert_eq!(symbols_to_bytes(&out), vec![0xA5]);
     }
 
     #[test]

@@ -7,13 +7,8 @@
 //! * Field-2 **sawtooth** chirps (18 µs × 5): AP-side localization and
 //!   orientation,
 //! * **two-tone** queries / keyed tones for OAQFM payloads.
-//!
-//! The paper's generator tops out at 2 GHz of instantaneous bandwidth, so
-//! the 3 GHz sweep is stitched from two 2 GHz chirps centered at 27.25 and
-//! 28.75 GHz (§8, footnote 2); [`FmcwConfig::patched_segments`] exposes the
-//! same split so the harness can reproduce the patching step.
 
-use mmwave_sigproc::waveform::{Chirp, OaqfmSymbol, Tone};
+use mmwave_sigproc::waveform::Chirp;
 use serde::{Deserialize, Serialize};
 
 /// FMCW sweep configuration shared by both preamble fields.
@@ -31,9 +26,6 @@ pub struct FmcwConfig {
     /// Interval between consecutive Field-2 chirps, seconds — set to the
     /// node's toggle half-period so consecutive chirps see opposite states.
     pub chirp_interval_s: f64,
-    /// Maximum instantaneous bandwidth of the generator, Hz (2 GHz on the
-    /// M9384B VXG).
-    pub generator_max_bw_hz: f64,
 }
 
 impl FmcwConfig {
@@ -45,7 +37,6 @@ impl FmcwConfig {
             field1_chirp_s: 45e-6,
             field2_chirp_s: 18e-6,
             chirp_interval_s: 100e-6,
-            generator_max_bw_hz: 2e9,
         }
     }
 
@@ -62,20 +53,6 @@ impl FmcwConfig {
     /// End frequency of the sweep.
     pub fn end_hz(&self) -> f64 {
         self.start_hz + self.bandwidth_hz
-    }
-
-    /// The sub-sweeps the physical generator must stitch: as many
-    /// `generator_max_bw_hz`-wide segments as needed to cover the band
-    /// (two 2 GHz chirps at 27.25 / 28.75 GHz center for the defaults).
-    pub fn patched_segments(&self) -> Vec<(f64, f64)> {
-        let n = (self.bandwidth_hz / self.generator_max_bw_hz).ceil() as usize;
-        let seg_bw = self.bandwidth_hz / n as f64;
-        (0..n)
-            .map(|i| {
-                let start = self.start_hz + i as f64 * seg_bw;
-                (start + seg_bw / 2.0, seg_bw)
-            })
-            .collect()
     }
 }
 
@@ -127,85 +104,6 @@ pub enum CarrierSet {
     },
 }
 
-impl CarrierSet {
-    /// Bits conveyed per symbol with this carrier set.
-    pub fn bits_per_symbol(&self) -> u32 {
-        match self {
-            CarrierSet::TwoTone { .. } => 2,
-            CarrierSet::SingleToneOok { .. } => 1,
-        }
-    }
-
-    /// The tones transmitted for an OAQFM symbol, as `(freq, amplitude)`
-    /// pairs with unit amplitude per active tone. For the OOK fallback the
-    /// `tone_a` flag keys the single carrier.
-    pub fn tones_for_symbol(&self, sym: OaqfmSymbol) -> Vec<Tone> {
-        match *self {
-            CarrierSet::TwoTone { f_a, f_b } => {
-                let mut v = Vec::with_capacity(2);
-                if sym.tone_a {
-                    v.push(Tone::new(f_a, 1.0));
-                }
-                if sym.tone_b {
-                    v.push(Tone::new(f_b, 1.0));
-                }
-                v
-            }
-            CarrierSet::SingleToneOok { f } => {
-                if sym.tone_a {
-                    vec![Tone::new(f, 1.0)]
-                } else {
-                    vec![]
-                }
-            }
-        }
-    }
-
-    /// Both tones on — the continuous query signal for uplink (§6.3).
-    pub fn query_tones(&self) -> Vec<Tone> {
-        self.tones_for_symbol(OaqfmSymbol {
-            tone_a: true,
-            tone_b: true,
-        })
-    }
-}
-
-/// The downlink keying plan for a payload: one tone set per symbol period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DownlinkKeying {
-    /// The carriers in use.
-    pub carriers: CarrierSet,
-    /// Symbol duration, seconds.
-    pub symbol_duration_s: f64,
-    /// The symbol sequence.
-    pub symbols: Vec<OaqfmSymbol>,
-}
-
-impl DownlinkKeying {
-    /// Keys a byte payload at `symbol_rate_hz`.
-    ///
-    /// # Panics
-    /// Panics for a non-positive rate.
-    pub fn for_bytes(carriers: CarrierSet, payload: &[u8], symbol_rate_hz: f64) -> Self {
-        assert!(symbol_rate_hz > 0.0);
-        Self {
-            carriers,
-            symbol_duration_s: 1.0 / symbol_rate_hz,
-            symbols: mmwave_sigproc::waveform::bytes_to_symbols(payload),
-        }
-    }
-
-    /// Total airtime of the payload, seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.symbols.len() as f64 * self.symbol_duration_s
-    }
-
-    /// Bit rate of the keying, bits/second.
-    pub fn bit_rate_hz(&self) -> f64 {
-        self.carriers.bits_per_symbol() as f64 / self.symbol_duration_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,23 +115,6 @@ mod tests {
         assert_eq!(c.end_hz(), 29.5e9);
         assert_eq!(c.field1_chirp(), Chirp::triangular(26.5e9, 3e9, 45e-6));
         assert_eq!(c.field2_chirp(), Chirp::sawtooth(26.5e9, 3e9, 18e-6));
-    }
-
-    #[test]
-    fn patched_segments_reproduce_footnote_2() {
-        let c = FmcwConfig::milback_default();
-        let segs = c.patched_segments();
-        assert_eq!(segs.len(), 2);
-        assert!((segs[0].0 - 27.25e9).abs() < 1.0);
-        assert!((segs[1].0 - 28.75e9).abs() < 1.0);
-        assert!((segs[0].1 - 1.5e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn single_segment_when_generator_is_wide_enough() {
-        let mut c = FmcwConfig::milback_default();
-        c.generator_max_bw_hz = 4e9;
-        assert_eq!(c.patched_segments().len(), 1);
     }
 
     #[test]
@@ -249,57 +130,5 @@ mod tests {
             Some(LinkDirection::Downlink)
         );
         assert_eq!(LinkDirection::from_chirp_count(5), None);
-    }
-
-    #[test]
-    fn two_tone_symbol_mapping() {
-        let c = CarrierSet::TwoTone {
-            f_a: 28.5e9,
-            f_b: 27.5e9,
-        };
-        assert_eq!(c.bits_per_symbol(), 2);
-        let t11 = c.tones_for_symbol(OaqfmSymbol::from_bits(0b11));
-        assert_eq!(t11.len(), 2);
-        let t10 = c.tones_for_symbol(OaqfmSymbol::from_bits(0b10));
-        assert_eq!(t10.len(), 1);
-        assert_eq!(t10[0].freq_hz, 28.5e9);
-        let t01 = c.tones_for_symbol(OaqfmSymbol::from_bits(0b01));
-        assert_eq!(t01[0].freq_hz, 27.5e9);
-        assert!(c.tones_for_symbol(OaqfmSymbol::from_bits(0b00)).is_empty());
-    }
-
-    #[test]
-    fn ook_fallback_keys_single_tone() {
-        let c = CarrierSet::SingleToneOok { f: 28e9 };
-        assert_eq!(c.bits_per_symbol(), 1);
-        assert_eq!(c.tones_for_symbol(OaqfmSymbol::from_bits(0b10)).len(), 1);
-        assert!(c.tones_for_symbol(OaqfmSymbol::from_bits(0b00)).is_empty());
-    }
-
-    #[test]
-    fn query_is_both_tones() {
-        let c = CarrierSet::TwoTone {
-            f_a: 28.5e9,
-            f_b: 27.5e9,
-        };
-        assert_eq!(c.query_tones().len(), 2);
-    }
-
-    #[test]
-    fn downlink_keying_timing() {
-        let c = CarrierSet::TwoTone {
-            f_a: 28.5e9,
-            f_b: 27.5e9,
-        };
-        let k = DownlinkKeying::for_bytes(c, &[0xAB, 0xCD], 1e6);
-        assert_eq!(k.symbols.len(), 8);
-        assert!((k.duration_s() - 8e-6).abs() < 1e-12);
-        assert!((k.bit_rate_hz() - 2e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ook_keying_halves_bit_rate() {
-        let k = DownlinkKeying::for_bytes(CarrierSet::SingleToneOok { f: 28e9 }, &[0xFF], 1e6);
-        assert!((k.bit_rate_hz() - 1e6).abs() < 1e-9);
     }
 }

@@ -12,10 +12,8 @@
 //! the paper's cited 2.4 nJ/bit.
 
 use crate::capability::BackscatterSystem;
-use mmwave_rf::antenna::vanatta::{RetroModulation, VanAttaArray};
+use mmwave_rf::antenna::vanatta::VanAttaArray;
 use mmwave_rf::noise::ReceiverChain;
-use mmwave_sigproc::random::GaussianSource;
-use mmwave_sigproc::stats::q_function;
 use mmwave_sigproc::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
 use serde::{Deserialize, Serialize};
 
@@ -24,8 +22,6 @@ use serde::{Deserialize, Serialize};
 pub struct MmTag {
     /// The tag's Van Atta array.
     pub array: VanAttaArray,
-    /// PSK variant in use.
-    pub modulation: RetroModulation,
     /// Reader TX power, dBm.
     pub reader_tx_dbm: f64,
     /// Reader antenna gain, dBi (each of TX/RX).
@@ -43,7 +39,6 @@ impl MmTag {
     pub fn published() -> Self {
         Self {
             array: VanAttaArray::new(8),
-            modulation: RetroModulation::Qpsk,
             reader_tx_dbm: 27.0,
             reader_gain_dbi: 20.0,
             carrier_hz: 24e9,
@@ -54,7 +49,7 @@ impl MmTag {
 
     /// Uplink signal power at the reader RX port, dBm, at incidence
     /// `angle_rad` (flat thanks to the Van Atta).
-    pub fn uplink_signal_dbm(&self, distance_m: f64, angle_rad: f64) -> f64 {
+    pub(crate) fn uplink_signal_dbm(&self, distance_m: f64, angle_rad: f64) -> f64 {
         let amp = mmwave_rf::channel::backscatter_amplitude_sqrt_w(
             dbm_to_watts(self.reader_tx_dbm),
             db_to_lin(self.reader_gain_dbi),
@@ -73,61 +68,6 @@ impl MmTag {
     pub fn snr_db(&self, distance_m: f64, bit_rate_hz: f64, angle_rad: f64) -> f64 {
         self.reader_chain
             .snr_db(self.uplink_signal_dbm(distance_m, angle_rad), bit_rate_hz)
-    }
-
-    /// Analytic BER for the configured PSK at an SNR.
-    ///
-    /// BPSK: `Q(√(2·SNR))`; QPSK (Gray-coded, per-bit): same per-bit BER at
-    /// the same Es/N0 split across quadratures — `Q(√SNR)` in this
-    /// convention.
-    pub fn ber_at_snr(&self, snr_db: f64) -> f64 {
-        let snr = db_to_lin(snr_db);
-        match self.modulation {
-            RetroModulation::Bpsk => q_function((2.0 * snr).sqrt()),
-            RetroModulation::Qpsk => q_function(snr.sqrt()),
-            RetroModulation::OnOff => q_function((snr / 2.0).sqrt()),
-        }
-    }
-
-    /// Symbol-level Monte-Carlo of an uplink transfer: returns the BER
-    /// measured over `n_bits` random bits at the analytic SNR.
-    pub fn simulate_ber(
-        &self,
-        distance_m: f64,
-        bit_rate_hz: f64,
-        n_bits: usize,
-        rng: &mut GaussianSource,
-    ) -> f64 {
-        let snr = db_to_lin(self.snr_db(distance_m, bit_rate_hz, 0.0));
-        let states = self.modulation.states();
-        let bits_per_symbol = self.modulation.bits_per_symbol() as usize;
-        // Per-quadrature noise σ = 1/√(2·SNR) makes the nearest-neighbour
-        // decisions reproduce ber_at_snr for every supported constellation
-        // (BPSK: Q(1/σ)=Q(√(2SNR)); QPSK per-quadrature: Q(1/(σ√2))=Q(√SNR);
-        // OOK: Q(0.5/σ)=Q(√(SNR/2))).
-        let sigma = (1.0 / (2.0 * snr)).sqrt();
-        // Gray-map symbol indices so adjacent constellation points differ
-        // in exactly one bit.
-        let gray = |i: usize| i ^ (i >> 1);
-        let n_syms = n_bits / bits_per_symbol;
-        let mut errors = 0usize;
-        for _ in 0..n_syms {
-            let tx_idx = (rng.uniform(0.0, states.len() as f64) as usize).min(states.len() - 1);
-            let tx = states[tx_idx];
-            let rx = tx + mmwave_sigproc::Complex::new(rng.sample(sigma), rng.sample(sigma));
-            // Nearest-neighbour decision.
-            let mut best = 0usize;
-            let mut best_d = f64::MAX;
-            for (i, s) in states.iter().enumerate() {
-                let d = (rx - *s).norm_sqr();
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
-            }
-            errors += (gray(best) ^ gray(tx_idx)).count_ones() as usize;
-        }
-        errors as f64 / (n_syms * bits_per_symbol) as f64
     }
 
     /// Tag power at a bit rate (energy/bit × rate).
@@ -192,35 +132,6 @@ mod tests {
         let t = MmTag::published();
         let d = t.snr_db(2.0, 10e6, 0.0) - t.snr_db(4.0, 10e6, 0.0);
         assert!((d - 12.04).abs() < 0.05);
-    }
-
-    #[test]
-    fn bpsk_beats_qpsk_beats_ook_at_fixed_snr() {
-        let mut t = MmTag::published();
-        t.modulation = RetroModulation::Bpsk;
-        let b = t.ber_at_snr(8.0);
-        t.modulation = RetroModulation::Qpsk;
-        let q = t.ber_at_snr(8.0);
-        t.modulation = RetroModulation::OnOff;
-        let o = t.ber_at_snr(8.0);
-        assert!(b < q && q < o, "b={b:.2e} q={q:.2e} o={o:.2e}");
-    }
-
-    #[test]
-    fn monte_carlo_ber_tracks_analytic() {
-        let t = MmTag::published();
-        let mut rng = GaussianSource::new(17);
-        // Pick a distance where BER is measurable (~1e-2).
-        let mut d = 2.0;
-        while t.ber_at_snr(t.snr_db(d, 100e6, 0.0)) < 5e-3 {
-            d += 0.5;
-        }
-        let analytic = t.ber_at_snr(t.snr_db(d, 100e6, 0.0));
-        let measured = t.simulate_ber(d, 100e6, 200_000, &mut rng);
-        assert!(
-            measured / analytic < 3.0 && analytic / measured < 3.0,
-            "measured {measured:.2e} vs analytic {analytic:.2e} at {d} m"
-        );
     }
 
     #[test]

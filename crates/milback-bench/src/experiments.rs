@@ -558,15 +558,15 @@ pub const MAC_POLICY_NAMES: [&str; 4] = ["aloha", "backoff", "polling", "sdm"];
 
 /// Builds a fresh policy instance by name (see [`MAC_POLICY_NAMES`]).
 /// `slot_seed` feeds the hashed-slot policies so a given (policy, scene)
-/// pair is reproducible.
-pub fn mac_policy_by_name(name: &str, slot_seed: u64) -> Option<Box<dyn MacPolicy>> {
-    match name {
-        "aloha" => Some(Box::new(SlottedAloha::new(slot_seed))),
-        "backoff" => Some(Box::new(BackoffAloha::new(slot_seed, 5))),
-        "polling" => Some(Box::new(RoundRobinPolling::new())),
-        "sdm" => Some(Box::new(SdmAwareAssignment::new())),
-        _ => None,
-    }
+/// pair is reproducible. An unknown name is an error.
+pub fn mac_policy_by_name(name: &str, slot_seed: u64) -> Result<Box<dyn MacPolicy>, String> {
+    Ok(match name {
+        "aloha" => Box::new(SlottedAloha::new(slot_seed)),
+        "backoff" => Box::new(BackoffAloha::new(slot_seed, 5).map_err(|e| e.to_string())?),
+        "polling" => Box::new(RoundRobinPolling::new()),
+        "sdm" => Box::new(SdmAwareAssignment::new()),
+        _ => return Err(format!("unknown MAC policy {name:?}")),
+    })
 }
 
 /// One (policy, node count) cell of the MAC-comparison extension.
@@ -634,8 +634,7 @@ pub fn extension_mac_compare(
             let policy_name = policies[i / node_counts.len()];
             let n = node_counts[i % node_counts.len()];
             let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-            let policy = mac_policy_by_name(policy_name, c.slot_seed)
-                .ok_or_else(|| format!("unknown MAC policy {policy_name:?}"))?;
+            let policy = mac_policy_by_name(policy_name, c.slot_seed)?;
             let r = c
                 .net
                 .run(&c.spec(frames), policy, rng, &mut CampaignProbe::disabled())
@@ -702,8 +701,7 @@ pub fn extension_mac_compare_instrumented(
             let policy_name = policies[i / per_policy];
             let n = node_counts[i % per_policy];
             let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-            let policy = mac_policy_by_name(policy_name, c.slot_seed)
-                .ok_or_else(|| format!("unknown MAC policy {policy_name:?}"))?;
+            let policy = mac_policy_by_name(policy_name, c.slot_seed)?;
             let mut probe = match trace_capacity {
                 Some(cap) if i % per_policy == traced_cell => CampaignProbe::with_trace(cap),
                 _ => CampaignProbe::with_metrics(),
@@ -907,7 +905,7 @@ pub fn extension_net_scale_city(
 pub const OVERFLOW_POLICY_NAMES: [&str; 3] = ["drop", "defer", "degrade"];
 
 /// Maps an [`OVERFLOW_POLICY_NAMES`] tag to its [`OverflowPolicy`].
-pub fn overflow_policy_by_name(name: &str) -> Option<OverflowPolicy> {
+pub(crate) fn overflow_policy_by_name(name: &str) -> Option<OverflowPolicy> {
     match name {
         "drop" => Some(OverflowPolicy::Drop),
         "defer" => Some(OverflowPolicy::Defer),
@@ -1016,12 +1014,12 @@ pub fn extension_net_load(
 
 /// AP coverage range of the relay sweep's gapped scenes, meters: the
 /// 4 m inner arc is covered, the 8 m and 12 m gap rings are not.
-pub const RELAY_COVERAGE_RANGE_M: f64 = 6.0;
+pub(crate) const RELAY_COVERAGE_RANGE_M: f64 = 6.0;
 /// Tag-to-tag neighbor range of the relay sweep, meters: reaches the
 /// 4 m ring-to-ring spacing of the gapped scene, nothing further.
 pub const RELAY_TAG_RANGE_M: f64 = 4.5;
 /// Deterministic per-tag-hop SNR penalty of the relay sweep, dB.
-pub const RELAY_HOP_SNR_PENALTY_DB: f64 = 3.0;
+pub(crate) const RELAY_HOP_SNR_PENALTY_DB: f64 = 3.0;
 
 /// The [`RelayConfig`] every relay sweep cell shares, at hop budget
 /// `max_hops`.
@@ -1175,7 +1173,7 @@ pub const NET_AUDIT_GAP_FRACTION: f64 = 0.25;
 /// [`OverflowPolicy::Drop`], so `service_shed` drops are on the books and
 /// the residence sketch sees real queueing — while the Drop policy keeps
 /// shed grants off the air instead of perturbing the slot schedule.
-pub fn net_audit_service(plan: &SlotPlan) -> ApServiceConfig {
+pub(crate) fn net_audit_service(plan: &SlotPlan) -> ApServiceConfig {
     ApServiceConfig::instantaneous()
         .with_stage_latencies(2 * plan.slot_ps, 0, 0)
         .with_queue(1, OverflowPolicy::Drop)
@@ -1199,7 +1197,7 @@ pub struct NetAuditPoint {
 /// Packet-lifecycle audit core: `policies × {direct, relay}` cells over
 /// the 64-node sector scene (the relay leg swaps in the
 /// [`NET_AUDIT_GAP_FRACTION`]-gapped scene and a 2-hop budget), every cell
-/// under the congested [`net_audit_service`] pipeline so all three loss
+/// under the congested `net_audit_service` pipeline so all three loss
 /// families — channel (collision/SDM/decode), service (shed), and
 /// coverage (routeless gap nodes) — appear in one sweep.
 ///
@@ -1242,8 +1240,7 @@ pub fn extension_net_audit(
         let policy: Box<dyn MacPolicy> = if with_relay && policy_name == "aloha" {
             Box::new(RelayAwareMac::new(c.slot_seed, relay))
         } else {
-            mac_policy_by_name(policy_name, c.slot_seed)
-                .ok_or_else(|| format!("unknown MAC policy {policy_name:?}"))?
+            mac_policy_by_name(policy_name, c.slot_seed)?
         };
         let spec = c
             .spec(frames)
@@ -1264,7 +1261,7 @@ pub fn extension_net_audit(
 }
 
 /// The sharded city path's merged lifecycle ledger at one worker-thread
-/// count: the gapped audit scene under [`net_audit_service`] congestion
+/// count: the gapped audit scene under `net_audit_service` congestion
 /// and a 2-hop relay budget, sharded into `cells` spatial cells via
 /// [`Network::run_sharded`]. Callers run this across
 /// `MILBACK_THREADS`-style thread counts and demand the returned sketches

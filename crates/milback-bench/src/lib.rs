@@ -174,7 +174,7 @@ impl Report {
 
     /// Prints to stdout and writes a CSV under `results/` (best-effort; a
     /// read-only filesystem only loses the CSV copy).
-    pub fn emit(&self) {
+    pub(crate) fn emit(&self) {
         print!("{}", self.render());
         let dir = results_dir();
         if fs::create_dir_all(&dir).is_ok() {
@@ -186,7 +186,7 @@ impl Report {
         }
     }
 
-    /// [`Report::emit`] that skips the CSV write in [`reduced_mode`], so
+    /// `Report::emit` that skips the CSV write in [`reduced_mode`], so
     /// quick CI runs never overwrite the full-scale anchors under
     /// `results/`.
     pub fn emit_respecting_reduced(&self) {

@@ -83,18 +83,9 @@ pub fn snapshot() -> Vec<SpanStat> {
         .collect()
 }
 
-/// Clears the registry (tests and multi-phase binaries).
-pub fn reset() {
-    let mut reg = match REGISTRY.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    reg.clear();
-}
-
 /// Serializes a snapshot as the span-file format: one
 /// `name<TAB>total_ns<TAB>count` line per span.
-pub fn to_span_file(stats: &[SpanStat]) -> String {
+pub(crate) fn to_span_file(stats: &[SpanStat]) -> String {
     let mut out = String::new();
     for s in stats {
         out.push_str(&format!("{}\t{}\t{}\n", s.name, s.total_ns, s.count));
@@ -102,7 +93,7 @@ pub fn to_span_file(stats: &[SpanStat]) -> String {
     out
 }
 
-/// Parses the span-file format back (inverse of [`to_span_file`]);
+/// Parses the span-file format back (inverse of `to_span_file`);
 /// malformed lines are skipped rather than fatal, so a partially written
 /// file still yields its good rows.
 pub fn parse_span_file(text: &str) -> Vec<SpanStat> {

@@ -6,7 +6,7 @@
 //! shares the per-trial RNG streams with everything else a trial does.
 
 use milback_ap::waveform::LinkDirection;
-use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
+use milback_bench::runner::{run_trials, RunnerConfig};
 use milback_core::{
     CampaignProbe, CampaignSpec, Network, Packet, Scene, Session, SessionReport, SlottedAloha,
     SlottedRunReport, SystemConfig,
@@ -84,26 +84,6 @@ fn rng_probe(rng: &GaussianSource) -> (u64, u64) {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Engine sessions on per-trial runner streams reproduce the reports and
-/// RNG positions recorded while the synchronous pre-engine call tree still
-/// stood beside the engine as a parity reference (the two agreed bit for
-/// bit).
-#[test]
-fn session_per_trial_matches_recorded_digest() {
-    let s = session();
-    let mut h = FNV_OFFSET;
-    for trial in 0..4 {
-        let packet = packet_for(trial);
-        let mut rng = trial_rng(0x5E55, trial);
-        let report = s.run_packet(&packet, &mut rng).unwrap();
-        fold_report(&mut h, &report, rng_probe(&rng));
-    }
-    assert_eq!(
-        h, 16_147_209_017_274_936_756,
-        "per-trial session digest moved"
-    );
-}
 
 /// The engine session through the runner: reports and stream positions
 /// are bit-identical at thread counts 1, 2, 4, 8 (what `MILBACK_THREADS`

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Encodes 4 data bits into a 7-bit Hamming codeword (bits as booleans,
 /// parity layout p1 p2 d1 p3 d2 d3 d4).
-pub fn hamming74_encode_nibble(d: [bool; 4]) -> [bool; 7] {
+pub(crate) fn hamming74_encode_nibble(d: [bool; 4]) -> [bool; 7] {
     let [d1, d2, d3, d4] = d;
     let p1 = d1 ^ d2 ^ d4;
     let p2 = d1 ^ d3 ^ d4;
@@ -22,7 +22,7 @@ pub fn hamming74_encode_nibble(d: [bool; 4]) -> [bool; 7] {
 
 /// Decodes a 7-bit codeword, correcting up to one flipped bit. Returns the
 /// 4 data bits and whether a correction was applied.
-pub fn hamming74_decode_codeword(mut c: [bool; 7]) -> ([bool; 4], bool) {
+pub(crate) fn hamming74_decode_codeword(mut c: [bool; 7]) -> ([bool; 4], bool) {
     let s1 = c[0] ^ c[2] ^ c[4] ^ c[6];
     let s2 = c[1] ^ c[2] ^ c[5] ^ c[6];
     let s3 = c[3] ^ c[4] ^ c[5] ^ c[6];
@@ -60,7 +60,7 @@ pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
 /// reads column-wise, spreading bursts of up to `rows` bits across
 /// different codewords.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockInterleaver {
+pub(crate) struct BlockInterleaver {
     /// Number of rows (burst tolerance).
     pub rows: usize,
 }
@@ -79,7 +79,7 @@ impl BlockInterleaver {
     ///
     /// # Panics
     /// Panics if `bits.len() % rows != 0`.
-    pub fn interleave(&self, bits: &[bool]) -> Vec<bool> {
+    pub(crate) fn interleave(&self, bits: &[bool]) -> Vec<bool> {
         assert!(
             bits.len().is_multiple_of(self.rows),
             "length must divide into rows"
@@ -98,7 +98,7 @@ impl BlockInterleaver {
     ///
     /// # Panics
     /// Panics if `bits.len() % rows != 0`.
-    pub fn deinterleave(&self, bits: &[bool]) -> Vec<bool> {
+    pub(crate) fn deinterleave(&self, bits: &[bool]) -> Vec<bool> {
         assert!(
             bits.len().is_multiple_of(self.rows),
             "length must divide into rows"

@@ -76,11 +76,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// Downlink bit rate, bits/second (2 bits/symbol).
-    pub fn downlink_bit_rate_hz(&self) -> f64 {
-        2.0 * self.downlink_symbol_rate_hz
-    }
-
     /// Uplink bit rate, bits/second (2 bits/symbol).
     pub fn uplink_bit_rate_hz(&self) -> f64 {
         2.0 * self.uplink_symbol_rate_hz
@@ -99,7 +94,7 @@ mod tests {
     #[test]
     fn default_rates_match_paper() {
         let c = SystemConfig::milback_default();
-        assert_eq!(c.downlink_bit_rate_hz(), 36e6);
+        assert_eq!(2.0 * c.downlink_symbol_rate_hz, 36e6);
         assert_eq!(c.uplink_bit_rate_hz(), 40e6);
         assert_eq!(c.localization_toggle_hz, 10e3);
     }

@@ -33,8 +33,7 @@
 //! access to the shared medium, and an [`Outbox`] for posting follow-up
 //! events; it never sees the queue or other actors directly, so all
 //! inter-actor communication is timed events through the queue. The run
-//! ends when the queue drains ([`Engine::run`]) or a horizon is reached
-//! ([`Engine::run_until`]).
+//! ends when the queue drains ([`Engine::run`]).
 
 use crate::error::{MilbackError, Result};
 use crate::telemetry::{Histogram, TraceRecord, TraceSink, OCCUPANCY_BUCKETS};
@@ -45,7 +44,7 @@ use std::collections::BinaryHeap;
 pub type TimePs = u64;
 
 /// Picoseconds per second.
-pub const PS_PER_S: f64 = 1e12;
+pub(crate) const PS_PER_S: f64 = 1e12;
 
 /// Converts seconds to picoseconds (rounded to the nearest tick).
 ///
@@ -124,12 +123,6 @@ impl<E> Outbox<E> {
     pub fn post_after(&mut self, delay_s: f64, dst: ActorId, event: E) {
         self.post_at(self.now_ps + secs_to_ps(delay_s), dst, event);
     }
-
-    /// Posts `event` to `dst` at the current instant (fires after all
-    /// events already queued for `now`).
-    pub fn post_now(&mut self, dst: ActorId, event: E) {
-        self.post_at(self.now_ps, dst, event);
-    }
 }
 
 /// A timed actor: anything that consumes events against the shared medium.
@@ -158,7 +151,7 @@ pub struct EngineStats {
 
 /// Labels an event kind for trace capture; must be a pure function of
 /// the event value.
-pub type EventLabeler<E> = fn(&E) -> &'static str;
+pub(crate) type EventLabeler<E> = fn(&E) -> &'static str;
 
 /// Lossless per-label queue-depth tallies, counted at dispatch.
 ///
@@ -190,11 +183,6 @@ impl DepthStats {
     /// The tallies, one per label in first-dispatch order.
     pub fn entries(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.entries.iter().map(|(n, h)| (*n, h))
-    }
-
-    /// Total dispatches tallied across every label.
-    pub fn total_count(&self) -> u64 {
-        self.entries.iter().map(|(_, h)| h.count).sum()
     }
 }
 
@@ -260,11 +248,6 @@ impl<M, E> Engine<M, E> {
         ActorId(self.actors.len() - 1)
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// The engine clock (time of the most recently dispatched event).
     pub fn now_ps(&self) -> TimePs {
         self.now_ps
@@ -298,7 +281,7 @@ impl<M, E> Engine<M, E> {
 
     /// Runs until the queue drains or the next event would fire after
     /// `horizon_ps` (that event stays queued).
-    pub fn run_until(&mut self, horizon_ps: TimePs) -> Result<EngineStats> {
+    pub(crate) fn run_until(&mut self, horizon_ps: TimePs) -> Result<EngineStats> {
         let mut stats = EngineStats {
             events_dispatched: 0,
             end_time_ps: self.now_ps,
@@ -587,7 +570,8 @@ mod tests {
         e.post(200, a, 2);
         let stats = e.run().unwrap();
         let depths = e.take_depth_stats().expect("enabled");
-        assert_eq!(depths.total_count() as usize, stats.events_dispatched);
+        let total: u64 = depths.entries().map(|(_, h)| h.count).sum();
+        assert_eq!(total as usize, stats.events_dispatched);
         let labels: Vec<_> = depths.entries().map(|(n, _)| n).collect();
         assert_eq!(labels, ["low", "high"]);
         assert!(e.take_depth_stats().is_none(), "take drains the tallies");

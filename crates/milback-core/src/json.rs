@@ -151,7 +151,7 @@ impl Array<'_> {
     }
 
     /// Appends one item.
-    pub fn item(&mut self, value: impl Json) -> &mut Self {
+    pub(crate) fn item(&mut self, value: impl Json) -> &mut Self {
         self.next();
         value.write_json(self.out);
         self

@@ -117,7 +117,7 @@ impl Impairments {
     }
 
     /// Floor-bounce amplitude relative to the direct echo at range `r`.
-    pub fn bounce_relative_amplitude(&self, r: f64) -> f64 {
+    pub(crate) fn bounce_relative_amplitude(&self, r: f64) -> f64 {
         if self.bounce_theta0_rad <= 0.0 {
             return 0.0;
         }
@@ -127,7 +127,7 @@ impl Impairments {
 
     /// One-way excess path of the bounce at range `r` (AP→node direct,
     /// node→AP via floor): `≈ h²/r`.
-    pub fn bounce_excess_one_way_m(&self, r: f64, h: f64) -> f64 {
+    pub(crate) fn bounce_excess_one_way_m(&self, r: f64, h: f64) -> f64 {
         ((r / 2.0).hypot(h) * 2.0 - r) / 2.0
     }
 }

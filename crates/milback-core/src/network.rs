@@ -531,7 +531,7 @@ pub struct SlottedRunReport {
 
 impl SlottedRunReport {
     /// Elapsed campaign time, seconds.
-    pub fn elapsed_s(&self) -> f64 {
+    pub(crate) fn elapsed_s(&self) -> f64 {
         self.frames as f64 * self.frame_s
     }
 
@@ -708,7 +708,7 @@ impl CampaignAggregate {
 
     /// Folds a whole per-node report into the aggregate — the reference
     /// the streaming path and the property suite compare against.
-    pub fn observe_run(&mut self, r: &SlottedRunReport) {
+    pub(crate) fn observe_run(&mut self, r: &SlottedRunReport) {
         self.begin_run(r.frames, r.frame_s, r.payload_bytes);
         for node in &r.nodes {
             self.observe_node(node);
@@ -768,7 +768,7 @@ impl CampaignAggregate {
 
     /// Elapsed campaign time, seconds (cells run concurrently in
     /// simulated time — each serves its own AP).
-    pub fn elapsed_s(&self) -> f64 {
+    pub(crate) fn elapsed_s(&self) -> f64 {
         self.frames as f64 * self.frame_s
     }
 
@@ -789,12 +789,6 @@ impl CampaignAggregate {
     /// Mean node energy over the campaign, joules; `None` with no nodes.
     pub fn mean_energy_per_node_j(&self) -> Option<f64> {
         (self.nodes > 0).then(|| self.energy_j / self.nodes as f64)
-    }
-
-    /// Total energy per delivered packet, joules; `None` when nothing got
-    /// through.
-    pub fn energy_per_delivered_j(&self) -> Option<f64> {
-        (self.delivered > 0).then(|| self.energy_j / self.delivered as f64)
     }
 
     /// Mean of the per-node mean delivered SNRs, dB; `None` when nothing
@@ -1552,13 +1546,21 @@ pub struct BackoffAloha {
 impl BackoffAloha {
     /// Creates the policy; `max_exponent` caps the contention window at
     /// `2^max_exponent` frames.
-    pub fn new(slot_seed: u64, max_exponent: u32) -> Self {
-        assert!(max_exponent < 63, "backoff window must fit a u64");
-        Self {
+    ///
+    /// # Errors
+    /// [`MilbackError::Config`] when `max_exponent ≥ 63`: the window must
+    /// fit a `u64`.
+    pub fn new(slot_seed: u64, max_exponent: u32) -> Result<Self> {
+        if max_exponent >= 63 {
+            return Err(MilbackError::Config(format!(
+                "backoff max_exponent {max_exponent} must be below 63 so the window fits a u64"
+            )));
+        }
+        Ok(Self {
             slot_seed,
             max_exponent,
             nodes: Vec::new(),
-        }
+        })
     }
 }
 
@@ -2175,7 +2177,7 @@ impl DopplerSignature {
     }
 
     /// The node's state (reflective?) on chirp `k`.
-    pub fn reflective_on(&self, chirp: usize) -> bool {
+    pub(crate) fn reflective_on(&self, chirp: usize) -> bool {
         (chirp / (self.period_chirps / 2)).is_multiple_of(2)
     }
 
@@ -2186,7 +2188,7 @@ impl DopplerSignature {
     }
 
     /// Whether an `n_chirps` capture resolves this signature exactly.
-    pub fn resolved_by(&self, n_chirps: usize) -> bool {
+    pub(crate) fn resolved_by(&self, n_chirps: usize) -> bool {
         n_chirps.is_multiple_of(self.period_chirps)
     }
 }
@@ -2664,7 +2666,7 @@ mod tests {
         let n = two_node_network(5.0); // inseparable at 20 dB
         let plan = plan_for(&n, 1, &[1u8; 4]);
         let ctx = mac_context(&n, &plan, 64);
-        let mut policy = BackoffAloha::new(0, 3);
+        let mut policy = BackoffAloha::new(0, 3).unwrap();
         let mut rng = GaussianSource::new(0xB0);
         policy.begin(&ctx, &mut rng);
         // Hammer both nodes with collisions far past the cap.
@@ -2684,11 +2686,22 @@ mod tests {
     }
 
     #[test]
+    fn backoff_rejects_a_window_past_u64() {
+        for max_exponent in [63, u32::MAX] {
+            assert!(matches!(
+                BackoffAloha::new(0, max_exponent),
+                Err(MilbackError::Config(_))
+            ));
+        }
+        assert!(BackoffAloha::new(0, 62).is_ok());
+    }
+
+    #[test]
     fn backoff_deferred_nodes_skip_frames() {
         let n = two_node_network(5.0);
         let plan = plan_for(&n, 1, &[1u8; 4]);
         let ctx = mac_context(&n, &plan, 64);
-        let mut policy = BackoffAloha::new(0, 4);
+        let mut policy = BackoffAloha::new(0, 4).unwrap();
         let mut rng = GaussianSource::new(0xB1);
         policy.begin(&ctx, &mut rng);
         policy.nodes[0].defer_frames = 2;
@@ -2722,7 +2735,7 @@ mod tests {
         let mut rng_b = GaussianSource::new(0xD0);
         let backoff = run_mac(
             &n,
-            Box::new(BackoffAloha::new(1, 4)),
+            Box::new(BackoffAloha::new(1, 4).unwrap()),
             frames,
             &payload,
             &plan,
@@ -2899,7 +2912,7 @@ mod tests {
     fn mac_policies_report_distinct_names() {
         let names = [
             SlottedAloha::new(0).name(),
-            BackoffAloha::new(0, 4).name(),
+            BackoffAloha::new(0, 4).unwrap().name(),
             RoundRobinPolling::new().name(),
             SdmAwareAssignment::new().name(),
         ];

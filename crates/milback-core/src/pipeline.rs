@@ -64,9 +64,6 @@ pub enum StageKind {
 }
 
 impl StageKind {
-    /// The stages in pipeline order.
-    pub const ALL: [StageKind; 3] = [StageKind::Capture, StageKind::Plan, StageKind::Transmit];
-
     /// A stable label for event traces and metric names.
     pub fn label(self) -> &'static str {
         match self {
@@ -254,12 +251,10 @@ mod tests {
         assert_eq!(StageKind::Capture.next(), Some(StageKind::Plan));
         assert_eq!(StageKind::Plan.next(), Some(StageKind::Transmit));
         assert_eq!(StageKind::Transmit.next(), None);
-        let labels: Vec<_> = StageKind::ALL.iter().map(|s| s.label()).collect();
+        let all = [StageKind::Capture, StageKind::Plan, StageKind::Transmit];
+        let labels: Vec<_> = all.iter().map(|s| s.label()).collect();
         assert_eq!(labels, ["stage_capture", "stage_plan", "stage_transmit"]);
-        let metrics: Vec<_> = StageKind::ALL
-            .iter()
-            .map(|s| s.occupancy_metric())
-            .collect();
+        let metrics: Vec<_> = all.iter().map(|s| s.occupancy_metric()).collect();
         assert_eq!(
             metrics,
             ["ap_queue_capture", "ap_queue_plan", "ap_queue_transmit"]

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub const FIELD1_GAP_S: f64 = 45e-6;
 
 /// Magic byte opening every serialized MilBack frame.
-pub const FRAME_MAGIC: u8 = 0xB7;
+pub(crate) const FRAME_MAGIC: u8 = 0xB7;
 
 /// A MilBack packet: direction, payload, and the timing derived from the
 /// waveform configuration.
@@ -78,12 +78,6 @@ impl Packet {
     /// clock, picoseconds.
     pub fn preamble_duration_ps(&self, fmcw: &FmcwConfig) -> TimePs {
         secs_to_ps(self.preamble_duration_s(fmcw))
-    }
-
-    /// [`payload_duration_s`](Self::payload_duration_s) on the engine
-    /// clock, picoseconds.
-    pub fn payload_duration_ps(&self, symbol_rate_hz: f64) -> TimePs {
-        secs_to_ps(self.payload_duration_s(symbol_rate_hz))
     }
 
     /// [`duration_s`](Self::duration_s) on the engine clock, picoseconds.
@@ -149,7 +143,7 @@ fn checksum(data: &[u8]) -> u8 {
 /// Upper bound on slots per frame: a u16 slot index on the wire plus a
 /// sanity ceiling — a frame longer than this is a configuration mistake,
 /// not a schedule.
-pub const MAX_SLOTS_PER_FRAME: usize = 4096;
+pub(crate) const MAX_SLOTS_PER_FRAME: usize = 4096;
 
 /// The multi-node airtime plan: frames of equal slots, each slot wide
 /// enough for one complete packet plus a guard interval. All arithmetic
@@ -202,12 +196,6 @@ impl SlotPlan {
     /// One frame's airtime, picoseconds.
     pub fn frame_ps(&self) -> TimePs {
         self.slot_ps * self.slots_per_frame as TimePs
-    }
-
-    /// Absolute start time of `(frame, slot)` on the engine clock.
-    pub fn slot_start_ps(&self, frame: usize, slot: usize) -> TimePs {
-        debug_assert!(slot < self.slots_per_frame);
-        frame as TimePs * self.frame_ps() + slot as TimePs * self.slot_ps
     }
 
     /// The slot node `node_idx` contends in during `frame` — a
@@ -298,7 +286,7 @@ impl Field1Detector {
     }
 
     /// Counts activity bursts in a node detector trace.
-    pub fn count_bursts(&self, trace: &[f64]) -> usize {
+    pub(crate) fn count_bursts(&self, trace: &[f64]) -> usize {
         let mut bursts = 0;
         let mut quiet = self.min_gap_samples; // start "quiet enough"
         for &v in trace {
@@ -409,7 +397,6 @@ mod tests {
         let fmcw = FmcwConfig::milback_default();
         for p in [Packet::uplink(vec![]), Packet::downlink(vec![])] {
             assert_eq!(p.payload_duration_s(20e6), 0.0);
-            assert_eq!(p.payload_duration_ps(20e6), 0);
             assert_eq!(p.duration_s(&fmcw, 20e6), p.preamble_duration_s(&fmcw));
             assert_eq!(p.duration_ps(&fmcw, 20e6), p.preamble_duration_ps(&fmcw));
             assert_eq!(p.efficiency(&fmcw, 20e6), 0.0);
@@ -446,11 +433,6 @@ mod tests {
         assert_eq!(max.slots_per_frame, MAX_SLOTS_PER_FRAME);
         // Frame time stays coherent at the maximum width.
         assert_eq!(max.frame_ps(), max.slot_ps * MAX_SLOTS_PER_FRAME as u64);
-        assert_eq!(
-            max.slot_start_ps(1, 0) - max.slot_start_ps(0, MAX_SLOTS_PER_FRAME - 1),
-            max.slot_ps,
-            "frame boundary must be exactly one slot after the last slot"
-        );
         assert!(SlotPlan::for_packet(MAX_SLOTS_PER_FRAME + 1, &p, &fmcw, 20e6, 5e-6).is_err());
         assert!(SlotPlan::for_packet(0, &p, &fmcw, 20e6, 5e-6).is_err());
         assert!(SlotPlan::for_packet(4, &p, &fmcw, 20e6, -1e-6).is_err());
@@ -462,9 +444,7 @@ mod tests {
         let p = Packet::uplink(vec![0; 100]);
         let plan = SlotPlan::for_packet(8, &p, &fmcw, 20e6, 10e-6).unwrap();
         assert_eq!(plan.slot_ps, p.duration_ps(&fmcw, 20e6) + 10_000_000);
-        assert_eq!(plan.slot_start_ps(0, 0), 0);
-        assert_eq!(plan.slot_start_ps(0, 3), 3 * plan.slot_ps);
-        assert_eq!(plan.slot_start_ps(2, 1), 2 * plan.frame_ps() + plan.slot_ps);
+        assert_eq!(plan.frame_ps(), 8 * plan.slot_ps);
     }
 
     #[test]

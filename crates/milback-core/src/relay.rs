@@ -125,13 +125,8 @@ impl NeighborGraph {
     }
 
     /// Node `idx`'s neighbors, in ascending index order.
-    pub fn neighbors(&self, idx: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, idx: usize) -> &[usize] {
         &self.adj[idx]
-    }
-
-    /// Node `idx`'s neighbor count.
-    pub fn degree(&self, idx: usize) -> usize {
-        self.adj[idx].len()
     }
 }
 
@@ -352,13 +347,13 @@ mod tests {
             }
         }
         // Outer nodes reach inner nodes across the ~4 m radial spacing.
-        assert!((4..8).all(|i| g.degree(i) > 0));
+        assert!((4..8).all(|i| !g.neighbors(i).is_empty()));
     }
 
     #[test]
     fn zero_range_graph_has_no_edges() {
         let g = NeighborGraph::from_scene(&ringed_scene(3, 3), 0.0);
-        assert!((0..g.len()).all(|i| g.degree(i) == 0));
+        assert!((0..g.len()).all(|i| g.neighbors(i).is_empty()));
     }
 
     #[test]
@@ -396,7 +391,7 @@ mod tests {
         let covered = CoverageModel::with_range(6.0).classify(&scene);
         let g = NeighborGraph::from_scene(&scene, 4.5);
         let routes = select_routes(&g, &covered, 8, 0xDEAD);
-        assert_eq!(g.degree(8), 0);
+        assert!(g.neighbors(8).is_empty());
         assert!(routes[8].is_none());
     }
 

@@ -111,12 +111,6 @@ impl Scene {
         }
     }
 
-    /// Fallible [`ground_truth`](Self::ground_truth): `None` for an
-    /// out-of-range index.
-    pub fn try_ground_truth(&self, idx: usize) -> Option<GroundTruth> {
-        (idx < self.nodes.len()).then(|| self.ground_truth(idx))
-    }
-
     /// A single-node view of this scene serving node `idx`: that node
     /// becomes the primary, clutter is shared, other nodes are dropped,
     /// and the AP's horns are mechanically steered at the served node (§8
@@ -146,14 +140,6 @@ impl Scene {
             idx,
             nodes: self.nodes.len(),
         })
-    }
-
-    /// The primary (first) node's pose.
-    ///
-    /// # Panics
-    /// Panics if the scene has no nodes.
-    pub fn primary_node(&self) -> NodePose {
-        self.nodes[0]
     }
 }
 
@@ -264,13 +250,6 @@ mod tests {
     #[should_panic(expected = "in front of the AP")]
     fn rejects_zero_distance() {
         Scene::single_node(0.0, 0.0);
-    }
-
-    #[test]
-    fn try_ground_truth_bounds_checks() {
-        let s = Scene::single_node(4.0, 0.1);
-        assert!(s.try_ground_truth(0).is_some());
-        assert!(s.try_ground_truth(1).is_none());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub const RELAY_HOP_BUCKETS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0];
 /// Fixed buckets for FMCW chirp-stack batch sizes (chirps per batched FFT
 /// pass). The paper's Field-2 capture is a five-chirp stack; Doppler
 /// captures run longer.
-pub const FMCW_BATCH_BUCKETS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0];
+pub(crate) const FMCW_BATCH_BUCKETS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0];
 
 /// Fixed log-spaced buckets for packet-latency sketches, microseconds:
 /// a 1-2-5 decade ladder from one slot width (~tens of µs) out to a full
@@ -577,7 +577,7 @@ impl Metrics {
     /// merged bucket-by-bucket, so no per-event registry lookup sits on the
     /// dispatch path.
     #[inline]
-    pub fn merge_histogram(&mut self, name: &'static str, other: &Histogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &'static str, other: &Histogram) {
         match self.histograms.iter_mut().find(|(n, _)| *n == name) {
             Some((_, h)) => h.merge_from(other),
             None => self.histograms.push((name, other.clone())),
@@ -742,7 +742,7 @@ impl CampaignProbe {
     }
 
     /// Observes one FMCW chirp-stack size into the `fmcw_batch_chirps`
-    /// histogram ([`FMCW_BATCH_BUCKETS`]) — how many chirps each batched
+    /// histogram (`FMCW_BATCH_BUCKETS`) — how many chirps each batched
     /// FFT pass carried.
     pub fn observe_fmcw_batch(&mut self, n_chirps: usize) {
         self.observe("fmcw_batch_chirps", FMCW_BATCH_BUCKETS, n_chirps as f64);
@@ -750,7 +750,7 @@ impl CampaignProbe {
 
     /// Folds the engine's lossless per-label queue-depth tallies into the
     /// registry, if collecting metrics: each label lands under its
-    /// [`queue_depth_metric`] name, and every label also merges into the
+    /// `queue_depth_metric` name, and every label also merges into the
     /// combined `queue_depth` histogram. Unlike the retired
     /// trace-ring reconstruction, this path loses nothing when the bounded
     /// [`TraceBuffer`] evicts old records — the tallies were counted at
@@ -775,7 +775,7 @@ impl CampaignProbe {
 /// Known labels (the MAC pipeline's event kinds) get stable per-stage
 /// names; anything else folds into the shared `queue_depth_other` bucket
 /// so an unknown label can never mint an unbounded set of metric names.
-pub fn queue_depth_metric(label: &'static str) -> &'static str {
+pub(crate) fn queue_depth_metric(label: &'static str) -> &'static str {
     match label {
         "frame_start" => "queue_depth_frame_start",
         "slot_fire" => "queue_depth_slot_fire",
@@ -806,7 +806,7 @@ pub fn queue_depth_metric(label: &'static str) -> &'static str {
 /// is only rendered when at least two of its records survive in the ring
 /// buffer — the first surviving record opens the flow (`s`), the last
 /// closes it (`f`), any middle records step it (`t`) — so eviction can
-/// never leave a dangling flow id ([`validate_chrome_trace`] rejects
+/// never leave a dangling flow id (the tests' trace validator rejects
 /// those).
 pub fn chrome_trace(sections: &[(&str, &TraceBuffer)]) -> String {
     // The tid lane of a flow-bearing record: stages get one lane each,
@@ -1020,9 +1020,10 @@ pub fn chrome_trace(sections: &[(&str, &TraceBuffer)]) -> String {
 /// event count.
 ///
 /// This is not a general JSON parser — it validates the subset this module
-/// generates, which is exactly what the schema round-trip tests and CI
-/// need without a JSON dependency.
-pub fn validate_chrome_trace(s: &str) -> Result<usize, String> {
+/// generates, which is exactly what the schema round-trip tests need
+/// without a JSON dependency.
+#[cfg(test)]
+fn validate_chrome_trace(s: &str) -> Result<usize, String> {
     let body = s
         .strip_prefix("{\"traceEvents\":[")
         .ok_or("missing traceEvents envelope")?;

@@ -139,7 +139,7 @@ impl Firmware {
     }
 
     /// Accumulates energy for `dt` seconds in the current state.
-    pub fn tick(&mut self, dt_s: f64) {
+    pub(crate) fn tick(&mut self, dt_s: f64) {
         assert!(dt_s >= 0.0);
         self.energy_j += self.power.power_w(self.activity()) * dt_s;
     }

@@ -127,7 +127,7 @@ impl NodeHardware {
     /// # Panics
     /// Panics if the traces differ in length.
     #[allow(clippy::too_many_arguments)]
-    pub fn detector_traces_into(
+    pub(crate) fn detector_traces_into(
         &self,
         power_a_w: &[f64],
         power_b_w: &[f64],
@@ -163,28 +163,6 @@ impl NodeHardware {
     pub fn mcu_sample(&self, trace: &[f64], trace_rate_hz: f64) -> Vec<f64> {
         self.adc.sample_trace(trace, trace_rate_hz)
     }
-
-    /// [`Self::mcu_sample`] into a caller-owned buffer (cleared first) —
-    /// identical values, no allocation past the high-water mark.
-    pub fn mcu_sample_into(&self, trace: &[f64], trace_rate_hz: f64, out: &mut Vec<f64>) {
-        self.adc.sample_trace_into(trace, trace_rate_hz, out);
-    }
-
-    /// The complex backscatter coefficient the node presents on a given
-    /// port for an incident tone, folding FSA gain at the tone's
-    /// frequency/incidence and the switch state: `√(G²)·Γ` (amplitude).
-    ///
-    /// `incidence_rad` is the AP's angle off the FSA broadside.
-    pub fn backscatter_amplitude(
-        &self,
-        port: FsaPort,
-        mode: PortMode,
-        freq_hz: f64,
-        incidence_rad: f64,
-    ) -> f64 {
-        let g = self.fsa.gain_linear(port, freq_hz, incidence_rad);
-        g * self.reflection_amplitude(port, mode)
-    }
 }
 
 /// Reusable buffers for the node's trace-synthesis hot path.
@@ -194,7 +172,7 @@ impl NodeHardware {
 /// plus the `*_into` entry points make the steady state allocation-free,
 /// with results bit-identical to the allocating paths.
 #[derive(Debug, Default)]
-pub struct NodeScratch {
+pub(crate) struct NodeScratch {
     /// Scaled per-port power trace (reused for both ports in turn).
     scaled: Vec<f64>,
 }
@@ -223,25 +201,12 @@ pub struct PortPowers {
 /// `(freq_hz, incident_power_w)` where `incident_power_w` is the power an
 /// isotropic antenna would capture at the node's location (i.e. TX EIRP ×
 /// path loss × λ²/4π absorbed into the caller's budget).
-pub fn port_powers_for_tones(
-    fsa: &DualPortFsa,
-    incidence_rad: f64,
-    tones: &[(f64, f64)],
-) -> PortPowers {
-    let mut p = PortPowers::default();
-    for &(f, pw) in tones {
-        let (ca, cb) = fsa.port_coupling_linear(f, incidence_rad);
-        p.a_w += pw * ca;
-        p.b_w += pw * cb;
-    }
-    p
-}
-
-/// [`port_powers_for_tones`] through a memoizing [`FsaGainEval`] (built with
-/// [`FsaGainEval::for_dual`]); bit-exact with the direct path, but repeated
-/// `(freq, incidence)` queries — per-symbol downlink coupling, dense
-/// orientation traces re-run across trials — hit the cache instead of
-/// re-evaluating the array factor.
+///
+/// The coupling comes from a memoizing [`FsaGainEval`] (built with
+/// [`FsaGainEval::for_dual`]), bit-exact with
+/// [`DualPortFsa::port_coupling_linear`]: repeated `(freq, incidence)`
+/// queries — per-symbol downlink coupling, dense orientation traces re-run
+/// across trials — hit the cache instead of re-evaluating the array factor.
 pub fn port_powers_for_tones_eval(
     eval: &FsaGainEval,
     incidence_rad: f64,
@@ -259,6 +224,21 @@ pub fn port_powers_for_tones_eval(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The uncached coupling sum: the oracle the memoized path must match.
+    fn port_powers_for_tones(
+        fsa: &DualPortFsa,
+        incidence_rad: f64,
+        tones: &[(f64, f64)],
+    ) -> PortPowers {
+        let mut p = PortPowers::default();
+        for &(f, pw) in tones {
+            let (ca, cb) = fsa.port_coupling_linear(f, incidence_rad);
+            p.a_w += pw * ca;
+            p.b_w += pw * cb;
+        }
+        p
+    }
 
     fn node() -> NodeHardware {
         NodeHardware::milback_default()
@@ -283,27 +263,6 @@ mod tests {
         let n = node();
         let e = n.absorption_efficiency(FsaPort::B);
         assert!(e > 0.7 && e < 1.0, "efficiency {e}");
-    }
-
-    #[test]
-    fn backscatter_amplitude_peaks_on_beam() {
-        let n = node();
-        let psi = 10f64.to_radians();
-        let (fa, _) = n.fsa.oaqfm_carriers(psi).unwrap();
-        let on_beam = n.backscatter_amplitude(FsaPort::A, PortMode::Reflective, fa, psi);
-        let off_beam = n.backscatter_amplitude(FsaPort::A, PortMode::Reflective, fa, psi + 0.4);
-        assert!(on_beam > 10.0 * off_beam);
-    }
-
-    #[test]
-    fn absorptive_backscatter_much_weaker() {
-        let n = node();
-        let psi = 0.1;
-        let (fa, _) = n.fsa.oaqfm_carriers(psi).unwrap();
-        let refl = n.backscatter_amplitude(FsaPort::A, PortMode::Reflective, fa, psi);
-        let abs = n.backscatter_amplitude(FsaPort::A, PortMode::Absorptive, fa, psi);
-        // ~13 dB or more of modulation contrast in amplitude.
-        assert!(refl / abs > 4.0, "contrast {}", refl / abs);
     }
 
     #[test]
@@ -346,14 +305,15 @@ mod tests {
         let n = node();
         let psi = 12f64.to_radians();
         let (fa, fb) = n.fsa.oaqfm_carriers(psi).unwrap();
+        let eval = FsaGainEval::for_dual(&n.fsa);
         // Only the A tone present.
-        let p = port_powers_for_tones(&n.fsa, psi, &[(fa, 1e-9)]);
+        let p = port_powers_for_tones_eval(&eval, psi, &[(fa, 1e-9)]);
         assert!(p.a_w > 10.0 * p.b_w, "a {} b {}", p.a_w, p.b_w);
         // Only the B tone present.
-        let p2 = port_powers_for_tones(&n.fsa, psi, &[(fb, 1e-9)]);
+        let p2 = port_powers_for_tones_eval(&eval, psi, &[(fb, 1e-9)]);
         assert!(p2.b_w > 10.0 * p2.a_w);
         // Both tones: both ports fed.
-        let p3 = port_powers_for_tones(&n.fsa, psi, &[(fa, 1e-9), (fb, 1e-9)]);
+        let p3 = port_powers_for_tones_eval(&eval, psi, &[(fa, 1e-9), (fb, 1e-9)]);
         assert!(p3.a_w > 0.5 * p.a_w && p3.b_w > 0.5 * p2.b_w);
     }
 

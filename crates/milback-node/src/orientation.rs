@@ -182,26 +182,6 @@ impl OrientationEstimator {
         two_strongest_peaks(trace, self.min_peak_separation)
     }
 
-    /// Averages estimates across several repeated chirps (the protocol
-    /// sends multiple Field-1 chirps) for noise robustness. Errors if *no*
-    /// chirp yields an estimate; individual failures are skipped.
-    pub fn estimate_multi(
-        &self,
-        traces: &[(Vec<f64>, Vec<f64>)],
-        fsa: &FsaDesign,
-    ) -> Result<f64, OrientationError> {
-        let estimates: Vec<f64> = traces
-            .iter()
-            .filter_map(|(a, b)| self.estimate(a, b, fsa).ok())
-            .collect();
-        if estimates.is_empty() {
-            return Err(OrientationError::PeaksNotFound);
-        }
-        // Median across chirps: robust to the occasional multipath-induced
-        // false pair, which matters near the scan edges.
-        Ok(mmwave_sigproc::stats::median(&estimates))
-    }
-
     /// Synthesizes the ideal (noise-free, geometry-only) detector power
     /// trace a port would see for a node at `incidence_rad` — the power
     /// envelope of Fig 5b. Used by tests and the orientation example; the
@@ -337,33 +317,6 @@ mod tests {
         let sep1 = e1.peak_down_s - e1.peak_up_s;
         let sep2 = e2.peak_down_s - e2.peak_up_s;
         assert!(sep2 < sep1, "sep {sep2:.2e} !< {sep1:.2e}");
-    }
-
-    #[test]
-    fn multi_chirp_averaging_reduces_error() {
-        let (est, fsa) = setup();
-        let mut rng = GaussianSource::new(7);
-        let psi = 14f64.to_radians();
-        let noisy = |rng: &mut GaussianSource| {
-            let mut ta = trace_for(&est, &fsa, FsaPort::A, psi);
-            let mut tb = trace_for(&est, &fsa, FsaPort::B, psi);
-            let peak = ta.iter().cloned().fold(0.0, f64::max);
-            rng.add_real_noise(&mut ta, (peak / 12.0).powi(2));
-            rng.add_real_noise(&mut tb, (peak / 12.0).powi(2));
-            (ta, tb)
-        };
-        let mut single_errs = Vec::new();
-        let mut multi_errs = Vec::new();
-        for _ in 0..20 {
-            let traces: Vec<_> = (0..5).map(|_| noisy(&mut rng)).collect();
-            let single = est.estimate(&traces[0].0, &traces[0].1, &fsa).unwrap();
-            let multi = est.estimate_multi(&traces, &fsa).unwrap();
-            single_errs.push((single - psi).abs());
-            multi_errs.push((multi - psi).abs());
-        }
-        let s = mmwave_sigproc::stats::mean(&single_errs);
-        let m = mmwave_sigproc::stats::mean(&multi_errs);
-        assert!(m <= s, "multi-chirp {m} should not exceed single {s}");
     }
 
     #[test]

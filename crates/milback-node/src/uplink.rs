@@ -7,7 +7,7 @@
 
 use crate::mode::PortStates;
 use mmwave_rf::components::SpdtSwitch;
-use mmwave_sigproc::waveform::{bytes_to_symbols, OaqfmSymbol};
+use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
 
 /// Errors from the uplink modulator.
@@ -65,19 +65,6 @@ impl UplinkModulator {
         2.0 * self.symbol_rate_hz
     }
 
-    /// Symbol duration, seconds.
-    pub fn symbol_duration_s(&self) -> f64 {
-        1.0 / self.symbol_rate_hz
-    }
-
-    /// Maps a payload to the per-symbol port-state schedule.
-    pub fn schedule_for_bytes(&self, payload: &[u8]) -> Vec<PortStates> {
-        bytes_to_symbols(payload)
-            .into_iter()
-            .map(PortStates::for_uplink_symbol)
-            .collect()
-    }
-
     /// Maps symbols directly to port states.
     pub fn schedule_for_symbols(&self, symbols: &[OaqfmSymbol]) -> Vec<PortStates> {
         symbols
@@ -86,41 +73,13 @@ impl UplinkModulator {
             .map(PortStates::for_uplink_symbol)
             .collect()
     }
-
-    /// The port states active at time `t` seconds into a transmission of
-    /// `schedule` (constant after the last symbol: both absorptive = idle).
-    pub fn states_at(&self, schedule: &[PortStates], t: f64) -> PortStates {
-        if t < 0.0 {
-            return PortStates::both_absorptive();
-        }
-        let idx = (t * self.symbol_rate_hz) as usize;
-        schedule
-            .get(idx)
-            .copied()
-            .unwrap_or_else(PortStates::both_absorptive)
-    }
-
-    /// Counts the switch toggles a schedule produces on each port —
-    /// feeds the dynamic-power model.
-    pub fn toggle_counts(&self, schedule: &[PortStates]) -> (usize, usize) {
-        let mut a = 0;
-        let mut b = 0;
-        for w in schedule.windows(2) {
-            if w[0].a != w[1].a {
-                a += 1;
-            }
-            if w[0].b != w[1].b {
-                b += 1;
-            }
-        }
-        (a, b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mode::PortMode;
+    use mmwave_sigproc::waveform::bytes_to_symbols;
 
     fn switch() -> SpdtSwitch {
         SpdtSwitch::adrf5020()
@@ -153,14 +112,13 @@ mod tests {
     fn bit_rate_is_twice_symbol_rate() {
         let m = UplinkModulator::new(20e6, &switch()).unwrap();
         assert_eq!(m.bit_rate_hz(), 40e6);
-        assert!((m.symbol_duration_s() - 50e-9).abs() < 1e-15);
     }
 
     #[test]
     fn schedule_encodes_bytes() {
         let m = UplinkModulator::new(5e6, &switch()).unwrap();
         // 0b10_01_11_00
-        let sched = m.schedule_for_bytes(&[0x9C]);
+        let sched = m.schedule_for_symbols(&bytes_to_symbols(&[0x9C]));
         assert_eq!(sched.len(), 4);
         assert_eq!(
             sched[0],
@@ -178,28 +136,6 @@ mod tests {
         );
         assert_eq!(sched[2], PortStates::both_reflective());
         assert_eq!(sched[3], PortStates::both_absorptive());
-    }
-
-    #[test]
-    fn states_at_time_lookup() {
-        let m = UplinkModulator::new(1e6, &switch()).unwrap();
-        let sched = m.schedule_for_bytes(&[0x9C]);
-        assert_eq!(m.states_at(&sched, 0.5e-6), sched[0]);
-        assert_eq!(m.states_at(&sched, 2.5e-6), sched[2]);
-        // Past the end and before the start: idle.
-        assert_eq!(m.states_at(&sched, 10e-6), PortStates::both_absorptive());
-        assert_eq!(m.states_at(&sched, -1e-6), PortStates::both_absorptive());
-    }
-
-    #[test]
-    fn toggle_counts_for_alternating_pattern() {
-        let m = UplinkModulator::new(1e6, &switch()).unwrap();
-        // 0xCC = 11 00 11 00: port A toggles every symbol (3), B too (3).
-        let sched = m.schedule_for_bytes(&[0xCC]);
-        assert_eq!(m.toggle_counts(&sched), (3, 3));
-        // 0xF0 = 11 11 00 00: one toggle each.
-        let sched2 = m.schedule_for_bytes(&[0xF0]);
-        assert_eq!(m.toggle_counts(&sched2), (1, 1));
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! boresight, positive counter-clockwise.
 //!
 //! Concrete implementations:
-//! * [`Isotropic`] — 0 dBi reference.
 //! * [`Horn`] — Gaussian-beam model of the Mi-Wave 20 dBi horn at the AP.
-//! * [`UniformLinearArray`] — a generic phased array (AP alternative, §8).
 //! * [`fsa::FrequencyScanningAntenna`] / [`fsa::DualPortFsa`] — the node's
 //!   passive beam-steering structure (the paper's core hardware idea).
 //! * [`vanatta::VanAttaArray`] — the retro-reflector used by the mmTag and
@@ -19,7 +17,6 @@
 pub mod fsa;
 pub mod vanatta;
 
-use mmwave_sigproc::complex::Complex;
 use std::f64::consts::PI;
 
 /// A reciprocal antenna described by its azimuth-cut gain pattern.
@@ -74,16 +71,6 @@ pub trait Antenna {
     }
 }
 
-/// An ideal isotropic radiator (0 dBi everywhere).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Isotropic;
-
-impl Antenna for Isotropic {
-    fn gain_dbi(&self, _freq_hz: f64, _angle_rad: f64) -> f64 {
-        0.0
-    }
-}
-
 /// Gaussian-beam model of a standard-gain horn.
 ///
 /// Defaults match the Mi-Wave 261(34)-20/595 used at the MilBack AP:
@@ -118,74 +105,9 @@ impl Antenna for Horn {
     }
 }
 
-/// A uniform linear phased array with electronic steering — what §8 suggests
-/// a production AP would use instead of mechanical steering.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformLinearArray {
-    /// Number of elements.
-    pub elements: usize,
-    /// Element spacing, meters.
-    pub spacing_m: f64,
-    /// Electronic steering angle, radians from broadside.
-    pub steer_rad: f64,
-    /// Per-element gain, dBi.
-    pub element_gain_dbi: f64,
-}
-
-impl UniformLinearArray {
-    /// Creates a λ/2-spaced array for `center_hz`, steered to broadside.
-    ///
-    /// # Panics
-    /// Panics if `elements == 0`.
-    pub fn half_wave(elements: usize, center_hz: f64) -> Self {
-        assert!(elements > 0, "array needs at least one element");
-        Self {
-            elements,
-            spacing_m: mmwave_sigproc::units::wavelength(center_hz) / 2.0,
-            steer_rad: 0.0,
-            element_gain_dbi: 5.0,
-        }
-    }
-
-    /// Returns a copy steered to `angle_rad`.
-    pub fn steered_to(mut self, angle_rad: f64) -> Self {
-        self.steer_rad = angle_rad;
-        self
-    }
-
-    /// Normalized array factor magnitude (0..=1) toward `angle_rad`.
-    pub fn array_factor(&self, freq_hz: f64, angle_rad: f64) -> f64 {
-        let k = 2.0 * PI * freq_hz / mmwave_sigproc::units::SPEED_OF_LIGHT;
-        let psi = k * self.spacing_m * (angle_rad.sin() - self.steer_rad.sin());
-        let n = self.elements as f64;
-        let af: Complex = (0..self.elements)
-            .map(|i| Complex::cis(psi * i as f64))
-            .sum();
-        af.norm() / n
-    }
-}
-
-impl Antenna for UniformLinearArray {
-    fn gain_dbi(&self, freq_hz: f64, angle_rad: f64) -> f64 {
-        let af = self.array_factor(freq_hz, angle_rad);
-        // Element pattern: cos(θ) power rolloff typical of a patch.
-        let elem = angle_rad.cos().max(1e-6);
-        let peak = self.element_gain_dbi + 10.0 * (self.elements as f64).log10();
-        peak + 20.0 * af.log10() + 10.0 * elem.log10()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn isotropic_is_flat() {
-        let a = Isotropic;
-        assert_eq!(a.gain_dbi(28e9, 0.0), 0.0);
-        assert_eq!(a.gain_dbi(60e9, 1.0), 0.0);
-        assert!((a.gain_linear(28e9, 0.3) - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn horn_boresight_and_hpbw() {
@@ -201,43 +123,5 @@ mod tests {
     fn horn_sidelobe_floor() {
         let h = Horn::miwave_20dbi();
         assert_eq!(h.gain_dbi(28e9, 1.2), -10.0);
-    }
-
-    #[test]
-    fn ula_peak_at_steering_angle() {
-        let a = UniformLinearArray::half_wave(16, 28e9).steered_to(0.3);
-        let dir = a.beam_direction_rad(28e9);
-        assert!((dir - 0.3).abs() < 0.01, "steered to {dir}");
-    }
-
-    #[test]
-    fn ula_gain_scales_with_elements() {
-        let a4 = UniformLinearArray::half_wave(4, 28e9);
-        let a16 = UniformLinearArray::half_wave(16, 28e9);
-        let g4 = a4.gain_dbi(28e9, 0.0);
-        let g16 = a16.gain_dbi(28e9, 0.0);
-        // 4× the elements = +6 dB.
-        assert!((g16 - g4 - 6.02).abs() < 0.1);
-    }
-
-    #[test]
-    fn ula_array_factor_unity_at_steer() {
-        let a = UniformLinearArray::half_wave(8, 28e9).steered_to(-0.2);
-        assert!((a.array_factor(28e9, -0.2) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ula_has_nulls() {
-        let a = UniformLinearArray::half_wave(8, 28e9);
-        // First null of an 8-element λ/2 array: sinθ = 2/N → θ ≈ 14.48°.
-        let null = (2.0 / 8.0f64).asin();
-        assert!(a.array_factor(28e9, null) < 1e-9);
-    }
-
-    #[test]
-    fn beamwidth_narrows_with_more_elements() {
-        let a8 = UniformLinearArray::half_wave(8, 28e9);
-        let a32 = UniformLinearArray::half_wave(32, 28e9);
-        assert!(a32.beamwidth_rad(28e9) < a8.beamwidth_rad(28e9));
     }
 }

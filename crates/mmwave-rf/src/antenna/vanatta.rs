@@ -13,55 +13,6 @@
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
-/// Modulation a baseline tag applies to the retro-reflected wave by
-/// switching elements in the pair-connecting lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RetroModulation {
-    /// On-off: toggling the lines between matched termination (absorb) and
-    /// through (reflect) — amplitude modulation.
-    OnOff,
-    /// Binary phase-shift keying: inserting a λ/2 line section flips the
-    /// reflected phase (mmTag-style PSK via switched delay lines).
-    Bpsk,
-    /// Quadrature PSK via two switched line sections (0/90/180/270°).
-    Qpsk,
-}
-
-impl RetroModulation {
-    /// Bits carried per backscatter symbol.
-    pub fn bits_per_symbol(self) -> u32 {
-        match self {
-            RetroModulation::OnOff | RetroModulation::Bpsk => 1,
-            RetroModulation::Qpsk => 2,
-        }
-    }
-
-    /// The complex reflection coefficients of each modulation state.
-    pub fn states(self) -> Vec<mmwave_sigproc::Complex> {
-        use mmwave_sigproc::Complex;
-        match self {
-            RetroModulation::OnOff => vec![Complex::real(0.0), Complex::real(1.0)],
-            RetroModulation::Bpsk => vec![Complex::real(-1.0), Complex::real(1.0)],
-            RetroModulation::Qpsk => vec![
-                Complex::real(1.0),
-                Complex::new(0.0, 1.0),
-                Complex::real(-1.0),
-                Complex::new(0.0, -1.0),
-            ],
-        }
-    }
-
-    /// Minimum distance between constellation points (unit-energy states),
-    /// which sets relative BER performance: BPSK (2.0) > QPSK (√2) > OOK (1).
-    pub fn min_distance(self) -> f64 {
-        match self {
-            RetroModulation::OnOff => 1.0,
-            RetroModulation::Bpsk => 2.0,
-            RetroModulation::Qpsk => std::f64::consts::SQRT_2,
-        }
-    }
-}
-
 /// A Van Atta retro-reflector array.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VanAttaArray {
@@ -115,11 +66,6 @@ impl VanAttaArray {
         g * g * 10f64.powf(-self.trace_loss_db / 10.0)
     }
 
-    /// Round-trip retro gain product in dB.
-    pub fn retro_gain_product_db(&self, angle_rad: f64) -> f64 {
-        10.0 * self.retro_gain_product_linear(angle_rad).log10()
-    }
-
     /// Monostatic radar cross-section (m²) presented to an interrogator at
     /// `freq_hz` / `angle_rad`: `σ = G_rx·G_tx·λ²/4π`.
     pub fn rcs_m2(&self, freq_hz: f64, angle_rad: f64) -> f64 {
@@ -132,14 +78,19 @@ impl VanAttaArray {
 mod tests {
     use super::*;
 
+    /// Round-trip retro gain product in dB.
+    fn product_db(v: &VanAttaArray, angle_rad: f64) -> f64 {
+        10.0 * v.retro_gain_product_linear(angle_rad).log10()
+    }
+
     #[test]
     fn retro_gain_is_flat_across_wide_angles() {
         // The defining Van Atta property: within the element pattern the
         // round-trip gain barely changes with incidence angle.
         let v = VanAttaArray::new(8);
-        let g0 = v.retro_gain_product_db(0.0);
-        let g30 = v.retro_gain_product_db(30f64.to_radians());
-        let g45 = v.retro_gain_product_db(45f64.to_radians());
+        let g0 = product_db(&v, 0.0);
+        let g30 = product_db(&v, 30f64.to_radians());
+        let g45 = product_db(&v, 45f64.to_radians());
         assert!(g0 - g30 < 1.5, "30° droop {:.2} dB", g0 - g30);
         assert!(g0 - g45 < 3.5, "45° droop {:.2} dB", g0 - g45);
     }
@@ -148,7 +99,7 @@ mod tests {
     fn retro_gain_scales_with_n_squared() {
         let v4 = VanAttaArray::new(4);
         let v8 = VanAttaArray::new(8);
-        let diff = v8.retro_gain_product_db(0.0) - v4.retro_gain_product_db(0.0);
+        let diff = product_db(&v8, 0.0) - product_db(&v4, 0.0);
         // N doubling → (N²)² in product? No: product is (N·g)², so 2× N
         // gives +6 dB... in *each* direction → +12? (2N·g)²/(N·g)² = 4 → 6 dB.
         assert!((diff - 6.02).abs() < 0.1, "diff {diff}");
@@ -159,7 +110,7 @@ mod tests {
         // 8 elements × 5 dBi: G_one_way = 10log10(8) + 5 = 14 dBi;
         // product = 28 dB − 1 dB trace loss = 27 dB.
         let v = VanAttaArray::new(8);
-        assert!((v.retro_gain_product_db(0.0) - 27.06).abs() < 0.1);
+        assert!((product_db(&v, 0.0) - 27.06).abs() < 0.1);
     }
 
     #[test]
@@ -173,29 +124,12 @@ mod tests {
     #[test]
     fn behind_ground_plane_is_tiny() {
         let v = VanAttaArray::new(8);
-        assert!(v.retro_gain_product_db(1.6) < v.retro_gain_product_db(0.0) - 30.0);
+        assert!(product_db(&v, 1.6) < product_db(&v, 0.0) - 30.0);
     }
 
     #[test]
     #[should_panic(expected = "even count")]
     fn rejects_odd_element_count() {
         VanAttaArray::new(7);
-    }
-
-    #[test]
-    fn modulation_properties() {
-        assert_eq!(RetroModulation::OnOff.bits_per_symbol(), 1);
-        assert_eq!(RetroModulation::Qpsk.bits_per_symbol(), 2);
-        assert_eq!(RetroModulation::Bpsk.states().len(), 2);
-        assert_eq!(RetroModulation::Qpsk.states().len(), 4);
-        assert!(RetroModulation::Bpsk.min_distance() > RetroModulation::Qpsk.min_distance());
-        assert!(RetroModulation::Qpsk.min_distance() > RetroModulation::OnOff.min_distance());
-    }
-
-    #[test]
-    fn qpsk_states_are_unit_energy() {
-        for s in RetroModulation::Qpsk.states() {
-            assert!((s.norm() - 1.0).abs() < 1e-12);
-        }
     }
 }

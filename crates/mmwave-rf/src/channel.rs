@@ -135,11 +135,6 @@ impl ApFrontend {
     pub fn azimuth_to(&self, target: Vec2) -> f64 {
         wrap_angle(self.position.bearing_to(target) - self.boresight_rad)
     }
-
-    /// EIRP in dBm.
-    pub fn eirp_dbm(&self) -> f64 {
-        self.tx_power_dbm + self.tx_gain_dbi
-    }
 }
 
 /// One echo path for beat-signal synthesis. The amplitude closure receives
@@ -662,7 +657,6 @@ mod tests {
         assert!(ap.azimuth_to(Vec2::new(5.0, 0.0)).abs() < 1e-12);
         let az = ap.azimuth_to(Vec2::new(3.0, 3.0));
         assert!((az - PI / 4.0).abs() < 1e-12);
-        assert!((ap.eirp_dbm() - 47.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Behavioral models of the off-the-shelf RF components in the MilBack
-//! prototype (§8): power amplifier, LNA, mixer, band-pass filter, SPDT
-//! switch, envelope detector and the MCU's ADC.
+//! prototype (§8): power amplifier, SPDT switch, envelope detector and the
+//! MCU's ADC.
 //!
 //! Each model captures only the behaviour the system actually depends on —
 //! gain/loss, noise contribution, compression, switching speed, detector
@@ -31,15 +31,6 @@ impl Amplifier {
         }
     }
 
-    /// ADL8142-class low-noise amplifier (paper's RX LNA).
-    pub fn adl8142_lna() -> Self {
-        Self {
-            gain_db: 18.0,
-            noise_figure_db: 3.0,
-            output_p1db_dbm: 15.0,
-        }
-    }
-
     /// Output power (dBm) for a given input power (dBm), with soft
     /// saturation above the compression point.
     pub fn amplify_dbm(&self, input_dbm: f64) -> f64 {
@@ -51,30 +42,6 @@ impl Amplifier {
         let sat = dbm_to_watts(self.output_p1db_dbm + 2.0);
         let pin = dbm_to_watts(linear_out);
         watts_to_dbm(pin / (1.0 + (pin / sat).powi(2)).sqrt())
-    }
-}
-
-/// A downconversion mixer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Mixer {
-    /// Conversion loss, dB (positive number).
-    pub conversion_loss_db: f64,
-    /// LO-to-RF leakage, dB (negative; sets self-interference floor).
-    pub lo_leakage_db: f64,
-}
-
-impl Mixer {
-    /// ZMDB-44H-K+-class double-balanced mixer.
-    pub fn zmdb44h() -> Self {
-        Self {
-            conversion_loss_db: 7.0,
-            lo_leakage_db: -30.0,
-        }
-    }
-
-    /// Output power of the downconverted product for an RF input power.
-    pub fn convert_dbm(&self, rf_dbm: f64) -> f64 {
-        rf_dbm - self.conversion_loss_db
     }
 }
 
@@ -195,7 +162,7 @@ impl EnvelopeDetector {
     }
 
     /// An [`RcFilter`] modeling the output dynamics at sample interval `dt`.
-    pub fn video_filter(&self, dt_s: f64) -> RcFilter {
+    pub(crate) fn video_filter(&self, dt_s: f64) -> RcFilter {
         RcFilter::from_rise_time(self.rise_time_s, dt_s)
     }
 
@@ -248,7 +215,7 @@ impl Adc {
 
     /// Quantizes one voltage to the nearest code's voltage (clamping to the
     /// input range).
-    pub fn quantize(&self, v: f64) -> f64 {
+    pub(crate) fn quantize(&self, v: f64) -> f64 {
         let levels = (1u64 << self.bits) as f64 - 1.0;
         let clamped = v.clamp(0.0, self.vref);
         (clamped / self.vref * levels).round() / levels * self.vref
@@ -272,7 +239,7 @@ impl Adc {
     ///
     /// # Panics
     /// Panics if the input rate is below the ADC rate.
-    pub fn sample_trace_into(&self, trace: &[f64], input_rate_hz: f64, out: &mut Vec<f64>) {
+    pub(crate) fn sample_trace_into(&self, trace: &[f64], input_rate_hz: f64, out: &mut Vec<f64>) {
         assert!(
             input_rate_hz >= self.sample_rate_hz,
             "cannot upsample: input {input_rate_hz} < ADC {}",
@@ -296,8 +263,8 @@ mod tests {
 
     #[test]
     fn amplifier_linear_region() {
-        let lna = Amplifier::adl8142_lna();
-        assert!((lna.amplify_dbm(-60.0) - (-42.0)).abs() < 1e-9);
+        let pa = Amplifier::adpa7005_pa();
+        assert!((pa.amplify_dbm(-60.0) - (-39.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -319,12 +286,6 @@ mod tests {
             assert!(out > prev);
             prev = out;
         }
-    }
-
-    #[test]
-    fn mixer_applies_conversion_loss() {
-        let m = Mixer::zmdb44h();
-        assert!((m.convert_dbm(-30.0) - (-37.0)).abs() < 1e-12);
     }
 
     #[test]

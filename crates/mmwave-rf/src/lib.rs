@@ -22,6 +22,6 @@ pub mod propagation;
 
 pub use antenna::fsa::{DualPortFsa, FsaDesign, FsaPort};
 pub use antenna::vanatta::VanAttaArray;
-pub use antenna::{Antenna, Horn, Isotropic, UniformLinearArray};
+pub use antenna::{Antenna, Horn};
 pub use channel::{ApFrontend, Echo, NodePose, Reflector, Vec2};
-pub use components::{Adc, Amplifier, EnvelopeDetector, Mixer, SpdtSwitch};
+pub use components::{Adc, Amplifier, EnvelopeDetector, SpdtSwitch};

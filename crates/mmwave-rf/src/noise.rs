@@ -37,7 +37,7 @@ impl NoiseStage {
 ///
 /// # Panics
 /// Panics on an empty chain.
-pub fn cascade_noise_figure_db(stages: &[NoiseStage]) -> f64 {
+pub(crate) fn cascade_noise_figure_db(stages: &[NoiseStage]) -> f64 {
     assert!(!stages.is_empty(), "cascade of zero stages");
     let mut f_total = db_to_lin(stages[0].noise_figure_db);
     let mut gain_product = db_to_lin(stages[0].gain_db);
@@ -49,7 +49,7 @@ pub fn cascade_noise_figure_db(stages: &[NoiseStage]) -> f64 {
 }
 
 /// Total gain of a chain, dB.
-pub fn cascade_gain_db(stages: &[NoiseStage]) -> f64 {
+pub(crate) fn cascade_gain_db(stages: &[NoiseStage]) -> f64 {
     stages.iter().map(|s| s.gain_db).sum()
 }
 
@@ -102,7 +102,7 @@ impl ReceiverChain {
     }
 
     /// Input-referred noise floor over `bandwidth_hz`, dBm.
-    pub fn noise_floor_dbm(&self, bandwidth_hz: f64) -> f64 {
+    pub(crate) fn noise_floor_dbm(&self, bandwidth_hz: f64) -> f64 {
         noise_power_dbm(bandwidth_hz, self.noise_figure_db())
     }
 

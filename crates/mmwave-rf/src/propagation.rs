@@ -91,11 +91,6 @@ pub fn range_resolution_m(bandwidth_hz: f64) -> f64 {
     SPEED_OF_LIGHT / (2.0 * bandwidth_hz)
 }
 
-/// Carrier phase accumulated over a one-way path, radians (mod 2π free).
-pub fn path_phase_rad(freq_hz: f64, distance_m: f64) -> f64 {
-    2.0 * PI * freq_hz * distance_m / SPEED_OF_LIGHT
-}
-
 /// Phase difference between two receive antennas separated by
 /// `baseline_m`, for a plane wave from `angle_rad` off array broadside:
 /// `Δφ = 2π·d·sin(θ)/λ` — the AP's AoA observable (§9.2).
@@ -188,15 +183,6 @@ mod tests {
     #[test]
     fn range_resolution_for_3ghz_is_5cm() {
         assert!((range_resolution_m(3e9) - 0.04997).abs() < 1e-4);
-    }
-
-    #[test]
-    fn path_phase_wraps_every_wavelength() {
-        let f = 28e9;
-        let lambda = SPEED_OF_LIGHT / f;
-        let p1 = path_phase_rad(f, 1.0);
-        let p2 = path_phase_rad(f, 1.0 + lambda);
-        assert!(((p2 - p1) - 2.0 * PI).abs() < 1e-6);
     }
 
     #[test]

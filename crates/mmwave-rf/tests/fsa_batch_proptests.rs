@@ -32,12 +32,9 @@ proptest! {
         let f = 26.5e9 + freq_off;
         let fe = eval.at_freq(p, f);
         let mut dbi = vec![0.0; angles.len()];
-        let mut lin = vec![0.0; angles.len()];
         fe.gain_dbi_batch(&angles, &mut dbi);
-        fe.gain_linear_batch(&angles, &mut lin);
         for (i, &a) in angles.iter().enumerate() {
             prop_assert_eq!(dbi[i].to_bits(), d.gain_dbi(p, f, a).to_bits());
-            prop_assert_eq!(lin[i].to_bits(), d.gain_linear(p, f, a).to_bits());
             prop_assert_eq!(dbi[i].to_bits(), eval.gain_dbi(p, f, a).to_bits());
         }
     }
@@ -54,21 +51,18 @@ proptest! {
         let d = FsaDesign::milback_default();
         let eval = FsaGainEval::new(&d);
         let p = port(port_a);
-        let mut dbi = vec![0.0; freqs.len()];
         let mut lin = vec![0.0; freqs.len()];
-        eval.gain_dbi_freqs_into(p, &freqs, angle, &mut dbi, false);
         eval.gain_linear_freqs_into(p, &freqs, angle, &mut lin, false);
         for (i, &f) in freqs.iter().enumerate() {
-            prop_assert_eq!(dbi[i].to_bits(), d.gain_dbi(p, f, angle).to_bits());
             prop_assert_eq!(lin[i].to_bits(), d.gain_linear(p, f, angle).to_bits());
         }
         // Memoizing run: same bits out, and the seeded cache serves the
         // scalar path the same bits back.
-        let mut dbi_memo = vec![0.0; freqs.len()];
-        eval.gain_dbi_freqs_into(p, &freqs, angle, &mut dbi_memo, true);
+        let mut lin_memo = vec![0.0; freqs.len()];
+        eval.gain_linear_freqs_into(p, &freqs, angle, &mut lin_memo, true);
         for (i, &f) in freqs.iter().enumerate() {
-            prop_assert_eq!(dbi_memo[i].to_bits(), dbi[i].to_bits());
-            prop_assert_eq!(eval.gain_dbi(p, f, angle).to_bits(), dbi[i].to_bits());
+            prop_assert_eq!(lin_memo[i].to_bits(), lin[i].to_bits());
+            prop_assert_eq!(eval.gain_linear(p, f, angle).to_bits(), lin[i].to_bits());
         }
     }
 

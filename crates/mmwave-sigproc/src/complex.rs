@@ -22,8 +22,6 @@ pub struct Complex {
 
 /// The complex zero.
 pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-/// The complex one.
-pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 /// The imaginary unit `j` (electrical-engineering spelling of `i`).
 pub const J: Complex = Complex { re: 0.0, im: 1.0 };
 
@@ -86,7 +84,7 @@ impl Complex {
 
     /// Polar decomposition `(r, θ)`.
     #[inline]
-    pub fn to_polar(self) -> (f64, f64) {
+    pub(crate) fn to_polar(self) -> (f64, f64) {
         (self.norm(), self.arg())
     }
 
@@ -103,7 +101,7 @@ impl Complex {
     ///
     /// Returns a non-finite result for `z == 0`, mirroring `f64` division.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let d = self.norm_sqr();
         Self {
             re: self.re / d,
@@ -127,12 +125,6 @@ impl Complex {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Rotates the phasor by `theta` radians (multiplication by `e^{jθ}`).
-    #[inline]
-    pub fn rotate(self, theta: f64) -> Self {
-        self * Self::cis(theta)
     }
 }
 
@@ -259,28 +251,6 @@ impl Sum for Complex {
     }
 }
 
-/// Element-wise multiplication of two equal-length complex slices into `out`.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn mul_slices(a: &[Complex], b: &[Complex], out: &mut [Complex]) {
-    assert_eq!(a.len(), b.len(), "mul_slices: length mismatch");
-    assert_eq!(a.len(), out.len(), "mul_slices: output length mismatch");
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
-    }
-}
-
-/// Converts a real slice into a complex vector with zero imaginary parts.
-pub fn from_real(x: &[f64]) -> Vec<Complex> {
-    x.iter().map(|&r| Complex::real(r)).collect()
-}
-
-/// Extracts the real parts of a complex slice.
-pub fn to_real(x: &[Complex]) -> Vec<f64> {
-    x.iter().map(|z| z.re).collect()
-}
-
 /// Computes `|z|²` for every element (the power spectrum of an FFT output).
 pub fn power(x: &[Complex]) -> Vec<f64> {
     x.iter().map(|z| z.norm_sqr()).collect()
@@ -294,6 +264,8 @@ pub fn magnitude(x: &[Complex]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ONE: Complex = Complex::real(1.0);
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
@@ -378,12 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn rotate_by_half_pi_equals_mul_by_j() {
-        let z = Complex::new(2.0, 1.0);
-        assert!(zclose(z.rotate(std::f64::consts::FRAC_PI_2), z * J));
-    }
-
-    #[test]
     fn scalar_ops() {
         let z = Complex::new(1.0, -2.0);
         assert!(zclose(z * 2.0, Complex::new(2.0, -4.0)));
@@ -400,32 +366,12 @@ mod tests {
 
     #[test]
     fn slice_helpers_roundtrip() {
-        let x = vec![1.0, -2.0, 3.5];
-        let z = from_real(&x);
-        assert_eq!(to_real(&z), x);
+        let x = [1.0, -2.0, 3.5];
+        let z: Vec<Complex> = x.iter().map(|&r| Complex::real(r)).collect();
         let p = power(&z);
         assert!(close(p[1], 4.0));
         let m = magnitude(&z);
         assert!(close(m[2], 3.5));
-    }
-
-    #[test]
-    fn mul_slices_elementwise() {
-        let a = vec![ONE, J];
-        let b = vec![J, J];
-        let mut out = vec![ZERO; 2];
-        mul_slices(&a, &b, &mut out);
-        assert!(zclose(out[0], J));
-        assert!(zclose(out[1], Complex::real(-1.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mul_slices_rejects_mismatched_lengths() {
-        let a = vec![ONE];
-        let b = vec![ONE, ONE];
-        let mut out = vec![ZERO];
-        mul_slices(&a, &b, &mut out);
     }
 
     #[test]

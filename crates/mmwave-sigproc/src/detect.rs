@@ -1,12 +1,10 @@
 //! Detection primitives: peak finding with sub-bin interpolation, threshold
-//! crossings, energy detection and cross-correlation.
+//! crossings and energy detection.
 //!
 //! The localization pipeline finds the node's beat-frequency peak in a
 //! background-subtracted spectrum; the node's MCU finds the two power peaks
 //! of the triangular chirp; the uplink receiver detects symbol energy.
 //! Every one of those reduces to the helpers in this module.
-
-use crate::complex::Complex;
 
 /// A located peak in a sampled sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,14 +113,6 @@ pub fn energy(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64
 }
 
-/// Mean magnitude-squared energy of a complex slice.
-pub fn energy_complex(x: &[Complex]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    x.iter().map(|z| z.norm_sqr()).sum::<f64>() / x.len() as f64
-}
-
 /// Mean value of each consecutive chunk of `chunk` samples — the integrate-
 /// and-dump operation a symbol-rate receiver performs.
 ///
@@ -135,72 +125,6 @@ pub fn integrate_and_dump(x: &[f64], chunk: usize) -> Vec<f64> {
     x.chunks_exact(chunk)
         .map(|c| c.iter().sum::<f64>() / chunk as f64)
         .collect()
-}
-
-/// Above this many multiply-adds the direct O(len_a·len_b) correlation
-/// loses to three planned FFTs; [`xcorr`] switches implementations here.
-const XCORR_FFT_THRESHOLD: usize = 1 << 14;
-
-/// Full (linear) cross-correlation of two real signals.
-///
-/// `out[k] = Σ_n a[n]·b[n - (k - (len_b-1))]` — standard "full" mode with
-/// output length `len_a + len_b - 1`. Lag zero sits at index `len_b - 1`.
-///
-/// Small inputs use the exact direct sum; once `len_a·len_b` exceeds
-/// `XCORR_FFT_THRESHOLD` the product is evaluated by planned FFTs
-/// (zero-pad to a power of two, multiply `FFT(a)` by `conj`-free
-/// `FFT(rev b)`, inverse-transform), which agrees with the direct sum to
-/// FFT round-off (~1e-13 relative) at a cost of `O(m log m)` instead of
-/// `O(len_a·len_b)`.
-pub fn xcorr(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let n = a.len() + b.len() - 1;
-    if a.len().saturating_mul(b.len()) > XCORR_FFT_THRESHOLD {
-        return xcorr_fft(a, b, n);
-    }
-    let mut out = vec![0.0; n];
-    for (i, &av) in a.iter().enumerate() {
-        for (j, &bv) in b.iter().enumerate() {
-            out[i + b.len() - 1 - j] += av * bv;
-        }
-    }
-    out
-}
-
-/// FFT fast path for [`xcorr`]: correlation as convolution with the
-/// reversed second signal, via one shared plan and a reused scratch buffer.
-fn xcorr_fft(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    use crate::complex::ZERO;
-    use crate::fft::{Direction, FftPlanner};
-    let m = n.next_power_of_two();
-    let plan = FftPlanner::plan(m);
-    let mut scratch = vec![0.0f64; plan.scratch_len()];
-    let mut fa = vec![ZERO; m];
-    for (slot, &v) in fa.iter_mut().zip(a) {
-        slot.re = v;
-    }
-    plan.process_with_scratch(&mut fa, &mut scratch, Direction::Forward);
-    let mut fb = vec![ZERO; m];
-    for (slot, &v) in fb.iter_mut().zip(b.iter().rev()) {
-        slot.re = v;
-    }
-    plan.process_with_scratch(&mut fb, &mut scratch, Direction::Forward);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    plan.process_with_scratch(&mut fa, &mut scratch, Direction::Inverse);
-    fa.truncate(n);
-    fa.iter().map(|z| z.re).collect()
-}
-
-/// The lag (in samples, possibly negative) at which `b` best aligns with
-/// `a`, from the peak of their cross-correlation.
-pub fn best_lag(a: &[f64], b: &[f64]) -> Option<f64> {
-    let c = xcorr(a, b);
-    let p = find_peak(&c)?;
-    Some(p.position - (b.len() as f64 - 1.0))
 }
 
 /// Estimates an on/off slicing threshold for a two-level trace: midway
@@ -227,47 +151,6 @@ pub fn midpoint_threshold_into(trace: &[f64], sorted: &mut Vec<f64>) -> Option<f
         None
     } else {
         Some((hi + lo) / 2.0)
-    }
-}
-
-/// Simple hysteresis comparator (Schmitt trigger) converting an analog
-/// trace into boolean decisions. This mirrors the MCU firmware's slicer.
-#[derive(Debug, Clone, Copy)]
-pub struct SchmittTrigger {
-    high: f64,
-    low: f64,
-    state: bool,
-}
-
-impl SchmittTrigger {
-    /// Builds a comparator that flips on at `high` and off at `low`.
-    ///
-    /// # Panics
-    /// Panics unless `low < high`.
-    pub fn new(low: f64, high: f64) -> Self {
-        assert!(low < high, "hysteresis requires low < high");
-        Self {
-            high,
-            low,
-            state: false,
-        }
-    }
-
-    /// Feeds one sample; returns the (possibly updated) state.
-    pub fn step(&mut self, x: f64) -> bool {
-        if self.state {
-            if x < self.low {
-                self.state = false;
-            }
-        } else if x > self.high {
-            self.state = true;
-        }
-        self.state
-    }
-
-    /// Processes a whole trace.
-    pub fn process(&mut self, x: &[f64]) -> Vec<bool> {
-        x.iter().map(|&v| self.step(v)).collect()
     }
 }
 
@@ -380,49 +263,6 @@ mod tests {
     #[should_panic(expected = "chunk size must be positive")]
     fn integrate_and_dump_rejects_zero_chunk() {
         integrate_and_dump(&[1.0], 0);
-    }
-
-    #[test]
-    fn xcorr_of_impulses() {
-        let a = [0.0, 0.0, 1.0, 0.0];
-        let b = [1.0, 0.0];
-        let c = xcorr(&a, &b);
-        assert_eq!(c.len(), 5);
-        let p = find_peak(&c).unwrap();
-        // b aligned with a at lag 2: index = lag + (len_b - 1) = 3.
-        assert_eq!(p.index, 3);
-    }
-
-    #[test]
-    fn best_lag_recovers_shift() {
-        let template: Vec<f64> = (0..32).map(|i| ((i as f64) * 0.8).sin()).collect();
-        let mut signal = vec![0.0; 100];
-        signal[40..72].copy_from_slice(&template);
-        let lag = best_lag(&signal, &template).unwrap();
-        assert!((lag - 40.0).abs() < 0.51, "lag {lag}");
-    }
-
-    #[test]
-    fn schmitt_trigger_has_hysteresis() {
-        let mut s = SchmittTrigger::new(0.3, 0.7);
-        assert!(!s.step(0.5)); // below high: stays off
-        assert!(s.step(0.8)); // crosses high: on
-        assert!(s.step(0.5)); // above low: stays on
-        assert!(!s.step(0.2)); // below low: off
-    }
-
-    #[test]
-    fn schmitt_rejects_noise_between_thresholds() {
-        let mut s = SchmittTrigger::new(0.2, 0.8);
-        let noisy = [0.5, 0.6, 0.4, 0.55, 0.45];
-        let out = s.process(&noisy);
-        assert!(out.iter().all(|&b| !b));
-    }
-
-    #[test]
-    #[should_panic(expected = "low < high")]
-    fn schmitt_rejects_inverted_thresholds() {
-        SchmittTrigger::new(0.7, 0.3);
     }
 
     #[test]

@@ -9,17 +9,18 @@
 //!
 //! * [`FftPlanner`] caches one [`FftPlan`] per length behind a process-wide
 //!   mutex with a thread-local fast path, so the one-shot helpers ([`fft`],
-//!   [`ifft`], [`rfft`]) pay twiddle precomputation once per length instead
-//!   of once per call.
-//! * [`FftPlan::process_with_scratch`] and [`FftPlan::process_many`] run
-//!   transforms — including the Bluestein convolution — without any per-call
-//!   heap allocation; the one-shot helpers reuse a thread-local scratch.
+//!   [`ifft`]) pay twiddle precomputation once per length instead of once
+//!   per call.
+//! * [`FftPlan::process_with_scratch`] and
+//!   [`FftPlan::process_many_with_scratch`] run transforms — including the
+//!   Bluestein convolution — without any per-call heap allocation; the
+//!   one-shot helpers reuse a thread-local scratch.
 //! * The kernel is planar: the interleaved `Complex` buffer is split into
 //!   separate re/im planes inside the scratch, every butterfly becomes an
 //!   elementwise `f64` loop the compiler can vectorize, and the Stockham
 //!   ping-pong between planes removes the bit-reversal pass entirely.
 
-use crate::complex::{Complex, ZERO};
+use crate::complex::Complex;
 use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -363,16 +364,7 @@ impl FftPlan {
     }
 
     /// Transforms every length-`n` frame of `data` in place, reusing one
-    /// scratch allocation across all frames.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` is not a multiple of the plan length.
-    pub fn process_many(&self, data: &mut [Complex], dir: Direction) {
-        let mut scratch = vec![0.0; self.scratch_len()];
-        self.process_many_with_scratch(data, &mut scratch, dir);
-    }
-
-    /// Allocation-free variant of [`Self::process_many`].
+    /// caller-owned scratch across all frames.
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of the plan length or
@@ -403,18 +395,6 @@ impl FftPlan {
         match &self.kind {
             PlanKind::Pow2 { base, .. } => base,
             PlanKind::Bluestein { .. } => unreachable!("inner plan must be power-of-two"),
-        }
-    }
-
-    /// The `k`-th base twiddle `e^{-j2πk/n}` (`k < n/2`), read from the
-    /// precomputed table of a power-of-two plan.
-    fn base_twiddle(&self, k: usize) -> Option<Complex> {
-        match &self.kind {
-            PlanKind::Pow2 { base, .. } if self.n >= 4 => {
-                debug_assert!(k < self.n / 2);
-                Some(base[k])
-            }
-            _ => None,
         }
     }
 }
@@ -739,7 +719,7 @@ fn radix4_stage_impl(
 /// Process-wide cache of [`FftPlan`]s, keyed by transform length.
 ///
 /// The FMCW pipeline transforms a handful of distinct lengths (range FFT,
-/// Doppler FFT, Welch segments) thousands of times each, so the cache is a
+/// Doppler FFT) thousands of times each, so the cache is a
 /// small linear-scanned vector rather than a hash map. Each thread keeps its
 /// own lock-free mirror of the plans it has used; the shared map behind a
 /// [`parking_lot::Mutex`] is only consulted on a thread's first use of a
@@ -751,7 +731,7 @@ static GLOBAL_PLANS: Mutex<Vec<(usize, Arc<FftPlan>)>> = Mutex::new(Vec::new());
 thread_local! {
     static THREAD_PLANS: RefCell<Vec<(usize, Arc<FftPlan>)>> =
         const { RefCell::new(Vec::new()) };
-    /// Scratch reused by the one-shot helpers ([`fft`], [`ifft`], [`rfft`]),
+    /// Scratch reused by the one-shot helpers ([`fft`], [`ifft`]),
     /// so repeated one-shot calls allocate nothing but their output.
     static ONESHOT_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
@@ -799,11 +779,6 @@ impl FftPlanner {
             }
         }
     }
-
-    /// Number of distinct lengths currently in the shared cache.
-    pub fn cached_lengths() -> usize {
-        GLOBAL_PLANS.lock().len()
-    }
 }
 
 /// Runs `plan.process_with_scratch` against the thread-local one-shot
@@ -839,54 +814,6 @@ pub fn ifft(x: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Forward FFT of a real signal; returns the full complex spectrum.
-///
-/// Even lengths use the half-size trick: the 2h reals pack into h complex
-/// samples, one h-point FFT runs, and conjugate symmetry untangles the even
-/// and odd sub-spectra — roughly halving the work of the widen-to-complex
-/// path, which remains the fallback for odd lengths.
-pub fn rfft(x: &[f64]) -> Vec<Complex> {
-    let n = x.len();
-    if !n.is_multiple_of(2) || n < 4 {
-        let buf: Vec<Complex> = x.iter().map(|&r| Complex::real(r)).collect();
-        return fft(&buf);
-    }
-    let h = n / 2;
-    let mut z: Vec<Complex> = (0..h)
-        .map(|k| Complex::new(x[2 * k], x[2 * k + 1]))
-        .collect();
-    let plan = FftPlanner::plan(h);
-    process_with_thread_scratch(&plan, &mut z, Direction::Forward);
-
-    let mut out = vec![ZERO; n];
-    // Untangle: with E/O the FFTs of the even/odd samples,
-    //   X[k]     = E[k] + w^k·O[k]
-    //   X[k + h] = E[k] − w^k·O[k],   w = e^{-j2π/n},
-    // where E[k] = (Z[k] + Z*[h−k])/2 and O[k] = −j(Z[k] − Z*[h−k])/2.
-    let step = Complex::cis(-PI / h as f64);
-    let mut w = Complex::real(1.0);
-    for k in 0..h {
-        // Power-of-two plans expose their exact twiddle table (w^k for even
-        // k is e^{-j2πk/n} = table[k/2]); odd k and Bluestein-h fall back to
-        // one multiply from the previous value, bounding drift.
-        if k > 0 {
-            w = match plan.base_twiddle(k / 2) {
-                Some(exact) if k % 2 == 0 => exact,
-                _ => w * step,
-            };
-        }
-        let zk = z[k];
-        let zc = z[(h - k) % h].conj();
-        let e = (zk + zc).scale(0.5);
-        let o_t = (zk - zc).scale(0.5);
-        // −j·o_t, then rotate by w^k.
-        let o = Complex::new(o_t.im, -o_t.re) * w;
-        out[k] = e + o;
-        out[k + h] = e - o;
-    }
-    out
-}
-
 /// The frequency in Hz associated with each FFT bin, given the sample rate.
 ///
 /// Bins `0..N/2` map to non-negative frequencies; bins above `N/2` map to
@@ -904,31 +831,10 @@ pub fn fft_frequencies(n: usize, sample_rate: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Reorders a spectrum so the zero-frequency bin sits in the middle.
-pub fn fftshift<T: Copy>(x: &[T]) -> Vec<T> {
-    let n = x.len();
-    let half = n.div_ceil(2);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&x[half..]);
-    out.extend_from_slice(&x[..half]);
-    out
-}
-
-/// Zero-pads `x` to length `n` (returns a copy; `n >= x.len()`).
-///
-/// # Panics
-/// Panics if `n < x.len()`.
-pub fn zero_pad(x: &[Complex], n: usize) -> Vec<Complex> {
-    assert!(n >= x.len(), "zero_pad target shorter than input");
-    let mut out = x.to_vec();
-    out.resize(n, ZERO);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::from_real;
+    use crate::complex::ZERO;
 
     /// Naive O(N²) DFT used as the reference implementation.
     fn dft(x: &[Complex]) -> Vec<Complex> {
@@ -1023,23 +929,13 @@ mod tests {
     #[test]
     fn real_signal_spectrum_is_conjugate_symmetric() {
         let x: Vec<f64> = (0..48).map(|i| (i as f64 * 0.9).sin() + 0.3).collect();
-        let y = rfft(&x);
+        let widened: Vec<Complex> = x.iter().map(|&r| Complex::real(r)).collect();
+        let y = fft(&widened);
         let n = y.len();
         for k in 1..n {
             let a = y[k];
             let b = y[n - k].conj();
             assert!((a - b).norm() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn rfft_matches_widened_fft() {
-        // Even lengths exercise the half-size path (both power-of-two and
-        // Bluestein halves), odd lengths the widening fallback.
-        for n in [2usize, 6, 15, 48, 64, 90, 128] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() - 0.2).collect();
-            let widened: Vec<Complex> = x.iter().map(|&r| Complex::real(r)).collect();
-            assert_spectra_close(&rfft(&x), &fft(&widened), 1e-9 * (n as f64).max(1.0));
         }
     }
 
@@ -1073,7 +969,6 @@ mod tests {
         let b = FftPlanner::plan(4096);
         assert!(Arc::ptr_eq(&a, &b), "same length must share one plan");
         assert_eq!(a.len(), 4096);
-        assert!(FftPlanner::cached_lengths() >= 1);
     }
 
     #[test]
@@ -1127,7 +1022,8 @@ mod tests {
                 .map(|i| Complex::new((i as f64 * 0.13).sin(), (i as f64 * 0.29).cos()))
                 .collect();
             let mut batched = data.clone();
-            plan.process_many(&mut batched, Direction::Forward);
+            let mut scratch = vec![0.0; plan.scratch_len()];
+            plan.process_many_with_scratch(&mut batched, &mut scratch, Direction::Forward);
             for (f, frame) in data.chunks_exact(n).enumerate() {
                 let mut one = frame.to_vec();
                 plan.process(&mut one, Direction::Forward);
@@ -1155,22 +1051,6 @@ mod tests {
             f,
             vec![0.0, 1000.0, 2000.0, 3000.0, 4000.0, -3000.0, -2000.0, -1000.0]
         );
-    }
-
-    #[test]
-    fn fftshift_centers_dc() {
-        let x = [0, 1, 2, 3, 4, 5, 6, 7];
-        assert_eq!(fftshift(&x), vec![4, 5, 6, 7, 0, 1, 2, 3]);
-        let odd = [0, 1, 2, 3, 4];
-        assert_eq!(fftshift(&odd), vec![3, 4, 0, 1, 2]);
-    }
-
-    #[test]
-    fn zero_pad_extends() {
-        let x = from_real(&[1.0, 2.0]);
-        let y = zero_pad(&x, 4);
-        assert_eq!(y.len(), 4);
-        assert_eq!(y[2], ZERO);
     }
 
     #[test]

@@ -1,258 +1,8 @@
-//! Digital filters: windowed-sinc FIR design, biquad IIR sections, and the
-//! first-order RC response that models envelope-detector video bandwidth.
-//!
-//! The AP's receive chain band-pass filters the mixer output to isolate the
-//! node's baseband response (§6.3 of the paper); the node's envelope detector
-//! has a finite rise/fall time that caps the downlink rate at 36 Mbps
-//! (§9.4). Both behaviours are modeled with the primitives in this module.
+//! The first-order RC response that models envelope-detector video
+//! bandwidth: the node's envelope detector has a finite rise/fall time that
+//! caps the downlink rate at 36 Mbps (§9.4).
 
-use crate::complex::Complex;
-use crate::window::Window;
 use serde::{Deserialize, Serialize};
-use std::f64::consts::PI;
-
-/// A finite-impulse-response filter applied by direct convolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FirFilter {
-    taps: Vec<f64>,
-}
-
-impl FirFilter {
-    /// Wraps raw tap coefficients.
-    ///
-    /// # Panics
-    /// Panics if `taps` is empty.
-    pub fn from_taps(taps: Vec<f64>) -> Self {
-        assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-        Self { taps }
-    }
-
-    /// Designs a windowed-sinc low-pass filter.
-    ///
-    /// * `cutoff_hz` — −6 dB cutoff frequency.
-    /// * `sample_rate` — sampling rate of the signal to be filtered.
-    /// * `num_taps` — filter order + 1; odd counts give integer group delay.
-    ///
-    /// # Panics
-    /// Panics unless `0 < cutoff_hz < sample_rate/2` and `num_taps > 0`.
-    pub fn low_pass(cutoff_hz: f64, sample_rate: f64, num_taps: usize, window: Window) -> Self {
-        assert!(num_taps > 0, "num_taps must be positive");
-        assert!(
-            cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0,
-            "cutoff must lie in (0, Nyquist)"
-        );
-        let fc = cutoff_hz / sample_rate; // normalized (cycles/sample)
-        let mid = (num_taps - 1) as f64 / 2.0;
-        let mut taps: Vec<f64> = (0..num_taps)
-            .map(|i| {
-                let t = i as f64 - mid;
-                let sinc = if t.abs() < 1e-12 {
-                    2.0 * fc
-                } else {
-                    (2.0 * PI * fc * t).sin() / (PI * t)
-                };
-                sinc * window.value(i, num_taps)
-            })
-            .collect();
-        // Normalize DC gain to exactly 1.
-        let sum: f64 = taps.iter().sum();
-        for t in &mut taps {
-            *t /= sum;
-        }
-        Self { taps }
-    }
-
-    /// Designs a high-pass filter by spectral inversion of a low-pass.
-    pub fn high_pass(cutoff_hz: f64, sample_rate: f64, num_taps: usize, window: Window) -> Self {
-        assert!(num_taps % 2 == 1, "high-pass FIR requires an odd tap count");
-        let lp = Self::low_pass(cutoff_hz, sample_rate, num_taps, window);
-        let mid = num_taps / 2;
-        let taps = lp
-            .taps
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| if i == mid { 1.0 - t } else { -t })
-            .collect();
-        Self { taps }
-    }
-
-    /// Designs a band-pass filter as high-pass ∘ low-pass (tap convolution).
-    ///
-    /// # Panics
-    /// Panics unless `0 < low_hz < high_hz < sample_rate/2`.
-    pub fn band_pass(
-        low_hz: f64,
-        high_hz: f64,
-        sample_rate: f64,
-        num_taps: usize,
-        window: Window,
-    ) -> Self {
-        assert!(
-            low_hz > 0.0 && low_hz < high_hz && high_hz < sample_rate / 2.0,
-            "band edges must satisfy 0 < low < high < Nyquist"
-        );
-        assert!(num_taps % 2 == 1, "band-pass FIR requires an odd tap count");
-        let lp = Self::low_pass(high_hz, sample_rate, num_taps, window);
-        let hp = Self::high_pass(low_hz, sample_rate, num_taps, window);
-        // Convolve the two impulse responses.
-        let n = lp.taps.len() + hp.taps.len() - 1;
-        let mut taps = vec![0.0; n];
-        for (i, &a) in lp.taps.iter().enumerate() {
-            for (j, &b) in hp.taps.iter().enumerate() {
-                taps[i + j] += a * b;
-            }
-        }
-        Self { taps }
-    }
-
-    /// The filter's tap coefficients.
-    pub fn taps(&self) -> &[f64] {
-        &self.taps
-    }
-
-    /// Group delay in samples (linear-phase symmetric designs).
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
-    /// Filters a real signal; output has the same length as the input
-    /// (convolution tail truncated, leading transient included).
-    pub fn filter(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; x.len()];
-        for (n, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            let kmax = self.taps.len().min(n + 1);
-            for k in 0..kmax {
-                acc += self.taps[k] * x[n - k];
-            }
-            *out = acc;
-        }
-        y
-    }
-
-    /// Filters a complex signal.
-    pub fn filter_complex(&self, x: &[Complex]) -> Vec<Complex> {
-        let mut y = vec![crate::complex::ZERO; x.len()];
-        for (n, out) in y.iter_mut().enumerate() {
-            let mut acc = crate::complex::ZERO;
-            let kmax = self.taps.len().min(n + 1);
-            for k in 0..kmax {
-                acc += x[n - k].scale(self.taps[k]);
-            }
-            *out = acc;
-        }
-        y
-    }
-
-    /// Complex frequency response at `freq_hz` for the given sample rate.
-    pub fn response_at(&self, freq_hz: f64, sample_rate: f64) -> Complex {
-        let w = 2.0 * PI * freq_hz / sample_rate;
-        self.taps
-            .iter()
-            .enumerate()
-            .map(|(n, &t)| Complex::cis(-w * n as f64).scale(t))
-            .sum()
-    }
-
-    /// Magnitude response in dB at `freq_hz`.
-    pub fn magnitude_db_at(&self, freq_hz: f64, sample_rate: f64) -> f64 {
-        20.0 * self.response_at(freq_hz, sample_rate).norm().log10()
-    }
-}
-
-/// A single biquad (second-order IIR) section in direct form II transposed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Biquad {
-    b0: f64,
-    b1: f64,
-    b2: f64,
-    a1: f64,
-    a2: f64,
-    s1: f64,
-    s2: f64,
-}
-
-impl Biquad {
-    /// Creates a biquad from normalized coefficients (a0 = 1).
-    pub fn new(b0: f64, b1: f64, b2: f64, a1: f64, a2: f64) -> Self {
-        Self {
-            b0,
-            b1,
-            b2,
-            a1,
-            a2,
-            s1: 0.0,
-            s2: 0.0,
-        }
-    }
-
-    /// Butterworth-style low-pass biquad (RBJ cookbook formulation).
-    ///
-    /// # Panics
-    /// Panics unless `0 < cutoff_hz < sample_rate / 2` and `q > 0`.
-    pub fn low_pass(cutoff_hz: f64, sample_rate: f64, q: f64) -> Self {
-        assert!(cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0);
-        assert!(q > 0.0);
-        let w0 = 2.0 * PI * cutoff_hz / sample_rate;
-        let (sw, cw) = w0.sin_cos();
-        let alpha = sw / (2.0 * q);
-        let a0 = 1.0 + alpha;
-        Self::new(
-            (1.0 - cw) / 2.0 / a0,
-            (1.0 - cw) / a0,
-            (1.0 - cw) / 2.0 / a0,
-            -2.0 * cw / a0,
-            (1.0 - alpha) / a0,
-        )
-    }
-
-    /// RBJ band-pass biquad with unity peak gain at the center frequency.
-    pub fn band_pass(center_hz: f64, sample_rate: f64, q: f64) -> Self {
-        assert!(center_hz > 0.0 && center_hz < sample_rate / 2.0);
-        assert!(q > 0.0);
-        let w0 = 2.0 * PI * center_hz / sample_rate;
-        let (sw, cw) = w0.sin_cos();
-        let alpha = sw / (2.0 * q);
-        let a0 = 1.0 + alpha;
-        Self::new(
-            alpha / a0,
-            0.0,
-            -alpha / a0,
-            -2.0 * cw / a0,
-            (1.0 - alpha) / a0,
-        )
-    }
-
-    /// Processes one sample.
-    #[inline]
-    pub fn step(&mut self, x: f64) -> f64 {
-        let y = self.b0 * x + self.s1;
-        self.s1 = self.b1 * x - self.a1 * y + self.s2;
-        self.s2 = self.b2 * x - self.a2 * y;
-        y
-    }
-
-    /// Filters a whole buffer, preserving internal state across calls.
-    pub fn process(&mut self, x: &[f64]) -> Vec<f64> {
-        x.iter().map(|&v| self.step(v)).collect()
-    }
-
-    /// Resets the internal delay line.
-    pub fn reset(&mut self) {
-        self.s1 = 0.0;
-        self.s2 = 0.0;
-    }
-
-    /// Complex frequency response at `freq_hz`.
-    pub fn response_at(&self, freq_hz: f64, sample_rate: f64) -> Complex {
-        let w = 2.0 * PI * freq_hz / sample_rate;
-        let z1 = Complex::cis(-w);
-        let z2 = Complex::cis(-2.0 * w);
-        let num = Complex::real(self.b0) + z1.scale(self.b1) + z2.scale(self.b2);
-        let den = Complex::real(1.0) + z1.scale(self.a1) + z2.scale(self.a2);
-        num / den
-    }
-}
 
 /// First-order RC low-pass — the video-bandwidth model of an envelope
 /// detector output stage.
@@ -293,139 +43,17 @@ impl RcFilter {
     pub fn process(&mut self, x: &[f64]) -> Vec<f64> {
         x.iter().map(|&v| self.step(v)).collect()
     }
-
-    /// Resets internal state to zero.
-    pub fn reset(&mut self) {
-        self.state = 0.0;
-    }
-
-    /// Current output value.
-    pub fn state(&self) -> f64 {
-        self.state
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
 
     fn tone(freq: f64, fs: f64, n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (2.0 * PI * freq * i as f64 / fs).sin())
             .collect()
-    }
-
-    fn rms(x: &[f64]) -> f64 {
-        (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
-    }
-
-    #[test]
-    fn low_pass_passes_low_blocks_high() {
-        let fs = 1e6;
-        let f = FirFilter::low_pass(50e3, fs, 101, Window::Hamming);
-        let low = f.filter(&tone(10e3, fs, 4000));
-        let high = f.filter(&tone(300e3, fs, 4000));
-        // Skip the transient when measuring.
-        assert!(rms(&low[500..]) > 0.65);
-        assert!(rms(&high[500..]) < 0.01);
-    }
-
-    #[test]
-    fn low_pass_dc_gain_is_unity() {
-        let f = FirFilter::low_pass(100e3, 1e6, 51, Window::Hann);
-        assert!((f.taps().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((f.response_at(0.0, 1e6).norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn high_pass_blocks_dc_passes_high() {
-        let fs = 1e6;
-        let f = FirFilter::high_pass(100e3, fs, 101, Window::Hamming);
-        let dc = vec![1.0; 2000];
-        let out = f.filter(&dc);
-        assert!(out[1000..].iter().all(|v| v.abs() < 1e-3));
-        let high = f.filter(&tone(400e3, fs, 4000));
-        assert!(rms(&high[500..]) > 0.6);
-    }
-
-    #[test]
-    fn band_pass_selects_band() {
-        let fs = 1e6;
-        let f = FirFilter::band_pass(80e3, 220e3, fs, 101, Window::Hamming);
-        let inband = f.filter(&tone(150e3, fs, 6000));
-        let below = f.filter(&tone(5e3, fs, 6000));
-        let above = f.filter(&tone(450e3, fs, 6000));
-        assert!(rms(&inband[1000..]) > 0.6);
-        assert!(rms(&below[1000..]) < 0.02);
-        assert!(rms(&above[1000..]) < 0.02);
-    }
-
-    #[test]
-    fn band_pass_rejects_dc_completely_enough_for_interference_cancellation() {
-        // §6.3: interference mixes to DC; the BPF must crush it.
-        let f = FirFilter::band_pass(100e3, 5e6, 20e6, 201, Window::Hamming);
-        let db = f.magnitude_db_at(0.0, 20e6);
-        assert!(db < -40.0, "DC rejection only {db:.1} dB");
-    }
-
-    #[test]
-    fn fir_linear_phase_group_delay() {
-        let f = FirFilter::low_pass(100e3, 1e6, 101, Window::Hann);
-        assert_eq!(f.group_delay(), 50.0);
-    }
-
-    #[test]
-    fn fir_filter_complex_matches_real_on_real_input() {
-        let f = FirFilter::low_pass(100e3, 1e6, 31, Window::Hann);
-        let x = tone(30e3, 1e6, 256);
-        let xr = f.filter(&x);
-        let xc = f.filter_complex(&crate::complex::from_real(&x));
-        for (a, b) in xr.iter().zip(xc.iter()) {
-            assert!((a - b.re).abs() < 1e-12 && b.im.abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cutoff must lie in")]
-    fn low_pass_rejects_bad_cutoff() {
-        FirFilter::low_pass(600e3, 1e6, 11, Window::Hann);
-    }
-
-    #[test]
-    #[should_panic(expected = "odd tap count")]
-    fn band_pass_rejects_even_taps() {
-        FirFilter::band_pass(1e3, 2e3, 10e3, 10, Window::Hann);
-    }
-
-    #[test]
-    fn biquad_low_pass_attenuates_high_frequencies() {
-        let fs = 1e6;
-        let mut bq = Biquad::low_pass(50e3, fs, std::f64::consts::FRAC_1_SQRT_2);
-        let low = bq.process(&tone(5e3, fs, 8000));
-        bq.reset();
-        let high = bq.process(&tone(400e3, fs, 8000));
-        assert!(rms(&low[2000..]) > 0.65);
-        assert!(rms(&high[2000..]) < 0.02);
-    }
-
-    #[test]
-    fn biquad_band_pass_peak_gain_is_unity() {
-        let bq = Biquad::band_pass(100e3, 1e6, 5.0);
-        let g = bq.response_at(100e3, 1e6).norm();
-        assert!((g - 1.0).abs() < 1e-6);
-        let off = bq.response_at(20e3, 1e6).norm();
-        assert!(off < 0.25);
-    }
-
-    #[test]
-    fn biquad_response_matches_time_domain() {
-        let fs = 1e6;
-        let freq = 75e3;
-        let mut bq = Biquad::low_pass(50e3, fs, std::f64::consts::FRAC_1_SQRT_2);
-        let theory = bq.response_at(freq, fs).norm();
-        let y = bq.process(&tone(freq, fs, 20000));
-        let measured = rms(&y[10000..]) * std::f64::consts::SQRT_2;
-        assert!((measured - theory).abs() < 0.01);
     }
 
     #[test]
@@ -460,15 +88,6 @@ mod tests {
         }
         let measured = t90.unwrap() - t10.unwrap();
         assert!((measured - rise).abs() / rise < 0.05, "rise {measured:.2e}");
-    }
-
-    #[test]
-    fn rc_reset_and_state() {
-        let mut rc = RcFilter::from_time_constant(1e-6, 1e-8);
-        rc.step(5.0);
-        assert!(rc.state() > 0.0);
-        rc.reset();
-        assert_eq!(rc.state(), 0.0);
     }
 
     #[test]

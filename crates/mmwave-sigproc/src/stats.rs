@@ -35,28 +35,6 @@ pub fn rms(x: &[f64]) -> f64 {
     (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
 }
 
-/// Root-mean-square error between paired samples.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rmse: length mismatch");
-    if a.is_empty() {
-        return f64::NAN;
-    }
-    let s: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    (s / a.len() as f64).sqrt()
-}
-
-/// Mean absolute error between paired samples.
-pub fn mae(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mae: length mismatch");
-    if a.is_empty() {
-        return f64::NAN;
-    }
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64
-}
-
 /// Percentile via linear interpolation on the sorted data (the
 /// "inclusive"/NIST method). `p` in `[0, 100]`.
 ///
@@ -142,19 +120,13 @@ impl ErrorSummary {
             max: errors.iter().cloned().fold(f64::MIN, f64::max),
         }
     }
-
-    /// Aggregates signed errors by taking absolute values first.
-    pub fn from_signed_errors(errors: &[f64]) -> Self {
-        let abs: Vec<f64> = errors.iter().map(|e| e.abs()).collect();
-        Self::from_abs_errors(&abs)
-    }
 }
 
 /// Counts bit errors between two equal-length bit vectors.
 ///
 /// # Panics
 /// Panics on length mismatch.
-pub fn count_bit_errors(tx: &[bool], rx: &[bool]) -> usize {
+pub(crate) fn count_bit_errors(tx: &[bool], rx: &[bool]) -> usize {
     assert_eq!(tx.len(), rx.len(), "bit streams differ in length");
     tx.iter().zip(rx).filter(|(a, b)| a != b).count()
 }
@@ -169,7 +141,7 @@ pub fn bit_error_rate(tx: &[bool], rx: &[bool]) -> f64 {
 
 /// Complementary error function, via the Abramowitz–Stegun 7.1.26 rational
 /// approximation (|error| < 1.5e-7), extended to negative arguments.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -183,45 +155,6 @@ pub fn erfc(x: f64) -> f64 {
 /// Gaussian Q-function: `Q(x) = P(N(0,1) > x)`.
 pub fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Analytic BER of coherent OOK / unipolar binary signalling with threshold
-/// midway between levels: `Q(√(SNR)/2)` where `snr_linear` is the ratio of
-/// peak signal power to noise power.
-///
-/// This is the per-tone decision model for OAQFM: each tone is an
-/// independent OOK channel, so the OAQFM bit error rate equals this.
-pub fn ook_ber(snr_linear: f64) -> f64 {
-    q_function((snr_linear).sqrt() / 2.0)
-}
-
-/// Analytic BER of non-coherent envelope-detected OOK, the decision the
-/// node's MCU makes on the envelope-detector output:
-/// `0.5·exp(−SNR/8) + Q(√(SNR)/2)/2` (standard approximation).
-pub fn noncoherent_ook_ber(snr_linear: f64) -> f64 {
-    0.5 * (-snr_linear / 8.0).exp().min(1.0) * 0.5 + 0.5 * q_function(snr_linear.sqrt() / 2.0)
-}
-
-/// Linear interpolation over a monotonically-increasing x grid.
-///
-/// Values outside the grid are clamped to the end values.
-///
-/// # Panics
-/// Panics if the grids are empty or mismatched in length.
-pub fn interp1(x_grid: &[f64], y_grid: &[f64], x: f64) -> f64 {
-    assert!(!x_grid.is_empty() && x_grid.len() == y_grid.len());
-    if x <= x_grid[0] {
-        return y_grid[0];
-    }
-    if x >= *x_grid.last().unwrap() {
-        return *y_grid.last().unwrap();
-    }
-    let mut i = 0;
-    while x_grid[i + 1] < x {
-        i += 1;
-    }
-    let frac = (x - x_grid[i]) / (x_grid[i + 1] - x_grid[i]);
-    y_grid[i] * (1.0 - frac) + y_grid[i + 1] * frac
 }
 
 #[cfg(test)]
@@ -246,15 +179,6 @@ mod tests {
     #[test]
     fn rms_of_constant() {
         assert!((rms(&[3.0, 3.0, -3.0]) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_and_mae() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 4.0, 1.0];
-        assert!((rmse(&a, &b) - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((mae(&a, &b) - 4.0 / 3.0).abs() < 1e-12);
-        assert!((rmse(&a, &a)).abs() < 1e-15);
     }
 
     #[test]
@@ -302,12 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn error_summary_from_signed() {
-        let s = ErrorSummary::from_signed_errors(&[-2.0, 2.0]);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ber_counting() {
         let tx = [true, false, true, true];
         let rx = [true, true, true, false];
@@ -329,41 +247,5 @@ mod tests {
         assert!((q_function(0.0) - 0.5).abs() < 1e-9);
         assert!((q_function(1.0) - 0.158_655).abs() < 1e-5);
         assert!((q_function(3.0) - 1.349_9e-3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ook_ber_monotone_in_snr() {
-        let mut prev = 1.0;
-        for snr_db in [0.0, 5.0, 10.0, 15.0, 20.0] {
-            let snr = 10f64.powf(snr_db / 10.0);
-            let ber = ook_ber(snr);
-            assert!(ber < prev, "BER should fall with SNR");
-            prev = ber;
-        }
-    }
-
-    #[test]
-    fn ook_ber_at_high_snr_is_tiny() {
-        // ~22 dB SNR → BER below 1e-8 (the Fig 14 threshold annotation).
-        let ber = ook_ber(10f64.powf(22.0 / 10.0));
-        assert!(ber < 1e-8, "ber {ber}");
-    }
-
-    #[test]
-    fn noncoherent_worse_than_coherent() {
-        for snr_db in [6.0, 10.0, 14.0] {
-            let snr = 10f64.powf(snr_db / 10.0);
-            assert!(noncoherent_ook_ber(snr) >= ook_ber(snr));
-        }
-    }
-
-    #[test]
-    fn interp1_basics() {
-        let xg = [0.0, 1.0, 2.0];
-        let yg = [0.0, 10.0, 40.0];
-        assert!((interp1(&xg, &yg, 0.5) - 5.0).abs() < 1e-12);
-        assert!((interp1(&xg, &yg, 1.5) - 25.0).abs() < 1e-12);
-        assert_eq!(interp1(&xg, &yg, -1.0), 0.0);
-        assert_eq!(interp1(&xg, &yg, 3.0), 40.0);
     }
 }

@@ -9,15 +9,10 @@
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
 /// Boltzmann constant, J/K.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
+pub(crate) const BOLTZMANN: f64 = 1.380_649e-23;
 
 /// Standard noise-reference temperature, kelvin.
-pub const T0_KELVIN: f64 = 290.0;
-
-/// Thermal noise power spectral density at 290 K, in dBm/Hz (≈ −173.98).
-pub fn thermal_noise_dbm_per_hz() -> f64 {
-    watts_to_dbm(BOLTZMANN * T0_KELVIN)
-}
+pub(crate) const T0_KELVIN: f64 = 290.0;
 
 /// Converts a linear power ratio to decibels.
 ///
@@ -33,18 +28,6 @@ pub fn db_to_lin(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
-/// Converts an amplitude (voltage) ratio to decibels (20·log10).
-#[inline]
-pub fn amplitude_to_db(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
-}
-
-/// Converts decibels to an amplitude (voltage) ratio.
-#[inline]
-pub fn db_to_amplitude(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
 /// Converts power in watts to dBm.
 #[inline]
 pub fn watts_to_dbm(watts: f64) -> f64 {
@@ -57,28 +40,10 @@ pub fn dbm_to_watts(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0) * 1e-3
 }
 
-/// RMS voltage corresponding to a power across an impedance (default 50 Ω).
-#[inline]
-pub fn power_to_vrms(watts: f64, ohms: f64) -> f64 {
-    (watts * ohms).sqrt()
-}
-
-/// Power dissipated by an RMS voltage across an impedance.
-#[inline]
-pub fn vrms_to_power(vrms: f64, ohms: f64) -> f64 {
-    vrms * vrms / ohms
-}
-
 /// Free-space wavelength for a frequency in Hz.
 #[inline]
 pub fn wavelength(freq_hz: f64) -> f64 {
     SPEED_OF_LIGHT / freq_hz
-}
-
-/// Frequency whose free-space wavelength is `lambda_m`.
-#[inline]
-pub fn frequency_for_wavelength(lambda_m: f64) -> f64 {
-    SPEED_OF_LIGHT / lambda_m
 }
 
 /// Thermal noise power in watts over a bandwidth, with a noise figure in dB.
@@ -92,18 +57,6 @@ pub fn noise_power_watts(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
 /// Thermal noise power in dBm over a bandwidth with a noise figure in dB.
 pub fn noise_power_dbm(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
     watts_to_dbm(noise_power_watts(bandwidth_hz, noise_figure_db))
-}
-
-/// Degrees → radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Radians → degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
 }
 
 /// Wraps an angle in radians to `(-π, π]`.
@@ -140,13 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_db_is_twice_power_db() {
-        // A voltage ratio of 2 is +6.02 dB; a power ratio of 2 is +3.01 dB.
-        assert!(close(amplitude_to_db(2.0), 2.0 * lin_to_db(2.0), 1e-12));
-        assert!(close(db_to_amplitude(6.0206), 2.0, 1e-3));
-    }
-
-    #[test]
     fn dbm_watts_roundtrip() {
         assert!(close(dbm_to_watts(0.0), 1e-3, 1e-15));
         assert!(close(dbm_to_watts(30.0), 1.0, 1e-12));
@@ -160,25 +106,15 @@ mod tests {
     }
 
     #[test]
-    fn vrms_power_roundtrip_50_ohm() {
-        let p = 1e-6; // 1 µW = -30 dBm
-        let v = power_to_vrms(p, 50.0);
-        assert!(close(vrms_to_power(v, 50.0), p, 1e-18));
-        // -30 dBm into 50 Ω is ~7.07 mV RMS.
-        assert!(close(v, 7.0711e-3, 1e-6));
-    }
-
-    #[test]
     fn wavelength_at_28_ghz_is_about_one_cm() {
         let l = wavelength(28e9);
         assert!(close(l, 0.010707, 1e-5));
-        assert!(close(frequency_for_wavelength(l), 28e9, 1.0));
     }
 
     #[test]
     fn thermal_noise_reference() {
         // kT0 ≈ -174 dBm/Hz is the canonical RF noise-floor figure.
-        assert!(close(thermal_noise_dbm_per_hz(), -173.98, 0.01));
+        assert!(close(noise_power_dbm(1.0, 0.0), -173.98, 0.01));
     }
 
     #[test]
@@ -201,10 +137,5 @@ mod tests {
         assert!(close(wrap_angle(0.5), 0.5, 1e-15));
         assert!(close(wrap_angle(2.0 * PI + 0.25), 0.25, 1e-12));
         assert!(wrap_angle(123.456).abs() <= PI + 1e-12);
-    }
-
-    #[test]
-    fn deg_rad_roundtrip() {
-        assert!(close(rad_to_deg(deg_to_rad(37.5)), 37.5, 1e-12));
     }
 }

@@ -11,7 +11,6 @@
 //! without synthesizing gigasample buffers, and can also be sampled into
 //! buffers for the DSP paths that need them.
 
-use crate::complex::Complex;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
@@ -155,47 +154,6 @@ impl Chirp {
         // Δt = (T/2 - t_up) + (t_down - T/2) = 2·(f_end - f)/slope
         Some(self.end_hz() - self.slope() * delta_t / 2.0)
     }
-
-    /// Samples the chirp as a complex baseband signal relative to its start
-    /// frequency, at `sample_rate` Hz. Suitable when the observation
-    /// bandwidth fits the sample rate (tests, small sweeps).
-    pub fn sample_baseband(&self, sample_rate: f64) -> Vec<Complex> {
-        let n = (self.duration_s * sample_rate).round() as usize;
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / sample_rate;
-                Complex::cis(self.phase(t) - 2.0 * PI * self.start_hz * t)
-            })
-            .collect()
-    }
-}
-
-/// A continuous-wave tone with amplitude and frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Tone {
-    /// Carrier frequency, Hz.
-    pub freq_hz: f64,
-    /// Peak amplitude (volts across the system impedance, by convention).
-    pub amplitude: f64,
-}
-
-impl Tone {
-    /// Creates a tone.
-    pub fn new(freq_hz: f64, amplitude: f64) -> Self {
-        Self { freq_hz, amplitude }
-    }
-
-    /// Samples `cos(2πft)` at `n` points spaced `dt` seconds apart.
-    pub fn sample_real(&self, n: usize, dt: f64) -> Vec<f64> {
-        (0..n)
-            .map(|i| self.amplitude * (2.0 * PI * self.freq_hz * i as f64 * dt).cos())
-            .collect()
-    }
-
-    /// Average power of the tone across `ohms` (A²/2R).
-    pub fn power_watts(&self, ohms: f64) -> f64 {
-        self.amplitude * self.amplitude / (2.0 * ohms)
-    }
 }
 
 /// One OAQFM symbol: presence/absence of each of the two tones.
@@ -211,26 +169,6 @@ pub struct OaqfmSymbol {
 }
 
 impl OaqfmSymbol {
-    /// All four symbols in bit order 00, 01, 10, 11.
-    pub const ALL: [OaqfmSymbol; 4] = [
-        OaqfmSymbol {
-            tone_a: false,
-            tone_b: false,
-        },
-        OaqfmSymbol {
-            tone_a: false,
-            tone_b: true,
-        },
-        OaqfmSymbol {
-            tone_a: true,
-            tone_b: false,
-        },
-        OaqfmSymbol {
-            tone_a: true,
-            tone_b: true,
-        },
-    ];
-
     /// Maps a 2-bit value (`0..=3`) to a symbol. The MSB keys tone A.
     ///
     /// # Panics
@@ -246,11 +184,6 @@ impl OaqfmSymbol {
     /// Recovers the 2-bit value carried by this symbol.
     pub fn to_bits(self) -> u8 {
         (u8::from(self.tone_a) << 1) | u8::from(self.tone_b)
-    }
-
-    /// Number of tones present (0, 1 or 2) — proportional to TX energy.
-    pub fn tone_count(self) -> u8 {
-        u8::from(self.tone_a) + u8::from(self.tone_b)
     }
 }
 
@@ -387,37 +320,10 @@ mod tests {
     }
 
     #[test]
-    fn sampled_baseband_has_unit_magnitude_and_correct_length() {
-        let c = Chirp::sawtooth(0.0, 1e6, 1e-4);
-        let s = c.sample_baseband(10e6);
-        assert_eq!(s.len(), 1000);
-        for z in &s {
-            assert!((z.norm() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn tone_power_reference() {
-        // 1 V peak across 50 Ω is 10 mW = +10 dBm.
-        let t = Tone::new(28e9, 1.0);
-        assert!((t.power_watts(50.0) - 0.01).abs() < 1e-15);
-    }
-
-    #[test]
-    fn tone_sampling() {
-        let t = Tone::new(1e3, 2.0);
-        let s = t.sample_real(4, 0.25e-3);
-        assert!((s[0] - 2.0).abs() < 1e-12);
-        assert!(s[1].abs() < 1e-9);
-        assert!((s[2] + 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn oaqfm_symbol_bits_roundtrip() {
         for bits in 0..4u8 {
             assert_eq!(OaqfmSymbol::from_bits(bits).to_bits(), bits);
         }
-        assert_eq!(OaqfmSymbol::ALL[2], OaqfmSymbol::from_bits(0b10));
     }
 
     #[test]
@@ -426,8 +332,10 @@ mod tests {
         assert!(!s01.tone_a && s01.tone_b);
         let s10 = OaqfmSymbol::from_bits(0b10);
         assert!(s10.tone_a && !s10.tone_b);
-        assert_eq!(OaqfmSymbol::from_bits(0b00).tone_count(), 0);
-        assert_eq!(OaqfmSymbol::from_bits(0b11).tone_count(), 2);
+        let s00 = OaqfmSymbol::from_bits(0b00);
+        assert!(!s00.tone_a && !s00.tone_b);
+        let s11 = OaqfmSymbol::from_bits(0b11);
+        assert!(s11.tone_a && s11.tone_b);
     }
 
     #[test]

@@ -53,31 +53,6 @@ impl Window {
         (0..n).map(|i| self.value(i, n)).collect()
     }
 
-    /// Coherent gain: mean of the window coefficients. Needed to correct
-    /// amplitude estimates taken from a windowed FFT.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        self.coefficients(n).iter().sum::<f64>() / n as f64
-    }
-
-    /// Noise-equivalent bandwidth in bins (≥ 1.0; 1.0 for rectangular).
-    pub fn enbw(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        let sum: f64 = w.iter().sum();
-        let sum_sq: f64 = w.iter().map(|c| c * c).sum();
-        n as f64 * sum_sq / (sum * sum)
-    }
-
-    /// Applies the window to a real signal in place.
-    pub fn apply(self, x: &mut [f64]) {
-        if matches!(self, Window::Rectangular) || x.is_empty() {
-            return; // all-ones taper: multiplying by 1.0 is the identity
-        }
-        let w = self.cached_coefficients(x.len());
-        for (v, &wi) in x.iter_mut().zip(w.iter()) {
-            *v *= wi;
-        }
-    }
-
     /// Applies the window to a complex signal in place.
     pub fn apply_complex(self, x: &mut [crate::complex::Complex]) {
         if matches!(self, Window::Rectangular) || x.is_empty() {
@@ -91,7 +66,7 @@ impl Window {
 
     /// [`coefficients`](Self::coefficients) through a small thread-local
     /// memo, so hot loops that window the same length over and over
-    /// (per-chirp range FFTs, Welch segments) evaluate the trig once. The
+    /// (per-chirp range FFTs) evaluate the trig once. The
     /// cached values are exactly the [`value`](Self::value) outputs, so
     /// results are bit-identical to the uncached path.
     fn cached_coefficients(self, n: usize) -> Rc<Vec<f64>> {
@@ -121,7 +96,7 @@ impl Window {
 /// Modified Bessel function of the first kind, order zero (series expansion).
 ///
 /// Converges quickly for the β values used in Kaiser windows (≤ ~20).
-pub fn bessel_i0(x: f64) -> f64 {
+pub(crate) fn bessel_i0(x: f64) -> f64 {
     let y = x * x / 4.0;
     let mut term = 1.0;
     let mut sum = 1.0;
@@ -186,27 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn enbw_ordering_matches_theory() {
-        // Rectangular (1.0) < Hann (1.5) < Blackman (~1.73).
-        let n = 4096;
-        let r = Window::Rectangular.enbw(n);
-        let h = Window::Hann.enbw(n);
-        let b = Window::Blackman.enbw(n);
-        assert!((r - 1.0).abs() < 1e-9);
-        assert!((h - 1.5).abs() < 0.01);
-        assert!((b - 1.7268).abs() < 0.01);
-        assert!(r < h && h < b);
-    }
-
-    #[test]
-    fn coherent_gain_reference_values() {
-        let n = 4096;
-        assert!((Window::Rectangular.coherent_gain(n) - 1.0).abs() < 1e-12);
-        assert!((Window::Hann.coherent_gain(n) - 0.5).abs() < 1e-3);
-        assert!((Window::Hamming.coherent_gain(n) - 0.54).abs() < 1e-3);
-    }
-
-    #[test]
     fn bessel_i0_reference_values() {
         // I0(0)=1, I0(1)≈1.26607, I0(5)≈27.2399.
         assert!((bessel_i0(0.0) - 1.0).abs() < 1e-15);
@@ -248,12 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_real_matches_coefficients() {
-        let mut x = vec![2.0; 8];
-        Window::Hann.apply(&mut x);
+    fn apply_complex_matches_coefficients() {
+        let mut x = vec![crate::complex::Complex::real(2.0); 8];
+        Window::Hann.apply_complex(&mut x);
         let w = Window::Hann.coefficients(8);
         for i in 0..8 {
-            assert!((x[i] - 2.0 * w[i]).abs() < 1e-15);
+            assert!((x[i].re - 2.0 * w[i]).abs() < 1e-15 && x[i].im == 0.0);
         }
     }
 

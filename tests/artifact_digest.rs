@@ -105,7 +105,11 @@ fn traced_legs() -> Vec<Leg> {
         .with_relay(relay_on());
     let legs: [(&'static str, &CampaignSpec<'_>, Box<dyn MacPolicy>); 4] = [
         ("aloha", &direct, Box::new(SlottedAloha::new(0xA1))),
-        ("backoff", &direct, Box::new(BackoffAloha::new(0xB2, 5))),
+        (
+            "backoff",
+            &direct,
+            Box::new(BackoffAloha::new(0xB2, 5).unwrap()),
+        ),
         ("sdm", &direct, Box::new(SdmAwareAssignment::new())),
         (
             "aloha_relay",

@@ -11,7 +11,8 @@
 //!   the whole lifecycle ledger;
 //! * sharded aggregates of the same scene at 4 cells on 1 and 4 worker
 //!   threads (the two must also be equal);
-//! * `Session::run_packet` uplink and downlink reports for seeds 1–4;
+//! * `Session::run_packet` uplink and downlink reports for seeds 1–4, and
+//!   over four per-trial runner streams;
 //! * slotted-ALOHA reports of the small scenes the retired direct ALOHA
 //!   coordinator was compared against: two nodes 35° apart, a three-node
 //!   scene over per-trial streams and campaign lengths, and a ringed
@@ -213,7 +214,7 @@ fn policy(name: &str, seed: u64, relay: &RelayConfig) -> Box<dyn MacPolicy> {
     match name {
         "aloha" if !relay.is_disabled() => Box::new(RelayAwareMac::new(seed, *relay)),
         "aloha" => Box::new(SlottedAloha::new(seed)),
-        "backoff" => Box::new(BackoffAloha::new(seed, 5)),
+        "backoff" => Box::new(BackoffAloha::new(seed, 5).unwrap()),
         "polling" => Box::new(RoundRobinPolling::new()),
         "sdm" => Box::new(SdmAwareAssignment::new()),
         _ => unreachable!("unknown policy {name}"),
@@ -330,6 +331,57 @@ fn campaign_digest_session() {
         }
     }
     assert_eq!(h.0, 9_112_576_461_647_850_446, "session digest moved");
+}
+
+/// `Session::run_packet` on per-trial runner streams over a packet grid
+/// that covers downlink, uplink and the empty payload, pinned to the
+/// digest recorded while the synchronous pre-engine call tree still stood
+/// beside the engine (the two agreed bit for bit).
+#[test]
+fn campaign_digest_session_per_trial() {
+    let session = Session::new(
+        SystemConfig::milback_default(),
+        Scene::indoor(4.0, 12f64.to_radians()),
+    )
+    .unwrap();
+    let mut h = Fnv::new();
+    for trial in 0..4 {
+        let packet = match trial {
+            0 => Packet::downlink(vec![0xA5; 12]),
+            1 => Packet::uplink(vec![0x42; 16]),
+            2 => Packet::downlink(Vec::new()),
+            _ => Packet::uplink((0..24).collect::<Vec<u8>>()),
+        };
+        let mut rng = trial_rng(0x5E55, trial);
+        let r = session.run_packet(&packet, &mut rng).unwrap();
+        for x in [
+            r.fix.range_m,
+            r.fix.angle_rad,
+            r.fix.position.x,
+            r.fix.position.y,
+            r.fix.confidence_db,
+            r.orientation_at_ap,
+            r.orientation_at_node,
+            r.ber,
+            r.airtime_s,
+            r.node_energy_j,
+        ] {
+            h.f64(x);
+        }
+        h.rng(&rng);
+        h.word(match r.decoded_direction {
+            LinkDirection::Uplink => 1,
+            LinkDirection::Downlink => 2,
+        });
+        h.usize(r.delivered.len());
+        for &b in &r.delivered {
+            h.word(u64::from(b));
+        }
+    }
+    assert_eq!(
+        h.0, 16_147_209_017_274_936_756,
+        "per-trial session digest moved"
+    );
 }
 
 /// Slotted ALOHA over `slot_seed` through `Network::run` on the default
