@@ -103,11 +103,12 @@ impl UplinkReceiver {
 /// one channel: separates the on/off populations and compares the level
 /// separation to the within-population spread.
 ///
-/// Each population is streamed in index order rather than collected: the
-/// sums run left to right from `-0.0` exactly as
+/// Two passes over the symbols, one for the population means and one for
+/// their spreads, each keeping one running sum per population. Each sum
+/// runs left to right from `-0.0` over its population exactly as
 /// [`mean`](mmwave_sigproc::stats::mean) and
-/// [`variance`](mmwave_sigproc::stats::variance) run them over a
-/// collected `Vec`, so the result is the same bits without an allocation.
+/// [`variance`](mmwave_sigproc::stats::variance) run it over a collected
+/// `Vec`, so the result is the same bits without an allocation.
 ///
 /// # Panics
 /// Panics if the lengths differ or either population is empty.
@@ -117,29 +118,32 @@ pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
         tx_bits.len(),
         "stats/bits length mismatch"
     );
-    let population = |level: bool| {
-        symbol_stats
-            .iter()
-            .zip(tx_bits)
-            .filter(move |(_, &b)| b == level)
-            .map(|(&v, _)| v)
-    };
-    let n_on = tx_bits.iter().filter(|&&b| b).count();
+    let symbols = || symbol_stats.iter().zip(tx_bits);
+    let (mut n_on, mut sum_on, mut sum_off) = (0usize, -0.0, -0.0);
+    for (&v, &on) in symbols() {
+        if on {
+            n_on += 1;
+            sum_on += v;
+        } else {
+            sum_off += v;
+        }
+    }
     let n_off = tx_bits.len() - n_on;
     assert!(n_on > 0 && n_off > 0, "need both symbol populations");
-    let mean_on = population(true).sum::<f64>() / n_on as f64;
-    let mean_off = population(false).sum::<f64>() / n_off as f64;
-    // Unbiased sample variance; a lone sample contributes none.
-    let variance_of = |level: bool, n: usize, m: f64| {
-        if n > 1 {
-            population(level).map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64
+    let mean_on = sum_on / n_on as f64;
+    let mean_off = sum_off / n_off as f64;
+    let (mut ss_on, mut ss_off) = (-0.0, -0.0);
+    for (&v, &on) in symbols() {
+        if on {
+            ss_on += (v - mean_on) * (v - mean_on);
         } else {
-            0.0
+            ss_off += (v - mean_off) * (v - mean_off);
         }
-    };
+    }
+    // Unbiased sample variance; a lone sample contributes none.
+    let variance = |ss: f64, n: usize| if n > 1 { ss / (n - 1) as f64 } else { 0.0 };
     let swing = (mean_on - mean_off) / 2.0;
-    let noise = ((variance_of(true, n_on, mean_on) + variance_of(false, n_off, mean_off)) / 2.0)
-        .max(1e-300);
+    let noise = ((variance(ss_on, n_on) + variance(ss_off, n_off)) / 2.0).max(1e-300);
     10.0 * (swing * swing / noise).log10()
 }
 

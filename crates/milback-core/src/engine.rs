@@ -202,6 +202,10 @@ pub struct Engine<M, E> {
     /// from values already computed for dispatch, never from the trace
     /// ring, so they cannot truncate or perturb the run.
     depth_stats: Option<(DepthStats, EventLabeler<E>)>,
+    /// The posting buffer lent to every dispatch's [`Outbox`] and drained
+    /// into the queue after the handler returns, so a dispatch that posts
+    /// allocates nothing past the buffer's high-water mark.
+    posted: Vec<(TimePs, ActorId, E)>,
     /// The shared medium every handler sees (`&mut` during dispatch).
     pub medium: M,
 }
@@ -216,6 +220,7 @@ impl<M, E> Engine<M, E> {
             actors: Vec::new(),
             tracer: None,
             depth_stats: None,
+            posted: Vec::new(),
             medium,
         }
     }
@@ -318,10 +323,15 @@ impl<M, E> Engine<M, E> {
             })?;
             let mut out = Outbox {
                 now_ps: entry.at_ps,
-                posted: Vec::new(),
+                posted: std::mem::take(&mut self.posted),
             };
-            actor.on_event(entry.at_ps, &entry.event, &mut self.medium, &mut out)?;
-            for (at_ps, dst, event) in out.posted {
+            let handled = actor.on_event(entry.at_ps, &entry.event, &mut self.medium, &mut out);
+            self.posted = out.posted;
+            if let Err(e) = handled {
+                self.posted.clear();
+                return Err(e);
+            }
+            for (at_ps, dst, event) in self.posted.drain(..) {
                 let seq = self.seq;
                 self.seq += 1;
                 self.queue.push(Reverse(Scheduled {

@@ -24,7 +24,7 @@
 
 use crate::config::SystemConfig;
 use crate::error::{MilbackError, Result};
-use crate::scene::Scene;
+use crate::scene::{GroundTruth, Scene};
 use milback_ap::query::QueryPlanner;
 use milback_ap::uplink_rx::{measure_channel_snr_db, UplinkRxError};
 use milback_ap::waveform::CarrierSet;
@@ -380,29 +380,9 @@ impl LinkSimulator {
     /// chain over the *bit-rate* bandwidth (matching §9.5's "higher
     /// bandwidth results in higher noise floor").
     pub fn uplink_channel_snr_db(&self, freq_hz: f64, port: FsaPort) -> f64 {
-        use mmwave_rf::antenna::Antenna;
         let gt = self.scene.ground_truth(0);
-        let node = &self.config.node;
-        let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
-        let g_tx = db_to_lin(horn.gain_dbi(freq_hz, gt.azimuth_rad));
-        let g_rx = g_tx;
         let g_port = self.gain_eval.gain_linear(port, freq_hz, gt.incidence_rad);
-        let delta_gamma = node.modulation_depth(port);
-        let tx_w = dbm_to_watts(self.config.ap.tx.port_power_dbm());
-        let amp = mmwave_rf::channel::backscatter_amplitude_sqrt_w(
-            tx_w,
-            g_tx,
-            g_rx,
-            g_port * g_port,
-            delta_gamma / 2.0,
-            freq_hz,
-            gt.range_m,
-        );
-        let signal_dbm = watts_to_dbm(amp * amp);
-        self.config
-            .ap
-            .rx1
-            .snr_db(signal_dbm, self.config.uplink_bit_rate_hz())
+        channel_snr_db(&self.config, &gt, freq_hz, port, g_port)
     }
 
     /// Runs a waveform-level uplink transfer: the node's switching
@@ -498,42 +478,18 @@ impl LinkSimulator {
     }
 
     /// The node's uplink budget: everything a symbol-level uplink needs
-    /// that depends on neither the payload nor the noise. Built from
-    /// [`plan_carriers`](Self::plan_carriers) and
-    /// [`uplink_channel_snr_db`](Self::uplink_channel_snr_db); fails only
-    /// where carrier planning fails.
+    /// that depends on neither the payload nor the noise, planned from the
+    /// orientation hint if one is set. Campaigns build their budgets with
+    /// the same function, so a campaign's first service of a node equals
+    /// [`uplink`](Self::uplink) over the node's view. Fails only where
+    /// carrier planning fails.
     pub fn uplink_budget(&self) -> Result<UplinkBudget> {
-        let carriers = self.plan_carriers(None)?;
-        let (f_a, f_b) = match carriers {
-            CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
-            CarrierSet::SingleToneOok { f } => (f, f),
-        };
-        let snr_a_db = self.uplink_channel_snr_db(f_a, FsaPort::A);
-        let snr_a = db_to_lin(snr_a_db);
-        let snr_b = db_to_lin(self.uplink_channel_snr_db(f_b, FsaPort::B));
-        // Per-channel symbol statistics: level per state + AWGN anchored to
-        // the analytic channel SNR.
-        let node = &self.config.node;
-        let channel = |port: FsaPort, snr_lin: f64| {
-            let hi = node.reflection_amplitude(port, PortMode::Reflective);
-            let lo = node.reflection_amplitude(port, PortMode::Absorptive);
-            let swing_half = (hi - lo) / 2.0;
-            UplinkChannel {
-                hi,
-                lo,
-                sigma: swing_half / snr_lin.sqrt(),
-            }
-        };
-        Ok(UplinkBudget {
-            channels: [channel(FsaPort::A, snr_a), channel(FsaPort::B, snr_b)],
-            snr_a_db,
-            analytic_snr_db: 10.0 * ((snr_a + snr_b) / 2.0).log10(),
-            rate_check: UplinkModulator::new(
-                self.config.uplink_symbol_rate_hz,
-                &self.config.node.switch_a,
-            )
-            .map(|_| ()),
-        })
+        UplinkBudget::new(
+            &self.config,
+            &self.planner,
+            &self.scene.ground_truth(0),
+            self.orientation_hint,
+        )
     }
 
     /// Analytic uplink BER from SNR: `Q(√SNR)` with SNR defined on the
@@ -559,6 +515,39 @@ impl LinkSimulator {
     }
 }
 
+/// Analytic SNR of one uplink channel of a node with ground truth `gt`
+/// whose port has linear gain `g_port` toward the AP at `freq_hz` — the
+/// one formula behind [`LinkSimulator::uplink_channel_snr_db`] and
+/// [`UplinkBudget::new`].
+fn channel_snr_db(
+    config: &SystemConfig,
+    gt: &GroundTruth,
+    freq_hz: f64,
+    port: FsaPort,
+    g_port: f64,
+) -> f64 {
+    use mmwave_rf::antenna::Antenna;
+    let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
+    let g_tx = db_to_lin(horn.gain_dbi(freq_hz, gt.azimuth_rad));
+    let g_rx = g_tx;
+    let delta_gamma = config.node.modulation_depth(port);
+    let tx_w = dbm_to_watts(config.ap.tx.port_power_dbm());
+    let amp = mmwave_rf::channel::backscatter_amplitude_sqrt_w(
+        tx_w,
+        g_tx,
+        g_rx,
+        g_port * g_port,
+        delta_gamma / 2.0,
+        freq_hz,
+        gt.range_m,
+    );
+    let signal_dbm = watts_to_dbm(amp * amp);
+    config
+        .ap
+        .rx1
+        .snr_db(signal_dbm, config.uplink_bit_rate_hz())
+}
+
 /// One uplink channel's fixed symbol statistics: the reflective (`hi`)
 /// and absorptive (`lo`) levels of its port and the AWGN σ that anchors
 /// the channel to its analytic SNR.
@@ -572,7 +561,8 @@ struct UplinkChannel {
 /// A node's uplink budget: the part of a symbol-level uplink that is a
 /// fixed function of the configuration and the node's pose (carrier
 /// plan, per-port levels and noise σ). Built by
-/// [`LinkSimulator::uplink_budget`]; every packet then runs through
+/// [`LinkSimulator::uplink_budget`] (a campaign builds it from the node's
+/// steered ground truth directly); every packet then runs through
 /// [`run`](Self::run).
 #[derive(Debug, Clone, Copy)]
 pub struct UplinkBudget {
@@ -600,9 +590,7 @@ pub struct UplinkMeasurement {
 }
 
 /// Reusable buffers of the uplink kernel. Past their high-water mark a
-/// transfer touches the heap only inside the standard library's stable
-/// sort, which for traces of up to 512 symbols (128-byte payloads) sorts
-/// on the stack.
+/// transfer never touches the heap (the slicer's sort is in place).
 #[derive(Debug, Default)]
 pub struct UplinkScratch {
     /// Transmitted tone bits: every port-A symbol, then every port-B one.
@@ -623,6 +611,54 @@ impl UplinkScratch {
 }
 
 impl UplinkBudget {
+    /// The uplink budget of a node with ground truth `gt` (as seen by an
+    /// AP steered at it), its carriers planned by `planner` from
+    /// `orientation_hint` or, without one, from the node's true incidence.
+    /// The port gains come from the memo-free FSA path, which runs the
+    /// same compiled routines as [`LinkSimulator`]'s memoising evaluator,
+    /// so the budget is bit-identical to the one a simulator over the
+    /// node's view builds — without validating a configuration, building
+    /// a view or warming a cache. Fails only where carrier planning fails.
+    pub(crate) fn new(
+        config: &SystemConfig,
+        planner: &QueryPlanner,
+        gt: &GroundTruth,
+        orientation_hint: Option<f64>,
+    ) -> Result<Self> {
+        let psi = orientation_hint.unwrap_or(gt.incidence_rad);
+        let (f_a, f_b) = match planner.plan(&config.node.fsa, psi)? {
+            CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
+            CarrierSet::SingleToneOok { f } => (f, f),
+        };
+        let node = &config.node;
+        let snr_db = |freq_hz: f64, port: FsaPort| {
+            let g_port = node.fsa.gain_linear(port, freq_hz, gt.incidence_rad);
+            channel_snr_db(config, gt, freq_hz, port, g_port)
+        };
+        let snr_a_db = snr_db(f_a, FsaPort::A);
+        let snr_a = db_to_lin(snr_a_db);
+        let snr_b = db_to_lin(snr_db(f_b, FsaPort::B));
+        // Per-channel symbol statistics: level per state + AWGN anchored to
+        // the analytic channel SNR.
+        let channel = |port: FsaPort, snr_lin: f64| {
+            let hi = node.reflection_amplitude(port, PortMode::Reflective);
+            let lo = node.reflection_amplitude(port, PortMode::Absorptive);
+            let swing_half = (hi - lo) / 2.0;
+            UplinkChannel {
+                hi,
+                lo,
+                sigma: swing_half / snr_lin.sqrt(),
+            }
+        };
+        Ok(Self {
+            channels: [channel(FsaPort::A, snr_a), channel(FsaPort::B, snr_b)],
+            snr_a_db,
+            analytic_snr_db: 10.0 * ((snr_a + snr_b) / 2.0).log10(),
+            rate_check: UplinkModulator::new(config.uplink_symbol_rate_hz, &node.switch_a)
+                .map(|_| ()),
+        })
+    }
+
     /// The uplink kernel: transfers `payload` once. Draws every port-A
     /// symbol's noise, then every port-B symbol's, from `rng`; slices each
     /// channel at its self-calibrated midpoint threshold; and measures the

@@ -7,7 +7,7 @@ use crate::config::SystemConfig;
 use crate::engine::{ps_to_secs, Actor, ActorId, Engine, Outbox, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::lifecycle::{DropReason, LifecycleStats, PacketId};
-use crate::link::{LinkSimulator, UplinkBudget, UplinkScratch};
+use crate::link::{UplinkBudget, UplinkScratch};
 use crate::pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 use crate::protocol::{Packet, SlotPlan};
 use crate::relay::RelayConfig;
@@ -16,6 +16,7 @@ use crate::telemetry::{
     CampaignProbe, Histogram, TraceRecord, BACKOFF_BUCKETS_FRAMES, ENERGY_BUCKETS_J,
     OCCUPANCY_BUCKETS, RELAY_HOP_BUCKETS, SNR_BUCKETS_DB,
 };
+use milback_ap::query::QueryPlanner;
 use milback_node::power::{NodeActivity, NodePowerModel};
 use mmwave_rf::antenna::Antenna;
 use mmwave_sigproc::random::GaussianSource;
@@ -175,6 +176,9 @@ impl Network {
         probe: &mut CampaignProbe,
         scratch: &mut CampaignScratch,
     ) -> Result<SlotMedium<'a>> {
+        // Validated once per campaign: budget misses build straight from
+        // the configuration.
+        self.config.validate()?;
         let airtime_s = self.slotted_airtime_s(spec.payload, &spec.plan)?;
         policy.begin(
             &MacContext {
@@ -385,8 +389,10 @@ impl<'a> CampaignSpec<'a> {
 /// choice). Both see the same rows in the same order, so the aggregate of
 /// a report equals the streamed aggregate bit-for-bit.
 pub trait CampaignSink: Sized + Send {
-    /// What [`Network::run_sharded`] returns for this sink.
-    type Cells;
+    /// What [`Network::run_sharded`] returns for this sink: the empty
+    /// result is its `Default`, and every cell folds in through
+    /// [`merge_cell`](Self::merge_cell).
+    type Cells: Default;
 
     /// Builds the sink from one settled run: the campaign shape, every
     /// node's finished row in node order, and the run's AP service and
@@ -398,9 +404,9 @@ pub trait CampaignSink: Sized + Send {
         lifecycle: LifecycleStats,
     ) -> Self;
 
-    /// Combines the per-cell sinks of a sharded campaign, given in cell
-    /// index order.
-    fn cells(cells: Vec<Self>) -> Self::Cells;
+    /// Folds one cell's sink of a sharded campaign into the campaign
+    /// result. Cells arrive in cell index order.
+    fn merge_cell(cells: &mut Self::Cells, cell: Self);
 }
 
 impl CampaignSink for SlottedRunReport {
@@ -423,8 +429,8 @@ impl CampaignSink for SlottedRunReport {
         }
     }
 
-    fn cells(cells: Vec<Self>) -> Vec<Self> {
-        cells
+    fn merge_cell(cells: &mut Vec<Self>, cell: Self) {
+        cells.push(cell);
     }
 }
 
@@ -448,12 +454,8 @@ impl CampaignSink for CampaignAggregate {
         agg
     }
 
-    fn cells(cells: Vec<Self>) -> Self {
-        let mut total = Self::new();
-        for cell in &cells {
-            total.merge_from(cell);
-        }
-        total
+    fn merge_cell(total: &mut Self, cell: Self) {
+        total.merge_from(&cell);
     }
 }
 
@@ -560,12 +562,13 @@ impl SlottedRunReport {
 ///
 /// This is the city-scale replacement for per-node
 /// `Vec<SlottedNodeReport>` accounting: an aggregate's size is a function
-/// of its histogram bucket counts alone, so a sharded campaign's peak
-/// report memory is O(cells + buckets) — never O(nodes). The u64 counters
-/// and histogram buckets are exact (integer adds), so folding node reports
-/// in any cell order produces identical counters/buckets; the f64 sums are
-/// reproducible for a *fixed* fold order, which the sharded runner
-/// guarantees by merging cells in index order.
+/// of its histogram bucket counts alone, and a sharded campaign folds each
+/// block of finished cells into the running total, so its peak report
+/// memory is O(block + buckets) — never O(nodes), nor O(cells). The u64
+/// counters and histogram buckets are exact (integer adds), so folding
+/// node reports in any cell order produces identical counters/buckets; the
+/// f64 sums are reproducible for a *fixed* fold order, which the sharded
+/// runner guarantees by merging cells in index order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignAggregate {
     /// Cell campaigns folded in (1 for a plain run).
@@ -1085,8 +1088,12 @@ impl<'a> SlotMedium<'a> {
     /// The node's [`UplinkBudget`] is built on its first service in the
     /// campaign — a miss, counted under the `link_budgets` probe counter —
     /// and every later service only runs the kernel. A miss builds the
-    /// budget exactly as [`LinkSimulator::uplink`] would, so a node's
-    /// first service reports the same errors.
+    /// budget through [`UplinkBudget::new`] from the node's steered ground
+    /// truth — the function
+    /// [`LinkSimulator::uplink`](crate::link::LinkSimulator::uplink) builds
+    /// it with over the node's view — so a node's first service equals
+    /// that uplink and reports the same errors. The campaign validated the
+    /// configuration once, up front.
     fn serve(&mut self, node: usize) -> Result<(bool, f64)> {
         let nodes = self.budgets.len();
         let cached = self
@@ -1096,9 +1103,12 @@ impl<'a> SlotMedium<'a> {
         let budget = match cached {
             Some(budget) => budget,
             None => {
-                let view = self.net.scene.view_for_node_checked(node)?;
-                let sim = LinkSimulator::new(self.net.config.clone(), view)?;
-                let budget = sim.uplink_budget()?;
+                let budget = UplinkBudget::new(
+                    &self.net.config,
+                    &QueryPlanner::milback_default(),
+                    &self.net.scene.steered_ground_truth(node)?,
+                    None,
+                )?;
                 self.probe.inc("link_budgets", 1);
                 cached.insert(budget)
             }
@@ -1370,8 +1380,8 @@ impl<'a> SlotMedium<'a> {
 }
 
 /// A frame's transmission schedule: `(slot, transmitters)` pairs in
-/// strictly increasing slot order, transmitters in ascending node order,
-/// no empty groups.
+/// strictly increasing slot order, transmitters in strictly ascending
+/// node order, no empty groups.
 pub type FrameSchedule = Vec<(usize, Vec<usize>)>;
 
 /// One granted relay chain for a frame: the route fires inside `slot`,
@@ -1761,7 +1771,7 @@ impl MacPolicy for SdmAwareAssignment {
 }
 
 /// One granted slot flowing through the AP service pipeline: the slot's
-/// identity, its transmitter group (cloned out of the frame schedule at
+/// identity, its transmitter group (moved out of the frame schedule at
 /// grant time, so the job survives frame rollover while queued), and
 /// whether an overflowing queue degraded its plan.
 #[derive(Debug, Clone)]
@@ -1815,8 +1825,9 @@ struct PolicyCoordinator {
     policy: Box<dyn MacPolicy>,
     /// The current frame's schedule. Safe to hold per frame: every slot of
     /// frame `f` fires strictly before `FrameStart { f + 1 }` (the last
-    /// slot starts one slot-width before the frame boundary). Queued
-    /// [`SlotJob`]s own clones of their groups, so a backlogged pipeline
+    /// slot starts one slot-width before the frame boundary). A slot's
+    /// group moves into its [`SlotJob`] when the slot fires (each slot
+    /// fires once), so a grant copies nothing and a backlogged pipeline
     /// is unaffected by rollover.
     schedule: FrameSchedule,
     /// The AP service pipeline configuration.
@@ -1935,8 +1946,10 @@ impl PolicyCoordinator {
 }
 
 /// Rejects a frame's schedules that break the [`FrameSchedule`] and
-/// [`RelayGrant`] contracts — slots out of order or beyond the plan, or a
-/// transmitter or relay origin outside the scene — before any of it is
+/// [`RelayGrant`] contracts — slots out of order or beyond the plan, a
+/// group that is not strictly ascending (a transmitter listed twice would
+/// be arbitrated against itself), or a transmitter or relay origin
+/// outside the scene — before any of it is
 /// posted, so a misbehaving [`MacPolicy`] fails the run in every build
 /// instead of firing airtime that overlaps the next frame.
 fn check_frame_schedule(
@@ -1966,6 +1979,14 @@ fn check_frame_schedule(
         return bad(format!(
             "slot {slot} is beyond the plan's {} slots",
             plan.slots_per_frame
+        ));
+    }
+    if let Some((slot, group)) = schedule
+        .iter()
+        .find(|(_, g)| g.windows(2).any(|w| w[0] >= w[1]))
+    {
+        return bad(format!(
+            "slot {slot} lists transmitters {group:?}; a group must be strictly ascending"
         ));
     }
     let origins = relays.iter().filter_map(|g| g.route.first());
@@ -2081,7 +2102,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                 let job = SlotJob {
                     frame,
                     slot,
-                    group: self.schedule[idx].1.clone(),
+                    group: std::mem::take(&mut self.schedule[idx].1),
                     degraded: false,
                     offered_ps: now_ps,
                 };
@@ -2642,6 +2663,7 @@ mod tests {
             (vec![(1, vec![0]), (1, vec![1])], vec![]),
             (vec![(0, vec![0])], relay(beyond)),
             (vec![(0, vec![2])], vec![]),
+            (vec![(0, vec![1, 1])], vec![]),
         ];
         for (schedule, relays) in cases {
             let policy = FixedSchedule(schedule.clone(), relays.clone());

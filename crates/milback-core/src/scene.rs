@@ -88,6 +88,9 @@ impl Scene {
     pub fn arc(n: usize, radius_m: f64, span_rad: f64, orientation_rad: f64) -> Self {
         let mut scene = Scene::single_node(radius_m, orientation_rad);
         scene.nodes.clear();
+        // One allocation of the final size: growing a city-scale node list
+        // by doubling leaves freed multi-MiB buffers resident in the heap.
+        scene.nodes.reserve_exact(n);
         for k in 0..n {
             scene = scene.with_node_at(
                 radius_m,
@@ -103,12 +106,26 @@ impl Scene {
     /// # Panics
     /// Panics for an out-of-range index.
     pub fn ground_truth(&self, idx: usize) -> GroundTruth {
-        let node = self.nodes[idx];
-        GroundTruth {
-            range_m: self.ap.position.distance_to(node.position),
-            azimuth_rad: self.ap.azimuth_to(node.position),
-            incidence_rad: node.incidence_from(self.ap.position),
-        }
+        GroundTruth::of(&self.ap, self.nodes[idx])
+    }
+
+    /// Ground truth for node `idx` as an AP steered at it sees the node:
+    /// bit-for-bit `view_for_node(idx)`'s `ground_truth(0)`, without
+    /// building the view. An out-of-range index is a
+    /// [`MilbackError::NodeOutOfScene`].
+    pub(crate) fn steered_ground_truth(&self, idx: usize) -> Result<GroundTruth> {
+        let node = *self.nodes.get(idx).ok_or(MilbackError::NodeOutOfScene {
+            idx,
+            nodes: self.nodes.len(),
+        })?;
+        Ok(GroundTruth::of(&self.steered_at(node), node))
+    }
+
+    /// The AP with its horns mechanically steered at `node`.
+    fn steered_at(&self, node: NodePose) -> ApFrontend {
+        let mut ap = self.ap;
+        ap.boresight_rad = ap.position.bearing_to(node.position);
+        ap
     }
 
     /// A single-node view of this scene serving node `idx`: that node
@@ -121,10 +138,8 @@ impl Scene {
         // runs once per node per frame, so an O(nodes) clone here would make
         // a campaign quadratic at city scale.
         let node = *self.nodes.get(idx)?;
-        let mut ap = self.ap;
-        ap.boresight_rad = ap.position.bearing_to(node.position);
         Some(Scene {
-            ap,
+            ap: self.steered_at(node),
             nodes: vec![node],
             clutter: self.clutter.clone(),
         })
@@ -152,6 +167,17 @@ pub struct GroundTruth {
     pub azimuth_rad: f64,
     /// True incidence angle at the node (its "orientation"), radians.
     pub incidence_rad: f64,
+}
+
+impl GroundTruth {
+    /// The ground truth of `node` as seen from `ap`.
+    fn of(ap: &ApFrontend, node: NodePose) -> Self {
+        Self {
+            range_m: ap.position.distance_to(node.position),
+            azimuth_rad: ap.azimuth_to(node.position),
+            incidence_rad: node.incidence_from(ap.position),
+        }
+    }
 }
 
 /// AP coverage: which nodes the AP can reach directly, by range and

@@ -8,8 +8,8 @@
 //! with its own AP — and runs one deterministic [`Engine`](crate::Engine)
 //! campaign per cell, in parallel over
 //! [`parallel::for_each_chunk_with`], folding each cell into a streaming
-//! [`CampaignAggregate`] and merging the per-cell aggregates **in cell
-//! index order**.
+//! [`CampaignAggregate`] and merging the per-cell aggregates into the
+//! campaign total **in cell index order** as each block of cells finishes.
 //!
 //! # Determinism
 //!
@@ -21,11 +21,14 @@
 //!    SplitMix64 golden-ratio mix the trial runner uses for per-trial
 //!    streams, so a cell's noise is a pure function of the campaign seed
 //!    and its index — never of scheduling.
-//! 2. **One result slot per cell.** Workers write only their own cell's
-//!    slot; the chunk→worker assignment cannot reorder anything.
-//! 3. **Serial in-order merge.** Per-cell aggregates are folded into the
-//!    campaign total in cell index order on the calling thread, so even
-//!    the non-associative f64 sums see one fixed fold order.
+//! 2. **One result slot per cell.** Cells run in fixed blocks of
+//!    256 cells; within a block, workers write only their own cell's
+//!    slot, so the chunk→worker assignment cannot reorder anything.
+//! 3. **Serial in-order merge.** After each block, its cells' sinks are
+//!    folded into the campaign total in cell index order on the calling
+//!    thread, so even the non-associative f64 sums see the one fold order
+//!    a single serial pass over all cells would — whatever the block size
+//!    or thread count.
 //!
 //! `cell_seed(seed, 0) == seed`, so a 1-cell sharded campaign reproduces a
 //! plain [`Network::run`] over the same scene bit-for-bit — the parity
@@ -33,9 +36,16 @@
 //!
 //! # Memory
 //!
-//! The sharded aggregate path never materializes a per-node report `Vec`:
-//! peak report memory is O(cells + histogram buckets), with the per-cell
-//! ledger vectors (O(largest cell)) recycled per worker.
+//! The sharded aggregate path never materializes a per-node report `Vec`,
+//! nor one aggregate per cell: at most one block of finished cell sinks
+//! waits for the fold, so peak report memory is O(block + histogram
+//! buckets) whatever the cell count, with the per-cell ledger vectors
+//! (O(largest cell)) recycled per worker within a block. Cell node ranges
+//! are computed on demand, not tabulated. On perfbench's 10⁶-node,
+//! 31 250-cell `city_1m` campaign this took peak RSS from 67.5 MiB
+//! (every cell's aggregate alive until one final merge) to ~27 MiB, most
+//! of which is the scene itself; `tests/alloc_bounds.rs` bounds the live
+//! heap of a 16 384-cell campaign under 2 MiB above its entry level.
 
 use crate::error::{MilbackError, Result};
 use crate::network::{
@@ -59,6 +69,12 @@ pub fn cell_seed(campaign_seed: u64, cell_idx: usize) -> u64 {
     campaign_seed ^ (cell_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// Cells per block of a sharded campaign: the cells one
+/// [`parallel::for_each_chunk_with`] call runs before their sinks fold
+/// into the campaign result. It bounds how many finished cell sinks are
+/// alive at once; it never changes a result.
+const BLOCK_CELLS: usize = 256;
+
 /// Partitions a scene into `n_cells` spatially contiguous cells: contiguous
 /// runs of the scene's node order (balanced to within one node), each cell
 /// a self-contained scene with its own AP frontend and the shared clutter.
@@ -75,33 +91,49 @@ pub fn cell_seed(campaign_seed: u64, cell_idx: usize) -> u64 {
 /// `debug_assert` (a malformed partition used to pass silently in release
 /// and quietly drop nodes from the campaign).
 pub fn partition_cells(scene: &Scene, n_cells: usize) -> Result<Vec<Scene>> {
-    Ok(cell_ranges(scene.nodes.len(), n_cells)?
-        .into_iter()
-        .map(|nodes| cell_scene(scene, nodes))
+    let cells = CellPartition::new(scene.nodes.len(), n_cells)?;
+    Ok((0..cells.count)
+        .map(|c| cell_scene(scene, cells.range(c)))
         .collect())
 }
 
-/// The node-index ranges of a [`partition_cells`] partition of `n` nodes:
+/// The node ranges of a [`partition_cells`] partition of `n` nodes:
 /// `n_cells` clamped to `[1, n]`, then contiguous runs balanced to within
-/// one node. A partition that does not cover every node exactly once is a
-/// [`MilbackError::Protocol`].
-fn cell_ranges(n: usize, n_cells: usize) -> Result<Vec<Range<usize>>> {
-    let cells = n_cells.clamp(1, n.max(1));
-    let base = n / cells;
-    let rem = n % cells;
-    let mut out = Vec::with_capacity(cells);
-    let mut start = 0usize;
-    for c in 0..cells {
-        let len = base + usize::from(c < rem);
-        out.push(start..start + len);
-        start += len;
+/// one node (the first `n % count` cells hold one node more). Each range
+/// is computed on demand, so a campaign over many cells holds no per-cell
+/// table.
+#[derive(Debug, Clone, Copy)]
+struct CellPartition {
+    count: usize,
+    base: usize,
+    rem: usize,
+}
+
+impl CellPartition {
+    /// The partition of `n` nodes into `n_cells` cells. A partition that
+    /// does not cover every node exactly once is a
+    /// [`MilbackError::Protocol`].
+    fn new(n: usize, n_cells: usize) -> Result<Self> {
+        let count = n_cells.clamp(1, n.max(1));
+        let cells = Self {
+            count,
+            base: n / count,
+            rem: n % count,
+        };
+        let covered = cells.range(count - 1).end;
+        if covered != n {
+            return Err(MilbackError::Protocol(format!(
+                "cell partition covered {covered} of {n} nodes across {count} cells"
+            )));
+        }
+        Ok(cells)
     }
-    if start != n {
-        return Err(MilbackError::Protocol(format!(
-            "cell partition covered {start} of {n} nodes across {cells} cells"
-        )));
+
+    /// The node indices of cell `c`.
+    fn range(&self, c: usize) -> Range<usize> {
+        let start = c * self.base + c.min(self.rem);
+        start..start + self.base + usize::from(c < self.rem)
     }
-    Ok(out)
 }
 
 /// One cell of `scene`: its AP frontend, the nodes in `nodes`, and the
@@ -114,58 +146,29 @@ fn cell_scene(scene: &Scene, nodes: Range<usize>) -> Scene {
     }
 }
 
-/// Runs `run_cell` over every cell of `net`'s scene, one result slot per
-/// cell, fanned over `threads` workers with one `CampaignScratch` per
-/// worker. Each cell's [`Network`] is built inside its worker right before
-/// the cell runs and dropped right after, so at most one cell network per
-/// worker is alive at a time. Results come back in cell index order; the
-/// first cell error (in cell order) aborts the campaign.
-fn run_cells<T, F>(net: &Network, n_cells: usize, threads: usize, run_cell: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(&mut CampaignScratch, usize, &Network) -> Result<T> + Sync,
-{
-    let mut slots: Vec<(Range<usize>, Option<Result<T>>)> = cell_ranges(net.node_count(), n_cells)?
-        .into_iter()
-        .map(|nodes| (nodes, None))
-        .collect();
-    parallel::for_each_chunk_with(
-        &mut slots,
-        1,
-        threads,
-        CampaignScratch::default,
-        |scratch, idx, chunk| {
-            let (nodes, out) = &mut chunk[0];
-            let cell_net = Network {
-                config: net.config.clone(),
-                scene: cell_scene(&net.scene, nodes.clone()),
-            };
-            *out = Some(run_cell(scratch, idx, &cell_net));
-        },
-    );
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(idx, (_, out))| {
-            out.unwrap_or_else(|| Err(MilbackError::Engine(format!("cell {idx} was never run"))))
-        })
-        .collect()
-}
-
 impl Network {
     /// Runs a sharded campaign: the scene splits into `n_cells` spatial
     /// cells ([`partition_cells`]), each cell runs `spec` on its own
     /// deterministic engine under a policy built by
     /// `policy_for_cell(cell_idx, cell_seed)` and on its own
     /// [`cell_seed`]-derived RNG stream, cells fan out over `threads`
-    /// workers, and the per-cell sinks combine in cell index order
-    /// ([`CampaignSink::cells`]). Every cell's AP runs its own service
-    /// pipeline, and relay routes never cross a cell boundary.
+    /// workers, and each cell's sink is folded into the result in cell
+    /// index order as its block of cells finishes
+    /// ([`CampaignSink::merge_cell`]). Every cell's AP runs its own service
+    /// pipeline, and relay routes never cross a cell boundary. The first
+    /// cell error (in cell order) aborts the campaign.
+    ///
+    /// Cells run in fixed blocks of 256: one
+    /// [`parallel::for_each_chunk_with`] call per block, with one
+    /// `CampaignScratch` per worker, so at most one block of finished cell
+    /// sinks waits for the fold at a time. Each cell's [`Network`] is built
+    /// inside its worker right before the cell runs and dropped right
+    /// after.
     ///
     /// The result is bit-identical at any thread count. With
     /// `S = CampaignAggregate` no per-node `Vec` exists on this path, so
-    /// peak report memory is O(cells + buckets); with
-    /// `S = SlottedRunReport` the result is one report per cell (node
+    /// peak report memory is O(block + buckets), whatever the cell count;
+    /// with `S = SlottedRunReport` the result is one report per cell (node
     /// indices cell-local). A 1-cell campaign reproduces [`Network::run`]
     /// on `GaussianSource::new(campaign_seed)` bit-for-bit.
     pub fn run_sharded<S: CampaignSink>(
@@ -176,19 +179,44 @@ impl Network {
         campaign_seed: u64,
         policy_for_cell: impl Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
     ) -> Result<S::Cells> {
-        let cells = run_cells(self, n_cells, threads, |scratch, idx, cell| {
-            let seed = cell_seed(campaign_seed, idx);
-            let mut rng = GaussianSource::new(seed);
-            let policy = policy_for_cell(idx, seed);
-            cell.run_in(
-                spec,
-                policy,
-                &mut rng,
-                &mut CampaignProbe::disabled(),
-                scratch,
-            )
-        })?;
-        Ok(S::cells(cells))
+        let cells = CellPartition::new(self.node_count(), n_cells)?;
+        let mut total = S::Cells::default();
+        let mut block: Vec<Option<Result<S>>> = Vec::with_capacity(BLOCK_CELLS.min(cells.count));
+        for first in (0..cells.count).step_by(BLOCK_CELLS) {
+            block.clear();
+            block.resize_with(BLOCK_CELLS.min(cells.count - first), || None);
+            parallel::for_each_chunk_with(
+                &mut block,
+                1,
+                threads,
+                CampaignScratch::default,
+                |scratch, offset, out| {
+                    let idx = first + offset;
+                    let cell = Network {
+                        config: self.config.clone(),
+                        scene: cell_scene(&self.scene, cells.range(idx)),
+                    };
+                    let seed = cell_seed(campaign_seed, idx);
+                    out[0] = Some(cell.run_in(
+                        spec,
+                        policy_for_cell(idx, seed),
+                        &mut GaussianSource::new(seed),
+                        &mut CampaignProbe::disabled(),
+                        scratch,
+                    ));
+                },
+            );
+            for (offset, out) in block.drain(..).enumerate() {
+                let cell = out.unwrap_or_else(|| {
+                    Err(MilbackError::Engine(format!(
+                        "cell {} was never run",
+                        first + offset
+                    )))
+                })?;
+                S::merge_cell(&mut total, cell);
+            }
+        }
+        Ok(total)
     }
 
     /// [`run_sharded`](Self::run_sharded) into a [`CampaignAggregate`],
@@ -360,6 +388,64 @@ mod tests {
             assert_eq!(agg, baseline, "{threads} threads");
             assert_eq!(agg.energy_j.to_bits(), baseline.energy_j.to_bits());
             assert_eq!(agg.snr_sum_db.to_bits(), baseline.snr_sum_db.to_bits());
+        }
+    }
+
+    #[test]
+    fn multi_block_fold_is_the_serial_fold_at_any_thread_count() {
+        // 600 two-node cells span three blocks, the last one partial.
+        let net = Network::new(SystemConfig::milback_default(), arc_scene(1200)).unwrap();
+        let payload = [0x42u8; 8];
+        let spec = CampaignSpec::new(2, &payload, plan_for(&net, 4, &payload));
+        let reports = net
+            .run_sharded::<SlottedRunReport>(&spec, 600, 1, 0xB10C, aloha)
+            .unwrap();
+        assert_eq!(reports.len(), 600);
+        let mut folded = CampaignAggregate::new();
+        for r in &reports {
+            folded.merge_from(&CampaignAggregate::from_report(r));
+        }
+        for threads in [1usize, 2, 3, 8] {
+            let agg = net
+                .run_sharded::<CampaignAggregate>(&spec, 600, threads, 0xB10C, aloha)
+                .unwrap();
+            assert_eq!(agg, folded, "{threads} threads");
+            assert_eq!(agg.energy_j.to_bits(), folded.energy_j.to_bits());
+            assert_eq!(agg.snr_sum_db.to_bits(), folded.snr_sum_db.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_cell_error_in_a_later_block_aborts_the_campaign() {
+        /// Schedules a slot beyond the plan, which the coordinator rejects.
+        struct Overrun;
+        impl MacPolicy for Overrun {
+            fn name(&self) -> &'static str {
+                "overrun"
+            }
+            fn schedule_frame(
+                &mut self,
+                _frame: usize,
+                ctx: &crate::network::MacContext<'_>,
+            ) -> crate::network::FrameSchedule {
+                vec![(ctx.plan.slots_per_frame, vec![0])]
+            }
+        }
+        let net = Network::new(SystemConfig::milback_default(), arc_scene(600)).unwrap();
+        let payload = [0x42u8; 8];
+        let spec = CampaignSpec::new(1, &payload, plan_for(&net, 4, &payload));
+        let policy = |idx: usize, seed: u64| -> Box<dyn MacPolicy> {
+            if idx == 300 {
+                Box::new(Overrun)
+            } else {
+                aloha(idx, seed)
+            }
+        };
+        for threads in [1usize, 2] {
+            match net.run_sharded::<CampaignAggregate>(&spec, 600, threads, 3, policy) {
+                Err(MilbackError::Engine(msg)) => assert!(msg.contains("overrun"), "{msg}"),
+                other => panic!("expected the cell's engine error, got {other:?}"),
+            }
         }
     }
 

@@ -386,6 +386,25 @@ mod tests {
     }
 
     #[test]
+    fn nan_sample_is_no_contrast_not_a_panic() {
+        assert_eq!(
+            calibrate_threshold(&[f64::NAN, 1.0]).unwrap_err(),
+            DemodError::NoContrast
+        );
+        // A NaN detector sample reaches the self-calibrating demodulator
+        // as a typed error too.
+        let demod = OaqfmDemodulator::new(4);
+        let mut trace_a = vec![0.0; 16];
+        trace_a[8..].fill(1.0);
+        let mut trace_b = trace_a.clone();
+        trace_b[13] = f64::NAN;
+        assert_eq!(
+            demod.demodulate_auto(&trace_a, &trace_b).unwrap_err(),
+            DemodError::NoContrast
+        );
+    }
+
+    #[test]
     fn sinr_report_math() {
         let r = SinrReport {
             signal_power: 100.0,

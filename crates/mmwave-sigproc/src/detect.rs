@@ -129,7 +129,8 @@ pub fn integrate_and_dump(x: &[f64], chunk: usize) -> Vec<f64> {
 
 /// Estimates an on/off slicing threshold for a two-level trace: midway
 /// between the robust bright (90th percentile) and dark (10th percentile)
-/// levels. Returns `None` for empty traces or traces with no contrast.
+/// levels. Returns `None` for empty traces, traces with no contrast, and
+/// traces that hold a NaN sample (±inf samples are ordinary levels).
 pub fn midpoint_threshold(trace: &[f64]) -> Option<f64> {
     midpoint_threshold_into(trace, &mut Vec::new())
 }
@@ -138,13 +139,20 @@ pub fn midpoint_threshold(trace: &[f64]) -> Option<f64> {
 /// copied into `sorted` and sorted once, and both percentiles read that one
 /// copy, so a receiver that reuses the buffer slices without touching the
 /// heap past its high-water mark.
+///
+/// The sort is unstable. Samples that compare equal hold the same bits
+/// except `-0.0` and `+0.0`, and swapping those cannot change the
+/// threshold: an interpolated zero sums to `+0.0` either way, and a zero
+/// percentile vanishes from `(hi + lo) / 2` or leaves no contrast.
 pub fn midpoint_threshold_into(trace: &[f64], sorted: &mut Vec<f64>) -> Option<f64> {
-    if trace.is_empty() {
+    if trace.is_empty() || trace.iter().any(|v| v.is_nan()) {
         return None;
     }
     sorted.clear();
     sorted.extend_from_slice(trace);
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // Without NaNs `partial_cmp` is a total order; the fallback arm never
+    // runs and only spares the comparator a panic branch.
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let hi = crate::stats::percentile_sorted(sorted, 90.0);
     let lo = crate::stats::percentile_sorted(sorted, 10.0);
     if hi - lo <= 0.0 {
@@ -304,5 +312,19 @@ mod tests {
             );
         }
         assert_eq!(midpoint_threshold(&[]), None);
+    }
+
+    #[test]
+    fn midpoint_threshold_rejects_nan_but_keeps_infinities() {
+        assert_eq!(midpoint_threshold(&[f64::NAN, 1.0]), None);
+        assert_eq!(midpoint_threshold(&[0.0, 1.0, -f64::NAN, 0.5]), None);
+        // ±inf stay ordinary levels: infinite contrast, NaN midpoint.
+        assert!(midpoint_threshold(&[f64::NEG_INFINITY, f64::INFINITY])
+            .unwrap()
+            .is_nan());
+        assert_eq!(
+            midpoint_threshold(&[0.0, f64::INFINITY]),
+            Some(f64::INFINITY)
+        );
     }
 }

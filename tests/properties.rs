@@ -3,6 +3,7 @@
 //! algebra and link-budget monotonicity — with randomized inputs rather
 //! than hand-picked cases.
 
+use milback::ap::uplink_rx::measure_channel_snr_db;
 use milback::ap::waveform::{CarrierSet, FmcwConfig, LinkDirection};
 use milback::core::protocol::Packet;
 use milback::core::{Scene, SystemConfig};
@@ -10,7 +11,9 @@ use milback::node::{OaqfmDemodulator, Thresholds};
 use milback::rf::antenna::fsa::{DualPortFsa, FsaDesign, FsaPort};
 use milback::rf::propagation;
 use milback::sigproc::complex::Complex;
+use milback::sigproc::detect::midpoint_threshold_into;
 use milback::sigproc::fft::{fft, ifft};
+use milback::sigproc::stats::percentile;
 use milback::sigproc::waveform::{bytes_to_symbols, ook_envelope, symbols_to_bytes, Chirp};
 use proptest::prelude::*;
 
@@ -197,4 +200,80 @@ proptest! {
         prop_assert!(e1 > 0.0 && e1 < 1.0);
         prop_assert!(e2 > e1);
     }
+
+    /// The uplink slicer keeps its bits: the unstable-sort midpoint
+    /// threshold and the two-pass channel SNR equal, by `to_bits`, the
+    /// stable-sort and five-pass forms they replaced, on traces of 1–600
+    /// samples rich in ties and signed zeros.
+    #[test]
+    fn slicer_matches_stable_sort_reference(
+        len in 1usize..601,
+        picks in proptest::collection::vec(0usize..8, 600..601),
+        noise in proptest::collection::vec(-2.0f64..2.0, 600..601),
+        bits in proptest::collection::vec(any::<bool>(), 600..601),
+    ) {
+        let trace: Vec<f64> = picks[..len]
+            .iter()
+            .zip(&noise)
+            .map(|(&k, &v)| [0.0, -0.0, 0.25, -1.0].get(k).copied().unwrap_or(v))
+            .collect();
+        let mut bits = bits[..len].to_vec();
+        let mut sorted = Vec::new();
+        for n in [1, 2, 3, len / 2, len] {
+            let t = &trace[..n.clamp(1, len)];
+            prop_assert_eq!(
+                midpoint_threshold_into(t, &mut sorted).map(f64::to_bits),
+                stable_sort_midpoint(t).map(f64::to_bits),
+                "{:?}", t
+            );
+        }
+        if len >= 2 {
+            bits[0] = true;
+            bits[1] = false;
+            prop_assert_eq!(
+                measure_channel_snr_db(&trace, &bits).to_bits(),
+                five_pass_channel_snr_db(&trace, &bits).to_bits(),
+                "{:?} {:?}", trace, bits
+            );
+        }
+    }
+}
+
+/// The midpoint threshold as it was before the unstable sort: a stable
+/// sort per percentile.
+fn stable_sort_midpoint(trace: &[f64]) -> Option<f64> {
+    let hi = percentile(trace, 90.0);
+    let lo = percentile(trace, 10.0);
+    if hi - lo <= 0.0 {
+        None
+    } else {
+        Some((hi + lo) / 2.0)
+    }
+}
+
+/// The channel SNR as it was before the two-pass form: a count, one sum
+/// per population mean and one per population spread.
+fn five_pass_channel_snr_db(stats: &[f64], bits: &[bool]) -> f64 {
+    let population = |level: bool| {
+        stats
+            .iter()
+            .zip(bits)
+            .filter(move |(_, &b)| b == level)
+            .map(|(&v, _)| v)
+    };
+    let n_on = bits.iter().filter(|&&b| b).count();
+    let n_off = bits.len() - n_on;
+    let mean_on = population(true).sum::<f64>() / n_on as f64;
+    let mean_off = population(false).sum::<f64>() / n_off as f64;
+    let variance_of = |level: bool, n: usize, m: f64| {
+        if n > 1 {
+            population(level).map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64
+        } else {
+            0.0
+        }
+    };
+    let swing = (mean_on - mean_off) / 2.0;
+    let noise = ((variance_of(true, n_on, mean_on) + variance_of(false, n_off, mean_off)) / 2.0)
+        .max(1e-300);
+    10.0 * (swing * swing / noise).log10()
 }
