@@ -86,12 +86,10 @@ const BLOCK_CELLS: usize = 256;
 /// boresight, and clutter untouched — so a 1-cell sharded campaign is the
 /// plain campaign.
 ///
-/// A partition that fails to cover every node exactly once is a
-/// [`MilbackError::Protocol`] — checked in release builds too, not just a
-/// `debug_assert` (a malformed partition used to pass silently in release
-/// and quietly drop nodes from the campaign).
+/// The cells cover every node exactly once by construction, so the
+/// result is always `Ok`.
 pub fn partition_cells(scene: &Scene, n_cells: usize) -> Result<Vec<Scene>> {
-    let cells = CellPartition::new(scene.nodes.len(), n_cells)?;
+    let cells = CellPartition::new(scene.nodes.len(), n_cells);
     Ok((0..cells.count)
         .map(|c| cell_scene(scene, cells.range(c)))
         .collect())
@@ -99,9 +97,9 @@ pub fn partition_cells(scene: &Scene, n_cells: usize) -> Result<Vec<Scene>> {
 
 /// The node ranges of a [`partition_cells`] partition of `n` nodes:
 /// `n_cells` clamped to `[1, n]`, then contiguous runs balanced to within
-/// one node (the first `n % count` cells hold one node more). Each range
-/// is computed on demand, so a campaign over many cells holds no per-cell
-/// table.
+/// one node (the first `n % count` cells hold one node more), so the last
+/// range ends at `count * base + rem == n`. Each range is computed on
+/// demand, so a campaign over many cells holds no per-cell table.
 #[derive(Debug, Clone, Copy)]
 struct CellPartition {
     count: usize,
@@ -110,23 +108,14 @@ struct CellPartition {
 }
 
 impl CellPartition {
-    /// The partition of `n` nodes into `n_cells` cells. A partition that
-    /// does not cover every node exactly once is a
-    /// [`MilbackError::Protocol`].
-    fn new(n: usize, n_cells: usize) -> Result<Self> {
+    /// The partition of `n` nodes into `n_cells` cells.
+    fn new(n: usize, n_cells: usize) -> Self {
         let count = n_cells.clamp(1, n.max(1));
-        let cells = Self {
+        Self {
             count,
             base: n / count,
             rem: n % count,
-        };
-        let covered = cells.range(count - 1).end;
-        if covered != n {
-            return Err(MilbackError::Protocol(format!(
-                "cell partition covered {covered} of {n} nodes across {count} cells"
-            )));
         }
-        Ok(cells)
     }
 
     /// The node indices of cell `c`.
@@ -179,7 +168,7 @@ impl Network {
         campaign_seed: u64,
         policy_for_cell: impl Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
     ) -> Result<S::Cells> {
-        let cells = CellPartition::new(self.node_count(), n_cells)?;
+        let cells = CellPartition::new(self.node_count(), n_cells);
         let mut total = S::Cells::default();
         let mut block: Vec<Option<Result<S>>> = Vec::with_capacity(BLOCK_CELLS.min(cells.count));
         for first in (0..cells.count).step_by(BLOCK_CELLS) {
@@ -315,10 +304,9 @@ mod tests {
 
     #[test]
     fn partition_coverage_is_checked_in_release() {
-        // Regression for the old `debug_assert_eq!` coverage check: the
-        // exactly-once property is now a typed-`Result` invariant, so it
-        // holds (and would surface as an error, not silence) in release
-        // builds too. Sweep enough shapes to hit every base/rem split.
+        // Coverage holds by construction, not by a `debug_assert`, so it
+        // holds in release builds too. Sweep enough shapes to hit every
+        // base/rem split.
         for n in [1usize, 2, 3, 5, 9, 16, 31] {
             let scene = arc_scene(n);
             for cells in 1..=n + 2 {

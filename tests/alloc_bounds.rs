@@ -2,12 +2,14 @@
 //! allocator.
 //!
 //! The counters are `const`-initialised thread-locals: each test reads
-//! only what its own thread allocated, so tests running in parallel
-//! cannot perturb one another. Every campaign here runs on the calling
-//! thread (`threads = 1`), so all of its allocations land in the counters.
+//! only what its own thread allocated and freed, so tests running in
+//! parallel cannot perturb one another. Every campaign here runs on the
+//! calling thread (`threads = 1`), so all of its heap traffic lands in the
+//! counters.
 //!
-//! - A warm `UplinkBudget::run` allocates nothing, for payloads of any
-//!   size up to its buffers' high-water mark.
+//! - A warm `UplinkBudget::run` touches the heap not at all — no
+//!   allocation, reallocation or free — for payloads of any size up to its
+//!   buffers' high-water mark.
 //! - A 64-node slotted-ALOHA campaign allocates at most
 //!   [`MAX_ALLOCS_PER_FRAME`] times per frame once its budgets are warm.
 //! - A sharded campaign's live heap stays under [`MAX_SHARDED_PEAK_BYTES`]
@@ -33,17 +35,20 @@ const MAX_SHARDED_PEAK_BYTES: i64 = 2 << 20;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
     static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting this thread's allocations and live
-/// bytes.
+/// The system allocator, counting this thread's allocations (a
+/// reallocation counts as one), frees and live bytes.
 struct Counting;
 
 impl Counting {
-    fn grow(bytes: i64, alloc: bool) {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + u64::from(alloc)));
+    fn grow(bytes: i64, allocs: u64, frees: u64) {
+        // `try_with`: the slots may already be gone while a thread exits.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
+        let _ = FREES.try_with(|n| n.set(n.get() + frees));
         let _ = LIVE.try_with(|live| {
             let now = live.get() + bytes;
             live.set(now);
@@ -56,22 +61,22 @@ impl Counting {
 // const-initialised thread-locals that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::grow(layout.size() as i64, true);
+        Self::grow(layout.size() as i64, 1, 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::grow(layout.size() as i64, true);
+        Self::grow(layout.size() as i64, 1, 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::grow(-(layout.size() as i64), false);
+        Self::grow(-(layout.size() as i64), 0, 1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::grow(new_size as i64 - layout.size() as i64, true);
+        Self::grow(new_size as i64 - layout.size() as i64, 1, 0);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -79,18 +84,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What one call allocated on this thread: the allocation count and the
-/// live-heap high-water above the level at entry, bytes.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
-    let allocs = ALLOCS.with(Cell::get);
+/// The heap traffic of one call on this thread.
+struct Counted<R> {
+    out: R,
+    /// Allocations, reallocations included.
+    allocs: u64,
+    frees: u64,
+    /// Live-heap high-water above the level at entry, bytes.
+    peak: i64,
+}
+
+fn counted<R>(f: impl FnOnce() -> R) -> Counted<R> {
+    let (allocs, frees) = (ALLOCS.with(Cell::get), FREES.with(Cell::get));
     let entry = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(entry));
     let out = f();
-    (
+    Counted {
         out,
-        ALLOCS.with(Cell::get) - allocs,
-        PEAK.with(Cell::get) - entry,
-    )
+        allocs: ALLOCS.with(Cell::get) - allocs,
+        frees: FREES.with(Cell::get) - frees,
+        peak: PEAK.with(Cell::get) - entry,
+    }
 }
 
 fn slot_plan(config: &SystemConfig, slots: usize, payload: &[u8]) -> SlotPlan {
@@ -122,7 +136,7 @@ fn uplink_kernel_is_allocation_free_past_warm_up() {
     // Warm up on the largest payload so every buffer reaches its
     // high-water mark.
     budget.run(&payloads[15], &mut rng, &mut scratch).unwrap();
-    let (delivered, allocs, _) = counted(|| {
+    let warm = counted(|| {
         let mut delivered = 0;
         for _ in 0..20 {
             for payload in &payloads {
@@ -132,13 +146,19 @@ fn uplink_kernel_is_allocation_free_past_warm_up() {
         }
         delivered
     });
-    assert_eq!(allocs, 0, "the uplink kernel allocated {allocs} times");
+    let ops = warm.allocs + warm.frees;
+    assert_eq!(ops, 0, "the uplink kernel touched the heap {ops} times");
     // The kernel really ran: 4 m is well inside the link budget.
-    assert_eq!(delivered, 20 * payloads.len());
-    // And the counter sees heap traffic: a one-shot transfer returns an
-    // owned outcome.
-    let (_, allocs, _) = counted(|| sim.uplink(&payloads[0], &mut rng).unwrap());
-    assert!(allocs > 0, "the counting allocator saw nothing");
+    assert_eq!(warm.out, 20 * payloads.len());
+    // And the counters see heap traffic: a one-shot transfer returns an
+    // owned outcome and drops its simulator-side buffers.
+    let cold = counted(|| drop(sim.uplink(&payloads[0], &mut rng).unwrap()));
+    assert!(
+        cold.allocs > 0 && cold.frees > 0,
+        "the counting allocator saw {} allocations and {} frees",
+        cold.allocs,
+        cold.frees
+    );
 }
 
 #[test]
@@ -153,7 +173,7 @@ fn slotted_campaign_allocations_per_frame_are_bounded() {
     let plan = slot_plan(&config, 8, &payload);
     let allocs_for = |frames: usize| {
         let spec = CampaignSpec::new(frames, &payload, plan);
-        let (report, allocs, _) = counted(|| {
+        let run = counted(|| {
             net.run::<SlottedRunReport>(
                 &spec,
                 aloha(0, 0xA110C),
@@ -162,8 +182,8 @@ fn slotted_campaign_allocations_per_frame_are_bounded() {
             )
             .unwrap()
         });
-        assert!(report.nodes.iter().any(|r| r.delivered > 0));
-        allocs
+        assert!(run.out.nodes.iter().any(|r| r.delivered > 0));
+        run.allocs
     };
     let (short, long) = (allocs_for(24), allocs_for(48));
     let per_frame = (long as f64 - short as f64) / 24.0;
@@ -183,14 +203,14 @@ fn sharded_campaign_live_heap_is_bounded_by_a_block() {
     .unwrap();
     let payload = [0x42u8; 8];
     let spec = CampaignSpec::new(2, &payload, slot_plan(&config, 4, &payload));
-    let (agg, _, peak) = counted(|| {
+    let run = counted(|| {
         net.run_sharded::<CampaignAggregate>(&spec, 16_384, 1, 0x5EED, aloha)
             .unwrap()
     });
-    assert_eq!((agg.cells, agg.nodes), (16_384, 65_536));
+    assert_eq!((run.out.cells, run.out.nodes), (16_384, 65_536));
     assert!(
-        peak < MAX_SHARDED_PEAK_BYTES,
+        run.peak < MAX_SHARDED_PEAK_BYTES,
         "live heap rose {:.2} MiB above entry",
-        peak as f64 / (1 << 20) as f64
+        run.peak as f64 / (1 << 20) as f64
     );
 }
