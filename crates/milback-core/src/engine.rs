@@ -15,6 +15,17 @@
 //!   so same-time events fire in exactly the order they were scheduled —
 //!   there is no hash-map, thread, or allocation order anywhere in the
 //!   dispatch path.
+//! * The queue is two containers with one order. An event posted *at the
+//!   current instant* goes to a FIFO lane; every later event goes to a
+//!   binary heap. Every lane entry fires at `now`, and the lane holds its
+//!   entries in ascending `seq` (they are appended as posted), so the lane
+//!   front is the least lane entry. A pop takes whichever of the lane
+//!   front and the heap top is smaller by `(time_ps, seq)` — exactly the
+//!   event one heap over both would pop. The lane is empty whenever the
+//!   clock advances (an event later than `now` never beats a lane entry),
+//!   so the invariant holds across instants. Zero-delay follow-ups, such
+//!   as an instantaneous pipeline's stage hops, skip the heap's
+//!   `O(log n)` sift.
 //! * Time is held in integer picoseconds ([`TimePs`]). Integer time makes
 //!   `t1 == t2` meaningful (no float drift between "the slot boundary"
 //!   computed two ways) and spans ~213 days, far beyond any simulated
@@ -38,7 +49,7 @@
 use crate::error::{MilbackError, Result};
 use crate::telemetry::{Histogram, TraceRecord, TraceSink, OCCUPANCY_BUCKETS};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation time in integer picoseconds.
 pub type TimePs = u64;
@@ -153,7 +164,8 @@ pub struct EngineStats {
 /// the event value.
 pub(crate) type EventLabeler<E> = fn(&E) -> &'static str;
 
-/// Lossless per-label queue-depth tallies, counted at dispatch.
+/// Lossless per-label queue-depth tallies, counted at dispatch. The depth
+/// is the whole queue after the pop: heap and same-instant lane together.
 ///
 /// The bounded [`TraceBuffer`](crate::telemetry::TraceBuffer) ring also
 /// carries a depth per `Event` record, but a long campaign evicts its
@@ -190,7 +202,12 @@ impl DepthStats {
 pub struct Engine<M, E> {
     now_ps: TimePs,
     seq: u64,
+    /// Events later than `now_ps`, plus same-instant events posted before
+    /// the clock reached their instant.
     queue: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Events posted at `now_ps` while the clock stood there, in `seq`
+    /// order (see the module's determinism contract).
+    lane: VecDeque<Scheduled<E>>,
     actors: Vec<Box<dyn Actor<M, E>>>,
     /// Optional dispatch tracer: the sink plus a labeler naming each
     /// event kind. Stored as a plain `fn` pointer so `E` needs no trait
@@ -217,6 +234,7 @@ impl<M, E> Engine<M, E> {
             now_ps: 0,
             seq: 0,
             queue: BinaryHeap::new(),
+            lane: VecDeque::new(),
             actors: Vec::new(),
             tracer: None,
             depth_stats: None,
@@ -260,14 +278,48 @@ impl<M, E> Engine<M, E> {
 
     /// Posts an event from outside any handler (the initial script).
     pub fn post(&mut self, at_ps: TimePs, dst: ActorId, event: E) {
+        self.push(at_ps.max(self.now_ps), dst, event);
+    }
+
+    /// Queues an event at `at_ps >= now_ps` under the next `seq`: into
+    /// the lane when it fires now, into the heap otherwise.
+    fn push(&mut self, at_ps: TimePs, dst: ActorId, event: E) {
         let entry = Scheduled {
-            at_ps: at_ps.max(self.now_ps),
+            at_ps,
             seq: self.seq,
             dst,
             event,
         };
         self.seq += 1;
-        self.queue.push(Reverse(entry));
+        if at_ps == self.now_ps {
+            self.lane.push_back(entry);
+        } else {
+            self.queue.push(Reverse(entry));
+        }
+    }
+
+    /// Pops the least `(at_ps, seq)` event of lane and heap, unless it
+    /// fires after `horizon_ps` (then it stays queued).
+    fn pop_until(&mut self, horizon_ps: TimePs) -> Option<Scheduled<E>> {
+        let lane = self.lane.front().map(|l| (l.at_ps, l.seq));
+        let heap = self.queue.peek().map(|Reverse(h)| (h.at_ps, h.seq));
+        let from_lane = match (lane, heap) {
+            (Some(l), Some(h)) => l < h,
+            (l, _) => l.is_some(),
+        };
+        let (at_ps, _) = if from_lane { lane } else { heap }?;
+        if at_ps > horizon_ps {
+            None
+        } else if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.queue.pop().map(|Reverse(e)| e)
+        }
+    }
+
+    /// Events queued: heap and lane.
+    fn queued(&self) -> usize {
+        self.queue.len() + self.lane.len()
     }
 
     /// Immutable access to a registered actor (for reading results out
@@ -291,29 +343,24 @@ impl<M, E> Engine<M, E> {
             events_dispatched: 0,
             end_time_ps: self.now_ps,
         };
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at_ps > horizon_ps {
-                break;
-            }
-            let Some(Reverse(entry)) = self.queue.pop() else {
-                break;
-            };
+        while let Some(entry) = self.pop_until(horizon_ps) {
             debug_assert!(
                 entry.at_ps >= self.now_ps,
                 "queue delivered an event from the past"
             );
             self.now_ps = entry.at_ps;
+            let depth = self.queued();
             if let Some((sink, label)) = &self.tracer {
                 sink.record(TraceRecord::Event {
                     time_ps: entry.at_ps,
                     seq: entry.seq,
                     actor: entry.dst.0,
                     kind: label(&entry.event),
-                    queue_depth: self.queue.len(),
+                    queue_depth: depth,
                 });
             }
             if let Some((stats, label)) = &mut self.depth_stats {
-                stats.observe(label(&entry.event), self.queue.len());
+                stats.observe(label(&entry.event), depth);
             }
             let actor = self.actors.get_mut(entry.dst.0).ok_or_else(|| {
                 MilbackError::Engine(format!(
@@ -326,21 +373,16 @@ impl<M, E> Engine<M, E> {
                 posted: std::mem::take(&mut self.posted),
             };
             let handled = actor.on_event(entry.at_ps, &entry.event, &mut self.medium, &mut out);
-            self.posted = out.posted;
+            let mut posted = out.posted;
             if let Err(e) = handled {
-                self.posted.clear();
+                posted.clear();
+                self.posted = posted;
                 return Err(e);
             }
-            for (at_ps, dst, event) in self.posted.drain(..) {
-                let seq = self.seq;
-                self.seq += 1;
-                self.queue.push(Reverse(Scheduled {
-                    at_ps,
-                    seq,
-                    dst,
-                    event,
-                }));
+            for (at_ps, dst, event) in posted.drain(..) {
+                self.push(at_ps, dst, event);
             }
+            self.posted = posted;
             stats.events_dispatched += 1;
             stats.end_time_ps = self.now_ps;
         }
@@ -359,7 +401,7 @@ impl<M: std::fmt::Debug, E: std::fmt::Debug> std::fmt::Debug for Engine<M, E> {
         f.debug_struct("Engine")
             .field("now_ps", &self.now_ps)
             .field("seq", &self.seq)
-            .field("queued", &self.queue.len())
+            .field("queued", &self.queued())
             .field("actors", &self.actors.len())
             .field("medium", &self.medium)
             .finish()
@@ -659,6 +701,163 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, ["low", "high"]);
+    }
+
+    /// One SplitMix64 step, the lane test's schedule generator.
+    fn mix(state: &mut u64) -> u64 {
+        crate::network::splitmix64(state)
+    }
+
+    /// The follow-ups a [`Spawner`] posts on receiving `ev` at `now_ps`:
+    /// `(at_ps, dst, event)` triples, a pure function of the event, so
+    /// the engine and the reference see the same schedule. Events carry
+    /// a remaining-generation count in their low byte, so every schedule
+    /// drains. Delays mix same-instant posts (0, and a clamped post into
+    /// the past) with later ones.
+    fn follow_ups(now_ps: TimePs, ev: u64, actors: usize) -> Vec<(TimePs, ActorId, u64)> {
+        let generation = ev & 0xFF;
+        if generation == 0 {
+            return Vec::new();
+        }
+        let mut state = ev;
+        let posts = mix(&mut state) % 4;
+        (0..posts)
+            .map(|_| {
+                let r = mix(&mut state);
+                let at_ps = match r % 6 {
+                    0 | 1 => now_ps,
+                    2 => now_ps.saturating_sub(3),
+                    3 => now_ps + 1,
+                    4 => now_ps + 7,
+                    _ => now_ps + 40,
+                };
+                let dst = ActorId((r >> 8) as usize % actors);
+                (at_ps, dst, (r & !0xFF) | (generation - 1))
+            })
+            .collect()
+    }
+
+    /// Test actor posting [`follow_ups`] and logging what it received.
+    struct Spawner {
+        actors: usize,
+    }
+
+    impl Actor<Vec<(TimePs, u64)>, u64> for Spawner {
+        fn on_event(
+            &mut self,
+            now_ps: TimePs,
+            event: &u64,
+            log: &mut Vec<(TimePs, u64)>,
+            out: &mut Outbox<u64>,
+        ) -> Result<()> {
+            log.push((now_ps, *event));
+            for (at_ps, dst, ev) in follow_ups(now_ps, *event, self.actors) {
+                out.post_at(at_ps, dst, ev);
+            }
+            Ok(())
+        }
+    }
+
+    /// One dispatch as the trace sees it: `(time, seq, actor, event,
+    /// queue depth after the pop)`.
+    type Dispatch = (TimePs, u64, usize, u64, usize);
+
+    /// The reference queue: a `Vec` kept sorted by `(time, seq)`, popped
+    /// from the front.
+    #[derive(Default)]
+    struct Reference {
+        now_ps: TimePs,
+        seq: u64,
+        queue: Vec<(TimePs, u64, usize, u64)>,
+        dispatched: Vec<Dispatch>,
+    }
+
+    impl Reference {
+        fn post(&mut self, at_ps: TimePs, dst: usize, ev: u64) {
+            let entry = (at_ps.max(self.now_ps), self.seq, dst, ev);
+            self.seq += 1;
+            let at = self
+                .queue
+                .partition_point(|e| (e.0, e.1) < (entry.0, entry.1));
+            self.queue.insert(at, entry);
+        }
+
+        fn run_until(&mut self, horizon_ps: TimePs, actors: usize) {
+            while self.queue.first().is_some_and(|e| e.0 <= horizon_ps) {
+                let (at_ps, seq, dst, ev) = self.queue.remove(0);
+                self.now_ps = at_ps;
+                self.dispatched
+                    .push((at_ps, seq, dst, ev, self.queue.len()));
+                for (at, to, next) in follow_ups(at_ps, ev, actors) {
+                    self.post(at, to.0, next);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_instant_lane_matches_a_sorted_reference() {
+        for case in 0..64u64 {
+            let mut state = 0x1A4E ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let actors = 1 + (mix(&mut state) % 4) as usize;
+            let mut e: Engine<Vec<(TimePs, u64)>, u64> = Engine::new(Vec::new());
+            let sink = TraceSink::with_capacity(1 << 16);
+            e.set_tracer(sink.clone(), |_| "ev");
+            e.enable_depth_stats(|_| "ev");
+            for _ in 0..actors {
+                e.add_actor(Box::new(Spawner { actors }));
+            }
+            let mut reference = Reference::default();
+            // A root event from outside: four generations of follow-ups.
+            let post = |state: &mut u64, e: &mut Engine<_, u64>, r: &mut Reference, at_ps| {
+                let ev = (mix(state) & !0xFF) | 4;
+                let dst = (ev >> 8) as usize % actors;
+                e.post(at_ps, ActorId(dst), ev);
+                r.post(at_ps, dst, ev);
+            };
+            for _ in 0..3 {
+                let at_ps = mix(&mut state) % 50;
+                post(&mut state, &mut e, &mut reference, at_ps);
+            }
+            // Stop mid-schedule, then post from outside at the instant
+            // the clock stopped on: those posts take the lane.
+            let horizon_ps = 20;
+            e.run_until(horizon_ps).unwrap();
+            reference.run_until(horizon_ps, actors);
+            assert_eq!(e.now_ps(), reference.now_ps, "case {case}");
+            let now_ps = e.now_ps();
+            for at_ps in [now_ps, now_ps, now_ps + 2] {
+                post(&mut state, &mut e, &mut reference, at_ps);
+            }
+            let stats = e.run().unwrap();
+            reference.run_until(TimePs::MAX, actors);
+            let traced: Vec<Dispatch> = sink
+                .into_buffer()
+                .records()
+                .zip(&e.medium)
+                .map(|(r, &(at_ps, ev))| match *r {
+                    TraceRecord::Event {
+                        time_ps,
+                        seq,
+                        actor,
+                        queue_depth,
+                        ..
+                    } => {
+                        assert_eq!(time_ps, at_ps);
+                        (time_ps, seq, actor, ev, queue_depth)
+                    }
+                    ref other => panic!("unexpected record {other:?}"),
+                })
+                .collect();
+            assert_eq!(traced.len(), e.medium.len(), "case {case}");
+            assert_eq!(traced, reference.dispatched, "case {case}");
+            assert!(stats.events_dispatched > 0);
+            let depths = e.take_depth_stats().expect("enabled");
+            let (_, h) = depths.entries().next().expect("one label");
+            let depth_sum: usize = reference.dispatched.iter().map(|d| d.4).sum();
+            assert_eq!(h.count as usize, reference.dispatched.len(), "case {case}");
+            assert_eq!(h.sum, depth_sum as f64, "case {case}");
+        }
     }
 
     #[test]

@@ -201,17 +201,13 @@ impl LifecycleStats {
     /// Observes a slot wait for `packets` co-slotted packets.
     #[inline]
     pub fn observe_slot_wait_us(&mut self, us: f64, packets: usize) {
-        for _ in 0..packets {
-            self.slot_wait_us.observe(us);
-        }
+        self.slot_wait_us.observe_n(us, packets);
     }
 
     /// Observes an AP service residence for `packets` co-slotted packets.
     #[inline]
     pub fn observe_service_residence_us(&mut self, us: f64, packets: usize) {
-        for _ in 0..packets {
-            self.service_residence_us.observe(us);
-        }
+        self.service_residence_us.observe_n(us, packets);
     }
 
     /// Observes one relayed delivery's extra latency.

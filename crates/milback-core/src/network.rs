@@ -56,15 +56,12 @@ impl Network {
     /// pattern steered at each node.
     pub fn sdm_margin_db(&self, idx: usize, other: usize) -> f64 {
         assert!(idx != other, "a node does not interfere with itself");
-        let azimuth = |k: usize| self.scene.ap.azimuth_to(self.scene.nodes[k].position);
-        let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
-        // Beam steered at node idx: gain toward it is the boresight gain.
-        let wanted = horn.gain_dbi(28e9, 0.0);
-        // Beam steered at the other node: off-axis gain toward node idx is
-        // evaluated at their angular separation.
-        let separation = (azimuth(idx) - azimuth(other)).abs();
-        let leak = horn.gain_dbi(28e9, separation);
-        wanted - leak
+        sdm_margin(self.azimuth(idx), self.azimuth(other))
+    }
+
+    /// Node `idx`'s azimuth from the AP boresight, radians.
+    fn azimuth(&self, idx: usize) -> f64 {
+        self.scene.ap.azimuth_to(self.scene.nodes[idx].position)
     }
 
     /// Whether two nodes are separable by SDM with at least `margin_db` of
@@ -179,6 +176,7 @@ impl Network {
         // Validated once per campaign: budget misses build straight from
         // the configuration.
         self.config.validate()?;
+        spec.check_timeline()?;
         let airtime_s = self.slotted_airtime_s(spec.payload, &spec.plan)?;
         policy.begin(
             &MacContext {
@@ -290,6 +288,12 @@ impl Network {
             relay_energy_j: recycle(&mut scratch.relay_energy_j, n, 0.0),
             relay_latency_s: recycle(&mut scratch.relay_latency_s, n, 0.0),
             budgets: recycle(&mut scratch.budgets, n, None),
+            azimuth: {
+                let mut az = std::mem::take(&mut scratch.azimuth);
+                az.clear();
+                az.extend((0..n).map(|idx| self.azimuth(idx)));
+                az
+            },
             uplink: std::mem::take(&mut scratch.uplink),
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
@@ -317,6 +321,19 @@ impl Network {
         scratch.reclaim(m);
         Ok(sink)
     }
+}
+
+/// The SDM margin, dB, between beams steered at azimuths `az_a` (the
+/// served node) and `az_b` (the other node): the AP horn's boresight gain
+/// toward the served node minus the other beam's off-axis gain toward it,
+/// at their angular separation. [`Network::sdm_margin_db`] and a
+/// campaign's per-node azimuth table both go through it, so the two
+/// cannot drift apart.
+fn sdm_margin(az_a: f64, az_b: f64) -> f64 {
+    let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
+    let wanted = horn.gain_dbi(28e9, 0.0);
+    let leak = horn.gain_dbi(28e9, (az_a - az_b).abs());
+    wanted - leak
 }
 
 /// One slotted campaign: its length, payload and airtime plan, and the AP
@@ -374,6 +391,34 @@ impl<'a> CampaignSpec<'a> {
     /// The spec with another coverage and relay configuration.
     pub fn with_relay(self, relay: RelayConfig) -> Self {
         Self { relay, ..self }
+    }
+
+    /// Rejects a spec whose timeline the engine cannot schedule: a frame
+    /// without slots, a frame span past [`TimePs`], or a jitter bound whose
+    /// draw range `jitter_ps + 1` overflows.
+    fn check_timeline(&self) -> Result<()> {
+        let bad = |what: String| Err(MilbackError::Config(what));
+        if self.plan.slots_per_frame == 0 {
+            return bad("a frame needs at least one slot".into());
+        }
+        if self
+            .plan
+            .slot_ps
+            .checked_mul(self.plan.slots_per_frame as TimePs)
+            .is_none()
+        {
+            return bad(format!(
+                "{} slots of {} ps overflow the picosecond clock",
+                self.plan.slots_per_frame, self.plan.slot_ps
+            ));
+        }
+        if self.service.jitter_ps.checked_add(1).is_none() {
+            return bad(format!(
+                "a jitter bound of {} ps overflows its draw range",
+                self.service.jitter_ps
+            ));
+        }
+        Ok(())
     }
 
     /// Frame duration, seconds.
@@ -844,10 +889,10 @@ impl Default for CampaignAggregate {
 }
 
 /// Reusable buffers for campaign runs: the per-node ledger vectors, the
-/// per-node uplink-budget cache and the uplink kernel's scratch. The
-/// sharded runner keeps one per worker, so a worker's cells recycle them
-/// instead of reallocating per cell. Contents are zeroed (the cache
-/// emptied) before every use, so (per the
+/// per-node uplink-budget cache, the azimuth table and the uplink
+/// kernel's scratch. The sharded runner keeps one per worker, so a
+/// worker's cells recycle them instead of reallocating per cell. Contents
+/// are zeroed or refilled (the cache emptied) before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
 #[derive(Debug, Default)]
@@ -861,6 +906,7 @@ pub(crate) struct CampaignScratch {
     relay_energy_j: Vec<f64>,
     relay_latency_s: Vec<f64>,
     budgets: Vec<Option<UplinkBudget>>,
+    azimuth: Vec<f64>,
     uplink: UplinkScratch,
 }
 
@@ -876,6 +922,7 @@ impl CampaignScratch {
         self.relay_energy_j = m.relay_energy_j;
         self.relay_latency_s = m.relay_latency_s;
         self.budgets = m.budgets;
+        self.azimuth = m.azimuth;
         self.uplink = m.uplink;
     }
 }
@@ -1029,6 +1076,10 @@ struct SlotMedium<'a> {
     /// this campaign (see [`serve`](SlotMedium::serve)). Lazy on purpose:
     /// a sharded city campaign serves only a small share of its nodes.
     budgets: Vec<Option<UplinkBudget>>,
+    /// Every node's azimuth from the AP boresight, radians, computed once
+    /// per campaign: SDM arbitration and the interference fold read their
+    /// margins off this table through [`sdm_margin`].
+    azimuth: Vec<f64>,
     /// The uplink kernel's reusable buffers.
     uplink: UplinkScratch,
     /// The run's packets offered, shed-stage breakdown and latency
@@ -1169,11 +1220,12 @@ impl<'a> SlotMedium<'a> {
         // SDM arbitration: the slot survives concurrency only if every
         // pair of co-slotted beams is separable (a degraded grant skips
         // arbitration and never survives concurrency).
+        let az = &self.azimuth;
         let separable = !degraded
             && group.iter().enumerate().all(|(i, &a)| {
                 group[i + 1..]
                     .iter()
-                    .all(|&b| self.net.sdm_separable(a, b, sdm_threshold_db))
+                    .all(|&b| sdm_margin(az[a], az[b]) >= sdm_threshold_db)
             });
         if group.len() > 1 && !separable {
             // A degraded grant never ran SDM arbitration — plain
@@ -1200,7 +1252,7 @@ impl<'a> SlotMedium<'a> {
                 let margin = group
                     .iter()
                     .filter(|&&o| o != node)
-                    .map(|&o| self.net.sdm_margin_db(node, o))
+                    .map(|&o| sdm_margin(self.azimuth[node], self.azimuth[o]))
                     .fold(f64::INFINITY, f64::min);
                 if margin.is_finite() {
                     let sig = db_to_lin(snr_db);
@@ -1484,23 +1536,47 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 /// slot → nodes map the coordinator indexes (a per-slot re-hash of every
 /// node would cost O(nodes × slots) per frame with up to
 /// [`MAX_SLOTS_PER_FRAME`](crate::protocol::MAX_SLOTS_PER_FRAME) slots).
+///
+/// `contends` runs exactly once per node, in node order (a policy may
+/// count deferrals in it). Each group is allocated at its exact size from
+/// a per-slot count, so a frame allocates the schedule, one `Vec` per
+/// occupied slot and two temporaries.
 pub(crate) fn hash_into_slots(
     ctx: &MacContext<'_>,
     frame: usize,
     seed: u64,
     mut contends: impl FnMut(usize) -> bool,
 ) -> FrameSchedule {
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); ctx.plan.slots_per_frame];
-    for node in 0..ctx.net.node_count() {
-        if contends(node) {
-            buckets[ctx.plan.slot_for(node, frame, seed)].push(node);
+    let slots = ctx.plan.slots_per_frame;
+    // Each node's slot; `slots` marks a node sitting the frame out.
+    let node_slot: Vec<usize> = (0..ctx.net.node_count())
+        .map(|node| {
+            if contends(node) {
+                ctx.plan.slot_for(node, frame, seed)
+            } else {
+                slots
+            }
+        })
+        .collect();
+    let mut sizes = vec![0usize; slots + 1];
+    for &slot in &node_slot {
+        sizes[slot] += 1;
+    }
+    let mut schedule: FrameSchedule =
+        Vec::with_capacity(sizes[..slots].iter().filter(|&&n| n > 0).count());
+    // Each occupied slot's size becomes its position in the schedule.
+    for (slot, size) in sizes[..slots].iter_mut().enumerate() {
+        if *size > 0 {
+            schedule.push((slot, Vec::with_capacity(*size)));
+            *size = schedule.len() - 1;
         }
     }
-    buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, g)| !g.is_empty())
-        .collect()
+    for (node, &slot) in node_slot.iter().enumerate() {
+        if slot < slots {
+            schedule[sizes[slot]].1.push(node);
+        }
+    }
+    schedule
 }
 
 /// Classic slotted ALOHA behind the [`MacPolicy`] trait: every node
@@ -2530,6 +2606,38 @@ mod tests {
     #[should_panic(expected = "does not interfere with itself")]
     fn self_margin_panics() {
         two_node_network(30.0).sdm_margin_db(0, 0);
+    }
+
+    #[test]
+    fn azimuth_table_margins_match_sdm_margin_db_bit_for_bit() {
+        // An arc behind the AP, so node azimuths straddle the ±π wrap.
+        let mut behind = Scene::arc(16, 4.0, 60f64.to_radians(), 12f64.to_radians());
+        behind.ap.boresight_rad = std::f64::consts::PI;
+        let mut rng = GaussianSource::new(0xA21);
+        let mut random = Scene::arc(0, 4.0, 0.0, 0.0);
+        for _ in 0..24 {
+            let (r, az) = (rng.uniform(0.5, 10.0), rng.uniform(-3.2, 3.2));
+            random = random.with_node_at(r, az, rng.uniform(-0.5, 0.5));
+        }
+        let payload = [0x5Au8; 8];
+        for (name, scene) in [("behind", behind), ("random", random)] {
+            let n = Network::new(SystemConfig::milback_default(), scene).unwrap();
+            let mut scratch = CampaignScratch::default();
+            let m = n.slot_medium(&payload, 1e-6, &mut rng, &mut scratch);
+            if name == "behind" {
+                let wrapped = |sign: f64| m.azimuth.iter().any(|&a| a * sign > 2.8);
+                assert!(wrapped(1.0) && wrapped(-1.0), "{:?}", m.azimuth);
+            }
+            for a in 0..n.node_count() {
+                for b in (0..n.node_count()).filter(|&b| b != a) {
+                    assert_eq!(
+                        sdm_margin(m.azimuth[a], m.azimuth[b]).to_bits(),
+                        n.sdm_margin_db(a, b).to_bits(),
+                        "{name}: pair ({a}, {b})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

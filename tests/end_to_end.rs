@@ -2,8 +2,12 @@
 //! plan, communicate — through the public umbrella API.
 
 use milback::ap::waveform::CarrierSet;
-use milback::core::protocol::Packet;
-use milback::core::{LinkSimulator, LocalizationPipeline, Scene, SystemConfig};
+use milback::core::protocol::{Packet, SlotPlan};
+use milback::core::{
+    ApServiceConfig, CampaignAggregate, CampaignProbe, CampaignSpec, LinkSimulator,
+    LocalizationPipeline, MilbackError, Network, Scene, SlottedAloha, SlottedRunReport,
+    SystemConfig,
+};
 use milback::sigproc::random::GaussianSource;
 
 /// The canonical session: localize the node, sense its orientation, plan
@@ -202,4 +206,77 @@ fn normal_incidence_ook_path() {
     let out = sim.downlink(b"normal-incidence payload", &mut rng).unwrap();
     assert_eq!(out.decoded, b"normal-incidence payload");
     assert!(matches!(out.carriers, CarrierSet::SingleToneOok { .. }));
+}
+
+#[test]
+fn unschedulable_campaign_timelines_are_config_errors() {
+    // Each spec once panicked inside the engine (a `% 0` slot hash, a
+    // frame span or a jitter draw range past `u64`); both campaign entry
+    // points now reject it up front.
+    let config = SystemConfig::milback_default();
+    let net = Network::new(
+        config.clone(),
+        Scene::arc(8, 4.0, 90f64.to_radians(), 12f64.to_radians()),
+    )
+    .unwrap();
+    let payload = [0x3Cu8; 8];
+    let plan = SlotPlan::for_packet(
+        4,
+        &Packet::uplink(payload.to_vec()),
+        &config.fmcw,
+        config.uplink_symbol_rate_hz,
+        5e-6,
+    )
+    .unwrap();
+    let jitter = ApServiceConfig {
+        jitter_ps: u64::MAX,
+        ..ApServiceConfig::instantaneous()
+    };
+    let cases = [
+        (
+            "no slots",
+            CampaignSpec::new(
+                3,
+                &payload,
+                SlotPlan {
+                    slots_per_frame: 0,
+                    ..plan
+                },
+            ),
+        ),
+        (
+            "frame span past the clock",
+            CampaignSpec::new(
+                3,
+                &payload,
+                SlotPlan {
+                    slot_ps: u64::MAX / 2,
+                    ..plan
+                },
+            ),
+        ),
+        (
+            "jitter draw range past u64",
+            CampaignSpec::new(3, &payload, plan).with_service(jitter),
+        ),
+    ];
+    for (what, spec) in cases {
+        let plain = net.run::<SlottedRunReport>(
+            &spec,
+            Box::new(SlottedAloha::new(7)),
+            &mut GaussianSource::new(7),
+            &mut CampaignProbe::disabled(),
+        );
+        assert!(
+            matches!(plain, Err(MilbackError::Config(_))),
+            "{what}: run gave {plain:?}"
+        );
+        let sharded = net.run_sharded::<CampaignAggregate>(&spec, 2, 1, 7, |_, seed| {
+            Box::new(SlottedAloha::new(seed))
+        });
+        assert!(
+            matches!(sharded, Err(MilbackError::Config(_))),
+            "{what}: run_sharded gave {sharded:?}"
+        );
+    }
 }
