@@ -16,7 +16,6 @@ use std::cell::Cell;
 
 use milback_node::firmware::{Direction, Event, Firmware, State};
 use milback_node::power::NodePowerModel;
-use milback_node::{PortMode, ToggleSchedule};
 
 /// System allocator that counts every allocation, deallocation and
 /// reallocation made by the current thread — the hot path must not touch
@@ -119,22 +118,4 @@ fn rejected_transitions_are_allocation_free_too() {
     let (ops, err) = alloc_ops_during(|| fw.step(Event::PayloadComplete, 1e-6).unwrap_err());
     assert_eq!(ops, 0, "the error path must not allocate (it is `Copy`)");
     assert_eq!(err.event, Event::PayloadComplete);
-}
-
-#[test]
-fn switch_count_is_allocation_free_and_presizes_exactly() {
-    let t = ToggleSchedule {
-        rate_hz: 10e3,
-        initial: PortMode::Reflective,
-    };
-    let (ops, count) = alloc_ops_during(|| t.switch_count(0.0, 5e-3));
-    assert_eq!(ops, 0, "the count-only schedule variant must not allocate");
-    // And the enumeration allocates exactly once, at the right capacity.
-    let (ops, times) = alloc_ops_during(|| t.switch_times_s(0.0, 5e-3));
-    assert_eq!(times.len(), count);
-    assert_eq!(times.capacity(), count);
-    assert!(
-        ops <= 1,
-        "pre-sized enumeration should allocate at most once, did {ops} ops"
-    );
 }

@@ -17,8 +17,8 @@ use milback_bench::experiments::{
 use milback_bench::runner::{trial_rng, RunnerConfig};
 use milback_core::protocol::SlotPlan;
 use milback_core::{
-    ApServiceConfig, CampaignProbe, CampaignSpec, DropReason, LifecycleStats, Network, Packet,
-    Scene, Session, SessionReport, SlottedRunReport, SystemConfig,
+    CampaignProbe, CampaignSpec, DropReason, LifecycleStats, Network, Packet, Scene,
+    SlottedRunReport, SystemConfig,
 };
 use mmwave_sigproc::random::GaussianSource;
 use proptest::prelude::*;
@@ -428,57 +428,5 @@ proptest! {
         // A leak — one offer with no terminal outcome — must be caught.
         whole.offer(1);
         prop_assert!(whole.audit().is_err(), "an unresolved offer must fail the audit");
-    }
-}
-
-fn session_scene() -> (SystemConfig, Scene) {
-    (
-        SystemConfig::milback_default(),
-        Scene::single_node(2.0, 12f64.to_radians()),
-    )
-}
-
-fn assert_session_bit_exact(a: &SessionReport, b: &SessionReport) {
-    assert_eq!(a, b);
-    assert_eq!(a.ber.to_bits(), b.ber.to_bits());
-    assert_eq!(a.airtime_s.to_bits(), b.airtime_s.to_bits());
-    assert_eq!(a.node_energy_j.to_bits(), b.node_energy_j.to_bits());
-}
-
-/// `run_packet` vs a probed `run_packet_with` on shared streams: the session
-/// layer's probe (event counters, energy histogram, optional trace) is
-/// non-perturbing as well.
-#[test]
-fn probed_session_is_bit_identical() {
-    let (config, scene) = session_scene();
-    let session = Session::new(config, scene).unwrap();
-    let packet = Packet::uplink(vec![0xA5u8; 24]);
-    for trial in 0..3 {
-        let mut rng_plain = trial_rng(0x5E55, trial);
-        let mut rng_probed = trial_rng(0x5E55, trial);
-        let plain = session.run_packet(&packet, &mut rng_plain).unwrap();
-        let mut probe = CampaignProbe::with_trace(1024);
-        let probed = session
-            .run_packet_with(
-                &packet,
-                &mut rng_probed,
-                &ApServiceConfig::instantaneous(),
-                &mut probe,
-            )
-            .unwrap();
-        assert_session_bit_exact(&plain, &probed);
-        assert_eq!(
-            rng_plain.sample(1.0).to_bits(),
-            rng_probed.sample(1.0).to_bits(),
-            "session probe perturbed the RNG stream"
-        );
-        let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
-        assert!(metrics.counter("session_events") > 0);
-        let trace = probe
-            .trace
-            .take()
-            .expect("tracing was requested")
-            .into_buffer();
-        assert!(!trace.is_empty(), "session recorded no trace events");
     }
 }

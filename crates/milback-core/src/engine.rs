@@ -117,22 +117,12 @@ pub struct Outbox<E> {
 }
 
 impl<E> Outbox<E> {
-    /// The instant the current event fired.
-    pub fn now_ps(&self) -> TimePs {
-        self.now_ps
-    }
-
     /// Posts `event` to `dst` at absolute time `at_ps`.
     ///
     /// Scheduling into the past is a protocol bug; it is clamped to `now`
     /// (the event still fires, after everything already queued for `now`).
     pub fn post_at(&mut self, at_ps: TimePs, dst: ActorId, event: E) {
         self.posted.push((at_ps.max(self.now_ps), dst, event));
-    }
-
-    /// Posts `event` to `dst` after a delay of `delay_s` seconds.
-    pub fn post_after(&mut self, delay_s: f64, dst: ActorId, event: E) {
-        self.post_at(self.now_ps + secs_to_ps(delay_s), dst, event);
     }
 }
 
@@ -431,7 +421,7 @@ mod tests {
         ) -> Result<()> {
             log.push((now_ps, self.tag, *event));
             if let Some((delay_s, ev)) = self.follow_up.take() {
-                out.post_after(delay_s, ActorId(0), ev);
+                out.post_at(now_ps + secs_to_ps(delay_s), ActorId(0), ev);
             }
             Ok(())
         }

@@ -497,22 +497,6 @@ impl LinkSimulator {
     pub fn uplink_ber_from_snr(snr_db: f64) -> f64 {
         q_function(db_to_lin(snr_db).sqrt())
     }
-
-    /// The unified propagation service: dispatches a transfer by
-    /// [`milback_ap::waveform::LinkDirection`] so engine actors can hand the medium a direction
-    /// and a payload without caring which physical path runs underneath.
-    pub fn transfer(
-        &self,
-        direction: milback_ap::waveform::LinkDirection,
-        payload: &[u8],
-        rng: &mut GaussianSource,
-    ) -> Result<TransferOutcome> {
-        use milback_ap::waveform::LinkDirection;
-        Ok(match direction {
-            LinkDirection::Downlink => TransferOutcome::Downlink(self.downlink(payload, rng)?),
-            LinkDirection::Uplink => TransferOutcome::Uplink(self.uplink(payload, rng)?),
-        })
-    }
 }
 
 /// Analytic SNR of one uplink channel of a node with ground truth `gt`
@@ -740,33 +724,6 @@ impl UplinkBudget {
             },
             analytic_snr_db: self.analytic_snr_db,
         })
-    }
-}
-
-/// The outcome of a direction-dispatched [`LinkSimulator::transfer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TransferOutcome {
-    /// A downlink ran.
-    Downlink(DownlinkOutcome),
-    /// An uplink ran.
-    Uplink(UplinkOutcome),
-}
-
-impl TransferOutcome {
-    /// The decoded bytes, whichever side received them.
-    pub fn decoded(&self) -> &[u8] {
-        match self {
-            TransferOutcome::Downlink(o) => &o.decoded,
-            TransferOutcome::Uplink(o) => &o.decoded,
-        }
-    }
-
-    /// The measured bit error rate of the transfer.
-    pub fn ber(&self) -> f64 {
-        match self {
-            TransferOutcome::Downlink(o) => o.ber,
-            TransferOutcome::Uplink(o) => o.ber,
-        }
     }
 }
 
@@ -1012,31 +969,5 @@ mod tests {
         // Different seed → same decode at this SNR, possibly different
         // measured-SNR estimate.
         assert_eq!(run(9).decoded, run(10).decoded);
-    }
-
-    #[test]
-    fn transfer_dispatches_by_direction() {
-        use milback_ap::waveform::LinkDirection;
-        let s = sim(2.0, 12.0);
-        let payload = vec![0xA5; 8];
-        // Each dispatched path reproduces its dedicated method bit-for-bit
-        // (same rng seed → same draws).
-        let mut rng = GaussianSource::new(11);
-        let via_transfer = s
-            .transfer(LinkDirection::Downlink, &payload, &mut rng)
-            .unwrap();
-        let mut rng = GaussianSource::new(11);
-        let direct = s.downlink(&payload, &mut rng).unwrap();
-        assert_eq!(via_transfer, TransferOutcome::Downlink(direct));
-        assert_eq!(via_transfer.decoded(), &payload[..]);
-
-        let mut rng = GaussianSource::new(12);
-        let up = s
-            .transfer(LinkDirection::Uplink, &payload, &mut rng)
-            .unwrap();
-        let mut rng = GaussianSource::new(12);
-        let direct = s.uplink(&payload, &mut rng).unwrap();
-        assert_eq!(up, TransferOutcome::Uplink(direct));
-        assert!(up.ber() < 0.5);
     }
 }

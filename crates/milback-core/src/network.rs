@@ -394,22 +394,27 @@ impl<'a> CampaignSpec<'a> {
     }
 
     /// Rejects a spec whose timeline the engine cannot schedule: a frame
-    /// without slots, a frame span past [`TimePs`], or a jitter bound whose
-    /// draw range `jitter_ps + 1` overflows.
+    /// without slots, a frame or campaign span past [`TimePs`], or a jitter
+    /// bound whose draw range `jitter_ps + 1` overflows.
     fn check_timeline(&self) -> Result<()> {
         let bad = |what: String| Err(MilbackError::Config(what));
         if self.plan.slots_per_frame == 0 {
             return bad("a frame needs at least one slot".into());
         }
-        if self
+        let Some(frame_ps) = self
             .plan
             .slot_ps
             .checked_mul(self.plan.slots_per_frame as TimePs)
-            .is_none()
-        {
+        else {
             return bad(format!(
                 "{} slots of {} ps overflow the picosecond clock",
                 self.plan.slots_per_frame, self.plan.slot_ps
+            ));
+        };
+        if frame_ps.checked_mul(self.frames as TimePs).is_none() {
+            return bad(format!(
+                "{} frames of {frame_ps} ps overflow the picosecond clock",
+                self.frames
             ));
         }
         if self.service.jitter_ps.checked_add(1).is_none() {
@@ -1935,7 +1940,7 @@ impl PolicyCoordinator {
         now_ps: TimePs,
         m: &mut SlotMedium<'_>,
         out: &mut Outbox<SlotEvent>,
-    ) {
+    ) -> Result<()> {
         let idx = stage as usize;
         m.probe.observe(
             stage.occupancy_metric(),
@@ -1943,8 +1948,7 @@ impl PolicyCoordinator {
             self.stages[idx].occupancy() as f64,
         );
         if self.stages[idx].current.is_none() {
-            self.start_stage(stage, job, now_ps, m, out);
-            return;
+            return self.start_stage(stage, job, now_ps, m, out);
         }
         if let Some(cap) = self.service.queue_capacity {
             if self.stages[idx].queue.len() >= cap {
@@ -1966,7 +1970,7 @@ impl PolicyCoordinator {
                             flow: PacketId::direct(job.frame, job.slot).raw(),
                             outcome: "shed",
                         });
-                        return;
+                        return Ok(());
                     }
                     OverflowPolicy::Defer => {
                         m.service.deferred += 1;
@@ -1983,11 +1987,13 @@ impl PolicyCoordinator {
             }
         }
         self.stages[idx].queue.push_back(job);
+        Ok(())
     }
 
     /// Puts a job in service at an idle `stage` and posts its completion:
     /// base stage latency (a degraded job's Plan costs nothing) plus a
-    /// uniform SplitMix64 jitter draw when jitter is configured.
+    /// uniform SplitMix64 jitter draw when jitter is configured. A
+    /// completion past the picosecond clock is a configuration error.
     fn start_stage(
         &mut self,
         stage: StageKind,
@@ -1995,7 +2001,7 @@ impl PolicyCoordinator {
         now_ps: TimePs,
         m: &mut SlotMedium<'_>,
         out: &mut Outbox<SlotEvent>,
-    ) {
+    ) -> Result<()> {
         let base_ps = if job.degraded && stage == StageKind::Plan {
             0
         } else {
@@ -2005,7 +2011,15 @@ impl PolicyCoordinator {
             Some(state) => splitmix64(state) % (self.service.jitter_ps + 1),
             None => 0,
         };
-        let dur_ps = base_ps + jitter_ps;
+        let overflow = || {
+            MilbackError::Config(format!(
+                "{} service of {base_ps} + {jitter_ps} ps from {now_ps} ps overflows the \
+                 picosecond clock",
+                stage.label()
+            ))
+        };
+        let dur_ps = base_ps.checked_add(jitter_ps).ok_or_else(overflow)?;
+        let done_ps = now_ps.checked_add(dur_ps).ok_or_else(overflow)?;
         // The job's service span, tagged with its packet flow id so the
         // exported trace links Capture → Plan → Transmit → outcome as one
         // Perfetto flow. The duration is the already-drawn completion
@@ -2017,7 +2031,8 @@ impl PolicyCoordinator {
             dur_ps,
         });
         self.stages[stage as usize].current = Some(job);
-        out.post_at(now_ps + dur_ps, self.me, SlotEvent::StageDone { stage });
+        out.post_at(done_ps, self.me, SlotEvent::StageDone { stage });
+        Ok(())
     }
 }
 
@@ -2190,7 +2205,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                     (slot as u64 * self.plan.slot_ps) as f64 / 1e6,
                     job.group.len(),
                 );
-                self.offer_stage(StageKind::Capture, job, now_ps, m, out);
+                self.offer_stage(StageKind::Capture, job, now_ps, m, out)?;
             }
             SlotEvent::StageDone { stage } => {
                 let job = self.stages[stage as usize].current.take().ok_or_else(|| {
@@ -2203,7 +2218,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                 // admits its next waiter, so same-instant chains complete
                 // in pipeline order.
                 match stage.next() {
-                    Some(next) => self.offer_stage(next, job, now_ps, m, out),
+                    Some(next) => self.offer_stage(next, job, now_ps, m, out)?,
                     None => {
                         // Transmit completion: the job is about to reach
                         // the channel, so its pipeline residence ends
@@ -2228,7 +2243,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                     }
                 }
                 if let Some(next_job) = self.stages[stage as usize].queue.pop_front() {
-                    self.start_stage(stage, next_job, now_ps, m, out);
+                    self.start_stage(stage, next_job, now_ps, m, out)?;
                 }
             }
             SlotEvent::RelayFire { frame, grant } => {

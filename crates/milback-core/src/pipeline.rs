@@ -173,11 +173,6 @@ impl ApServiceConfig {
             StageKind::Transmit => self.transmit_ps,
         }
     }
-
-    /// End-to-end base latency of one uncontended grant, picoseconds.
-    pub fn total_latency_ps(&self) -> TimePs {
-        self.capture_ps + self.plan_ps + self.transmit_ps
-    }
 }
 
 impl Default for ApServiceConfig {
@@ -229,7 +224,6 @@ mod tests {
     fn default_is_the_instantaneous_parity_config() {
         let c = ApServiceConfig::default();
         assert!(c.is_instantaneous());
-        assert_eq!(c.total_latency_ps(), 0);
         assert_eq!(c, ApServiceConfig::instantaneous());
     }
 
@@ -237,7 +231,6 @@ mod tests {
     fn builders_leave_the_parity_config() {
         let c = ApServiceConfig::instantaneous().with_stage_latencies(10, 20, 30);
         assert!(!c.is_instantaneous());
-        assert_eq!(c.total_latency_ps(), 60);
         assert_eq!(c.stage_latency_ps(StageKind::Plan), 20);
         let c = ApServiceConfig::instantaneous().with_queue(4, OverflowPolicy::Defer);
         assert!(!c.is_instantaneous());

@@ -74,12 +74,6 @@ impl Packet {
         self.payload_duration_s(symbol_rate_hz) / self.duration_s(fmcw, symbol_rate_hz)
     }
 
-    /// [`preamble_duration_s`](Self::preamble_duration_s) on the engine
-    /// clock, picoseconds.
-    pub fn preamble_duration_ps(&self, fmcw: &FmcwConfig) -> TimePs {
-        secs_to_ps(self.preamble_duration_s(fmcw))
-    }
-
     /// [`duration_s`](Self::duration_s) on the engine clock, picoseconds.
     pub fn duration_ps(&self, fmcw: &FmcwConfig, symbol_rate_hz: f64) -> TimePs {
         secs_to_ps(self.duration_s(fmcw, symbol_rate_hz))
@@ -398,7 +392,10 @@ mod tests {
         for p in [Packet::uplink(vec![]), Packet::downlink(vec![])] {
             assert_eq!(p.payload_duration_s(20e6), 0.0);
             assert_eq!(p.duration_s(&fmcw, 20e6), p.preamble_duration_s(&fmcw));
-            assert_eq!(p.duration_ps(&fmcw, 20e6), p.preamble_duration_ps(&fmcw));
+            assert_eq!(
+                p.duration_ps(&fmcw, 20e6),
+                secs_to_ps(p.preamble_duration_s(&fmcw))
+            );
             assert_eq!(p.efficiency(&fmcw, 20e6), 0.0);
             // And it still frames/unframes.
             assert_eq!(Packet::from_bytes(p.to_bytes()).unwrap(), p);

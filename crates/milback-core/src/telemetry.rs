@@ -66,11 +66,6 @@ pub const SNR_BUCKETS_DB: &[f64] = &[-10.0, 0.0, 10.0, 20.0, 30.0, 40.0];
 /// relayed packet: tag hops + the terminal uplink, so direct == 1).
 pub const RELAY_HOP_BUCKETS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0];
 
-/// Fixed buckets for FMCW chirp-stack batch sizes (chirps per batched FFT
-/// pass). The paper's Field-2 capture is a five-chirp stack; Doppler
-/// captures run longer.
-pub(crate) const FMCW_BATCH_BUCKETS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0];
-
 /// Fixed log-spaced buckets for packet-latency sketches, microseconds:
 /// a 1-2-5 decade ladder from one slot width (~tens of µs) out to a full
 /// second. Fixed bounds are what make the sketches mergeable — sharded
@@ -733,30 +728,6 @@ impl CampaignProbe {
         self.metrics.take()
     }
 
-    /// Records an FSA gain-cache snapshot under the `fsa_*` counters:
-    /// memo hits/misses per cache plus the points served by the batch
-    /// (memo-bypassing) path. The snapshot is cumulative per evaluator, so
-    /// record it once per evaluator lifetime (e.g. at campaign teardown) —
-    /// like every probe helper this copies values the pipeline already
-    /// computed and can never perturb it.
-    pub fn record_fsa_stats(&mut self, stats: &mmwave_rf::antenna::fsa::FsaStats) {
-        if self.metrics.is_none() {
-            return;
-        }
-        self.inc("fsa_freq_hits", stats.freq_hits);
-        self.inc("fsa_freq_misses", stats.freq_misses);
-        self.inc("fsa_gain_hits", stats.gain_hits);
-        self.inc("fsa_gain_misses", stats.gain_misses);
-        self.inc("fsa_batch_points", stats.batch_points);
-    }
-
-    /// Observes one FMCW chirp-stack size into the `fmcw_batch_chirps`
-    /// histogram (`FMCW_BATCH_BUCKETS`) — how many chirps each batched
-    /// FFT pass carried.
-    pub fn observe_fmcw_batch(&mut self, n_chirps: usize) {
-        self.observe("fmcw_batch_chirps", FMCW_BATCH_BUCKETS, n_chirps as f64);
-    }
-
     /// Folds the engine's lossless per-label queue-depth tallies into the
     /// registry, if collecting metrics: each label lands under its
     /// `queue_depth_metric` name, and every label also merges into the
@@ -1411,32 +1382,6 @@ mod tests {
         });
         assert!(!called, "a disabled probe must not even build records");
         assert!(p.take_metrics().is_none());
-    }
-
-    #[test]
-    fn probe_records_fsa_stats_and_fmcw_batches() {
-        let mut p = CampaignProbe::with_metrics();
-        p.record_fsa_stats(&mmwave_rf::antenna::fsa::FsaStats {
-            freq_hits: 3,
-            freq_misses: 1,
-            gain_hits: 40,
-            gain_misses: 2,
-            batch_points: 900,
-        });
-        p.observe_fmcw_batch(5);
-        p.observe_fmcw_batch(64);
-        let m = p.take_metrics().unwrap();
-        assert_eq!(m.counter("fsa_freq_hits"), 3);
-        assert_eq!(m.counter("fsa_gain_misses"), 2);
-        assert_eq!(m.counter("fsa_batch_points"), 900);
-        let h = m.histogram("fmcw_batch_chirps").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 69.0);
-        // A disabled probe records nothing through the same helpers.
-        let mut off = CampaignProbe::disabled();
-        off.record_fsa_stats(&Default::default());
-        off.observe_fmcw_batch(5);
-        assert!(off.take_metrics().is_none());
     }
 
     #[test]

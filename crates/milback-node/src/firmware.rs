@@ -202,14 +202,13 @@ impl Firmware {
         Ok(next)
     }
 
-    /// Engine-actor helper: drives `event`, then dwells `dwell_s` seconds
-    /// in the state the event produced.
+    /// Drives `event`, then dwells `dwell_s` seconds in the state the
+    /// event produced.
     ///
-    /// This is the natural shape for a timed actor — the event marks a
-    /// boundary on the protocol timeline and the dwell is the interval
-    /// until the next one — and it keeps the ledger's accumulation order
-    /// identical to the synchronous `handle`-then-`tick` sequence, which
-    /// the session parity suite depends on.
+    /// The event marks a boundary on the protocol timeline and the dwell
+    /// is the field's airtime until the next one. The ledger accumulates
+    /// in the same order as `handle` then `tick`, which the packet
+    /// session's recorded energy digests depend on.
     pub fn step(&mut self, event: Event, dwell_s: f64) -> Result<State, TransitionError> {
         let next = self.handle(event)?;
         self.tick(dwell_s);

@@ -6,7 +6,7 @@
 //! (absorptive), read out by a low-power MCU.
 //!
 //! * [`node`] — hardware composition and the detector/backscatter physics,
-//! * [`mode`] — port modes and toggling schedules,
+//! * [`mode`] — port modes,
 //! * [`downlink`] — OAQFM demodulation from the detector traces,
 //! * [`uplink`] — OAQFM backscatter modulation (switch schedules),
 //! * [`orientation`] — triangular-chirp peak-delay orientation sensing,
@@ -36,7 +36,7 @@ pub mod uplink;
 
 #[cfg(feature = "std")]
 pub use downlink::{OaqfmDemodulator, Thresholds};
-pub use mode::{PortMode, PortStates, ToggleSchedule};
+pub use mode::{PortMode, PortStates};
 #[cfg(feature = "std")]
 pub use node::{NodeHardware, PortPowers};
 #[cfg(feature = "std")]

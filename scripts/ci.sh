@@ -62,8 +62,9 @@ cargo build --release --workspace --all-targets
 cargo build --release -p milback-node --no-default-features
 # The frozen campaign benchmark (perfbench/, its own workspace) builds
 # against the library's public API: a library change that breaks it fails
-# here rather than in the benchmark run.
-cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+# here rather than in the benchmark run. `--locked` fails the build instead
+# of rewriting the frozen perfbench/Cargo.lock.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> [3/15] cargo test --release --workspace"
 cargo test --release --workspace -q

@@ -211,8 +211,8 @@ fn normal_incidence_ook_path() {
 #[test]
 fn unschedulable_campaign_timelines_are_config_errors() {
     // Each spec once panicked inside the engine (a `% 0` slot hash, a
-    // frame span or a jitter draw range past `u64`); both campaign entry
-    // points now reject it up front.
+    // frame or campaign span, a jitter draw range or a stage completion
+    // past `u64`); both campaign entry points now return a typed error.
     let config = SystemConfig::milback_default();
     let net = Network::new(
         config.clone(),
@@ -258,6 +258,25 @@ fn unschedulable_campaign_timelines_are_config_errors() {
         (
             "jitter draw range past u64",
             CampaignSpec::new(3, &payload, plan).with_service(jitter),
+        ),
+        (
+            "campaign span past the clock",
+            CampaignSpec::new(
+                3,
+                &payload,
+                SlotPlan {
+                    slot_ps: u64::MAX / 8,
+                    ..plan
+                },
+            ),
+        ),
+        (
+            "stage completion past the clock",
+            CampaignSpec::new(3, &payload, plan).with_service(ApServiceConfig {
+                capture_ps: u64::MAX / 2 + 1,
+                jitter_ps: u64::MAX / 2,
+                ..ApServiceConfig::instantaneous()
+            }),
         ),
     ];
     for (what, spec) in cases {

@@ -5,14 +5,19 @@
 
 use milback::ap::uplink_rx::measure_channel_snr_db;
 use milback::ap::waveform::{CarrierSet, FmcwConfig, LinkDirection};
-use milback::core::protocol::Packet;
-use milback::core::{Scene, SystemConfig};
+use milback::core::protocol::{Packet, SlotPlan};
+use milback::core::{
+    ApServiceConfig, CampaignAggregate, CampaignProbe, CampaignSpec, LifecycleStats, MacPolicy,
+    MilbackError, Network, OverflowPolicy, RoundRobinPolling, Scene, SdmAwareAssignment,
+    SlottedAloha, SlottedRunReport, SystemConfig,
+};
 use milback::node::{OaqfmDemodulator, Thresholds};
 use milback::rf::antenna::fsa::{DualPortFsa, FsaDesign, FsaPort};
 use milback::rf::propagation;
 use milback::sigproc::complex::Complex;
 use milback::sigproc::detect::midpoint_threshold_into;
 use milback::sigproc::fft::{fft, ifft};
+use milback::sigproc::random::GaussianSource;
 use milback::sigproc::stats::percentile;
 use milback::sigproc::waveform::{bytes_to_symbols, ook_envelope, symbols_to_bytes, Chirp};
 use proptest::prelude::*;
@@ -236,6 +241,108 @@ proptest! {
                 "{:?} {:?}", trace, bits
             );
         }
+    }
+}
+
+proptest! {
+    /// Adversarial campaign specs — empty campaigns, zero- and one-slot
+    /// queues under every overflow policy, stage latencies and jitter up
+    /// to the top of the picosecond clock — end in either a conserving
+    /// ledger or a typed configuration error through both campaign
+    /// runners, never a panic.
+    #[test]
+    fn adversarial_campaigns_end_typed(
+        frames in 0usize..5,
+        nodes in 1usize..7,
+        slots in 1usize..5,
+        cells in 1usize..4,
+        policy in 0usize..3,
+        capacity in proptest::sample::select(vec![None, Some(0), Some(1)]),
+        overflow in proptest::sample::select(vec![
+            OverflowPolicy::Drop,
+            OverflowPolicy::Defer,
+            OverflowPolicy::Degrade,
+        ]),
+        raw in proptest::collection::vec(any::<u64>(), 4..5),
+        shifts in proptest::collection::vec(0u32..96, 4..5),
+    ) {
+        let config = SystemConfig::milback_default();
+        let net = Network::new(
+            config.clone(),
+            Scene::arc(nodes, 4.0, 90f64.to_radians(), 12f64.to_radians()),
+        )
+        .unwrap();
+        let payload = [0x5Au8; 8];
+        let plan = SlotPlan::for_packet(
+            slots,
+            &Packet::uplink(payload.to_vec()),
+            &config.fmcw,
+            config.uplink_symbol_rate_hz,
+            5e-6,
+        )
+        .unwrap();
+        let ps: Vec<u64> = raw.iter().zip(&shifts).map(|(&r, &s)| edge_ps(r, s)).collect();
+        let service = ApServiceConfig {
+            capture_ps: ps[0],
+            plan_ps: ps[1],
+            transmit_ps: ps[2],
+            queue_capacity: capacity,
+            overflow,
+            jitter_ps: ps[3],
+        };
+        let spec = CampaignSpec::new(frames, &payload, plan).with_service(service);
+        let mac = |seed: u64| -> Box<dyn MacPolicy> {
+            match policy {
+                0 => Box::new(SlottedAloha::new(seed)),
+                1 => Box::new(RoundRobinPolling::new()),
+                _ => Box::new(SdmAwareAssignment::new()),
+            }
+        };
+        let plain = net
+            .run::<SlottedRunReport>(
+                &spec,
+                mac(7),
+                &mut GaussianSource::new(7),
+                &mut CampaignProbe::disabled(),
+            )
+            .map(|r| r.lifecycle);
+        let sharded = net
+            .run_sharded::<CampaignAggregate>(&spec, cells, 1, 7, |_, seed| mac(seed))
+            .map(|a| a.lifecycle);
+        for (runner, ledger) in [("run", plain), ("run_sharded", sharded)] {
+            let verdict = campaign_verdict(ledger, (frames * nodes) as u64);
+            prop_assert!(verdict.is_ok(), "{} on {:?}: {:?}", runner, spec, verdict);
+        }
+    }
+}
+
+/// A picosecond span of any magnitude, by `shift` (0..96): `raw` shifted
+/// down by `shift` bits, zero for 64..80, and within three of
+/// `u64::MAX >> k` (k = 0..3) past that.
+fn edge_ps(raw: u64, shift: u32) -> u64 {
+    match shift {
+        0..=63 => raw >> shift,
+        64..=79 => 0,
+        _ => (u64::MAX >> ((shift - 80) / 4)) - raw % 4,
+    }
+}
+
+/// A finished campaign must offer every node at least once per frame and
+/// conserve the ledger; a failed one must fail with a configuration error.
+fn campaign_verdict(
+    ledger: Result<LifecycleStats, MilbackError>,
+    node_frames: u64,
+) -> Result<(), String> {
+    match ledger {
+        Ok(l) if l.offered < node_frames => Err(format!(
+            "offered {} packets over {node_frames} node-frames",
+            l.offered
+        )),
+        Ok(l) => l
+            .audit()
+            .map_err(|e| format!("ledger fails its audit: {e}")),
+        Err(MilbackError::Config(_)) => Ok(()),
+        Err(e) => Err(format!("untyped failure: {e:?}")),
     }
 }
 
