@@ -14,8 +14,7 @@
 //! runner already parallelizes across trials, so the inner beat-synthesis
 //! parallelism would only oversubscribe the machine.
 
-use crate::runner::{run_fallible, run_fallible_with, trial_seed, RunnerConfig, TrialBatch};
-use milback_ap::fmcw::FmcwScratch;
+use crate::runner::{run_fallible, trial_seed, RunnerConfig, TrialBatch};
 use milback_core::coding::{bits_to_bytes, bytes_to_bits, PayloadCodec};
 use milback_core::engine::ps_to_secs;
 use milback_core::localization::{Impairments, LocationFix};
@@ -82,24 +81,16 @@ pub fn fig12a_ranging(
             .with_beat_threads(1)
         })
         .collect();
-    // One FFT workspace per worker, reused across all of its trials (the
-    // scratch-fed detector path is bit-identical to the allocating one).
-    let batch = run_fallible_with(
-        distances.len() * trials,
-        root_seed,
-        cfg,
-        FmcwScratch::new,
-        |scratch, i, rng| {
-            let pipeline = &pipelines[i / trials];
-            // The experimenter measures ground truth with a laser meter;
-            // the estimate is compared against that measurement.
-            let measured_gt = pipeline.measured_ground_truth_range(rng);
-            pipeline
-                .localize_with(rng, scratch)
-                .map(|fix| (fix.range_m - measured_gt).abs())
-                .map_err(|e| e.to_string())
-        },
-    );
+    let batch = run_fallible(distances.len() * trials, root_seed, cfg, |i, rng| {
+        let pipeline = &pipelines[i / trials];
+        // The experimenter measures ground truth with a laser meter;
+        // the estimate is compared against that measurement.
+        let measured_gt = pipeline.measured_ground_truth_range(rng);
+        pipeline
+            .localize(rng)
+            .map(|fix| (fix.range_m - measured_gt).abs())
+            .map_err(|e| e.to_string())
+    });
     distances
         .iter()
         .zip(group_by_point(trials, &batch.results))
@@ -146,19 +137,13 @@ pub fn fig12b_angle_errors(
                 .with_beat_threads(1)
         })
         .collect();
-    let batch = run_fallible_with(
-        placements.len() * trials,
-        root_seed,
-        cfg,
-        FmcwScratch::new,
-        |scratch, i, rng| {
-            let (az_deg, _) = placements[i / trials];
-            pipelines[i / trials]
-                .localize_with(rng, scratch)
-                .map(|fix| (fix.angle_rad.to_degrees() - az_deg).abs())
-                .map_err(|e| e.to_string())
-        },
-    );
+    let batch = run_fallible(placements.len() * trials, root_seed, cfg, |i, rng| {
+        let (az_deg, _) = placements[i / trials];
+        pipelines[i / trials]
+            .localize(rng)
+            .map(|fix| (fix.angle_rad.to_degrees() - az_deg).abs())
+            .map_err(|e| e.to_string())
+    });
     placements
         .iter()
         .zip(group_by_point(trials, &batch.results))

@@ -92,41 +92,6 @@ where
         .collect()
 }
 
-/// [`run_trials`] with per-worker scratch state: `init` builds one scratch
-/// value per worker thread (one total in the serial path), and each trial
-/// receives `&mut` access to its worker's scratch alongside the usual
-/// `(trial_idx, rng)`.
-///
-/// This is how the batched kernels get fed without per-trial allocation:
-/// `init` typically builds an [`milback_ap::FmcwScratch`], which then
-/// amortizes across every trial the worker runs. The determinism contract extends to the scratch:
-/// the trial must not let incoming scratch *contents* influence its output
-/// (buffers are overwritten before use), otherwise results would depend on
-/// the trial→worker assignment and the thread count.
-pub(crate) fn run_trials_with<T, S, I, F>(
-    n_trials: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-    init: I,
-    trial: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut GaussianSource) -> T + Sync,
-{
-    let _span = crate::spans::span("run_trials");
-    let mut slots: Vec<Option<T>> = (0..n_trials).map(|_| None).collect();
-    parallel::for_each_chunk_with(&mut slots, 1, cfg.threads, init, |scratch, idx, chunk| {
-        let mut rng = trial_rng(root_seed, idx);
-        chunk[0] = Some(trial(scratch, idx, &mut rng));
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("runner filled every trial slot"))
-        .collect()
-}
-
 /// The outcome of a fallible trial batch: per-trial `Result`s in trial
 /// order, with counting/reporting helpers so experiment reports can print
 /// honest `ok/failed` statistics instead of silently shrinking the sample.
@@ -190,26 +155,6 @@ where
     }
 }
 
-/// `run_trials_with` for fallible trials — the scratch-amortizing
-/// counterpart of [`run_fallible`].
-pub fn run_fallible_with<T, E, S, I, F>(
-    n_trials: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-    init: I,
-    trial: F,
-) -> TrialBatch<T, E>
-where
-    T: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut GaussianSource) -> Result<T, E> + Sync,
-{
-    TrialBatch {
-        results: run_trials_with(n_trials, root_seed, cfg, init, trial),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,30 +192,6 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let got = run_trials(23, 0xABCD, &RunnerConfig::with_threads(threads), trial);
             assert_eq!(got, serial, "mismatch at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn scratch_variant_matches_plain_runner_at_any_thread_count() {
-        let trial = |i: usize, rng: &mut GaussianSource| -> f64 {
-            i as f64 + (0..20).map(|_| rng.standard()).sum::<f64>()
-        };
-        let plain = run_trials(17, 0x5C4A, &RunnerConfig::serial(), trial);
-        for threads in [1, 2, 4] {
-            let got = run_trials_with(
-                17,
-                0x5C4A,
-                &RunnerConfig::with_threads(threads),
-                Vec::<f64>::new,
-                |scratch, i, rng| {
-                    // Scratch is reused across a worker's trials; contents
-                    // must never leak into the result.
-                    scratch.clear();
-                    scratch.extend((0..20).map(|_| rng.standard()));
-                    i as f64 + scratch.iter().sum::<f64>()
-                },
-            );
-            assert_eq!(got, plain, "mismatch at {threads} threads");
         }
     }
 

@@ -41,15 +41,23 @@ use milback_node::orientation::OrientationEstimator;
 use mmwave_rf::antenna::fsa::{FsaGainEval, FsaPort};
 use mmwave_rf::antenna::Antenna;
 use mmwave_rf::channel::{
-    backscatter_amplitude_sqrt_w, clutter_amplitude_sqrt_w, received_power_w, BeatPhasors, Echo,
-    Vec2,
+    backscatter_amplitude_sqrt_w, clutter_amplitude_sqrt_w, received_power_w, BeatPhasors, Vec2,
 };
 use mmwave_sigproc::complex::Complex;
 use mmwave_sigproc::parallel;
 use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::units::{db_to_lin, dbm_to_watts, noise_power_watts};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Each thread's FFT workspace for [`LocalizationPipeline::localize`]:
+    /// its buffers grow to the five-chirp stack once and are reused by
+    /// every later fix on the thread, and pipelines stay `Sync` with no
+    /// lock. No result depends on the workspace's incoming contents.
+    static FMCW_SCRATCH: RefCell<FmcwScratch> = RefCell::new(FmcwScratch::new());
+}
 
 /// Systematic-impairment knobs (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -261,26 +269,28 @@ impl LocalizationPipeline {
         toggles: ToggleSelection,
         rng: &mut GaussianSource,
     ) -> (Vec<Vec<Complex>>, Vec<Vec<Complex>>) {
-        self.capture_channels(n_chirps, toggles, true, rng)
+        self.capture_channels(n_chirps, toggles, n_chirps, rng)
     }
 
-    /// [`Self::capture`], optionally without synthesizing RX2. With
-    /// `with_rx2 == false` the returned RX2 stack is empty, but every chirp
+    /// [`Self::capture`], synthesizing only the first `rx2_chirps` chirps
+    /// of RX2 (the returned RX2 stack has that many). Every chirp past them
     /// still draws RX2's noise after RX1's, so the RNG stream (and thus
     /// every later draw) is the same as a full capture's.
     ///
     /// The echo geometry (distances and extra phases) holds still for the
-    /// whole capture; only reflection amplitudes change chirp to chirp. So
-    /// each channel's carrier phasors are tabulated once, on the first
-    /// chirp ([`BeatPhasors`]), and every chirp runs only the amplitude
-    /// sum — bit-identical with synthesizing each chirp from scratch. The
-    /// echoes whose geometry is the same in every capture come from the
-    /// pipeline's pose-static tables; a capture tabulates only the rest.
+    /// whole capture, and the echo amplitudes depend only on the chirp's
+    /// toggle parity, apart from the clutter flicker drawn per chirp. So
+    /// the carrier phasors of each channel are tabulated once per capture
+    /// ([`BeatPhasors`]; the echoes whose geometry is the same in every
+    /// capture come from the pipeline's pose-static tables), the mirror,
+    /// node and floor-bounce amplitudes once per parity, and every chirp
+    /// runs only [`BeatPhasors::sum_rows`]: bit-identical with evaluating
+    /// each echo's amplitude per sample.
     fn capture_channels(
         &self,
         n_chirps: usize,
         toggles: ToggleSelection,
-        with_rx2: bool,
+        rx2_chirps: usize,
         rng: &mut GaussianSource,
     ) -> (Vec<Vec<Complex>>, Vec<Vec<Complex>>) {
         let tables = self.field2_tables();
@@ -339,15 +349,9 @@ impl LocalizationPipeline {
         // upper sub-band for the whole capture (it cancels in background
         // subtraction but distorts the node echo's spectrum slightly).
         let stitch = Complex::cis(rng.sample(self.impairments.stitch_phase_rad));
-        // Per-sample port gains and multipath ripple over the beat grid,
-        // hoisted out of the echo closures: every node-path echo queries
-        // the same `(port, f_inst, psi)` triple at each sample of each
-        // chirp, and the node echo's ripple depends only on `f_inst`. The
-        // gains come from the pose-static tables; the ripple is drawn per
-        // capture. The beat synthesizer passes `t = sample_index / fs`, so
-        // `(t·fs).round()` recovers the index and the lookup is bit-exact
-        // with the inline calls it replaces.
-        // Entry `i` is `(port-A gain, port-B gain, ripple)` at sample `i`.
+        // Per-sample port gains (pose-static) and multipath ripple (drawn
+        // per capture) over the beat grid: entry `i` is `(port-A gain,
+        // port-B gain, ripple)` at sample `i`.
         let node_t: Vec<(f64, f64, f64)> = tables
             .gains
             .iter()
@@ -364,7 +368,6 @@ impl LocalizationPipeline {
                 (g_a, g_b, ripple.max(0.0))
             })
             .collect();
-        let node_t = &node_t[..];
         // Per-capture echo constants: the mirror and node-echo base
         // amplitudes (the clutter's are pose-static).
         let clutter = &tables.clutter;
@@ -380,131 +383,112 @@ impl LocalizationPipeline {
             backscatter_amplitude_sqrt_w(tx_w, g_ap, g_ap, 1.0, 1.0, chirp.center_hz(), gt.range_m)
                 * impl_amp;
         let fsa_center_hz = node.fsa.design.center_hz();
-        let threads = self.beat_threads;
-        // Phasors of the echoes after each channel's pose-static prefix.
-        let mut tail1: Option<BeatPhasors> = None;
-        let mut tail2: Option<BeatPhasors> = None;
-        // Sink for RX2's noise when RX2 is skipped: only the draws matter.
-        let mut rx2_sink = if with_rx2 {
-            Vec::new()
-        } else {
-            vec![mmwave_sigproc::complex::ZERO; node_t.len()]
-        };
-        let mut rx1 = Vec::with_capacity(n_chirps);
-        let mut rx2 = Vec::with_capacity(if with_rx2 { n_chirps } else { 0 });
-        for k in 0..n_chirps {
-            let reflective = k % 2 == 0;
-            // A port either toggles chirp-to-chirp or parks *absorptive*
-            // (§5.2a: "we put one port of the node's FSA in absorptive mode
-            // and switch the other port").
-            let ga = if !toggles.a || !reflective {
-                gamma_a
-            } else {
-                gamma_r
-            };
-            let gb = if !toggles.b || !reflective {
-                gamma_a
-            } else {
-                gamma_r
-            };
-            let flicker: Vec<f64> = clutter
-                .iter()
-                .map(|_| 1.0 + rng.sample(self.impairments.clutter_flicker))
-                .collect();
-            let mirror_state = 1.0
-                + if reflective {
-                    self.config.mirror.switching_leakage
-                } else {
-                    0.0
+        let has_bounce = bounce_rel > 0.0;
+        // Amplitude rows of the echoes after the clutter, one row per
+        // sample, for each toggle parity (chirp `k` uses row `k % 2`). In
+        // echo order:
+        // * the mirror reflection: angle-selective, offset a few cm from
+        //   the antenna phase center (see `MirrorReflection`);
+        // * the node's FSA echo: frequency-selective via the port gains,
+        //   rippled by the lateral multipath, second sweep half carrying
+        //   the stitch phase;
+        // * with floor bounce, its copy of the node echo (same modulation:
+        //   it *is* the node's signal via a longer path), ρ-scaled, random
+        //   carrier phase, at range + excess — at long range the excess
+        //   shrinks below the 5 cm resolution cell and the bounce pulls the
+        //   interpolated peak (Fig 12a) — and the double bounce (floor on
+        //   both legs): ρ², 2× excess.
+        // Sample `s` is evaluated at `t = s / fs` as beat synthesis does,
+        // so `(t·fs).round()` recovers the grid index.
+        let rows: Vec<Vec<Complex>> = (0..n_chirps.min(2))
+            .map(|parity| {
+                let reflective = parity == 0;
+                // A port either toggles chirp-to-chirp or parks *absorptive*
+                // (§5.2a: "we put one port of the node's FSA in absorptive
+                // mode and switch the other port").
+                let state = |toggled: bool| {
+                    if !toggled || !reflective {
+                        gamma_a
+                    } else {
+                        gamma_r
+                    }
                 };
-
-            // `is_rx2` selects the second antenna: every echo then carries
-            // its own geometry-correct inter-antenna phase.
-            let mk_echoes = |extra_phase: f64, is_rx2: bool| -> Vec<Echo<'_>> {
-                let mut echoes: Vec<Echo<'_>> = Vec::new();
-                // Clutter with flicker.
-                for (&(d, base_amp, rx2_phase), &fl) in clutter.iter().zip(&flicker) {
-                    let amp = base_amp * fl;
-                    echoes.push(Echo {
-                        distance_m: d,
-                        extra_phase_rad: if is_rx2 { rx2_phase } else { 0.0 },
-                        amplitude: Box::new(move |_, _| Complex::real(amp)),
-                    });
+                let (ga, gb) = (state(toggles.a), state(toggles.b));
+                let mirror_state = 1.0
+                    + if reflective {
+                        self.config.mirror.switching_leakage
+                    } else {
+                        0.0
+                    };
+                let mirror = Complex::real(mirror_amp_base * mirror_state);
+                let mut row = Vec::with_capacity(node_t.len() * if has_bounce { 4 } else { 2 });
+                for s in 0..node_t.len() {
+                    let t = s as f64 / fs;
+                    let (g_a, g_b, ripple) = node_t[(t * fs).round() as usize];
+                    let gain = g_a * ga + g_b * gb;
+                    let a = const_amp * gain * ripple;
+                    let echo = if chirp.instantaneous_freq(t) > fsa_center_hz {
+                        Complex::real(a) * stitch
+                    } else {
+                        Complex::real(a)
+                    };
+                    row.extend([mirror, echo]);
+                    if has_bounce {
+                        row.extend([
+                            bounce_phase.scale(const_amp * bounce_rel * gain),
+                            bounce2_phase.scale(const_amp * (bounce_rel * bounce_rel) * gain),
+                        ]);
+                    }
                 }
-                // Mirror reflection: angle-selective, offset a few cm
-                // from the antenna phase center (see MirrorReflection).
-                let m_amp = mirror_amp_base * mirror_state;
-                echoes.push(Echo {
-                    distance_m: gt.range_m + self.config.mirror.range_offset_m,
-                    extra_phase_rad: extra_phase,
-                    amplitude: Box::new(move |_, _| Complex::real(m_amp)),
-                });
-                // The node's FSA echo: frequency-selective via the port
-                // gains, rippled by the lateral multipath, second sweep
-                // half carries the stitch phase.
-                echoes.push(Echo {
-                    distance_m: gt.range_m,
-                    extra_phase_rad: extra_phase,
-                    amplitude: Box::new(move |t, f| {
-                        let i = (t * fs).round() as usize;
-                        let (g_a, g_b, ripple) = node_t[i];
-                        let a = const_amp * (g_a * ga + g_b * gb) * ripple;
-                        if f > fsa_center_hz {
-                            Complex::real(a) * stitch
-                        } else {
-                            Complex::real(a)
-                        }
-                    }),
-                });
-                // Floor-bounce copy of the node echo: same modulation (it
-                // *is* the node's signal via a longer path), ρ-scaled,
-                // random carrier phase, at range + excess. At long range
-                // the excess shrinks below the 5 cm resolution cell and
-                // the bounce pulls the interpolated peak (Fig 12a).
-                if bounce_rel > 0.0 {
-                    echoes.push(Echo {
-                        distance_m: gt.range_m + bounce_excess,
-                        extra_phase_rad: extra_phase,
-                        amplitude: Box::new(move |t, _| {
-                            let (g_a, g_b, _) = node_t[(t * fs).round() as usize];
-                            let a = const_amp * bounce_rel * (g_a * ga + g_b * gb);
-                            bounce_phase.scale(a)
-                        }),
-                    });
-                    // Double bounce (floor on both legs): ρ², 2× excess.
-                    let rel2 = bounce_rel * bounce_rel;
-                    echoes.push(Echo {
-                        distance_m: gt.range_m + 2.0 * bounce_excess,
-                        extra_phase_rad: extra_phase,
-                        amplitude: Box::new(move |t, _| {
-                            let (g_a, g_b, _) = node_t[(t * fs).round() as usize];
-                            let a = const_amp * rel2 * (g_a * ga + g_b * gb);
-                            bounce2_phase.scale(a)
-                        }),
-                    });
-                }
-                echoes
-            };
-
-            // RX1's clutter, mirror and node echoes are pose-static.
-            let echoes1 = mk_echoes(0.0, false);
-            let tail = tail1.get_or_insert_with(|| {
-                BeatPhasors::new(&chirp, &echoes1[clutter.len() + 2..], fs, threads)
-            });
-            let mut b1 = tables.rx1.sum_with(tail, &echoes1, threads);
+                row
+            })
+            .collect();
+        // Phasors of the echoes after each channel's pose-static prefix:
+        // RX1's floor bounces, and RX2's mirror, node and bounce echoes,
+        // which carry the AoA phase. Every RX1 echo has no extra phase.
+        let tail_geometry = |phase: f64| {
+            let mut geometry = vec![
+                (gt.range_m + self.config.mirror.range_offset_m, phase),
+                (gt.range_m, phase),
+            ];
+            if has_bounce {
+                geometry.push((gt.range_m + bounce_excess, phase));
+                geometry.push((gt.range_m + 2.0 * bounce_excess, phase));
+            }
+            geometry
+        };
+        let threads = self.beat_threads;
+        let rx2_chirps = rx2_chirps.min(n_chirps);
+        let tail1 =
+            BeatPhasors::from_geometry(&chirp, tail_geometry(0.0).split_off(2), fs, threads);
+        let tail2 = (rx2_chirps > 0)
+            .then(|| BeatPhasors::from_geometry(&chirp, tail_geometry(aoa_phase), fs, threads));
+        // Sink for RX2's noise on the chirps it skips: only the draws matter.
+        let mut rx2_sink = if rx2_chirps < n_chirps {
+            vec![mmwave_sigproc::complex::ZERO; node_t.len()]
+        } else {
+            Vec::new()
+        };
+        let mut clutter_amps = Vec::with_capacity(clutter.len());
+        let mut rx1 = Vec::with_capacity(n_chirps);
+        let mut rx2 = Vec::with_capacity(rx2_chirps);
+        for k in 0..n_chirps {
+            // Clutter with flicker.
+            clutter_amps.clear();
+            clutter_amps.extend(clutter.iter().map(|&(_, base_amp, _)| {
+                base_amp * (1.0 + rng.sample(self.impairments.clutter_flicker))
+            }));
+            let row = &rows[k % 2];
+            let mut b1 = tables.rx1.sum_rows(&tail1, &clutter_amps, row, threads);
             rng.add_complex_noise(&mut b1, noise_w);
             rx1.push(b1);
-            if with_rx2 {
-                // RX2's clutter is pose-static; the rest carries `aoa_phase`.
-                let echoes2 = mk_echoes(aoa_phase, true);
-                let tail = tail2.get_or_insert_with(|| {
-                    BeatPhasors::new(&chirp, &echoes2[clutter.len()..], fs, threads)
-                });
-                let mut b2 = tables.rx2.sum_with(tail, &echoes2, threads);
-                rng.add_complex_noise(&mut b2, noise_w);
-                rx2.push(b2);
-            } else {
-                rng.add_complex_noise(&mut rx2_sink, noise_w);
+            match &tail2 {
+                Some(tail2) if k < rx2_chirps => {
+                    let mut b2 = tables.rx2.sum_rows(tail2, &clutter_amps, row, threads);
+                    rng.add_complex_noise(&mut b2, noise_w);
+                    rx2.push(b2);
+                }
+                _ => rng.add_complex_noise(&mut rx2_sink, noise_w),
             }
         }
         (rx1, rx2)
@@ -579,42 +563,35 @@ impl LocalizationPipeline {
     }
 
     /// Runs a full localization fix (range + angle) from one five-chirp
-    /// Field-2 capture, both ports toggling (§5.1).
+    /// Field-2 capture, both ports toggling (§5.1). The five-chirp stack
+    /// runs through the batched, allocation-free detector path
+    /// ([`FmcwProcessor::detect_node_with`]) in this thread's FFT
+    /// workspace, which every later fix on the thread reuses; the AoA
+    /// stage reads only the first two RX2 chirps, so only those are
+    /// synthesized.
     pub fn localize(&self, rng: &mut GaussianSource) -> Result<LocationFix> {
-        let mut scratch = FmcwScratch::new();
-        self.localize_with(rng, &mut scratch)
-    }
-
-    /// [`localize`](Self::localize) with a caller-provided FFT workspace:
-    /// the five-chirp stack runs through the batched, allocation-free
-    /// detector path ([`FmcwProcessor::detect_node_with`]), so trial
-    /// runners can amortize one scratch across a whole campaign.
-    /// Bit-identical to [`localize`](Self::localize).
-    pub fn localize_with(
-        &self,
-        rng: &mut GaussianSource,
-        scratch: &mut FmcwScratch,
-    ) -> Result<LocationFix> {
-        let (rx1, rx2) = self.capture(5, ToggleSelection { a: true, b: true }, rng);
-        let det = self.processor.detect_node_with(&rx1, scratch)?;
-        // The AoA stage reads RX1's spectra from `scratch`; freeing the
-        // beats first lowers the capture's peak heap.
-        drop(rx1);
-        let aoa = self
-            .aoa
-            .estimate_from_rx1(&self.processor, &det, scratch.spectra(), &rx2)?;
-        Ok(LocationFix {
-            range_m: det.range_m,
-            angle_rad: aoa.angle_rad,
-            position: Vec2::from_polar(det.range_m, aoa.angle_rad),
-            confidence_db: det.peak_to_floor_db,
+        let (rx1, rx2) = self.capture_channels(5, ToggleSelection { a: true, b: true }, 2, rng);
+        FMCW_SCRATCH.with_borrow_mut(|scratch| {
+            let det = self.processor.detect_node_with(&rx1, scratch)?;
+            // The AoA stage reads RX1's spectra from `scratch`; freeing the
+            // beats first lowers the capture's peak heap.
+            drop(rx1);
+            let aoa = self
+                .aoa
+                .estimate_from_rx1(&self.processor, &det, scratch.spectra(), &rx2)?;
+            Ok(LocationFix {
+                range_m: det.range_m,
+                angle_rad: aoa.angle_rad,
+                position: Vec2::from_polar(det.range_m, aoa.angle_rad),
+                confidence_db: det.peak_to_floor_db,
+            })
         })
     }
 
     /// AP-side orientation estimate (§5.2a): port A toggles, port B parked
     /// absorptive.
     pub fn orient_at_ap(&self, rng: &mut GaussianSource) -> Result<f64> {
-        let (rx1, _) = self.capture_channels(5, ToggleSelection { a: true, b: false }, false, rng);
+        let (rx1, _) = self.capture_channels(5, ToggleSelection { a: true, b: false }, 0, rng);
         let est = ApOrientationEstimator::milback_default();
         Ok(est
             .estimate(&self.processor, &rx1, &self.config.node.fsa.design)?
@@ -858,16 +835,18 @@ mod tests {
     }
 
     /// The bits of every capture sample, estimate and RNG-position probe
-    /// one stream gives through `p`: a full and an RX1-only capture, then
+    /// one stream gives through `p`: a full capture, one with two RX2 chirps
+    /// and an RX1-only one, then
     /// each estimator.
     fn run_bits(p: &LocalizationPipeline, seed: u64) -> Vec<u64> {
         let mut rng = GaussianSource::new(seed);
         let mut bits = Vec::new();
-        for (toggles, with_rx2) in [
-            (ToggleSelection { a: true, b: true }, true),
-            (ToggleSelection { a: true, b: false }, false),
+        for (toggles, rx2_chirps) in [
+            (ToggleSelection { a: true, b: true }, 5),
+            (ToggleSelection { a: true, b: true }, 2),
+            (ToggleSelection { a: true, b: false }, 0),
         ] {
-            let (rx1, rx2) = p.capture_channels(5, toggles, with_rx2, &mut rng);
+            let (rx1, rx2) = p.capture_channels(5, toggles, rx2_chirps, &mut rng);
             for z in rx1.iter().chain(&rx2).flatten() {
                 bits.extend([z.re.to_bits(), z.im.to_bits()]);
             }

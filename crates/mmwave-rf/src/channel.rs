@@ -204,7 +204,8 @@ pub fn synthesize_beat_with_threads(
 /// each echo's distance and extra phase, never on its amplitude, so a
 /// multi-chirp capture whose geometry holds still while its reflection
 /// amplitudes toggle builds the table once and runs only
-/// [`BeatPhasors::sum`] per chirp.
+/// [`BeatPhasors::sum`] (amplitude closures) or [`BeatPhasors::sum_rows`]
+/// (tabulated amplitudes) per chirp.
 #[derive(Debug, Clone)]
 pub struct BeatPhasors {
     chirp: Chirp,
@@ -290,24 +291,51 @@ impl BeatPhasors {
     /// Panics unless `echoes` has exactly the distances and extra phases
     /// (to the bit, in order) the table was built from.
     pub fn sum(&self, echoes: &[Echo<'_>], threads: usize) -> Vec<Complex> {
-        Self::sum_parts(&[self], echoes, threads)
+        assert!(
+            echoes.len() == self.geometry.len()
+                && echoes.iter().zip(&self.geometry).all(|(echo, &(d, phi))| {
+                    echo.distance_m.to_bits() == d.to_bits()
+                        && echo.extra_phase_rad.to_bits() == phi.to_bits()
+                }),
+            "echo geometry differs from the phasor table's"
+        );
+        let (chirp, fs, width) = (&self.chirp, self.sample_rate_hz, self.geometry.len());
+        let mut out = vec![mmwave_sigproc::complex::ZERO; self.samples];
+        parallel::for_each_chunk(&mut out, BEAT_BLOCK, threads, |start, block| {
+            for (i, sample) in block.iter_mut().enumerate() {
+                let s = start + i;
+                let t = s as f64 / fs;
+                let f_inst = chirp.instantaneous_freq(t);
+                let row = &self.phasors[s * width..(s + 1) * width];
+                for (echo, &phasor) in echoes.iter().zip(row) {
+                    *sample += (echo.amplitude)(t, f_inst) * phasor;
+                }
+            }
+        });
+        out
     }
 
-    /// [`Self::sum`] over a geometry split across two tables: `echoes` is
-    /// this table's echoes followed by `tail`'s. Each sample still sums
-    /// every echo in that order from zero, and every table entry is an
-    /// independent `cis`, so the result is bit-identical with one table
-    /// built from the whole list. A capture whose leading echoes hold still
-    /// from capture to capture keeps their table and tabulates only the
-    /// tail; neither table is copied.
+    /// One chirp's beat signal from tabulated amplitudes: the echoes are
+    /// this table's followed by `tail`'s. The first `real.len()` echoes
+    /// have the constant real amplitudes `real`; every later echo `e` has
+    /// amplitude `rows[s · w + e']` at sample `s`, where `w` is the number
+    /// of later echoes and `e'` the echo's place among them. Each sample
+    /// adds `Complex::real(real[e]) · phasor`, then `row · phasor`, in echo
+    /// order from zero, so the result is bit-identical with [`Self::sum`]
+    /// over closures returning those amplitudes (at `t = s / fs`), with no
+    /// closure call per sample. A capture whose amplitudes repeat chirp to
+    /// chirp tabulates them once and calls this per chirp. Blocks split
+    /// over `threads` as in [`Self::sum`].
     ///
     /// # Panics
-    /// Panics unless the two tables share a chirp and sample rate, and as
-    /// [`Self::sum`] for each part of `echoes`.
-    pub fn sum_with(
+    /// Panics unless the two tables share a chirp and sample rate,
+    /// `real` covers at most this table's echoes and `rows` holds `w`
+    /// amplitudes per sample.
+    pub fn sum_rows(
         &self,
         tail: &BeatPhasors,
-        echoes: &[Echo<'_>],
+        real: &[f64],
+        rows: &[Complex],
         threads: usize,
     ) -> Vec<Complex> {
         assert!(
@@ -315,45 +343,34 @@ impl BeatPhasors {
                 && self.sample_rate_hz.to_bits() == tail.sample_rate_hz.to_bits(),
             "phasor tables cover different chirps"
         );
-        Self::sum_parts(&[self, tail], echoes, threads)
-    }
-
-    /// The sum over `tables` chained in echo order; `echoes` lists every
-    /// table's echoes in turn.
-    fn sum_parts(tables: &[&BeatPhasors], echoes: &[Echo<'_>], threads: usize) -> Vec<Complex> {
-        let geometry = tables.iter().flat_map(|table| &table.geometry);
+        let (head_w, tail_w) = (self.geometry.len(), tail.geometry.len());
+        assert!(real.len() <= head_w, "more real amplitudes than echoes");
+        let w = head_w - real.len() + tail_w;
         assert!(
-            echoes.len() == geometry.clone().count()
-                && echoes.iter().zip(geometry).all(|(echo, &(d, phi))| {
-                    echo.distance_m.to_bits() == d.to_bits()
-                        && echo.extra_phase_rad.to_bits() == phi.to_bits()
-                }),
-            "echo geometry differs from the phasor table's"
+            rows.len() == self.samples * w,
+            "amplitude rows do not cover the chirp"
         );
-        // Each table with its own run of `echoes`.
-        let mut rest = echoes;
-        let parts: Vec<(&BeatPhasors, &[Echo<'_>])> = tables
-            .iter()
-            .map(|&table| {
-                let (part, tail) = rest.split_at(table.geometry.len());
-                rest = tail;
-                (table, part)
-            })
-            .collect();
-        let (chirp, fs) = (&tables[0].chirp, tables[0].sample_rate_hz);
-        let mut out = vec![mmwave_sigproc::complex::ZERO; tables[0].samples];
+        let mut out = vec![mmwave_sigproc::complex::ZERO; self.samples];
         parallel::for_each_chunk(&mut out, BEAT_BLOCK, threads, |start, block| {
             for (i, sample) in block.iter_mut().enumerate() {
                 let s = start + i;
-                let t = s as f64 / fs;
-                let f_inst = chirp.instantaneous_freq(t);
-                for (table, part) in &parts {
-                    let width = part.len();
-                    let row = &table.phasors[s * width..(s + 1) * width];
-                    for (echo, &phasor) in part.iter().zip(row) {
-                        *sample += (echo.amplitude)(t, f_inst) * phasor;
-                    }
+                let (fixed, tabulated) =
+                    self.phasors[s * head_w..(s + 1) * head_w].split_at(real.len());
+                let (head_amps, tail_amps) = rows[s * w..(s + 1) * w].split_at(tabulated.len());
+                let mut acc = mmwave_sigproc::complex::ZERO;
+                for (&a, &phasor) in real.iter().zip(fixed) {
+                    acc += Complex::real(a) * phasor;
                 }
+                for (&a, &phasor) in head_amps.iter().zip(tabulated) {
+                    acc += a * phasor;
+                }
+                for (&a, &phasor) in tail_amps
+                    .iter()
+                    .zip(&tail.phasors[s * tail_w..(s + 1) * tail_w])
+                {
+                    acc += a * phasor;
+                }
+                *sample = acc;
             }
         });
         out
@@ -597,26 +614,70 @@ mod tests {
     }
 
     #[test]
-    fn split_tables_sum_like_one_table() {
-        // A prefix table built from geometry alone plus a tail table, at
-        // every split point (empty prefix and empty tail included), sums
-        // bit-exactly like the per-sample reference.
+    fn tabulated_rows_sum_like_closures() {
+        // Random echo sets split into a head table (leading echoes with
+        // constant real amplitudes, then tabulated ones) and a tail table,
+        // at every split point (empty head and empty tail included), with
+        // signed-zero amplitudes mixed in: the row kernel matches `sum`
+        // over boxed closures to the bit at any thread count.
         let chirp = Chirp::sawtooth(26.5e9, 3e9, 18e-6);
         let fs = 50e6;
+        let samples = (chirp.duration_s * fs).round() as usize;
         let mut rng = GaussianSource::new(0x5B11);
-        for _ in 0..6 {
-            let echoes = random_echoes(&mut rng);
-            let want = bits(&reference_beat(&chirp, &echoes, fs));
-            for split in 0..=echoes.len() {
-                let geometry = echoes[..split]
-                    .iter()
-                    .map(|e| (e.distance_m, e.extra_phase_rad))
+        for set in 0..8 {
+            let geometry: Vec<(f64, f64)> = (0..set + (rng.uniform(0.0, 4.0) as usize))
+                .map(|_| (rng.uniform(0.5, 12.0), rng.uniform(-PI, PI)))
+                .collect();
+            // One echo in three has amplitude +0.0, one in three −0.0.
+            let signed_zero = |e: usize| match (e + set) % 3 {
+                0 => Some(0.0),
+                1 => Some(-0.0),
+                _ => None,
+            };
+            for real_len in 0..=geometry.len() {
+                // Leading echoes: constant real amplitudes.
+                let real: Vec<f64> = (0..real_len)
+                    .map(|e| signed_zero(e).unwrap_or_else(|| rng.sample(1e-4)))
                     .collect();
-                let prefix = BeatPhasors::from_geometry(&chirp, geometry, fs, 2);
-                let tail = BeatPhasors::new(&chirp, &echoes[split..], fs, 1);
-                for threads in [1usize, 3] {
-                    let got = prefix.sum_with(&tail, &echoes, threads);
-                    assert!(bits(&got) == want, "split at {split}, threads={threads}");
+                // Later echoes: per-sample complex amplitudes.
+                let w = geometry.len() - real_len;
+                let rows: Vec<Complex> = (0..samples * w)
+                    .map(|i| match signed_zero(real_len + i % w) {
+                        Some(z) => Complex::new(z, -z),
+                        None => Complex::new(rng.sample(1e-4), rng.sample(1e-4)),
+                    })
+                    .collect();
+                let rows = &rows[..];
+                let echoes: Vec<Echo<'_>> = geometry
+                    .iter()
+                    .enumerate()
+                    .map(|(e, &(distance_m, extra_phase_rad))| Echo {
+                        distance_m,
+                        extra_phase_rad,
+                        amplitude: if e < real_len {
+                            let a = real[e];
+                            Box::new(move |_, _| Complex::real(a))
+                        } else {
+                            Box::new(move |t: f64, _| {
+                                rows[(t * fs).round() as usize * w + e - real_len]
+                            })
+                        },
+                    })
+                    .collect();
+                let want = bits(&BeatPhasors::new(&chirp, &echoes, fs, 1).sum(&echoes, 1));
+                for split in real_len..=geometry.len() {
+                    let head =
+                        BeatPhasors::from_geometry(&chirp, geometry[..split].to_vec(), fs, 2);
+                    let tail =
+                        BeatPhasors::from_geometry(&chirp, geometry[split..].to_vec(), fs, 1);
+                    for threads in [1usize, 2, 4] {
+                        let got = head.sum_rows(&tail, &real, rows, threads);
+                        assert!(
+                            bits(&got) == want,
+                            "{} echoes, {real_len} real, split at {split}, threads={threads}",
+                            geometry.len()
+                        );
+                    }
                 }
             }
         }

@@ -6,7 +6,9 @@
 #   2. release build of every target, plus the no_std build of the node
 #      core (milback-node --no-default-features) and the perfbench
 #      campaign benchmark package
-#   3. the complete test suite (tier-1 umbrella + all crate suites)
+#   3. the complete test suite (tier-1 umbrella + all crate suites), then
+#      the capture and campaign digests again at 1 and 4 worker threads
+#      (pins the beat kernel's block split on a 1-core box too)
 #   4. clippy across all targets with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors
 #   6. the benchmark harness, which emits results/BENCH_dsp.json and
@@ -68,6 +70,9 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --
 
 echo "==> [3/15] cargo test --release --workspace"
 cargo test --release --workspace -q
+for threads in 1 4; do
+  MILBACK_THREADS=$threads cargo test --release -q --test capture_digest --test campaign_digest
+done
 
 echo "==> [4/15] cargo clippy --release --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings

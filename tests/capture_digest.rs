@@ -7,10 +7,14 @@
 //! RNG position after each call. The committed digest was recorded before
 //! beat synthesis was split into a per-capture phasor table and a per-chirp
 //! sum, so any change to a sample, an estimate or the RNG draw order of
-//! that path fails here.
+//! that path fails here. `capture_digest_clean_5m` runs the same stream
+//! under `Impairments::none()`: no floor bounces, so RX1 has no per-capture
+//! echoes and each chirp sums only the mirror and node amplitudes after the
+//! clutter; its digest was recorded before the capture moved onto
+//! per-parity amplitude rows.
 
 use milback::core::localization::ToggleSelection;
-use milback::core::{LocalizationPipeline, Scene, SystemConfig};
+use milback::core::{Impairments, LocalizationPipeline, Scene, SystemConfig};
 use milback::sigproc::complex::Complex;
 use milback::sigproc::random::GaussianSource;
 
@@ -66,13 +70,19 @@ impl Fnv {
 
 /// Digest of every seed and orientation at one node range.
 fn digest_at(range_m: f64) -> u64 {
+    digest_with(range_m, Impairments::milback_default())
+}
+
+/// [`digest_at`] under an explicit impairment model.
+fn digest_with(range_m: f64, impairments: Impairments) -> u64 {
     let mut h = Fnv::new();
     for orientation_deg in [-20.0f64, 20.0] {
         let pipeline = LocalizationPipeline::new(
             SystemConfig::milback_default(),
             Scene::indoor(range_m, orientation_deg.to_radians()),
         )
-        .unwrap();
+        .unwrap()
+        .with_impairments(impairments);
         for seed in 1..=8u64 {
             let mut rng = GaussianSource::new(seed);
             let (rx1, rx2) = pipeline.capture(5, ToggleSelection { a: true, b: true }, &mut rng);
@@ -124,5 +134,14 @@ fn capture_digest_8m() {
         digest_at(8.0),
         12_197_061_989_089_492_499,
         "8 m capture digest moved"
+    );
+}
+
+#[test]
+fn capture_digest_clean_5m() {
+    assert_eq!(
+        digest_with(5.0, Impairments::none()),
+        17_557_360_403_041_372_256,
+        "5 m clean capture digest moved"
     );
 }
