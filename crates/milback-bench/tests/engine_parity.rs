@@ -1,9 +1,10 @@
-//! Parity suite for the discrete-event engine: the engine session
-//! ([`Session::run_packet`]) must reproduce the reports and RNG positions
-//! recorded while the pre-engine synchronous implementation still stood
-//! beside it — and that, like the slotted campaign's reports, must survive
-//! the trial-parallel runner at every thread count, because the engine
-//! shares the per-trial RNG streams with everything else a trial does.
+//! Parity suite for the packet session and the slotted campaign: a packet
+//! session ([`Session::run_packet`], a straight-line protocol walk) must
+//! reproduce the report and RNG-position digests recorded when the session
+//! first ran, and sessions and slotted campaigns (the campaign's event
+//! queue) must survive the trial-parallel runner at every thread count,
+//! because both share the per-trial RNG streams with everything else a
+//! trial does.
 
 use milback_ap::waveform::LinkDirection;
 use milback_bench::runner::{run_trials, RunnerConfig};
@@ -85,10 +86,9 @@ fn rng_probe(rng: &GaussianSource) -> (u64, u64) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The engine session through the runner: reports and stream positions
+/// The packet session through the runner: reports and stream positions
 /// are bit-identical at thread counts 1, 2, 4, 8 (what `MILBACK_THREADS`
-/// resolves to) and match the digest recorded beside the pre-engine
-/// reference.
+/// resolves to) and match the recorded digest.
 #[test]
 fn session_reports_thread_count_invariant() {
     let run = |threads: usize| -> u64 {
@@ -166,7 +166,7 @@ fn shared_capture_tables_match_fresh_ones_at_any_thread_count() {
     }
 }
 
-/// The slotted campaign (engine-only — it has no direct twin) is itself
+/// The slotted campaign (it has no direct twin) is itself
 /// schedule-invariant: same seed, same report, at any thread count.
 #[test]
 fn slotted_campaign_thread_count_invariant() {
@@ -201,7 +201,7 @@ fn slotted_campaign_thread_count_invariant() {
 }
 
 /// A fresh `GaussianSource` behaves exactly like a runner stream with the
-/// same seed — the engine never consults anything but the stream it is
+/// same seed — the session never consults anything but the stream it is
 /// handed.
 #[test]
 fn engine_uses_only_the_handed_stream() {

@@ -32,7 +32,7 @@ pub mod telemetry;
 pub mod tracking;
 
 pub use config::SystemConfig;
-pub use engine::{Actor, ActorId, Engine, Outbox, TimePs};
+pub use engine::TimePs;
 pub use error::{MilbackError, Result};
 pub use lifecycle::{DropReason, LifecycleStats, PacketId};
 pub use link::{DownlinkOutcome, LinkSimulator, UplinkOutcome};

@@ -4,7 +4,7 @@
 //! inter-node interference.
 
 use crate::config::SystemConfig;
-use crate::engine::{ps_to_secs, Actor, ActorId, Engine, Outbox, TimePs};
+use crate::engine::{ps_to_secs, EventQueue, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::lifecycle::{DropReason, LifecycleStats, PacketId};
 use crate::link::{UplinkBudget, UplinkScratch};
@@ -162,9 +162,9 @@ impl Network {
         Self::finish(m, spec, scratch)
     }
 
-    /// The engine core of [`run`](Self::run): runs `policy` over the spec's
-    /// frames on a fresh [`Engine`] and returns the settled medium with its
-    /// per-node ledgers.
+    /// The event loop of [`run`](Self::run): runs `policy` over the spec's
+    /// frames on a fresh [`EventQueue`] and returns the settled medium with
+    /// its per-node ledgers.
     fn run_mac_engine<'a>(
         &'a self,
         spec: &CampaignSpec<'a>,
@@ -207,17 +207,14 @@ impl Network {
             medium.gap = crate::relay::classify_gap_reasons(&self.scene, &covered, &relay);
         }
         medium.probe = std::mem::take(probe);
-        let trace = medium.probe.trace.clone();
-        let want_depths = medium.probe.metrics.is_some();
-        let mut engine = Engine::new(medium);
-        if let Some(sink) = trace {
-            engine.set_tracer(sink, slot_event_label);
+        let mut queue = EventQueue::default();
+        if let Some(sink) = medium.probe.trace.clone() {
+            queue.set_tracer(sink);
         }
-        if want_depths {
-            engine.enable_depth_stats(slot_event_label);
+        if medium.probe.metrics.is_some() {
+            queue.enable_depth_stats();
         }
-        let coordinator = engine.add_actor(Box::new(PolicyCoordinator {
-            me: ActorId(0),
+        let mut coordinator = PolicyCoordinator {
             plan: spec.plan,
             frames: spec.frames,
             sdm_threshold_db: spec.sdm_threshold_db,
@@ -229,18 +226,18 @@ impl Network {
             stages: Default::default(),
             jitter_state,
             scheduled: Vec::new(),
-        }));
+        };
         if spec.frames > 0 {
-            engine.post(0, coordinator, SlotEvent::FrameStart { frame: 0 });
+            queue.post(0, SlotEvent::FrameStart { frame: 0 });
         }
-        engine.run()?;
-        let depths = engine.take_depth_stats();
-        let mut m = engine.into_medium();
-        *probe = std::mem::take(&mut m.probe);
-        if let Some(d) = depths {
+        while let Some((now_ps, event)) = queue.pop() {
+            coordinator.handle(now_ps, event, &mut medium, &mut queue)?;
+        }
+        *probe = std::mem::take(&mut medium.probe);
+        if let Some(d) = queue.take_depth_stats() {
             probe.merge_queue_depths(d.entries());
         }
-        Ok(m)
+        Ok(medium)
     }
 
     /// Validates that one `payload` packet (plus guard) fits a slot of
@@ -934,7 +931,7 @@ impl CampaignScratch {
 
 /// Events of a slotted campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotEvent {
+pub(crate) enum SlotEvent {
     /// A frame boundary: hash every node to its slot and schedule the
     /// occupied slots.
     FrameStart {
@@ -970,15 +967,16 @@ enum SlotEvent {
     },
 }
 
-/// The stable trace/metric label of a campaign event — shared by the
-/// tracer and the engine's lossless queue-depth tallies so both name
-/// event kinds identically.
-fn slot_event_label(ev: &SlotEvent) -> &'static str {
-    match ev {
-        SlotEvent::FrameStart { .. } => "frame_start",
-        SlotEvent::SlotFire { .. } => "slot_fire",
-        SlotEvent::StageDone { stage } => stage.label(),
-        SlotEvent::RelayFire { .. } => "relay_fire",
+impl SlotEvent {
+    /// The stable trace/metric label of the event's kind — one name for
+    /// both the queue's tracer and its lossless queue-depth tallies.
+    pub(crate) fn label(&self) -> &'static str {
+        match self {
+            SlotEvent::FrameStart { .. } => "frame_start",
+            SlotEvent::SlotFire { .. } => "slot_fire",
+            SlotEvent::StageDone { stage } => stage.label(),
+            SlotEvent::RelayFire { .. } => "relay_fire",
+        }
     }
 }
 
@@ -1887,7 +1885,9 @@ impl StageState {
 /// [`SlotEvent::FrameStart`] per frame, a [`SlotEvent::SlotFire`] per
 /// occupied slot — asking the policy for each frame's schedule once at the
 /// frame boundary. A schedule that breaks the [`FrameSchedule`] contract
-/// fails the run with a typed [`MilbackError`].
+/// fails the run with a typed [`MilbackError`]. [`Network::run`] drives it
+/// in one `while let` loop over an [`EventQueue`]; its handler posts
+/// follow-ups straight into that queue.
 ///
 /// A granted slot is not served inside its [`SlotEvent::SlotFire`]
 /// dispatch: the grant becomes a [`SlotJob`] that walks the
@@ -1895,11 +1895,10 @@ impl StageState {
 /// its own latency ([`ApServiceConfig`]) and bounded FIFO. The
 /// transmission physics run at Transmit completion. Under
 /// [`ApServiceConfig::instantaneous`] every stage completes at the grant
-/// instant (engine `seq` order keeps the chain ahead of any later-time
+/// instant (the queue's `seq` order keeps the chain ahead of any later-time
 /// event), so slots fire in schedule order and the trial RNG stream is
 /// consumed as if each slot were served on the spot.
 struct PolicyCoordinator {
-    me: ActorId,
     plan: SlotPlan,
     frames: usize,
     sdm_threshold_db: f64,
@@ -1939,7 +1938,7 @@ impl PolicyCoordinator {
         mut job: SlotJob,
         now_ps: TimePs,
         m: &mut SlotMedium<'_>,
-        out: &mut Outbox<SlotEvent>,
+        queue: &mut EventQueue,
     ) -> Result<()> {
         let idx = stage as usize;
         m.probe.observe(
@@ -1948,7 +1947,7 @@ impl PolicyCoordinator {
             self.stages[idx].occupancy() as f64,
         );
         if self.stages[idx].current.is_none() {
-            return self.start_stage(stage, job, now_ps, m, out);
+            return self.start_stage(stage, job, now_ps, m, queue);
         }
         if let Some(cap) = self.service.queue_capacity {
             if self.stages[idx].queue.len() >= cap {
@@ -2000,7 +1999,7 @@ impl PolicyCoordinator {
         job: SlotJob,
         now_ps: TimePs,
         m: &mut SlotMedium<'_>,
-        out: &mut Outbox<SlotEvent>,
+        queue: &mut EventQueue,
     ) -> Result<()> {
         let base_ps = if job.degraded && stage == StageKind::Plan {
             0
@@ -2031,7 +2030,7 @@ impl PolicyCoordinator {
             dur_ps,
         });
         self.stages[stage as usize].current = Some(job);
-        out.post_at(done_ps, self.me, SlotEvent::StageDone { stage });
+        queue.post(done_ps, SlotEvent::StageDone { stage });
         Ok(())
     }
 }
@@ -2092,15 +2091,16 @@ fn check_frame_schedule(
     Ok(())
 }
 
-impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
-    fn on_event(
+impl PolicyCoordinator {
+    /// Handles one popped event, posting its follow-ups into `queue`.
+    fn handle(
         &mut self,
         now_ps: TimePs,
-        event: &SlotEvent,
-        m: &mut SlotMedium<'a>,
-        out: &mut Outbox<SlotEvent>,
+        event: SlotEvent,
+        m: &mut SlotMedium<'_>,
+        queue: &mut EventQueue,
     ) -> Result<()> {
-        match *event {
+        match event {
             SlotEvent::FrameStart { frame } => {
                 let ctx = MacContext {
                     net: m.net,
@@ -2124,9 +2124,8 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                     if group.is_empty() {
                         continue;
                     }
-                    out.post_at(
+                    queue.post(
                         now_ps + slot as TimePs * self.plan.slot_ps,
-                        self.me,
                         SlotEvent::SlotFire { frame, slot },
                     );
                 }
@@ -2139,9 +2138,8 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                 // keeps relay-disabled runs bit-exact with the pre-relay
                 // path.
                 for (grant, g) in self.relay_schedule.iter().enumerate() {
-                    out.post_at(
+                    queue.post(
                         now_ps + g.slot as TimePs * self.plan.slot_ps,
-                        self.me,
                         SlotEvent::RelayFire { frame, grant },
                     );
                 }
@@ -2174,9 +2172,8 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                 }
                 m.lifecycle.offer(offered);
                 if frame + 1 < self.frames {
-                    out.post_at(
+                    queue.post(
                         now_ps + self.plan.frame_ps(),
-                        self.me,
                         SlotEvent::FrameStart { frame: frame + 1 },
                     );
                 }
@@ -2205,7 +2202,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                     (slot as u64 * self.plan.slot_ps) as f64 / 1e6,
                     job.group.len(),
                 );
-                self.offer_stage(StageKind::Capture, job, now_ps, m, out)?;
+                self.offer_stage(StageKind::Capture, job, now_ps, m, queue)?;
             }
             SlotEvent::StageDone { stage } => {
                 let job = self.stages[stage as usize].current.take().ok_or_else(|| {
@@ -2218,7 +2215,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                 // admits its next waiter, so same-instant chains complete
                 // in pipeline order.
                 match stage.next() {
-                    Some(next) => self.offer_stage(next, job, now_ps, m, out)?,
+                    Some(next) => self.offer_stage(next, job, now_ps, m, queue)?,
                     None => {
                         // Transmit completion: the job is about to reach
                         // the channel, so its pipeline residence ends
@@ -2243,7 +2240,7 @@ impl<'a> Actor<SlotMedium<'a>, SlotEvent> for PolicyCoordinator {
                     }
                 }
                 if let Some(next_job) = self.stages[stage as usize].queue.pop_front() {
-                    self.start_stage(stage, next_job, now_ps, m, out)?;
+                    self.start_stage(stage, next_job, now_ps, m, queue)?;
                 }
             }
             SlotEvent::RelayFire { frame, grant } => {
@@ -2748,6 +2745,15 @@ mod tests {
             // And no empty groups are scheduled.
             assert!(schedule.iter().all(|(_, g)| !g.is_empty()));
         }
+        // A hand-built 0-slot plan schedules nobody instead of dividing
+        // by zero.
+        let no_slots = SlotPlan {
+            slots_per_frame: 0,
+            ..plan
+        };
+        assert!(aloha
+            .schedule_frame(0, &mac_context(&n, &no_slots, 5))
+            .is_empty());
     }
 
     /// A policy replaying one fixed schedule and relay grant list on

@@ -197,14 +197,19 @@ impl SlotPlan {
     /// deterministic, uniform, and varies per frame (slotted-ALOHA
     /// rather than a fixed TDMA assignment; collisions are resolved by
     /// retrying in the next frame).
-    pub fn slot_for(&self, node_idx: usize, frame: usize, seed: u64) -> usize {
+    ///
+    /// A 0-slot plan has no slot: every node maps to slot 0, which lies
+    /// past the plan, so a policy's schedule over it is empty instead of a
+    /// division by zero. Campaigns reject such a plan up front
+    /// ([`CampaignSpec`](crate::CampaignSpec)).
+    pub(crate) fn slot_for(&self, node_idx: usize, frame: usize, seed: u64) -> usize {
         let mut z = seed
             ^ (node_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (frame as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        (z % self.slots_per_frame as u64) as usize
+        (z % self.slots_per_frame.max(1) as u64) as usize
     }
 }
 

@@ -2,10 +2,10 @@
 //! streaming aggregation.
 //!
 //! The room-scale network layer serves every node from one sector scene and
-//! one AP actor; campaigns over 10⁴–10⁶ nodes need neither one shared
-//! engine nor O(nodes) report memory. This module shards a scene into
+//! one AP; campaigns over 10⁴–10⁶ nodes need neither one shared event
+//! queue nor O(nodes) report memory. This module shards a scene into
 //! spatially contiguous **cells** — each cell a self-contained [`Scene`]
-//! with its own AP — and runs one deterministic [`Engine`](crate::Engine)
+//! with its own AP — and runs one deterministic [`Network::run`]
 //! campaign per cell, in parallel over
 //! [`parallel::for_each_chunk_with`], folding each cell into a streaming
 //! [`CampaignAggregate`] and merging the per-cell aggregates into the

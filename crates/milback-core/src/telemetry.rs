@@ -86,7 +86,9 @@ pub enum TraceRecord {
         time_ps: u64,
         /// The event's queue sequence number.
         seq: u64,
-        /// Destination actor index.
+        /// Always 0: one coordinator handles every event. Kept so the
+        /// JSONL `"actor"` field and the Chrome trace `tid` keep their
+        /// schema.
         actor: usize,
         /// Event kind label (static, per event type).
         kind: &'static str,
