@@ -17,9 +17,10 @@
 use milback_bench::experiments::mac_policy_by_name;
 use milback_bench::runner::trial_rng;
 use milback_core::protocol::SlotPlan;
+use milback_core::telemetry::TraceRecord;
 use milback_core::{
     ApServiceConfig, CampaignProbe, CampaignSpec, MacPolicy, Network, OverflowPolicy, Packet,
-    Scene, SlottedRunReport, SystemConfig,
+    Scene, SlottedRunReport, StageKind, SystemConfig,
 };
 use mmwave_sigproc::random::GaussianSource;
 
@@ -86,11 +87,21 @@ fn run_with(
 
 /// An explicit instantaneous config is bit-exact with the parity spec for
 /// every policy, and its service ledger shows every offered grant served.
+///
+/// Both serve relay-free frames in one pass, without slot or stage
+/// events. A zero-latency pipeline with a one-grant `Drop` queue is not
+/// instantaneous, so it posts every grant through the event path, yet no
+/// grant ever waits or is shed: it must match the one-pass path bit for
+/// bit — report and lifecycle ledger, RNG stream position, every trace
+/// record but the queue's own `Event`s, and the stage occupancy
+/// histograms.
 #[test]
 fn instantaneous_config_reproduces_the_parity_spec_for_every_policy() {
     let n = network(5);
     let payload = vec![0x42u8; 16];
     let spec = CampaignSpec::new(6, &payload, plan_for(&n, 3, &payload));
+    let bounded = ApServiceConfig::instantaneous().with_queue(1, OverflowPolicy::Drop);
+    assert!(!bounded.is_instantaneous());
     for (k, &name) in MAC_POLICY_NAMES.iter().enumerate() {
         let mut rng_a = trial_rng(0x51A6, k);
         let mut rng_b = trial_rng(0x51A6, k);
@@ -106,6 +117,56 @@ fn instantaneous_config_reproduces_the_parity_spec_for_every_policy() {
         assert!(plain.service.offered > 0, "policy {name} offered nothing");
         assert_eq!(plain.service.served, plain.service.offered);
         assert_eq!(plain.service.overflowed(), 0);
+
+        let probed = |service: ApServiceConfig| {
+            let mut rng = trial_rng(0x51A6, k);
+            let mut probe = CampaignProbe::with_trace(1 << 16);
+            let report: SlottedRunReport = n
+                .run(
+                    &spec.with_service(service),
+                    mac_policy_by_name(name, 9).unwrap(),
+                    &mut rng,
+                    &mut probe,
+                )
+                .unwrap();
+            let metrics = probe.take_metrics().unwrap();
+            let trace: Vec<TraceRecord> = probe
+                .trace
+                .take()
+                .unwrap()
+                .into_buffer()
+                .records()
+                .filter(|r| !matches!(r, TraceRecord::Event { .. }))
+                .cloned()
+                .collect();
+            (report, rng.sample(1.0).to_bits(), trace, metrics)
+        };
+        let (one_pass, one_pass_next, one_pass_trace, one_pass_metrics) =
+            probed(ApServiceConfig::instantaneous());
+        let (evented, evented_next, evented_trace, evented_metrics) = probed(bounded);
+        assert_bit_exact(&plain, &one_pass);
+        assert_bit_exact(&one_pass, &evented);
+        assert_eq!(
+            one_pass_next, evented_next,
+            "policy {name}: RNG streams diverged"
+        );
+        assert_eq!(
+            one_pass_trace, evented_trace,
+            "policy {name}: traces diverged"
+        );
+        assert!(one_pass_trace
+            .iter()
+            .any(|r| matches!(r, TraceRecord::Stage { .. })));
+        for stage in [StageKind::Capture, StageKind::Plan, StageKind::Transmit] {
+            let h = one_pass_metrics.histogram(stage.occupancy_metric());
+            assert!(h.is_some_and(|h| h.count == plain.service.offered));
+            assert_eq!(h, evented_metrics.histogram(stage.occupancy_metric()));
+        }
+        assert_eq!(
+            one_pass_metrics.histogram("queue_depth").unwrap().count,
+            6,
+            "policy {name}: the one-pass path dispatches frame boundaries only"
+        );
     }
 }
 

@@ -17,8 +17,8 @@ use milback_bench::experiments::{
 use milback_bench::runner::{trial_rng, RunnerConfig};
 use milback_core::protocol::SlotPlan;
 use milback_core::{
-    CampaignProbe, CampaignSpec, DropReason, LifecycleStats, Network, Packet, Scene,
-    SlottedRunReport, SystemConfig,
+    ApServiceConfig, CampaignProbe, CampaignSpec, DropReason, LifecycleStats, Network, Packet,
+    Scene, SlottedRunReport, SystemConfig,
 };
 use mmwave_sigproc::random::GaussianSource;
 use proptest::prelude::*;
@@ -125,22 +125,32 @@ fn probed_campaign_is_bit_identical_for_every_policy() {
     }
 }
 
-/// The engine's queue-depth histograms are lossless even when the bounded
-/// trace ring overflows. The retired implementation reconstructed the
-/// histogram from the ring's `Event` records, so once the ring evicted its
-/// oldest records the histogram silently truncated; depths are now tallied
-/// at dispatch inside the engine. A 4-record ring and an effectively
+/// The queue's depth histograms are lossless even when the bounded trace
+/// ring overflows. The retired implementation reconstructed the histogram
+/// from the ring's `Event` records, so once the ring evicted its oldest
+/// records the histogram silently truncated; depths are now tallied at
+/// dispatch inside the queue. A 4-record ring and an effectively
 /// unbounded one must therefore report identical histograms — while the
 /// small ring demonstrably dropped records.
+///
+/// The campaign runs behind a staged pipeline (the latencies of
+/// `service_pipeline.rs`'s `unbounded_latency_shifts_time_but_not_ledgers`):
+/// an instantaneous one serves relay-free frames without slot or stage
+/// events, and every label must be tallied here.
 #[test]
 fn queue_depth_histograms_survive_trace_ring_eviction() {
     let n = network();
     let payload = vec![0x42u8; 16];
     let plan = plan_for(&n, 4, &payload);
+    let frames = 6;
+    let spec = CampaignSpec::new(frames, &payload, plan).with_service(
+        ApServiceConfig::instantaneous().with_stage_latencies(1_000_000, 500_000, 250_000),
+    );
     let run = |capacity: usize| {
         let mut rng = trial_rng(0xD0_0D, 0);
         let mut probe = CampaignProbe::with_trace(capacity);
-        campaign(&n, "aloha", &plan, &payload, &mut rng, &mut probe);
+        let policy = milback_bench::experiments::mac_policy_by_name("aloha", 9).unwrap();
+        let _: SlottedRunReport = n.run(&spec, policy, &mut rng, &mut probe).unwrap();
         let metrics = probe.take_metrics().expect("telemetry on: metrics exist");
         let dropped = probe.trace.take().unwrap().into_buffer().dropped();
         (metrics, dropped)
@@ -165,7 +175,13 @@ fn queue_depth_histograms_survive_trace_ring_eviction() {
         assert!(h_small.count > 0, "{name} tallied nothing");
     }
     // The combined histogram saw more dispatches than the small ring could
-    // ever hold — exactly the case the reconstruction used to truncate.
+    // ever hold — exactly the case the reconstruction used to truncate:
+    // one frame boundary per frame plus a slot event and three stage
+    // completions per grant.
+    assert_eq!(
+        small.histogram("queue_depth").unwrap().count,
+        frames as u64 + 4 * small.counter("ap_offered")
+    );
     assert!(small.histogram("queue_depth").unwrap().count > 4);
 }
 

@@ -25,8 +25,10 @@
 //!   event one heap over both would pop. The lane is empty whenever the
 //!   clock advances (an event later than `now` never beats a lane entry),
 //!   so the invariant holds across instants. Zero-delay follow-ups, such
-//!   as an instantaneous pipeline's stage hops, skip the heap's
-//!   `O(log n)` sift.
+//!   as a zero-latency stage's hop or a slot-0 grant posted by its
+//!   `FrameStart`, skip the heap's `O(log n)` sift. (A relay-free frame
+//!   under an instantaneous pipeline posts no grant events at all: its
+//!   `FrameStart` serves the frame in one pass.)
 //! * Time is held in integer picoseconds ([`TimePs`]). Integer time makes
 //!   `t1 == t2` meaningful (no float drift between "the slot boundary"
 //!   computed two ways) and spans ~213 days, far beyond any simulated
@@ -182,6 +184,11 @@ impl EventQueue {
         } else {
             self.heap.push(Reverse(entry));
         }
+    }
+
+    /// Whether nothing is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Pops the least `(at_ps, seq)` event of lane and heap, advances the

@@ -948,17 +948,22 @@ pub(crate) enum SlotEvent {
     /// An AP pipeline stage finished the job it had in service. The job
     /// itself lives in the coordinator's [`StageState`] (events stay
     /// `Copy`); the completed job moves downstream and the stage starts
-    /// its next queued job, if any.
+    /// its next queued job, if any. Never posted for a frame served in
+    /// one pass (instantaneous pipeline, no relay grants).
     StageDone {
         /// Which stage completed.
         stage: StageKind,
     },
     /// A granted relay chain resolves: the route's tag hops fire
     /// back-to-back inside the granted slot and the terminal node uplinks
-    /// for the origin. Posted after the frame's direct `SlotFire` events,
-    /// so the engine's `(time, seq)` order gives every chain a fixed,
-    /// posting-determined position among same-instant events at any
-    /// thread count.
+    /// for the origin. Posted at the frame boundary after the frame's
+    /// direct `SlotFire` events, so the queue's `(time, seq)` order gives
+    /// every chain a fixed, posting-determined position among
+    /// same-instant events at any thread count. That position is ahead
+    /// of the slot's direct traffic: the slot's `SlotFire` pops first,
+    /// but the `StageDone` hops it posts (the direct traffic resolves at
+    /// Transmit) carry later `seq`s than the `RelayFire`, even when the
+    /// pipeline is instantaneous.
     RelayFire {
         /// Frame number.
         frame: usize,
@@ -1440,7 +1445,9 @@ impl<'a> SlotMedium<'a> {
 pub type FrameSchedule = Vec<(usize, Vec<usize>)>;
 
 /// One granted relay chain for a frame: the route fires inside `slot`,
-/// after that slot's direct traffic resolves.
+/// *before* that slot's direct traffic resolves, under any AP pipeline.
+/// The chain is queued at the frame boundary, ahead of the Transmit
+/// completion at which the slot's direct traffic resolves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayGrant {
     /// Slot within the frame the chain occupies.
@@ -1859,10 +1866,30 @@ struct SlotJob {
     slot: usize,
     group: Vec<usize>,
     degraded: bool,
-    /// Engine time the grant entered the pipeline (its `SlotFire`
-    /// instant), so Transmit completion can ledger the job's service
-    /// residence without re-deriving the grant schedule.
+    /// Time the grant entered the pipeline (its slot instant), so
+    /// Transmit completion can ledger the job's service residence without
+    /// re-deriving the grant schedule.
     offered_ps: TimePs,
+}
+
+impl SlotJob {
+    /// Records the job's `stage` service span, tagged with its packet flow
+    /// id so the exported trace links Capture → Plan → Transmit → outcome
+    /// as one Perfetto flow.
+    fn trace_service(
+        &self,
+        stage: StageKind,
+        now_ps: TimePs,
+        dur_ps: TimePs,
+        m: &mut SlotMedium<'_>,
+    ) {
+        m.probe.trace(|| TraceRecord::Stage {
+            time_ps: now_ps,
+            stage: stage.label(),
+            flow: PacketId::direct(self.frame, self.slot).raw(),
+            dur_ps,
+        });
+    }
 }
 
 /// One serial AP service stage: at most one job in service (its
@@ -1893,11 +1920,17 @@ impl StageState {
 /// dispatch: the grant becomes a [`SlotJob`] that walks the
 /// **Capture → Plan → Transmit** service stages, each a serial server with
 /// its own latency ([`ApServiceConfig`]) and bounded FIFO. The
-/// transmission physics run at Transmit completion. Under
-/// [`ApServiceConfig::instantaneous`] every stage completes at the grant
-/// instant (the queue's `seq` order keeps the chain ahead of any later-time
-/// event), so slots fire in schedule order and the trial RNG stream is
-/// consumed as if each slot were served on the spot.
+/// transmission physics run at Transmit completion.
+///
+/// Under an [`is_instantaneous`](ApServiceConfig::is_instantaneous)
+/// pipeline a frame with no relay grants posts no grant events: its
+/// `FrameStart` serves the occupied slots in schedule order, each at its
+/// slot instant, with the event path's per-grant accounting in the event
+/// path's order (the helpers both paths call). That is exact because
+/// nothing else is queued until the next `FrameStart`, which the
+/// coordinator checks. A relay frame keeps the events even then, because
+/// its chains resolve ahead of same-instant direct traffic (see
+/// [`SlotEvent::RelayFire`]).
 struct PolicyCoordinator {
     plan: SlotPlan,
     frames: usize,
@@ -1930,8 +1963,6 @@ struct PolicyCoordinator {
 impl PolicyCoordinator {
     /// Offers a job to `stage`: starts it if the stage is idle, otherwise
     /// queues it subject to the configured bound and overflow policy.
-    /// Queue occupancy is observed at every offer, so the histograms see
-    /// the arrival-time depths that admission decisions are made against.
     fn offer_stage(
         &mut self,
         stage: StageKind,
@@ -1941,11 +1972,7 @@ impl PolicyCoordinator {
         queue: &mut EventQueue,
     ) -> Result<()> {
         let idx = stage as usize;
-        m.probe.observe(
-            stage.occupancy_metric(),
-            OCCUPANCY_BUCKETS,
-            self.stages[idx].occupancy() as f64,
-        );
+        self.observe_offer(stage, m);
         if self.stages[idx].current.is_none() {
             return self.start_stage(stage, job, now_ps, m, queue);
         }
@@ -2019,18 +2046,118 @@ impl PolicyCoordinator {
         };
         let dur_ps = base_ps.checked_add(jitter_ps).ok_or_else(overflow)?;
         let done_ps = now_ps.checked_add(dur_ps).ok_or_else(overflow)?;
-        // The job's service span, tagged with its packet flow id so the
-        // exported trace links Capture → Plan → Transmit → outcome as one
-        // Perfetto flow. The duration is the already-drawn completion
-        // offset — copying it records nothing the engine won't replay.
-        m.probe.trace(|| TraceRecord::Stage {
-            time_ps: now_ps,
-            stage: stage.label(),
-            flow: PacketId::direct(job.frame, job.slot).raw(),
-            dur_ps,
-        });
+        // The duration is the already-drawn completion offset — copying
+        // it records nothing the queue won't replay.
+        job.trace_service(stage, now_ps, dur_ps, m);
         self.stages[stage as usize].current = Some(job);
         queue.post(done_ps, SlotEvent::StageDone { stage });
+        Ok(())
+    }
+
+    /// Observes `stage`'s occupancy as a job is offered to it, so the
+    /// histograms see the arrival-time depths that admission decisions
+    /// are made against.
+    fn observe_offer(&self, stage: StageKind, m: &mut SlotMedium<'_>) {
+        m.probe.observe(
+            stage.occupancy_metric(),
+            OCCUPANCY_BUCKETS,
+            self.stages[stage as usize].occupancy() as f64,
+        );
+    }
+
+    /// Grants the current frame's schedule entry `idx` at `now_ps`: moves
+    /// its group into a [`SlotJob`] and ledgers the offer and the group's
+    /// slot wait. The first step of a grant on both serving paths.
+    fn offer_grant(
+        &mut self,
+        frame: usize,
+        idx: usize,
+        now_ps: TimePs,
+        m: &mut SlotMedium<'_>,
+    ) -> SlotJob {
+        let (slot, ref mut group) = self.schedule[idx];
+        let job = SlotJob {
+            frame,
+            slot,
+            group: std::mem::take(group),
+            degraded: false,
+            offered_ps: now_ps,
+        };
+        m.service.offered += 1;
+        m.probe.inc("ap_offered", 1);
+        // Every member of the group waited from the frame boundary to
+        // this slot's airtime.
+        m.lifecycle.observe_slot_wait_us(
+            (slot as u64 * self.plan.slot_ps) as f64 / 1e6,
+            job.group.len(),
+        );
+        job
+    }
+
+    /// Transmit completion: the job reaches the channel, so its pipeline
+    /// residence ends here; the slot fires and the policy learns its
+    /// outcome. The last step of a grant on both serving paths.
+    fn complete_grant(
+        &mut self,
+        job: SlotJob,
+        now_ps: TimePs,
+        m: &mut SlotMedium<'_>,
+    ) -> Result<()> {
+        m.lifecycle
+            .observe_service_residence_us((now_ps - job.offered_ps) as f64 / 1e6, job.group.len());
+        let collided = m.fire_slot(
+            &job.group,
+            self.sdm_threshold_db,
+            now_ps,
+            job.frame,
+            job.slot,
+            job.degraded,
+        )?;
+        m.service.served += 1;
+        m.probe.inc("ap_served", 1);
+        self.policy
+            .on_slot_outcome(job.frame, job.slot, &job.group, collided);
+        Ok(())
+    }
+
+    /// Serves the current frame's grants in schedule order, each at its
+    /// slot instant, without posting an event — the one-pass path of an
+    /// instantaneous pipeline on a relay-free frame. Each grant takes the
+    /// event path's accounting in the event path's order: the offer, then
+    /// Capture, Plan and Transmit each observed at occupancy 0 and traced
+    /// with a zero-length span, then completion with zero residence.
+    ///
+    /// Exact only because nothing can come between the frame's grants:
+    /// the queue must be empty here (the caller already popped this
+    /// frame's `FrameStart`). Stage waiters only sit behind a job whose
+    /// completion is queued, so an empty queue also means an idle
+    /// pipeline.
+    fn serve_frame_in_one_pass(
+        &mut self,
+        frame: usize,
+        now_ps: TimePs,
+        m: &mut SlotMedium<'_>,
+        queue: &EventQueue,
+    ) -> Result<()> {
+        if !queue.is_empty() {
+            return Err(MilbackError::Engine(format!(
+                "frame {frame} would be served in one pass with events still queued"
+            )));
+        }
+        for idx in 0..self.schedule.len() {
+            if self.schedule[idx].1.is_empty() {
+                continue;
+            }
+            let slot_ps = now_ps + self.schedule[idx].0 as TimePs * self.plan.slot_ps;
+            let job = self.offer_grant(frame, idx, slot_ps, m);
+            let mut stage = Some(StageKind::Capture);
+            while let Some(s) = stage {
+                self.observe_offer(s, m);
+                job.trace_service(s, slot_ps, 0, m);
+                stage = s.next();
+            }
+            self.complete_grant(job, slot_ps, m)?;
+        }
         Ok(())
     }
 }
@@ -2120,28 +2247,37 @@ impl PolicyCoordinator {
                     &self.schedule,
                     &self.relay_schedule,
                 )?;
-                for &(slot, ref group) in &self.schedule {
-                    if group.is_empty() {
-                        continue;
+                // An instantaneous pipeline cannot delay a grant, and a
+                // relay-free frame has nothing else at its slot instants,
+                // so the frame is served in one pass once its offers are
+                // ledgered below. Any other frame posts its grants.
+                let one_pass = self.service.is_instantaneous() && self.relay_schedule.is_empty();
+                if !one_pass {
+                    for &(slot, ref group) in &self.schedule {
+                        if group.is_empty() {
+                            continue;
+                        }
+                        queue.post(
+                            now_ps + slot as TimePs * self.plan.slot_ps,
+                            SlotEvent::SlotFire { frame, slot },
+                        );
                     }
-                    queue.post(
-                        now_ps + slot as TimePs * self.plan.slot_ps,
-                        SlotEvent::SlotFire { frame, slot },
-                    );
-                }
-                // Relay grants post after the direct slots, so the
-                // engine's (time, seq) order resolves a chain sharing a
-                // slot instant with direct traffic at a fixed, posting-
-                // determined position — the RNG draw order is a pure
-                // function of the schedule at any thread count. A policy
-                // granting no relays posts nothing here, which is what
-                // keeps relay-disabled runs bit-exact with the pre-relay
-                // path.
-                for (grant, g) in self.relay_schedule.iter().enumerate() {
-                    queue.post(
-                        now_ps + g.slot as TimePs * self.plan.slot_ps,
-                        SlotEvent::RelayFire { frame, grant },
-                    );
+                    // Relay grants post after the direct slots, so the
+                    // queue's (time, seq) order resolves a chain sharing
+                    // a slot instant with direct traffic at a fixed,
+                    // posting-determined position — the RNG draw order is
+                    // a pure function of the schedule at any thread
+                    // count. That position is *before* the slot's direct
+                    // traffic: the `SlotFire` pops first, but its stage
+                    // hops are posted later than the `RelayFire`, so the
+                    // chain resolves ahead of them even when the pipeline
+                    // is instantaneous.
+                    for (grant, g) in self.relay_schedule.iter().enumerate() {
+                        queue.post(
+                            now_ps + g.slot as TimePs * self.plan.slot_ps,
+                            SlotEvent::RelayFire { frame, grant },
+                        );
+                    }
                 }
                 // Lifecycle offers: one packet per scheduled transmitter
                 // appearance, one per granted relay chain, and one per
@@ -2171,6 +2307,9 @@ impl PolicyCoordinator {
                     m.resolve(node, Outcome::Dropped(DropReason::NeverScheduled));
                 }
                 m.lifecycle.offer(offered);
+                if one_pass {
+                    self.serve_frame_in_one_pass(frame, now_ps, m, queue)?;
+                }
                 if frame + 1 < self.frames {
                     queue.post(
                         now_ps + self.plan.frame_ps(),
@@ -2187,21 +2326,7 @@ impl PolicyCoordinator {
                             "slot {slot} of frame {frame} fired without a schedule entry"
                         ))
                     })?;
-                let job = SlotJob {
-                    frame,
-                    slot,
-                    group: std::mem::take(&mut self.schedule[idx].1),
-                    degraded: false,
-                    offered_ps: now_ps,
-                };
-                m.service.offered += 1;
-                m.probe.inc("ap_offered", 1);
-                // Every member of the group waited from the frame
-                // boundary to this slot's airtime.
-                m.lifecycle.observe_slot_wait_us(
-                    (slot as u64 * self.plan.slot_ps) as f64 / 1e6,
-                    job.group.len(),
-                );
+                let job = self.offer_grant(frame, idx, now_ps, m);
                 self.offer_stage(StageKind::Capture, job, now_ps, m, queue)?;
             }
             SlotEvent::StageDone { stage } => {
@@ -2216,28 +2341,7 @@ impl PolicyCoordinator {
                 // in pipeline order.
                 match stage.next() {
                     Some(next) => self.offer_stage(next, job, now_ps, m, queue)?,
-                    None => {
-                        // Transmit completion: the job is about to reach
-                        // the channel, so its pipeline residence ends
-                        // here. Identically zero under the instantaneous
-                        // config.
-                        m.lifecycle.observe_service_residence_us(
-                            (now_ps - job.offered_ps) as f64 / 1e6,
-                            job.group.len(),
-                        );
-                        let collided = m.fire_slot(
-                            &job.group,
-                            self.sdm_threshold_db,
-                            now_ps,
-                            job.frame,
-                            job.slot,
-                            job.degraded,
-                        )?;
-                        m.service.served += 1;
-                        m.probe.inc("ap_served", 1);
-                        self.policy
-                            .on_slot_outcome(job.frame, job.slot, &job.group, collided);
-                    }
+                    None => self.complete_grant(job, now_ps, m)?,
                 }
                 if let Some(next_job) = self.stages[stage as usize].queue.pop_front() {
                     self.start_stage(stage, next_job, now_ps, m, queue)?;
@@ -2422,6 +2526,8 @@ pub fn localize_all_doppler(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relay::RelayAwareMac;
+    use crate::scene::CoverageModel;
 
     /// A plain campaign: the parity spec (20 dB threshold, instantaneous
     /// AP, no relaying), no probe.
@@ -2753,6 +2859,23 @@ mod tests {
         };
         assert!(aloha
             .schedule_frame(0, &mac_context(&n, &no_slots, 5))
+            .is_empty());
+        // Nor does a relay policy grant a chain in a slot the plan lacks:
+        // the edge nodes past ±25° are gaps one tag hop from coverage.
+        let relay = RelayConfig {
+            coverage: CoverageModel {
+                ap_range_m: f64::INFINITY,
+                sector_half_rad: 25f64.to_radians(),
+            },
+            max_hops: 2,
+            tag_range_m: 1.0,
+            hop_snr_penalty_db: 3.0,
+        };
+        let mut relay_mac = RelayAwareMac::new(0xFEED, relay);
+        relay_mac.begin(&ctx, &mut GaussianSource::new(1));
+        assert!(!relay_mac.relay_frame(0, &ctx).is_empty());
+        assert!(relay_mac
+            .relay_frame(0, &mac_context(&n, &no_slots, 5))
             .is_empty());
     }
 

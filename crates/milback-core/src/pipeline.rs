@@ -131,6 +131,9 @@ impl ApServiceConfig {
 
     /// Whether this is the bit-exact parity configuration (no latency, no
     /// bound, no jitter — the pipeline collapses to the inline service).
+    /// A campaign serves a relay-free frame under it in one pass, with no
+    /// slot or stage events; a zero-latency config with a queue bound is
+    /// not instantaneous and keeps the event path.
     pub fn is_instantaneous(&self) -> bool {
         self.capture_ps == 0
             && self.plan_ps == 0

@@ -307,6 +307,11 @@ impl MacPolicy for RelayAwareMac {
     }
 
     fn relay_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> Vec<RelayGrant> {
+        // A 0-slot plan has no slot to grant a chain, just as its direct
+        // schedule is empty.
+        if ctx.plan.slots_per_frame == 0 {
+            return Vec::new();
+        }
         self.routes
             .iter()
             .enumerate()

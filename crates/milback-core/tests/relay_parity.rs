@@ -7,6 +7,7 @@
 //! routeless gap nodes kept in every denominator.
 
 use milback_core::protocol::SlotPlan;
+use milback_core::telemetry::TraceRecord;
 use milback_core::{ApServiceConfig, CampaignProbe, CampaignSpec, Packet};
 use milback_core::{
     CampaignAggregate, CoverageModel, MacPolicy, Network, RelayAwareMac, RelayConfig, Scene,
@@ -267,4 +268,52 @@ fn routeless_gap_node_stays_in_the_denominators() {
     assert_eq!(agg.gap_nodes, 1);
     assert_eq!(agg.gap_attempts, FRAMES as u64);
     assert_eq!(agg.gap_delivery_rate(), Some(0.0));
+}
+
+#[test]
+fn relay_chains_resolve_before_same_instant_direct_traffic() {
+    // A chain's `RelayFire` is posted at the frame boundary, after the
+    // frame's `SlotFire`s but before any `SlotFire` handler posts its
+    // stage hops, so even under the instantaneous pipeline a chain
+    // sharing a slot instant with direct traffic resolves first. The
+    // trial stream's draw order depends on it; the trace pins it.
+    let n = ringed_network(16, 16);
+    let plan = plan_for(&n, 8);
+    let relay = gapped_relay(2);
+    let spec = CampaignSpec::new(FRAMES, &PAYLOAD, plan).with_relay(relay);
+    let mut rng = GaussianSource::new(SEED);
+    let mut probe = CampaignProbe::with_trace(1 << 16);
+    let _: SlottedRunReport = n
+        .run(
+            &spec,
+            Box::new(RelayAwareMac::new(SLOT_SEED, relay)),
+            &mut rng,
+            &mut probe,
+        )
+        .unwrap();
+    let trace = probe.trace.take().unwrap().into_buffer();
+    assert_eq!(trace.dropped(), 0);
+    // Every flow end as (instant, is-relay), in resolution order.
+    let ends: Vec<(u64, bool)> = trace
+        .records()
+        .filter_map(|r| match *r {
+            TraceRecord::FlowEnd { time_ps, flow, .. } => Some((time_ps, flow >> 63 == 1)),
+            _ => None,
+        })
+        .collect();
+    let mut pairs = 0;
+    for (i, &(t, relayed)) in ends.iter().enumerate() {
+        if relayed {
+            continue;
+        }
+        pairs += ends[..i].iter().filter(|&&e| e == (t, true)).count();
+        assert!(
+            !ends[i + 1..].contains(&(t, true)),
+            "a relay chain resolved after direct traffic at {t} ps"
+        );
+    }
+    assert!(
+        pairs > 0,
+        "no slot instant carried both relay and direct traffic"
+    );
 }

@@ -11,12 +11,16 @@
 //! * each leg's metrics registry and lifecycle ledger rendering
 //!   (`json::to_string`).
 //!
+//! The same legs gate the event queue's dispatch count exactly: the
+//! combined `queue_depth` histogram tallies one observation per popped
+//! event.
+//!
 //! The committed digests were recorded before the JSON writers were
 //! collapsed onto one module.
 
 use milback::core::json;
 use milback::core::protocol::SlotPlan;
-use milback::core::telemetry::{chrome_trace, TraceBuffer, TraceRecord};
+use milback::core::telemetry::{chrome_trace, Metrics, TraceBuffer, TraceRecord};
 use milback::core::{
     ApServiceConfig, BackoffAloha, CampaignProbe, CampaignSpec, CoverageModel, MacPolicy, Network,
     OverflowPolicy, Packet, RelayAwareMac, RelayConfig, Scene, SdmAwareAssignment, SlottedAloha,
@@ -88,11 +92,11 @@ fn congested(plan: &SlotPlan) -> ApServiceConfig {
         .with_queue(1, OverflowPolicy::Drop)
 }
 
-/// One traced leg: its trace, metrics rendering and lifecycle rendering.
+/// One traced leg: its trace, metrics and lifecycle rendering.
 struct Leg {
     name: &'static str,
     trace: TraceBuffer,
-    metrics_json: String,
+    metrics: Metrics,
     lifecycle_json: String,
 }
 
@@ -130,7 +134,7 @@ fn traced_legs() -> Vec<Leg> {
             Leg {
                 name,
                 trace,
-                metrics_json: json::to_string(&metrics),
+                metrics,
                 lifecycle_json: json::to_string(&r.lifecycle),
             }
         })
@@ -179,6 +183,37 @@ fn artifact_digest_renderings() {
         "every leg must evict so partial flow chains are rendered"
     );
 
+    // The queue's dispatch count, exactly: one `queue_depth` observation
+    // per popped event. Instantaneous AP, no relay grants: every frame is
+    // served in one pass, so the only events are the frame boundaries.
+    let dispatched = |leg: &Leg| {
+        leg.metrics
+            .histogram("queue_depth")
+            .expect("a metrics probe tallies queue depths")
+            .count
+    };
+    for leg in &legs[..3] {
+        assert_eq!(dispatched(leg), FRAMES as u64, "leg {}", leg.name);
+        assert!(leg.metrics.counter("ap_served") > 0, "leg {}", leg.name);
+    }
+    // A staged pipeline with relay grants takes the event path: a frame
+    // boundary per frame, a `SlotFire` per offered grant, a `RelayFire`
+    // per granted chain, and Capture, Plan and Transmit completions for
+    // every grant that was not shed (the queue drains, so every admitted
+    // grant is served).
+    let relay = &legs[3];
+    let m = &relay.metrics;
+    assert!(m.counter("ap_dropped") > 0 && m.counter("relay_fired") > 0);
+    assert_eq!(
+        dispatched(relay),
+        FRAMES as u64
+            + m.counter("ap_offered")
+            + m.counter("relay_fired")
+            + 3 * m.counter("ap_served"),
+        "leg {}",
+        relay.name
+    );
+
     let mut jsonl = Fnv::new();
     for leg in &legs {
         jsonl.bytes(&leg.trace.to_jsonl());
@@ -189,20 +224,20 @@ fn artifact_digest_renderings() {
     let mut metrics = Fnv::new();
     let mut lifecycle = Fnv::new();
     for leg in &legs {
-        metrics.bytes(&leg.metrics_json);
+        metrics.bytes(&json::to_string(&leg.metrics));
         lifecycle.bytes(&leg.lifecycle_json);
     }
 
     assert_eq!(
-        jsonl.0, 12_602_343_432_937_950_850,
+        jsonl.0, 3_147_927_471_420_894_087,
         "JSONL trace digest moved"
     );
     assert_eq!(
-        chrome.0, 16_724_783_520_598_024_301,
+        chrome.0, 16_214_772_116_518_597_362,
         "Chrome trace digest moved"
     );
     assert_eq!(
-        metrics.0, 5_619_714_878_331_544_655,
+        metrics.0, 1_560_293_721_493_029_612,
         "metrics rendering digest moved"
     );
     assert_eq!(
