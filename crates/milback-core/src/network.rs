@@ -19,6 +19,7 @@ use crate::telemetry::{
 use milback_ap::query::QueryPlanner;
 use milback_node::power::{NodeActivity, NodePowerModel};
 use mmwave_rf::antenna::Antenna;
+use mmwave_rf::channel::NodePose;
 use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::units::db_to_lin;
 use serde::{Deserialize, Serialize};
@@ -34,7 +35,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network over a scene with at least one node.
+    /// Creates a network over a scene with at least one node, every node
+    /// at a finite pose.
     pub fn new(config: SystemConfig, scene: Scene) -> Result<Self> {
         config.validate()?;
         if scene.nodes.is_empty() {
@@ -42,7 +44,25 @@ impl Network {
                 "network needs at least one node".into(),
             ));
         }
-        Ok(Self { config, scene })
+        let net = Self { config, scene };
+        net.check_poses()?;
+        Ok(net)
+    }
+
+    /// Rejects a node whose position or facing is not finite: the link
+    /// physics cannot place it, and a NaN range would reach the channel's
+    /// `distance > 0` assertion.
+    fn check_poses(&self) -> Result<()> {
+        let finite = |p: &NodePose| {
+            p.position.x.is_finite() && p.position.y.is_finite() && p.facing_rad.is_finite()
+        };
+        match self.scene.nodes.iter().position(|p| !finite(p)) {
+            Some(idx) => Err(MilbackError::Config(format!(
+                "node {idx} has a non-finite pose {:?}",
+                self.scene.nodes[idx]
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Number of nodes.
@@ -147,81 +167,60 @@ impl Network {
     }
 
     /// [`run`](Self::run) on a caller-held scratch: the sharded runner
-    /// passes one per worker, so the per-node ledger vectors are recycled
+    /// passes one per worker, so the per-node ledger rows are recycled
     /// across that worker's cells. The scratch's incoming contents never
     /// influence the result.
+    ///
+    /// Runs `policy` over the spec's frames on a fresh [`EventQueue`],
+    /// then totals the rows into the lifecycle ledger, audits it against
+    /// the packets offered, and folds each node's finished report into
+    /// the sink. Sharing this one finishing path keeps the per-node-report
+    /// and streaming outputs from drifting apart.
     pub(crate) fn run_in<S: CampaignSink>(
         &self,
         spec: &CampaignSpec<'_>,
-        policy: Box<dyn MacPolicy>,
+        mut policy: Box<dyn MacPolicy>,
         rng: &mut GaussianSource,
         probe: &mut CampaignProbe,
         scratch: &mut CampaignScratch,
     ) -> Result<S> {
-        let m = self.run_mac_engine(spec, policy, rng, probe, scratch)?;
-        Self::finish(m, spec, scratch)
-    }
-
-    /// The event loop of [`run`](Self::run): runs `policy` over the spec's
-    /// frames on a fresh [`EventQueue`] and returns the settled medium with
-    /// its per-node ledgers.
-    fn run_mac_engine<'a>(
-        &'a self,
-        spec: &CampaignSpec<'a>,
-        mut policy: Box<dyn MacPolicy>,
-        rng: &'a mut GaussianSource,
-        probe: &mut CampaignProbe,
-        scratch: &mut CampaignScratch,
-    ) -> Result<SlotMedium<'a>> {
         // Validated once per campaign: budget misses build straight from
-        // the configuration.
+        // the configuration, and every pose is finite.
         self.config.validate()?;
+        self.check_poses()?;
         spec.check_timeline()?;
         let airtime_s = self.slotted_airtime_s(spec.payload, &spec.plan)?;
-        policy.begin(
-            &MacContext {
-                net: self,
-                plan: spec.plan,
-                frames: spec.frames,
-                sdm_threshold_db: spec.sdm_threshold_db,
-            },
-            rng,
-        );
+        policy.begin(&MacContext::new(self, spec), rng);
         // Jitter state is seeded from the trial stream only when jitter is
         // configured — the instantaneous configuration draws nothing.
         // Drawn after `begin` so policies see the same stream position
         // either way.
         let jitter_state = (spec.service.jitter_ps > 0)
             .then(|| u64::from_le_bytes(rng.bytes(8).try_into().expect("eight bytes")));
-        let mut medium = self.slot_medium(spec.payload, airtime_s, rng, scratch);
-        // Every node is covered by default; an unbounded model skips the
-        // classification entirely. Otherwise every gap node's drop reason
-        // is classified once per run (the relay topology is static over a
-        // campaign), so the serve path attributes uncovered losses by
-        // table lookup — no per-slot graph work, no RNG, no clock.
-        let relay = spec.relay;
-        if !relay.coverage.is_unbounded() {
-            let covered: Vec<bool> = (0..self.node_count())
-                .map(|idx| relay.coverage.covers(&self.scene.ground_truth(idx)))
-                .collect();
-            medium.gap = crate::relay::classify_gap_reasons(&self.scene, &covered, &relay);
-        }
-        medium.probe = std::mem::take(probe);
+        self.fill_rows(&mut scratch.rows, &spec.relay);
+        let mut m = SlotMedium {
+            net: self,
+            rng,
+            payload: spec.payload,
+            airtime_s,
+            power: NodePowerModel::milback_default(),
+            rows: &mut scratch.rows,
+            uplink: &mut scratch.uplink,
+            lifecycle: LifecycleStats::new(),
+            probe: std::mem::take(probe),
+            service: ApServiceStats::default(),
+        };
         let mut queue = EventQueue::default();
-        if let Some(sink) = medium.probe.trace.clone() {
+        if let Some(sink) = m.probe.trace.clone() {
             queue.set_tracer(sink);
         }
-        if medium.probe.metrics.is_some() {
+        if m.probe.metrics.is_some() {
             queue.enable_depth_stats();
         }
         let mut coordinator = PolicyCoordinator {
-            plan: spec.plan,
-            frames: spec.frames,
-            sdm_threshold_db: spec.sdm_threshold_db,
+            spec: *spec,
             policy,
             schedule: Vec::new(),
-            service: spec.service,
-            relay,
             relay_schedule: Vec::new(),
             stages: Default::default(),
             jitter_state,
@@ -231,13 +230,18 @@ impl Network {
             queue.post(0, SlotEvent::FrameStart { frame: 0 });
         }
         while let Some((now_ps, event)) = queue.pop() {
-            coordinator.handle(now_ps, event, &mut medium, &mut queue)?;
+            coordinator.handle(now_ps, event, &mut m, &mut queue)?;
         }
-        *probe = std::mem::take(&mut medium.probe);
+        *probe = std::mem::take(&mut m.probe);
         if let Some(d) = queue.take_depth_stats() {
             probe.merge_queue_depths(d.entries());
         }
-        Ok(medium)
+        let mut lifecycle = std::mem::take(&mut m.lifecycle);
+        for row in m.rows.iter() {
+            row.tally_into(&mut lifecycle);
+        }
+        lifecycle.audit()?;
+        Ok(S::fold(spec, m.node_reports(spec), m.service, lifecycle))
     }
 
     /// Validates that one `payload` packet (plus guard) fits a slot of
@@ -254,69 +258,27 @@ impl Network {
         Ok(airtime_s)
     }
 
-    /// A campaign medium whose zeroed per-node ledgers reuse `scratch`'s
-    /// vectors. Only the allocations depend on what the scratch held.
-    fn slot_medium<'a>(
-        &'a self,
-        payload: &'a [u8],
-        airtime_s: f64,
-        rng: &'a mut GaussianSource,
-        scratch: &mut CampaignScratch,
-    ) -> SlotMedium<'a> {
-        let n = self.node_count();
-        fn recycle<T: Copy>(v: &mut Vec<T>, n: usize, zero: T) -> Vec<T> {
-            let mut v = std::mem::take(v);
-            v.clear();
-            v.resize(n, zero);
-            v
+    /// Refills `rows` with one zeroed ledger row per node, each holding
+    /// its azimuth. Every node is covered by default; an unbounded model
+    /// skips the classification entirely. Otherwise every gap node's drop
+    /// reason is classified once per run (the relay topology is static
+    /// over a campaign), so the serve path attributes uncovered losses by
+    /// row lookup — no per-slot graph work, no RNG, no clock.
+    fn fill_rows(&self, rows: &mut Vec<NodeLedger>, relay: &RelayConfig) {
+        rows.clear();
+        rows.extend((0..self.node_count()).map(|idx| NodeLedger {
+            azimuth: self.azimuth(idx),
+            ..NodeLedger::default()
+        }));
+        if !relay.coverage.is_unbounded() {
+            let covered: Vec<bool> = (0..self.node_count())
+                .map(|idx| relay.coverage.covers(&self.scene.ground_truth(idx)))
+                .collect();
+            let reasons = crate::relay::classify_gap_reasons(&self.scene, &covered, relay);
+            for (row, reason) in rows.iter_mut().zip(reasons) {
+                row.gap = reason;
+            }
         }
-        SlotMedium {
-            net: self,
-            rng,
-            payload,
-            airtime_s,
-            power: NodePowerModel::milback_default(),
-            outcomes: recycle(&mut scratch.outcomes, n, NodeOutcomes::default()),
-            energy_j: recycle(&mut scratch.energy_j, n, 0.0),
-            snr_sum_db: recycle(&mut scratch.snr_sum_db, n, 0.0),
-            gap: recycle(&mut scratch.gap, n, None),
-            relay_hops: recycle(&mut scratch.relay_hops, n, 0),
-            forwarded: recycle(&mut scratch.forwarded, n, 0),
-            relay_energy_j: recycle(&mut scratch.relay_energy_j, n, 0.0),
-            relay_latency_s: recycle(&mut scratch.relay_latency_s, n, 0.0),
-            budgets: recycle(&mut scratch.budgets, n, None),
-            azimuth: {
-                let mut az = std::mem::take(&mut scratch.azimuth);
-                az.clear();
-                az.extend((0..n).map(|idx| self.azimuth(idx)));
-                az
-            },
-            uplink: std::mem::take(&mut scratch.uplink),
-            lifecycle: LifecycleStats::new(),
-            probe: CampaignProbe::disabled(),
-            service: ApServiceStats::default(),
-        }
-    }
-
-    /// The one finishing path of every campaign: totals the per-node
-    /// outcome table into the lifecycle ledger and audits it against the
-    /// packets offered, folds each node's finished report — duty-cycled
-    /// idle energy folded in — into the sink, and hands the ledger vectors
-    /// back to `scratch`. Sharing it keeps the per-node-report and
-    /// streaming outputs from drifting apart.
-    fn finish<S: CampaignSink>(
-        mut m: SlotMedium<'_>,
-        spec: &CampaignSpec<'_>,
-        scratch: &mut CampaignScratch,
-    ) -> Result<S> {
-        let mut lifecycle = std::mem::take(&mut m.lifecycle);
-        for row in &m.outcomes {
-            row.tally_into(&mut lifecycle);
-        }
-        lifecycle.audit()?;
-        let sink = S::fold(spec, m.node_reports(spec), m.service, lifecycle);
-        scratch.reclaim(m);
-        Ok(sink)
     }
 }
 
@@ -324,8 +286,8 @@ impl Network {
 /// served node) and `az_b` (the other node): the AP horn's boresight gain
 /// toward the served node minus the other beam's off-axis gain toward it,
 /// at their angular separation. [`Network::sdm_margin_db`] and a
-/// campaign's per-node azimuth table both go through it, so the two
-/// cannot drift apart.
+/// campaign's per-node ledger rows both go through it, so the two cannot
+/// drift apart.
 fn sdm_margin(az_a: f64, az_b: f64) -> f64 {
     let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
     let wanted = horn.gain_dbi(28e9, 0.0);
@@ -520,37 +482,27 @@ pub struct SlottedNodeReport {
     /// Total node energy over the run (transmit + idle), joules.
     pub energy_j: f64,
     /// Mean effective SNR of the delivered packets, dB; `None` when
-    /// nothing got through. (A `NaN` sentinel here made `==`-based parity
-    /// and determinism checks silently unsatisfiable and leaked
-    /// `null`/`NaN` into serialized reports.)
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// nothing got through.
     pub mean_snr_db: Option<f64>,
     /// True when the node sits outside the campaign's AP coverage (a
     /// cell-edge gap node): its direct uplinks cannot be heard, so any
     /// delivery it reports arrived over a relay route. Always `false`
-    /// under the default unbounded coverage, and for pre-relay reports
-    /// (`serde(default)`).
-    #[serde(default)]
+    /// under the default unbounded coverage.
     pub gap: bool,
     /// Of `delivered`, how many arrived over a multi-hop relay route.
-    #[serde(default)]
     pub relayed: usize,
     /// Total transmissions across this node's relayed deliveries (tag
     /// hops + the terminal uplink each; direct counts as 1), so
     /// `relay_hops / relayed` is the mean route length.
-    #[serde(default)]
     pub relay_hops: usize,
     /// Packets this node forwarded on behalf of other nodes' routes.
-    #[serde(default)]
     pub forwarded: usize,
     /// Energy spent forwarding other nodes' packets, joules (already
     /// included in `energy_j` — this is the relay share, not an extra).
-    #[serde(default)]
     pub relay_energy_j: f64,
     /// Extra delivery latency this node's relayed packets accrued over a
     /// direct uplink (one slot per tag hop), seconds, summed across its
     /// relayed deliveries.
-    #[serde(default)]
     pub relay_latency_s: f64,
 }
 
@@ -566,15 +518,11 @@ pub struct SlottedRunReport {
     pub payload_bytes: usize,
     /// Per-node statistics.
     pub nodes: Vec<SlottedNodeReport>,
-    /// AP service pipeline accounting for the run. Defaults to all-zero
-    /// when deserializing pre-pipeline reports.
-    #[serde(default)]
+    /// AP service pipeline accounting for the run.
     pub service: ApServiceStats,
     /// Packet-lifecycle ledger for the run: offered/delivered totals,
     /// drop counts by [`DropReason`] taxonomy slot, and the three latency
-    /// sketches. Defaults to empty when deserializing pre-lifecycle
-    /// reports.
-    #[serde(default)]
+    /// sketches.
     pub lifecycle: LifecycleStats,
 }
 
@@ -594,8 +542,7 @@ impl SlottedRunReport {
     }
 
     /// A node's energy per delivered packet, joules; `None` when nothing
-    /// got through. (An `INFINITY` sentinel here leaked `inf` into CSV
-    /// rows at high node counts; callers now emit an empty cell instead.)
+    /// got through.
     pub fn energy_per_packet_j(&self, node_idx: usize) -> Option<f64> {
         let n = &self.nodes[node_idx];
         (n.delivered > 0).then(|| n.energy_j / n.delivered as f64)
@@ -890,43 +837,17 @@ impl Default for CampaignAggregate {
     }
 }
 
-/// Reusable buffers for campaign runs: the per-node ledger vectors, the
-/// per-node uplink-budget cache, the azimuth table and the uplink
+/// Reusable buffers for campaign runs: the per-node ledger rows (each
+/// with its lazily built uplink budget and azimuth) and the uplink
 /// kernel's scratch. The sharded runner keeps one per worker, so a
-/// worker's cells recycle them instead of reallocating per cell. Contents
-/// are zeroed or refilled (the cache emptied) before every use, so (per the
+/// worker's cells recycle them instead of reallocating per cell. The rows
+/// are refilled before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
 #[derive(Debug, Default)]
 pub(crate) struct CampaignScratch {
-    outcomes: Vec<NodeOutcomes>,
-    energy_j: Vec<f64>,
-    snr_sum_db: Vec<f64>,
-    gap: Vec<Option<DropReason>>,
-    relay_hops: Vec<usize>,
-    forwarded: Vec<usize>,
-    relay_energy_j: Vec<f64>,
-    relay_latency_s: Vec<f64>,
-    budgets: Vec<Option<UplinkBudget>>,
-    azimuth: Vec<f64>,
+    rows: Vec<NodeLedger>,
     uplink: UplinkScratch,
-}
-
-impl CampaignScratch {
-    /// Takes a settled medium's ledger vectors back for the next cell.
-    fn reclaim(&mut self, m: SlotMedium<'_>) {
-        self.outcomes = m.outcomes;
-        self.energy_j = m.energy_j;
-        self.snr_sum_db = m.snr_sum_db;
-        self.gap = m.gap;
-        self.relay_hops = m.relay_hops;
-        self.forwarded = m.forwarded;
-        self.relay_energy_j = m.relay_energy_j;
-        self.relay_latency_s = m.relay_latency_s;
-        self.budgets = m.budgets;
-        self.azimuth = m.azimuth;
-        self.uplink = m.uplink;
-    }
 }
 
 /// Events of a slotted campaign.
@@ -1008,21 +929,51 @@ const ON_AIR_DROPS: [DropReason; 5] = [
     DropReason::DecodeFailure,
 ];
 
-/// One node's row of the campaign's outcome table: every packet the node
-/// was offered, counted once, by terminal outcome. A report's attempts,
-/// deliveries, collisions and relayed deliveries, and the run's lifecycle
-/// totals, all derive from these rows.
+/// One node's row of the campaign ledger. Its outcome counts hold every
+/// packet the node was offered, counted once, by terminal outcome: a
+/// report's attempts, deliveries, collisions and relayed deliveries, and
+/// the run's lifecycle totals, all derive from them. The rest of the row
+/// is the node's energy, SNR and relay ledgers, its coverage, its uplink
+/// budget and its azimuth.
 #[derive(Debug, Clone, Copy, Default)]
-struct NodeOutcomes {
+struct NodeLedger {
     /// Packets delivered over the node's own uplink.
     direct: usize,
     /// Packets delivered over a granted relay chain.
     relayed: usize,
     /// Packets dropped, by [`DropReason::index`].
     drops: [usize; DropReason::COUNT],
+    /// Transmit energy, joules: the node's own attempts plus its
+    /// forwarding (idle energy is added when the report is built).
+    energy_j: f64,
+    /// Effective SNRs of the delivered packets summed, dB.
+    snr_sum_db: f64,
+    /// AP reachability under the campaign's coverage model: `None` for a
+    /// covered node (every node under the default unbounded coverage),
+    /// otherwise the drop a gap node's direct uplink earns —
+    /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`],
+    /// classified once per run from the relay topology.
+    gap: Option<DropReason>,
+    /// Route lengths summed across the node's relayed deliveries.
+    relay_hops: usize,
+    /// Forwarding transmissions performed for other nodes' routes.
+    forwarded: usize,
+    /// Energy spent forwarding, joules (also added to `energy_j`).
+    relay_energy_j: f64,
+    /// Extra relay latency over direct uplinks, seconds, summed across
+    /// the node's relayed deliveries.
+    relay_latency_s: f64,
+    /// The node's uplink budget, built on its first service in this
+    /// campaign (see [`serve`](SlotMedium::serve)). Lazy on purpose: a
+    /// sharded city campaign serves only a small share of its nodes.
+    budget: Option<UplinkBudget>,
+    /// The node's azimuth from the AP boresight, radians: SDM arbitration
+    /// and the interference fold read their margins off it through
+    /// [`sdm_margin`].
+    azimuth: f64,
 }
 
-impl NodeOutcomes {
+impl NodeLedger {
     /// Packets delivered, both paths.
     fn delivered(&self) -> usize {
         self.direct + self.relayed
@@ -1061,38 +1012,14 @@ struct SlotMedium<'a> {
     payload: &'a [u8],
     airtime_s: f64,
     power: NodePowerModel,
-    /// The outcome table: one row per node, written only by
-    /// [`resolve`](SlotMedium::resolve).
-    outcomes: Vec<NodeOutcomes>,
-    energy_j: Vec<f64>,
-    snr_sum_db: Vec<f64>,
-    /// Per-node AP reachability under the campaign's coverage model:
-    /// `None` for a covered node (every node under the default unbounded
-    /// coverage), otherwise the drop a gap node's direct uplink earns —
-    /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`],
-    /// classified once per run from the relay topology.
-    gap: Vec<Option<DropReason>>,
-    /// Route lengths summed across relayed deliveries, per origin node.
-    relay_hops: Vec<usize>,
-    /// Forwarding transmissions performed for other nodes' routes.
-    forwarded: Vec<usize>,
-    /// Energy spent forwarding, joules (also added to `energy_j`).
-    relay_energy_j: Vec<f64>,
-    /// Extra relay latency over direct uplinks, seconds, per origin node.
-    relay_latency_s: Vec<f64>,
-    /// Per-node uplink budgets, each built on its node's first service in
-    /// this campaign (see [`serve`](SlotMedium::serve)). Lazy on purpose:
-    /// a sharded city campaign serves only a small share of its nodes.
-    budgets: Vec<Option<UplinkBudget>>,
-    /// Every node's azimuth from the AP boresight, radians, computed once
-    /// per campaign: SDM arbitration and the interference fold read their
-    /// margins off this table through [`sdm_margin`].
-    azimuth: Vec<f64>,
+    /// The campaign ledger: one row per node. Its outcome counts are
+    /// written only by [`resolve`](SlotMedium::resolve).
+    rows: &'a mut [NodeLedger],
     /// The uplink kernel's reusable buffers.
-    uplink: UplinkScratch,
+    uplink: &'a mut UplinkScratch,
     /// The run's packets offered, shed-stage breakdown and latency
-    /// sketches (see [`LifecycleStats`]); [`Network::finish`] adds the
-    /// outcome table's totals. Recording is probe-independent, so plain
+    /// sketches (see [`LifecycleStats`]); [`Network::run_in`] adds the
+    /// rows' outcome totals. Recording is probe-independent, so plain
     /// and probed runs account identically.
     lifecycle: LifecycleStats,
     /// The campaign's instrumentation surface. Disabled (all-`None`) on
@@ -1114,29 +1041,28 @@ impl<'a> SlotMedium<'a> {
         spec: &CampaignSpec<'_>,
     ) -> impl Iterator<Item = SlottedNodeReport> + 'm {
         let total_s = spec.frames as f64 * spec.frame_s();
-        (0..self.net.node_count()).map(move |idx| {
+        self.rows.iter().enumerate().map(move |(idx, row)| {
             // Forwarded relay transmissions are airtime too: without them
             // the idle-energy complement would double-bill relays as both
             // transmitting and idling. Zero forwards reproduces the
             // pre-relay expression bit-for-bit.
-            let row = &self.outcomes[idx];
             let (attempts, delivered) = (row.attempts(), row.delivered());
-            let active_s = (attempts + self.forwarded[idx]) as f64 * self.airtime_s;
+            let active_s = (attempts + row.forwarded) as f64 * self.airtime_s;
             let energy_j =
-                self.energy_j[idx] + self.power.energy_j(NodeActivity::Idle, total_s - active_s);
+                row.energy_j + self.power.energy_j(NodeActivity::Idle, total_s - active_s);
             SlottedNodeReport {
                 node_idx: idx,
                 attempts,
                 delivered,
                 collisions: row.collisions(),
                 energy_j,
-                mean_snr_db: (delivered > 0).then(|| self.snr_sum_db[idx] / delivered as f64),
-                gap: self.gap[idx].is_some(),
+                mean_snr_db: (delivered > 0).then(|| row.snr_sum_db / delivered as f64),
+                gap: row.gap.is_some(),
                 relayed: row.relayed,
-                relay_hops: self.relay_hops[idx],
-                forwarded: self.forwarded[idx],
-                relay_energy_j: self.relay_energy_j[idx],
-                relay_latency_s: self.relay_latency_s[idx],
+                relay_hops: row.relay_hops,
+                forwarded: row.forwarded,
+                relay_energy_j: row.relay_energy_j,
+                relay_latency_s: row.relay_latency_s,
             }
         })
     }
@@ -1154,11 +1080,12 @@ impl<'a> SlotMedium<'a> {
     /// that uplink and reports the same errors. The campaign validated the
     /// configuration once, up front.
     fn serve(&mut self, node: usize) -> Result<(bool, f64)> {
-        let nodes = self.budgets.len();
-        let cached = self
-            .budgets
+        let nodes = self.rows.len();
+        let cached = &mut self
+            .rows
             .get_mut(node)
-            .ok_or(MilbackError::NodeOutOfScene { idx: node, nodes })?;
+            .ok_or(MilbackError::NodeOutOfScene { idx: node, nodes })?
+            .budget;
         let budget = match cached {
             Some(budget) => budget,
             None => {
@@ -1172,15 +1099,15 @@ impl<'a> SlotMedium<'a> {
                 cached.insert(budget)
             }
         };
-        let m = budget.run(self.payload, self.rng, &mut self.uplink)?;
+        let m = budget.run(self.payload, self.rng, self.uplink)?;
         Ok((self.uplink.decoded() == self.payload, m.snr_db))
     }
 
-    /// Records one packet's terminal outcome in `node`'s row of the
-    /// outcome table — the campaign's only outcome write. A shed also
-    /// lands in the ledger's per-stage breakdown.
+    /// Records one packet's terminal outcome in `node`'s ledger row — the
+    /// campaign's only outcome write. A shed also lands in the ledger's
+    /// per-stage breakdown.
     fn resolve(&mut self, node: usize, outcome: Outcome) {
-        let row = &mut self.outcomes[node];
+        let row = &mut self.rows[node];
         match outcome {
             Outcome::Direct => row.direct += 1,
             Outcome::Relayed => row.relayed += 1,
@@ -1223,17 +1150,17 @@ impl<'a> SlotMedium<'a> {
         degraded: bool,
     ) -> Result<bool> {
         for &node in group {
-            self.energy_j[node] += self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
+            self.rows[node].energy_j += self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
         }
         // SDM arbitration: the slot survives concurrency only if every
         // pair of co-slotted beams is separable (a degraded grant skips
         // arbitration and never survives concurrency).
-        let az = &self.azimuth;
+        let rows = &self.rows;
         let separable = !degraded
             && group.iter().enumerate().all(|(i, &a)| {
                 group[i + 1..]
                     .iter()
-                    .all(|&b| sdm_margin(az[a], az[b]) >= sdm_threshold_db)
+                    .all(|&b| sdm_margin(rows[a].azimuth, rows[b].azimuth) >= sdm_threshold_db)
             });
         if group.len() > 1 && !separable {
             // A degraded grant never ran SDM arbitration — plain
@@ -1260,7 +1187,7 @@ impl<'a> SlotMedium<'a> {
                 let margin = group
                     .iter()
                     .filter(|&&o| o != node)
-                    .map(|&o| sdm_margin(self.azimuth[node], self.azimuth[o]))
+                    .map(|&o| sdm_margin(self.rows[node].azimuth, self.rows[o].azimuth))
                     .fold(f64::INFINITY, f64::min);
                 if margin.is_finite() {
                     let sig = db_to_lin(snr_db);
@@ -1272,10 +1199,10 @@ impl<'a> SlotMedium<'a> {
             // burns the attempt and the airtime energy (it cannot know the
             // AP missed it), but nothing lands. The noise draw above stays
             // unconditional so covered nodes see an unchanged stream.
-            let outcome = if let Some(reason) = self.gap[node] {
+            let outcome = if let Some(reason) = self.rows[node].gap {
                 Outcome::Dropped(reason)
             } else if intact {
-                self.snr_sum_db[node] += snr_db;
+                self.rows[node].snr_sum_db += snr_db;
                 self.probe
                     .observe("delivered_snr_db", SNR_BUCKETS_DB, snr_db);
                 Outcome::Direct
@@ -1335,10 +1262,11 @@ impl<'a> SlotMedium<'a> {
         let tag_hops = route.len() - 1;
         let e_tx = self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
         for &tx in route {
-            self.energy_j[tx] += e_tx;
+            let row = &mut self.rows[tx];
+            row.energy_j += e_tx;
             if tx != origin {
-                self.forwarded[tx] += 1;
-                self.relay_energy_j[tx] += e_tx;
+                row.forwarded += 1;
+                row.relay_energy_j += e_tx;
             }
         }
         let (intact, mut snr_db) = self.serve(terminal)?;
@@ -1360,11 +1288,12 @@ impl<'a> SlotMedium<'a> {
                 dur_ps: hop_dur_ps,
             });
         }
-        if intact && self.gap[terminal].is_none() {
+        if intact && self.rows[terminal].gap.is_none() {
             self.resolve(origin, Outcome::Relayed);
-            self.relay_hops[origin] += route.len();
-            self.relay_latency_s[origin] += tag_hops as f64 * slot_s;
-            self.snr_sum_db[origin] += snr_db;
+            let row = &mut self.rows[origin];
+            row.relay_hops += route.len();
+            row.relay_latency_s += tag_hops as f64 * slot_s;
+            row.snr_sum_db += snr_db;
             self.lifecycle
                 .observe_relay_extra_us(tag_hops as f64 * slot_s * 1e6);
             self.probe.inc("relayed_delivered", 1);
@@ -1414,7 +1343,7 @@ impl<'a> SlotMedium<'a> {
             dur_ps,
         });
         for &node in group {
-            let cumulative_j = self.energy_j[node];
+            let cumulative_j = self.rows[node].energy_j;
             self.probe.trace(|| TraceRecord::Energy {
                 time_ps: now_ps,
                 node,
@@ -1473,6 +1402,18 @@ pub struct MacContext<'a> {
     pub sdm_threshold_db: f64,
 }
 
+impl<'a> MacContext<'a> {
+    /// The context of `spec` run over `net`.
+    fn new(net: &'a Network, spec: &CampaignSpec<'_>) -> Self {
+        Self {
+            net,
+            plan: spec.plan,
+            frames: spec.frames,
+            sdm_threshold_db: spec.sdm_threshold_db,
+        }
+    }
+}
+
 /// An AP-side medium-access policy for slotted campaigns on the
 /// discrete-event engine.
 ///
@@ -1521,10 +1462,13 @@ pub trait MacPolicy {
     ) {
     }
 
-    /// The relay chains to grant on `frame`, resolved after each granted
-    /// slot's direct traffic. The default grants none — every existing
-    /// policy stays direct-only and the coordinator posts no relay
-    /// events, which is what keeps relay-disabled runs bit-exact.
+    /// The relay chains to grant on `frame`. Each chain resolves at its
+    /// slot's instant *before* that slot's direct traffic, under any AP
+    /// pipeline (see [`RelayGrant`]). The default grants none, so a policy
+    /// that keeps it (every policy here but
+    /// [`RelayAwareMac`](crate::relay::RelayAwareMac)) stays direct-only
+    /// and the coordinator posts no relay events, which is what keeps
+    /// relay-disabled runs bit-exact.
     fn relay_frame(&mut self, _frame: usize, _ctx: &MacContext<'_>) -> Vec<RelayGrant> {
         Vec::new()
     }
@@ -1931,10 +1875,10 @@ impl StageState {
 /// coordinator checks. A relay frame keeps the events even then, because
 /// its chains resolve ahead of same-instant direct traffic (see
 /// [`SlotEvent::RelayFire`]).
-struct PolicyCoordinator {
-    plan: SlotPlan,
-    frames: usize,
-    sdm_threshold_db: f64,
+struct PolicyCoordinator<'a> {
+    /// The campaign: its plan, length, SDM threshold, AP service pipeline
+    /// and relay configuration.
+    spec: CampaignSpec<'a>,
     policy: Box<dyn MacPolicy>,
     /// The current frame's schedule. Safe to hold per frame: every slot of
     /// frame `f` fires strictly before `FrameStart { f + 1 }` (the last
@@ -1943,11 +1887,6 @@ struct PolicyCoordinator {
     /// fires once), so a grant copies nothing and a backlogged pipeline
     /// is unaffected by rollover.
     schedule: FrameSchedule,
-    /// The AP service pipeline configuration.
-    service: ApServiceConfig,
-    /// The campaign's relay configuration (coverage model and chain
-    /// parameters). Disabled by default: no grants, no relay events.
-    relay: RelayConfig,
     /// The current frame's granted relay chains, indexed by the
     /// [`SlotEvent::RelayFire`] events posted at the frame boundary.
     relay_schedule: Vec<RelayGrant>,
@@ -1960,7 +1899,7 @@ struct PolicyCoordinator {
     scheduled: Vec<bool>,
 }
 
-impl PolicyCoordinator {
+impl PolicyCoordinator<'_> {
     /// Offers a job to `stage`: starts it if the stage is idle, otherwise
     /// queues it subject to the configured bound and overflow policy.
     fn offer_stage(
@@ -1976,9 +1915,9 @@ impl PolicyCoordinator {
         if self.stages[idx].current.is_none() {
             return self.start_stage(stage, job, now_ps, m, queue);
         }
-        if let Some(cap) = self.service.queue_capacity {
+        if let Some(cap) = self.spec.service.queue_capacity {
             if self.stages[idx].queue.len() >= cap {
-                match self.service.overflow {
+                match self.spec.service.overflow {
                     OverflowPolicy::Drop => {
                         m.service.dropped += 1;
                         m.probe.inc("ap_dropped", 1);
@@ -2031,10 +1970,10 @@ impl PolicyCoordinator {
         let base_ps = if job.degraded && stage == StageKind::Plan {
             0
         } else {
-            self.service.stage_latency_ps(stage)
+            self.spec.service.stage_latency_ps(stage)
         };
         let jitter_ps = match &mut self.jitter_state {
-            Some(state) => splitmix64(state) % (self.service.jitter_ps + 1),
+            Some(state) => splitmix64(state) % (self.spec.service.jitter_ps + 1),
             None => 0,
         };
         let overflow = || {
@@ -2088,7 +2027,7 @@ impl PolicyCoordinator {
         // Every member of the group waited from the frame boundary to
         // this slot's airtime.
         m.lifecycle.observe_slot_wait_us(
-            (slot as u64 * self.plan.slot_ps) as f64 / 1e6,
+            (slot as u64 * self.spec.plan.slot_ps) as f64 / 1e6,
             job.group.len(),
         );
         job
@@ -2107,7 +2046,7 @@ impl PolicyCoordinator {
             .observe_service_residence_us((now_ps - job.offered_ps) as f64 / 1e6, job.group.len());
         let collided = m.fire_slot(
             &job.group,
-            self.sdm_threshold_db,
+            self.spec.sdm_threshold_db,
             now_ps,
             job.frame,
             job.slot,
@@ -2148,7 +2087,7 @@ impl PolicyCoordinator {
             if self.schedule[idx].1.is_empty() {
                 continue;
             }
-            let slot_ps = now_ps + self.schedule[idx].0 as TimePs * self.plan.slot_ps;
+            let slot_ps = now_ps + self.schedule[idx].0 as TimePs * self.spec.plan.slot_ps;
             let job = self.offer_grant(frame, idx, slot_ps, m);
             let mut stage = Some(StageKind::Capture);
             while let Some(s) = stage {
@@ -2218,7 +2157,7 @@ fn check_frame_schedule(
     Ok(())
 }
 
-impl PolicyCoordinator {
+impl PolicyCoordinator<'_> {
     /// Handles one popped event, posting its follow-ups into `queue`.
     fn handle(
         &mut self,
@@ -2229,12 +2168,7 @@ impl PolicyCoordinator {
     ) -> Result<()> {
         match event {
             SlotEvent::FrameStart { frame } => {
-                let ctx = MacContext {
-                    net: m.net,
-                    plan: self.plan,
-                    frames: self.frames,
-                    sdm_threshold_db: self.sdm_threshold_db,
-                };
+                let ctx = MacContext::new(m.net, &self.spec);
                 self.schedule = self.policy.schedule_frame(frame, &ctx);
                 m.probe.inc("frames", 1);
                 self.policy.record_frame(frame, now_ps, &ctx, &mut m.probe);
@@ -2242,7 +2176,7 @@ impl PolicyCoordinator {
                 check_frame_schedule(
                     self.policy.name(),
                     frame,
-                    &self.plan,
+                    &self.spec.plan,
                     m.net.node_count(),
                     &self.schedule,
                     &self.relay_schedule,
@@ -2251,14 +2185,15 @@ impl PolicyCoordinator {
                 // relay-free frame has nothing else at its slot instants,
                 // so the frame is served in one pass once its offers are
                 // ledgered below. Any other frame posts its grants.
-                let one_pass = self.service.is_instantaneous() && self.relay_schedule.is_empty();
+                let one_pass =
+                    self.spec.service.is_instantaneous() && self.relay_schedule.is_empty();
                 if !one_pass {
                     for &(slot, ref group) in &self.schedule {
                         if group.is_empty() {
                             continue;
                         }
                         queue.post(
-                            now_ps + slot as TimePs * self.plan.slot_ps,
+                            now_ps + slot as TimePs * self.spec.plan.slot_ps,
                             SlotEvent::SlotFire { frame, slot },
                         );
                     }
@@ -2274,7 +2209,7 @@ impl PolicyCoordinator {
                     // is instantaneous.
                     for (grant, g) in self.relay_schedule.iter().enumerate() {
                         queue.post(
-                            now_ps + g.slot as TimePs * self.plan.slot_ps,
+                            now_ps + g.slot as TimePs * self.spec.plan.slot_ps,
                             SlotEvent::RelayFire { frame, grant },
                         );
                     }
@@ -2310,9 +2245,9 @@ impl PolicyCoordinator {
                 if one_pass {
                     self.serve_frame_in_one_pass(frame, now_ps, m, queue)?;
                 }
-                if frame + 1 < self.frames {
+                if frame + 1 < self.spec.frames {
                     queue.post(
-                        now_ps + self.plan.frame_ps(),
+                        now_ps + self.spec.plan.frame_ps(),
                         SlotEvent::FrameStart { frame: frame + 1 },
                     );
                 }
@@ -2358,8 +2293,8 @@ impl PolicyCoordinator {
                 })?;
                 m.fire_relay(
                     &g.route,
-                    self.relay.hop_snr_penalty_db,
-                    ps_to_secs(self.plan.slot_ps),
+                    self.spec.relay.hop_snr_penalty_db,
+                    ps_to_secs(self.spec.plan.slot_ps),
                     now_ps,
                     frame,
                     g.slot,
@@ -2429,6 +2364,7 @@ pub fn localize_all_doppler(
     use mmwave_rf::channel::{backscatter_amplitude_sqrt_w, BeatPhasors, Echo};
     use mmwave_sigproc::units::{dbm_to_watts, noise_power_watts};
 
+    network.check_poses()?;
     let n_nodes = network.node_count();
     for idx in 0..n_nodes {
         let sig = DopplerSignature::for_node(idx);
@@ -2737,19 +2673,19 @@ mod tests {
             let (r, az) = (rng.uniform(0.5, 10.0), rng.uniform(-3.2, 3.2));
             random = random.with_node_at(r, az, rng.uniform(-0.5, 0.5));
         }
-        let payload = [0x5Au8; 8];
         for (name, scene) in [("behind", behind), ("random", random)] {
             let n = Network::new(SystemConfig::milback_default(), scene).unwrap();
-            let mut scratch = CampaignScratch::default();
-            let m = n.slot_medium(&payload, 1e-6, &mut rng, &mut scratch);
+            let mut rows = Vec::new();
+            n.fill_rows(&mut rows, &RelayConfig::disabled());
+            let azimuth: Vec<f64> = rows.iter().map(|row| row.azimuth).collect();
             if name == "behind" {
-                let wrapped = |sign: f64| m.azimuth.iter().any(|&a| a * sign > 2.8);
-                assert!(wrapped(1.0) && wrapped(-1.0), "{:?}", m.azimuth);
+                let wrapped = |sign: f64| azimuth.iter().any(|&a| a * sign > 2.8);
+                assert!(wrapped(1.0) && wrapped(-1.0), "{azimuth:?}");
             }
             for a in 0..n.node_count() {
                 for b in (0..n.node_count()).filter(|&b| b != a) {
                     assert_eq!(
-                        sdm_margin(m.azimuth[a], m.azimuth[b]).to_bits(),
+                        sdm_margin(azimuth[a], azimuth[b]).to_bits(),
                         n.sdm_margin_db(a, b).to_bits(),
                         "{name}: pair ({a}, {b})"
                     );
@@ -2815,12 +2751,7 @@ mod tests {
     }
 
     fn mac_context<'a>(n: &'a Network, plan: &SlotPlan, frames: usize) -> MacContext<'a> {
-        MacContext {
-            net: n,
-            plan: *plan,
-            frames,
-            sdm_threshold_db: 20.0,
-        }
+        MacContext::new(n, &CampaignSpec::new(frames, &[], *plan))
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! The sharded aggregate path never materializes a per-node report `Vec`,
 //! nor one aggregate per cell: at most one block of finished cell sinks
 //! waits for the fold, so peak report memory is O(block + histogram
-//! buckets) whatever the cell count, with the per-cell ledger vectors
+//! buckets) whatever the cell count, with the per-cell ledger rows
 //! (O(largest cell)) recycled per worker within a block. Cell node ranges
 //! are computed on demand, not tabulated. On perfbench's 10⁶-node,
 //! 31 250-cell `city_1m` campaign this took peak RSS from 67.5 MiB

@@ -9,8 +9,9 @@
 #   3. the complete test suite (tier-1 umbrella + all crate suites), then
 #      the capture and campaign digests again at 1 and 4 worker threads
 #      (pins the beat kernel's block split on a 1-core box too), then the
-#      milback-core suites in the debug profile, so the event queue's
-#      debug_assert! and integer-overflow checks run
+#      milback-core suites and the relay-parity and aggregate-property
+#      tests in the debug profile, so the event queue's debug_assert! and
+#      integer-overflow checks run
 #   4. clippy across all targets with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors
 #   6. the benchmark harness, which emits results/BENCH_dsp.json and
@@ -76,6 +77,7 @@ for threads in 1 4; do
   MILBACK_THREADS=$threads cargo test --release -q --test capture_digest --test campaign_digest
 done
 cargo test -q -p milback-core
+cargo test -q --test relay_parity --test aggregate_property
 
 echo "==> [4/15] cargo clippy --release --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings

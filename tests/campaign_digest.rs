@@ -11,6 +11,9 @@
 //!   the whole lifecycle ledger;
 //! * sharded aggregates of the same scene at 4 cells on 1 and 4 worker
 //!   threads (the two must also be equal);
+//! * relay-aware reports of a ringed 6 + 6 scene whose relay chains share
+//!   slot instants with direct groups that are served, so the order of a
+//!   chain's noise draw against same-instant direct draws is pinned;
 //! * `Session::run_packet` uplink and downlink reports for seeds 1–4, and
 //!   over four per-trial runner streams;
 //! * slotted-ALOHA reports of the small scenes the retired direct ALOHA
@@ -24,7 +27,7 @@
 
 use milback::ap::waveform::LinkDirection;
 use milback::core::protocol::SlotPlan;
-use milback::core::telemetry::Histogram;
+use milback::core::telemetry::{Histogram, TraceRecord};
 use milback::core::{
     ApServiceConfig, ApServiceStats, BackoffAloha, CampaignAggregate, CampaignProbe, CampaignSpec,
     CoverageModel, LifecycleStats, MacPolicy, Network, OverflowPolicy, Packet, RelayAwareMac,
@@ -291,6 +294,74 @@ fn campaign_digest_sharded() {
     assert_eq!(
         h.0, 2_453_619_731_934_983_145,
         "sharded campaign digest moved"
+    );
+}
+
+/// Relay chains sharing slot instants with served direct groups: six
+/// covered nodes on a 60° arc at 4 m, six gap nodes on the same span at
+/// 8 m (coverage ends at 6 m) two transmissions from coverage, and twelve
+/// slots, so most direct groups are one node and serve. Each chain draws
+/// its terminal uplink's noise ahead of the same-instant direct traffic;
+/// serving the direct grants first reorders the trial stream and moves
+/// the digest. The trace confirms the premise: some instant ends both a
+/// relayed flow and a served direct flow.
+#[test]
+fn campaign_digest_relay_shares_served_slots() {
+    let span = 60f64.to_radians();
+    let orient = 12f64.to_radians();
+    let mut scene = Scene::arc(6, 4.0, span, orient);
+    for k in 0..6 {
+        scene = scene.with_node_at(8.0, Scene::arc_azimuth_rad(k, 6, span), orient);
+    }
+    let net = Network::new(SystemConfig::milback_default(), scene).unwrap();
+    let payload = [0x42u8; 8];
+    let plan = small_plan(&net, 12, &payload, 5e-6);
+    let relay = RelayConfig {
+        coverage: CoverageModel::with_range(6.0),
+        max_hops: 2,
+        tag_range_m: 4.5,
+        hop_snr_penalty_db: 3.0,
+    };
+    let spec = CampaignSpec::new(8, &payload, plan).with_relay(relay);
+    let mut h = Fnv::new();
+    let mut shared = 0;
+    for trial in 0..4 {
+        let mut rng = trial_rng(0x5EA7, trial);
+        let mut probe = CampaignProbe::with_trace(1 << 14);
+        let r: SlottedRunReport = net
+            .run(
+                &spec,
+                Box::new(RelayAwareMac::new(trial as u64, relay)),
+                &mut rng,
+                &mut probe,
+            )
+            .unwrap();
+        r.lifecycle.audit().unwrap();
+        h.report(&r);
+        h.rng(&rng);
+        let trace = probe.trace.take().unwrap().into_buffer();
+        assert_eq!(trace.dropped(), 0);
+        let ends: Vec<(u64, &str)> = trace
+            .records()
+            .filter_map(|r| match *r {
+                TraceRecord::FlowEnd {
+                    time_ps, outcome, ..
+                } => Some((time_ps, outcome)),
+                _ => None,
+            })
+            .collect();
+        shared += ends
+            .iter()
+            .filter(|&&(t, o)| o == "relayed" && ends.contains(&(t, "served")))
+            .count();
+    }
+    assert!(
+        shared > 0,
+        "no relay chain shared an instant with served traffic"
+    );
+    assert_eq!(
+        h.0, 15_042_548_485_999_197_945,
+        "relay/served slot-sharing digest moved"
     );
 }
 

@@ -5,8 +5,8 @@ use milback::ap::waveform::CarrierSet;
 use milback::core::protocol::{Packet, SlotPlan};
 use milback::core::{
     ApServiceConfig, CampaignAggregate, CampaignProbe, CampaignSpec, LinkSimulator,
-    LocalizationPipeline, MilbackError, Network, Scene, SlottedAloha, SlottedRunReport,
-    SystemConfig,
+    LocalizationPipeline, MacPolicy, MilbackError, Network, Scene, SdmAwareAssignment,
+    SlottedAloha, SlottedRunReport, SystemConfig,
 };
 use milback::sigproc::random::GaussianSource;
 
@@ -297,5 +297,67 @@ fn unschedulable_campaign_timelines_are_config_errors() {
             matches!(sharded, Err(MilbackError::Config(_))),
             "{what}: run_sharded gave {sharded:?}"
         );
+    }
+}
+
+#[test]
+fn nan_node_poses_are_config_errors() {
+    // A NaN distance or azimuth would reach the channel's `distance > 0`
+    // assertion, and a NaN facing would serve the node as a decode
+    // failure. `Network::new` rejects each pose, and so does the
+    // campaign's up-front check on a hand-built network, under ALOHA and
+    // SDM-aware assignment, plain and sharded.
+    let config = SystemConfig::milback_default();
+    let payload = [0x3Cu8; 8];
+    let plan = SlotPlan::for_packet(
+        4,
+        &Packet::uplink(payload.to_vec()),
+        &config.fmcw,
+        config.uplink_symbol_rate_hz,
+        5e-6,
+    )
+    .unwrap();
+    let spec = CampaignSpec::new(3, &payload, plan);
+    let arc = || Scene::arc(8, 4.0, 90f64.to_radians(), 12f64.to_radians());
+    let cases = [
+        ("NaN distance", arc().with_node_at(f64::NAN, 0.1, 0.2)),
+        ("NaN azimuth", arc().with_node_at(4.0, f64::NAN, 0.2)),
+        ("NaN facing", arc().with_node_at(4.0, 0.1, f64::NAN)),
+    ];
+    let policy = |name: &str, seed: u64| -> Box<dyn MacPolicy> {
+        match name {
+            "aloha" => Box::new(SlottedAloha::new(seed)),
+            _ => Box::new(SdmAwareAssignment::new()),
+        }
+    };
+    for (what, scene) in cases {
+        let built = Network::new(config.clone(), scene.clone());
+        assert!(
+            matches!(built, Err(MilbackError::Config(_))),
+            "{what}: Network::new gave {:?}",
+            built.map(|_| ())
+        );
+        let net = Network {
+            config: config.clone(),
+            scene,
+        };
+        for name in ["aloha", "sdm"] {
+            let plain = net.run::<SlottedRunReport>(
+                &spec,
+                policy(name, 7),
+                &mut GaussianSource::new(7),
+                &mut CampaignProbe::disabled(),
+            );
+            assert!(
+                matches!(plain, Err(MilbackError::Config(_))),
+                "{what}, {name}: run gave {plain:?}"
+            );
+            let sharded =
+                net.run_sharded::<CampaignAggregate>(&spec, 2, 1, 7, |_, seed| policy(name, seed));
+            assert!(
+                matches!(sharded, Err(MilbackError::Config(_))),
+                "{what}, {name}: run_sharded gave {sharded:?}"
+            );
+        }
     }
 }
