@@ -528,7 +528,7 @@ struct ShardBench {
 
 fn bench_sharded_campaign() -> ShardBench {
     use milback_core::{
-        CampaignAggregate, CampaignProbe, MacPolicy, SlottedAloha, SlottedRunReport,
+        CampaignAggregate, CampaignProbe, MacPolicy, Network, SlottedAloha, SlottedRunReport,
     };
 
     let _span = spans::span("sharded_campaign");
@@ -537,19 +537,22 @@ fn bench_sharded_campaign() -> ShardBench {
     let frames = 4;
     let slots = 8;
     let seed = 0x5AD5u64;
-    let c = experiments::sector_campaign(nodes, 16, slots, seed).expect("sector campaign");
-    let spec = c.spec(frames);
+    let sweep = experiments::Sweep::new(frames, 16, slots, seed).expect("sweep shape");
+    let spec = sweep.spec();
+    let net = Network::new(
+        SystemConfig::milback_default(),
+        experiments::sector_scene(nodes),
+    )
+    .expect("sector network");
     let factory = |_: usize, s: u64| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>;
 
     // Proof 1: one cell, many worker threads — the sharded path's per-node
     // reports must reproduce a plain run bit-for-bit (`==` and `to_bits`).
-    let sharded_reports = c
-        .net
+    let sharded_reports = net
         .run_sharded::<SlottedRunReport>(&spec, 1, 4, seed, factory)
         .expect("1-cell sharded run");
     let mut rng = GaussianSource::new(seed);
-    let plain: SlottedRunReport = c
-        .net
+    let plain: SlottedRunReport = net
         .run(
             &spec,
             Box::new(SlottedAloha::new(seed)),
@@ -565,8 +568,7 @@ fn bench_sharded_campaign() -> ShardBench {
 
     // Proof 2: the sharded aggregate is invariant across thread counts.
     let run_agg = |n_cells: usize, threads: usize| {
-        c.net
-            .run_sharded::<CampaignAggregate>(&spec, n_cells, threads, seed, factory)
+        net.run_sharded::<CampaignAggregate>(&spec, n_cells, threads, seed, factory)
             .expect("sharded campaign")
     };
     let baseline = run_agg(cells, 1);
@@ -583,10 +585,13 @@ fn bench_sharded_campaign() -> ShardBench {
     // count. This checks only the aggregate's buckets; the campaign's live
     // heap (one block of cell sinks, never one per cell) is bounded by
     // `tests/alloc_bounds.rs`.
-    let half = experiments::sector_campaign(nodes / 2, 16, slots, seed).expect("half campaign");
+    let half = Network::new(
+        SystemConfig::milback_default(),
+        experiments::sector_scene(nodes / 2),
+    )
+    .expect("half network");
     let half_agg = half
-        .net
-        .run_sharded::<CampaignAggregate>(&half.spec(frames), cells, 2, seed, factory)
+        .run_sharded::<CampaignAggregate>(&spec, cells, 2, seed, factory)
         .expect("half-scale campaign");
     let bucket_footprint = baseline.bucket_footprint();
     let bounded_memory = bucket_footprint == half_agg.bucket_footprint()

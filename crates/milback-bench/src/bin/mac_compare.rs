@@ -18,13 +18,22 @@
 //!
 //! Run with: `cargo run --release -p milback-bench --bin mac_compare`
 
-use milback_bench::experiments::{extension_mac_compare_instrumented, MAC_POLICY_NAMES};
+use milback_bench::experiments::{
+    mean_node_goodput_bps, run_sweep, sector_scene, CellRun, Sweep, SweepCell, MAC_POLICY_NAMES,
+};
 use milback_bench::hostinfo::HostInfo;
-use milback_bench::runner::RunnerConfig;
-use milback_bench::{log_info, log_warn, metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_bench::runner::{RunnerConfig, TrialBatch};
+use milback_bench::{
+    emit_anchor, log_info, log_warn, metrics_io, reduced_mode, results_dir, Report, Series,
+};
 use milback_core::json::Json;
-use milback_core::telemetry::{chrome_trace, DEFAULT_TRACE_CAPACITY};
+use milback_core::telemetry::{chrome_trace, Metrics, TraceBuffer, DEFAULT_TRACE_CAPACITY};
+use milback_core::{CampaignAggregate, CampaignProbe, SlottedRunReport};
 use std::path::PathBuf;
+
+const SLOTS: usize = 8;
+const PAYLOAD_BYTES: usize = 16;
+const ROOT_SEED: u64 = 0xE4;
 
 /// Where `MILBACK_TRACE` asks traces to go: `None` when unset/empty,
 /// `results/traces` for `1`, else the given directory.
@@ -36,34 +45,75 @@ fn trace_dir() -> Option<PathBuf> {
     }
 }
 
-fn main() {
-    // Named `main`/`io` so `all_experiments` can derive its per-stage
-    // table (setup = main - run_trials - io) from the exported span file.
-    let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
+/// The finished sweep: its shape, one per-node report per (policy, node
+/// count) cell, and each policy's instrumentation — its cells' metrics
+/// merged in trial order, plus, when tracing, its densest campaign's
+/// trace.
+pub(crate) struct MacCompare {
+    node_counts: &'static [usize],
+    frames: usize,
+    batch: TrialBatch<CellRun<Vec<SlottedRunReport>>, String>,
+    policies: Vec<(&'static str, Metrics, Option<TraceBuffer>)>,
+}
+
+/// Runs every policy at every node count of the full-scale or reduced
+/// grid. Cells flatten policy-major × node-count-minor, each one trial on
+/// its own stream, so the sweep is bit-identical at any thread count. Every
+/// cell runs with a metrics probe, and with `trace_capacity` set each
+/// policy's densest cell also records a full trace; probes only copy
+/// values the campaign computed, so the numbers match an unprobed sweep.
+pub(crate) fn run(reduced: bool, cfg: &RunnerConfig, trace_capacity: Option<usize>) -> MacCompare {
     let node_counts: &[usize] = if reduced {
         &[1, 2, 4, 8]
     } else {
         &[1, 2, 4, 8, 16, 32, 64]
     };
     let frames = if reduced { 6 } else { 24 };
-    let slots = 8;
-    let payload_bytes = 16;
-    let cfg = RunnerConfig::from_env();
-    let tracing = trace_dir();
-    let run = extension_mac_compare_instrumented(
-        &MAC_POLICY_NAMES,
+    let per_policy = node_counts.len();
+    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED).expect("the payload fits");
+    let mut batch =
+        run_sweep::<SlottedRunReport>(&sweep, MAC_POLICY_NAMES.len() * per_policy, cfg, |i| {
+            let probe = match trace_capacity {
+                Some(cap) if i % per_policy == per_policy - 1 => CampaignProbe::with_trace(cap),
+                _ => CampaignProbe::with_metrics(),
+            };
+            Ok(SweepCell {
+                probe,
+                ..SweepCell::new(
+                    sector_scene(node_counts[i % per_policy]),
+                    MAC_POLICY_NAMES[i / per_policy],
+                )
+            })
+        });
+    let mut policies: Vec<_> = MAC_POLICY_NAMES
+        .iter()
+        .map(|&p| (p, Metrics::new(), None))
+        .collect();
+    for (i, result) in batch.results.iter_mut().enumerate() {
+        let Ok(run) = result else { continue };
+        // Queue-depth histograms arrive inside the metrics already: the
+        // engine tallies every dispatch losslessly.
+        let (_, metrics, trace) = &mut policies[i / per_policy];
+        metrics.merge_from(&run.metrics.take().unwrap_or_default());
+        if let Some(buf) = run.trace.take() {
+            // The ring's own eviction count rides along in the metrics
+            // document, so a truncated trace is visible downstream
+            // instead of silently looking complete.
+            metrics.inc("trace_dropped_records", buf.dropped());
+            *trace = Some(buf);
+        }
+    }
+    MacCompare {
         node_counts,
         frames,
-        payload_bytes,
-        slots,
-        0xE4,
-        &cfg,
-        tracing.as_ref().map(|_| DEFAULT_TRACE_CAPACITY),
-    );
-    let batch = &run.batch;
+        batch,
+        policies,
+    }
+}
 
-    let io_span = milback_bench::spans::span("io");
+/// The sweep's report, whose CSV is the `results/extension_mac_compare.csv`
+/// anchor.
+pub(crate) fn report(s: &MacCompare, threads: usize) -> Report {
     let mut report = Report::new(
         "Extension mac_compare",
         "MAC policies on the shared sector cell: delivery, energy, goodput vs node count",
@@ -79,120 +129,111 @@ fn main() {
     let mut delivery = mk("delivery");
     let mut energy = mk("energy_mj");
     let mut goodput = mk("goodput_kbps");
-    for p in batch.oks() {
-        let k = MAC_POLICY_NAMES
-            .iter()
-            .position(|&n| n == p.policy)
-            .expect("policy came from MAC_POLICY_NAMES");
-        delivery[k].push(p.nodes as f64, p.delivery_rate);
+    let per_policy = s.node_counts.len();
+    let densest = *s.node_counts.last().expect("non-empty grid");
+    let mut densest_rate = [None; MAC_POLICY_NAMES.len()];
+    for (i, result) in s.batch.results.iter().enumerate() {
+        let Ok(run) = result else { continue };
+        let r = &run.sink[0];
+        let agg = CampaignAggregate::from_report(r);
+        let (k, nodes) = (i / per_policy, s.node_counts[i % per_policy]);
+        let rate = agg.delivery_rate().unwrap_or(0.0);
+        delivery[k].push(nodes as f64, rate);
         // An undelivered campaign has no energy-per-packet figure: the
         // cell stays empty rather than carrying an `inf` token.
-        energy[k].push_opt(p.nodes as f64, p.energy_per_packet_j.map(|e| e * 1e3));
-        goodput[k].push(p.nodes as f64, p.per_node_goodput_bps / 1e3);
+        energy[k].push_opt(
+            nodes as f64,
+            (agg.delivered > 0).then(|| agg.energy_j / agg.delivered as f64 * 1e3),
+        );
+        goodput[k].push(nodes as f64, mean_node_goodput_bps(r) / 1e3);
+        if nodes == densest {
+            densest_rate[k] = Some(rate);
+        }
     }
     for s in delivery.into_iter().chain(energy).chain(goodput) {
         report.add_series(s);
     }
-
-    let densest = *node_counts.last().expect("non-empty grid");
-    let at_densest = |name: &str| batch.oks().find(|p| p.policy == name && p.nodes == densest);
-    if let (Some(aloha), Some(polling), Some(sdm)) = (
-        at_densest("aloha"),
-        at_densest("polling"),
-        at_densest("sdm"),
-    ) {
+    if let [Some(aloha), _, Some(polling), Some(sdm)] = densest_rate {
         report.note(format!(
-            "at {densest} nodes: delivery aloha {:.3} vs polling {:.3} vs sdm-aware {:.3} — \
+            "at {densest} nodes: delivery aloha {aloha:.3} vs polling {polling:.3} vs sdm-aware {sdm:.3} — \
              contention-aware scheduling recovers what hashed contention loses",
-            aloha.delivery_rate, polling.delivery_rate, sdm.delivery_rate
         ));
     }
     report.note(format!(
-        "{} slots/frame, {} frames, {}-byte payloads, SDM threshold 20 dB, backoff cap 2^5; \
-         {}; {} worker threads",
-        slots,
-        frames,
-        payload_bytes,
-        batch.summary(),
-        cfg.threads
+        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, SDM threshold 20 dB, \
+         backoff cap 2^5; {}; {threads} worker threads",
+        s.frames,
+        s.batch.summary(),
     ));
-    report.emit_respecting_reduced();
+    report
+}
 
-    write_metrics(&run, node_counts, frames, slots, payload_bytes, reduced);
+/// `results/METRICS_mac.json` from the per-policy registries; `None` when
+/// no campaign recorded anything (every trial failed), so the artifact
+/// never claims an instrumented campaign that did not happen.
+pub(crate) fn metrics_doc(s: &MacCompare, reduced: bool) -> Option<String> {
+    if s.policies.iter().all(|p| p.1.is_empty()) {
+        return None;
+    }
+    let config: [(&str, &dyn Json); 6] = [
+        ("reduced", &reduced),
+        ("frames", &s.frames),
+        ("slots", &SLOTS),
+        ("payload_bytes", &PAYLOAD_BYTES),
+        ("seed", &ROOT_SEED),
+        ("node_counts", &s.node_counts),
+    ];
+    let policies: Vec<(&str, &Metrics)> = s.policies.iter().map(|p| (p.0, &p.1)).collect();
+    Some(metrics_io::metrics_document(
+        metrics_io::METRICS_MAC_SCHEMA,
+        &HostInfo::capture(),
+        &config,
+        "policies",
+        &policies,
+    ))
+}
+
+fn main() {
+    // Named `main`/`io` so `all_experiments` can derive its per-stage
+    // table (setup = main - run_trials - io) from the exported span file.
+    let main_span = milback_bench::spans::span("main");
+    let reduced = reduced_mode();
+    let cfg = RunnerConfig::from_env();
+    let tracing = trace_dir();
+    let sweep = run(
+        reduced,
+        &cfg,
+        tracing.as_ref().map(|_| DEFAULT_TRACE_CAPACITY),
+    );
+
+    let io_span = milback_bench::spans::span("io");
+    report(&sweep, cfg.threads).emit_respecting_reduced();
+    match metrics_doc(&sweep, reduced) {
+        Some(doc) => emit_anchor("METRICS_mac.json", &doc, false),
+        None => log_info!("no campaign metrics recorded: skipping METRICS_mac.json"),
+    }
     if let Some(dir) = tracing {
-        write_traces(&run, &dir, densest);
+        write_traces(&sweep, &dir);
     }
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();
 }
 
-/// Writes `results/METRICS_mac.json` from the per-policy registries. When
-/// no campaign recorded anything (every trial failed) nothing is written —
-/// the artifact never silently claims an instrumented campaign that did
-/// not happen.
-fn write_metrics(
-    run: &milback_bench::experiments::InstrumentedMacCompare,
-    node_counts: &[usize],
-    frames: usize,
-    slots: usize,
-    payload_bytes: usize,
-    reduced: bool,
-) {
-    if run.policies.iter().all(|p| p.metrics.is_empty()) {
-        log_info!("no campaign metrics recorded: skipping METRICS_mac.json");
-        return;
-    }
-    let config: [(&str, &dyn Json); 6] = [
-        ("reduced", &reduced),
-        ("frames", &frames),
-        ("slots", &slots),
-        ("payload_bytes", &payload_bytes),
-        ("seed", &0xE4u64),
-        ("node_counts", &node_counts),
-    ];
-    let policies: Vec<(&str, &milback_core::telemetry::Metrics)> = run
-        .policies
-        .iter()
-        .map(|p| (p.policy, &p.metrics))
-        .collect();
-    let doc = metrics_io::metrics_document(
-        metrics_io::METRICS_MAC_SCHEMA,
-        &HostInfo::capture(),
-        &config,
-        "policies",
-        &policies,
-    );
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        log_warn!("cannot create {}", dir.display());
-        return;
-    }
-    let path = dir.join("METRICS_mac.json");
-    match std::fs::write(&path, &doc) {
-        Ok(()) => log_info!("wrote {}", path.display()),
-        Err(e) => log_warn!("cannot write {}: {e}", path.display()),
-    }
-}
-
 /// Dumps each policy's captured trace as JSONL (one file per policy, so
 /// `time_ps` stays monotone within a file) plus one combined Chrome
 /// `trace_event` JSON with the policies side-by-side as processes.
-fn write_traces(
-    run: &milback_bench::experiments::InstrumentedMacCompare,
-    dir: &std::path::Path,
-    densest: usize,
-) {
+fn write_traces(s: &MacCompare, dir: &std::path::Path) {
     if std::fs::create_dir_all(dir).is_err() {
         log_warn!("cannot create {}", dir.display());
         return;
     }
     let mut sections = Vec::new();
-    for p in &run.policies {
-        let Some(buf) = &p.trace else {
+    for (policy, _, trace) in &s.policies {
+        let Some(buf) = trace else {
             continue;
         };
-        let path = dir.join(format!("mac_{}.trace.jsonl", p.policy));
+        let path = dir.join(format!("mac_{policy}.trace.jsonl"));
         match std::fs::write(&path, buf.to_jsonl()) {
             Ok(()) => log_info!(
                 "wrote {} ({} records, {} dropped)",
@@ -202,7 +243,7 @@ fn write_traces(
             ),
             Err(e) => log_warn!("cannot write {}: {e}", path.display()),
         }
-        sections.push((p.policy, buf));
+        sections.push((*policy, buf));
     }
     if sections.is_empty() {
         log_info!("no traces captured");
@@ -212,6 +253,7 @@ fn write_traces(
     let path = dir.join("mac_compare.trace.json");
     match std::fs::write(&path, &chrome) {
         Ok(()) => {
+            let densest = s.node_counts.last().expect("non-empty grid");
             println!(
                 "trace: {} ({densest}-node frame per policy) — open at https://ui.perfetto.dev",
                 path.display()

@@ -5,11 +5,12 @@
 //! Every cell runs the congested Capture/Plan/Transmit pipeline (so
 //! `service_shed` drops are on the books) and — on the relay leg — the
 //! 25%-gapped scene under a 2-hop budget (so coverage-family drops and
-//! relayed deliveries appear too). The sweep core audits every cell's
-//! ledger (`offered == delivered + Σ drops`); a violation fails the cell,
-//! and this binary exits nonzero. The binary also re-runs the sharded
-//! city path at 1/2/4/8 worker threads and demands the merged latency
-//! sketches be bit-identical, which pins the cell-index merge order.
+//! relayed deliveries appear too). Every cell's ledger is audited
+//! (`offered == delivered + Σ drops`) before its report is built; a
+//! violation fails the cell, and this binary exits nonzero. The binary
+//! also re-runs the relay leg sharded at 1/2/4/8 worker threads and
+//! demands the merged latency sketches be bit-identical, which pins the
+//! shard-index merge order.
 //!
 //! Run with: `cargo run --release -p milback-bench --bin net_audit`
 //!
@@ -19,14 +20,13 @@
 //! stdout for CI schema validation and never touch the anchors.
 
 use milback_bench::experiments::{
-    extension_net_audit, net_audit_sharded_lifecycle, NetAuditPoint, MAC_POLICY_NAMES,
-    NET_AUDIT_GAP_FRACTION,
+    audit_cell, run_sweep, Sweep, MAC_POLICY_NAMES, NET_AUDIT_GAP_FRACTION,
 };
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_bench::{csv_table, emit_anchor, metrics_io, opt_cell, reduced_mode, Report, Series};
 use milback_core::json::Json;
-use milback_core::DropReason;
+use milback_core::{CampaignAggregate, DropReason, LifecycleStats};
 
 /// Sweep shape: the acceptance scene is 64 nodes over the ±60° sector
 /// (the relay leg re-places a quarter of them past coverage), 8-slot
@@ -44,46 +44,141 @@ const ROOT_SEED: u64 = 0xA0D1;
 const SHARD_CELLS: usize = 4;
 const SHARD_THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn main() {
-    let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
+/// The finished sweep: one (policy, relay leg, ledger) row per cell, in
+/// trial order (policy-major, direct before relay).
+pub(crate) struct NetAudit {
+    nodes: usize,
+    frames: usize,
+    cells: Vec<(&'static str, bool, LifecycleStats)>,
+}
+
+/// Runs the full-scale or reduced `policies × {direct, relay}` sweep; any
+/// failed cell — a simulation error or a conservation leak — fails it.
+pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetAudit, String> {
     let (nodes, frames) = if reduced {
         (NODES_REDUCED, FRAMES_REDUCED)
     } else {
         (NODES, FRAMES)
     };
-    let cfg = RunnerConfig::from_env();
-    let batch = extension_net_audit(
-        &MAC_POLICY_NAMES,
+    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
+    let key = |i: usize| (MAC_POLICY_NAMES[i / 2], i % 2 == 1);
+    let runs = run_sweep::<CampaignAggregate>(&sweep, MAC_POLICY_NAMES.len() * 2, cfg, |i| {
+        let (policy, relay_leg) = key(i);
+        Ok(audit_cell(&sweep, nodes, policy, relay_leg))
+    })
+    .into_oks()?;
+    Ok(NetAudit {
         nodes,
         frames,
-        PAYLOAD_BYTES,
-        SLOTS,
-        ROOT_SEED,
-        &cfg,
+        cells: runs
+            .into_iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let (policy, relay_leg) = key(i);
+                (policy, relay_leg, run.sink.lifecycle)
+            })
+            .collect(),
+    })
+}
+
+/// The relay leg's merged ledger, sharded into [`SHARD_CELLS`] spatial
+/// shards over `threads` workers, conservation-audited after the merge on
+/// top of the runner's per-shard audit.
+fn sharded_relay_leg(
+    nodes: usize,
+    frames: usize,
+    threads: usize,
+) -> Result<LifecycleStats, String> {
+    let sweep = Sweep {
+        shard_nodes: Some(nodes.div_ceil(SHARD_CELLS)),
+        ..Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?
+    };
+    let cfg = RunnerConfig::with_threads(threads);
+    let mut runs = run_sweep::<CampaignAggregate>(&sweep, 1, &cfg, |_| {
+        Ok(audit_cell(&sweep, nodes, "aloha", true))
+    })
+    .into_oks()?;
+    let lifecycle = runs.remove(0).sink.lifecycle;
+    lifecycle.audit().map_err(|e| e.to_string())?;
+    Ok(lifecycle)
+}
+
+/// The drop-attribution CSV, one row per (policy, relay) cell: the full
+/// drop table in canonical label order plus the three sketch percentiles.
+/// Undefined cells (empty sketches) are empty, never NaN/inf.
+pub(crate) fn csv(s: &NetAudit) -> String {
+    let header = format!(
+        "policy,relay,nodes,offered,delivered_direct,delivered_relayed,{},\
+         slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,\
+         residence_p50_us,residence_p95_us,residence_p99_us,\
+         relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us",
+        DropReason::LABELS.join(",")
     );
-    let points: Vec<NetAuditPoint> = batch.oks().cloned().collect();
-    if points.len() != MAC_POLICY_NAMES.len() * 2 {
-        for e in batch.results.iter().filter_map(|r| r.as_ref().err()) {
-            eprintln!("net_audit cell failed (conservation or simulation): {e}");
-        }
+    csv_table(
+        &header,
+        s.cells.iter().map(|(policy, relay_leg, l)| {
+            let mut row = vec![
+                policy.to_string(),
+                u8::from(*relay_leg).to_string(),
+                s.nodes.to_string(),
+                l.offered.to_string(),
+                l.delivered_direct.to_string(),
+                l.delivered_relayed.to_string(),
+            ];
+            row.extend(l.drops.iter().map(u64::to_string));
+            for sketch in [&l.slot_wait_us, &l.service_residence_us, &l.relay_extra_us] {
+                row.extend([0.50, 0.95, 0.99].map(|q| opt_cell(sketch.quantile(q))));
+            }
+            row
+        }),
+    )
+}
+
+/// `results/METRICS_lifecycle.json`: the sweep's config and every cell's
+/// ledger.
+pub(crate) fn metrics_doc(s: &NetAudit, reduced: bool, threads: usize) -> String {
+    let config: [(&str, &dyn Json); 8] = [
+        ("reduced", &reduced),
+        ("nodes", &s.nodes),
+        ("frames", &s.frames),
+        ("slots", &SLOTS),
+        ("payload_bytes", &PAYLOAD_BYTES),
+        ("gap_fraction", &NET_AUDIT_GAP_FRACTION),
+        ("threads", &threads),
+        ("seed", &ROOT_SEED),
+    ];
+    let cells: Vec<(String, &LifecycleStats)> = s
+        .cells
+        .iter()
+        .map(|(policy, relay_leg, l)| {
+            let leg = if *relay_leg { "relay" } else { "direct" };
+            (format!("{policy}/{leg}"), l)
+        })
+        .collect();
+    metrics_io::metrics_document(
+        metrics_io::METRICS_LIFECYCLE_SCHEMA,
+        &HostInfo::capture(),
+        &config,
+        "cells",
+        &cells,
+    )
+}
+
+fn main() {
+    let main_span = milback_bench::spans::span("main");
+    let reduced = reduced_mode();
+    let cfg = RunnerConfig::from_env();
+    let audit = run(reduced, &cfg).unwrap_or_else(|e| {
+        eprintln!("net_audit cell failed (conservation or simulation): {e}");
         std::process::exit(1);
-    }
+    });
 
     // The sharded city path must report bit-identical sketches at every
-    // worker-thread count: the merge runs serially in cell-index order.
+    // worker-thread count: the merge runs serially in shard-index order.
     let shard_frames = if reduced { 4 } else { 12 };
     let mut shard_reference = None;
     for threads in SHARD_THREAD_COUNTS {
-        let lifecycle = match net_audit_sharded_lifecycle(
-            nodes,
-            SHARD_CELLS,
-            threads,
-            shard_frames,
-            PAYLOAD_BYTES,
-            SLOTS,
-            ROOT_SEED,
-        ) {
+        let lifecycle = match sharded_relay_leg(audit.nodes, shard_frames, threads) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("sharded lifecycle at {threads} threads failed: {e}");
@@ -110,20 +205,19 @@ fn main() {
     );
     for (relay, label) in [(false, "direct"), (true, "relay")] {
         let mut s = Series::new(format!("delivered fraction ({label})"));
-        for (i, p) in points.iter().filter(|p| p.relay == relay).enumerate() {
-            let frac = (p.lifecycle.offered > 0)
-                .then(|| p.lifecycle.delivered() as f64 / p.lifecycle.offered as f64);
+        for (i, (_, _, l)) in audit.cells.iter().filter(|c| c.1 == relay).enumerate() {
+            let frac = (l.offered > 0).then(|| l.delivered() as f64 / l.offered as f64);
             s.push_opt(i as f64, frac);
         }
         report.add_series(s);
     }
-    if let Some(p) = points
+    if let Some((policy, _, l)) = audit
+        .cells
         .iter()
-        .filter(|p| p.relay)
-        .max_by_key(|p| p.lifecycle.dropped())
+        .filter(|c| c.1)
+        .max_by_key(|c| c.2.dropped())
     {
-        let (top_idx, top_count) = p
-            .lifecycle
+        let (top_idx, top_count) = l
             .drops
             .iter()
             .enumerate()
@@ -131,24 +225,23 @@ fn main() {
             .map(|(k, &c)| (k, c))
             .unwrap_or((0, 0));
         report.note(format!(
-            "{} (relay): offered {}, delivered {} direct + {} relayed, top drop reason \
+            "{policy} (relay): offered {}, delivered {} direct + {} relayed, top drop reason \
              {} × {top_count}; slot-wait p95 {} µs",
-            p.policy,
-            p.lifecycle.offered,
-            p.lifecycle.delivered_direct,
-            p.lifecycle.delivered_relayed,
+            l.offered,
+            l.delivered_direct,
+            l.delivered_relayed,
             DropReason::LABELS[top_idx],
-            p.lifecycle
-                .slot_wait_us
+            l.slot_wait_us
                 .quantile(0.95)
                 .map(|v| format!("{v:.1}"))
                 .unwrap_or_else(|| "-".into()),
         ));
     }
     report.note(format!(
-        "{SLOTS} slots/frame, {frames} frames, {PAYLOAD_BYTES}-byte payloads, {nodes} nodes, \
+        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, {} nodes, \
          gap fraction {NET_AUDIT_GAP_FRACTION} on the relay leg, congested Drop pipeline, \
          sharded sketches bit-identical at {SHARD_THREAD_COUNTS:?} threads, seed {ROOT_SEED:#x}",
+        audit.frames, audit.nodes,
     ));
     print!("{}", report.render());
 
@@ -157,107 +250,10 @@ fn main() {
     // document, then regenerates the full-scale anchor. It goes out
     // before the CSV so a reduced run's stdout ends with the CSV — CI
     // slices it off by header.
-    write_metrics(&points, nodes, frames, reduced, &cfg);
-    let csv = to_csv(&points);
-    if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_audit.csv");
-            match std::fs::write(&path, &csv) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
-    } else {
-        // CI validates the reduced schema from stdout instead.
-        print!("{csv}");
-    }
+    let doc = metrics_doc(&audit, reduced, cfg.threads);
+    emit_anchor("METRICS_lifecycle.json", &doc, false);
+    emit_anchor("extension_net_audit.csv", &csv(&audit), reduced);
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();
-}
-
-/// Writes `results/METRICS_lifecycle.json`.
-fn write_metrics(
-    points: &[NetAuditPoint],
-    nodes: usize,
-    frames: usize,
-    reduced: bool,
-    cfg: &RunnerConfig,
-) {
-    let config: [(&str, &dyn Json); 8] = [
-        ("reduced", &reduced),
-        ("nodes", &nodes),
-        ("frames", &frames),
-        ("slots", &SLOTS),
-        ("payload_bytes", &PAYLOAD_BYTES),
-        ("gap_fraction", &NET_AUDIT_GAP_FRACTION),
-        ("threads", &cfg.threads),
-        ("seed", &ROOT_SEED),
-    ];
-    let cells: Vec<(String, &milback_core::LifecycleStats)> = points
-        .iter()
-        .map(|p| {
-            let leg = if p.relay { "relay" } else { "direct" };
-            (format!("{}/{leg}", p.policy), &p.lifecycle)
-        })
-        .collect();
-    let doc = metrics_io::metrics_document(
-        metrics_io::METRICS_LIFECYCLE_SCHEMA,
-        &HostInfo::capture(),
-        &config,
-        "cells",
-        &cells,
-    );
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join("METRICS_lifecycle.json");
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
-/// The drop-attribution CSV, one row per (policy, relay) cell: the full
-/// drop table in canonical label order plus the three sketch percentiles.
-/// Undefined cells (empty sketches) are empty, never NaN/inf.
-fn to_csv(points: &[NetAuditPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("policy,relay,nodes,offered,delivered_direct,delivered_relayed");
-    for label in DropReason::LABELS {
-        let _ = write!(out, ",{label}");
-    }
-    out.push_str(
-        ",slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,\
-         residence_p50_us,residence_p95_us,residence_p99_us,\
-         relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us\n",
-    );
-    let opt = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_default();
-    for p in points {
-        let l = &p.lifecycle;
-        let _ = write!(
-            out,
-            "{},{},{},{},{},{}",
-            p.policy, p.relay as u8, p.nodes, l.offered, l.delivered_direct, l.delivered_relayed
-        );
-        for c in &l.drops {
-            let _ = write!(out, ",{c}");
-        }
-        let _ = writeln!(
-            out,
-            ",{},{},{},{},{},{},{},{},{}",
-            opt(l.slot_wait_us.quantile(0.50)),
-            opt(l.slot_wait_us.quantile(0.95)),
-            opt(l.slot_wait_us.quantile(0.99)),
-            opt(l.service_residence_us.quantile(0.50)),
-            opt(l.service_residence_us.quantile(0.95)),
-            opt(l.service_residence_us.quantile(0.99)),
-            opt(l.relay_extra_us.quantile(0.50)),
-            opt(l.relay_extra_us.quantile(0.95)),
-            opt(l.relay_extra_us.quantile(0.99)),
-        );
-    }
-    out
 }

@@ -3,20 +3,26 @@
 //!
 //! Every point runs a slotted-ALOHA campaign, so offered load — the
 //! occupied slots per frame, each one a grant the AP must serve — grows
-//! monotonically with node count, under a staged
-//! **Capture → Plan → Transmit** pipeline whose Capture stage takes two
-//! slot widths behind a 1-deep queue — service capacity is half the slot
-//! rate. The sweep races all three overflow policies over the same grid:
-//! `drop` saturates `served` at the knee and sheds the rest, `defer`
-//! serves everything late and counts the spill, `degrade` serves
-//! everything by skipping SDM arbitration. Both load axes are simulated
-//! time, so every CSV column is deterministic.
+//! monotonically with node count (`slots·(1−(1−1/slots)^nodes)` in
+//! expectation), under a staged **Capture → Plan → Transmit** pipeline
+//! whose Capture stage takes two slot widths behind a 1-deep queue —
+//! service capacity is half the slot rate. The sweep races all three
+//! overflow policies over the same grid: `drop` saturates `served` at the
+//! knee and sheds the rest, `defer` serves everything late and counts the
+//! spill, `degrade` serves everything by skipping SDM arbitration. Cells
+//! flatten overflow-policy-major × node-count-minor, each one trial on its
+//! own stream, and both load axes are simulated time, so every CSV column
+//! is deterministic at any thread count.
 //!
 //! Run with: `cargo run --release -p milback-bench --bin net_load`
 
-use milback_bench::experiments::{extension_net_load, NetLoadPoint, OVERFLOW_POLICY_NAMES};
+use milback_bench::experiments::{
+    overflow_policy_by_name, run_sweep, sector_scene, Sweep, SweepCell, OVERFLOW_POLICY_NAMES,
+};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, results_dir, Report, Series};
+use milback_bench::{csv_table, emit_anchor, opt_cell, reduced_mode, Report, Series};
+use milback_core::engine::ps_to_secs;
+use milback_core::CampaignAggregate;
 
 /// Campaign shape: 8-slot frames so the knee (capacity = slots/2 grants
 /// per frame) sits in the middle of the node sweep, and enough frames for
@@ -28,32 +34,86 @@ const PAYLOAD_BYTES: usize = 16;
 const QUEUE_CAPACITY: usize = 1;
 const ROOT_SEED: u64 = 0x10AD;
 
-fn main() {
-    let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
+/// The finished sweep: one (overflow tag, node count, aggregate) row per
+/// cell, in trial order.
+pub(crate) struct NetLoad {
+    frames: usize,
+    /// The nominal campaign airtime `frames × frame_ps`, seconds: the
+    /// denominator of both load axes.
+    airtime_s: f64,
+    cells: Vec<(&'static str, usize, CampaignAggregate)>,
+}
+
+/// Runs the full-scale or reduced sweep; any failed cell fails the sweep.
+pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetLoad, String> {
     let (node_counts, frames): (&[usize], usize) = if reduced {
         (&[1, 4, 16, 64], FRAMES_REDUCED)
     } else {
         (&[1, 2, 4, 8, 16, 32, 64, 128], FRAMES)
     };
-    let cfg = RunnerConfig::from_env();
-    let batch = extension_net_load(
-        &OVERFLOW_POLICY_NAMES,
-        node_counts,
+    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
+    let key = |i: usize| {
+        (
+            OVERFLOW_POLICY_NAMES[i / node_counts.len()],
+            node_counts[i % node_counts.len()],
+        )
+    };
+    let cells = OVERFLOW_POLICY_NAMES.len() * node_counts.len();
+    let runs = run_sweep::<CampaignAggregate>(&sweep, cells, cfg, |i| {
+        let (tag, nodes) = key(i);
+        let overflow = overflow_policy_by_name(tag)
+            .ok_or_else(|| format!("unknown overflow policy {tag:?}"))?;
+        Ok(SweepCell {
+            service: sweep.capture_service(QUEUE_CAPACITY, overflow),
+            ..SweepCell::new(sector_scene(nodes), "aloha")
+        })
+    })
+    .into_oks()?;
+    Ok(NetLoad {
         frames,
-        PAYLOAD_BYTES,
-        SLOTS,
-        QUEUE_CAPACITY,
-        ROOT_SEED,
-        &cfg,
-    );
-    let points: Vec<NetLoadPoint> = batch.oks().cloned().collect();
-    if points.len() != OVERFLOW_POLICY_NAMES.len() * node_counts.len() {
-        for e in batch.results.iter().filter_map(|r| r.as_ref().err()) {
-            eprintln!("net_load cell failed: {e}");
-        }
+        airtime_s: frames as f64 * ps_to_secs(sweep.plan.frame_ps()),
+        cells: runs
+            .into_iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let (tag, nodes) = key(i);
+                (tag, nodes, run.sink)
+            })
+            .collect(),
+    })
+}
+
+/// The full sweep schema, one row per (overflow policy, node count) cell.
+pub(crate) fn csv(s: &NetLoad) -> String {
+    csv_table(
+        "overflow,nodes,offered,served,dropped,deferred,degraded,offered_per_s,\
+         served_per_s,delivered,delivery_rate",
+        s.cells.iter().map(|(tag, nodes, agg)| {
+            let svc = &agg.service;
+            vec![
+                tag.to_string(),
+                nodes.to_string(),
+                svc.offered.to_string(),
+                svc.served.to_string(),
+                svc.dropped.to_string(),
+                svc.deferred.to_string(),
+                svc.degraded.to_string(),
+                (svc.offered as f64 / s.airtime_s).to_string(),
+                (svc.served as f64 / s.airtime_s).to_string(),
+                agg.delivered.to_string(),
+                opt_cell(agg.delivery_rate()),
+            ]
+        }),
+    )
+}
+
+fn main() {
+    let main_span = milback_bench::spans::span("main");
+    let reduced = reduced_mode();
+    let load = run(reduced, &RunnerConfig::from_env()).unwrap_or_else(|e| {
+        eprintln!("net_load cell failed: {e}");
         std::process::exit(1);
-    }
+    });
 
     let io_span = milback_bench::spans::span("io");
     let mut report = Report::new(
@@ -62,74 +122,37 @@ fn main() {
         "offered grants/s",
         "served grants/s / overflow counts",
     );
+    let per_s = |grants: u64| grants as f64 / load.airtime_s;
     for tag in OVERFLOW_POLICY_NAMES {
         let mut served = Series::new(format!("served/s ({tag})"));
-        for p in points.iter().filter(|p| p.overflow == tag) {
-            served.push(p.offered_per_s, p.served_per_s);
+        for (_, _, agg) in load.cells.iter().filter(|c| c.0 == tag) {
+            served.push(per_s(agg.service.offered), per_s(agg.service.served));
         }
         report.add_series(served);
     }
-    if let Some(knee) = points
+    if let Some((_, nodes, knee)) = load
+        .cells
         .iter()
-        .filter(|p| p.overflow == "drop" && p.dropped > 0)
-        .min_by_key(|p| p.nodes)
+        .filter(|(tag, _, agg)| *tag == "drop" && agg.service.dropped > 0)
+        .min_by_key(|c| c.1)
     {
         report.note(format!(
             "drop's served load saturates at {:.0} grants/s ({} nodes offered {:.0} grants/s and shed {}): \
              the service knee of a capture stage two slot widths deep",
-            knee.served_per_s, knee.nodes, knee.offered_per_s, knee.dropped,
+            per_s(knee.service.served),
+            nodes,
+            per_s(knee.service.offered),
+            knee.service.dropped,
         ));
     }
     report.note(format!(
-        "{SLOTS} slots/frame, {frames} frames, {PAYLOAD_BYTES}-byte payloads, slotted ALOHA, \
-         capture = 2 slot widths, stage queue depth {QUEUE_CAPACITY}, seed {ROOT_SEED:#x}"
+        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, slotted ALOHA, \
+         capture = 2 slot widths, stage queue depth {QUEUE_CAPACITY}, seed {ROOT_SEED:#x}",
+        load.frames
     ));
     print!("{}", report.render());
-
-    // Hand-rolled CSV, same hygiene as the other anchors: undefined cells
-    // are empty (never NaN/inf), and reduced runs never touch the anchor.
-    if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_load.csv");
-            match std::fs::write(&path, to_csv(&points)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
-    } else {
-        // CI validates the reduced schema from a scratch copy instead.
-        println!("{}", to_csv(&points));
-    }
+    emit_anchor("extension_net_load.csv", &csv(&load), reduced);
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();
-}
-
-/// The full sweep schema, one row per (overflow policy, node count) cell.
-fn to_csv(points: &[NetLoadPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "overflow,nodes,offered,served,dropped,deferred,degraded,\
-         offered_per_s,served_per_s,delivered,delivery_rate\n",
-    );
-    for p in points {
-        let opt = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{}",
-            p.overflow,
-            p.nodes,
-            p.offered,
-            p.served,
-            p.dropped,
-            p.deferred,
-            p.degraded,
-            p.offered_per_s,
-            p.served_per_s,
-            p.delivered,
-            opt(p.delivery_rate),
-        );
-    }
-    out
 }

@@ -14,10 +14,11 @@
 //! Run with: `cargo run --release -p milback-bench --bin net_relay`
 
 use milback_bench::experiments::{
-    extension_net_relay, relay_sweep_config, NetRelayPoint, RELAY_TAG_RANGE_M,
+    gapped_sector_scene, relay_sweep_config, run_sweep, Sweep, SweepCell, RELAY_TAG_RANGE_M,
 };
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, results_dir, Report, Series};
+use milback_bench::{csv_table, emit_anchor, opt_cell, reduced_mode, Report, Series};
+use milback_core::CampaignAggregate;
 
 /// Sweep shape: enough nodes for both gap rings to populate at every
 /// non-zero gap fraction, 12-slot frames to keep direct contention from
@@ -32,32 +33,89 @@ const PAYLOAD_BYTES: usize = 16;
 const ROOT_SEED: u64 = 0x9E1A;
 const HOP_BUDGETS: [usize; 3] = [1, 2, 3];
 
-fn main() {
-    let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
+/// The finished sweep: one (gap fraction, hop budget, aggregate) row per
+/// cell, in trial order (gap-fraction-major).
+pub(crate) struct NetRelay {
+    gap_fractions: &'static [f64],
+    nodes: usize,
+    frames: usize,
+    cells: Vec<(f64, usize, CampaignAggregate)>,
+}
+
+/// Runs the full-scale or reduced sweep; any failed cell fails the sweep.
+pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetRelay, String> {
     let (gap_fractions, nodes, frames): (&[f64], usize, usize) = if reduced {
         (&[0.0, 0.5], NODES_REDUCED, FRAMES_REDUCED)
     } else {
         (&[0.0, 0.25, 0.5], NODES, FRAMES)
     };
-    let cfg = RunnerConfig::from_env();
-    let batch = extension_net_relay(
+    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
+    let key = |i: usize| {
+        (
+            gap_fractions[i / HOP_BUDGETS.len()],
+            HOP_BUDGETS[i % HOP_BUDGETS.len()],
+        )
+    };
+    let cells = gap_fractions.len() * HOP_BUDGETS.len();
+    let runs = run_sweep::<CampaignAggregate>(&sweep, cells, cfg, |i| {
+        let (gap_fraction, max_hops) = key(i);
+        Ok(SweepCell {
+            relay: relay_sweep_config(max_hops),
+            ..SweepCell::new(gapped_sector_scene(nodes, gap_fraction), "aloha")
+        })
+    })
+    .into_oks()?;
+    Ok(NetRelay {
         gap_fractions,
-        &HOP_BUDGETS,
         nodes,
         frames,
-        PAYLOAD_BYTES,
-        SLOTS,
-        ROOT_SEED,
-        &cfg,
-    );
-    let points: Vec<NetRelayPoint> = batch.oks().cloned().collect();
-    if points.len() != gap_fractions.len() * HOP_BUDGETS.len() {
-        for e in batch.results.iter().filter_map(|r| r.as_ref().err()) {
-            eprintln!("net_relay cell failed: {e}");
-        }
+        cells: runs
+            .into_iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let (gap_fraction, max_hops) = key(i);
+                (gap_fraction, max_hops, run.sink)
+            })
+            .collect(),
+    })
+}
+
+/// The full sweep schema, one row per (gap fraction, hop budget) cell.
+pub(crate) fn csv(s: &NetRelay) -> String {
+    csv_table(
+        "gap_fraction,max_hops,nodes,gap_nodes,attempts,delivered,\
+         delivery_rate,gap_attempts,gap_delivered,gap_delivery_rate,relayed,\
+         forwarded,mean_relay_hops,relay_energy_per_delivered_j,\
+         mean_relay_latency_s",
+        s.cells.iter().map(|(gap_fraction, max_hops, agg)| {
+            vec![
+                gap_fraction.to_string(),
+                max_hops.to_string(),
+                s.nodes.to_string(),
+                agg.gap_nodes.to_string(),
+                agg.attempts.to_string(),
+                agg.delivered.to_string(),
+                opt_cell(agg.delivery_rate()),
+                agg.gap_attempts.to_string(),
+                agg.gap_delivered.to_string(),
+                opt_cell(agg.gap_delivery_rate()),
+                agg.relayed.to_string(),
+                agg.forwarded.to_string(),
+                opt_cell(agg.mean_relay_hops()),
+                opt_cell(agg.relay_energy_per_delivered_j()),
+                opt_cell(agg.mean_relay_latency_s()),
+            ]
+        }),
+    )
+}
+
+fn main() {
+    let main_span = milback_bench::spans::span("main");
+    let reduced = reduced_mode();
+    let relay_sweep = run(reduced, &RunnerConfig::from_env()).unwrap_or_else(|e| {
+        eprintln!("net_relay cell failed: {e}");
         std::process::exit(1);
-    }
+    });
 
     let io_span = milback_bench::spans::span("io");
     let mut report = Report::new(
@@ -66,86 +124,40 @@ fn main() {
         "max hops",
         "gap delivery rate / relay energy",
     );
-    for &gap in gap_fractions {
+    for &gap in relay_sweep.gap_fractions {
         let mut recovery = Series::new(format!("gap delivery (gap={gap})"));
-        for p in points.iter().filter(|p| p.gap_fraction == gap) {
-            recovery.push_opt(p.max_hops as f64, p.gap_delivery_rate);
+        for (_, max_hops, agg) in relay_sweep.cells.iter().filter(|c| c.0 == gap) {
+            recovery.push_opt(*max_hops as f64, agg.gap_delivery_rate());
         }
         report.add_series(recovery);
     }
-    if let Some(p) = points
+    if let Some((gap, max_hops, agg)) = relay_sweep
+        .cells
         .iter()
-        .filter(|p| p.relayed > 0)
-        .max_by_key(|p| (p.gap_delivered, p.max_hops))
+        .filter(|c| c.2.relayed > 0)
+        .max_by_key(|c| (c.2.gap_delivered, c.1))
     {
         report.note(format!(
-            "gap={} at {} hops recovered a gap delivery rate of {:.2} ({} relayed packets) for \
+            "gap={gap} at {max_hops} hops recovered a gap delivery rate of {:.2} ({} relayed packets) for \
              {:.2e} J of forwarding energy per delivery and {:.1} µs of extra latency",
-            p.gap_fraction,
-            p.max_hops,
-            p.gap_delivery_rate.unwrap_or(0.0),
-            p.relayed,
-            p.relay_energy_per_delivered_j.unwrap_or(0.0),
-            p.mean_relay_latency_s.unwrap_or(0.0) * 1e6,
+            agg.gap_delivery_rate().unwrap_or(0.0),
+            agg.relayed,
+            agg.relay_energy_per_delivered_j().unwrap_or(0.0),
+            agg.mean_relay_latency_s().unwrap_or(0.0) * 1e6,
         ));
     }
     let relay = relay_sweep_config(2);
     report.note(format!(
-        "{SLOTS} slots/frame, {frames} frames, {PAYLOAD_BYTES}-byte payloads, {nodes} nodes, \
+        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, {} nodes, \
          AP coverage {} m, tag range {RELAY_TAG_RANGE_M} m, {} dB/hop SNR penalty, seed {ROOT_SEED:#x}",
-        relay.coverage.ap_range_m, relay.hop_snr_penalty_db,
+        relay_sweep.frames,
+        relay_sweep.nodes,
+        relay.coverage.ap_range_m,
+        relay.hop_snr_penalty_db,
     ));
     print!("{}", report.render());
-
-    // Hand-rolled CSV, same hygiene as the other anchors: undefined cells
-    // are empty (never NaN/inf), and reduced runs never touch the anchor.
-    if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_relay.csv");
-            match std::fs::write(&path, to_csv(&points)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
-    } else {
-        // CI validates the reduced schema from a scratch copy instead.
-        println!("{}", to_csv(&points));
-    }
+    emit_anchor("extension_net_relay.csv", &csv(&relay_sweep), reduced);
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();
-}
-
-/// The full sweep schema, one row per (gap fraction, hop budget) cell.
-fn to_csv(points: &[NetRelayPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "gap_fraction,max_hops,nodes,gap_nodes,attempts,delivered,delivery_rate,\
-         gap_attempts,gap_delivered,gap_delivery_rate,relayed,forwarded,mean_relay_hops,\
-         relay_energy_per_delivered_j,mean_relay_latency_s\n",
-    );
-    for p in points {
-        let opt = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            p.gap_fraction,
-            p.max_hops,
-            p.nodes,
-            p.gap_nodes,
-            p.attempts,
-            p.delivered,
-            opt(p.delivery_rate),
-            p.gap_attempts,
-            p.gap_delivered,
-            opt(p.gap_delivery_rate),
-            p.relayed,
-            p.forwarded,
-            opt(p.mean_relay_hops),
-            opt(p.relay_energy_per_delivered_j),
-            opt(p.mean_relay_latency_s),
-        );
-    }
-    out
 }

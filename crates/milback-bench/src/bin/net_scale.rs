@@ -5,83 +5,100 @@
 //! ALOHA — every node duty-cycles into its hashed slot once per frame, the
 //! AP arbitrates co-slotted transmissions by SDM separability — and
 //! reports per-node goodput, slot collisions, and energy per delivered
-//! packet. The sweep is the `mac_compare` core over the ALOHA policy alone,
-//! run through the trial-parallel runner (one deterministic RNG stream per
+//! packet. The sweep is `mac_compare`'s ALOHA row on the same seed, run
+//! through the trial-parallel runner (one deterministic RNG stream per
 //! node count), so the CSV is bit-identical at any thread count.
 //!
 //! Run with: `cargo run --release -p milback-bench --bin net_scale`
 
-use milback_bench::experiments::extension_mac_compare;
-use milback_bench::runner::RunnerConfig;
+use milback_bench::experiments::{
+    mean_node_goodput_bps, run_sweep, sector_scene, CellRun, Sweep, SweepCell,
+};
+use milback_bench::runner::{RunnerConfig, TrialBatch};
 use milback_bench::{reduced_mode, Report, Series};
+use milback_core::{CampaignAggregate, SlottedRunReport};
 
-fn main() {
-    // Named `main`/`io` so `all_experiments` can derive its per-stage
-    // table (setup = main - run_trials - io) from the exported span file.
-    let main_span = milback_bench::spans::span("main");
-    let mut report = Report::new(
-        "Extension net_scale",
-        "slotted-ALOHA + SDM scaling: per-node goodput, collisions, energy vs node count",
-        "nodes",
-        "per-node goodput (kbps) / collisions / energy (mJ)",
-    );
-    let reduced = reduced_mode();
+const SLOTS: usize = 8;
+const PAYLOAD_BYTES: usize = 16;
+const ROOT_SEED: u64 = 0xE4;
+
+/// The finished sweep: its frame count and one per-node report per node
+/// count.
+pub(crate) struct NetScale {
+    frames: usize,
+    batch: TrialBatch<CellRun<Vec<SlottedRunReport>>, String>,
+}
+
+/// Runs the full-scale or reduced sweep.
+pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> NetScale {
     let node_counts: &[usize] = if reduced {
         &[1, 2, 4, 8]
     } else {
         &[1, 2, 4, 8, 16, 32, 64]
     };
     let frames = if reduced { 8 } else { 24 };
-    let slots = 8;
-    let payload_bytes = 16;
-    let cfg = RunnerConfig::from_env();
-    let batch = extension_mac_compare(
-        &["aloha"],
-        node_counts,
-        frames,
-        payload_bytes,
-        slots,
-        0xE4,
-        &cfg,
-    );
+    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED).expect("the payload fits");
+    let batch = run_sweep::<SlottedRunReport>(&sweep, node_counts.len(), cfg, |i| {
+        Ok(SweepCell::new(sector_scene(node_counts[i]), "aloha"))
+    });
+    NetScale { frames, batch }
+}
 
-    let io_span = milback_bench::spans::span("io");
+/// The sweep's report, whose CSV is the `results/extension_net_scale.csv`
+/// anchor.
+pub(crate) fn report(s: &NetScale, threads: usize) -> Report {
+    let mut report = Report::new(
+        "Extension net_scale",
+        "slotted-ALOHA + SDM scaling: per-node goodput, collisions, energy vs node count",
+        "nodes",
+        "per-node goodput (kbps) / collisions / energy (mJ)",
+    );
     let mut goodput = Series::new("per-node goodput (kbps)");
     let mut collisions = Series::new("slot collisions per node");
     let mut energy = Series::new("energy per packet (mJ)");
     let mut delivery = Series::new("delivery rate");
-    for p in batch.oks() {
-        goodput.push(p.nodes as f64, p.per_node_goodput_bps / 1e3);
-        collisions.push(p.nodes as f64, p.collisions as f64 / p.nodes as f64);
-        energy.push_opt(p.nodes as f64, p.energy_per_packet_j.map(|e| e * 1e3));
-        delivery.push(p.nodes as f64, p.delivery_rate);
+    let mut rates = Vec::new();
+    for run in s.batch.oks() {
+        let r = &run.sink[0];
+        let agg = CampaignAggregate::from_report(r);
+        let nodes = agg.nodes as f64;
+        let rate = agg.delivery_rate().unwrap_or(0.0);
+        goodput.push(nodes, mean_node_goodput_bps(r) / 1e3);
+        collisions.push(nodes, agg.collisions as f64 / nodes);
+        energy.push_opt(
+            nodes,
+            (agg.delivered > 0).then(|| agg.energy_j / agg.delivered as f64 * 1e3),
+        );
+        delivery.push(nodes, rate);
+        rates.push((agg.nodes, rate));
     }
-    let first_rate = batch
-        .oks()
-        .next()
-        .map(|p| p.delivery_rate)
-        .unwrap_or(f64::NAN);
-    let last = batch.oks().last();
     report.add_series(goodput);
     report.add_series(collisions);
     report.add_series(energy);
     report.add_series(delivery);
-    if let Some(p) = last {
+    if let (Some((_, first_rate)), Some((nodes, rate))) = (rates.first(), rates.last()) {
         report.note(format!(
-            "at {} nodes the delivery rate is {:.2} (vs {:.2} alone): slot sharing and \
+            "at {nodes} nodes the delivery rate is {rate:.2} (vs {first_rate:.2} alone): slot sharing and \
              sub-beamwidth neighbour spacing both bite as the ±60° sector fills",
-            p.nodes, p.delivery_rate, first_rate
         ));
     }
     report.note(format!(
-        "{} slots/frame, {} frames, {}-byte payloads, SDM threshold 20 dB; {}; {} worker threads",
-        slots,
-        frames,
-        payload_bytes,
-        batch.summary(),
-        cfg.threads
+        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, SDM threshold 20 dB; {}; \
+         {threads} worker threads",
+        s.frames,
+        s.batch.summary(),
     ));
-    report.emit_respecting_reduced();
+    report
+}
+
+fn main() {
+    // Named `main`/`io` so `all_experiments` can derive its per-stage
+    // table (setup = main - run_trials - io) from the exported span file.
+    let main_span = milback_bench::spans::span("main");
+    let cfg = RunnerConfig::from_env();
+    let sweep = run(reduced_mode(), &cfg);
+    let io_span = milback_bench::spans::span("io");
+    report(&sweep, cfg.threads).emit_respecting_reduced();
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();

@@ -1,5 +1,5 @@
 //! City-scale network sweep: sharded slotted-ALOHA campaigns from 10³ to
-//! 10⁵ nodes.
+//! 10⁶ nodes.
 //!
 //! Each node count shards the ±60° sector scene into fixed-size spatial
 //! cells and runs one deterministic engine campaign per cell
@@ -9,16 +9,17 @@
 //! is O(block + histogram buckets) no matter how many nodes or cells run
 //! (a 10⁶-node, 31 250-cell campaign peaks at ~27 MiB RSS, most of it the
 //! scene), and the cells fan out over `MILBACK_THREADS` workers without
-//! changing a single output bit. The CSV's throughput column
-//! (`nodes_per_sec`) is wall-clock and varies run to run; every simulation
-//! column is deterministic.
+//! changing a single output bit. Node counts run one after another, each
+//! campaign seeded from the runner's `trial_seed` of its index. The CSV's
+//! throughput columns (`nodes_per_sec`, `wall_s`) are wall-clock and vary
+//! run to run; every simulation column is deterministic.
 //!
 //! Run with: `cargo run --release -p milback-bench --bin net_scale_city`
 
-use milback_bench::experiments::{extension_net_scale_city, sector_campaign, NetScaleCityPoint};
+use milback_bench::experiments::{run_sweep, sector_scene, Sweep, SweepCell};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, results_dir, Report, Series};
-use milback_core::{ApServiceConfig, OverflowPolicy, RelayConfig};
+use milback_bench::{csv_table, emit_anchor, opt_cell, reduced_mode, Report, Series};
+use milback_core::{CampaignAggregate, OverflowPolicy};
 
 /// The campaign shape shared by the full-scale anchor and the reduced CI
 /// run: 8-slot frames over 32-node cells keeps every cell contended (slot
@@ -31,14 +32,86 @@ const ROOT_SEED: u64 = 0xC17E;
 
 /// Each cell AP's service pipeline: a Capture stage two slot widths deep
 /// behind a 4-deep queue, spilling with `Defer`. Defer keeps the queue
-/// FIFO, so every simulation column below is bit-identical to the old
-/// instantaneous campaign — the config only lights up the
-/// `offered`/`served`/`overflow` columns with a real backlog.
+/// FIFO, so every other simulation column equals an instantaneous AP's
+/// campaign — the pipeline only lights up the `offered`/`served`/`overflow`
+/// columns with a real backlog.
 const SERVICE_QUEUE: usize = 4;
-fn service(slot_ps: u64) -> ApServiceConfig {
-    ApServiceConfig::instantaneous()
-        .with_stage_latencies(2 * slot_ps, 0, 0)
-        .with_queue(SERVICE_QUEUE, OverflowPolicy::Defer)
+
+/// One finished node count: its node count, the campaign aggregate and
+/// the campaign's wall-clock seconds.
+pub(crate) type CityPoint = (usize, CampaignAggregate, f64);
+
+/// Runs the sharded campaign at each node count. Relaying stays off, so
+/// the city anchor is a full-coverage campaign whose gap and relay
+/// columns report zeros.
+pub(crate) fn run(node_counts: &[usize], cfg: &RunnerConfig) -> Result<Vec<CityPoint>, String> {
+    let sweep = Sweep {
+        shard_nodes: Some(CELL_SIZE),
+        ..Sweep::new(FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?
+    };
+    let service = sweep.capture_service(SERVICE_QUEUE, OverflowPolicy::Defer);
+    let runs = run_sweep::<CampaignAggregate>(&sweep, node_counts.len(), cfg, |i| {
+        Ok(SweepCell {
+            service,
+            ..SweepCell::new(sector_scene(node_counts[i]), "aloha")
+        })
+    })
+    .into_oks()?;
+    Ok(node_counts
+        .iter()
+        .zip(runs)
+        .map(|(&n, run)| (n, run.sink, run.wall_s))
+        .collect())
+}
+
+/// Simulated nodes per wall-clock second: the sweep's throughput axis.
+fn nodes_per_sec(nodes: usize, wall_s: f64) -> f64 {
+    if wall_s > 0.0 {
+        nodes as f64 / wall_s
+    } else {
+        0.0
+    }
+}
+
+/// The full sweep schema, one row per node count; `threads` is the
+/// shard fan-out. Undefined values (nothing delivered) are empty cells,
+/// never NaN/inf tokens.
+pub(crate) fn csv(points: &[CityPoint], threads: usize) -> String {
+    csv_table(
+        "nodes,cells,threads,frames,attempts,delivered,collisions,offered,\
+         served,overflow,delivery_rate,energy_per_node_j,mean_snr_db,\
+         nodes_per_sec,wall_s,gap_nodes,relayed,mean_relay_hops,\
+         offered_packets,dropped_packets,slot_wait_p50_us,slot_wait_p95_us,\
+         slot_wait_p99_us",
+        points.iter().map(|(nodes, agg, wall_s)| {
+            let wait = &agg.lifecycle.slot_wait_us;
+            vec![
+                nodes.to_string(),
+                agg.cells.to_string(),
+                threads.to_string(),
+                FRAMES.to_string(),
+                agg.attempts.to_string(),
+                agg.delivered.to_string(),
+                agg.collisions.to_string(),
+                agg.service.offered.to_string(),
+                agg.service.served.to_string(),
+                agg.service.overflowed().to_string(),
+                opt_cell(agg.delivery_rate()),
+                opt_cell(agg.mean_energy_per_node_j()),
+                opt_cell(agg.mean_snr_db()),
+                nodes_per_sec(*nodes, *wall_s).to_string(),
+                wall_s.to_string(),
+                agg.gap_nodes.to_string(),
+                agg.relayed.to_string(),
+                opt_cell(agg.mean_relay_hops()),
+                agg.lifecycle.offered.to_string(),
+                agg.lifecycle.dropped().to_string(),
+                opt_cell(wait.quantile(0.50)),
+                opt_cell(wait.quantile(0.95)),
+                opt_cell(wait.quantile(0.99)),
+            ]
+        }),
+    )
 }
 
 fn main() {
@@ -51,36 +124,10 @@ fn main() {
         &[1_000, 10_000, 100_000, 1_000_000]
     };
     let cfg = RunnerConfig::from_env();
-    // The slot plan is a pure function of the campaign shape; a 1-node
-    // probe campaign yields the slot width the service pipeline is sized
-    // against.
-    let slot_ps = match sector_campaign(1, PAYLOAD_BYTES, SLOTS, ROOT_SEED) {
-        Ok(c) => c.plan.slot_ps,
-        Err(e) => {
-            eprintln!("net_scale_city failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let points = match extension_net_scale_city(
-        node_counts,
-        CELL_SIZE,
-        FRAMES,
-        PAYLOAD_BYTES,
-        SLOTS,
-        ROOT_SEED,
-        &service(slot_ps),
-        // The city anchor stays a full-coverage campaign: relaying off
-        // keeps every pre-relay column bit-identical, and the new
-        // gap/relay columns report zeros.
-        &RelayConfig::disabled(),
-        &cfg,
-    ) {
-        Ok(points) => points,
-        Err(e) => {
-            eprintln!("net_scale_city failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let points = run(node_counts, &cfg).unwrap_or_else(|e| {
+        eprintln!("net_scale_city failed: {e}");
+        std::process::exit(1);
+    });
 
     let io_span = milback_bench::spans::span("io");
     let mut report = Report::new(
@@ -92,25 +139,23 @@ fn main() {
     let mut cells = Series::new("cells");
     let mut delivery = Series::new("delivery rate");
     let mut throughput = Series::new("knodes/s (wall)");
-    for p in &points {
-        cells.push(p.nodes as f64, p.cells as f64);
-        delivery.push_opt(p.nodes as f64, p.delivery_rate);
-        throughput.push(p.nodes as f64, p.nodes_per_sec / 1e3);
+    for (nodes, agg, wall_s) in &points {
+        let x = *nodes as f64;
+        cells.push(x, agg.cells as f64);
+        delivery.push_opt(x, agg.delivery_rate());
+        throughput.push(x, nodes_per_sec(*nodes, *wall_s) / 1e3);
     }
     report.add_series(cells);
     report.add_series(delivery);
     report.add_series(throughput);
-    if let Some(p) = points.last() {
+    if let Some((nodes, agg, wall_s)) = points.last() {
         report.note(format!(
-            "{} nodes across {} cells of {} finished in {:.2} s ({:.0} nodes/s) on {} thread(s); \
+            "{nodes} nodes across {} cells of {CELL_SIZE} finished in {wall_s:.2} s ({:.0} nodes/s) on {} thread(s); \
              report memory stayed at {} histogram buckets + counters, never a per-node Vec",
-            p.nodes,
-            p.cells,
-            CELL_SIZE,
-            p.wall_s,
-            p.nodes_per_sec,
-            p.threads,
-            bucket_footprint(),
+            agg.cells,
+            nodes_per_sec(*nodes, *wall_s),
+            cfg.threads,
+            CampaignAggregate::new().bucket_footprint(),
         ));
     }
     report.note(format!(
@@ -130,70 +175,12 @@ fn main() {
             .to_string(),
     );
     print!("{}", report.render());
-
-    // The wide per-point schema goes out as a hand-rolled CSV (the Report
-    // grid only carries the headline series). Reduced runs never touch the
-    // full-scale anchor.
-    if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_scale_city.csv");
-            match std::fs::write(&path, to_csv(&points)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
-    }
+    emit_anchor(
+        "extension_net_scale_city.csv",
+        &csv(&points, cfg.threads),
+        reduced,
+    );
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();
-}
-
-/// The streaming aggregate's bounded report footprint, in histogram
-/// buckets — printed so the scaling claim is visible next to the numbers.
-fn bucket_footprint() -> usize {
-    milback_core::CampaignAggregate::new().bucket_footprint()
-}
-
-/// The full sweep schema, one row per node count. Undefined values
-/// (nothing delivered) are empty cells, never NaN/inf tokens.
-fn to_csv(points: &[NetScaleCityPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "nodes,cells,threads,frames,attempts,delivered,collisions,offered,served,overflow,\
-         delivery_rate,energy_per_node_j,mean_snr_db,nodes_per_sec,wall_s,gap_nodes,relayed,\
-         mean_relay_hops,offered_packets,dropped_packets,slot_wait_p50_us,slot_wait_p95_us,\
-         slot_wait_p99_us\n",
-    );
-    for p in points {
-        let opt = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            p.nodes,
-            p.cells,
-            p.threads,
-            p.frames,
-            p.attempts,
-            p.delivered,
-            p.collisions,
-            p.offered,
-            p.served,
-            p.overflow,
-            opt(p.delivery_rate),
-            opt(p.energy_per_node_j),
-            opt(p.mean_snr_db),
-            p.nodes_per_sec,
-            p.wall_s,
-            p.gap_nodes,
-            p.relayed,
-            opt(p.mean_relay_hops),
-            p.offered_packets,
-            p.dropped_packets,
-            opt(p.slot_wait_p50_us),
-            opt(p.slot_wait_p95_us),
-            opt(p.slot_wait_p99_us),
-        );
-    }
-    out
 }

@@ -1,14 +1,20 @@
 //! Parameterized experiment cores shared by the figure binaries and the
 //! benchmark harness.
 //!
-//! Each core is a pure function of its grid, trial count, and root seed:
-//! it flattens `points × trials` into one batch of independent Monte-Carlo
-//! trials, runs them through [`crate::runner::run_trials`] (so trial `i`
-//! always consumes the same RNG stream regardless of thread count or grid
-//! shape), and regroups the per-trial outcomes by grid point. The figure
-//! binaries call these at full scale to regenerate the CSV anchors;
-//! `bench_smoke` calls them at reduced scale, serial vs parallel, to time
-//! the runner and assert the two schedules agree bit-for-bit.
+//! Each figure core is a pure function of its grid, trial count, and root
+//! seed: it flattens `points × trials` into one batch of independent
+//! Monte-Carlo trials, runs them through [`crate::runner::run_trials`] (so
+//! trial `i` always consumes the same RNG stream regardless of thread
+//! count or grid shape), and regroups the per-trial outcomes by grid
+//! point. The figure binaries call these at full scale to regenerate the
+//! CSV anchors; `bench_smoke` calls them at reduced scale, serial vs
+//! parallel, to time the runner and assert the two schedules agree
+//! bit-for-bit.
+//!
+//! The network sweeps (`net_scale`, `mac_compare`, `net_scale_city`,
+//! `net_load`, `net_relay`, `net_audit`) share one runner, [`run_sweep`]:
+//! each binary describes its cells as [`SweepCell`]s over one [`Sweep`]
+//! shape and reads its columns straight off the library's campaign sinks.
 //!
 //! Every simulator/pipeline built here uses `with_beat_threads(1)`: the
 //! runner already parallelizes across trials, so the inner beat-synthesis
@@ -16,12 +22,11 @@
 
 use crate::runner::{run_fallible, trial_seed, RunnerConfig, TrialBatch};
 use milback_core::coding::{bits_to_bytes, bytes_to_bits, PayloadCodec};
-use milback_core::engine::ps_to_secs;
 use milback_core::localization::{Impairments, LocationFix};
 use milback_core::protocol::SlotPlan;
-use milback_core::telemetry::{CampaignProbe, Metrics, TraceBuffer};
+use milback_core::telemetry::{Metrics, TraceBuffer};
 use milback_core::{
-    ApServiceConfig, BackoffAloha, CampaignAggregate, CampaignSpec, CoverageModel, LifecycleStats,
+    ApServiceConfig, BackoffAloha, CampaignProbe, CampaignSink, CampaignSpec, CoverageModel,
     LinkSimulator, LocalizationPipeline, MacPolicy, Network, OverflowPolicy, Packet, RelayAwareMac,
     RelayConfig, RoundRobinPolling, Scene, SdmAwareAssignment, SlottedAloha, SlottedRunReport,
     SystemConfig,
@@ -458,565 +463,8 @@ pub fn extension_tracking_fixes(
 /// N nodes across a ±60° sector at 4 m: evenly spaced, so density directly
 /// controls the neighbour separation SDM has to work with. Shared by every
 /// sector-scene sweep so their curves are comparable.
-fn sector_scene(n: usize) -> Scene {
-    // `Scene::arc` computes the same `-span/2 + span·k/(n-1)` azimuths
-    // (with the n == 1 division guarded), so the CSV anchors built on
-    // this scene are unchanged by the shared-helper refactor.
+pub fn sector_scene(n: usize) -> Scene {
     Scene::arc(n, 4.0, 120f64.to_radians(), node_orientation_rad())
-}
-
-/// The shared setup every sector-scene MAC sweep starts from: payload,
-/// slot plan, network, and the per-node-count slot seed. One builder so
-/// `net_scale`, `mac_compare`, the instrumented sweep, and the city-scale
-/// sharded sweep all race over exactly the same campaign and stay
-/// comparable row-for-row. [`spec`](Self::spec) turns it into the
-/// [`CampaignSpec`] the runners take.
-#[derive(Debug)]
-pub struct SectorCampaign {
-    /// The uplink payload every node reports.
-    pub payload: Vec<u8>,
-    /// The slot plan sized for that payload.
-    pub plan: SlotPlan,
-    /// The network over the campaign's scene.
-    pub net: Network,
-    /// The slot seed shared across sweeps at this node count, so the
-    /// hashed-slot policies race over the same slot draws in every sweep.
-    pub slot_seed: u64,
-}
-
-impl SectorCampaign {
-    /// A campaign over `scene`: default system config, a `0x42`-filled
-    /// payload and a `slots`-slot plan with 10 µs guards. Errors are
-    /// stringified for the fallible trial runner.
-    pub fn over(
-        scene: Scene,
-        payload_bytes: usize,
-        slots: usize,
-        slot_seed: u64,
-    ) -> Result<Self, String> {
-        let config = SystemConfig::milback_default();
-        let payload = vec![0x42u8; payload_bytes];
-        let plan = SlotPlan::for_packet(
-            slots,
-            &Packet::uplink(payload.clone()),
-            &config.fmcw,
-            config.uplink_symbol_rate_hz,
-            10e-6,
-        )
-        .map_err(|e| e.to_string())?;
-        let net = Network::new(config, scene).map_err(|e| e.to_string())?;
-        Ok(Self {
-            payload,
-            plan,
-            net,
-            slot_seed,
-        })
-    }
-
-    /// The parity campaign spec over `frames` frames of this payload and
-    /// plan; sweeps adjust the AP service or relaying with its `with_*`
-    /// builders.
-    pub fn spec(&self, frames: usize) -> CampaignSpec<'_> {
-        CampaignSpec::new(frames, &self.payload, self.plan)
-    }
-}
-
-/// Builds the [`SectorCampaign`] over the uniform sector scene of `n`
-/// nodes (see [`SectorCampaign::over`]), with the per-node-count slot seed.
-pub fn sector_campaign(
-    n: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-) -> Result<SectorCampaign, String> {
-    SectorCampaign::over(
-        sector_scene(n),
-        payload_bytes,
-        slots,
-        root_seed.wrapping_add(n as u64),
-    )
-}
-
-/// The MAC policies the `mac_compare` sweep races against each other, by
-/// the [`MacPolicy::name`] each reports.
-pub const MAC_POLICY_NAMES: [&str; 4] = ["aloha", "backoff", "polling", "sdm"];
-
-/// Builds a fresh policy instance by name (see [`MAC_POLICY_NAMES`]).
-/// `slot_seed` feeds the hashed-slot policies so a given (policy, scene)
-/// pair is reproducible. An unknown name is an error.
-pub fn mac_policy_by_name(name: &str, slot_seed: u64) -> Result<Box<dyn MacPolicy>, String> {
-    Ok(match name {
-        "aloha" => Box::new(SlottedAloha::new(slot_seed)),
-        "backoff" => Box::new(BackoffAloha::new(slot_seed, 5).map_err(|e| e.to_string())?),
-        "polling" => Box::new(RoundRobinPolling::new()),
-        "sdm" => Box::new(SdmAwareAssignment::new()),
-        _ => return Err(format!("unknown MAC policy {name:?}")),
-    })
-}
-
-/// One (policy, node count) cell of the MAC-comparison extension.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MacComparePoint {
-    /// Which [`MacPolicy`] ran (its `name()`).
-    pub policy: &'static str,
-    /// Number of nodes sharing the cell.
-    pub nodes: usize,
-    /// Network-wide slot transmissions attempted.
-    pub attempts: usize,
-    /// Network-wide packets delivered.
-    pub delivered: usize,
-    /// Network-wide slot collisions.
-    pub collisions: usize,
-    /// Delivered over attempted, network-wide.
-    pub delivery_rate: f64,
-    /// Mean per-node goodput over the campaign, bits/second.
-    pub per_node_goodput_bps: f64,
-    /// Total node energy per delivered packet, joules; `None` when the
-    /// campaign delivered nothing.
-    pub energy_per_packet_j: Option<f64>,
-}
-
-fn mac_compare_point(policy: &'static str, r: &SlottedRunReport) -> MacComparePoint {
-    let n = r.nodes.len();
-    let attempts: usize = r.nodes.iter().map(|nd| nd.attempts).sum();
-    let delivered: usize = r.nodes.iter().map(|nd| nd.delivered).sum();
-    let collisions: usize = r.nodes.iter().map(|nd| nd.collisions).sum();
-    let energy: f64 = r.nodes.iter().map(|nd| nd.energy_j).sum();
-    let goodput = (0..n).map(|idx| r.goodput_bps(idx)).sum::<f64>() / n.max(1) as f64;
-    MacComparePoint {
-        policy,
-        nodes: n,
-        attempts,
-        delivered,
-        collisions,
-        delivery_rate: delivered as f64 / attempts.max(1) as f64,
-        per_node_goodput_bps: goodput,
-        energy_per_packet_j: (delivered > 0).then(|| energy / delivered as f64),
-    }
-}
-
-/// MAC-comparison extension core: every policy in `policies` runs the
-/// [`sector_campaign`] at each node count — nodes spread over a ±60°
-/// sector at 4 m, so growing density both fills slots *and* erodes SDM
-/// separability. Trials flatten as `policy-major × node-count-minor`; each
-/// cell is one independent trial with its own deterministic RNG stream, so
-/// the sweep is bit-identical at any thread count. The network-scaling
-/// extension is this core over `&["aloha"]`.
-pub fn extension_mac_compare(
-    policies: &[&'static str],
-    node_counts: &[usize],
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-) -> TrialBatch<MacComparePoint, String> {
-    run_fallible(
-        policies.len() * node_counts.len(),
-        root_seed,
-        cfg,
-        |i, rng| {
-            let policy_name = policies[i / node_counts.len()];
-            let n = node_counts[i % node_counts.len()];
-            let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-            let policy = mac_policy_by_name(policy_name, c.slot_seed)?;
-            let r = c
-                .net
-                .run(&c.spec(frames), policy, rng, &mut CampaignProbe::disabled())
-                .map_err(|e| e.to_string())?;
-            Ok(mac_compare_point(policy_name, &r))
-        },
-    )
-}
-
-/// One policy's merged campaign instrumentation from
-/// [`extension_mac_compare_instrumented`]: metrics folded across the
-/// policy's node-count campaigns in deterministic trial order, plus —
-/// when tracing was requested — the trace of its largest-node-count
-/// campaign.
-#[derive(Debug, Clone)]
-pub struct PolicyInstrumentation {
-    /// The policy's [`MacPolicy::name`].
-    pub policy: &'static str,
-    /// Counters/histograms merged across the policy's campaigns.
-    pub metrics: Metrics,
-    /// The largest-node-count campaign's trace, when tracing.
-    pub trace: Option<TraceBuffer>,
-}
-
-/// The outcome of [`extension_mac_compare_instrumented`]: the same trial
-/// batch [`extension_mac_compare`] produces (bit-identical — the parity
-/// suite proves it), plus per-policy instrumentation.
-#[derive(Debug)]
-pub struct InstrumentedMacCompare {
-    /// Per-cell campaign points, exactly as the uninstrumented sweep.
-    pub batch: TrialBatch<MacComparePoint, String>,
-    /// Per-policy instrumentation, in the sweep's policy order.
-    pub policies: Vec<PolicyInstrumentation>,
-}
-
-/// [`extension_mac_compare`] with telemetry attached: every cell runs
-/// with a metrics probe, and — when `trace_capacity` is set — each
-/// policy's **largest** node-count campaign also records a full trace
-/// (engine dispatches, slot outcomes, policy decisions, energy draws).
-///
-/// The campaign numbers are bit-identical to the uninstrumented sweep:
-/// probes only copy values the simulation already computed, and the trial
-/// streams are untouched. Metrics merge across a policy's node counts in
-/// trial order, so the merged registries are deterministic at any thread
-/// count too.
-#[allow(clippy::too_many_arguments)]
-pub fn extension_mac_compare_instrumented(
-    policies: &[&'static str],
-    node_counts: &[usize],
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-    trace_capacity: Option<usize>,
-) -> InstrumentedMacCompare {
-    let per_policy = node_counts.len();
-    let traced_cell = per_policy.saturating_sub(1);
-    let inner = run_fallible(
-        policies.len() * per_policy,
-        root_seed,
-        cfg,
-        |i, rng| -> Result<(MacComparePoint, Metrics, Option<TraceBuffer>), String> {
-            let policy_name = policies[i / per_policy];
-            let n = node_counts[i % per_policy];
-            let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-            let policy = mac_policy_by_name(policy_name, c.slot_seed)?;
-            let mut probe = match trace_capacity {
-                Some(cap) if i % per_policy == traced_cell => CampaignProbe::with_trace(cap),
-                _ => CampaignProbe::with_metrics(),
-            };
-            let r = c
-                .net
-                .run(&c.spec(frames), policy, rng, &mut probe)
-                .map_err(|e| e.to_string())?;
-            let metrics = probe.take_metrics().unwrap_or_default();
-            let trace = probe.trace.take().map(|sink| sink.into_buffer());
-            Ok((mac_compare_point(policy_name, &r), metrics, trace))
-        },
-    );
-    // Fold per-policy in trial order: trials flatten policy-major, so the
-    // merge order (and the serialized registries) is deterministic.
-    let mut folded: Vec<PolicyInstrumentation> = policies
-        .iter()
-        .map(|&p| PolicyInstrumentation {
-            policy: p,
-            metrics: Metrics::new(),
-            trace: None,
-        })
-        .collect();
-    for (i, result) in inner.results.iter().enumerate() {
-        if let Ok((_, metrics, trace)) = result {
-            // Queue-depth histograms arrive inside `metrics` already: the
-            // engine tallies every dispatch losslessly (the old trace-ring
-            // reconstruction silently truncated once the ring evicted).
-            let slot = &mut folded[i / per_policy];
-            slot.metrics.merge_from(metrics);
-            if let Some(buf) = trace {
-                // The ring's own eviction count rides along in the metrics
-                // document, so a truncated trace is visible downstream
-                // instead of silently looking complete.
-                slot.metrics.inc("trace_dropped_records", buf.dropped());
-                slot.trace = Some(buf.clone());
-            }
-        }
-    }
-    InstrumentedMacCompare {
-        batch: TrialBatch {
-            results: inner
-                .results
-                .into_iter()
-                .map(|r| r.map(|(point, _, _)| point))
-                .collect(),
-        },
-        policies: folded,
-    }
-}
-
-/// One node-count point of the city-scale sharded sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetScaleCityPoint {
-    /// Total nodes across the campaign.
-    pub nodes: usize,
-    /// Spatial cells the scene was sharded into.
-    pub cells: usize,
-    /// Worker threads the cells fanned out over.
-    pub threads: usize,
-    /// Frames per cell campaign.
-    pub frames: usize,
-    /// Network-wide slot transmissions attempted.
-    pub attempts: u64,
-    /// Network-wide packets delivered.
-    pub delivered: u64,
-    /// Network-wide slot collisions.
-    pub collisions: u64,
-    /// Slot grants offered to the AP service pipelines, summed over cells.
-    pub offered: u64,
-    /// Grants that completed all three pipeline stages and reached the air.
-    pub served: u64,
-    /// Grants that hit a full stage queue (dropped + deferred + degraded).
-    pub overflow: u64,
-    /// Delivered over attempted; `None` before any attempt.
-    pub delivery_rate: Option<f64>,
-    /// Mean node energy over the campaign, joules.
-    pub energy_per_node_j: Option<f64>,
-    /// Mean per-delivery SNR across delivering nodes, dB; `None` when
-    /// nothing delivered.
-    pub mean_snr_db: Option<f64>,
-    /// Simulated nodes per wall-clock second — the sweep's throughput axis.
-    pub nodes_per_sec: f64,
-    /// Wall-clock time for this point, seconds.
-    pub wall_s: f64,
-    /// Nodes outside AP coverage (0 under the default unbounded model).
-    pub gap_nodes: u64,
-    /// Packets delivered over multi-hop relay routes.
-    pub relayed: u64,
-    /// Mean transmissions per relayed delivery; `None` when nothing
-    /// relayed (the relay-disabled CSV cell is empty).
-    pub mean_relay_hops: Option<f64>,
-    /// Packets offered on the lifecycle ledger, summed over cells in
-    /// cell-index order.
-    pub offered_packets: u64,
-    /// Packets dropped on the lifecycle ledger, all reasons combined.
-    pub dropped_packets: u64,
-    /// Slot-wait sketch median, µs; `None` when the sketch is empty.
-    pub slot_wait_p50_us: Option<f64>,
-    /// Slot-wait sketch 95th percentile, µs; `None` when empty.
-    pub slot_wait_p95_us: Option<f64>,
-    /// Slot-wait sketch 99th percentile, µs; `None` when empty.
-    pub slot_wait_p99_us: Option<f64>,
-}
-
-/// City-scale network sweep core: each node count shards the sector scene
-/// into `⌈nodes / cell_size⌉` spatial cells and runs one slotted-ALOHA
-/// campaign per cell via [`Network::run_sharded`] — parallel across
-/// cells, streaming straight into a [`milback_core::CampaignAggregate`]
-/// that folds each block of finished cells in cell order, so peak report
-/// memory is O(block + buckets) whatever the cell count, and a
-/// 10⁵–10⁶-node campaign fits where the per-node `Vec` path would not
-/// (perfbench's 10⁶-node `city_1m` peaks at ~27 MiB RSS, most of it the
-/// scene). Unlike the room-scale sweeps, the
-/// parallelism lives *inside* each point (the cell fan-out), so points run
-/// serially here; results are bit-identical at any `cfg.threads`.
-///
-/// Seeding: point `i` derives its campaign seed via the runner's
-/// [`trial_seed`] mix, and each cell re-mixes that with its cell index
-/// ([`milback_core::cell_seed`]) — the same SplitMix64 discipline end to
-/// end. Wall-clock throughput (`nodes_per_sec`) is measured, so it varies
-/// run to run; every simulation field is deterministic.
-///
-/// `service` is each cell AP's **Capture → Plan → Transmit** pipeline
-/// shape. A bounded queue with [`OverflowPolicy::Defer`] keeps every
-/// ledger column bit-identical to the instantaneous campaign (Defer is
-/// FIFO, so the per-cell RNG streams are consumed unchanged) while the
-/// new `offered`/`served`/`overflow` columns expose the service backlog.
-#[allow(clippy::too_many_arguments)]
-pub fn extension_net_scale_city(
-    node_counts: &[usize],
-    cell_size: usize,
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-    service: &ApServiceConfig,
-    relay: &RelayConfig,
-    cfg: &RunnerConfig,
-) -> Result<Vec<NetScaleCityPoint>, String> {
-    if cell_size == 0 {
-        return Err("cells must hold at least one node".into());
-    }
-    node_counts
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-            let cells = n.div_ceil(cell_size);
-            let campaign_seed = trial_seed(root_seed, i);
-            let started = std::time::Instant::now();
-            // A disabled relay keeps the plain [`SlottedAloha`] cells, so
-            // the sweep's pre-relay columns stay bit-identical to the
-            // pre-relay anchors; an enabled one swaps in the relay-aware
-            // policy per cell.
-            let agg = c
-                .net
-                .run_sharded::<CampaignAggregate>(
-                    &c.spec(frames).with_service(*service).with_relay(*relay),
-                    cells,
-                    cfg.threads,
-                    campaign_seed,
-                    |_, seed| {
-                        if relay.is_disabled() {
-                            Box::new(SlottedAloha::new(seed)) as Box<dyn MacPolicy>
-                        } else {
-                            Box::new(RelayAwareMac::new(seed, *relay)) as Box<dyn MacPolicy>
-                        }
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-            let wall_s = started.elapsed().as_secs_f64();
-            Ok(NetScaleCityPoint {
-                nodes: n,
-                cells: agg.cells as usize,
-                threads: cfg.threads,
-                frames,
-                attempts: agg.attempts,
-                delivered: agg.delivered,
-                collisions: agg.collisions,
-                offered: agg.service.offered,
-                served: agg.service.served,
-                overflow: agg.service.overflowed(),
-                delivery_rate: agg.delivery_rate(),
-                energy_per_node_j: agg.mean_energy_per_node_j(),
-                mean_snr_db: agg.mean_snr_db(),
-                nodes_per_sec: if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 },
-                wall_s,
-                gap_nodes: agg.gap_nodes,
-                relayed: agg.relayed,
-                mean_relay_hops: agg.mean_relay_hops(),
-                offered_packets: agg.lifecycle.offered,
-                dropped_packets: agg.lifecycle.dropped(),
-                slot_wait_p50_us: agg.lifecycle.slot_wait_us.quantile(0.50),
-                slot_wait_p95_us: agg.lifecycle.slot_wait_us.quantile(0.95),
-                slot_wait_p99_us: agg.lifecycle.slot_wait_us.quantile(0.99),
-            })
-        })
-        .collect()
-}
-
-/// The overflow policies the offered-load sweep races, by CSV tag.
-pub const OVERFLOW_POLICY_NAMES: [&str; 3] = ["drop", "defer", "degrade"];
-
-/// Maps an [`OVERFLOW_POLICY_NAMES`] tag to its [`OverflowPolicy`].
-pub(crate) fn overflow_policy_by_name(name: &str) -> Option<OverflowPolicy> {
-    match name {
-        "drop" => Some(OverflowPolicy::Drop),
-        "defer" => Some(OverflowPolicy::Defer),
-        "degrade" => Some(OverflowPolicy::Degrade),
-        _ => None,
-    }
-}
-
-/// One (overflow policy, node count) cell of the offered-vs-served sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetLoadPoint {
-    /// Overflow policy tag (see [`OVERFLOW_POLICY_NAMES`]).
-    pub overflow: &'static str,
-    /// Nodes contending for the frame.
-    pub nodes: usize,
-    /// Slot grants offered to the AP pipeline over the campaign.
-    pub offered: u64,
-    /// Grants that completed all three stages and reached the air.
-    pub served: u64,
-    /// Grants shed at a full stage queue (never transmitted).
-    pub dropped: u64,
-    /// Grants admitted past the queue bound and served late.
-    pub deferred: u64,
-    /// Grants admitted with the degraded (no-SDM) plan.
-    pub degraded: u64,
-    /// Offered load over the nominal campaign airtime, grants/second.
-    pub offered_per_s: f64,
-    /// Served load over the same axis, grants/second.
-    pub served_per_s: f64,
-    /// Network-wide packets delivered.
-    pub delivered: u64,
-    /// Delivered over attempted; `None` before any attempt.
-    pub delivery_rate: Option<f64>,
-}
-
-/// Offered-vs-served extension core: sweeps offered load past the AP
-/// service pipeline's capacity to expose the served-load knee.
-///
-/// Every cell runs [`SlottedAloha`], so the offered load — the occupied
-/// slots per frame, each one a grant the AP must serve — grows
-/// monotonically with node count (`slots·(1−(1−1/slots)^nodes)` in
-/// expectation, from ~1 at a single node to every slot at high density).
-/// The pipeline's Capture stage takes **two slot widths** behind a
-/// `queue_capacity`-deep stage queue, so service capacity is half the
-/// slot rate: once offered load passes `slots / 2` grants per frame,
-/// `Drop` saturates `served` (the knee), `Defer` piles spill into the
-/// queue, and `Degrade` trades SDM concurrency for service.
-///
-/// Trials flatten `overflow-policy-major × node-count-minor`; each cell is
-/// one independent trial on its own SplitMix64 stream, bit-identical at
-/// any thread count. The load axes (`*_per_s`) are computed over the
-/// nominal campaign airtime `frames × frame_ps` — simulated time, not
-/// wall-clock — so they are deterministic too.
-#[allow(clippy::too_many_arguments)]
-pub fn extension_net_load(
-    overflows: &[&'static str],
-    node_counts: &[usize],
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    queue_capacity: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-) -> TrialBatch<NetLoadPoint, String> {
-    run_fallible(
-        overflows.len() * node_counts.len(),
-        root_seed,
-        cfg,
-        |i, rng| {
-            let tag = overflows[i / node_counts.len()];
-            let n = node_counts[i % node_counts.len()];
-            let policy = overflow_policy_by_name(tag)
-                .ok_or_else(|| format!("unknown overflow policy {tag:?}"))?;
-            let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
-            let service = ApServiceConfig::instantaneous()
-                .with_stage_latencies(2 * c.plan.slot_ps, 0, 0)
-                .with_queue(queue_capacity, policy);
-            let r: SlottedRunReport = c
-                .net
-                .run(
-                    &c.spec(frames).with_service(service),
-                    Box::new(SlottedAloha::new(c.slot_seed)),
-                    rng,
-                    &mut CampaignProbe::disabled(),
-                )
-                .map_err(|e| e.to_string())?;
-            let airtime_s = frames as f64 * ps_to_secs(c.plan.frame_ps());
-            let attempts: usize = r.nodes.iter().map(|nd| nd.attempts).sum();
-            let delivered: usize = r.nodes.iter().map(|nd| nd.delivered).sum();
-            Ok(NetLoadPoint {
-                overflow: tag,
-                nodes: n,
-                offered: r.service.offered,
-                served: r.service.served,
-                dropped: r.service.dropped,
-                deferred: r.service.deferred,
-                degraded: r.service.degraded,
-                offered_per_s: r.service.offered as f64 / airtime_s,
-                served_per_s: r.service.served as f64 / airtime_s,
-                delivered: delivered as u64,
-                delivery_rate: (attempts > 0).then(|| delivered as f64 / attempts as f64),
-            })
-        },
-    )
-}
-
-/// AP coverage range of the relay sweep's gapped scenes, meters: the
-/// 4 m inner arc is covered, the 8 m and 12 m gap rings are not.
-pub(crate) const RELAY_COVERAGE_RANGE_M: f64 = 6.0;
-/// Tag-to-tag neighbor range of the relay sweep, meters: reaches the
-/// 4 m ring-to-ring spacing of the gapped scene, nothing further.
-pub const RELAY_TAG_RANGE_M: f64 = 4.5;
-/// Deterministic per-tag-hop SNR penalty of the relay sweep, dB.
-pub(crate) const RELAY_HOP_SNR_PENALTY_DB: f64 = 3.0;
-
-/// The [`RelayConfig`] every relay sweep cell shares, at hop budget
-/// `max_hops`.
-pub fn relay_sweep_config(max_hops: usize) -> RelayConfig {
-    RelayConfig {
-        coverage: CoverageModel::with_range(RELAY_COVERAGE_RANGE_M),
-        max_hops,
-        tag_range_m: RELAY_TAG_RANGE_M,
-        hop_snr_penalty_db: RELAY_HOP_SNR_PENALTY_DB,
-    }
 }
 
 /// The sector scene with a `gap_fraction` share of its nodes pushed past
@@ -1026,7 +474,7 @@ pub fn relay_sweep_config(max_hops: usize) -> RelayConfig {
 /// with its 8 m forwarder so the ring spacing is exactly 4 m). The 8 m
 /// majority puts the two-transmission recovery strictly above one half
 /// of the gap population.
-fn gapped_sector_scene(n: usize, gap_fraction: f64) -> Scene {
+pub fn gapped_sector_scene(n: usize, gap_fraction: f64) -> Scene {
     let span = 120f64.to_radians();
     let n_gap = ((n as f64 * gap_fraction).round() as usize).min(n);
     let n_far = n_gap / 3;
@@ -1049,250 +497,290 @@ fn gapped_sector_scene(n: usize, gap_fraction: f64) -> Scene {
     scene
 }
 
-/// One (gap fraction, hop budget) cell of the relay recovery sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetRelayPoint {
-    /// Share of the scene's nodes placed outside AP coverage.
-    pub gap_fraction: f64,
-    /// Transmission budget per packet (tag hops + terminal uplink).
-    pub max_hops: usize,
-    /// Total nodes in the scene.
-    pub nodes: usize,
-    /// Nodes the coverage model classified as gap nodes.
-    pub gap_nodes: u64,
-    /// Packets attempted network-wide.
-    pub attempts: u64,
-    /// Packets delivered network-wide (direct + relayed).
-    pub delivered: u64,
-    /// Delivered over attempted; `None` before any attempt.
-    pub delivery_rate: Option<f64>,
-    /// Packets attempted by gap nodes.
-    pub gap_attempts: u64,
-    /// Packets gap nodes got through (necessarily relayed).
-    pub gap_delivered: u64,
-    /// Gap-node delivery rate; `None` with no gap attempts.
-    pub gap_delivery_rate: Option<f64>,
-    /// Packets delivered over relay routes.
-    pub relayed: u64,
-    /// Forwarding transmissions performed for other nodes.
-    pub forwarded: u64,
-    /// Mean transmissions per relayed delivery; `None` when nothing
-    /// relayed.
-    pub mean_relay_hops: Option<f64>,
-    /// Forwarding energy per relayed delivery, joules; `None` when
-    /// nothing relayed — the sweep's energy-cost axis.
-    pub relay_energy_per_delivered_j: Option<f64>,
-    /// Mean extra latency per relayed delivery, seconds; `None` when
-    /// nothing relayed.
-    pub mean_relay_latency_s: Option<f64>,
+/// The MAC policies the `mac_compare` sweep races against each other, by
+/// the [`MacPolicy::name`] each reports.
+pub const MAC_POLICY_NAMES: [&str; 4] = ["aloha", "backoff", "polling", "sdm"];
+
+/// Builds a fresh policy instance by name (see [`MAC_POLICY_NAMES`]).
+/// `slot_seed` feeds the hashed-slot policies so a given (policy, scene)
+/// pair is reproducible. An unknown name is an error.
+pub fn mac_policy_by_name(name: &str, slot_seed: u64) -> Result<Box<dyn MacPolicy>, String> {
+    Ok(match name {
+        "aloha" => Box::new(SlottedAloha::new(slot_seed)),
+        "backoff" => Box::new(BackoffAloha::new(slot_seed, 5).map_err(|e| e.to_string())?),
+        "polling" => Box::new(RoundRobinPolling::new()),
+        "sdm" => Box::new(SdmAwareAssignment::new()),
+        _ => return Err(format!("unknown MAC policy {name:?}")),
+    })
 }
 
-/// Relay recovery extension core: sweeps coverage-gap fraction × hop
-/// budget over the gapped sector scene and reports how much gap-node
-/// delivery multi-hop relaying buys, and at what forwarding-energy and
-/// latency cost.
-///
-/// Geometry fixes the expected shape: at `max_hops == 1` (direct only)
-/// gap delivery is exactly zero; `2` recovers the 8 m ring (two thirds
-/// of the gap population); `3` also recovers the 12 m ring. Each cell is
-/// one independent trial on its own SplitMix64 stream — bit-identical at
-/// any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn extension_net_relay(
-    gap_fractions: &[f64],
-    hop_budgets: &[usize],
-    nodes: usize,
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-) -> TrialBatch<NetRelayPoint, String> {
-    run_fallible(
-        gap_fractions.len() * hop_budgets.len(),
-        root_seed,
-        cfg,
-        |i, rng| {
-            let gap_fraction = gap_fractions[i / hop_budgets.len()];
-            let max_hops = hop_budgets[i % hop_budgets.len()];
-            let c = SectorCampaign::over(
-                gapped_sector_scene(nodes, gap_fraction),
-                payload_bytes,
-                slots,
-                root_seed.wrapping_add(nodes as u64),
-            )?;
-            let relay = relay_sweep_config(max_hops);
-            let agg: CampaignAggregate = c
-                .net
-                .run(
-                    &c.spec(frames).with_relay(relay),
-                    Box::new(RelayAwareMac::new(c.slot_seed, relay)),
-                    rng,
-                    &mut CampaignProbe::disabled(),
-                )
-                .map_err(|e| e.to_string())?;
-            Ok(NetRelayPoint {
-                gap_fraction,
-                max_hops,
-                nodes,
-                gap_nodes: agg.gap_nodes,
-                attempts: agg.attempts,
-                delivered: agg.delivered,
-                delivery_rate: agg.delivery_rate(),
-                gap_attempts: agg.gap_attempts,
-                gap_delivered: agg.gap_delivered,
-                gap_delivery_rate: agg.gap_delivery_rate(),
-                relayed: agg.relayed,
-                forwarded: agg.forwarded,
-                mean_relay_hops: agg.mean_relay_hops(),
-                relay_energy_per_delivered_j: agg.relay_energy_per_delivered_j(),
-                mean_relay_latency_s: agg.mean_relay_latency_s(),
-            })
-        },
-    )
+/// The overflow policies the offered-load sweep races, by CSV tag.
+pub const OVERFLOW_POLICY_NAMES: [&str; 3] = ["drop", "defer", "degrade"];
+
+/// Maps an [`OVERFLOW_POLICY_NAMES`] tag to its [`OverflowPolicy`].
+pub fn overflow_policy_by_name(name: &str) -> Option<OverflowPolicy> {
+    match name {
+        "drop" => Some(OverflowPolicy::Drop),
+        "defer" => Some(OverflowPolicy::Defer),
+        "degrade" => Some(OverflowPolicy::Degrade),
+        _ => None,
+    }
+}
+
+/// AP coverage range of the relay sweep's gapped scenes, meters: the
+/// 4 m inner arc is covered, the 8 m and 12 m gap rings are not.
+const RELAY_COVERAGE_RANGE_M: f64 = 6.0;
+/// Tag-to-tag neighbor range of the relay sweep, meters: reaches the
+/// 4 m ring-to-ring spacing of the gapped scene, nothing further.
+pub const RELAY_TAG_RANGE_M: f64 = 4.5;
+/// Deterministic per-tag-hop SNR penalty of the relay sweep, dB.
+const RELAY_HOP_SNR_PENALTY_DB: f64 = 3.0;
+
+/// The [`RelayConfig`] every relay sweep cell shares, at hop budget
+/// `max_hops`.
+pub fn relay_sweep_config(max_hops: usize) -> RelayConfig {
+    RelayConfig {
+        coverage: CoverageModel::with_range(RELAY_COVERAGE_RANGE_M),
+        max_hops,
+        tag_range_m: RELAY_TAG_RANGE_M,
+        hop_snr_penalty_db: RELAY_HOP_SNR_PENALTY_DB,
+    }
 }
 
 /// Fraction of the audit sweep's relay-leg nodes placed past AP coverage.
 pub const NET_AUDIT_GAP_FRACTION: f64 = 0.25;
 
-/// The congested AP pipeline every `net_audit` cell runs: a Capture stage
-/// two slot widths deep behind a one-slot queue under
-/// [`OverflowPolicy::Drop`], so `service_shed` drops are on the books and
-/// the residence sketch sees real queueing — while the Drop policy keeps
-/// shed grants off the air instead of perturbing the slot schedule.
-pub(crate) fn net_audit_service(plan: &SlotPlan) -> ApServiceConfig {
-    ApServiceConfig::instantaneous()
-        .with_stage_latencies(2 * plan.slot_ps, 0, 0)
-        .with_queue(1, OverflowPolicy::Drop)
+/// The campaign shape every cell of a network sweep shares: frames, a
+/// `0x42`-filled payload, the slot plan sized for it, the root seed and,
+/// for city-scale sweeps, the shard size.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// Frames per campaign.
+    pub frames: usize,
+    /// The uplink payload every node reports.
+    pub payload: Vec<u8>,
+    /// The slot plan sized for that payload, with 10 µs guards.
+    pub plan: SlotPlan,
+    /// Root of the per-cell trial streams and of the slot seeds.
+    pub root_seed: u64,
+    /// When set, every cell is sharded into `⌈nodes / shard_nodes⌉`
+    /// spatial shards through [`Network::run_sharded`]; see [`run_sweep`].
+    pub shard_nodes: Option<usize>,
 }
 
-/// One (MAC policy, relay on/off) cell of the packet-lifecycle audit
-/// sweep: the cell's full [`LifecycleStats`] ledger, conservation-checked
-/// (`offered == delivered + Σ drops`) before it is returned.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetAuditPoint {
-    /// MAC policy tag (see [`MAC_POLICY_NAMES`]).
-    pub policy: &'static str,
-    /// Whether this cell ran the gapped scene with 2-hop relaying.
-    pub relay: bool,
-    /// Nodes in the scene.
-    pub nodes: usize,
-    /// The audited lifecycle ledger.
-    pub lifecycle: LifecycleStats,
-}
-
-/// Packet-lifecycle audit core: `policies × {direct, relay}` cells over
-/// the 64-node sector scene (the relay leg swaps in the
-/// [`NET_AUDIT_GAP_FRACTION`]-gapped scene and a 2-hop budget), every cell
-/// under the congested `net_audit_service` pipeline so all three loss
-/// families — channel (collision/SDM/decode), service (shed), and
-/// coverage (routeless gap nodes) — appear in one sweep.
-///
-/// Every cell's ledger is audited before it is returned: a conservation
-/// leak surfaces as the cell's error, not as a silently wrong row. The
-/// relay leg keeps each policy's own schedule except `"aloha"`, which maps
-/// to [`RelayAwareMac`] (the relay-aware slotted-ALOHA variant) so the
-/// sweep exercises granted relay chains, not just routeless drops. Cells
-/// are independent trials on their own SplitMix64 streams — bit-identical
-/// at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn extension_net_audit(
-    policies: &[&'static str],
-    nodes: usize,
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-    cfg: &RunnerConfig,
-) -> TrialBatch<NetAuditPoint, String> {
-    run_fallible(policies.len() * 2, root_seed, cfg, |i, rng| {
-        let policy_name = policies[i / 2];
-        let with_relay = i % 2 == 1;
-        let scene = if with_relay {
-            gapped_sector_scene(nodes, NET_AUDIT_GAP_FRACTION)
-        } else {
-            sector_scene(nodes)
-        };
-        let c = SectorCampaign::over(
-            scene,
-            payload_bytes,
+impl Sweep {
+    /// An unsharded sweep of `frames`-frame campaigns over a
+    /// `payload_bytes` payload in `slots`-slot frames.
+    pub fn new(
+        frames: usize,
+        payload_bytes: usize,
+        slots: usize,
+        root_seed: u64,
+    ) -> Result<Self, String> {
+        let config = SystemConfig::milback_default();
+        let payload = vec![0x42u8; payload_bytes];
+        let plan = SlotPlan::for_packet(
             slots,
-            root_seed.wrapping_add(nodes as u64),
-        )?;
-        let relay = if with_relay {
-            relay_sweep_config(2)
-        } else {
-            RelayConfig::disabled()
+            &Packet::uplink(payload.clone()),
+            &config.fmcw,
+            config.uplink_symbol_rate_hz,
+            10e-6,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(Self {
+            frames,
+            payload,
+            plan,
+            root_seed,
+            shard_nodes: None,
+        })
+    }
+
+    /// The campaign spec every cell starts from; cells set its AP service
+    /// and relaying.
+    pub fn spec(&self) -> CampaignSpec<'_> {
+        CampaignSpec::new(self.frames, &self.payload, self.plan)
+    }
+
+    /// A congested AP pipeline: a Capture stage two slot widths deep (so
+    /// service capacity is half the slot rate) behind a `queue`-deep stage
+    /// queue that spills under `overflow`.
+    pub fn capture_service(&self, queue: usize, overflow: OverflowPolicy) -> ApServiceConfig {
+        ApServiceConfig::instantaneous()
+            .with_stage_latencies(2 * self.plan.slot_ps, 0, 0)
+            .with_queue(queue, overflow)
+    }
+}
+
+/// One cell of a network sweep: the scene, the AP service and relaying
+/// its [`CampaignSpec`] runs under, the MAC policy by name, and the probe.
+#[derive(Debug)]
+pub struct SweepCell {
+    /// The cell's scene.
+    pub scene: Scene,
+    /// A [`MAC_POLICY_NAMES`] entry. Under enabled relaying, `"aloha"` is
+    /// the relay-aware slotted ALOHA ([`RelayAwareMac`]).
+    pub policy: &'static str,
+    /// The AP's service pipeline.
+    pub service: ApServiceConfig,
+    /// Relaying for gap nodes.
+    pub relay: RelayConfig,
+    /// What the campaign records; unsharded cells only.
+    pub probe: CampaignProbe,
+}
+
+impl SweepCell {
+    /// A cell over `scene` under the named policy, with an instantaneous
+    /// AP, relaying off and a disabled probe.
+    pub fn new(scene: Scene, policy: &'static str) -> Self {
+        Self {
+            scene,
+            policy,
+            service: ApServiceConfig::instantaneous(),
+            relay: RelayConfig::disabled(),
+            probe: CampaignProbe::disabled(),
+        }
+    }
+}
+
+/// What [`run_sweep`] returns per cell.
+#[derive(Debug)]
+pub struct CellRun<C> {
+    /// What [`Network::run_sharded`] returns for the chosen sink: an
+    /// unsharded cell is a campaign of one shard, so a [`SlottedRunReport`]
+    /// sink gives a one-report `Vec`.
+    pub sink: C,
+    /// The metrics the cell's probe collected, if it collected any.
+    pub metrics: Option<Metrics>,
+    /// The trace the cell's probe recorded, if it traced.
+    pub trace: Option<TraceBuffer>,
+    /// Wall-clock seconds of the campaign run, scene build excluded.
+    pub wall_s: f64,
+}
+
+impl<C: Clone> TrialBatch<CellRun<C>, String> {
+    /// Each cell's sink, or its error, in trial order.
+    pub fn sinks(&self) -> Vec<Result<C, String>> {
+        self.results
+            .iter()
+            .map(|r| r.as_ref().map(|run| run.sink.clone()).map_err(Clone::clone))
+            .collect()
+    }
+}
+
+/// The network-sweep runner: builds cell `i` of `cells` with `cell(i)`
+/// and runs its campaign into the sink `S`: a [`SlottedRunReport`] where a
+/// column needs per-node values, else a
+/// [`CampaignAggregate`](milback_core::CampaignAggregate).
+///
+/// Unsharded cells are independent trials of [`run_fallible`]: cell `i`
+/// runs on trial stream `i` of the sweep's root seed, and its policy's
+/// slot seed is the root seed plus the scene's node count, so the sweep is
+/// bit-identical at any `cfg.threads`. A sharded sweep runs its cells one
+/// after another, fanning each cell's shards out over `cfg.threads`
+/// workers from campaign seed [`trial_seed`]`(root_seed, i)`; it too is
+/// bit-identical at any thread count. A failed build or campaign is that
+/// cell's error.
+pub fn run_sweep<S: CampaignSink>(
+    sweep: &Sweep,
+    cells: usize,
+    cfg: &RunnerConfig,
+    cell: impl Fn(usize) -> Result<SweepCell, String> + Sync,
+) -> TrialBatch<CellRun<S::Cells>, String>
+where
+    S::Cells: Send,
+{
+    let outer = match sweep.shard_nodes {
+        Some(_) => RunnerConfig::serial(),
+        None => *cfg,
+    };
+    run_fallible(cells, sweep.root_seed, &outer, |i, rng| {
+        let SweepCell {
+            scene,
+            policy,
+            service,
+            relay,
+            mut probe,
+        } = cell(i)?;
+        let slot_seed = sweep.root_seed.wrapping_add(scene.nodes.len() as u64);
+        let net =
+            Network::new(SystemConfig::milback_default(), scene).map_err(|e| e.to_string())?;
+        let spec = sweep.spec().with_service(service).with_relay(relay);
+        let mac = cell_policy(policy, slot_seed, &relay)?;
+        let started = std::time::Instant::now();
+        let sink = match sweep.shard_nodes {
+            None => {
+                let mut sink = S::Cells::default();
+                let run = net.run::<S>(&spec, mac, rng, &mut probe);
+                S::merge_cell(&mut sink, run.map_err(|e| e.to_string())?);
+                sink
+            }
+            Some(0) => return Err("shards must hold at least one node".into()),
+            Some(size) => net
+                .run_sharded::<S>(
+                    &spec,
+                    net.node_count().div_ceil(size),
+                    cfg.threads,
+                    trial_seed(sweep.root_seed, i),
+                    |_, seed| cell_policy(policy, seed, &relay).expect("the name resolved above"),
+                )
+                .map_err(|e| e.to_string())?,
         };
-        let policy: Box<dyn MacPolicy> = if with_relay && policy_name == "aloha" {
-            Box::new(RelayAwareMac::new(c.slot_seed, relay))
-        } else {
-            mac_policy_by_name(policy_name, c.slot_seed)?
-        };
-        let spec = c
-            .spec(frames)
-            .with_service(net_audit_service(&c.plan))
-            .with_relay(relay);
-        // The runner audits the ledger before it returns the report.
-        let r: SlottedRunReport = c
-            .net
-            .run(&spec, policy, rng, &mut CampaignProbe::disabled())
-            .map_err(|e| e.to_string())?;
-        Ok(NetAuditPoint {
-            policy: policy_name,
-            relay: with_relay,
-            nodes,
-            lifecycle: r.lifecycle,
+        let wall_s = started.elapsed().as_secs_f64();
+        Ok(CellRun {
+            sink,
+            metrics: probe.take_metrics(),
+            trace: probe.trace.take().map(|sink| sink.into_buffer()),
+            wall_s,
         })
     })
 }
 
-/// The sharded city path's merged lifecycle ledger at one worker-thread
-/// count: the gapped audit scene under `net_audit_service` congestion
-/// and a 2-hop relay budget, sharded into `cells` spatial cells via
-/// [`Network::run_sharded`]. Callers run this across
-/// `MILBACK_THREADS`-style thread counts and demand the returned sketches
-/// be bit-identical — the merge happens serially in cell-index order, so
-/// they are. The merged ledger is conservation-audited here on top of the
-/// runner's own per-cell audit.
-#[allow(clippy::too_many_arguments)]
-pub fn net_audit_sharded_lifecycle(
-    nodes: usize,
-    cells: usize,
-    threads: usize,
-    frames: usize,
-    payload_bytes: usize,
-    slots: usize,
-    root_seed: u64,
-) -> Result<LifecycleStats, String> {
-    let c = SectorCampaign::over(
-        gapped_sector_scene(nodes, NET_AUDIT_GAP_FRACTION),
-        payload_bytes,
-        slots,
-        root_seed.wrapping_add(nodes as u64),
-    )?;
-    let relay = relay_sweep_config(2);
-    let spec = c
-        .spec(frames)
-        .with_service(net_audit_service(&c.plan))
-        .with_relay(relay);
-    let agg = c
-        .net
-        .run_sharded::<CampaignAggregate>(
-            &spec,
-            cells,
-            threads,
-            trial_seed(root_seed, 0),
-            |_, seed| Box::new(RelayAwareMac::new(seed, relay)) as Box<dyn MacPolicy>,
+/// Mean per-node goodput of a campaign, bits/s: the one sweep column that
+/// needs the per-node report, because each node's goodput rounds on its
+/// own before the mean.
+pub fn mean_node_goodput_bps(r: &SlottedRunReport) -> f64 {
+    let n = r.nodes.len();
+    (0..n).map(|idx| r.goodput_bps(idx)).sum::<f64>() / n.max(1) as f64
+}
+
+/// [`mac_policy_by_name`], except that `"aloha"` under enabled relaying
+/// is [`RelayAwareMac`], so the sweep exercises granted relay chains.
+fn cell_policy(name: &str, seed: u64, relay: &RelayConfig) -> Result<Box<dyn MacPolicy>, String> {
+    if name == "aloha" && !relay.is_disabled() {
+        return Ok(Box::new(RelayAwareMac::new(seed, *relay)));
+    }
+    mac_policy_by_name(name, seed)
+}
+
+/// A `net_audit` cell over `nodes` nodes under the named policy: every
+/// cell runs the congested pipeline (a one-slot queue under
+/// [`OverflowPolicy::Drop`], so `service_shed` drops are on the books and
+/// the residence sketch sees real queueing while shed grants stay off the
+/// air), and the relay leg swaps in the [`NET_AUDIT_GAP_FRACTION`]-gapped
+/// scene under a 2-hop budget, so all three loss families — channel,
+/// service and coverage — appear in one sweep.
+pub fn audit_cell(sweep: &Sweep, nodes: usize, policy: &'static str, relay_leg: bool) -> SweepCell {
+    let (scene, relay) = if relay_leg {
+        (
+            gapped_sector_scene(nodes, NET_AUDIT_GAP_FRACTION),
+            relay_sweep_config(2),
         )
-        .map_err(|e| e.to_string())?;
-    agg.lifecycle.audit().map_err(|e| e.to_string())?;
-    Ok(agg.lifecycle)
+    } else {
+        (sector_scene(nodes), RelayConfig::disabled())
+    };
+    SweepCell {
+        service: sweep.capture_service(1, OverflowPolicy::Drop),
+        relay,
+        ..SweepCell::new(scene, policy)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use milback_core::engine::ps_to_secs;
+    use milback_core::{CampaignAggregate, LifecycleStats};
 
     #[test]
     fn group_by_point_splits_and_counts() {
@@ -1301,11 +789,17 @@ mod tests {
         assert_eq!(groups, vec![(vec![1, 3], 1), (vec![4, 5], 1)]);
     }
 
+    /// A sharded sweep whose shards would hold no node fails every cell.
     #[test]
-    fn city_sweep_rejects_empty_cells() {
-        let (service, relay) = (ApServiceConfig::instantaneous(), RelayConfig::disabled());
-        let cfg = RunnerConfig::serial();
-        assert!(extension_net_scale_city(&[4], 0, 1, 8, 4, 1, &service, &relay, &cfg).is_err());
+    fn sharded_sweep_rejects_empty_shards() {
+        let sweep = Sweep {
+            shard_nodes: Some(0),
+            ..Sweep::new(1, 8, 4, 1).unwrap()
+        };
+        let batch = run_sweep::<CampaignAggregate>(&sweep, 1, &RunnerConfig::serial(), |_| {
+            Ok(SweepCell::new(sector_scene(4), "aloha"))
+        });
+        assert_eq!(batch.failed_count(), 1);
     }
 
     /// The offered-load sweep is bit-identical at any thread count, and
@@ -1314,8 +808,21 @@ mod tests {
     #[test]
     fn net_load_sweep_conserves_grants_at_any_thread_count() {
         let counts = [1, 4, 16];
+        let sweep = Sweep::new(6, 8, 4, 0x10AD).unwrap();
+        let tag = |i: usize| OVERFLOW_POLICY_NAMES[i / counts.len()];
         let run = |cfg: &RunnerConfig| {
-            extension_net_load(&OVERFLOW_POLICY_NAMES, &counts, 6, 8, 4, 1, 0x10AD, cfg)
+            run_sweep::<CampaignAggregate>(
+                &sweep,
+                OVERFLOW_POLICY_NAMES.len() * counts.len(),
+                cfg,
+                |i| {
+                    let overflow = overflow_policy_by_name(tag(i)).unwrap();
+                    Ok(SweepCell {
+                        service: sweep.capture_service(1, overflow),
+                        ..SweepCell::new(sector_scene(counts[i % counts.len()]), "aloha")
+                    })
+                },
+            )
         };
         let serial = run(&RunnerConfig::serial());
         assert_eq!(
@@ -1324,19 +831,24 @@ mod tests {
             "every cell must simulate"
         );
         let parallel = run(&RunnerConfig::with_threads(4));
-        assert_eq!(serial.results, parallel.results);
+        assert_eq!(serial.sinks(), parallel.sinks());
+        let airtime_s = sweep.frames as f64 * ps_to_secs(sweep.plan.frame_ps());
         let mut overflowed = 0;
-        for p in serial.oks() {
-            assert!(p.served <= p.offered, "{p:?}");
-            assert_eq!(p.served + p.dropped, p.offered, "{p:?}");
-            assert!(p.served_per_s <= p.offered_per_s, "{p:?}");
-            match p.overflow {
-                "drop" => assert_eq!(p.deferred + p.degraded, 0, "{p:?}"),
-                "defer" => assert_eq!(p.dropped + p.degraded, 0, "{p:?}"),
-                "degrade" => assert_eq!(p.dropped + p.deferred, 0, "{p:?}"),
+        for (i, p) in serial.sinks().into_iter().enumerate() {
+            let s = p.unwrap().service;
+            assert!(s.served <= s.offered, "{s:?}");
+            assert_eq!(s.served + s.dropped, s.offered, "{s:?}");
+            assert!(
+                s.served as f64 / airtime_s <= s.offered as f64 / airtime_s,
+                "{s:?}"
+            );
+            match tag(i) {
+                "drop" => assert_eq!(s.deferred + s.degraded, 0, "{s:?}"),
+                "defer" => assert_eq!(s.dropped + s.degraded, 0, "{s:?}"),
+                "degrade" => assert_eq!(s.dropped + s.deferred, 0, "{s:?}"),
                 other => panic!("unknown overflow tag {other:?}"),
             }
-            overflowed += p.dropped + p.deferred + p.degraded;
+            overflowed += s.dropped + s.deferred + s.degraded;
         }
         assert!(overflowed > 0, "the sweep never pushed past capacity");
     }
@@ -1349,7 +861,15 @@ mod tests {
     fn net_relay_sweep_recovers_gap_delivery_deterministically() {
         let gaps = [0.0, 0.5];
         let hops = [1, 2, 3];
-        let run = |cfg: &RunnerConfig| extension_net_relay(&gaps, &hops, 12, 6, 8, 8, 0x9E1A, cfg);
+        let sweep = Sweep::new(6, 8, 8, 0x9E1A).unwrap();
+        let run = |cfg: &RunnerConfig| {
+            run_sweep::<CampaignAggregate>(&sweep, gaps.len() * hops.len(), cfg, |i| {
+                Ok(SweepCell {
+                    relay: relay_sweep_config(hops[i % hops.len()]),
+                    ..SweepCell::new(gapped_sector_scene(12, gaps[i / hops.len()]), "aloha")
+                })
+            })
+        };
         let serial = run(&RunnerConfig::serial());
         assert_eq!(
             serial.ok_count(),
@@ -1357,21 +877,22 @@ mod tests {
             "every cell must simulate"
         );
         let parallel = run(&RunnerConfig::with_threads(4));
-        assert_eq!(serial.results, parallel.results);
-        for p in serial.oks() {
+        assert_eq!(serial.sinks(), parallel.sinks());
+        for (i, p) in serial.oks().enumerate() {
+            let p = &p.sink;
             assert!(p.attempts > 0, "{p:?}");
-            if p.gap_fraction == 0.0 {
+            if gaps[i / hops.len()] == 0.0 {
                 assert_eq!((p.gap_nodes, p.relayed), (0, 0), "{p:?}");
-                assert_eq!(p.gap_delivery_rate, None, "{p:?}");
-            } else if p.max_hops == 1 {
+                assert_eq!(p.gap_delivery_rate(), None, "{p:?}");
+            } else if hops[i % hops.len()] == 1 {
                 assert!(p.gap_nodes > 0, "{p:?}");
                 assert_eq!(p.gap_delivered, 0, "{p:?}");
-                assert_eq!(p.gap_delivery_rate, Some(0.0), "{p:?}");
+                assert_eq!(p.gap_delivery_rate(), Some(0.0), "{p:?}");
             } else {
-                assert!(p.gap_delivery_rate.unwrap() > 0.5, "{p:?}");
+                assert!(p.gap_delivery_rate().unwrap() > 0.5, "{p:?}");
                 assert!(p.relayed > 0 && p.forwarded > 0, "{p:?}");
-                assert!(p.relay_energy_per_delivered_j.unwrap() > 0.0, "{p:?}");
-                assert!(p.mean_relay_latency_s.unwrap() > 0.0, "{p:?}");
+                assert!(p.relay_energy_per_delivered_j().unwrap() > 0.0, "{p:?}");
+                assert!(p.mean_relay_latency_s().unwrap() > 0.0, "{p:?}");
             }
         }
     }
@@ -1382,35 +903,32 @@ mod tests {
     /// relayed deliveries somewhere in the grid.
     #[test]
     fn net_audit_sweep_conserves_at_any_thread_count() {
-        let run =
-            |cfg: &RunnerConfig| extension_net_audit(&MAC_POLICY_NAMES, 16, 6, 8, 4, 0xA0D1, cfg);
+        let sweep = Sweep::new(6, 8, 4, 0xA0D1).unwrap();
+        let run = |cfg: &RunnerConfig| {
+            run_sweep::<CampaignAggregate>(&sweep, MAC_POLICY_NAMES.len() * 2, cfg, |i| {
+                Ok(audit_cell(&sweep, 16, MAC_POLICY_NAMES[i / 2], i % 2 == 1))
+            })
+        };
         let serial = run(&RunnerConfig::serial());
         assert_eq!(
             serial.ok_count(),
             MAC_POLICY_NAMES.len() * 2,
             "every cell must simulate and conserve: {:?}",
-            serial
-                .results
-                .iter()
-                .filter_map(|r| r.as_ref().err())
-                .collect::<Vec<_>>()
+            serial.failures().collect::<Vec<_>>()
         );
         let parallel = run(&RunnerConfig::with_threads(4));
-        assert_eq!(serial.results, parallel.results);
+        assert_eq!(serial.sinks(), parallel.sinks());
         let mut total = LifecycleStats::new();
-        for p in serial.oks() {
-            assert!(p.lifecycle.offered > 0, "{p:?}");
-            assert_eq!(
-                p.lifecycle.offered,
-                p.lifecycle.delivered() + p.lifecycle.dropped(),
-                "{p:?}"
-            );
-            if !p.relay {
+        for (i, p) in serial.oks().enumerate() {
+            let l = &p.sink.lifecycle;
+            assert!(l.offered > 0, "{l:?}");
+            assert_eq!(l.offered, l.delivered() + l.dropped(), "{l:?}");
+            if i % 2 == 0 {
                 // The uniform 4 m sector is fully covered: no
                 // coverage-family drops without a gap ring.
-                assert_eq!(p.lifecycle.drops[3] + p.lifecycle.drops[4], 0, "{p:?}");
+                assert_eq!(l.drops[3] + l.drops[4], 0, "{l:?}");
             }
-            total.merge_from(&p.lifecycle);
+            total.merge_from(l);
         }
         total.audit().expect("the merged sweep ledger conserves");
         assert!(total.delivered_relayed > 0, "no relay chain delivered");
@@ -1420,11 +938,22 @@ mod tests {
         assert!(total.drops[3] > 0, "no routeless gap drops: {total:?}");
     }
 
-    /// The sharded city path reports the same lifecycle ledger — counters
+    /// The sharded audit leg reports the same lifecycle ledger — counters
     /// `==` and sketch sums bit-equal — at 1/2/4/8 worker threads.
     #[test]
     fn sharded_lifecycle_is_thread_count_invariant() {
-        let run = |threads| net_audit_sharded_lifecycle(24, 4, threads, 4, 8, 6, 0xC17).unwrap();
+        let sweep = Sweep {
+            shard_nodes: Some(24usize.div_ceil(4)),
+            ..Sweep::new(4, 8, 6, 0xC17).unwrap()
+        };
+        let run = |threads| {
+            let cfg = RunnerConfig::with_threads(threads);
+            let mut batch = run_sweep::<CampaignAggregate>(&sweep, 1, &cfg, |_| {
+                Ok(audit_cell(&sweep, 24, "aloha", true))
+            });
+            assert_eq!(batch.results.len(), 1);
+            batch.results.remove(0).unwrap().sink.lifecycle
+        };
         let reference = run(1);
         reference.audit().expect("the merged ledger conserves");
         for threads in [2, 4, 8] {

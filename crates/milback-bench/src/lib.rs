@@ -206,6 +206,45 @@ pub fn results_dir() -> PathBuf {
         .join("results")
 }
 
+/// Renders a sweep table as CSV: the comma-separated header, then one line
+/// per row of cells.
+pub fn csv_table(header: &str, rows: impl IntoIterator<Item = Vec<String>>) -> String {
+    let mut out = format!("{header}\n");
+    for row in rows {
+        out.push_str(&row.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// A CSV cell for a value that may be undefined: empty, never a
+/// `NaN`/`inf` token.
+pub fn opt_cell(v: Option<f64>) -> String {
+    v.map(|x| x.to_string()).unwrap_or_default()
+}
+
+/// Writes an anchor file `results/<file>` — a sweep CSV or a metrics
+/// document — and says where it went. With `print_only` the contents go
+/// to stdout instead: reduced runs print their CSV for CI's schema checks
+/// and never overwrite a full-scale anchor. The metrics documents flag
+/// reduced mode in their own `config`, so they are written in both modes.
+pub fn emit_anchor(file: &str, contents: &str, print_only: bool) {
+    if print_only {
+        print!("{contents}");
+        return;
+    }
+    let dir = results_dir();
+    if let Err(e) = fs::create_dir_all(&dir) {
+        eprintln!("could not create {}: {e}", dir.display());
+        return;
+    }
+    let path = dir.join(file);
+    match fs::write(&path, contents) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
 /// Sweeps a closure over a grid, collecting a series.
 pub fn sweep(label: &str, grid: &[f64], mut f: impl FnMut(f64) -> f64) -> Series {
     let mut s = Series::new(label);

@@ -127,6 +127,22 @@ impl<T, E> TrialBatch<T, E> {
         self.results.iter().filter_map(|r| r.as_ref().ok())
     }
 
+    /// Every trial's result in trial order, or — when any trial failed —
+    /// one message listing each failure with its trial index.
+    pub fn into_oks(self) -> Result<Vec<T>, String>
+    where
+        E: std::fmt::Display,
+    {
+        if self.failed_count() > 0 {
+            let failures: Vec<String> = self
+                .failures()
+                .map(|(i, e)| format!("trial {i}: {e}"))
+                .collect();
+            return Err(failures.join("; "));
+        }
+        Ok(self.results.into_iter().filter_map(Result::ok).collect())
+    }
+
     /// Failures with their trial indices, in trial order.
     pub fn failures(&self) -> impl Iterator<Item = (usize, &E)> {
         self.results

@@ -11,14 +11,14 @@
 //! something.
 
 use milback_bench::experiments::{
-    extension_mac_compare, extension_mac_compare_instrumented, extension_net_audit,
-    net_audit_sharded_lifecycle, MacComparePoint, MAC_POLICY_NAMES,
+    audit_cell, run_sweep, sector_scene, CellRun, Sweep, SweepCell, MAC_POLICY_NAMES,
 };
-use milback_bench::runner::{trial_rng, RunnerConfig};
+use milback_bench::runner::{trial_rng, RunnerConfig, TrialBatch};
 use milback_core::protocol::SlotPlan;
+use milback_core::telemetry::Metrics;
 use milback_core::{
-    ApServiceConfig, CampaignProbe, CampaignSpec, DropReason, LifecycleStats, Network, Packet,
-    Scene, SlottedRunReport, SystemConfig,
+    ApServiceConfig, CampaignAggregate, CampaignProbe, CampaignSpec, DropReason, LifecycleStats,
+    Network, Packet, Scene, SlottedRunReport, SystemConfig,
 };
 use mmwave_sigproc::random::GaussianSource;
 use proptest::prelude::*;
@@ -69,18 +69,28 @@ fn assert_report_bit_exact(a: &SlottedRunReport, b: &SlottedRunReport) {
     }
 }
 
-/// Float-bit equality across two sweep cells.
-fn assert_point_bit_exact(a: &MacComparePoint, b: &MacComparePoint) {
-    assert_eq!(a, b);
-    assert_eq!(a.delivery_rate.to_bits(), b.delivery_rate.to_bits());
-    assert_eq!(
-        a.per_node_goodput_bps.to_bits(),
-        b.per_node_goodput_bps.to_bits()
-    );
-    assert_eq!(
-        a.energy_per_packet_j.map(f64::to_bits),
-        b.energy_per_packet_j.map(f64::to_bits)
-    );
+/// The policy × node-count sweep over `node_counts`, every cell under the
+/// probe `probe(i)` makes.
+fn mac_sweep(
+    node_counts: &[usize],
+    threads: usize,
+    probe: impl Fn(usize) -> CampaignProbe + Sync,
+) -> TrialBatch<CellRun<Vec<SlottedRunReport>>, String> {
+    let sweep = Sweep::new(4, 8, 4, 0x3AC).unwrap();
+    run_sweep::<SlottedRunReport>(
+        &sweep,
+        MAC_POLICY_NAMES.len() * node_counts.len(),
+        &RunnerConfig::with_threads(threads),
+        |i| {
+            Ok(SweepCell {
+                probe: probe(i),
+                ..SweepCell::new(
+                    sector_scene(node_counts[i % node_counts.len()]),
+                    MAC_POLICY_NAMES[i / node_counts.len()],
+                )
+            })
+        },
+    )
 }
 
 /// A plain campaign vs a probed one (metrics + full trace) on shared trial
@@ -192,43 +202,34 @@ fn queue_depth_histograms_survive_trace_ring_eviction() {
 #[test]
 fn instrumented_sweep_matches_plain_at_every_thread_count() {
     let node_counts = [1, 3, 5];
-    let (frames, payload_bytes, slots, seed) = (4, 8, 4, 0x3AC);
-    let plain_ref = extension_mac_compare(
-        &MAC_POLICY_NAMES,
-        &node_counts,
-        frames,
-        payload_bytes,
-        slots,
-        seed,
-        &RunnerConfig::serial(),
-    );
+    let per_policy = node_counts.len();
+    let plain_ref = mac_sweep(&node_counts, 1, |_| CampaignProbe::disabled());
     assert_eq!(
         plain_ref.ok_count(),
-        MAC_POLICY_NAMES.len() * node_counts.len(),
+        MAC_POLICY_NAMES.len() * per_policy,
         "every cell must simulate"
     );
     let mut merged_json: Option<Vec<String>> = None;
     for threads in [1, 2, 4, 8] {
-        let inst = extension_mac_compare_instrumented(
-            &MAC_POLICY_NAMES,
-            &node_counts,
-            frames,
-            payload_bytes,
-            slots,
-            seed,
-            &RunnerConfig::with_threads(threads),
-            Some(4096),
-        );
-        assert_eq!(inst.batch.results.len(), plain_ref.results.len());
-        for (p, q) in plain_ref.oks().zip(inst.batch.oks()) {
-            assert_point_bit_exact(p, q);
+        // Metrics everywhere, and a full trace on each policy's densest cell.
+        let inst = mac_sweep(&node_counts, threads, |i| {
+            if i % per_policy == per_policy - 1 {
+                CampaignProbe::with_trace(4096)
+            } else {
+                CampaignProbe::with_metrics()
+            }
+        });
+        assert_eq!(inst.results.len(), plain_ref.results.len());
+        for (p, q) in plain_ref.oks().zip(inst.oks()) {
+            assert_report_bit_exact(&p.sink[0], &q.sink[0]);
         }
-        // The serialized registries are schedule-invariant too.
-        let jsons: Vec<String> = inst
-            .policies
-            .iter()
-            .map(|p| milback_core::json::to_string(&p.metrics))
-            .collect();
+        // The per-policy registries, merged in trial order, serialize
+        // identically at every thread count.
+        let mut merged = vec![Metrics::new(); MAC_POLICY_NAMES.len()];
+        for (i, run) in inst.oks().enumerate() {
+            merged[i / per_policy].merge_from(run.metrics.as_ref().expect("metrics on"));
+        }
+        let jsons: Vec<String> = merged.iter().map(milback_core::json::to_string).collect();
         match &merged_json {
             None => merged_json = Some(jsons),
             Some(reference) => assert_eq!(
@@ -247,16 +248,14 @@ fn instrumented_sweep_matches_plain_at_every_thread_count() {
 /// ledger included.
 #[test]
 fn lifecycle_recording_is_non_perturbing_at_every_thread_count() {
+    let sweep = Sweep::new(5, 8, 4, 0x11FE).unwrap();
     let mut reference = None;
     for threads in [1, 2, 4, 8] {
-        let batch = extension_net_audit(
-            &MAC_POLICY_NAMES,
-            12,
-            5,
-            8,
-            4,
-            0x11FE,
+        let batch = run_sweep::<CampaignAggregate>(
+            &sweep,
+            MAC_POLICY_NAMES.len() * 2,
             &RunnerConfig::with_threads(threads),
+            |i| Ok(audit_cell(&sweep, 12, MAC_POLICY_NAMES[i / 2], i % 2 == 1)),
         );
         assert_eq!(
             batch.ok_count(),
@@ -264,8 +263,8 @@ fn lifecycle_recording_is_non_perturbing_at_every_thread_count() {
             "a cell failed (conservation or simulation) at {threads} threads"
         );
         match &reference {
-            None => reference = Some(batch.results),
-            Some(r) => assert_eq!(r, &batch.results, "sweep changed at {threads} threads"),
+            None => reference = Some(batch.sinks()),
+            Some(r) => assert_eq!(r, &batch.sinks(), "sweep changed at {threads} threads"),
         }
     }
 
@@ -313,7 +312,19 @@ fn lifecycle_recording_is_non_perturbing_at_every_thread_count() {
 /// sketches — is bit-identical at `MILBACK_THREADS` 1/2/4/8.
 #[test]
 fn sharded_lifecycle_sketches_are_thread_invariant() {
-    let run = |threads| net_audit_sharded_lifecycle(24, 4, threads, 4, 8, 6, 0x11FE).unwrap();
+    let sweep = Sweep {
+        shard_nodes: Some(24usize.div_ceil(4)),
+        ..Sweep::new(4, 8, 6, 0x11FE).unwrap()
+    };
+    let run = |threads| {
+        let mut runs =
+            run_sweep::<CampaignAggregate>(&sweep, 1, &RunnerConfig::with_threads(threads), |_| {
+                Ok(audit_cell(&sweep, 24, "aloha", true))
+            })
+            .into_oks()
+            .unwrap();
+        runs.remove(0).sink.lifecycle
+    };
     let reference = run(1);
     reference.audit().expect("the merged ledger conserves");
     for threads in [2, 4, 8] {

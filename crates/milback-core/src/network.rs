@@ -35,8 +35,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network over a scene with at least one node, every node
-    /// at a finite pose.
+    /// Creates a network over a scene with at least one node, the AP and
+    /// every node at a finite pose, and no node on the AP.
     pub fn new(config: SystemConfig, scene: Scene) -> Result<Self> {
         config.validate()?;
         if scene.nodes.is_empty() {
@@ -49,16 +49,31 @@ impl Network {
         Ok(net)
     }
 
-    /// Rejects a node whose position or facing is not finite: the link
-    /// physics cannot place it, and a NaN range would reach the channel's
-    /// `distance > 0` assertion.
+    /// Rejects a non-finite AP pose, and a node whose position or facing
+    /// is not finite or that sits on the AP: the link physics cannot place
+    /// it, and a zero or NaN range would reach the channel's `distance > 0`
+    /// assertion. The squared node–AP distance is that assertion without
+    /// the `sqrt`, tested in the same single pass over the nodes.
     fn check_poses(&self) -> Result<()> {
-        let finite = |p: &NodePose| {
-            p.position.x.is_finite() && p.position.y.is_finite() && p.facing_rad.is_finite()
+        let ap = &self.scene.ap;
+        if !(ap.position.x.is_finite() && ap.position.y.is_finite() && ap.boresight_rad.is_finite())
+        {
+            return Err(MilbackError::Config(format!(
+                "the AP has a non-finite pose: position {:?}, boresight {} rad",
+                ap.position, ap.boresight_rad
+            )));
+        }
+        let (ax, ay) = (ap.position.x, ap.position.y);
+        let placeable = |p: &NodePose| {
+            let (dx, dy) = (p.position.x - ax, p.position.y - ay);
+            p.position.x.is_finite()
+                && p.position.y.is_finite()
+                && p.facing_rad.is_finite()
+                && dx * dx + dy * dy > 0.0
         };
-        match self.scene.nodes.iter().position(|p| !finite(p)) {
+        match self.scene.nodes.iter().position(|p| !placeable(p)) {
             Some(idx) => Err(MilbackError::Config(format!(
-                "node {idx} has a non-finite pose {:?}",
+                "node {idx} has a non-finite pose or sits on the AP: {:?}",
                 self.scene.nodes[idx]
             ))),
             None => Ok(()),

@@ -2,6 +2,7 @@
 //! plan, communicate — through the public umbrella API.
 
 use milback::ap::waveform::CarrierSet;
+use milback::core::network::localize_all_doppler;
 use milback::core::protocol::{Packet, SlotPlan};
 use milback::core::{
     ApServiceConfig, CampaignAggregate, CampaignProbe, CampaignSpec, LinkSimulator,
@@ -302,11 +303,12 @@ fn unschedulable_campaign_timelines_are_config_errors() {
 
 #[test]
 fn nan_node_poses_are_config_errors() {
-    // A NaN distance or azimuth would reach the channel's `distance > 0`
-    // assertion, and a NaN facing would serve the node as a decode
-    // failure. `Network::new` rejects each pose, and so does the
+    // A NaN distance or azimuth, a node on the AP or a NaN AP position
+    // would reach the channel's `distance > 0` assertion, a NaN facing
+    // would serve the node as a decode failure, and a NaN AP boresight
+    // would run to `Ok`. `Network::new` rejects each pose, and so do the
     // campaign's up-front check on a hand-built network, under ALOHA and
-    // SDM-aware assignment, plain and sharded.
+    // SDM-aware assignment, plain and sharded, and the Doppler inventory.
     let config = SystemConfig::milback_default();
     let payload = [0x3Cu8; 8];
     let plan = SlotPlan::for_packet(
@@ -323,6 +325,17 @@ fn nan_node_poses_are_config_errors() {
         ("NaN distance", arc().with_node_at(f64::NAN, 0.1, 0.2)),
         ("NaN azimuth", arc().with_node_at(4.0, f64::NAN, 0.2)),
         ("NaN facing", arc().with_node_at(4.0, 0.1, f64::NAN)),
+        ("node on the AP", arc().with_node_at(0.0, 0.1, 0.2)),
+        ("NaN AP position", {
+            let mut s = arc();
+            s.ap.position.x = f64::NAN;
+            s
+        }),
+        ("NaN AP boresight", {
+            let mut s = arc();
+            s.ap.boresight_rad = f64::NAN;
+            s
+        }),
     ];
     let policy = |name: &str, seed: u64| -> Box<dyn MacPolicy> {
         match name {
@@ -359,5 +372,12 @@ fn nan_node_poses_are_config_errors() {
                 "{what}, {name}: run_sharded gave {sharded:?}"
             );
         }
+        // 64 chirps cannot resolve nine signatures either: the error must
+        // be the pose check's, which runs first.
+        let inventory = localize_all_doppler(&net, 64, &mut GaussianSource::new(7));
+        assert!(
+            matches!(&inventory, Err(MilbackError::Config(m)) if m.contains("pose")),
+            "{what}: localize_all_doppler gave {inventory:?}"
+        );
     }
 }

@@ -4,8 +4,9 @@
 //! RNG positions are pinned by `tests/campaign_digest.rs` at the workspace
 //! root.
 
-use milback_bench::experiments::{extension_mac_compare, MAC_POLICY_NAMES};
+use milback_bench::experiments::{run_sweep, sector_scene, Sweep, SweepCell, MAC_POLICY_NAMES};
 use milback_bench::runner::RunnerConfig;
+use milback_core::SlottedRunReport;
 
 /// Every MAC policy is schedule-invariant through the runner: the whole
 /// policy × node-count sweep is bit-identical at `MILBACK_THREADS`
@@ -13,15 +14,18 @@ use milback_bench::runner::RunnerConfig;
 #[test]
 fn all_policies_thread_count_invariant() {
     let node_counts = [1, 3, 5];
+    let sweep = Sweep::new(4, 8, 4, 0x3AC).unwrap();
     let run = |threads: usize| {
-        extension_mac_compare(
-            &MAC_POLICY_NAMES,
-            &node_counts,
-            4,
-            8,
-            4,
-            0x3AC,
+        run_sweep::<SlottedRunReport>(
+            &sweep,
+            MAC_POLICY_NAMES.len() * node_counts.len(),
             &RunnerConfig::with_threads(threads),
+            |i| {
+                Ok(SweepCell::new(
+                    sector_scene(node_counts[i % node_counts.len()]),
+                    MAC_POLICY_NAMES[i / node_counts.len()],
+                ))
+            },
         )
     };
     let reference = run(1);
@@ -32,8 +36,8 @@ fn all_policies_thread_count_invariant() {
     );
     for threads in [2, 4, 8] {
         assert_eq!(
-            reference,
-            run(threads),
+            reference.sinks(),
+            run(threads).sinks(),
             "sweep changed at {threads} threads"
         );
     }
