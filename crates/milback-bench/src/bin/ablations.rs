@@ -9,7 +9,7 @@
 
 use milback_bench::experiments::ablation_impairments;
 use milback_bench::runner::{run_fallible, RunnerConfig};
-use milback_bench::{reduced_mode, Report, Series};
+use milback_bench::{Report, Series};
 use milback_core::localization::Impairments;
 use milback_core::{LinkSimulator, LocalizationPipeline, Scene, SystemConfig};
 use mmwave_rf::antenna::fsa::{FrequencyScanningAntenna, FsaDesign, FsaPort};
@@ -29,14 +29,6 @@ fn main() {
     milback_bench::spans::export_if_requested();
 }
 
-fn trials_per_point(full: usize) -> usize {
-    if reduced_mode() {
-        (full / 3).max(2)
-    } else {
-        full
-    }
-}
-
 /// How many chirps does background subtraction need? The protocol uses 5
 /// (§5.1); fewer lose detection margin, more buy diminishing returns.
 fn ablate_subtraction_chirps() {
@@ -49,7 +41,7 @@ fn ablate_subtraction_chirps() {
     let mut err_series = Series::new("mean range error (cm)");
     let mut conf_series = Series::new("peak-to-floor (dB)");
     let chirp_counts = [2usize, 3, 5, 9];
-    let trials = trials_per_point(10);
+    let trials = 10;
     let cfg = RunnerConfig::from_env();
     let pipeline = LocalizationPipeline::new(
         SystemConfig::milback_default(),
@@ -92,7 +84,7 @@ fn ablate_subtraction_chirps() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     println!();
 }
@@ -133,7 +125,7 @@ fn ablate_fsa_elements() {
     report.note("doubling the array adds ~3 dB of gain → ~6 dB of two-way uplink SNR, at the cost of halving the beamwidth (tighter orientation tolerance)");
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     println!();
 }
@@ -154,7 +146,7 @@ fn ablate_window_choice() {
         Window::Hamming,
         Window::Blackman,
     ];
-    let trials = trials_per_point(12);
+    let trials = 12;
     let cfg = RunnerConfig::from_env();
     let pipelines: Vec<LocalizationPipeline> = windows
         .iter()
@@ -191,7 +183,7 @@ fn ablate_window_choice() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     println!();
 }
@@ -215,7 +207,7 @@ fn ablate_detector_speed() {
     report.note("the paper's 36 Mbps sits at the ADL6010's ~12 ns class; §9.4: \"one can increase the data-rate further by using faster envelope detector\"");
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     println!();
 }
@@ -241,7 +233,7 @@ fn ablate_switch_speed() {
     report.note("faster switches buy rate linearly but spend linearly more dynamic power — the 0.8 nJ/bit figure is rate-independent");
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     println!();
 }
@@ -274,7 +266,7 @@ fn ablate_impairments() {
         }),
         (3.0, Impairments::milback_default()),
     ];
-    let trials = trials_per_point(10);
+    let trials = 10;
     let cfg = RunnerConfig::from_env();
     let results = ablation_impairments(&cases, 8.0, trials, 0xAB6, &cfg);
     let mut failed = 0;
@@ -292,6 +284,6 @@ fn ablate_impairments() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
 }

@@ -1,10 +1,12 @@
-//! Runs every figure/table binary in sequence — the one-shot full
-//! reproduction. Equivalent to invoking each `fig*`/`table*`/`power*`
-//! binary yourself; see DESIGN.md's experiment index.
+//! Runs every experiment binary in sequence — the one-shot full
+//! reproduction that rewrites every CSV anchor and both metrics documents
+//! under `results/`. Equivalent to invoking each figure, table, ablation,
+//! extension and network-sweep binary yourself; see DESIGN.md's
+//! experiment index.
 //!
 //! Each child inherits the environment, so `MILBACK_THREADS` (worker
-//! budget) and `MILBACK_REDUCED` (shrunken grids, no CSV overwrite) apply
-//! to every experiment. Each child also gets a private `MILBACK_SPAN_FILE`
+//! budget) and `MILBACK_TRACE` (`mac_compare`'s trace directory) apply to
+//! every experiment. Each child also gets a private `MILBACK_SPAN_FILE`
 //! to export its profiling spans into, so the timing table at the end
 //! breaks every experiment into setup / trials / io wall-clock stages
 //! instead of one lump sum.
@@ -46,6 +48,12 @@ fn main() {
         "power_table",
         "ablations",
         "extensions_study",
+        "net_scale",
+        "mac_compare",
+        "net_load",
+        "net_relay",
+        "net_audit",
+        "net_scale_city",
     ];
     // Resolve sibling binaries next to this one (same target directory).
     let me = std::env::current_exe().expect("own path");

@@ -15,7 +15,7 @@
 
 use milback_bench::experiments::{extension_coded_uplink, extension_tracking_fixes};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{linspace, reduced_mode, Report, Series};
+use milback_bench::{linspace, Report, Series};
 use milback_core::dense::DenseOaqfm;
 use milback_core::tracking::Tracker;
 use milback_core::{LinkSimulator, Scene, SystemConfig};
@@ -44,12 +44,7 @@ fn dense_oaqfm_vs_distance() {
     let mut rate_series = Series::new("adaptive rate (Mbps)");
     let mut level_series = Series::new("levels per tone");
     let mut plain_series = Series::new("plain OAQFM (Mbps)");
-    let grid = if reduced_mode() {
-        linspace(0.5, 12.0, 6)
-    } else {
-        linspace(0.5, 12.0, 24)
-    };
-    for d in grid {
+    for d in linspace(0.5, 12.0, 24) {
         let sim = LinkSimulator::new(
             SystemConfig::milback_default(),
             Scene::single_node(d, 12f64.to_radians()),
@@ -92,7 +87,7 @@ fn dense_oaqfm_vs_distance() {
     report.note("§9.4: \"another option is to define denser OAQFM modulation schemes … considering different amplitudes for each tone\"");
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
 }
 
@@ -106,15 +101,10 @@ fn coded_uplink_vs_distance() {
     );
     let mut raw_series = Series::new("uncoded log10 BER");
     let mut coded_series = Series::new("coded log10 BER (effective 22.9 Mbps)");
-    let reduced = reduced_mode();
-    let distances: &[f64] = if reduced {
-        &[6.0, 10.0]
-    } else {
-        &[6.0, 7.0, 8.0, 9.0, 10.0]
-    };
-    let payload_bytes = if reduced { 2048 } else { 8192 };
+    let distances = [6.0, 7.0, 8.0, 9.0, 10.0];
+    let payload_bytes = 8192;
     let cfg = RunnerConfig::from_env();
-    let batch = extension_coded_uplink(distances, payload_bytes, 0xEC2, &cfg);
+    let batch = extension_coded_uplink(&distances, payload_bytes, 0xEC2, &cfg);
     for p in batch.oks() {
         raw_series.push(p.distance_m, p.raw_log10_ber);
         coded_series.push(p.distance_m, p.coded_log10_ber);
@@ -131,7 +121,7 @@ fn coded_uplink_vs_distance() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
 }
 
@@ -150,7 +140,7 @@ fn tracking_vs_raw() {
     let mut raw_series = Series::new("raw fix error (cm)");
     let mut track_series = Series::new("tracked error (cm)");
     let dt = 0.1;
-    let steps = if reduced_mode() { 10 } else { 30 };
+    let steps = 30;
     let cfg = RunnerConfig::from_env();
     let batch = extension_tracking_fixes(steps, dt, 0xEC3, &cfg, &config);
     let mut raw_sq = 0.0;
@@ -183,6 +173,6 @@ fn tracking_vs_raw() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
 }

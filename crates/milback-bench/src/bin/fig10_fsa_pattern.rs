@@ -11,19 +11,14 @@
 //! ≈60° across the band; the two ports' frequency→angle maps are mirrored.
 
 use milback_bench::runner::{run_trials, RunnerConfig};
-use milback_bench::{linspace, reduced_mode, Report, Series};
+use milback_bench::{linspace, Report, Series};
 use mmwave_rf::antenna::fsa::{FsaDesign, FsaGainEval, FsaPort};
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
     let fsa = FsaDesign::milback_default();
     let eval = FsaGainEval::new(&fsa);
-    let angles = if reduced {
-        linspace(-45.0, 45.0, 31)
-    } else {
-        linspace(-45.0, 45.0, 91)
-    };
+    let angles = linspace(-45.0, 45.0, 91);
     let freqs: Vec<f64> = (0..7).map(|i| 26.5e9 + 0.5e9 * i as f64).collect();
     let cfg = RunnerConfig::from_env();
 
@@ -72,7 +67,7 @@ fn main() {
         }
         {
             let _io = milback_bench::spans::span("io");
-            report.emit_respecting_reduced();
+            report.emit();
         }
         println!();
     }

@@ -104,7 +104,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

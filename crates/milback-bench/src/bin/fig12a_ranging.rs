@@ -14,18 +14,13 @@
 
 use milback_bench::experiments::fig12a_ranging;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{linspace, reduced_mode, Report, Series};
+use milback_bench::{linspace, Report, Series};
 use mmwave_sigproc::stats::ErrorSummary;
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let distances = if reduced {
-        linspace(2.0, 8.0, 3)
-    } else {
-        linspace(1.0, 8.0, 8)
-    };
-    let trials = if reduced { 4 } else { 20 };
+    let distances = linspace(1.0, 8.0, 8);
+    let trials = 20;
     let cfg = RunnerConfig::from_env();
 
     let results = fig12a_ranging(&distances, trials, 0xF12A, &cfg);
@@ -71,7 +66,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

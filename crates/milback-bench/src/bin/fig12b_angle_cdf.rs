@@ -14,24 +14,15 @@
 
 use milback_bench::experiments::fig12b_angle_errors;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, Report, Series};
+use milback_bench::{Report, Series};
 use mmwave_sigproc::stats::{empirical_cdf, median, percentile};
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
     // Sweep azimuths and distances like the paper's placements.
-    let azimuths: &[f64] = if reduced {
-        &[-10.0, 8.0]
-    } else {
-        &[-20.0, -10.0, 0.0, 8.0, 15.0]
-    };
-    let dists: &[f64] = if reduced {
-        &[2.0, 4.0]
-    } else {
-        &[2.0, 4.0, 6.0]
-    };
-    let trials = if reduced { 3 } else { 8 };
+    let azimuths = [-20.0, -10.0, 0.0, 8.0, 15.0];
+    let dists = [2.0, 4.0, 6.0];
+    let trials = 8;
     let placements: Vec<(f64, f64)> = azimuths
         .iter()
         .flat_map(|&az| dists.iter().map(move |&d| (az, d)))
@@ -71,7 +62,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

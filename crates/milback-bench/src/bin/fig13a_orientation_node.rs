@@ -10,18 +10,13 @@
 
 use milback_bench::experiments::{fig13_orientation, OrientSide};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, Report, Series};
+use milback_bench::{Report, Series};
 use mmwave_sigproc::stats::ErrorSummary;
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let orientations: Vec<f64> = if reduced {
-        vec![-15.0, 0.0, 15.0]
-    } else {
-        vec![-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
-    };
-    let trials = if reduced { 5 } else { 25 };
+    let orientations = [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0];
+    let trials = 25;
     let cfg = RunnerConfig::from_env();
 
     let results = fig13_orientation(&orientations, trials, 0xF13A, &cfg, OrientSide::Node);
@@ -57,7 +52,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

@@ -11,20 +11,15 @@
 
 use milback_bench::experiments::{fig13_orientation, OrientSide};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, Report, Series};
+use milback_bench::{Report, Series};
 use mmwave_sigproc::stats::ErrorSummary;
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let orientations: Vec<f64> = if reduced {
-        vec![-12.0, -4.0, 0.0, 12.0]
-    } else {
-        vec![
-            -24.0, -18.0, -12.0, -8.0, -6.0, -4.0, -2.0, 0.0, 4.0, 8.0, 12.0, 18.0, 24.0,
-        ]
-    };
-    let trials = if reduced { 5 } else { 25 };
+    let orientations = [
+        -24.0, -18.0, -12.0, -8.0, -6.0, -4.0, -2.0, 0.0, 4.0, 8.0, 12.0, 18.0, 24.0,
+    ];
+    let trials = 25;
     let cfg = RunnerConfig::from_env();
 
     let results = fig13_orientation(&orientations, trials, 0xF13B, &cfg, OrientSide::Ap);
@@ -68,7 +63,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

@@ -12,17 +12,12 @@
 
 use milback_bench::experiments::fig14_spot_checks;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{linspace, reduced_mode, Report, Series};
+use milback_bench::{linspace, Report, Series};
 use milback_core::{LinkSimulator, Scene, SystemConfig};
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let distances = if reduced {
-        linspace(0.5, 12.0, 6)
-    } else {
-        linspace(0.5, 12.0, 24)
-    };
+    let distances = linspace(0.5, 12.0, 24);
     let orientation = 12f64.to_radians();
 
     let mut sinr_series = Series::new("SINR (dB)");
@@ -57,7 +52,7 @@ fn main() {
     // Monte-Carlo spot checks: deliver an actual payload at 2, 6 and 10 m.
     let cfg = RunnerConfig::from_env();
     let spot_distances = [2.0, 6.0, 10.0];
-    let payload_bytes = if reduced { 64 } else { 256 };
+    let payload_bytes = 256;
     let spots = fig14_spot_checks(&spot_distances, payload_bytes, 0xF14, &cfg);
 
     let mut report = Report::new(
@@ -98,7 +93,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

@@ -12,7 +12,7 @@
 
 use milback_bench::experiments::fig15_spot_checks;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{linspace, reduced_mode, Report, Series};
+use milback_bench::{linspace, Report, Series};
 use milback_core::{LinkSimulator, Scene, SystemConfig};
 
 fn run_rate(label: &str, bit_rate: f64, distances: &[f64]) -> (Series, Series) {
@@ -31,19 +31,14 @@ fn run_rate(label: &str, bit_rate: f64, distances: &[f64]) -> (Series, Series) {
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let distances = if reduced {
-        linspace(0.5, 10.0, 6)
-    } else {
-        linspace(0.5, 10.0, 20)
-    };
+    let distances = linspace(0.5, 10.0, 20);
     let (snr10, ber10) = run_rate("10 Mbps", 10e6, &distances);
     let (snr40, ber40) = run_rate("40 Mbps", 40e6, &distances);
 
     // Monte-Carlo verification with real payloads.
     let cfg = RunnerConfig::from_env();
     let cases = [(10e6, 8.0), (40e6, 6.0), (40e6, 8.0)];
-    let payload_bytes = if reduced { 5_000 } else { 50_000 };
+    let payload_bytes = 50_000;
     let spots = fig15_spot_checks(&cases, payload_bytes, 0xF15, &cfg);
 
     let at = |s: &Series, x: f64| {
@@ -99,7 +94,7 @@ fn main() {
     ));
     {
         let _io = milback_bench::spans::span("io");
-        report.emit_respecting_reduced();
+        report.emit();
     }
     drop(main_span);
     milback_bench::spans::export_if_requested();

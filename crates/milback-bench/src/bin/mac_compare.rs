@@ -23,15 +23,15 @@ use milback_bench::experiments::{
 };
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::{RunnerConfig, TrialBatch};
-use milback_bench::{
-    emit_anchor, log_info, log_warn, metrics_io, reduced_mode, results_dir, Report, Series,
-};
+use milback_bench::{emit_anchor, log_info, log_warn, metrics_io, results_dir, Report, Series};
 use milback_core::json::Json;
 use milback_core::telemetry::{chrome_trace, Metrics, TraceBuffer, DEFAULT_TRACE_CAPACITY};
 use milback_core::{CampaignAggregate, CampaignProbe, SlottedRunReport};
 use std::path::PathBuf;
 
+const NODE_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 const SLOTS: usize = 8;
+const FRAMES: usize = 24;
 const PAYLOAD_BYTES: usize = 16;
 const ROOT_SEED: u64 = 0xE4;
 
@@ -45,32 +45,24 @@ fn trace_dir() -> Option<PathBuf> {
     }
 }
 
-/// The finished sweep: its shape, one per-node report per (policy, node
-/// count) cell, and each policy's instrumentation — its cells' metrics
-/// merged in trial order, plus, when tracing, its densest campaign's
-/// trace.
+/// The finished sweep: one per-node report per (policy, node count)
+/// cell, and each policy's instrumentation — its cells' metrics merged in
+/// trial order, plus, when tracing, its densest campaign's trace.
 pub(crate) struct MacCompare {
-    node_counts: &'static [usize],
-    frames: usize,
     batch: TrialBatch<CellRun<Vec<SlottedRunReport>>, String>,
     policies: Vec<(&'static str, Metrics, Option<TraceBuffer>)>,
 }
 
-/// Runs every policy at every node count of the full-scale or reduced
-/// grid. Cells flatten policy-major × node-count-minor, each one trial on
-/// its own stream, so the sweep is bit-identical at any thread count. Every
-/// cell runs with a metrics probe, and with `trace_capacity` set each
-/// policy's densest cell also records a full trace; probes only copy
-/// values the campaign computed, so the numbers match an unprobed sweep.
-pub(crate) fn run(reduced: bool, cfg: &RunnerConfig, trace_capacity: Option<usize>) -> MacCompare {
-    let node_counts: &[usize] = if reduced {
-        &[1, 2, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 16, 32, 64]
-    };
-    let frames = if reduced { 6 } else { 24 };
-    let per_policy = node_counts.len();
-    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED).expect("the payload fits");
+/// Runs every policy at every node count of the grid. Cells flatten
+/// policy-major × node-count-minor, each one trial on its own stream, so
+/// the sweep is bit-identical at any thread count. Every cell runs with a
+/// metrics probe, and with `trace_capacity` set each policy's densest cell
+/// also records a full trace; probes only copy values the campaign
+/// computed, so the numbers match an unprobed sweep, and the metrics
+/// registries match an untraced one.
+pub(crate) fn run(cfg: &RunnerConfig, trace_capacity: Option<usize>) -> MacCompare {
+    let per_policy = NODE_COUNTS.len();
+    let sweep = Sweep::new(FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED).expect("the payload fits");
     let mut batch =
         run_sweep::<SlottedRunReport>(&sweep, MAC_POLICY_NAMES.len() * per_policy, cfg, |i| {
             let probe = match trace_capacity {
@@ -80,7 +72,7 @@ pub(crate) fn run(reduced: bool, cfg: &RunnerConfig, trace_capacity: Option<usiz
             Ok(SweepCell {
                 probe,
                 ..SweepCell::new(
-                    sector_scene(node_counts[i % per_policy]),
+                    sector_scene(NODE_COUNTS[i % per_policy]),
                     MAC_POLICY_NAMES[i / per_policy],
                 )
             })
@@ -95,20 +87,9 @@ pub(crate) fn run(reduced: bool, cfg: &RunnerConfig, trace_capacity: Option<usiz
         // engine tallies every dispatch losslessly.
         let (_, metrics, trace) = &mut policies[i / per_policy];
         metrics.merge_from(&run.metrics.take().unwrap_or_default());
-        if let Some(buf) = run.trace.take() {
-            // The ring's own eviction count rides along in the metrics
-            // document, so a truncated trace is visible downstream
-            // instead of silently looking complete.
-            metrics.inc("trace_dropped_records", buf.dropped());
-            *trace = Some(buf);
-        }
+        *trace = run.trace.take();
     }
-    MacCompare {
-        node_counts,
-        frames,
-        batch,
-        policies,
-    }
+    MacCompare { batch, policies }
 }
 
 /// The sweep's report, whose CSV is the `results/extension_mac_compare.csv`
@@ -129,14 +110,14 @@ pub(crate) fn report(s: &MacCompare, threads: usize) -> Report {
     let mut delivery = mk("delivery");
     let mut energy = mk("energy_mj");
     let mut goodput = mk("goodput_kbps");
-    let per_policy = s.node_counts.len();
-    let densest = *s.node_counts.last().expect("non-empty grid");
+    let per_policy = NODE_COUNTS.len();
+    let densest = NODE_COUNTS[per_policy - 1];
     let mut densest_rate = [None; MAC_POLICY_NAMES.len()];
     for (i, result) in s.batch.results.iter().enumerate() {
         let Ok(run) = result else { continue };
         let r = &run.sink[0];
         let agg = CampaignAggregate::from_report(r);
-        let (k, nodes) = (i / per_policy, s.node_counts[i % per_policy]);
+        let (k, nodes) = (i / per_policy, NODE_COUNTS[i % per_policy]);
         let rate = agg.delivery_rate().unwrap_or(0.0);
         delivery[k].push(nodes as f64, rate);
         // An undelivered campaign has no energy-per-packet figure: the
@@ -160,9 +141,8 @@ pub(crate) fn report(s: &MacCompare, threads: usize) -> Report {
         ));
     }
     report.note(format!(
-        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, SDM threshold 20 dB, \
+        "{SLOTS} slots/frame, {FRAMES} frames, {PAYLOAD_BYTES}-byte payloads, SDM threshold 20 dB, \
          backoff cap 2^5; {}; {threads} worker threads",
-        s.frames,
         s.batch.summary(),
     ));
     report
@@ -171,17 +151,16 @@ pub(crate) fn report(s: &MacCompare, threads: usize) -> Report {
 /// `results/METRICS_mac.json` from the per-policy registries; `None` when
 /// no campaign recorded anything (every trial failed), so the artifact
 /// never claims an instrumented campaign that did not happen.
-pub(crate) fn metrics_doc(s: &MacCompare, reduced: bool) -> Option<String> {
+pub(crate) fn metrics_doc(s: &MacCompare) -> Option<String> {
     if s.policies.iter().all(|p| p.1.is_empty()) {
         return None;
     }
-    let config: [(&str, &dyn Json); 6] = [
-        ("reduced", &reduced),
-        ("frames", &s.frames),
+    let config: [(&str, &dyn Json); 5] = [
+        ("frames", &FRAMES),
         ("slots", &SLOTS),
         ("payload_bytes", &PAYLOAD_BYTES),
         ("seed", &ROOT_SEED),
-        ("node_counts", &s.node_counts),
+        ("node_counts", &NODE_COUNTS.as_slice()),
     ];
     let policies: Vec<(&str, &Metrics)> = s.policies.iter().map(|p| (p.0, &p.1)).collect();
     Some(metrics_io::metrics_document(
@@ -197,19 +176,14 @@ fn main() {
     // Named `main`/`io` so `all_experiments` can derive its per-stage
     // table (setup = main - run_trials - io) from the exported span file.
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
     let cfg = RunnerConfig::from_env();
     let tracing = trace_dir();
-    let sweep = run(
-        reduced,
-        &cfg,
-        tracing.as_ref().map(|_| DEFAULT_TRACE_CAPACITY),
-    );
+    let sweep = run(&cfg, tracing.as_ref().map(|_| DEFAULT_TRACE_CAPACITY));
 
     let io_span = milback_bench::spans::span("io");
-    report(&sweep, cfg.threads).emit_respecting_reduced();
-    match metrics_doc(&sweep, reduced) {
-        Some(doc) => emit_anchor("METRICS_mac.json", &doc, false),
+    report(&sweep, cfg.threads).emit();
+    match metrics_doc(&sweep) {
+        Some(doc) => emit_anchor("METRICS_mac.json", &doc),
         None => log_info!("no campaign metrics recorded: skipping METRICS_mac.json"),
     }
     if let Some(dir) = tracing {
@@ -222,7 +196,9 @@ fn main() {
 
 /// Dumps each policy's captured trace as JSONL (one file per policy, so
 /// `time_ps` stays monotone within a file) plus one combined Chrome
-/// `trace_event` JSON with the policies side-by-side as processes.
+/// `trace_event` JSON with the policies side-by-side as processes. The
+/// `trace:` line states how many records the rings evicted, so a
+/// truncated trace never passes for a complete one.
 fn write_traces(s: &MacCompare, dir: &std::path::Path) {
     if std::fs::create_dir_all(dir).is_err() {
         log_warn!("cannot create {}", dir.display());
@@ -253,10 +229,11 @@ fn write_traces(s: &MacCompare, dir: &std::path::Path) {
     let path = dir.join("mac_compare.trace.json");
     match std::fs::write(&path, &chrome) {
         Ok(()) => {
-            let densest = s.node_counts.last().expect("non-empty grid");
+            let dropped: u64 = sections.iter().map(|(_, buf)| buf.dropped()).sum();
             println!(
-                "trace: {} ({densest}-node frame per policy) — open at https://ui.perfetto.dev",
-                path.display()
+                "trace: {} ({}-node frame per policy, {dropped} records dropped) — open at https://ui.perfetto.dev",
+                path.display(),
+                NODE_COUNTS[NODE_COUNTS.len() - 1],
             );
         }
         Err(e) => log_warn!("cannot write {}: {e}", path.display()),

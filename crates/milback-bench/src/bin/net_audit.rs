@@ -14,17 +14,16 @@
 //!
 //! Run with: `cargo run --release -p milback-bench --bin net_audit`
 //!
-//! Full runs write `results/METRICS_lifecycle.json` (schema
-//! `milback-metrics-lifecycle-v1`) and the drop-attribution CSV
-//! `results/extension_net_audit.csv`; reduced runs print the CSV to
-//! stdout for CI schema validation and never touch the anchors.
+//! Writes `results/METRICS_lifecycle.json` (schema
+//! `milback-metrics-lifecycle-v2`) and the drop-attribution CSV
+//! `results/extension_net_audit.csv`.
 
 use milback_bench::experiments::{
     audit_cell, run_sweep, Sweep, MAC_POLICY_NAMES, NET_AUDIT_GAP_FRACTION,
 };
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{csv_table, emit_anchor, metrics_io, opt_cell, reduced_mode, Report, Series};
+use milback_bench::{csv_table, emit_anchor, metrics_io, opt_cell, Report, Series};
 use milback_core::json::Json;
 use milback_core::{CampaignAggregate, DropReason, LifecycleStats};
 
@@ -33,69 +32,52 @@ use milback_core::{CampaignAggregate, DropReason, LifecycleStats};
 /// frames so contention losses and pipeline shedding both occur, and
 /// enough frames for every drop family to accumulate a stable count.
 const NODES: usize = 64;
-const NODES_REDUCED: usize = 16;
 const SLOTS: usize = 8;
 const FRAMES: usize = 24;
-const FRAMES_REDUCED: usize = 6;
 const PAYLOAD_BYTES: usize = 16;
 const ROOT_SEED: u64 = 0xA0D1;
-/// Sharded determinism check shape: cells × threads small enough to run
-/// in both modes, large enough that every thread count actually fans out.
+/// Sharded determinism check shape: cells × threads × frames small enough
+/// to run in well under a second, large enough that every thread count
+/// actually fans out.
 const SHARD_CELLS: usize = 4;
+const SHARD_FRAMES: usize = 12;
 const SHARD_THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The finished sweep: one (policy, relay leg, ledger) row per cell, in
 /// trial order (policy-major, direct before relay).
-pub(crate) struct NetAudit {
-    nodes: usize,
-    frames: usize,
-    cells: Vec<(&'static str, bool, LifecycleStats)>,
-}
+pub(crate) type NetAudit = Vec<(&'static str, bool, LifecycleStats)>;
 
-/// Runs the full-scale or reduced `policies × {direct, relay}` sweep; any
-/// failed cell — a simulation error or a conservation leak — fails it.
-pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetAudit, String> {
-    let (nodes, frames) = if reduced {
-        (NODES_REDUCED, FRAMES_REDUCED)
-    } else {
-        (NODES, FRAMES)
-    };
-    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
+/// Runs the `policies × {direct, relay}` sweep; any failed cell — a
+/// simulation error or a conservation leak — fails it.
+pub(crate) fn run(cfg: &RunnerConfig) -> Result<NetAudit, String> {
+    let sweep = Sweep::new(FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
     let key = |i: usize| (MAC_POLICY_NAMES[i / 2], i % 2 == 1);
     let runs = run_sweep::<CampaignAggregate>(&sweep, MAC_POLICY_NAMES.len() * 2, cfg, |i| {
         let (policy, relay_leg) = key(i);
-        Ok(audit_cell(&sweep, nodes, policy, relay_leg))
+        Ok(audit_cell(&sweep, NODES, policy, relay_leg))
     })
     .into_oks()?;
-    Ok(NetAudit {
-        nodes,
-        frames,
-        cells: runs
-            .into_iter()
-            .enumerate()
-            .map(|(i, run)| {
-                let (policy, relay_leg) = key(i);
-                (policy, relay_leg, run.sink.lifecycle)
-            })
-            .collect(),
-    })
+    Ok(runs
+        .into_iter()
+        .enumerate()
+        .map(|(i, run)| {
+            let (policy, relay_leg) = key(i);
+            (policy, relay_leg, run.sink.lifecycle)
+        })
+        .collect())
 }
 
 /// The relay leg's merged ledger, sharded into [`SHARD_CELLS`] spatial
 /// shards over `threads` workers, conservation-audited after the merge on
 /// top of the runner's per-shard audit.
-fn sharded_relay_leg(
-    nodes: usize,
-    frames: usize,
-    threads: usize,
-) -> Result<LifecycleStats, String> {
+fn sharded_relay_leg(threads: usize) -> Result<LifecycleStats, String> {
     let sweep = Sweep {
-        shard_nodes: Some(nodes.div_ceil(SHARD_CELLS)),
-        ..Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?
+        shard_nodes: Some(NODES.div_ceil(SHARD_CELLS)),
+        ..Sweep::new(SHARD_FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?
     };
     let cfg = RunnerConfig::with_threads(threads);
     let mut runs = run_sweep::<CampaignAggregate>(&sweep, 1, &cfg, |_| {
-        Ok(audit_cell(&sweep, nodes, "aloha", true))
+        Ok(audit_cell(&sweep, NODES, "aloha", true))
     })
     .into_oks()?;
     let lifecycle = runs.remove(0).sink.lifecycle;
@@ -106,7 +88,7 @@ fn sharded_relay_leg(
 /// The drop-attribution CSV, one row per (policy, relay) cell: the full
 /// drop table in canonical label order plus the three sketch percentiles.
 /// Undefined cells (empty sketches) are empty, never NaN/inf.
-pub(crate) fn csv(s: &NetAudit) -> String {
+pub(crate) fn csv(cells: &NetAudit) -> String {
     let header = format!(
         "policy,relay,nodes,offered,delivered_direct,delivered_relayed,{},\
          slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,\
@@ -116,11 +98,11 @@ pub(crate) fn csv(s: &NetAudit) -> String {
     );
     csv_table(
         &header,
-        s.cells.iter().map(|(policy, relay_leg, l)| {
+        cells.iter().map(|(policy, relay_leg, l)| {
             let mut row = vec![
                 policy.to_string(),
                 u8::from(*relay_leg).to_string(),
-                s.nodes.to_string(),
+                NODES.to_string(),
                 l.offered.to_string(),
                 l.delivered_direct.to_string(),
                 l.delivered_relayed.to_string(),
@@ -136,19 +118,16 @@ pub(crate) fn csv(s: &NetAudit) -> String {
 
 /// `results/METRICS_lifecycle.json`: the sweep's config and every cell's
 /// ledger.
-pub(crate) fn metrics_doc(s: &NetAudit, reduced: bool, threads: usize) -> String {
-    let config: [(&str, &dyn Json); 8] = [
-        ("reduced", &reduced),
-        ("nodes", &s.nodes),
-        ("frames", &s.frames),
+pub(crate) fn metrics_doc(audit: &NetAudit) -> String {
+    let config: [(&str, &dyn Json); 6] = [
+        ("nodes", &NODES),
+        ("frames", &FRAMES),
         ("slots", &SLOTS),
         ("payload_bytes", &PAYLOAD_BYTES),
         ("gap_fraction", &NET_AUDIT_GAP_FRACTION),
-        ("threads", &threads),
         ("seed", &ROOT_SEED),
     ];
-    let cells: Vec<(String, &LifecycleStats)> = s
-        .cells
+    let cells: Vec<(String, &LifecycleStats)> = audit
         .iter()
         .map(|(policy, relay_leg, l)| {
             let leg = if *relay_leg { "relay" } else { "direct" };
@@ -166,19 +145,16 @@ pub(crate) fn metrics_doc(s: &NetAudit, reduced: bool, threads: usize) -> String
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let cfg = RunnerConfig::from_env();
-    let audit = run(reduced, &cfg).unwrap_or_else(|e| {
+    let audit = run(&RunnerConfig::from_env()).unwrap_or_else(|e| {
         eprintln!("net_audit cell failed (conservation or simulation): {e}");
         std::process::exit(1);
     });
 
     // The sharded city path must report bit-identical sketches at every
     // worker-thread count: the merge runs serially in shard-index order.
-    let shard_frames = if reduced { 4 } else { 12 };
     let mut shard_reference = None;
     for threads in SHARD_THREAD_COUNTS {
-        let lifecycle = match sharded_relay_leg(audit.nodes, shard_frames, threads) {
+        let lifecycle = match sharded_relay_leg(threads) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("sharded lifecycle at {threads} threads failed: {e}");
@@ -205,18 +181,13 @@ fn main() {
     );
     for (relay, label) in [(false, "direct"), (true, "relay")] {
         let mut s = Series::new(format!("delivered fraction ({label})"));
-        for (i, (_, _, l)) in audit.cells.iter().filter(|c| c.1 == relay).enumerate() {
+        for (i, (_, _, l)) in audit.iter().filter(|c| c.1 == relay).enumerate() {
             let frac = (l.offered > 0).then(|| l.delivered() as f64 / l.offered as f64);
             s.push_opt(i as f64, frac);
         }
         report.add_series(s);
     }
-    if let Some((policy, _, l)) = audit
-        .cells
-        .iter()
-        .filter(|c| c.1)
-        .max_by_key(|c| c.2.dropped())
-    {
+    if let Some((policy, _, l)) = audit.iter().filter(|c| c.1).max_by_key(|c| c.2.dropped()) {
         let (top_idx, top_count) = l
             .drops
             .iter()
@@ -238,21 +209,14 @@ fn main() {
         ));
     }
     report.note(format!(
-        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, {} nodes, \
+        "{SLOTS} slots/frame, {FRAMES} frames, {PAYLOAD_BYTES}-byte payloads, {NODES} nodes, \
          gap fraction {NET_AUDIT_GAP_FRACTION} on the relay leg, congested Drop pipeline, \
          sharded sketches bit-identical at {SHARD_THREAD_COUNTS:?} threads, seed {ROOT_SEED:#x}",
-        audit.frames, audit.nodes,
     ));
     print!("{}", report.render());
 
-    // The metrics document is written in both modes (its `reduced` flag
-    // says which), matching `mac_compare`: CI validates the reduced
-    // document, then regenerates the full-scale anchor. It goes out
-    // before the CSV so a reduced run's stdout ends with the CSV — CI
-    // slices it off by header.
-    let doc = metrics_doc(&audit, reduced, cfg.threads);
-    emit_anchor("METRICS_lifecycle.json", &doc, false);
-    emit_anchor("extension_net_audit.csv", &csv(&audit), reduced);
+    emit_anchor("METRICS_lifecycle.json", &metrics_doc(&audit));
+    emit_anchor("extension_net_audit.csv", &csv(&audit));
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();

@@ -20,16 +20,16 @@ use milback_bench::experiments::{
     overflow_policy_by_name, run_sweep, sector_scene, Sweep, SweepCell, OVERFLOW_POLICY_NAMES,
 };
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{csv_table, emit_anchor, opt_cell, reduced_mode, Report, Series};
+use milback_bench::{csv_table, emit_anchor, opt_cell, Report, Series};
 use milback_core::engine::ps_to_secs;
 use milback_core::CampaignAggregate;
 
 /// Campaign shape: 8-slot frames so the knee (capacity = slots/2 grants
 /// per frame) sits in the middle of the node sweep, and enough frames for
 /// the steady-state backlog to dominate the ramp-up transient.
+const NODE_COUNTS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 const SLOTS: usize = 8;
 const FRAMES: usize = 64;
-const FRAMES_REDUCED: usize = 8;
 const PAYLOAD_BYTES: usize = 16;
 const QUEUE_CAPACITY: usize = 1;
 const ROOT_SEED: u64 = 0x10AD;
@@ -37,28 +37,22 @@ const ROOT_SEED: u64 = 0x10AD;
 /// The finished sweep: one (overflow tag, node count, aggregate) row per
 /// cell, in trial order.
 pub(crate) struct NetLoad {
-    frames: usize,
     /// The nominal campaign airtime `frames × frame_ps`, seconds: the
     /// denominator of both load axes.
     airtime_s: f64,
     cells: Vec<(&'static str, usize, CampaignAggregate)>,
 }
 
-/// Runs the full-scale or reduced sweep; any failed cell fails the sweep.
-pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetLoad, String> {
-    let (node_counts, frames): (&[usize], usize) = if reduced {
-        (&[1, 4, 16, 64], FRAMES_REDUCED)
-    } else {
-        (&[1, 2, 4, 8, 16, 32, 64, 128], FRAMES)
-    };
-    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
+/// Runs the sweep; any failed cell fails the sweep.
+pub(crate) fn run(cfg: &RunnerConfig) -> Result<NetLoad, String> {
+    let sweep = Sweep::new(FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
     let key = |i: usize| {
         (
-            OVERFLOW_POLICY_NAMES[i / node_counts.len()],
-            node_counts[i % node_counts.len()],
+            OVERFLOW_POLICY_NAMES[i / NODE_COUNTS.len()],
+            NODE_COUNTS[i % NODE_COUNTS.len()],
         )
     };
-    let cells = OVERFLOW_POLICY_NAMES.len() * node_counts.len();
+    let cells = OVERFLOW_POLICY_NAMES.len() * NODE_COUNTS.len();
     let runs = run_sweep::<CampaignAggregate>(&sweep, cells, cfg, |i| {
         let (tag, nodes) = key(i);
         let overflow = overflow_policy_by_name(tag)
@@ -70,8 +64,7 @@ pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetLoad, String> 
     })
     .into_oks()?;
     Ok(NetLoad {
-        frames,
-        airtime_s: frames as f64 * ps_to_secs(sweep.plan.frame_ps()),
+        airtime_s: FRAMES as f64 * ps_to_secs(sweep.plan.frame_ps()),
         cells: runs
             .into_iter()
             .enumerate()
@@ -109,8 +102,7 @@ pub(crate) fn csv(s: &NetLoad) -> String {
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let load = run(reduced, &RunnerConfig::from_env()).unwrap_or_else(|e| {
+    let load = run(&RunnerConfig::from_env()).unwrap_or_else(|e| {
         eprintln!("net_load cell failed: {e}");
         std::process::exit(1);
     });
@@ -146,12 +138,11 @@ fn main() {
         ));
     }
     report.note(format!(
-        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, slotted ALOHA, \
+        "{SLOTS} slots/frame, {FRAMES} frames, {PAYLOAD_BYTES}-byte payloads, slotted ALOHA, \
          capture = 2 slot widths, stage queue depth {QUEUE_CAPACITY}, seed {ROOT_SEED:#x}",
-        load.frames
     ));
     print!("{}", report.render());
-    emit_anchor("extension_net_load.csv", &csv(&load), reduced);
+    emit_anchor("extension_net_load.csv", &csv(&load));
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();

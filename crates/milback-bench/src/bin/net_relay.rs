@@ -17,81 +17,65 @@ use milback_bench::experiments::{
     gapped_sector_scene, relay_sweep_config, run_sweep, Sweep, SweepCell, RELAY_TAG_RANGE_M,
 };
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{csv_table, emit_anchor, opt_cell, reduced_mode, Report, Series};
+use milback_bench::{csv_table, emit_anchor, opt_cell, Report, Series};
 use milback_core::CampaignAggregate;
 
 /// Sweep shape: enough nodes for both gap rings to populate at every
 /// non-zero gap fraction, 12-slot frames to keep direct contention from
 /// drowning the recovery signal, and a hop-budget axis that crosses the
 /// two-ring geometry (1 = direct only, 2 = 8 m ring, 3 = both rings).
+const GAP_FRACTIONS: [f64; 3] = [0.0, 0.25, 0.5];
 const NODES: usize = 32;
-const NODES_REDUCED: usize = 12;
 const SLOTS: usize = 12;
 const FRAMES: usize = 32;
-const FRAMES_REDUCED: usize = 6;
 const PAYLOAD_BYTES: usize = 16;
 const ROOT_SEED: u64 = 0x9E1A;
 const HOP_BUDGETS: [usize; 3] = [1, 2, 3];
 
 /// The finished sweep: one (gap fraction, hop budget, aggregate) row per
 /// cell, in trial order (gap-fraction-major).
-pub(crate) struct NetRelay {
-    gap_fractions: &'static [f64],
-    nodes: usize,
-    frames: usize,
-    cells: Vec<(f64, usize, CampaignAggregate)>,
-}
+pub(crate) type NetRelay = Vec<(f64, usize, CampaignAggregate)>;
 
-/// Runs the full-scale or reduced sweep; any failed cell fails the sweep.
-pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> Result<NetRelay, String> {
-    let (gap_fractions, nodes, frames): (&[f64], usize, usize) = if reduced {
-        (&[0.0, 0.5], NODES_REDUCED, FRAMES_REDUCED)
-    } else {
-        (&[0.0, 0.25, 0.5], NODES, FRAMES)
-    };
-    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
+/// Runs the sweep; any failed cell fails the sweep.
+pub(crate) fn run(cfg: &RunnerConfig) -> Result<NetRelay, String> {
+    let sweep = Sweep::new(FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED)?;
     let key = |i: usize| {
         (
-            gap_fractions[i / HOP_BUDGETS.len()],
+            GAP_FRACTIONS[i / HOP_BUDGETS.len()],
             HOP_BUDGETS[i % HOP_BUDGETS.len()],
         )
     };
-    let cells = gap_fractions.len() * HOP_BUDGETS.len();
+    let cells = GAP_FRACTIONS.len() * HOP_BUDGETS.len();
     let runs = run_sweep::<CampaignAggregate>(&sweep, cells, cfg, |i| {
         let (gap_fraction, max_hops) = key(i);
         Ok(SweepCell {
             relay: relay_sweep_config(max_hops),
-            ..SweepCell::new(gapped_sector_scene(nodes, gap_fraction), "aloha")
+            ..SweepCell::new(gapped_sector_scene(NODES, gap_fraction), "aloha")
         })
     })
     .into_oks()?;
-    Ok(NetRelay {
-        gap_fractions,
-        nodes,
-        frames,
-        cells: runs
-            .into_iter()
-            .enumerate()
-            .map(|(i, run)| {
-                let (gap_fraction, max_hops) = key(i);
-                (gap_fraction, max_hops, run.sink)
-            })
-            .collect(),
-    })
+    Ok(runs
+        .into_iter()
+        .enumerate()
+        .map(|(i, run)| {
+            let (gap_fraction, max_hops) = key(i);
+            (gap_fraction, max_hops, run.sink)
+        })
+        .collect())
 }
 
 /// The full sweep schema, one row per (gap fraction, hop budget) cell.
-pub(crate) fn csv(s: &NetRelay) -> String {
+pub(crate) fn csv(cells: &NetRelay) -> String {
     csv_table(
         "gap_fraction,max_hops,nodes,gap_nodes,attempts,delivered,\
          delivery_rate,gap_attempts,gap_delivered,gap_delivery_rate,relayed,\
          forwarded,mean_relay_hops,relay_energy_per_delivered_j,\
          mean_relay_latency_s",
-        s.cells.iter().map(|(gap_fraction, max_hops, agg)| {
+        cells.iter().map(|(gap_fraction, max_hops, agg)| {
             vec![
                 gap_fraction.to_string(),
                 max_hops.to_string(),
-                s.nodes.to_string(),
+                NODES.to_string(),
                 agg.gap_nodes.to_string(),
                 agg.attempts.to_string(),
                 agg.delivered.to_string(),
@@ -111,8 +95,7 @@ pub(crate) fn csv(s: &NetRelay) -> String {
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let relay_sweep = run(reduced, &RunnerConfig::from_env()).unwrap_or_else(|e| {
+    let relay_sweep = run(&RunnerConfig::from_env()).unwrap_or_else(|e| {
         eprintln!("net_relay cell failed: {e}");
         std::process::exit(1);
     });
@@ -124,15 +107,14 @@ fn main() {
         "max hops",
         "gap delivery rate / relay energy",
     );
-    for &gap in relay_sweep.gap_fractions {
+    for gap in GAP_FRACTIONS {
         let mut recovery = Series::new(format!("gap delivery (gap={gap})"));
-        for (_, max_hops, agg) in relay_sweep.cells.iter().filter(|c| c.0 == gap) {
+        for (_, max_hops, agg) in relay_sweep.iter().filter(|c| c.0 == gap) {
             recovery.push_opt(*max_hops as f64, agg.gap_delivery_rate());
         }
         report.add_series(recovery);
     }
     if let Some((gap, max_hops, agg)) = relay_sweep
-        .cells
         .iter()
         .filter(|c| c.2.relayed > 0)
         .max_by_key(|c| (c.2.gap_delivered, c.1))
@@ -148,15 +130,13 @@ fn main() {
     }
     let relay = relay_sweep_config(2);
     report.note(format!(
-        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, {} nodes, \
+        "{SLOTS} slots/frame, {FRAMES} frames, {PAYLOAD_BYTES}-byte payloads, {NODES} nodes, \
          AP coverage {} m, tag range {RELAY_TAG_RANGE_M} m, {} dB/hop SNR penalty, seed {ROOT_SEED:#x}",
-        relay_sweep.frames,
-        relay_sweep.nodes,
         relay.coverage.ap_range_m,
         relay.hop_snr_penalty_db,
     ));
     print!("{}", report.render());
-    emit_anchor("extension_net_relay.csv", &csv(&relay_sweep), reduced);
+    emit_anchor("extension_net_relay.csv", &csv(&relay_sweep));
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();

@@ -15,38 +15,29 @@ use milback_bench::experiments::{
     mean_node_goodput_bps, run_sweep, sector_scene, CellRun, Sweep, SweepCell,
 };
 use milback_bench::runner::{RunnerConfig, TrialBatch};
-use milback_bench::{reduced_mode, Report, Series};
+use milback_bench::{Report, Series};
 use milback_core::{CampaignAggregate, SlottedRunReport};
 
+const NODE_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 const SLOTS: usize = 8;
+const FRAMES: usize = 24;
 const PAYLOAD_BYTES: usize = 16;
 const ROOT_SEED: u64 = 0xE4;
 
-/// The finished sweep: its frame count and one per-node report per node
-/// count.
-pub(crate) struct NetScale {
-    frames: usize,
-    batch: TrialBatch<CellRun<Vec<SlottedRunReport>>, String>,
-}
+/// The finished sweep: one per-node report per node count.
+pub(crate) type NetScale = TrialBatch<CellRun<Vec<SlottedRunReport>>, String>;
 
-/// Runs the full-scale or reduced sweep.
-pub(crate) fn run(reduced: bool, cfg: &RunnerConfig) -> NetScale {
-    let node_counts: &[usize] = if reduced {
-        &[1, 2, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 16, 32, 64]
-    };
-    let frames = if reduced { 8 } else { 24 };
-    let sweep = Sweep::new(frames, PAYLOAD_BYTES, SLOTS, ROOT_SEED).expect("the payload fits");
-    let batch = run_sweep::<SlottedRunReport>(&sweep, node_counts.len(), cfg, |i| {
-        Ok(SweepCell::new(sector_scene(node_counts[i]), "aloha"))
-    });
-    NetScale { frames, batch }
+/// Runs the sweep.
+pub(crate) fn run(cfg: &RunnerConfig) -> NetScale {
+    let sweep = Sweep::new(FRAMES, PAYLOAD_BYTES, SLOTS, ROOT_SEED).expect("the payload fits");
+    run_sweep::<SlottedRunReport>(&sweep, NODE_COUNTS.len(), cfg, |i| {
+        Ok(SweepCell::new(sector_scene(NODE_COUNTS[i]), "aloha"))
+    })
 }
 
 /// The sweep's report, whose CSV is the `results/extension_net_scale.csv`
 /// anchor.
-pub(crate) fn report(s: &NetScale, threads: usize) -> Report {
+pub(crate) fn report(batch: &NetScale, threads: usize) -> Report {
     let mut report = Report::new(
         "Extension net_scale",
         "slotted-ALOHA + SDM scaling: per-node goodput, collisions, energy vs node count",
@@ -58,7 +49,7 @@ pub(crate) fn report(s: &NetScale, threads: usize) -> Report {
     let mut energy = Series::new("energy per packet (mJ)");
     let mut delivery = Series::new("delivery rate");
     let mut rates = Vec::new();
-    for run in s.batch.oks() {
+    for run in batch.oks() {
         let r = &run.sink[0];
         let agg = CampaignAggregate::from_report(r);
         let nodes = agg.nodes as f64;
@@ -83,10 +74,9 @@ pub(crate) fn report(s: &NetScale, threads: usize) -> Report {
         ));
     }
     report.note(format!(
-        "{SLOTS} slots/frame, {} frames, {PAYLOAD_BYTES}-byte payloads, SDM threshold 20 dB; {}; \
+        "{SLOTS} slots/frame, {FRAMES} frames, {PAYLOAD_BYTES}-byte payloads, SDM threshold 20 dB; {}; \
          {threads} worker threads",
-        s.frames,
-        s.batch.summary(),
+        batch.summary(),
     ));
     report
 }
@@ -96,9 +86,9 @@ fn main() {
     // table (setup = main - run_trials - io) from the exported span file.
     let main_span = milback_bench::spans::span("main");
     let cfg = RunnerConfig::from_env();
-    let sweep = run(reduced_mode(), &cfg);
+    let sweep = run(&cfg);
     let io_span = milback_bench::spans::span("io");
-    report(&sweep, cfg.threads).emit_respecting_reduced();
+    report(&sweep, cfg.threads).emit();
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();

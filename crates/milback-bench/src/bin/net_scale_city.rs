@@ -18,12 +18,13 @@
 
 use milback_bench::experiments::{run_sweep, sector_scene, Sweep, SweepCell};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{csv_table, emit_anchor, opt_cell, reduced_mode, Report, Series};
+use milback_bench::{csv_table, emit_anchor, opt_cell, Report, Series};
 use milback_core::{CampaignAggregate, OverflowPolicy};
 
-/// The campaign shape shared by the full-scale anchor and the reduced CI
-/// run: 8-slot frames over 32-node cells keeps every cell contended (slot
-/// sharing and SDM erosion both bite) while singleton slots still deliver.
+/// The campaign shape: 8-slot frames over 32-node cells keeps every cell
+/// contended (slot sharing and SDM erosion both bite) while singleton
+/// slots still deliver.
+const NODE_COUNTS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const CELL_SIZE: usize = 32;
 const SLOTS: usize = 8;
 const FRAMES: usize = 4;
@@ -116,15 +117,8 @@ pub(crate) fn csv(points: &[CityPoint], threads: usize) -> String {
 
 fn main() {
     let main_span = milback_bench::spans::span("main");
-    let reduced = reduced_mode();
-    let node_counts: &[usize] = if reduced {
-        // The CI shape: 4 cells × a few hundred nodes, seconds not minutes.
-        &[128, 1024]
-    } else {
-        &[1_000, 10_000, 100_000, 1_000_000]
-    };
     let cfg = RunnerConfig::from_env();
-    let points = run(node_counts, &cfg).unwrap_or_else(|e| {
+    let points = run(&NODE_COUNTS, &cfg).unwrap_or_else(|e| {
         eprintln!("net_scale_city failed: {e}");
         std::process::exit(1);
     });
@@ -175,11 +169,7 @@ fn main() {
             .to_string(),
     );
     print!("{}", report.render());
-    emit_anchor(
-        "extension_net_scale_city.csv",
-        &csv(&points, cfg.threads),
-        reduced,
-    );
+    emit_anchor("extension_net_scale_city.csv", &csv(&points, cfg.threads));
     drop(io_span);
     drop(main_span);
     milback_bench::spans::export_if_requested();

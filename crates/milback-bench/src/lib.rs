@@ -18,17 +18,8 @@ pub mod spans;
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-
-/// True when `MILBACK_REDUCED` is set (to anything but `0`): experiment
-/// binaries shrink their grids/trial counts and print without overwriting
-/// the full-scale CSV anchors under `results/` — the mode `scripts/ci.sh`
-/// uses to exercise a figure binary quickly.
-pub fn reduced_mode() -> bool {
-    std::env::var("MILBACK_REDUCED")
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false)
-}
 
 /// A labelled series of (x, y) points — one curve of a figure. A `None`
 /// y-value is an honest "undefined here" (e.g. energy per delivered packet
@@ -172,29 +163,12 @@ impl Report {
         out
     }
 
-    /// Prints to stdout and writes a CSV under `results/` (best-effort; a
-    /// read-only filesystem only loses the CSV copy).
-    pub(crate) fn emit(&self) {
+    /// Prints to stdout and writes the CSV anchor under `results/`, named
+    /// after the report id; see [`emit_anchor`].
+    pub fn emit(&self) {
         print!("{}", self.render());
-        let dir = results_dir();
-        if fs::create_dir_all(&dir).is_ok() {
-            let file = dir.join(format!(
-                "{}.csv",
-                self.id.to_lowercase().replace([' ', '/'], "_")
-            ));
-            let _ = fs::write(file, self.to_csv());
-        }
-    }
-
-    /// `Report::emit` that skips the CSV write in [`reduced_mode`], so
-    /// quick CI runs never overwrite the full-scale anchors under
-    /// `results/`.
-    pub fn emit_respecting_reduced(&self) {
-        if reduced_mode() {
-            print!("{}", self.render());
-        } else {
-            self.emit();
-        }
+        let file = format!("{}.csv", self.id.to_lowercase().replace([' ', '/'], "_"));
+        emit_anchor(&file, &self.to_csv());
     }
 }
 
@@ -223,25 +197,26 @@ pub fn opt_cell(v: Option<f64>) -> String {
     v.map(|x| x.to_string()).unwrap_or_default()
 }
 
-/// Writes an anchor file `results/<file>` — a sweep CSV or a metrics
-/// document — and says where it went. With `print_only` the contents go
-/// to stdout instead: reduced runs print their CSV for CI's schema checks
-/// and never overwrite a full-scale anchor. The metrics documents flag
-/// reduced mode in their own `config`, so they are written in both modes.
-pub fn emit_anchor(file: &str, contents: &str, print_only: bool) {
-    if print_only {
-        print!("{contents}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("could not create {}: {e}", dir.display());
-        return;
-    }
+/// Writes `contents` to `dir/<file>`, creating `dir` first, and returns
+/// the path written.
+fn write_anchor(dir: &Path, file: &str, contents: &str) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     let path = dir.join(file);
-    match fs::write(&path, contents) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    fs::write(&path, contents)?;
+    Ok(path)
+}
+
+/// Writes an anchor file `results/<file>` — a sweep CSV or a metrics
+/// document — and says where it went. A failed write ends the process
+/// with status 1: a stale anchor left in place must never pass for a
+/// regenerated one.
+pub fn emit_anchor(file: &str, contents: &str) {
+    match write_anchor(&results_dir(), file, contents) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("could not write results/{file}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -313,6 +288,15 @@ mod tests {
             "undefined y is an empty cell: {csv}"
         );
         assert!(!csv.contains("NaN") && !csv.contains("inf"));
+    }
+
+    #[test]
+    fn anchor_write_reports_a_blocked_directory() {
+        let blocker = std::env::temp_dir().join(format!("milback_blocker_{}", std::process::id()));
+        fs::write(&blocker, "a regular file").unwrap();
+        let result = write_anchor(&blocker.join("results"), "x.csv", "x\n");
+        fs::remove_file(&blocker).unwrap();
+        assert!(result.is_err(), "wrote under a regular file: {result:?}");
     }
 
     #[test]

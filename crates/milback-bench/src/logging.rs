@@ -1,7 +1,7 @@
 //! Leveled stderr logging for the experiment binaries.
 //!
 //! `MILBACK_LOG={off,warn,info,debug}` selects the threshold (default
-//! `warn`, so CI and reduced runs stay quiet unless something is actually
+//! `warn`, so CI runs stay quiet unless something is actually
 //! wrong). The binaries log through [`log_warn!`](crate::log_warn) /
 //! [`log_info!`](crate::log_info) / [`log_debug!`](crate::log_debug)
 //! instead of scattered `eprintln!`, so one environment variable governs

@@ -6,17 +6,16 @@
 //! JSON writer ([`milback_core::json`]), so they share its rules: floats in
 //! `{:e}` form and never a `NaN`/`inf` token (the telemetry layer also
 //! filters non-finite values at observation time), escaped strings, and
-//! insertion-ordered members. Reduced-mode runs are flagged in `config`,
-//! and CI regenerates the full-scale artifacts after validating them.
+//! insertion-ordered members.
 
 use crate::hostinfo::HostInfo;
 use milback_core::json::{self, Json};
 
 /// Schema tag of `results/METRICS_mac.json`.
-pub const METRICS_MAC_SCHEMA: &str = "milback-metrics-mac-v1";
+pub const METRICS_MAC_SCHEMA: &str = "milback-metrics-mac-v2";
 
 /// Schema tag of `results/METRICS_lifecycle.json`.
-pub const METRICS_LIFECYCLE_SCHEMA: &str = "milback-metrics-lifecycle-v1";
+pub const METRICS_LIFECYCLE_SCHEMA: &str = "milback-metrics-lifecycle-v2";
 
 /// Renders a metrics document: `schema`, the `host` block, the campaign
 /// `config` (typed values, in the given order), and one `section_key`
@@ -85,7 +84,7 @@ mod tests {
             lines[..4],
             [
                 "{",
-                r#""schema":"milback-metrics-lifecycle-v1","#,
+                r#""schema":"milback-metrics-lifecycle-v2","#,
                 r#""host":{"cores":4,"threads":2,"rustc":"rustc 1.99.0 (test)"},"#,
                 r#""config":{"nodes":64,"gap_fraction":2.5e-1},"#,
             ]
@@ -121,15 +120,14 @@ mod tests {
             METRICS_MAC_SCHEMA,
             &host(),
             &[
-                ("reduced", &false),
                 ("frames", &24usize),
                 ("node_counts", &[1usize, 2, 4].as_slice()),
             ],
             "policies",
             &[("aloha", &aloha), ("sdm", &sdm)],
         );
-        assert!(doc.contains(r#""schema":"milback-metrics-mac-v1","#));
-        assert!(doc.contains(r#""config":{"reduced":false,"frames":24,"node_counts":[1,2,4]},"#));
+        assert!(doc.contains(r#""schema":"milback-metrics-mac-v2","#));
+        assert!(doc.contains(r#""config":{"frames":24,"node_counts":[1,2,4]},"#));
         assert!(doc.contains(
             r#""policies":{"aloha":{"counters":{"slots_fired":42,"slot_collisions":7},"histograms":{}},"sdm":{"counters":{"slots_fired":42,"slot_collisions":0},"histograms":{}}}"#
         ));

@@ -2322,9 +2322,11 @@ impl PolicyCoordinator<'_> {
 
 /// A per-node Doppler signature for simultaneous multi-node localization:
 /// node `k` toggles with period `2·(k+1)` chirps, landing its echo at
-/// Doppler row `N / (2·(k+1))` of an N-chirp range–Doppler map — every
-/// node separable in one capture, Millimetro-style, without beam
-/// scheduling.
+/// Doppler row `N / (2·(k+1))` of an N-chirp range–Doppler map, so the
+/// nodes separate in one capture, Millimetro-style, without beam
+/// scheduling. An `n`-node capture resolves every signature exactly only
+/// when `N` is a multiple of lcm(2, 4, …, 2n): 24 chirps for 4 nodes,
+/// 5 040 for 9, 1 441 440 for 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DopplerSignature {
     /// Toggle period in chirps (even, ≥ 2).
@@ -2360,6 +2362,10 @@ impl DopplerSignature {
 /// capture: each node toggles with its own [`DopplerSignature`], the AP
 /// builds a range–Doppler map and reads each node's range at its assigned
 /// Doppler row. Returns `(node_idx, range_m)` per node found.
+///
+/// `n_chirps` must be a multiple of every node's toggle period, i.e. of
+/// lcm(2, 4, …, 2n) for `n` nodes (24 for 4 nodes, 5 040 for 9,
+/// 1 441 440 for 16); any other count is a [`MilbackError::Config`].
 ///
 /// This goes beyond the paper's one-node-at-a-time localization (§7 only
 /// sketches SDM for *communication*); it composes the same primitives —

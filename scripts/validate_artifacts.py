@@ -6,7 +6,6 @@ Usage: validate_artifacts.py bench-dsp BENCH_dsp.json
        validate_artifacts.py bench-experiments BENCH_experiments.json
        validate_artifacts.py mac METRICS_mac.json TRACE_DIR
        validate_artifacts.py lifecycle METRICS_lifecycle.json
-       validate_artifacts.py full-scale METRICS_*.json
 """
 import json
 import math
@@ -102,7 +101,7 @@ def bench_experiments(path):
 
 
 def metrics_mac(path, trace_dir):
-    doc = document(path, "milback-metrics-mac-v1", ("host", "config", "policies"))
+    doc = document(path, "milback-metrics-mac-v2", ("host", "config", "policies"))
     for policy in ("aloha", "backoff", "polling", "sdm"):
         m = doc["policies"][policy]
         assert m["counters"]["slots_fired"] > 0, f"{policy}: no slots fired"
@@ -141,7 +140,7 @@ def metrics_mac(path, trace_dir):
 
 
 def metrics_lifecycle(path):
-    doc = document(path, "milback-metrics-lifecycle-v1", ("host", "config", "cells"))
+    doc = document(path, "milback-metrics-lifecycle-v2", ("host", "config", "cells"))
     labels = ("contention_collision", "sdm_inseparable", "service_shed",
               "no_relay_route", "hop_budget_exhausted", "decode_failure",
               "never_scheduled")
@@ -166,18 +165,11 @@ def metrics_lifecycle(path):
     print(f"OK: {path} conserves across {len(doc['cells'])} cells")
 
 
-def full_scale(*paths):
-    for path in paths:
-        assert json.load(open(path))["config"]["reduced"] is False, f"{path} is not full-scale"
-    print(f"OK: {', '.join(paths)} full-scale")
-
-
 COMMANDS = {
     "bench-dsp": bench_dsp,
     "bench-experiments": bench_experiments,
     "mac": metrics_mac,
     "lifecycle": metrics_lifecycle,
-    "full-scale": full_scale,
 }
 
 if __name__ == "__main__":

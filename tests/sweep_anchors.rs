@@ -1,15 +1,16 @@
 //! The committed network-sweep anchors reproduce: each room-scale sweep
-//! binary's own `run` and CSV writer, compiled here as a module, runs at
-//! full scale on one thread and must render `results/*.csv` byte for
-//! byte. The metrics documents must match their committed anchors on
-//! every line but the `host` block, and the city-scale sweep's 10³-node
-//! row must match on every column but the two wall-clock ones.
+//! binary's own `run` and CSV writer, compiled here as a module, runs on
+//! one thread and must render `results/*.csv` byte for byte. The metrics
+//! documents must match their committed anchors on every line but the
+//! `host` block, traced or not, and the city-scale sweep's 10³-node row
+//! must match on every column but the two wall-clock ones.
 //!
 //! An anchor that moves on purpose is regenerated with the binary at
 //! `MILBACK_THREADS=1`, which this test then pins.
 
 use milback_bench::results_dir;
 use milback_bench::runner::RunnerConfig;
+use milback_core::telemetry::DEFAULT_TRACE_CAPACITY;
 
 #[allow(dead_code)]
 #[path = "../crates/milback-bench/src/bin/mac_compare.rs"]
@@ -65,47 +66,41 @@ fn not_host(line: &str) -> bool {
 #[test]
 fn net_scale_anchor_reproduces() {
     let serial = RunnerConfig::serial();
-    let report = net_scale::report(&net_scale::run(false, &serial), serial.threads);
+    let report = net_scale::report(&net_scale::run(&serial), serial.threads);
     assert_anchor("extension_net_scale.csv", &report.to_csv());
 }
 
+/// Tracing records each policy's densest campaign on top of the metrics
+/// probe; it must leave both the CSV and the metrics document unchanged.
 #[test]
 fn mac_compare_anchors_reproduce() {
     let serial = RunnerConfig::serial();
-    let sweep = mac_compare::run(false, &serial, None);
-    let report = mac_compare::report(&sweep, serial.threads);
-    assert_anchor("extension_mac_compare.csv", &report.to_csv());
-    let doc = mac_compare::metrics_doc(&sweep, false).expect("the sweep recorded metrics");
-    assert_lines_eq("METRICS_mac.json", &doc, not_host);
+    for trace_capacity in [None, Some(DEFAULT_TRACE_CAPACITY)] {
+        let sweep = mac_compare::run(&serial, trace_capacity);
+        let report = mac_compare::report(&sweep, serial.threads);
+        assert_anchor("extension_mac_compare.csv", &report.to_csv());
+        let doc = mac_compare::metrics_doc(&sweep).expect("the sweep recorded metrics");
+        assert_lines_eq("METRICS_mac.json", &doc, not_host);
+    }
 }
 
 #[test]
 fn net_load_anchor_reproduces() {
-    let sweep = net_load::run(false, &RunnerConfig::serial()).unwrap();
+    let sweep = net_load::run(&RunnerConfig::serial()).unwrap();
     assert_anchor("extension_net_load.csv", &net_load::csv(&sweep));
 }
 
 #[test]
 fn net_relay_anchor_reproduces() {
-    let sweep = net_relay::run(false, &RunnerConfig::serial()).unwrap();
+    let sweep = net_relay::run(&RunnerConfig::serial()).unwrap();
     assert_anchor("extension_net_relay.csv", &net_relay::csv(&sweep));
 }
 
-/// The lifecycle document's `config` also records the worker-thread count
-/// it was written at; the ledgers are the same at any count, so the
-/// document is rendered at the committed one.
 #[test]
 fn net_audit_anchors_reproduce() {
-    let audit = net_audit::run(false, &RunnerConfig::serial()).unwrap();
+    let audit = net_audit::run(&RunnerConfig::serial()).unwrap();
     assert_anchor("extension_net_audit.csv", &net_audit::csv(&audit));
-    let committed = anchor("METRICS_lifecycle.json");
-    let threads: usize = committed
-        .split("\"threads\":")
-        .nth(1)
-        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
-        .and_then(|n| n.parse().ok())
-        .expect("the lifecycle config records its thread count");
-    let doc = net_audit::metrics_doc(&audit, false, threads);
+    let doc = net_audit::metrics_doc(&audit);
     assert_lines_eq("METRICS_lifecycle.json", &doc, not_host);
 }
 
