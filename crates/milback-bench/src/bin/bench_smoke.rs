@@ -3,8 +3,9 @@
 //!
 //! The DSP half times the planned FFT layer (cached one-shot vs the seed's
 //! plan-per-call path, plus the allocation-free in-place path), a full
-//! range–Doppler frame serial vs parallel, beat synthesis, one five-chirp
-//! two-channel localization capture, and one reduced
+//! range–Doppler frame serial vs parallel, beat synthesis, the Gaussian
+//! noise kernels (one `standard()` per draw vs the block fill vs the
+//! skip), one five-chirp two-channel localization capture, and one reduced
 //! Figure-15 uplink run (through the trial-parallel runner). Every
 //! contender pair is sampled round-robin (one short burst each,
 //! alternating, min over many rounds) so background load on a shared
@@ -94,6 +95,68 @@ fn race(rounds: usize, iters: usize, contenders: &mut [&mut dyn FnMut()]) -> Vec
         }
     }
     best
+}
+
+/// Complex samples per noise contender call: one beat chirp.
+const NOISE_SAMPLES: usize = 900;
+
+struct NoiseRow {
+    scalar_ns: f64,
+    block_ns: f64,
+    skip_ns: f64,
+    bit_exact: bool,
+}
+
+/// Complex AWGN over one chirp three ways: one `sample()` per quadrature
+/// (the per-draw path), `add_complex_noise` (the block kernel), and
+/// `skip_standard` over the same draws (RX2's skipped chirps). `bit_exact`
+/// checks the block fill and the block adder against the `standard()` loop
+/// on twin streams.
+fn bench_noise() -> NoiseRow {
+    let draws = 2 * NOISE_SAMPLES;
+    let (mut scalar, mut block) = (GaussianSource::new(0x901), GaussianSource::new(0x901));
+    let want: Vec<u64> = (0..draws).map(|_| scalar.standard().to_bits()).collect();
+    let mut got = vec![0.0; draws];
+    block.fill_standard(&mut got);
+    let mut bit_exact = got.iter().map(|v| v.to_bits()).eq(want.iter().copied());
+    let sigma = (1e-14f64 / 2.0).sqrt();
+    let mut want = test_signal(NOISE_SAMPLES);
+    let mut got = want.clone();
+    for z in &mut want {
+        *z += Complex::new(scalar.sample(sigma), scalar.sample(sigma));
+    }
+    block.add_complex_noise(&mut got, 1e-14);
+    bit_exact &= got
+        .iter()
+        .zip(&want)
+        .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+
+    let mut buf = test_signal(NOISE_SAMPLES);
+    let mut rng = GaussianSource::new(0x902);
+    let mut per_draw = || {
+        for z in buf.iter_mut() {
+            *z += Complex::new(rng.sample(sigma), rng.sample(sigma));
+        }
+        std::hint::black_box(&mut buf);
+    };
+    let mut block_buf = test_signal(NOISE_SAMPLES);
+    let mut block_rng = GaussianSource::new(0x902);
+    let mut block = || {
+        block_rng.add_complex_noise(&mut block_buf, 1e-14);
+        std::hint::black_box(&mut block_buf);
+    };
+    let mut skip_rng = GaussianSource::new(0x902);
+    let mut skip = || {
+        skip_rng.skip_standard(draws);
+        std::hint::black_box(&mut skip_rng);
+    };
+    let times = race(60, 10, &mut [&mut per_draw, &mut block, &mut skip]);
+    NoiseRow {
+        scalar_ns: times[0],
+        block_ns: times[1],
+        skip_ns: times[2],
+        bit_exact,
+    }
 }
 
 fn test_signal(n: usize) -> Vec<Complex> {
@@ -737,6 +800,23 @@ fn main() {
     );
     drop(beat_span);
 
+    // --- Gaussian noise kernels ---------------------------------------
+    let noise_span = spans::span("dsp_noise");
+    let noise = bench_noise();
+    assert!(
+        noise.bit_exact,
+        "block Gaussian kernel diverged from standard()"
+    );
+    println!(
+        "noise ({NOISE_SAMPLES} complex draws): per-draw {:.1} us, block {:.1} us ({:.2}x), skip {:.1} us, bit-exact {}",
+        noise.scalar_ns / 1e3,
+        noise.block_ns / 1e3,
+        noise.scalar_ns / noise.block_ns,
+        noise.skip_ns / 1e3,
+        noise.bit_exact,
+    );
+    drop(noise_span);
+
     // --- Five-chirp two-channel Field-2 capture -----------------------
     // The localization capture: one phasor table per channel, then only
     // the amplitude sum per chirp (serial synthesis, as trial runners use).
@@ -840,6 +920,14 @@ fn main() {
                     .field("serial_ns", beat[0])
                     .field("parallel_ns", beat[1])
                     .field("speedup", beat[0] / beat[1]);
+            })
+            .object("noise", |o| {
+                o.field("complex_samples", NOISE_SAMPLES)
+                    .field("scalar_ns", noise.scalar_ns)
+                    .field("block_ns", noise.block_ns)
+                    .field("skip_ns", noise.skip_ns)
+                    .field("block_speedup", noise.scalar_ns / noise.block_ns)
+                    .field("bit_exact", noise.bit_exact);
             })
             .object("capture", |o| {
                 o.field("chirps", 5u64)

@@ -23,7 +23,7 @@ use milback_bench::experiments::{
 };
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::{RunnerConfig, TrialBatch};
-use milback_bench::{emit_anchor, log_info, log_warn, metrics_io, results_dir, Report, Series};
+use milback_bench::{emit_anchor, log_info, metrics_io, results_dir, Report, Series};
 use milback_core::json::Json;
 use milback_core::telemetry::{chrome_trace, Metrics, TraceBuffer, DEFAULT_TRACE_CAPACITY};
 use milback_core::{CampaignAggregate, CampaignProbe, SlottedRunReport};
@@ -187,7 +187,10 @@ fn main() {
         None => log_info!("no campaign metrics recorded: skipping METRICS_mac.json"),
     }
     if let Some(dir) = tracing {
-        write_traces(&sweep, &dir);
+        if let Err(e) = write_traces(&sweep, &dir) {
+            eprintln!("could not write traces: {e}");
+            std::process::exit(1);
+        }
     }
     drop(io_span);
     drop(main_span);
@@ -198,44 +201,40 @@ fn main() {
 /// `time_ps` stays monotone within a file) plus one combined Chrome
 /// `trace_event` JSON with the policies side-by-side as processes. The
 /// `trace:` line states how many records the rings evicted, so a
-/// truncated trace never passes for a complete one.
-fn write_traces(s: &MacCompare, dir: &std::path::Path) {
-    if std::fs::create_dir_all(dir).is_err() {
-        log_warn!("cannot create {}", dir.display());
-        return;
+/// truncated trace never passes for a complete one. A directory or file
+/// that cannot be written is an error naming its path.
+fn write_traces(s: &MacCompare, dir: &std::path::Path) -> std::io::Result<()> {
+    // Names the path in an I/O error.
+    fn at(path: &std::path::Path) -> impl FnOnce(std::io::Error) -> std::io::Error + '_ {
+        move |e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
     }
+    std::fs::create_dir_all(dir).map_err(at(dir))?;
     let mut sections = Vec::new();
     for (policy, _, trace) in &s.policies {
         let Some(buf) = trace else {
             continue;
         };
         let path = dir.join(format!("mac_{policy}.trace.jsonl"));
-        match std::fs::write(&path, buf.to_jsonl()) {
-            Ok(()) => log_info!(
-                "wrote {} ({} records, {} dropped)",
-                path.display(),
-                buf.len(),
-                buf.dropped()
-            ),
-            Err(e) => log_warn!("cannot write {}: {e}", path.display()),
-        }
+        std::fs::write(&path, buf.to_jsonl()).map_err(at(&path))?;
+        log_info!(
+            "wrote {} ({} records, {} dropped)",
+            path.display(),
+            buf.len(),
+            buf.dropped()
+        );
         sections.push((*policy, buf));
     }
     if sections.is_empty() {
         log_info!("no traces captured");
-        return;
+        return Ok(());
     }
-    let chrome = chrome_trace(&sections);
     let path = dir.join("mac_compare.trace.json");
-    match std::fs::write(&path, &chrome) {
-        Ok(()) => {
-            let dropped: u64 = sections.iter().map(|(_, buf)| buf.dropped()).sum();
-            println!(
-                "trace: {} ({}-node frame per policy, {dropped} records dropped) — open at https://ui.perfetto.dev",
-                path.display(),
-                NODE_COUNTS[NODE_COUNTS.len() - 1],
-            );
-        }
-        Err(e) => log_warn!("cannot write {}: {e}", path.display()),
-    }
+    std::fs::write(&path, chrome_trace(&sections)).map_err(at(&path))?;
+    let dropped: u64 = sections.iter().map(|(_, buf)| buf.dropped()).sum();
+    println!(
+        "trace: {} ({}-node frame per policy, {dropped} records dropped) — open at https://ui.perfetto.dev",
+        path.display(),
+        NODE_COUNTS[NODE_COUNTS.len() - 1],
+    );
+    Ok(())
 }

@@ -680,13 +680,19 @@ impl UplinkBudget {
         bits.extend(symbols().map(|s| s.tone_a));
         bits.extend(symbols().map(|s| s.tone_b));
         let n = bits.len() / 2;
+        // Both ports' normals as one block, port A then port B, scaled in
+        // place as `sample(sigma)` would.
         stats.clear();
-        for (port_bits, ch) in bits.chunks_exact(n).zip(&self.channels) {
-            stats.extend(
-                port_bits
-                    .iter()
-                    .map(|&on| if on { ch.hi } else { ch.lo } + rng.sample(ch.sigma)),
-            );
+        stats.resize(2 * n, 0.0);
+        rng.fill_standard(stats);
+        for ((port_bits, port_stats), ch) in bits
+            .chunks_exact(n)
+            .zip(stats.chunks_exact_mut(n))
+            .zip(&self.channels)
+        {
+            for (&on, z) in port_bits.iter().zip(port_stats) {
+                *z = if on { ch.hi } else { ch.lo } + *z * ch.sigma;
+            }
         }
         // One symbol per statistic, so integrate-and-dump is the identity.
         let (stats_a, stats_b) = stats.split_at(n);

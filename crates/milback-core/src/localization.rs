@@ -463,12 +463,6 @@ impl LocalizationPipeline {
             BeatPhasors::from_geometry(&chirp, tail_geometry(0.0).split_off(2), fs, threads);
         let tail2 = (rx2_chirps > 0)
             .then(|| BeatPhasors::from_geometry(&chirp, tail_geometry(aoa_phase), fs, threads));
-        // Sink for RX2's noise on the chirps it skips: only the draws matter.
-        let mut rx2_sink = if rx2_chirps < n_chirps {
-            vec![mmwave_sigproc::complex::ZERO; node_t.len()]
-        } else {
-            Vec::new()
-        };
         let mut clutter_amps = Vec::with_capacity(clutter.len());
         let mut rx1 = Vec::with_capacity(n_chirps);
         let mut rx2 = Vec::with_capacity(rx2_chirps);
@@ -488,7 +482,8 @@ impl LocalizationPipeline {
                     rng.add_complex_noise(&mut b2, noise_w);
                     rx2.push(b2);
                 }
-                _ => rng.add_complex_noise(&mut rx2_sink, noise_w),
+                // RX2 skips this chirp: only its noise draws advance the stream.
+                _ => rng.skip_standard(2 * node_t.len()),
             }
         }
         (rx1, rx2)

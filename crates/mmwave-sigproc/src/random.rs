@@ -54,6 +54,14 @@ impl Backend {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// One polar-method attempt: `(u, v)` uniform on `[-1, 1)²` and
+    /// `s = u² + v²`. The attempt is accepted when `0 < s < 1`.
+    fn polar_attempt(&mut self) -> (f64, f64, f64) {
+        let u = -1.0 + self.uniform_unit() * 2.0;
+        let v = -1.0 + self.uniform_unit() * 2.0;
+        (u, v, u * u + v * v)
+    }
+
     fn bit(&mut self) -> bool {
         self.next_u64() >> 63 == 1
     }
@@ -63,7 +71,40 @@ impl Backend {
     }
 }
 
+/// Whether a polar attempt with this `s` is accepted.
+fn accepted(s: f64) -> bool {
+    s > 0.0 && s < 1.0
+}
+
+/// The polar transform of an accepted attempt: two standard normals.
+fn polar_pair(u: f64, v: f64, s: f64) -> (f64, f64) {
+    let k = (-2.0 * s.ln() / s).sqrt();
+    (u * k, v * k)
+}
+
+/// Accepted polar triples per block of [`GaussianSource::fill_standard`]:
+/// 64 × 24 B = 1.5 KiB of stack.
+const POLAR_BLOCK: usize = 64;
+
+/// Normals per stack chunk of the noise adders: 256 × 8 B = 2 KiB.
+const NOISE_CHUNK: usize = 256;
+
 /// A seeded source of Gaussian samples (Marsaglia polar method).
+///
+/// [`standard`](Self::standard) draws one sample at a time.
+/// [`fill_standard`](Self::fill_standard) and
+/// [`skip_standard`](Self::skip_standard) are block kernels over the same
+/// stream: a slice filled by `fill_standard`, or the stream left after
+/// `skip_standard(n)`, is bit for bit what repeated `standard()` calls give.
+/// The argument:
+/// - all three draw attempts through one function (`u` then `v`, then
+///   `s`) and accept them by one test, so the backend advances identically;
+/// - the accepted `(u, v, s)` triples go through one transform,
+///   `(-2.0 * s.ln() / s).sqrt()` then `u * k` and `v * k`, wherever it is
+///   inlined: IEEE mul, div and sqrt are correctly rounded, `ln` is the
+///   same libm call, and Rust never contracts to FMA;
+/// - pairs fill the output in draw order, `u * k` first, and an odd tail
+///   leaves `v * k` cached exactly as `standard()` does.
 #[derive(Debug, Clone)]
 pub struct GaussianSource {
     rng: Backend,
@@ -85,14 +126,74 @@ impl GaussianSource {
             return v;
         }
         loop {
-            let u = -1.0 + self.rng.uniform_unit() * 2.0;
-            let v = -1.0 + self.rng.uniform_unit() * 2.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let k = (-2.0 * s.ln() / s).sqrt();
-                self.cached = Some(v * k);
-                return u * k;
+            let (u, v, s) = self.rng.polar_attempt();
+            if accepted(s) {
+                let (a, b) = polar_pair(u, v, s);
+                self.cached = Some(b);
+                return a;
             }
+        }
+    }
+
+    /// Fills `out` with standard-normal samples: bit for bit the values
+    /// `out.len()` calls of [`standard`](Self::standard) return, leaving
+    /// the same cached half-pair behind.
+    pub fn fill_standard(&mut self, out: &mut [f64]) {
+        let out = match (self.cached.take(), out) {
+            (Some(v), [first, rest @ ..]) => {
+                *first = v;
+                rest
+            }
+            (cached, out) => {
+                self.cached = cached;
+                out
+            }
+        };
+        let (pairs, tail) = out.split_at_mut(out.len() & !1);
+        for block in pairs.chunks_mut(2 * POLAR_BLOCK) {
+            self.polar_block(block);
+        }
+        if let [last] = tail {
+            *last = self.standard();
+        }
+    }
+
+    /// Fills `out` (even length, at most `2 * POLAR_BLOCK`) with polar
+    /// pairs in two phases. Phase 1 draws uniform pairs until it holds
+    /// `out.len() / 2` accepted triples; a rejected triple is overwritten
+    /// by the next, so the loop has no data-dependent branch. Phase 2 runs
+    /// the polar transform over the block.
+    fn polar_block(&mut self, out: &mut [f64]) {
+        let m = (out.len() / 2).min(POLAR_BLOCK);
+        let mut block = [(0.0, 0.0, 0.0); POLAR_BLOCK];
+        let mut i = 0;
+        while i < m {
+            block[i] = self.rng.polar_attempt();
+            i += usize::from(accepted(block[i].2));
+        }
+        for (pair, &(u, v, s)) in out.chunks_exact_mut(2).zip(&block[..m]) {
+            (pair[0], pair[1]) = polar_pair(u, v, s);
+        }
+    }
+
+    /// Advances the stream past `n` standard-normal samples, leaving it
+    /// where `n` discarded [`standard`](Self::standard) calls would. Only
+    /// the uniforms and the acceptance test run; the polar transform runs
+    /// only for an odd tail, whose second half stays cached.
+    pub fn skip_standard(&mut self, n: usize) {
+        let n = match self.cached.take() {
+            Some(_) if n > 0 => n - 1,
+            cached => {
+                self.cached = cached;
+                n
+            }
+        };
+        let mut pairs = n / 2;
+        while pairs > 0 {
+            pairs -= usize::from(accepted(self.rng.polar_attempt().2));
+        }
+        if n % 2 == 1 {
+            self.standard();
         }
     }
 
@@ -101,19 +202,32 @@ impl GaussianSource {
         self.standard() * sigma
     }
 
-    /// Adds real AWGN of variance `power` to a signal in place.
+    /// Adds real AWGN of variance `power` to a signal in place: the same
+    /// values as `x[i] += self.sample(sigma)` per sample, drawn as blocks.
     pub fn add_real_noise(&mut self, x: &mut [f64], power: f64) {
         let sigma = power.sqrt();
-        for v in x.iter_mut() {
-            *v += self.sample(sigma);
+        let mut z = [0.0; NOISE_CHUNK];
+        for chunk in x.chunks_mut(NOISE_CHUNK) {
+            let z = &mut z[..chunk.len()];
+            self.fill_standard(z);
+            for (v, &z) in chunk.iter_mut().zip(z.iter()) {
+                *v += z * sigma;
+            }
         }
     }
 
-    /// Adds complex AWGN of total power `power` to a signal in place.
+    /// Adds complex AWGN of total power `power` to a signal in place: the
+    /// same values as `Complex::new(self.sample(sigma), self.sample(sigma))`
+    /// per sample, drawn as blocks.
     pub fn add_complex_noise(&mut self, x: &mut [Complex], power: f64) {
         let sigma = (power / 2.0).sqrt();
-        for z in x.iter_mut() {
-            *z += Complex::new(self.sample(sigma), self.sample(sigma));
+        let mut z = [0.0; NOISE_CHUNK];
+        for chunk in x.chunks_mut(NOISE_CHUNK / 2) {
+            let z = &mut z[..2 * chunk.len()];
+            self.fill_standard(z);
+            for (c, z) in chunk.iter_mut().zip(z.chunks_exact(2)) {
+                *c += Complex::new(z[0] * sigma, z[1] * sigma);
+            }
         }
     }
 
@@ -186,6 +300,55 @@ mod tests {
         let mut x = vec![5.0; 50_000];
         g.add_real_noise(&mut x, 0.1);
         assert!((mean(&x) - 5.0).abs() < 0.01);
+    }
+
+    /// Every short length (across the block and chunk boundaries, odd and
+    /// even, with and without a cached half-pair) matches the scalar path.
+    #[test]
+    fn block_kernels_match_scalar_draws_at_every_short_length() {
+        for n in 0..=3 * NOISE_CHUNK {
+            for cached in [false, true] {
+                let source = || {
+                    let mut g = GaussianSource::new(n as u64);
+                    if cached {
+                        g.standard();
+                    }
+                    g
+                };
+                let (mut scalar, mut block, mut skipped) = (source(), source(), source());
+                let want: Vec<u64> = (0..n).map(|_| scalar.standard().to_bits()).collect();
+                let mut got = vec![0.0; n];
+                block.fill_standard(&mut got);
+                skipped.skip_standard(n);
+                assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+                let next = scalar.standard().to_bits();
+                assert_eq!(
+                    block.standard().to_bits(),
+                    next,
+                    "fill n={n} cached={cached}"
+                );
+                assert_eq!(
+                    skipped.standard().to_bits(),
+                    next,
+                    "skip n={n} cached={cached}"
+                );
+
+                // Power 0.5 splits into σ = √(0.5 / 2) = 0.5 per quadrature.
+                let (mut scalar, mut block) = (source(), source());
+                let mut want = vec![Complex::new(1.0, -1.0); n];
+                for z in &mut want {
+                    *z += Complex::new(scalar.sample(0.5), scalar.sample(0.5));
+                }
+                let mut got = vec![Complex::new(1.0, -1.0); n];
+                block.add_complex_noise(&mut got, 0.5);
+                assert!(got
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
+                        && a.im.to_bits() == b.im.to_bits()));
+                assert_eq!(block.standard().to_bits(), scalar.standard().to_bits());
+            }
+        }
     }
 
     #[test]

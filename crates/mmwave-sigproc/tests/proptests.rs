@@ -5,10 +5,24 @@ use mmwave_sigproc::complex::Complex;
 use mmwave_sigproc::detect::{find_peak, midpoint_threshold, refine_peak};
 use mmwave_sigproc::fft::{fft, fft_frequencies, ifft, Direction, FftPlanner};
 use mmwave_sigproc::filter::RcFilter;
+use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::stats;
 use mmwave_sigproc::units;
 use mmwave_sigproc::waveform::{Chirp, OaqfmSymbol};
 use proptest::prelude::*;
+
+/// A source at `seed`, with a half-pair cached when `cached` is set.
+fn source(seed: u64, cached: bool) -> GaussianSource {
+    let mut g = GaussianSource::new(seed);
+    if cached {
+        g.standard();
+    }
+    g
+}
+
+fn to_bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
 
 proptest! {
     /// Complex field axioms hold numerically.
@@ -203,5 +217,75 @@ proptest! {
         for (a, b) in x.iter().zip(&y) {
             prop_assert!((*a - *b).norm() < 1e-7);
         }
+    }
+
+    /// The block kernel draws bit for bit what repeated `standard()` calls
+    /// give, and leaves the stream (cached half-pair included) where they
+    /// leave it.
+    #[test]
+    fn fill_standard_matches_repeated_draws(
+        seed in any::<u64>(),
+        n in 0usize..2049,
+        cached in any::<bool>(),
+    ) {
+        let mut scalar = source(seed, cached);
+        let mut block = source(seed, cached);
+        let want: Vec<f64> = (0..n).map(|_| scalar.standard()).collect();
+        let mut got = vec![f64::NAN; n];
+        block.fill_standard(&mut got);
+        prop_assert_eq!(to_bits(&got), to_bits(&want));
+        prop_assert_eq!(block.standard().to_bits(), scalar.standard().to_bits());
+        prop_assert_eq!(block.standard().to_bits(), scalar.standard().to_bits());
+    }
+
+    /// `skip_standard(n)` leaves the stream where `n` discarded draws do.
+    #[test]
+    fn skip_standard_matches_discarded_draws(
+        seed in any::<u64>(),
+        n in 0usize..2049,
+        cached in any::<bool>(),
+    ) {
+        let mut scalar = source(seed, cached);
+        let mut skipped = source(seed, cached);
+        for _ in 0..n {
+            scalar.standard();
+        }
+        skipped.skip_standard(n);
+        prop_assert_eq!(skipped.standard().to_bits(), scalar.standard().to_bits());
+        prop_assert_eq!(skipped.uniform(0.0, 1.0).to_bits(), scalar.uniform(0.0, 1.0).to_bits());
+        prop_assert_eq!(skipped.standard().to_bits(), scalar.standard().to_bits());
+    }
+
+    /// The noise adders equal the per-sample `sample(sigma)` composition.
+    #[test]
+    fn noise_adders_match_per_sample_draws(
+        seed in any::<u64>(),
+        n in 0usize..2049,
+        cached in any::<bool>(),
+        power in 0.0f64..10.0,
+        offset in -5.0f64..5.0,
+    ) {
+        let signal: Vec<f64> = (0..n).map(|i| offset + (i as f64 * 0.37).sin()).collect();
+        let mut scalar = source(seed, cached);
+        let mut block = source(seed, cached);
+        let sigma = power.sqrt();
+        let want: Vec<f64> = signal.iter().map(|&v| v + scalar.sample(sigma)).collect();
+        let mut got = signal.clone();
+        block.add_real_noise(&mut got, power);
+        prop_assert_eq!(to_bits(&got), to_bits(&want));
+
+        let signal: Vec<Complex> = signal.iter().map(|&v| Complex::new(v, -v)).collect();
+        let sigma = (power / 2.0).sqrt();
+        let want: Vec<Complex> = signal
+            .iter()
+            .map(|&z| z + Complex::new(scalar.sample(sigma), scalar.sample(sigma)))
+            .collect();
+        let mut got = signal.clone();
+        block.add_complex_noise(&mut got, power);
+        let parts = |x: &[Complex]| -> Vec<(u64, u64)> {
+            x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        prop_assert_eq!(parts(&got), parts(&want));
+        prop_assert_eq!(block.standard().to_bits(), scalar.standard().to_bits());
     }
 }

@@ -19,6 +19,7 @@
 #   6. the benchmark harness, which emits results/BENCH_dsp.json and
 #      results/BENCH_experiments.json
 #   7. structural validation of both benchmark JSONs, gating on the
+#      noise section (block Gaussian kernel bit_exact == true) and the
 #      batch_kernels section (batch_bit_exact == true, zero firmware allocs)
 #      and on finiteness (no NaN/inf token, no null)
 #   8. every anchor regenerated: all_experiments runs every experiment

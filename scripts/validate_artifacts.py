@@ -44,14 +44,18 @@ def document(path, schema, keys):
 
 def bench_dsp(path):
     doc = document(path, "milback-bench-dsp-v1",
-                   ("host", "fft", "range_doppler", "beat_synthesis", "capture",
-                    "uplink_fig15_reduced", "acceptance"))
+                   ("host", "fft", "range_doppler", "beat_synthesis", "noise",
+                    "capture", "uplink_fig15_reduced", "acceptance"))
     assert doc["fft"], "fft section is empty"
     for row in doc["fft"]:
         assert row["cached_oneshot_ns"] > 0 and row["plan_per_call_ns"] > 0, row
     capture = doc["capture"]
     assert capture["ns"] > 0 and capture["cold_ns"] > 0, capture
     assert doc["range_doppler"]["bit_exact"] is True
+    noise = doc["noise"]
+    require(noise, ("scalar_ns", "block_ns", "skip_ns", "bit_exact"), "noise")
+    assert noise["scalar_ns"] > 0 and noise["block_ns"] > 0 and noise["skip_ns"] > 0, noise
+    assert noise["bit_exact"] is True, noise
     print(f"OK: {path} is well-formed "
           f"({len(doc['fft'])} FFT rows, "
           f"fft4096 speedup {doc['acceptance']['fft4096_cached_vs_plan_per_call']:.2f}x)")
