@@ -101,50 +101,46 @@ impl UplinkReceiver {
 
 /// Measures SNR from symbol statistics given the known transmitted bits of
 /// one channel: separates the on/off populations and compares the level
-/// separation to the within-population spread.
+/// separation to the within-population spread. Returns `None` when the
+/// lengths differ or either population is empty.
 ///
 /// Two passes over the symbols, one for the population means and one for
 /// their spreads, each keeping one running sum per population. Each sum
 /// runs left to right from `-0.0` over its population exactly as
 /// [`mean`](mmwave_sigproc::stats::mean) and
 /// [`variance`](mmwave_sigproc::stats::variance) run it over a collected
-/// `Vec`, so the result is the same bits without an allocation.
-///
-/// # Panics
-/// Panics if the lengths differ or either population is empty.
-pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
-    assert_eq!(
-        symbol_stats.len(),
-        tx_bits.len(),
-        "stats/bits length mismatch"
-    );
+/// `Vec`, so the result is the same bits without an allocation. The passes
+/// are branch-free: every symbol adds to both sums, `-0.0` to the one of
+/// the other population, and `x + (-0.0)` is `x` to the bit for every `x`,
+/// `±0` included.
+pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> Option<f64> {
+    if symbol_stats.len() != tx_bits.len() {
+        return None;
+    }
     let symbols = || symbol_stats.iter().zip(tx_bits);
     let (mut n_on, mut sum_on, mut sum_off) = (0usize, -0.0, -0.0);
     for (&v, &on) in symbols() {
-        if on {
-            n_on += 1;
-            sum_on += v;
-        } else {
-            sum_off += v;
-        }
+        n_on += usize::from(on);
+        sum_on += if on { v } else { -0.0 };
+        sum_off += if on { -0.0 } else { v };
     }
     let n_off = tx_bits.len() - n_on;
-    assert!(n_on > 0 && n_off > 0, "need both symbol populations");
+    if n_on == 0 || n_off == 0 {
+        return None;
+    }
     let mean_on = sum_on / n_on as f64;
     let mean_off = sum_off / n_off as f64;
     let (mut ss_on, mut ss_off) = (-0.0, -0.0);
     for (&v, &on) in symbols() {
-        if on {
-            ss_on += (v - mean_on) * (v - mean_on);
-        } else {
-            ss_off += (v - mean_off) * (v - mean_off);
-        }
+        let (d_on, d_off) = (v - mean_on, v - mean_off);
+        ss_on += if on { d_on * d_on } else { -0.0 };
+        ss_off += if on { -0.0 } else { d_off * d_off };
     }
     // Unbiased sample variance; a lone sample contributes none.
     let variance = |ss: f64, n: usize| if n > 1 { ss / (n - 1) as f64 } else { 0.0 };
     let swing = (mean_on - mean_off) / 2.0;
     let noise = ((variance(ss_on, n_on) + variance(ss_off, n_off)) / 2.0).max(1e-300);
-    10.0 * (swing * swing / noise).log10()
+    Some(10.0 * (swing * swing / noise).log10())
 }
 
 /// Compares decided symbols against transmitted symbols bit-by-bit.
@@ -228,7 +224,7 @@ mod tests {
             .iter()
             .map(|&b| if b { swing } else { -swing } + rng.sample(noise_var.sqrt()))
             .collect();
-        let snr = measure_channel_snr_db(&stats, &bits);
+        let snr = measure_channel_snr_db(&stats, &bits).unwrap();
         assert!((snr - 20.0).abs() < 0.5, "measured {snr:.2} dB");
     }
 
@@ -300,8 +296,8 @@ mod tests {
                     .map(|&b| f64::from(u8::from(b)) + rng.sample(0.3))
                     .collect();
                 assert_eq!(
-                    measure_channel_snr_db(&stats, &bits).to_bits(),
-                    collected(&stats, &bits).to_bits(),
+                    measure_channel_snr_db(&stats, &bits).map(f64::to_bits),
+                    Some(collected(&stats, &bits).to_bits()),
                     "len {len} trial {trial}"
                 );
             }
@@ -309,9 +305,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "both symbol populations")]
     fn snr_needs_both_levels() {
-        measure_channel_snr_db(&[1.0, 1.0], &[true, true]);
+        assert_eq!(measure_channel_snr_db(&[1.0, 1.0], &[true, true]), None);
+        assert_eq!(measure_channel_snr_db(&[1.0, 1.0], &[false, false]), None);
+        assert_eq!(measure_channel_snr_db(&[], &[]), None);
+        // A length mismatch is no measurement either.
+        assert_eq!(measure_channel_snr_db(&[1.0, 0.0], &[true]), None);
     }
 
     #[test]

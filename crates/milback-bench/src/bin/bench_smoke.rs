@@ -5,8 +5,9 @@
 //! plan-per-call path, plus the allocation-free in-place path), a full
 //! range–Doppler frame serial vs parallel, beat synthesis, the Gaussian
 //! noise kernels (one `standard()` per draw vs the block fill vs the
-//! skip), one five-chirp two-channel localization capture, and one reduced
-//! Figure-15 uplink run (through the trial-parallel runner). Every
+//! skip), the warm uplink kernel on one 16-byte transfer, one five-chirp
+//! two-channel localization capture, and one reduced Figure-15 uplink run
+//! (through the trial-parallel runner). Every
 //! contender pair is sampled round-robin (one short burst each,
 //! alternating, min over many rounds) so background load on a shared
 //! machine hits both sides equally instead of biasing whichever ran
@@ -32,11 +33,13 @@ use milback_bench::results_dir;
 use milback_bench::runner::RunnerConfig;
 use milback_bench::spans;
 use milback_core::json;
+use milback_core::link::UplinkScratch;
 use milback_core::localization::Impairments;
-use milback_core::SystemConfig;
+use milback_core::{LinkSimulator, Scene, SystemConfig};
 use mmwave_rf::antenna::fsa::{FsaDesign, FsaGainEval, FsaPort};
 use mmwave_rf::channel::{synthesize_beat_with_threads, Echo};
 use mmwave_sigproc::complex::Complex;
+use mmwave_sigproc::detect::midpoint_threshold_into;
 use mmwave_sigproc::fft::{fft, Direction, FftPlan, FftPlanner};
 use mmwave_sigproc::random::GaussianSource;
 use std::f64::consts::PI;
@@ -155,6 +158,71 @@ fn bench_noise() -> NoiseRow {
         scalar_ns: times[0],
         block_ns: times[1],
         skip_ns: times[2],
+        bit_exact,
+    }
+}
+
+/// Payload bytes of one timed uplink kernel transfer: one campaign packet.
+const UPLINK_BYTES: usize = 16;
+
+struct UplinkRow {
+    ns: f64,
+    checked_transfers: usize,
+    bit_exact: bool,
+}
+
+/// The warm uplink kernel (`UplinkBudget::run`) on one 16-byte transfer at
+/// 4 m: one budget, one scratch and one payload, as a campaign serves a
+/// node. `bit_exact` re-slices the kernel's own symbol statistics with the
+/// full sort after every checked transfer (random payloads, single-level
+/// and skewed ones, and one 2 kB payload, at 4 m and at 9 m where symbols
+/// err) and compares the thresholds its tail selection found, bit for bit.
+fn bench_uplink() -> UplinkRow {
+    let budget_at = |distance_m: f64| {
+        LinkSimulator::new(
+            SystemConfig::milback_default(),
+            Scene::single_node(distance_m, 12f64.to_radians()),
+        )
+        .and_then(|sim| sim.uplink_budget())
+        .expect("uplink budget")
+    };
+    let mut rng = GaussianSource::new(0x0B1);
+    let mut scratch = UplinkScratch::default();
+    let mut payloads: Vec<Vec<u8>> = (0..64).map(|_| rng.bytes(UPLINK_BYTES)).collect();
+    payloads.extend([vec![0x00; UPLINK_BYTES], vec![0xFF; UPLINK_BYTES]]);
+    payloads.extend([vec![0x42; UPLINK_BYTES], rng.bytes(2048)]);
+    let mut sorted = Vec::new();
+    let (mut checked_transfers, mut bit_exact) = (0, true);
+    for distance_m in [4.0, 9.0] {
+        let budget = budget_at(distance_m);
+        for payload in &payloads {
+            if budget.run(payload, &mut rng, &mut scratch).is_err() {
+                continue;
+            }
+            let stats = scratch.stats();
+            for (channel, t) in stats
+                .chunks_exact(stats.len() / 2)
+                .zip(scratch.thresholds())
+            {
+                bit_exact &= midpoint_threshold_into(channel, &mut sorted).map(f64::to_bits)
+                    == Some(t.to_bits());
+            }
+            checked_transfers += 1;
+        }
+    }
+
+    let budget = budget_at(4.0);
+    let payload = rng.bytes(UPLINK_BYTES);
+    let mut transfer = || {
+        std::hint::black_box(
+            budget
+                .run(&payload, &mut rng, &mut scratch)
+                .expect("4 m transfer"),
+        );
+    };
+    UplinkRow {
+        ns: race(40, 500, &mut [&mut transfer])[0],
+        checked_transfers,
         bit_exact,
     }
 }
@@ -817,6 +885,21 @@ fn main() {
     );
     drop(noise_span);
 
+    // --- Uplink kernel -------------------------------------------------
+    let uplink_kernel_span = spans::span("dsp_uplink_kernel");
+    let uplink = bench_uplink();
+    assert!(
+        uplink.bit_exact,
+        "the uplink kernel's tail-selected threshold diverged from the full sort"
+    );
+    println!(
+        "uplink kernel ({UPLINK_BYTES} B at 4 m, warm): {:.2} us per transfer; thresholds of {} transfers bit-exact {}",
+        uplink.ns / 1e3,
+        uplink.checked_transfers,
+        uplink.bit_exact,
+    );
+    drop(uplink_kernel_span);
+
     // --- Five-chirp two-channel Field-2 capture -----------------------
     // The localization capture: one phasor table per channel, then only
     // the amplitude sum per chirp (serial synthesis, as trial runners use).
@@ -929,6 +1012,13 @@ fn main() {
                     .field("block_speedup", noise.scalar_ns / noise.block_ns)
                     .field("bit_exact", noise.bit_exact);
             })
+            .object("uplink", |o| {
+                o.field("payload_bytes", UPLINK_BYTES)
+                    .field("distance_m", 4.0)
+                    .field("ns", uplink.ns)
+                    .field("checked_transfers", uplink.checked_transfers)
+                    .field("bit_exact", uplink.bit_exact);
+            })
             .object("capture", |o| {
                 o.field("chirps", 5u64)
                     .field("channels", 2u64)
@@ -1034,10 +1124,7 @@ fn main() {
                         batch.fmcw_sequential_ns / batch.fmcw_batched_ns,
                     )
                     .field("firmware_allocs_per_packet", 0u64)
-                    .field(
-                        "allocs_proof",
-                        "crates/milback-bench/tests/alloc_free_node.rs",
-                    )
+                    .field("allocs_proof", "tests/alloc_free_node.rs")
                     .field("batch_bit_exact", batch.bit_exact);
             })
             // The sharded city-scale campaign path: single-cell vs sharded

@@ -34,7 +34,7 @@ use milback_node::node::PortPowers;
 use milback_node::uplink::{UplinkError, UplinkModulator};
 use mmwave_rf::antenna::fsa::{FsaGainEval, FsaPort};
 use mmwave_rf::channel::received_power_w;
-use mmwave_sigproc::detect::midpoint_threshold_into;
+use mmwave_sigproc::detect::midpoint_threshold_tails;
 use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::stats::q_function;
 use mmwave_sigproc::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
@@ -577,12 +577,19 @@ pub struct UplinkMeasurement {
 /// transfer never touches the heap (the slicer's sort is in place).
 #[derive(Debug, Default)]
 pub struct UplinkScratch {
+    /// The payload the symbol plan below was built for: a campaign
+    /// transfers one payload, so each scratch builds its plan once.
+    plan_key: Vec<u8>,
     /// Transmitted tone bits: every port-A symbol, then every port-B one.
     bits: Vec<bool>,
+    /// Reflective symbols among each port's bits.
+    reflective: [usize; 2],
     /// Received symbol statistics, in the same layout.
     stats: Vec<f64>,
-    /// Sort buffer of the slicing thresholds.
+    /// Candidate buffer of the slicing thresholds.
     sorted: Vec<f64>,
+    /// The port-A and port-B slicing thresholds of the last transfer.
+    thresholds: [f64; 2],
     /// The bytes of the last transfer, as the AP decided them.
     decoded: Vec<u8>,
 }
@@ -591,6 +598,41 @@ impl UplinkScratch {
     /// The bytes the last [`UplinkBudget::run`] decoded.
     pub fn decoded(&self) -> &[u8] {
         &self.decoded
+    }
+
+    /// The symbol statistics the last [`UplinkBudget::run`] received: every
+    /// port-A symbol, then every port-B one.
+    pub fn stats(&self) -> &[f64] {
+        &self.stats
+    }
+
+    /// The port-A and port-B thresholds the last [`UplinkBudget::run`]
+    /// sliced at (meaningful once a transfer got that far).
+    pub fn thresholds(&self) -> [f64; 2] {
+        self.thresholds
+    }
+
+    /// Rebuilds the symbol plan for `payload` unless it is already the
+    /// plan's: a present tone is reflected, and each port keys its own bit
+    /// of every OAQFM symbol.
+    fn plan(&mut self, payload: &[u8]) {
+        if self.plan_key == payload {
+            return;
+        }
+        self.plan_key.clear();
+        self.plan_key.extend_from_slice(payload);
+        let symbols = || {
+            payload.iter().flat_map(|&byte| {
+                [6u8, 4, 2, 0].map(|shift| OaqfmSymbol::from_bits((byte >> shift) & 0b11))
+            })
+        };
+        self.bits.clear();
+        self.bits.extend(symbols().map(|s| s.tone_a));
+        self.bits.extend(symbols().map(|s| s.tone_b));
+        let n = self.bits.len() / 2;
+        for (count, port_bits) in self.reflective.iter_mut().zip(self.bits.chunks_exact(n)) {
+            *count = port_bits.iter().filter(|&&on| on).count();
+        }
     }
 }
 
@@ -654,13 +696,7 @@ impl UplinkBudget {
         rng: &mut GaussianSource,
         scratch: &mut UplinkScratch,
     ) -> Result<UplinkMeasurement> {
-        let UplinkScratch {
-            bits,
-            stats,
-            sorted,
-            decoded,
-        } = scratch;
-        decoded.clear();
+        scratch.decoded.clear();
         if payload.is_empty() {
             return Ok(UplinkMeasurement {
                 ber: 0.0,
@@ -669,16 +705,16 @@ impl UplinkBudget {
             });
         }
         self.rate_check.map_err(MilbackError::UplinkTx)?;
-        // A present tone is reflected: each port keys its own bit of
-        // every OAQFM symbol.
-        let symbols = || {
-            payload.iter().flat_map(|&byte| {
-                [6u8, 4, 2, 0].map(|shift| OaqfmSymbol::from_bits((byte >> shift) & 0b11))
-            })
-        };
-        bits.clear();
-        bits.extend(symbols().map(|s| s.tone_a));
-        bits.extend(symbols().map(|s| s.tone_b));
+        scratch.plan(payload);
+        let UplinkScratch {
+            bits,
+            reflective,
+            stats,
+            sorted,
+            thresholds,
+            decoded,
+            ..
+        } = scratch;
         let n = bits.len() / 2;
         // Both ports' normals as one block, port A then port B, scaled in
         // place as `sample(sigma)` would.
@@ -695,31 +731,43 @@ impl UplinkBudget {
             }
         }
         // One symbol per statistic, so integrate-and-dump is the identity.
+        // Each tail of the slicer is sought at the level of the population
+        // that fills it: about half of a level's symbols lie beyond it, so
+        // a population of at least twice the tail's ranks fills that tail.
+        let tail = n.div_ceil(10) + 1;
+        for ((t, port_stats), (ch, &on)) in thresholds
+            .iter_mut()
+            .zip(stats.chunks_exact(n))
+            .zip(self.channels.iter().zip(reflective.iter()))
+        {
+            let low_pivot = if 2 * tail <= n - on { ch.lo } else { ch.hi };
+            let high_pivot = if 2 * tail <= on { ch.hi } else { ch.lo };
+            *t = midpoint_threshold_tails(port_stats, low_pivot, high_pivot, sorted)
+                .ok_or(MilbackError::UplinkRx(UplinkRxError::NoContrast))?;
+        }
         let (stats_a, stats_b) = stats.split_at(n);
         let (bits_a, bits_b) = bits.split_at(n);
-        let mut threshold = |channel: &[f64]| {
-            midpoint_threshold_into(channel, sorted)
-                .ok_or(MilbackError::UplinkRx(UplinkRxError::NoContrast))
-        };
-        let t_a = threshold(stats_a)?;
-        let t_b = threshold(stats_b)?;
+        let [t_a, t_b] = *thresholds;
+        // Slice, count errors and pack bytes in one pass, four symbols
+        // (one byte) at a time.
         let mut errors = 0usize;
-        decoded.extend((0..payload.len()).map(|byte| {
-            (4 * byte..4 * byte + 4).fold(0u8, |acc, i| {
-                let s = OaqfmSymbol {
-                    tone_a: stats_a[i] > t_a,
-                    tone_b: stats_b[i] > t_b,
-                };
-                errors += usize::from(s.tone_a != bits_a[i]) + usize::from(s.tone_b != bits_b[i]);
-                (acc << 2) | s.to_bits()
-            })
-        }));
+        for ((sa, sb), (ba, bb)) in stats_a
+            .chunks_exact(4)
+            .zip(stats_b.chunks_exact(4))
+            .zip(bits_a.chunks_exact(4).zip(bits_b.chunks_exact(4)))
+        {
+            let mut byte = 0u8;
+            for i in 0..4 {
+                let (a, b) = (sa[i] > t_a, sb[i] > t_b);
+                errors += usize::from(a != ba[i]) + usize::from(b != bb[i]);
+                byte = (byte << 2) | (u8::from(a) << 1) | u8::from(b);
+            }
+            decoded.push(byte);
+        }
         // A channel whose payload happens to contain only one level cannot
         // be measured; average the channels that can.
-        let measured = [(stats_a, bits_a), (stats_b, bits_b)].map(|(s, b)| {
-            let has_both = b.iter().any(|&x| x) && b.iter().any(|&x| !x);
-            has_both.then(|| measure_channel_snr_db(s, b))
-        });
+        let measured =
+            [(stats_a, bits_a), (stats_b, bits_b)].map(|(s, b)| measure_channel_snr_db(s, b));
         let measurable = measured.iter().flatten().count();
         Ok(UplinkMeasurement {
             ber: errors as f64 / (2 * n) as f64,

@@ -6,6 +6,8 @@
 //! of the triangular chirp; the uplink receiver detects symbol energy.
 //! Every one of those reduces to the helpers in this module.
 
+use crate::stats::PercentileRank;
+
 /// A located peak in a sampled sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peak {
@@ -150,13 +152,87 @@ pub fn midpoint_threshold_into(trace: &[f64], sorted: &mut Vec<f64>) -> Option<f
     }
     sorted.clear();
     sorted.extend_from_slice(trace);
+    sort_levels(sorted);
+    let (low, high) = slicer_ranks(trace.len());
+    let level = |rank: PercentileRank| rank.interpolate(sorted[rank.lo], sorted[rank.hi]);
+    midpoint(level(low), level(high))
+}
+
+/// [`midpoint_threshold_into`] that sorts only the two tails the
+/// percentiles read. One pass collects the samples at or below
+/// `low_pivot` and those at or above `high_pivot`; when each side holds
+/// at least the ranks its percentile reads, only those candidates are
+/// sorted, and otherwise the whole trace is, as
+/// [`midpoint_threshold_into`] does.
+///
+/// Exact for any pivots: every sample left out of the low side exceeds
+/// every sample on it, so the low side sorted is a prefix of the trace
+/// sorted; the high side is a suffix the same way. The pivots only decide
+/// how much is sorted. A caller that knows roughly where its levels sit
+/// (the uplink kernel knows each channel's two levels) sorts a fraction
+/// of the trace.
+pub fn midpoint_threshold_tails(
+    trace: &[f64],
+    low_pivot: f64,
+    high_pivot: f64,
+    buf: &mut Vec<f64>,
+) -> Option<f64> {
+    let n = trace.len();
+    if n == 0 {
+        return None;
+    }
+    buf.clear();
+    buf.resize(2 * n, 0.0);
+    let (low, high) = buf.split_at_mut(n);
+    // Branch-free: every sample is written to both sides, and each side's
+    // cursor advances only past the samples it keeps.
+    let (mut n_low, mut n_high, mut nan) = (0, 0, false);
+    for &v in trace {
+        low[n_low] = v;
+        high[n_high] = v;
+        n_low += usize::from(v <= low_pivot);
+        n_high += usize::from(v >= high_pivot);
+        nan |= v.is_nan();
+    }
+    if nan {
+        return None;
+    }
+    let (p10, p90) = slicer_ranks(n);
+    // The high side holds the top `n_high` positions of the order.
+    let skip = n - n_high;
+    if n_low <= p10.hi || skip > p90.lo {
+        return midpoint_threshold_into(trace, buf);
+    }
+    let (low, high) = (&mut low[..n_low], &mut high[..n_high]);
+    sort_levels(low);
+    sort_levels(high);
+    midpoint(
+        p10.interpolate(low[p10.lo], low[p10.hi]),
+        p90.interpolate(high[p90.lo - skip], high[p90.hi - skip]),
+    )
+}
+
+/// The ranks of the dark (10th) and bright (90th) percentiles of `n`
+/// samples.
+fn slicer_ranks(n: usize) -> (PercentileRank, PercentileRank) {
+    (PercentileRank::new(n, 10.0), PercentileRank::new(n, 90.0))
+}
+
+/// Sorts NaN-free samples ascending, unstably.
+fn sort_levels(x: &mut [f64]) {
     // NaNs are gone, so the `Equal` fallback never runs. The plain float
-    // compare is kept over `f64::total_cmp` for speed: the total order's
-    // bit tricks made perfbench's `sector_sdm` workload ~45% slower per
-    // delivered packet on a 2-vCPU x86-64 host.
-    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let hi = crate::stats::percentile_sorted(sorted, 90.0);
-    let lo = crate::stats::percentile_sorted(sorted, 10.0);
+    // compare is kept over `f64::total_cmp`: the total order's bit tricks
+    // made perfbench's `sector_sdm` workload ~45% slower per delivered
+    // packet on a 2-vCPU x86-64 host when every campaign transfer sorted
+    // both whole channels. Campaign transfers now sort only their tails
+    // (`midpoint_threshold_tails`); the full sort still serves the
+    // downlink demodulator, `UplinkReceiver` and the tails' fallback.
+    x.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+}
+
+/// The threshold midway between the dark and bright levels, if they
+/// differ.
+fn midpoint(lo: f64, hi: f64) -> Option<f64> {
     if hi - lo <= 0.0 {
         None
     } else {
@@ -312,6 +388,21 @@ mod tests {
                 want,
                 "{t:?}"
             );
+            // Tight, loose, tied, crossed and NaN pivots (the last forces
+            // the full-sort fallback) all read the same threshold.
+            for (low, high) in [
+                (-1.0, 1.0),
+                (0.0, 0.25),
+                (0.5, 0.5),
+                (2.0, -2.0),
+                (f64::NAN, 0.0),
+            ] {
+                assert_eq!(
+                    midpoint_threshold_tails(t, low, high, &mut buf).map(f64::to_bits),
+                    want,
+                    "pivots {low} {high} on {t:?}"
+                );
+            }
         }
         assert_eq!(midpoint_threshold(&[]), None);
     }
@@ -319,6 +410,14 @@ mod tests {
     #[test]
     fn midpoint_threshold_rejects_nan_but_keeps_infinities() {
         assert_eq!(midpoint_threshold(&[f64::NAN, 1.0]), None);
+        assert_eq!(
+            midpoint_threshold_tails(&[0.0, 1.0, f64::NAN, 0.5], 0.5, 0.5, &mut Vec::new()),
+            None
+        );
+        assert_eq!(
+            midpoint_threshold_tails(&[], 0.0, 1.0, &mut Vec::new()),
+            None
+        );
         assert_eq!(midpoint_threshold(&[0.0, 1.0, -f64::NAN, 0.5]), None);
         // ±inf stay ordinary levels: infinite contrast, NaN midpoint.
         assert!(midpoint_threshold(&[f64::NEG_INFINITY, f64::INFINITY])

@@ -38,31 +38,76 @@ pub fn rms(x: &[f64]) -> f64 {
 /// Percentile via linear interpolation on the sorted data (the
 /// "inclusive"/NIST method). `p` in `[0, 100]`.
 ///
-/// # Panics
-/// Panics if `x` is empty or `p` is out of range.
-pub fn percentile(x: &[f64], p: f64) -> f64 {
-    let mut v = x.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    percentile_sorted(&v, p)
-}
-
-/// [`percentile`] of data already sorted ascending: the interpolation
-/// step alone, so a caller that needs several percentiles of one trace
-/// sorts it once.
+/// Computed by exact selection on a copy rather than a full sort: the
+/// upper of the two ranks the interpolation reads is selected, and the
+/// lower one is the largest sample left of it. Samples that compare equal
+/// hold the same bits except `-0.0` and `+0.0`; where a selected rank
+/// holds a zero, its bits are those of the zero a stable sort would leave
+/// there (the zeros in input order), so the result is the stable sort's
+/// to the bit.
 ///
 /// # Panics
-/// Panics if `sorted` is empty or `p` is out of range.
-pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
+/// Panics if `x` is empty, if `p` is out of range, or if `x` holds a NaN
+/// among two or more samples (a lone NaN is its own percentile).
+pub fn percentile(x: &[f64], p: f64) -> f64 {
+    let rank = PercentileRank::new(x.len(), p);
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap();
+    let mut v = x.to_vec();
+    let (left, &mut at_hi, _) = v.select_nth_unstable_by(rank.hi, cmp);
+    let at_lo = if rank.lo < rank.hi {
+        left.iter().copied().max_by(cmp).unwrap_or(at_hi)
     } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at_hi
+    };
+    let stable = |value: f64, at: usize| {
+        if value != 0.0 {
+            return value;
+        }
+        let below = x.iter().filter(|&&v| v < 0.0).count();
+        x.iter()
+            .copied()
+            .filter(|&v| v == 0.0)
+            .nth(at - below)
+            .unwrap_or(value)
+    };
+    rank.interpolate(stable(at_lo, rank.lo), stable(at_hi, rank.hi))
+}
+
+/// The two positions of the ascending order that percentile `p` of `n`
+/// samples reads, and the interpolation weight of the upper one: the one
+/// rank arithmetic behind [`percentile`] and the slicing thresholds of
+/// [`crate::detect`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PercentileRank {
+    /// The lower position, `⌊p/100·(n−1)⌋`.
+    pub(crate) lo: usize,
+    /// The upper position, `⌈p/100·(n−1)⌉`.
+    pub(crate) hi: usize,
+    frac: f64,
+}
+
+impl PercentileRank {
+    /// # Panics
+    /// Panics if `n == 0` or `p` is out of range.
+    pub(crate) fn new(n: usize, p: f64) -> Self {
+        assert!(n > 0, "percentile of empty slice");
+        assert!((0.0..=100.0).contains(&p), "percentile out of range");
+        let rank = p / 100.0 * (n - 1) as f64;
+        let lo = rank.floor() as usize;
+        Self {
+            lo,
+            hi: rank.ceil() as usize,
+            frac: rank - lo as f64,
+        }
+    }
+
+    /// The percentile from the samples at positions `lo` and `hi`.
+    pub(crate) fn interpolate(self, at_lo: f64, at_hi: f64) -> f64 {
+        if self.lo == self.hi {
+            at_lo
+        } else {
+            at_lo * (1.0 - self.frac) + at_hi * self.frac
+        }
     }
 }
 
@@ -195,6 +240,24 @@ mod tests {
         let a = [5.0, 1.0, 3.0];
         let b = [1.0, 3.0, 5.0];
         assert_eq!(percentile(&a, 50.0), percentile(&b, 50.0));
+    }
+
+    #[test]
+    fn percentile_reads_the_stable_sorts_zero() {
+        // ±0 compare equal, so a stable sort keeps them in input order.
+        let bits = |x: &[f64], p: f64| percentile(x, p).to_bits();
+        assert_eq!(bits(&[0.0, -0.0], 0.0), 0.0f64.to_bits());
+        assert_eq!(bits(&[0.0, -0.0], 100.0), (-0.0f64).to_bits());
+        let x = [-0.0, 1.0, 0.0, -1.0, 2.0];
+        assert_eq!(bits(&x, 25.0), (-0.0f64).to_bits());
+        assert_eq!(bits(&x, 50.0), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn percentile_of_nan() {
+        assert!(percentile(&[f64::NAN], 50.0).is_nan());
+        let two = std::panic::catch_unwind(|| percentile(&[1.0, f64::NAN], 50.0));
+        assert!(two.is_err(), "a NaN among two samples panics");
     }
 
     #[test]

@@ -45,7 +45,7 @@ def document(path, schema, keys):
 def bench_dsp(path):
     doc = document(path, "milback-bench-dsp-v1",
                    ("host", "fft", "range_doppler", "beat_synthesis", "noise",
-                    "capture", "uplink_fig15_reduced", "acceptance"))
+                    "uplink", "capture", "uplink_fig15_reduced", "acceptance"))
     assert doc["fft"], "fft section is empty"
     for row in doc["fft"]:
         assert row["cached_oneshot_ns"] > 0 and row["plan_per_call_ns"] > 0, row
@@ -56,6 +56,10 @@ def bench_dsp(path):
     require(noise, ("scalar_ns", "block_ns", "skip_ns", "bit_exact"), "noise")
     assert noise["scalar_ns"] > 0 and noise["block_ns"] > 0 and noise["skip_ns"] > 0, noise
     assert noise["bit_exact"] is True, noise
+    uplink = doc["uplink"]
+    require(uplink, ("ns", "checked_transfers", "bit_exact"), "uplink")
+    assert uplink["ns"] > 0 and uplink["checked_transfers"] > 0, uplink
+    assert uplink["bit_exact"] is True, uplink
     print(f"OK: {path} is well-formed "
           f"({len(doc['fft'])} FFT rows, "
           f"fft4096 speedup {doc['acceptance']['fft4096_cached_vs_plan_per_call']:.2f}x)")

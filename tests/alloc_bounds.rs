@@ -9,7 +9,8 @@
 //!
 //! - A warm `UplinkBudget::run` touches the heap not at all — no
 //!   allocation, reallocation or free — for payloads of any size up to its
-//!   buffers' high-water mark.
+//!   buffers' high-water mark, whether it rebuilds its symbol plan
+//!   (alternating payloads) or reuses it (a repeated payload).
 //! - A 64-node slotted-ALOHA campaign allocates at most
 //!   [`MAX_ALLOCS_PER_FRAME`] times per frame once its budgets are warm.
 //! - A sharded campaign's live heap stays under [`MAX_SHARDED_PEAK_BYTES`]
@@ -152,6 +153,24 @@ fn uplink_kernel_is_allocation_free_past_warm_up() {
     assert_eq!(ops, 0, "the uplink kernel touched the heap {ops} times");
     // The kernel really ran: 4 m is well inside the link budget.
     assert_eq!(warm.out, 20 * payloads.len());
+    // Alternating payloads above rebuild the symbol plan every transfer; a
+    // campaign repeats one payload, which reuses it.
+    let repeated = counted(|| {
+        let mut delivered = 0;
+        for payload in &payloads {
+            for _ in 0..20 {
+                let m = budget.run(payload, &mut rng, &mut scratch).unwrap();
+                delivered += usize::from(scratch.decoded() == &payload[..] && m.ber == 0.0);
+            }
+        }
+        delivered
+    });
+    let ops = repeated.allocs + repeated.frees;
+    assert_eq!(
+        ops, 0,
+        "the cached-plan kernel touched the heap {ops} times"
+    );
+    assert_eq!(repeated.out, 20 * payloads.len());
     // And the counters see heap traffic: a one-shot transfer returns an
     // owned outcome and drops its simulator-side buffers.
     let cold = counted(|| drop(sim.uplink(&payloads[0], &mut rng).unwrap()));

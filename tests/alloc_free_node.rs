@@ -14,8 +14,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use milback_node::firmware::{Direction, Event, Firmware, State};
-use milback_node::power::NodePowerModel;
+use milback::node::firmware::{Direction, Event, Firmware, State};
+use milback::node::power::NodePowerModel;
 
 /// System allocator that counts every allocation, deallocation and
 /// reallocation made by the current thread — the hot path must not touch

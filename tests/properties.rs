@@ -15,7 +15,7 @@ use milback::node::{OaqfmDemodulator, Thresholds};
 use milback::rf::antenna::fsa::{DualPortFsa, FsaDesign, FsaPort};
 use milback::rf::propagation;
 use milback::sigproc::complex::Complex;
-use milback::sigproc::detect::midpoint_threshold_into;
+use milback::sigproc::detect::{midpoint_threshold_into, midpoint_threshold_tails};
 use milback::sigproc::fft::{fft, ifft};
 use milback::sigproc::random::GaussianSource;
 use milback::sigproc::stats::percentile;
@@ -207,39 +207,109 @@ proptest! {
     }
 
     /// The uplink slicer keeps its bits: the unstable-sort midpoint
-    /// threshold and the two-pass channel SNR equal, by `to_bits`, the
-    /// stable-sort and five-pass forms they replaced, on traces of 1–600
-    /// samples rich in ties and signed zeros.
+    /// threshold, its tail-selecting form under any pivots, and the
+    /// two-pass channel SNR equal, by `to_bits`, a stable-sort reference
+    /// and the five-pass form they replaced, on traces of 1–600 samples
+    /// rich in ties, signed zeros and infinities (a NaN sample gives
+    /// `None`). The pivots are drawn, equal to a sample, or chosen to force
+    /// the full-sort fallback (NaN, or nothing beyond them) or to keep
+    /// every sample.
     #[test]
     fn slicer_matches_stable_sort_reference(
         len in 1usize..601,
-        picks in proptest::collection::vec(0usize..8, 600..601),
+        picks in proptest::collection::vec(0usize..12, 600..601),
         noise in proptest::collection::vec(-2.0f64..2.0, 600..601),
         bits in proptest::collection::vec(any::<bool>(), 600..601),
+        drawn in proptest::collection::vec(-2.5f64..2.5, 2..3),
+        nan_at in 0usize..4800,
     ) {
-        let trace: Vec<f64> = picks[..len]
+        let level = |k: usize, v: f64, infinite: bool| match k {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 0.25,
+            3 => -1.0,
+            4 if infinite => f64::INFINITY,
+            5 if infinite => f64::NEG_INFINITY,
+            _ => v,
+        };
+        let mut trace: Vec<f64> = picks[..len]
             .iter()
             .zip(&noise)
-            .map(|(&k, &v)| [0.0, -0.0, 0.25, -1.0].get(k).copied().unwrap_or(v))
+            .map(|(&k, &v)| level(k, v, true))
             .collect();
-        let mut bits = bits[..len].to_vec();
+        if let Some(x) = trace.get_mut(nan_at) {
+            *x = f64::NAN;
+        }
         let mut sorted = Vec::new();
         for n in [1, 2, 3, len / 2, len] {
             let t = &trace[..n.clamp(1, len)];
+            let want = stable_sort_midpoint(t).map(f64::to_bits);
             prop_assert_eq!(
                 midpoint_threshold_into(t, &mut sorted).map(f64::to_bits),
-                stable_sort_midpoint(t).map(f64::to_bits),
+                want,
                 "{:?}", t
             );
+            for (low, high) in [
+                (drawn[0], drawn[1]),
+                (drawn[0].min(drawn[1]), drawn[0].max(drawn[1])),
+                (t[0], t[t.len() - 1]),
+                (f64::NAN, f64::NAN),
+                (f64::NEG_INFINITY, f64::INFINITY),
+                (f64::INFINITY, f64::NEG_INFINITY),
+            ] {
+                prop_assert_eq!(
+                    midpoint_threshold_tails(t, low, high, &mut sorted).map(f64::to_bits),
+                    want,
+                    "pivots {} {} on {:?}", low, high, t
+                );
+            }
         }
         if len >= 2 {
+            let trace: Vec<f64> = picks[..len]
+                .iter()
+                .zip(&noise)
+                .map(|(&k, &v)| level(k, v, false))
+                .collect();
+            let mut bits = bits[..len].to_vec();
             bits[0] = true;
             bits[1] = false;
             prop_assert_eq!(
-                measure_channel_snr_db(&trace, &bits).to_bits(),
-                five_pass_channel_snr_db(&trace, &bits).to_bits(),
+                measure_channel_snr_db(&trace, &bits).map(f64::to_bits),
+                Some(five_pass_channel_snr_db(&trace, &bits).to_bits()),
                 "{:?} {:?}", trace, bits
             );
+        }
+    }
+
+    /// `percentile` selects instead of sorting, and reads the bits a
+    /// stable sort leaves at its ranks, `±0` ties and infinities included.
+    #[test]
+    fn percentile_selection_matches_sorted_reference(
+        len in 1usize..601,
+        picks in proptest::collection::vec(0usize..12, 600..601),
+        noise in proptest::collection::vec(-2.0f64..2.0, 600..601),
+    ) {
+        let x: Vec<f64> = picks[..len]
+            .iter()
+            .zip(&noise)
+            .map(|(&k, &v)| match k {
+                0..=2 => 0.0,
+                3..=5 => -0.0,
+                6 => f64::INFINITY,
+                7 => f64::NEG_INFINITY,
+                8 => 0.5,
+                _ => v,
+            })
+            .collect();
+        for n in [1, 2, 3, len / 2, len] {
+            let t = &x[..n.clamp(1, len)];
+            for p in [0.0, 10.0, 50.0, 90.0, 100.0] {
+                prop_assert_eq!(
+                    percentile(t, p).to_bits(),
+                    sorted_percentile(t, p).to_bits(),
+                    "p{} of {:?}", p, t
+                );
+            }
         }
     }
 }
@@ -346,11 +416,29 @@ fn campaign_verdict(
     }
 }
 
+/// Percentile `p` as it was before selection: a stable sort of a copy,
+/// then linear interpolation between the two ranks it reads.
+fn sorted_percentile(x: &[f64], p: f64) -> f64 {
+    let mut v = x.to_vec();
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = p / 100.0 * (v.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    if lo == hi {
+        v[lo]
+    } else {
+        let frac = rank - lo as f64;
+        v[lo] * (1.0 - frac) + v[hi] * frac
+    }
+}
+
 /// The midpoint threshold as it was before the unstable sort: a stable
-/// sort per percentile.
+/// sort per percentile, and no threshold for a trace holding a NaN.
 fn stable_sort_midpoint(trace: &[f64]) -> Option<f64> {
-    let hi = percentile(trace, 90.0);
-    let lo = percentile(trace, 10.0);
+    if trace.iter().any(|v| v.is_nan()) {
+        return None;
+    }
+    let hi = sorted_percentile(trace, 90.0);
+    let lo = sorted_percentile(trace, 10.0);
     if hi - lo <= 0.0 {
         None
     } else {

@@ -92,7 +92,7 @@ fn reference_uplink(
     let mut channel_snrs = Vec::with_capacity(2);
     for (stats, bits) in [(&stats_a, &bits_a), (&stats_b, &bits_b)] {
         if bits.iter().any(|&b| b) && bits.iter().any(|&b| !b) {
-            channel_snrs.push(measure_channel_snr_db(stats, bits));
+            channel_snrs.extend(measure_channel_snr_db(stats, bits));
         }
     }
     let measured = if channel_snrs.is_empty() {
