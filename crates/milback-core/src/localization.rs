@@ -52,7 +52,7 @@ use std::cell::RefCell;
 use std::sync::OnceLock;
 
 thread_local! {
-    /// Each thread's FFT workspace for [`LocalizationPipeline::localize`]:
+    /// Each thread's FFT workspace for the localization fix:
     /// its buffers grow to the five-chirp stack once and are reused by
     /// every later fix on the thread, and pipelines stay `Sync` with no
     /// lock. No result depends on the workspace's incoming contents.
@@ -558,14 +558,41 @@ impl LocalizationPipeline {
     }
 
     /// Runs a full localization fix (range + angle) from one five-chirp
-    /// Field-2 capture, both ports toggling (§5.1). The five-chirp stack
-    /// runs through the batched, allocation-free detector path
-    /// ([`FmcwProcessor::detect_node_with`]) in this thread's FFT
-    /// workspace, which every later fix on the thread reuses; the AoA
-    /// stage reads only the first two RX2 chirps, so only those are
-    /// synthesized.
+    /// Field-2 capture, both ports toggling (§5.1). The AoA stage reads
+    /// only the first two RX2 chirps, so only those are synthesized.
     pub fn localize(&self, rng: &mut GaussianSource) -> Result<LocationFix> {
         let (rx1, rx2) = self.capture_channels(5, ToggleSelection { a: true, b: true }, 2, rng);
+        self.fix_from(rx1, &rx2)
+    }
+
+    /// AP-side orientation estimate (§5.2a): port A toggles, port B parked
+    /// absorptive.
+    pub fn orient_at_ap(&self, rng: &mut GaussianSource) -> Result<f64> {
+        let (rx1, _) = self.capture_channels(5, ToggleSelection { a: true, b: false }, 0, rng);
+        self.orientation_from(&rx1)
+    }
+
+    /// The protocol's Field 2 (§7): one five-chirp capture with port A
+    /// toggling and port B parked absorptive, from which the AP both
+    /// localizes the node and senses its orientation. Returns the fix and
+    /// the AP-side orientation, radians.
+    ///
+    /// Orientation needs port B parked ([`Self::orient_at_ap`]); ranging
+    /// and AoA only need some port toggling, so the one capture serves
+    /// both. With one port echoing instead of two, the fix is noisier than
+    /// [`Self::localize`]'s, most at long range (see DESIGN.md, "Field 2:
+    /// one capture").
+    pub fn field2(&self, rng: &mut GaussianSource) -> Result<(LocationFix, f64)> {
+        let (rx1, rx2) = self.capture_channels(5, ToggleSelection { a: true, b: false }, 2, rng);
+        let orientation = self.orientation_from(&rx1)?;
+        Ok((self.fix_from(rx1, &rx2)?, orientation))
+    }
+
+    /// Range and angle from a capture's RX1 stack and its first two RX2
+    /// chirps. The stack runs through the batched, allocation-free
+    /// detector path ([`FmcwProcessor::detect_node_with`]) in this
+    /// thread's FFT workspace, which every later fix on the thread reuses.
+    fn fix_from(&self, rx1: Vec<Vec<Complex>>, rx2: &[Vec<Complex>]) -> Result<LocationFix> {
         FMCW_SCRATCH.with_borrow_mut(|scratch| {
             let det = self.processor.detect_node_with(&rx1, scratch)?;
             // The AoA stage reads RX1's spectra from `scratch`; freeing the
@@ -573,7 +600,7 @@ impl LocalizationPipeline {
             drop(rx1);
             let aoa = self
                 .aoa
-                .estimate_from_rx1(&self.processor, &det, scratch.spectra(), &rx2)?;
+                .estimate_from_rx1(&self.processor, &det, scratch.spectra(), rx2)?;
             Ok(LocationFix {
                 range_m: det.range_m,
                 angle_rad: aoa.angle_rad,
@@ -583,13 +610,12 @@ impl LocalizationPipeline {
         })
     }
 
-    /// AP-side orientation estimate (§5.2a): port A toggles, port B parked
-    /// absorptive.
-    pub fn orient_at_ap(&self, rng: &mut GaussianSource) -> Result<f64> {
-        let (rx1, _) = self.capture_channels(5, ToggleSelection { a: true, b: false }, 0, rng);
+    /// The AP-side orientation from a capture's RX1 stack, taken while
+    /// port A toggled and port B sat absorptive.
+    fn orientation_from(&self, rx1: &[Vec<Complex>]) -> Result<f64> {
         let est = ApOrientationEstimator::milback_default();
         Ok(est
-            .estimate(&self.processor, &rx1, &self.config.node.fsa.design)?
+            .estimate(&self.processor, rx1, &self.config.node.fsa.design)?
             .orientation_rad)
     }
 
@@ -831,8 +857,7 @@ mod tests {
 
     /// The bits of every capture sample, estimate and RNG-position probe
     /// one stream gives through `p`: a full capture, one with two RX2 chirps
-    /// and an RX1-only one, then
-    /// each estimator.
+    /// and an RX1-only one, then each estimator.
     fn run_bits(p: &LocalizationPipeline, seed: u64) -> Vec<u64> {
         let mut rng = GaussianSource::new(seed);
         let mut bits = Vec::new();
@@ -849,6 +874,8 @@ mod tests {
         let fix = p.localize(&mut rng).unwrap();
         bits.extend([fix.range_m, fix.angle_rad, fix.confidence_db].map(f64::to_bits));
         bits.push(p.orient_at_ap(&mut rng).unwrap().to_bits());
+        let (fix, orientation) = p.field2(&mut rng).unwrap();
+        bits.extend([fix.range_m, fix.angle_rad, fix.confidence_db, orientation].map(f64::to_bits));
         bits.push(p.orient_at_node(&mut rng).unwrap().to_bits());
         bits.extend([rng.standard(), rng.uniform(0.0, 1.0)].map(f64::to_bits));
         bits

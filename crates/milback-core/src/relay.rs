@@ -125,7 +125,7 @@ impl NeighborGraph {
     }
 
     /// Node `idx`'s neighbors, in ascending index order.
-    pub(crate) fn neighbors(&self, idx: usize) -> &[usize] {
+    pub fn neighbors(&self, idx: usize) -> &[usize] {
         &self.adj[idx]
     }
 }

@@ -1,8 +1,8 @@
 //! The full packet session: the §7 protocol executed end-to-end against a
 //! scene — Field 1 (node senses orientation + direction), Field 2 (AP
-//! localizes + senses orientation), payload (uplink or downlink with
-//! carriers planned from the AP's own estimate), with both sides' state
-//! and the node's energy ledger accounted.
+//! localizes + senses orientation from one capture), payload (uplink or
+//! downlink with carriers planned from the AP's own estimate), with both
+//! sides' state and the node's energy ledger accounted.
 //!
 //! This is the "network runtime" layer the lower modules compose into: one
 //! call runs everything the paper's Fig 8 timeline describes. A packet is a
@@ -116,11 +116,11 @@ impl Session {
         };
         debug_assert_eq!(decoded_direction, packet.direction);
 
-        // Field 2: the node toggles through the five-chirp sawtooth train
-        // while the AP captures it, localizes, and senses orientation.
+        // Field 2: the node toggles port A through the five-chirp sawtooth
+        // train, port B parked absorptive, while the AP captures it once,
+        // localizes, and senses orientation.
         firmware.step(FwEvent::BurstStart, 5.0 * fmcw.chirp_interval_s)?;
-        let fix = pipeline.localize(rng)?;
-        let orientation_at_ap = pipeline.orient_at_ap(rng)?;
+        let (fix, orientation_at_ap) = pipeline.field2(rng)?;
 
         // Payload: carriers planned from the AP's *estimate*, never ground
         // truth — the closed loop the protocol actually runs.
@@ -245,9 +245,9 @@ mod tests {
 
     #[test]
     fn engine_reports_match_recorded_digest() {
-        // Recorded while the synchronous pre-engine call tree still stood
-        // beside the engine as a parity reference (the two agreed bit for
-        // bit): every report field and the RNG position after each packet.
+        // Every report field and the RNG position after each packet, pinned
+        // when a packet went to one Field-2 capture (the public-call walk
+        // in `tests/end_to_end.rs` checks the same packet independently).
         let s = session(3.0, 12.0);
         let mut h = 0xcbf2_9ce4_8422_2325;
         for (seed, packet) in [
@@ -260,21 +260,21 @@ mod tests {
             let report = s.run_packet(&packet, &mut rng).unwrap();
             fold_report(&mut h, &report, &rng);
         }
-        assert_eq!(h, 5_019_211_240_815_171_924, "session report digest moved");
+        assert_eq!(h, 15_461_444_202_544_513_610, "session report digest moved");
     }
 
     #[test]
     fn engine_advances_rng_to_recorded_position() {
-        // After a packet the shared stream must sit where the pre-engine
-        // call tree left it (recorded beside it): duty cycles interleave
-        // packets on one stream.
+        // After a packet the shared stream must sit where the recorded
+        // one-capture walk left it: duty cycles interleave packets on one
+        // stream.
         let s = session(2.5, 8.0);
         let packet = Packet::downlink(vec![1, 2, 3, 4]);
         let mut rng = GaussianSource::new(99);
         s.run_packet(&packet, &mut rng).unwrap();
         assert_eq!(
             (rng.sample(1.0).to_bits(), rng.uniform(0.0, 1.0).to_bits()),
-            (13_830_415_639_035_622_316, 4_595_429_371_516_062_708),
+            (4_601_938_328_743_060_427, 4_601_640_174_680_518_146),
             "RNG position after a packet moved"
         );
     }

@@ -3,6 +3,7 @@
 //! bit-error-rate curves.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Arithmetic mean. Returns `NaN` for an empty slice.
 pub fn mean(x: &[f64]) -> f64 {
@@ -46,12 +47,18 @@ pub fn rms(x: &[f64]) -> f64 {
 /// there (the zeros in input order), so the result is the stable sort's
 /// to the bit.
 ///
+/// A NaN sample has no place in the order, so any NaN in `x` makes the
+/// result NaN (the first NaN of `x`, bits included).
+///
 /// # Panics
-/// Panics if `x` is empty, if `p` is out of range, or if `x` holds a NaN
-/// among two or more samples (a lone NaN is its own percentile).
+/// Panics if `x` is empty or if `p` is out of range.
 pub fn percentile(x: &[f64], p: f64) -> f64 {
     let rank = PercentileRank::new(x.len(), p);
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap();
+    if let Some(&nan) = x.iter().find(|v| v.is_nan()) {
+        return nan;
+    }
+    // NaN-free from here, so the partial order is total.
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(Ordering::Equal);
     let mut v = x.to_vec();
     let (left, &mut at_hi, _) = v.select_nth_unstable_by(rank.hi, cmp);
     let at_lo = if rank.lo < rank.hi {
@@ -111,16 +118,20 @@ impl PercentileRank {
     }
 }
 
-/// Median (50th percentile).
+/// Median (50th percentile); NaN if any sample is NaN.
 pub fn median(x: &[f64]) -> f64 {
     percentile(x, 50.0)
 }
 
 /// Empirical CDF evaluated at each sorted sample: returns `(value, F(value))`
-/// pairs suitable for plotting (the Fig 12b angle-error CDF).
+/// pairs suitable for plotting (the Fig 12b angle-error CDF). The sort is
+/// stable, and NaN samples sort after every number, in input order.
 pub fn empirical_cdf(x: &[f64]) -> Vec<(f64, f64)> {
     let mut v = x.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(|a, b| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    });
     let n = v.len() as f64;
     v.into_iter()
         .enumerate()
@@ -146,7 +157,9 @@ pub struct ErrorSummary {
 }
 
 impl ErrorSummary {
-    /// Aggregates a slice of (already absolute) error samples.
+    /// Aggregates a slice of (already absolute) error samples. A NaN
+    /// error makes `mean`, `std_dev`, `median` and `p90` NaN; `max` is
+    /// the largest number.
     ///
     /// # Panics
     /// Panics on an empty slice.
@@ -256,8 +269,22 @@ mod tests {
     #[test]
     fn percentile_of_nan() {
         assert!(percentile(&[f64::NAN], 50.0).is_nan());
-        let two = std::panic::catch_unwind(|| percentile(&[1.0, f64::NAN], 50.0));
-        assert!(two.is_err(), "a NaN among two samples panics");
+        for x in [
+            [1.0, f64::NAN].as_slice(),
+            &[f64::NAN, 1.0],
+            &[3.0, -0.0, f64::NAN, 2.0, 0.0],
+        ] {
+            for p in [0.0, 10.0, 50.0, 90.0, 100.0] {
+                assert!(percentile(x, p).is_nan(), "{x:?} at p{p}");
+            }
+            assert!(median(x).is_nan());
+        }
+        // The first NaN, bits included.
+        let quiet = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert_eq!(
+            percentile(&[2.0, quiet, f64::NAN], 50.0).to_bits(),
+            quiet.to_bits()
+        );
     }
 
     #[test]
@@ -275,6 +302,32 @@ mod tests {
         for w in cdf.windows(2) {
             assert!(w[0].0 <= w[1].0 && w[0].1 < w[1].1);
         }
+    }
+
+    #[test]
+    fn cdf_puts_nans_last() {
+        let cdf = empirical_cdf(&[f64::NAN, 0.5, -f64::NAN, -1.0]);
+        let values: Vec<f64> = cdf.iter().map(|&(v, _)| v).collect();
+        assert_eq!(&values[..2], &[-1.0, 0.5]);
+        // Both NaNs last, in input order (the sign bit rides along).
+        assert!(values[2].is_nan() && values[2].is_sign_positive());
+        assert!(values[3].is_nan() && values[3].is_sign_negative());
+        assert_eq!(cdf[3].1, 1.0);
+        // ±0 compare equal and keep their input order.
+        let bits: Vec<u64> = empirical_cdf(&[0.0, -0.0])
+            .iter()
+            .map(|&(v, _)| v.to_bits())
+            .collect();
+        assert_eq!(bits, [0.0f64.to_bits(), (-0.0f64).to_bits()]);
+    }
+
+    #[test]
+    fn error_summary_of_a_nan_error() {
+        let s = ErrorSummary::from_abs_errors(&[1.0, f64::NAN, 3.0]);
+        assert_eq!(s.trials, 3);
+        assert!(s.mean.is_nan() && s.std_dev.is_nan());
+        assert!(s.median.is_nan() && s.p90.is_nan());
+        assert_eq!(s.max, 3.0);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 #   2. release build of every target, plus the no_std build of the node
 #      core (milback-node --no-default-features) and the perfbench
 #      campaign benchmark package
-#   3. the complete test suite (tier-1 umbrella, which holds the MAC-parity
-#      test and the sweep-anchor test that regenerates the committed
-#      network-sweep CSVs and metrics documents, + all crate suites), then
+#   3. the complete test suite (tier-1 umbrella, which holds the MAC- and
+#      engine-parity tests and the sweep-anchor test that regenerates the
+#      committed network-sweep CSVs and metrics documents, + all crate
+#      suites), then
 #      the capture and campaign digests again at 1 and 4 worker threads
 #      (pins the beat kernel's block split on a 1-core box too), then the
 #      milback-core suites and the relay-parity and aggregate-property

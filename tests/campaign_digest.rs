@@ -23,7 +23,10 @@
 //!
 //! The committed digests were recorded before the campaign entry points
 //! were collapsed onto one spec and two runners; the slotted-ALOHA digests
-//! were recorded while the direct coordinator still ran beside them.
+//! were recorded while the direct coordinator still ran beside them. The
+//! session digests were re-recorded when a packet went to one Field-2
+//! capture, once `end_to_end.rs`'s public-call reference walk of that
+//! packet (`session_captures_the_chirps_it_bills`) agreed with it.
 
 use milback::ap::waveform::LinkDirection;
 use milback::core::protocol::SlotPlan;
@@ -401,13 +404,11 @@ fn campaign_digest_session() {
             h.rng(&rng);
         }
     }
-    assert_eq!(h.0, 9_112_576_461_647_850_446, "session digest moved");
+    assert_eq!(h.0, 9_219_386_244_035_958_278, "session digest moved");
 }
 
 /// `Session::run_packet` on per-trial runner streams over a packet grid
-/// that covers downlink, uplink and the empty payload, pinned to the
-/// digest recorded while the synchronous pre-engine call tree still stood
-/// beside the engine (the two agreed bit for bit).
+/// that covers downlink, uplink and the empty payload.
 #[test]
 fn campaign_digest_session_per_trial() {
     let session = Session::new(
@@ -450,7 +451,7 @@ fn campaign_digest_session_per_trial() {
         }
     }
     assert_eq!(
-        h.0, 16_147_209_017_274_936_756,
+        h.0, 6_210_756_064_831_226_774,
         "per-trial session digest moved"
     );
 }

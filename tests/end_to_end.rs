@@ -1,14 +1,17 @@
 //! Cross-crate integration tests: the full MilBack session flow — sense,
 //! plan, communicate — through the public umbrella API.
 
-use milback::ap::waveform::CarrierSet;
+use milback::ap::waveform::{CarrierSet, LinkDirection};
+use milback::ap::ApOrientationEstimator;
+use milback::core::localization::ToggleSelection;
 use milback::core::network::localize_all_doppler;
 use milback::core::protocol::{Packet, SlotPlan};
 use milback::core::{
     ApServiceConfig, CampaignAggregate, CampaignProbe, CampaignSpec, LinkSimulator,
-    LocalizationPipeline, MacPolicy, MilbackError, Network, Scene, SdmAwareAssignment,
+    LocalizationPipeline, MacPolicy, MilbackError, Network, Scene, SdmAwareAssignment, Session,
     SlottedAloha, SlottedRunReport, SystemConfig,
 };
+use milback::rf::channel::Vec2;
 use milback::sigproc::random::GaussianSource;
 
 /// The canonical session: localize the node, sense its orientation, plan
@@ -189,6 +192,79 @@ fn sessions_are_deterministic() {
         (fix.range_m, fix.angle_rad, orient)
     };
     assert_eq!(run(), run());
+}
+
+/// Captured chirps equal billed chirps: a session packet synthesizes one
+/// five-chirp Field-2 capture, the one Field 2 it bills (port A toggling,
+/// port B parked absorptive), and reads its fix and AP-side orientation
+/// from it. A reference walk from public calls alone — Field 1, one
+/// `capture(5, …)`, the payload — leaves the stream where the session
+/// does, and the standalone estimators on its capture give the report's
+/// bits.
+#[test]
+fn session_captures_the_chirps_it_bills() {
+    let config = SystemConfig::milback_default();
+    let scene = Scene::indoor(4.0, 12f64.to_radians());
+    let session = Session::new(config.clone(), scene.clone()).unwrap();
+    for (seed, packet) in [
+        (0xF2, Packet::downlink(b"one field two".to_vec())),
+        (0xF3, Packet::uplink(b"one field two".to_vec())),
+        (0xF4, Packet::uplink(vec![])),
+    ] {
+        let mut rng = GaussianSource::new(seed);
+        let mut walk = rng.clone();
+        let report = session.run_packet(&packet, &mut rng).unwrap();
+
+        let pipeline = LocalizationPipeline::new(config.clone(), scene.clone()).unwrap();
+        let orientation_at_node = pipeline.orient_at_node(&mut walk).unwrap();
+        let (rx1, rx2) = pipeline.capture(5, ToggleSelection { a: true, b: false }, &mut walk);
+        let proc = &pipeline.processor;
+        let det = proc.detect_node(&rx1).unwrap();
+        let aoa = pipeline.aoa.estimate(proc, &rx1, &rx2).unwrap();
+        let orientation = ApOrientationEstimator::milback_default()
+            .estimate(proc, &rx1, &config.node.fsa.design)
+            .unwrap()
+            .orientation_rad;
+        let mut sim = LinkSimulator::new(config.clone(), scene.clone()).unwrap();
+        sim.orientation_hint = Some(orientation);
+        let delivered = match packet.direction {
+            LinkDirection::Downlink => sim.downlink(&packet.payload, &mut walk).unwrap().decoded,
+            LinkDirection::Uplink => sim.uplink(&packet.payload, &mut walk).unwrap().decoded,
+        };
+
+        let bits = |x: [f64; 6]| x.map(f64::to_bits);
+        let fix = report.fix;
+        let position = Vec2::from_polar(det.range_m, aoa.angle_rad);
+        assert_eq!(
+            bits([
+                fix.range_m,
+                fix.angle_rad,
+                fix.position.x,
+                fix.position.y,
+                fix.confidence_db,
+                report.orientation_at_ap,
+            ]),
+            bits([
+                det.range_m,
+                aoa.angle_rad,
+                position.x,
+                position.y,
+                det.peak_to_floor_db,
+                orientation,
+            ]),
+            "seed {seed:#x}: the report is not the walk's capture"
+        );
+        assert_eq!(
+            report.orientation_at_node.to_bits(),
+            orientation_at_node.to_bits()
+        );
+        assert_eq!(report.delivered, delivered);
+        assert_eq!(
+            (rng.standard().to_bits(), rng.uniform(0.0, 1.0).to_bits()),
+            (walk.standard().to_bits(), walk.uniform(0.0, 1.0).to_bits()),
+            "seed {seed:#x}: the session drew more or less than one Field 2"
+        );
+    }
 }
 
 /// The OOK fallback engages and still carries data at normal incidence.
