@@ -18,20 +18,25 @@ use mmwave_rf::components::{EnvelopeDetector, SpdtSwitch};
 use mmwave_sigproc::window::Window;
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
-    ablate_subtraction_chirps();
-    ablate_fsa_elements();
-    ablate_window_choice();
-    ablate_detector_speed();
-    ablate_switch_speed();
-    ablate_impairments();
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    milback_bench::report_main(reports);
+}
+
+/// The six ablations' reports, whose CSVs are the
+/// `results/ablation_a{1..6}.csv` anchors.
+pub(crate) fn reports(cfg: &RunnerConfig) -> Vec<Report> {
+    vec![
+        ablate_subtraction_chirps(cfg),
+        ablate_fsa_elements(),
+        ablate_window_choice(cfg),
+        ablate_detector_speed(),
+        ablate_switch_speed(),
+        ablate_impairments(cfg),
+    ]
 }
 
 /// How many chirps does background subtraction need? The protocol uses 5
 /// (§5.1); fewer lose detection margin, more buy diminishing returns.
-fn ablate_subtraction_chirps() {
+fn ablate_subtraction_chirps(cfg: &RunnerConfig) -> Report {
     let mut report = Report::new(
         "Ablation A1",
         "chirp count in background subtraction vs ranging (6 m, indoor)",
@@ -42,14 +47,13 @@ fn ablate_subtraction_chirps() {
     let mut conf_series = Series::new("peak-to-floor (dB)");
     let chirp_counts = [2usize, 3, 5, 9];
     let trials = 10;
-    let cfg = RunnerConfig::from_env();
     let pipeline = LocalizationPipeline::new(
         SystemConfig::milback_default(),
         Scene::indoor(6.0, 12f64.to_radians()),
     )
     .unwrap()
     .with_beat_threads(1);
-    let batch = run_fallible(chirp_counts.len() * trials, 0xAB1, &cfg, |i, rng| {
+    let batch = run_fallible(chirp_counts.len() * trials, 0xAB1, cfg, |i, rng| {
         let n = chirp_counts[i / trials];
         let (rx1, _) = pipeline.capture(
             n,
@@ -82,16 +86,12 @@ fn ablate_subtraction_chirps() {
         batch.summary(),
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    println!();
+    report
 }
 
 /// FSA element count: gain and beamwidth vs the communication range the
 /// extra gain buys (§11: "range can be increased by designing a larger FSA").
-fn ablate_fsa_elements() {
+fn ablate_fsa_elements() -> Report {
     let mut report = Report::new(
         "Ablation A2",
         "FSA element count vs gain, beamwidth, and uplink SNR at 8 m",
@@ -123,16 +123,12 @@ fn ablate_fsa_elements() {
     report.add_series(bw_series);
     report.add_series(snr_series);
     report.note("doubling the array adds ~3 dB of gain → ~6 dB of two-way uplink SNR, at the cost of halving the beamwidth (tighter orientation tolerance)");
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    println!();
+    report
 }
 
 /// Range-FFT window: main-lobe width vs sidelobe leakage near strong
 /// clutter.
-fn ablate_window_choice() {
+fn ablate_window_choice(cfg: &RunnerConfig) -> Report {
     let mut report = Report::new(
         "Ablation A3",
         "range-FFT window vs ranging error next to strong clutter (4 m node, 3.5 m shelf)",
@@ -147,7 +143,6 @@ fn ablate_window_choice() {
         Window::Blackman,
     ];
     let trials = 12;
-    let cfg = RunnerConfig::from_env();
     let pipelines: Vec<LocalizationPipeline> = windows
         .iter()
         .map(|&w| {
@@ -161,7 +156,7 @@ fn ablate_window_choice() {
             p
         })
         .collect();
-    let batch = run_fallible(windows.len() * trials, 0xAB3, &cfg, |i, rng| {
+    let batch = run_fallible(windows.len() * trials, 0xAB3, cfg, |i, rng| {
         pipelines[i / trials]
             .localize(rng)
             .map(|f| (f.range_m - 4.0).abs() * 100.0)
@@ -181,16 +176,12 @@ fn ablate_window_choice() {
         batch.summary(),
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    println!();
+    report
 }
 
 /// Detector rise time caps the downlink symbol rate (§9.4: 36 Mbps with
 /// the ADL6010; a faster detector raises it).
-fn ablate_detector_speed() {
+fn ablate_detector_speed() -> Report {
     let mut report = Report::new(
         "Ablation A4",
         "envelope-detector rise time vs max downlink rate",
@@ -205,15 +196,11 @@ fn ablate_detector_speed() {
     }
     report.add_series(series);
     report.note("the paper's 36 Mbps sits at the ADL6010's ~12 ns class; §9.4: \"one can increase the data-rate further by using faster envelope detector\"");
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    println!();
+    report
 }
 
 /// Switch toggle rate caps the uplink (§9.5: 160 Mbps with the ADRF5020).
-fn ablate_switch_speed() {
+fn ablate_switch_speed() -> Report {
     let mut report = Report::new(
         "Ablation A5",
         "switch toggle limit vs max uplink rate and node power",
@@ -231,15 +218,11 @@ fn ablate_switch_speed() {
     report.add_series(rate_series);
     report.add_series(power_series);
     report.note("faster switches buy rate linearly but spend linearly more dynamic power — the 0.8 nJ/bit figure is rate-independent");
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    println!();
+    report
 }
 
 /// Impairment ablation: which systematics cost how much ranging accuracy.
-fn ablate_impairments() {
+fn ablate_impairments(cfg: &RunnerConfig) -> Report {
     let mut report = Report::new(
         "Ablation A6",
         "impairment contributions to ranging error at 8 m (10 trials each)",
@@ -267,8 +250,7 @@ fn ablate_impairments() {
         (3.0, Impairments::milback_default()),
     ];
     let trials = 10;
-    let cfg = RunnerConfig::from_env();
-    let results = ablation_impairments(&cases, 8.0, trials, 0xAB6, &cfg);
+    let results = ablation_impairments(&cases, 8.0, trials, 0xAB6, cfg);
     let mut failed = 0;
     for r in &results {
         series.push(r.case_id, mmwave_sigproc::stats::mean(&r.abs_errors_cm));
@@ -282,8 +264,5 @@ fn ablate_impairments() {
         cases.len() * trials,
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
+    report
 }

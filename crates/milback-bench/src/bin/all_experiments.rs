@@ -2,7 +2,9 @@
 //! reproduction that rewrites every CSV anchor and both metrics documents
 //! under `results/`. Equivalent to invoking each figure, table, ablation,
 //! extension and network-sweep binary yourself; see DESIGN.md's
-//! experiment index.
+//! experiment index. Use it to regenerate the anchors on purpose; to
+//! check that they still reproduce, `tests/anchors.rs` runs the same
+//! code in-process and writes nothing.
 //!
 //! Each child inherits the environment, so `MILBACK_THREADS` (worker
 //! budget) and `MILBACK_TRACE` (`mac_compare`'s trace directory) apply to

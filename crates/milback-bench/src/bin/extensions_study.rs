@@ -21,20 +21,23 @@ use milback_core::tracking::Tracker;
 use milback_core::{LinkSimulator, Scene, SystemConfig};
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
-    dense_oaqfm_vs_distance();
-    println!();
-    coded_uplink_vs_distance();
-    println!();
-    tracking_vs_raw();
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    milback_bench::report_main(reports);
+}
+
+/// The three studies' reports, whose CSVs are the
+/// `results/extension_e{1,2,3}.csv` anchors.
+pub(crate) fn reports(cfg: &RunnerConfig) -> Vec<Report> {
+    vec![
+        dense_oaqfm_vs_distance(),
+        coded_uplink_vs_distance(cfg),
+        tracking_vs_raw(cfg),
+    ]
 }
 
 /// Dense OAQFM: for each distance, the downlink SINR picks the densest
 /// constellation under a raw 1e-3 BER target (the FEC layer cleans the
 /// residue); report the resulting rate.
-fn dense_oaqfm_vs_distance() {
+fn dense_oaqfm_vs_distance() -> Report {
     let mut report = Report::new(
         "Extension E1",
         "adaptive dense OAQFM: rate vs distance at raw BER ≤ 1e-3 (18 Msym/s, FEC underneath)",
@@ -85,14 +88,11 @@ fn dense_oaqfm_vs_distance() {
         report.note("the SINR ceiling kept the link at plain OAQFM everywhere in this sweep");
     }
     report.note("§9.4: \"another option is to define denser OAQFM modulation schemes … considering different amplitudes for each tone\"");
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
+    report
 }
 
 /// Coded uplink: residual byte errors with and without FEC across range.
-fn coded_uplink_vs_distance() {
+fn coded_uplink_vs_distance(cfg: &RunnerConfig) -> Report {
     let mut report = Report::new(
         "Extension E2",
         "Hamming(7,4)+interleaving on the uplink: residual BER vs distance (40 Mbps)",
@@ -103,8 +103,7 @@ fn coded_uplink_vs_distance() {
     let mut coded_series = Series::new("coded log10 BER (effective 22.9 Mbps)");
     let distances = [6.0, 7.0, 8.0, 9.0, 10.0];
     let payload_bytes = 8192;
-    let cfg = RunnerConfig::from_env();
-    let batch = extension_coded_uplink(&distances, payload_bytes, 0xEC2, &cfg);
+    let batch = extension_coded_uplink(&distances, payload_bytes, 0xEC2, cfg);
     for p in batch.oks() {
         raw_series.push(p.distance_m, p.raw_log10_ber);
         coded_series.push(p.distance_m, p.coded_log10_ber);
@@ -119,16 +118,13 @@ fn coded_uplink_vs_distance() {
         batch.summary(),
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
+    report
 }
 
 /// Tracking: RMS error of raw fixes vs Kalman-filtered track for a node
 /// walking across the cell. The fixes come from the runner (one
 /// deterministic stream per step); the Kalman fold over them is serial.
-fn tracking_vs_raw() {
+fn tracking_vs_raw(cfg: &RunnerConfig) -> Report {
     let mut report = Report::new(
         "Extension E3",
         "Kalman tracking vs raw fixes for a walking node (0.5 m/s, 10 fixes/s)",
@@ -141,8 +137,7 @@ fn tracking_vs_raw() {
     let mut track_series = Series::new("tracked error (cm)");
     let dt = 0.1;
     let steps = 30;
-    let cfg = RunnerConfig::from_env();
-    let batch = extension_tracking_fixes(steps, dt, 0xEC3, &cfg, &config);
+    let batch = extension_tracking_fixes(steps, dt, 0xEC3, cfg, &config);
     let mut raw_sq = 0.0;
     let mut trk_sq = 0.0;
     let mut first = true;
@@ -171,8 +166,5 @@ fn tracking_vs_raw() {
         batch.summary(),
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
+    report
 }

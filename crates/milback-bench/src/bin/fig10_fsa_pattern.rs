@@ -15,12 +15,16 @@ use milback_bench::{linspace, Report, Series};
 use mmwave_rf::antenna::fsa::{FsaDesign, FsaGainEval, FsaPort};
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(reports);
+}
+
+/// One report per port, whose CSVs are the
+/// `results/figure_10_port_{a,b}.csv` anchors.
+pub(crate) fn reports(cfg: &RunnerConfig) -> Vec<Report> {
     let fsa = FsaDesign::milback_default();
     let eval = FsaGainEval::new(&fsa);
     let angles = linspace(-45.0, 45.0, 91);
     let freqs: Vec<f64> = (0..7).map(|i| 26.5e9 + 0.5e9 * i as f64).collect();
-    let cfg = RunnerConfig::from_env();
 
     // One runner trial per (port, frequency) curve.
     let grid: Vec<(FsaPort, f64)> = [FsaPort::A, FsaPort::B]
@@ -28,7 +32,7 @@ fn main() {
         .flat_map(|&p| freqs.iter().map(move |&f| (p, f)))
         .collect();
     let angles_rad: Vec<f64> = angles.iter().map(|d| d.to_radians()).collect();
-    let curves: Vec<Series> = run_trials(grid.len(), 0xF10, &cfg, |i, _rng| {
+    let curves: Vec<Series> = run_trials(grid.len(), 0xF10, cfg, |i, _rng| {
         let (port, f) = grid[i];
         let fe = eval.at_freq(port, f);
         let mut gains = vec![0.0; angles_rad.len()];
@@ -40,6 +44,12 @@ fn main() {
         s
     });
 
+    let mirror = format!(
+        "mirror check: port A @27.5 GHz → {:+.2}°, port B @27.5 GHz → {:+.2}°",
+        fsa.beam_angle_rad(FsaPort::A, 27.5e9).unwrap().to_degrees(),
+        fsa.beam_angle_rad(FsaPort::B, 27.5e9).unwrap().to_degrees()
+    );
+    let mut reports = Vec::new();
     for (pi, port) in [FsaPort::A, FsaPort::B].into_iter().enumerate() {
         let mut report = Report::new(
             format!("Figure 10 port {port:?}"),
@@ -65,18 +75,8 @@ fn main() {
         for (f, deg, g) in &peaks {
             report.note(format!("{:.1} GHz → {deg:+.1}° at {g:.1} dBi", f / 1e9));
         }
-        {
-            let _io = milback_bench::spans::span("io");
-            report.emit();
-        }
-        println!();
+        report.note(&mirror);
+        reports.push(report);
     }
-
-    println!(
-        "mirror check: port A @27.5 GHz → {:+.2}°, port B @27.5 GHz → {:+.2}°",
-        fsa.beam_angle_rad(FsaPort::A, 27.5e9).unwrap().to_degrees(),
-        fsa.beam_angle_rad(FsaPort::B, 27.5e9).unwrap().to_degrees()
-    );
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    reports
 }

@@ -19,7 +19,11 @@ use mmwave_rf::antenna::fsa::FsaGainEval;
 use mmwave_sigproc::waveform::OaqfmSymbol;
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_11.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     let mut config = SystemConfig::milback_default();
     // 1 µs symbols as in the microbenchmark (§9.1).
     config.downlink_symbol_rate_hz = 1e6;
@@ -31,11 +35,6 @@ fn main() {
         milback_ap::waveform::CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
         milback_ap::waveform::CarrierSet::SingleToneOok { f } => (f, f),
     };
-    println!(
-        "AP selected carriers from orientation: f_A = {:.2} GHz, f_B = {:.2} GHz",
-        f_a / 1e9,
-        f_b / 1e9
-    );
 
     // Build the 4-symbol power traces through the channel and detectors.
     let gt = scene.ground_truth(0);
@@ -43,8 +42,7 @@ fn main() {
     let trace_rate = 200e6;
     let sps = (trace_rate / config.downlink_symbol_rate_hz) as usize;
     let eval = FsaGainEval::for_dual(&config.node.fsa);
-    let cfg = RunnerConfig::from_env();
-    let powers: Vec<(f64, f64)> = run_trials(symbols.len(), 0xF11, &cfg, |i, _rng| {
+    let powers: Vec<(f64, f64)> = run_trials(symbols.len(), 0xF11, cfg, |i, _rng| {
         let s = &symbols[i];
         let mut tones = Vec::new();
         if s.tone_a {
@@ -82,6 +80,11 @@ fn main() {
     }
     report.add_series(sa);
     report.add_series(sb);
+    report.note(format!(
+        "AP selected carriers from orientation: f_A = {:.2} GHz, f_B = {:.2} GHz",
+        f_a / 1e9,
+        f_b / 1e9
+    ));
 
     // Per-symbol means — the decision statistics.
     let mut quiet = (0.0, 0.0);
@@ -102,12 +105,7 @@ fn main() {
         "off-level (symbol 00): A {:.3} mV, B {:.3} mV — tones separate cleanly at the two ports as in the paper's scope capture",
         quiet.0, quiet.1
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }
 
 fn incident(sim: &LinkSimulator, f: f64) -> f64 {

@@ -18,12 +18,15 @@ use milback_bench::{linspace, Report, Series};
 use mmwave_sigproc::stats::ErrorSummary;
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_12a.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     let distances = linspace(1.0, 8.0, 8);
     let trials = 20;
-    let cfg = RunnerConfig::from_env();
 
-    let results = fig12a_ranging(&distances, trials, 0xF12A, &cfg);
+    let results = fig12a_ranging(&distances, trials, 0xF12A, cfg);
 
     let mut mean_series = Series::new("mean error (cm)");
     let mut p90_series = Series::new("90th pct (cm)");
@@ -64,10 +67,5 @@ fn main() {
         total - failed,
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }

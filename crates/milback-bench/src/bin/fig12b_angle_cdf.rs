@@ -18,7 +18,11 @@ use milback_bench::{Report, Series};
 use mmwave_sigproc::stats::{empirical_cdf, median, percentile};
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_12b.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     // Sweep azimuths and distances like the paper's placements.
     let azimuths = [-20.0, -10.0, 0.0, 8.0, 15.0];
     let dists = [2.0, 4.0, 6.0];
@@ -27,9 +31,8 @@ fn main() {
         .iter()
         .flat_map(|&az| dists.iter().map(move |&d| (az, d)))
         .collect();
-    let cfg = RunnerConfig::from_env();
 
-    let results = fig12b_angle_errors(&placements, trials, 0xF12B, &cfg);
+    let results = fig12b_angle_errors(&placements, trials, 0xF12B, cfg);
     let errors_deg: Vec<f64> = results
         .iter()
         .flat_map(|r| r.errors_deg.iter().copied())
@@ -60,10 +63,5 @@ fn main() {
         placements.len() * trials,
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }

@@ -14,12 +14,15 @@ use milback_bench::{Report, Series};
 use mmwave_sigproc::stats::ErrorSummary;
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_13a.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     let orientations = [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0];
     let trials = 25;
-    let cfg = RunnerConfig::from_env();
 
-    let results = fig13_orientation(&orientations, trials, 0xF13A, &cfg, OrientSide::Node);
+    let results = fig13_orientation(&orientations, trials, 0xF13A, cfg, OrientSide::Node);
 
     let mut mean_series = Series::new("mean error (deg)");
     let mut std_series = Series::new("std dev (deg)");
@@ -50,10 +53,5 @@ fn main() {
         total - failed,
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }

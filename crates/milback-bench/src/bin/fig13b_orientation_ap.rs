@@ -15,14 +15,17 @@ use milback_bench::{Report, Series};
 use mmwave_sigproc::stats::ErrorSummary;
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_13b.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     let orientations = [
         -24.0, -18.0, -12.0, -8.0, -6.0, -4.0, -2.0, 0.0, 4.0, 8.0, 12.0, 18.0, 24.0,
     ];
     let trials = 25;
-    let cfg = RunnerConfig::from_env();
 
-    let results = fig13_orientation(&orientations, trials, 0xF13B, &cfg, OrientSide::Ap);
+    let results = fig13_orientation(&orientations, trials, 0xF13B, cfg, OrientSide::Ap);
 
     let mut mean_series = Series::new("mean error (deg)");
     let mut std_series = Series::new("std dev (deg)");
@@ -61,10 +64,5 @@ fn main() {
         total - failed,
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }

@@ -16,7 +16,11 @@ use milback_bench::{linspace, Report, Series};
 use milback_core::{LinkSimulator, Scene, SystemConfig};
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_14.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     let distances = linspace(0.5, 12.0, 24);
     let orientation = 12f64.to_radians();
 
@@ -50,10 +54,9 @@ fn main() {
     }
 
     // Monte-Carlo spot checks: deliver an actual payload at 2, 6 and 10 m.
-    let cfg = RunnerConfig::from_env();
     let spot_distances = [2.0, 6.0, 10.0];
     let payload_bytes = 256;
-    let spots = fig14_spot_checks(&spot_distances, payload_bytes, 0xF14, &cfg);
+    let spots = fig14_spot_checks(&spot_distances, payload_bytes, 0xF14, cfg);
 
     let mut report = Report::new(
         "Figure 14",
@@ -91,10 +94,5 @@ fn main() {
         spots.summary(),
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }

@@ -30,16 +30,19 @@ fn run_rate(label: &str, bit_rate: f64, distances: &[f64]) -> (Series, Series) {
 }
 
 fn main() {
-    let main_span = milback_bench::spans::span("main");
+    milback_bench::report_main(|cfg| vec![report(cfg)]);
+}
+
+/// The figure's report, whose CSV is the `results/figure_15.csv` anchor.
+pub(crate) fn report(cfg: &RunnerConfig) -> Report {
     let distances = linspace(0.5, 10.0, 20);
     let (snr10, ber10) = run_rate("10 Mbps", 10e6, &distances);
     let (snr40, ber40) = run_rate("40 Mbps", 40e6, &distances);
 
     // Monte-Carlo verification with real payloads.
-    let cfg = RunnerConfig::from_env();
     let cases = [(10e6, 8.0), (40e6, 6.0), (40e6, 8.0)];
     let payload_bytes = 50_000;
-    let spots = fig15_spot_checks(&cases, payload_bytes, 0xF15, &cfg);
+    let spots = fig15_spot_checks(&cases, payload_bytes, 0xF15, cfg);
 
     let at = |s: &Series, x: f64| {
         s.points
@@ -92,10 +95,5 @@ fn main() {
         spots.summary(),
         cfg.threads
     ));
-    {
-        let _io = milback_bench::spans::span("io");
-        report.emit();
-    }
-    drop(main_span);
-    milback_bench::spans::export_if_requested();
+    report
 }

@@ -197,43 +197,55 @@ fn main() {
     milback_bench::spans::export_if_requested();
 }
 
-/// Dumps each policy's captured trace as JSONL (one file per policy, so
-/// `time_ps` stays monotone within a file) plus one combined Chrome
-/// `trace_event` JSON with the policies side-by-side as processes. The
-/// `trace:` line states how many records the rings evicted, so a
-/// truncated trace never passes for a complete one. A directory or file
-/// that cannot be written is an error naming its path.
+/// The trace artifacts, as (file name, contents): each policy's captured
+/// trace as JSONL (one file per policy, so `time_ps` stays monotone
+/// within a file), then one combined Chrome `trace_event` JSON with the
+/// policies side-by-side as processes. Empty when nothing was traced.
+pub(crate) fn trace_files(s: &MacCompare) -> Vec<(String, String)> {
+    let sections: Vec<(&str, &TraceBuffer)> = s
+        .policies
+        .iter()
+        .filter_map(|(policy, _, trace)| Some((*policy, trace.as_ref()?)))
+        .collect();
+    if sections.is_empty() {
+        return Vec::new();
+    }
+    let mut files: Vec<(String, String)> = sections
+        .iter()
+        .map(|(policy, buf)| (format!("mac_{policy}.trace.jsonl"), buf.to_jsonl()))
+        .collect();
+    files.push(("mac_compare.trace.json".into(), chrome_trace(&sections)));
+    files
+}
+
+/// Writes [`trace_files`] into `dir`. The `trace:` line states how many
+/// records the rings evicted, so a truncated trace never passes for a
+/// complete one. A directory or file that cannot be written is an error
+/// naming its path.
 fn write_traces(s: &MacCompare, dir: &std::path::Path) -> std::io::Result<()> {
     // Names the path in an I/O error.
     fn at(path: &std::path::Path) -> impl FnOnce(std::io::Error) -> std::io::Error + '_ {
         move |e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
     }
-    std::fs::create_dir_all(dir).map_err(at(dir))?;
-    let mut sections = Vec::new();
-    for (policy, _, trace) in &s.policies {
-        let Some(buf) = trace else {
-            continue;
-        };
-        let path = dir.join(format!("mac_{policy}.trace.jsonl"));
-        std::fs::write(&path, buf.to_jsonl()).map_err(at(&path))?;
-        log_info!(
-            "wrote {} ({} records, {} dropped)",
-            path.display(),
-            buf.len(),
-            buf.dropped()
-        );
-        sections.push((*policy, buf));
-    }
-    if sections.is_empty() {
+    let files = trace_files(s);
+    if files.is_empty() {
         log_info!("no traces captured");
         return Ok(());
     }
-    let path = dir.join("mac_compare.trace.json");
-    std::fs::write(&path, chrome_trace(&sections)).map_err(at(&path))?;
-    let dropped: u64 = sections.iter().map(|(_, buf)| buf.dropped()).sum();
+    std::fs::create_dir_all(dir).map_err(at(dir))?;
+    for (name, contents) in &files {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).map_err(at(&path))?;
+        log_info!("wrote {}", path.display());
+    }
+    let dropped: u64 = s
+        .policies
+        .iter()
+        .filter_map(|(_, _, trace)| trace.as_ref().map(TraceBuffer::dropped))
+        .sum();
     println!(
         "trace: {} ({}-node frame per policy, {dropped} records dropped) — open at https://ui.perfetto.dev",
-        path.display(),
+        dir.join("mac_compare.trace.json").display(),
         NODE_COUNTS[NODE_COUNTS.len() - 1],
     );
     Ok(())

@@ -24,7 +24,7 @@ use milback_core::{CampaignAggregate, OverflowPolicy};
 /// The campaign shape: 8-slot frames over 32-node cells keeps every cell
 /// contended (slot sharing and SDM erosion both bite) while singleton
 /// slots still deliver.
-const NODE_COUNTS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+pub(crate) const NODE_COUNTS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const CELL_SIZE: usize = 32;
 const SLOTS: usize = 8;
 const FRAMES: usize = 4;

@@ -16,6 +16,7 @@ pub mod metrics_io;
 pub mod runner;
 pub mod spans;
 
+use runner::RunnerConfig;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -163,13 +164,38 @@ impl Report {
         out
     }
 
-    /// Prints to stdout and writes the CSV anchor under `results/`, named
-    /// after the report id; see [`emit_anchor`].
+    /// The CSV anchor's file name under `results/`: the report id,
+    /// lower-cased, with spaces and slashes as underscores.
+    pub fn csv_file(&self) -> String {
+        format!("{}.csv", self.id.to_lowercase().replace([' ', '/'], "_"))
+    }
+
+    /// Prints to stdout and writes the CSV anchor `results/<csv_file>`;
+    /// see [`emit_anchor`].
     pub fn emit(&self) {
         print!("{}", self.render());
-        let file = format!("{}.csv", self.id.to_lowercase().replace([' ', '/'], "_"));
-        emit_anchor(&file, &self.to_csv());
+        emit_anchor(&self.csv_file(), &self.to_csv());
     }
+}
+
+/// The `main` of a binary whose anchors are all [`Report`] CSVs: builds
+/// the reports under the `main` profiling span with the environment's
+/// worker budget, then prints and writes each under the `io` span, so
+/// `all_experiments` can split the run into setup / trials / io.
+pub fn report_main(reports: impl FnOnce(&RunnerConfig) -> Vec<Report>) {
+    let main_span = spans::span("main");
+    let reports = reports(&RunnerConfig::from_env());
+    {
+        let _io = spans::span("io");
+        for (i, report) in reports.iter().enumerate() {
+            if i > 0 {
+                println!();
+            }
+            report.emit();
+        }
+    }
+    drop(main_span);
+    spans::export_if_requested();
 }
 
 /// Where experiment CSVs land: `<workspace>/results`.

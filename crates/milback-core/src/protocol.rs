@@ -81,18 +81,22 @@ impl Packet {
 
     /// Serializes to a length-prefixed wire frame:
     /// `magic(1) | direction(1) | len(u16 BE) | payload | checksum(1)`.
-    pub fn to_bytes(&self) -> Bytes {
+    /// A payload longer than the `u16` length field can declare is
+    /// [`FrameError::PayloadTooLong`].
+    pub fn to_bytes(&self) -> Result<Bytes, FrameError> {
+        let len = u16::try_from(self.payload.len()).map_err(|_| FrameError::PayloadTooLong {
+            len: self.payload.len(),
+        })?;
         let mut buf = BytesMut::with_capacity(self.payload.len() + 5);
         buf.put_u8(FRAME_MAGIC);
         buf.put_u8(match self.direction {
             LinkDirection::Uplink => 0x01,
             LinkDirection::Downlink => 0x02,
         });
-        assert!(self.payload.len() <= u16::MAX as usize, "payload too large");
-        buf.put_u16(self.payload.len() as u16);
+        buf.put_u16(len);
         buf.put_slice(&self.payload);
         buf.put_u8(checksum(&buf));
-        buf.freeze()
+        Ok(buf.freeze())
     }
 
     /// Parses a wire frame produced by [`to_bytes`](Self::to_bytes).
@@ -213,9 +217,15 @@ impl SlotPlan {
     }
 }
 
-/// Wire-frame parse errors.
+/// Wire-frame errors: a payload too long to frame, or a frame that does
+/// not parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
+    /// The payload exceeds the 65 535 bytes the length field can declare.
+    PayloadTooLong {
+        /// Payload bytes.
+        len: usize,
+    },
     /// Fewer bytes than the minimum frame.
     Truncated {
         /// Bytes available.
@@ -250,6 +260,9 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FrameError::PayloadTooLong { len } => {
+                write!(f, "{len}-byte payload exceeds the 65535-byte frame limit")
+            }
             FrameError::Truncated { len } => write!(f, "frame truncated at {len} bytes"),
             FrameError::BadMagic { got } => write!(f, "bad magic byte 0x{got:02X}"),
             FrameError::BadDirection { got } => write!(f, "bad direction code 0x{got:02X}"),
@@ -318,14 +331,30 @@ mod tests {
             Packet::downlink(vec![]),
             Packet::downlink(vec![0xFF; 1000]),
         ] {
-            let wire = packet.to_bytes();
+            let wire = packet.to_bytes().unwrap();
             assert_eq!(Packet::from_bytes(wire).unwrap(), packet);
         }
     }
 
+    /// The length field's ceiling: 65 535 bytes frame and parse back;
+    /// one byte more is a typed error, not a panic.
+    #[test]
+    fn frame_length_limit_is_typed() {
+        let longest = Packet::uplink(vec![0x5A; u16::MAX as usize]);
+        assert_eq!(
+            Packet::from_bytes(longest.to_bytes().unwrap()).unwrap(),
+            longest
+        );
+        let too_long = Packet::downlink(vec![0x5A; u16::MAX as usize + 1]);
+        assert_eq!(
+            too_long.to_bytes(),
+            Err(FrameError::PayloadTooLong { len: 65_536 })
+        );
+    }
+
     #[test]
     fn frame_detects_corruption() {
-        let wire = Packet::uplink(vec![1, 2, 3]).to_bytes();
+        let wire = Packet::uplink(vec![1, 2, 3]).to_bytes().unwrap();
         let mut corrupted = wire.to_vec();
         corrupted[4] ^= 0x10;
         let err = Packet::from_bytes(Bytes::from(corrupted)).unwrap_err();
@@ -334,7 +363,7 @@ mod tests {
 
     #[test]
     fn frame_rejects_bad_magic_and_direction() {
-        let wire = Packet::uplink(vec![9]).to_bytes();
+        let wire = Packet::uplink(vec![9]).to_bytes().unwrap();
         let mut bad_magic = wire.to_vec();
         bad_magic[0] = 0x00;
         assert!(matches!(
@@ -359,7 +388,7 @@ mod tests {
             Packet::from_bytes(Bytes::from(vec![1, 2])).unwrap_err(),
             FrameError::Truncated { len: 2 }
         ));
-        let wire = Packet::uplink(vec![1, 2, 3, 4]).to_bytes();
+        let wire = Packet::uplink(vec![1, 2, 3, 4]).to_bytes().unwrap();
         let mut lying = wire.to_vec();
         lying[3] = 2; // declare 2 bytes instead of 4
         assert!(matches!(
@@ -403,7 +432,7 @@ mod tests {
             );
             assert_eq!(p.efficiency(&fmcw, 20e6), 0.0);
             // And it still frames/unframes.
-            assert_eq!(Packet::from_bytes(p.to_bytes()).unwrap(), p);
+            assert_eq!(Packet::from_bytes(p.to_bytes().unwrap()).unwrap(), p);
         }
     }
 

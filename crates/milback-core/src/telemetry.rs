@@ -20,7 +20,7 @@
 //!   records (and counts the drops) instead of growing or failing, so an
 //!   instrumented run cannot abort where an uninstrumented one succeeded.
 //!
-//! The parity suite (`milback-bench/tests/telemetry_parity.rs`) enforces
+//! The parity suite (`tests/telemetry_parity.rs`) enforces
 //! the contract end-to-end: instrumented and uninstrumented campaigns are
 //! bit-identical (`==` and `to_bits`) through the trial-parallel runner at
 //! 1/2/4/8 threads for every MAC policy.

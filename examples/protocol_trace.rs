@@ -48,7 +48,7 @@ fn main() {
         );
 
         // Wire framing round-trip.
-        let wire = packet.to_bytes();
+        let wire = packet.to_bytes().expect("payload fits a frame");
         println!(
             "  wire frame: {} bytes (magic|dir|len|payload|checksum)",
             wire.len()

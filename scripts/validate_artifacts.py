@@ -4,12 +4,11 @@ per document over a shared finiteness walk and required-keys helper.
 
 Usage: validate_artifacts.py bench-dsp BENCH_dsp.json
        validate_artifacts.py bench-experiments BENCH_experiments.json
-       validate_artifacts.py mac METRICS_mac.json TRACE_DIR
+       validate_artifacts.py mac METRICS_mac.json
        validate_artifacts.py lifecycle METRICS_lifecycle.json
 """
 import json
 import math
-import os
 import sys
 
 
@@ -108,43 +107,14 @@ def bench_experiments(path):
           f"sharded {sc['sharded_nodes_per_sec']:.0f} nodes/s over {sc['cells']} cells)")
 
 
-def metrics_mac(path, trace_dir):
+def metrics_mac(path):
     doc = document(path, "milback-metrics-mac-v2", ("host", "config", "policies"))
     for policy in ("aloha", "backoff", "polling", "sdm"):
         m = doc["policies"][policy]
         assert m["counters"]["slots_fired"] > 0, f"{policy}: no slots fired"
         for h in ("slot_occupancy", "energy_per_attempt_j"):
             assert h in m["histograms"], f"{policy}: missing histogram {h}"
-    for name in sorted(os.listdir(trace_dir)):
-        trace = os.path.join(trace_dir, name)
-        if name.endswith(".trace.jsonl"):
-            last_ps, events = -1, 0
-            for line in open(trace):
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                finite(rec, name)
-                ps = rec.get("time_ps")
-                if ps is not None:
-                    assert ps >= last_ps, f"{name}: time_ps went backwards ({ps} < {last_ps})"
-                    last_ps, events = ps, events + 1
-            assert events > 0, f"{name}: no timestamped records"
-        elif name.endswith(".trace.json"):
-            chrome = json.load(open(trace))
-            assert chrome["traceEvents"], f"{name}: no trace events"
-            finite(chrome, name)
-            flows = {}
-            for ev in chrome["traceEvents"]:
-                assert ev["ph"] in ("M", "i", "X", "C", "s", "t", "f"), ev
-                if ev["ph"] in ("s", "t", "f"):
-                    flows.setdefault(ev["id"], set()).add(ev["ph"])
-            # Flow chains must pair up: every flow id that starts ends, and
-            # none materializes mid-air (a bare "t" with no "s"/"f").
-            for fid, phases in flows.items():
-                assert "s" in phases and "f" in phases, f"dangling flow {fid}: {phases}"
-    print(f"OK: {path} and {trace_dir}/*.trace.json* are well-formed "
-          f"({sum(1 for _ in open(os.path.join(trace_dir, 'mac_aloha.trace.jsonl')))} aloha trace lines)")
+    print(f"OK: {path} is well-formed ({len(doc['policies'])} policies)")
 
 
 def metrics_lifecycle(path):

@@ -170,7 +170,7 @@ fn framed_packet_over_downlink() {
     .unwrap();
     let mut rng = GaussianSource::new(0xF4A);
     let packet = Packet::downlink(b"application payload with framing".to_vec());
-    let wire = packet.to_bytes();
+    let wire = packet.to_bytes().unwrap();
     let outcome = sim.downlink(&wire, &mut rng).unwrap();
     let parsed = Packet::from_bytes(outcome.decoded.into()).expect("frame survives the link");
     assert_eq!(parsed, packet);

@@ -1,6 +1,8 @@
-//! Regression pins for every figure/table anchor the paper states in
-//! prose. If a refactor moves any of these, an evaluation claim silently
-//! drifted — these tests make that loud instead.
+//! The paper's claims as bounds: each figure and table quantity the paper
+//! states in prose, recomputed from the library and held to the paper's
+//! number. These tests read no CSV; `tests/anchors.rs` pins the committed
+//! anchors byte for byte, while these say whether the numbers still tell
+//! the paper's story.
 
 use milback::ap::waveform::CarrierSet;
 use milback::baselines::{
