@@ -149,6 +149,23 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
+    /// Empties the queue for a new campaign, keeping its heap and lane
+    /// buffers: equal to `EventQueue::default()` afterwards.
+    pub(crate) fn reset(&mut self) {
+        let Self {
+            now_ps,
+            seq,
+            heap,
+            lane,
+            tracer,
+            depth_stats,
+        } = self;
+        (*now_ps, *seq) = (0, 0);
+        heap.clear();
+        lane.clear();
+        (*tracer, *depth_stats) = (None, None);
+    }
+
     /// Records every popped event as a [`TraceRecord::Event`] with
     /// `(time_ps, seq, kind)` plus the queue depth after the pop.
     pub(crate) fn set_tracer(&mut self, sink: TraceSink) {

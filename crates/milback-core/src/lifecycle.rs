@@ -170,6 +170,29 @@ impl LifecycleStats {
         }
     }
 
+    /// Empties the ledger in place, keeping its sketch buffers: equal to
+    /// [`new`](Self::new) afterwards.
+    pub(crate) fn reset(&mut self) {
+        let Self {
+            offered,
+            delivered_direct,
+            delivered_relayed,
+            drops,
+            shed_by_stage,
+            slot_wait_us,
+            service_residence_us,
+            relay_extra_us,
+        } = self;
+        for n in [offered, delivered_direct, delivered_relayed] {
+            *n = 0;
+        }
+        drops.fill(0);
+        shed_by_stage.fill(0);
+        for h in [slot_wait_us, service_residence_us, relay_extra_us] {
+            h.reset();
+        }
+    }
+
     /// Counts `n` packets offered.
     #[inline]
     pub fn offer(&mut self, n: u64) {

@@ -11,7 +11,7 @@ use crate::link::{UplinkBudget, UplinkScratch};
 use crate::pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 use crate::protocol::{Packet, SlotPlan};
 use crate::relay::RelayConfig;
-use crate::scene::Scene;
+use crate::scene::{GroundTruth, Scene};
 use crate::telemetry::{
     CampaignProbe, Histogram, TraceRecord, BACKOFF_BUCKETS_FRAMES, ENERGY_BUCKETS_J,
     OCCUPANCY_BUCKETS, RELAY_HOP_BUCKETS, SNR_BUCKETS_DB,
@@ -135,7 +135,9 @@ impl Network {
         rng: &mut GaussianSource,
         probe: &mut CampaignProbe,
     ) -> Result<S> {
-        self.run_in(spec, policy, rng, probe, &mut CampaignScratch::default())
+        let airtime_s = self.campaign_airtime_s(spec)?;
+        let mut scratch = CampaignScratch::default();
+        self.run_cell(spec, airtime_s, policy, rng, probe, &mut scratch, None)
     }
 
     /// [`run`](Self::run) with relaying disabled, under positional
@@ -181,30 +183,52 @@ impl Network {
         self.run(&spec, policy, rng, &mut CampaignProbe::disabled())
     }
 
-    /// [`run`](Self::run) on a caller-held scratch: the sharded runner
-    /// passes one per worker, so the per-node ledger rows are recycled
-    /// across that worker's cells. The scratch's incoming contents never
+    /// Checks what every cell of a campaign shares and returns the
+    /// packet airtime, seconds: the configuration, every pose, the spec's
+    /// timeline, and that one payload packet (plus guard) fits a slot of
+    /// the plan. Runs once per campaign, sharded or not, so no cell
+    /// repeats it: budget misses build straight from the configuration,
+    /// and every pose is finite.
+    pub(crate) fn campaign_airtime_s(&self, spec: &CampaignSpec<'_>) -> Result<f64> {
+        self.config.validate()?;
+        self.check_poses()?;
+        spec.check_timeline()?;
+        let packet = Packet::uplink(spec.payload.to_vec());
+        let (fmcw, rate_hz) = (&self.config.fmcw, self.config.uplink_symbol_rate_hz);
+        let airtime_s = packet.duration_s(fmcw, rate_hz);
+        if packet.duration_ps(fmcw, rate_hz) > spec.plan.slot_ps {
+            return Err(MilbackError::Config(format!(
+                "a {airtime_s:.3e} s packet does not fit the plan's {:.3e} s slots",
+                ps_to_secs(spec.plan.slot_ps)
+            )));
+        }
+        Ok(airtime_s)
+    }
+
+    /// Runs one campaign checked by
+    /// [`campaign_airtime_s`](Self::campaign_airtime_s) on a caller-held
+    /// scratch. The sharded runner passes one scratch per worker, so the
+    /// per-node ledger rows, budget memo, frame schedule, event queue and
+    /// lifecycle ledger are recycled across that worker's cells, and one
+    /// earlier cell's sink as `reuse`. Neither's incoming contents
     /// influence the result.
     ///
-    /// Runs `policy` over the spec's frames on a fresh [`EventQueue`],
-    /// then totals the rows into the lifecycle ledger, audits it against
-    /// the packets offered, and folds each node's finished report into
-    /// the sink. Sharing this one finishing path keeps the per-node-report
-    /// and streaming outputs from drifting apart.
-    pub(crate) fn run_in<S: CampaignSink>(
+    /// Runs `policy` over the spec's frames, then totals the rows into the
+    /// lifecycle ledger, audits it against the packets offered, and folds
+    /// each node's finished report into the sink. Sharing this one
+    /// finishing path keeps the per-node-report and streaming outputs from
+    /// drifting apart.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_cell<S: CampaignSink>(
         &self,
         spec: &CampaignSpec<'_>,
+        airtime_s: f64,
         mut policy: Box<dyn MacPolicy>,
         rng: &mut GaussianSource,
         probe: &mut CampaignProbe,
         scratch: &mut CampaignScratch,
+        reuse: Option<S>,
     ) -> Result<S> {
-        // Validated once per campaign: budget misses build straight from
-        // the configuration, and every pose is finite.
-        self.config.validate()?;
-        self.check_poses()?;
-        spec.check_timeline()?;
-        let airtime_s = self.slotted_airtime_s(spec.payload, &spec.plan)?;
         policy.begin(&MacContext::new(self, spec), rng);
         // Jitter state is seeded from the trial stream only when jitter is
         // configured — the instantaneous configuration draws nothing.
@@ -213,19 +237,30 @@ impl Network {
         let jitter_state = (spec.service.jitter_ps > 0)
             .then(|| u64::from_le_bytes(rng.bytes(8).try_into().expect("eight bytes")));
         self.fill_rows(&mut scratch.rows, &spec.relay);
+        scratch.lifecycle.reset();
+        scratch.queue.reset();
+        let CampaignScratch {
+            rows,
+            uplink,
+            budgets,
+            schedule,
+            scheduled,
+            queue,
+            lifecycle,
+        } = scratch;
         let mut m = SlotMedium {
             net: self,
             rng,
             payload: spec.payload,
             airtime_s,
             power: NodePowerModel::milback_default(),
-            rows: &mut scratch.rows,
-            uplink: &mut scratch.uplink,
-            lifecycle: LifecycleStats::new(),
+            rows,
+            uplink,
+            budgets,
+            lifecycle,
             probe: std::mem::take(probe),
             service: ApServiceStats::default(),
         };
-        let mut queue = EventQueue::default();
         if let Some(sink) = m.probe.trace.clone() {
             queue.set_tracer(sink);
         }
@@ -235,42 +270,33 @@ impl Network {
         let mut coordinator = PolicyCoordinator {
             spec: *spec,
             policy,
-            schedule: Vec::new(),
+            schedule,
             relay_schedule: Vec::new(),
             stages: Default::default(),
             jitter_state,
-            scheduled: Vec::new(),
+            scheduled,
         };
         if spec.frames > 0 {
             queue.post(0, SlotEvent::FrameStart { frame: 0 });
         }
         while let Some((now_ps, event)) = queue.pop() {
-            coordinator.handle(now_ps, event, &mut m, &mut queue)?;
+            coordinator.handle(now_ps, event, &mut m, queue)?;
         }
         *probe = std::mem::take(&mut m.probe);
         if let Some(d) = queue.take_depth_stats() {
             probe.merge_queue_depths(d.entries());
         }
-        let mut lifecycle = std::mem::take(&mut m.lifecycle);
         for row in m.rows.iter() {
-            row.tally_into(&mut lifecycle);
+            row.tally_into(m.lifecycle);
         }
-        lifecycle.audit()?;
-        Ok(S::fold(spec, m.node_reports(spec), m.service, lifecycle))
-    }
-
-    /// Validates that one `payload` packet (plus guard) fits a slot of
-    /// `plan` and returns the packet airtime in seconds.
-    fn slotted_airtime_s(&self, payload: &[u8], plan: &SlotPlan) -> Result<f64> {
-        let packet = Packet::uplink(payload.to_vec());
-        let airtime_s = packet.duration_s(&self.config.fmcw, self.config.uplink_symbol_rate_hz);
-        if packet.duration_ps(&self.config.fmcw, self.config.uplink_symbol_rate_hz) > plan.slot_ps {
-            return Err(MilbackError::Config(format!(
-                "a {airtime_s:.3e} s packet does not fit the plan's {:.3e} s slots",
-                ps_to_secs(plan.slot_ps)
-            )));
-        }
-        Ok(airtime_s)
+        m.lifecycle.audit()?;
+        Ok(S::fold(
+            spec,
+            m.node_reports(spec),
+            m.service,
+            m.lifecycle,
+            reuse,
+        ))
     }
 
     /// Refills `rows` with one zeroed ledger row per node, each holding
@@ -420,17 +446,21 @@ pub trait CampaignSink: Sized + Send {
 
     /// Builds the sink from one settled run: the campaign shape, every
     /// node's finished row in node order, and the run's AP service and
-    /// lifecycle ledgers.
+    /// lifecycle ledgers. `reuse` is an earlier cell's sink whose buffers
+    /// the fold may refill; its contents never reach the result.
     fn fold(
         spec: &CampaignSpec<'_>,
         nodes: impl Iterator<Item = SlottedNodeReport>,
         service: ApServiceStats,
-        lifecycle: LifecycleStats,
+        lifecycle: &LifecycleStats,
+        reuse: Option<Self>,
     ) -> Self;
 
     /// Folds one cell's sink of a sharded campaign into the campaign
-    /// result. Cells arrive in cell index order.
-    fn merge_cell(cells: &mut Self::Cells, cell: Self);
+    /// result. Cells arrive in cell index order. Returns the cell when the
+    /// result kept none of it, so a later cell's fold can reuse its
+    /// buffers.
+    fn merge_cell(cells: &mut Self::Cells, cell: Self) -> Option<Self>;
 }
 
 impl CampaignSink for SlottedRunReport {
@@ -441,7 +471,8 @@ impl CampaignSink for SlottedRunReport {
         spec: &CampaignSpec<'_>,
         nodes: impl Iterator<Item = SlottedNodeReport>,
         service: ApServiceStats,
-        lifecycle: LifecycleStats,
+        lifecycle: &LifecycleStats,
+        _reuse: Option<Self>,
     ) -> Self {
         Self {
             frames: spec.frames,
@@ -449,12 +480,13 @@ impl CampaignSink for SlottedRunReport {
             payload_bytes: spec.payload.len(),
             nodes: nodes.collect(),
             service,
-            lifecycle,
+            lifecycle: lifecycle.clone(),
         }
     }
 
-    fn merge_cell(cells: &mut Vec<Self>, cell: Self) {
+    fn merge_cell(cells: &mut Vec<Self>, cell: Self) -> Option<Self> {
         cells.push(cell);
+        None
     }
 }
 
@@ -466,20 +498,28 @@ impl CampaignSink for CampaignAggregate {
         spec: &CampaignSpec<'_>,
         nodes: impl Iterator<Item = SlottedNodeReport>,
         service: ApServiceStats,
-        lifecycle: LifecycleStats,
+        lifecycle: &LifecycleStats,
+        reuse: Option<Self>,
     ) -> Self {
-        let mut agg = Self::new();
+        let mut agg = match reuse {
+            Some(mut agg) => {
+                agg.reset();
+                agg
+            }
+            None => Self::new(),
+        };
         agg.begin_run(spec.frames, spec.frame_s(), spec.payload.len());
         for r in nodes {
             agg.observe_node(&r);
         }
         agg.service.merge_from(&service);
-        agg.lifecycle.merge_from(&lifecycle);
+        agg.lifecycle.merge_from(lifecycle);
         agg
     }
 
-    fn merge_cell(total: &mut Self, cell: Self) {
+    fn merge_cell(total: &mut Self, cell: Self) -> Option<Self> {
         total.merge_from(&cell);
+        Some(cell)
     }
 }
 
@@ -671,6 +711,69 @@ impl CampaignAggregate {
         }
     }
 
+    /// Empties the aggregate in place: equal to [`new`](Self::new)
+    /// afterwards, with its histogram buffers kept.
+    pub(crate) fn reset(&mut self) {
+        let Self {
+            cells,
+            nodes,
+            frames,
+            frame_s,
+            payload_bytes,
+            attempts,
+            delivered,
+            collisions,
+            energy_j,
+            snr_sum_db,
+            delivering_nodes,
+            node_energy_j,
+            node_snr_db,
+            gap_nodes,
+            gap_attempts,
+            gap_delivered,
+            relayed,
+            relay_hops,
+            forwarded,
+            relay_energy_j,
+            relay_latency_s,
+            node_relay_hops,
+            service,
+            lifecycle,
+        } = self;
+        for n in [
+            cells,
+            nodes,
+            frames,
+            payload_bytes,
+            attempts,
+            delivered,
+            collisions,
+            delivering_nodes,
+            gap_nodes,
+            gap_attempts,
+            gap_delivered,
+            relayed,
+            relay_hops,
+            forwarded,
+        ] {
+            *n = 0;
+        }
+        for x in [
+            frame_s,
+            energy_j,
+            snr_sum_db,
+            relay_energy_j,
+            relay_latency_s,
+        ] {
+            *x = 0.0;
+        }
+        for h in [node_energy_j, node_snr_db, node_relay_hops] {
+            h.reset();
+        }
+        *service = ApServiceStats::default();
+        lifecycle.reset();
+    }
+
     /// Opens one cell campaign's fold: records the campaign shape and
     /// counts the cell. Call once per cell, then
     /// [`observe_node`](Self::observe_node) per node.
@@ -852,17 +955,76 @@ impl Default for CampaignAggregate {
     }
 }
 
-/// Reusable buffers for campaign runs: the per-node ledger rows (each
-/// with its lazily built uplink budget and azimuth) and the uplink
-/// kernel's scratch. The sharded runner keeps one per worker, so a
-/// worker's cells recycle them instead of reallocating per cell. The rows
-/// are refilled before every use, so (per the
+/// One worker's campaign state, recycled across the cells it runs: the
+/// sharded runner keeps one per worker, so a cell pays for its packets,
+/// not for its set-up. Everything but the budget memo is refilled or
+/// reset before each cell, and the memo holds only exact results (see
+/// [`BudgetMemo`]), so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
-/// contract) scratch state can never influence a result.
-#[derive(Debug, Default)]
+/// contract) scratch state can never influence a result. A scratch serves
+/// one campaign: the memo is exact only under one configuration.
+#[derive(Default)]
 pub(crate) struct CampaignScratch {
+    /// The per-node ledger rows, each with its lazily built uplink budget
+    /// and azimuth.
     rows: Vec<NodeLedger>,
+    /// The uplink kernel's buffers.
     uplink: UplinkScratch,
+    /// Uplink budgets by steered pose, shared by every cell of the
+    /// campaign the worker runs.
+    budgets: BudgetMemo,
+    /// The coordinator's frame schedule, its group buffers refilled by
+    /// [`MacPolicy::schedule_frame_into`] every frame.
+    schedule: FrameSchedule,
+    /// The coordinator's per-node "in this frame's schedule" flags.
+    scheduled: Vec<bool>,
+    /// The cell's event queue.
+    queue: EventQueue,
+    /// The cell's lifecycle ledger.
+    lifecycle: LifecycleStats,
+}
+
+/// Uplink budgets built so far in one campaign, keyed by the steered
+/// ground truth they were built from: the `to_bits` of its `range_m`,
+/// `azimuth_rad` and `incidence_rad`. A node whose steered pose matches
+/// an entry bit for bit takes that budget instead of building its own.
+///
+/// The memo is exact. [`UplinkBudget::new`] reads four inputs: the
+/// campaign's configuration, the default [`QueryPlanner`], the ground
+/// truth, and a `None` orientation hint. Within one campaign only the
+/// ground truth varies, and [`Network::check_poses`] already rejected
+/// every non-finite pose. Only `Ok` budgets are stored, so an error is
+/// rebuilt, and reported, on every miss.
+///
+/// Bounded at [`CAPACITY`](Self::CAPACITY) entries scanned linearly: a
+/// sector campaign's nodes share a handful of poses, and a campaign whose
+/// poses all differ pays one short scan per first service.
+#[derive(Debug, Default)]
+struct BudgetMemo(Vec<([u64; 3], UplinkBudget)>);
+
+impl BudgetMemo {
+    /// Most poses held.
+    const CAPACITY: usize = 16;
+
+    /// The budget of steered pose `gt`: the memo's entry, or `build`'s
+    /// result, kept while the memo has room.
+    fn get_or_build(
+        &mut self,
+        gt: &GroundTruth,
+        build: impl FnOnce() -> Result<UplinkBudget>,
+    ) -> Result<UplinkBudget> {
+        let key = [gt.range_m, gt.azimuth_rad, gt.incidence_rad].map(f64::to_bits);
+        if let Some((_, budget)) = self.0.iter().find(|(k, _)| *k == key) {
+            return Ok(*budget);
+        }
+        let budget = build()?;
+        if self.0.len() < Self::CAPACITY {
+            // Sized once, so a new pose never reallocates the memo.
+            self.0.reserve_exact(Self::CAPACITY - self.0.len());
+            self.0.push((key, budget));
+        }
+        Ok(budget)
+    }
 }
 
 /// Events of a slotted campaign.
@@ -1032,11 +1194,13 @@ struct SlotMedium<'a> {
     rows: &'a mut [NodeLedger],
     /// The uplink kernel's reusable buffers.
     uplink: &'a mut UplinkScratch,
+    /// Uplink budgets by steered pose, consulted on a row's first service.
+    budgets: &'a mut BudgetMemo,
     /// The run's packets offered, shed-stage breakdown and latency
-    /// sketches (see [`LifecycleStats`]); [`Network::run_in`] adds the
+    /// sketches (see [`LifecycleStats`]); [`Network::run_cell`] adds the
     /// rows' outcome totals. Recording is probe-independent, so plain
     /// and probed runs account identically.
-    lifecycle: LifecycleStats,
+    lifecycle: &'a mut LifecycleStats,
     /// The campaign's instrumentation surface. Disabled (all-`None`) on
     /// every uninstrumented path, so recording helpers no-op and both
     /// paths execute the same code.
@@ -1085,15 +1249,18 @@ impl<'a> SlotMedium<'a> {
     /// Runs node `node`'s uplink of the campaign payload and returns
     /// whether the payload decoded intact and the measured SNR, dB.
     ///
-    /// The node's [`UplinkBudget`] is built on its first service in the
-    /// campaign — a miss, counted under the `link_budgets` probe counter —
-    /// and every later service only runs the kernel. A miss builds the
-    /// budget through [`UplinkBudget::new`] from the node's steered ground
-    /// truth — the function
+    /// The node's [`UplinkBudget`] is fetched on its first service in the
+    /// campaign — a row miss, counted under the `link_budgets` probe
+    /// counter — and every later service only runs the kernel. A miss
+    /// takes the budget of the node's steered pose from the
+    /// [`BudgetMemo`], or builds it through [`UplinkBudget::new`] from the
+    /// node's steered ground truth — the function
     /// [`LinkSimulator::uplink`](crate::link::LinkSimulator::uplink) builds
     /// it with over the node's view — so a node's first service equals
-    /// that uplink and reports the same errors. The campaign validated the
-    /// configuration once, up front.
+    /// that uplink and reports the same errors. The counter counts first
+    /// services, not builds: a build count would depend on which cells
+    /// share a worker. The campaign validated the configuration once, up
+    /// front.
     fn serve(&mut self, node: usize) -> Result<(bool, f64)> {
         let nodes = self.rows.len();
         let cached = &mut self
@@ -1104,12 +1271,11 @@ impl<'a> SlotMedium<'a> {
         let budget = match cached {
             Some(budget) => budget,
             None => {
-                let budget = UplinkBudget::new(
-                    &self.net.config,
-                    &QueryPlanner::milback_default(),
-                    &self.net.scene.steered_ground_truth(node)?,
-                    None,
-                )?;
+                let gt = self.net.scene.steered_ground_truth(node)?;
+                let config = &self.net.config;
+                let budget = self.budgets.get_or_build(&gt, || {
+                    UplinkBudget::new(config, &QueryPlanner::milback_default(), &gt, None)
+                })?;
                 self.probe.inc("link_budgets", 1);
                 cached.insert(budget)
             }
@@ -1385,7 +1551,8 @@ impl<'a> SlotMedium<'a> {
 
 /// A frame's transmission schedule: `(slot, transmitters)` pairs in
 /// strictly increasing slot order, transmitters in strictly ascending
-/// node order, no empty groups.
+/// node order. A group may be empty (an unoccupied slot, which the
+/// coordinator skips); [`MacPolicy::schedule_frame`] strips them.
 pub type FrameSchedule = Vec<(usize, Vec<usize>)>;
 
 /// One granted relay chain for a frame: the route fires inside `slot`,
@@ -1455,15 +1622,33 @@ pub trait MacPolicy {
     /// exactly where a plain campaign expects it.
     fn begin(&mut self, _ctx: &MacContext<'_>, _rng: &mut GaussianSource) {}
 
-    /// The transmission schedule for `frame`.
-    fn schedule_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> FrameSchedule;
+    /// Writes the transmission schedule for `frame` into `out`.
+    ///
+    /// `out` arrives holding an earlier frame's schedule, or nothing; its
+    /// contents mean nothing, but its group buffers are meant to be
+    /// refilled (cleared, then pushed to) so a campaign's frames stop
+    /// allocating once the buffers reach their high-water mark. On return
+    /// `out` holds exactly this frame's [`FrameSchedule`]: it may keep
+    /// empty groups for unoccupied slots, and the coordinator hands each
+    /// served group's buffer back to its entry after the slot resolves.
+    fn schedule_frame_into(&mut self, frame: usize, ctx: &MacContext<'_>, out: &mut FrameSchedule);
+
+    /// The transmission schedule for `frame` in a fresh `Vec`, empty
+    /// groups stripped: [`schedule_frame_into`](Self::schedule_frame_into)
+    /// on an owned schedule.
+    fn schedule_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> FrameSchedule {
+        let mut out = FrameSchedule::new();
+        self.schedule_frame_into(frame, ctx, &mut out);
+        out.retain(|(_, group)| !group.is_empty());
+        out
+    }
 
     /// Feedback after a slot resolves: `collided` is true when the group
     /// was lost to an unseparable collision.
     fn on_slot_outcome(&mut self, _frame: usize, _slot: usize, _group: &[usize], _collided: bool) {}
 
     /// Telemetry hook, called once per frame right after
-    /// [`schedule_frame`](Self::schedule_frame): the policy may describe
+    /// [`schedule_frame_into`](Self::schedule_frame_into): the policy may describe
     /// its current decision state (backoff windows, group rotations) into
     /// the probe. Takes `&self`, so recording **cannot** mutate policy
     /// state — the non-perturbation contract holds by construction. The
@@ -1500,52 +1685,43 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Shapes `out` as one entry per slot of a `slots`-slot frame, each
+/// `(slot, empty group)`, keeping every group buffer: the blank frame a
+/// slot-indexed policy fills.
+fn clear_slots(out: &mut FrameSchedule, slots: usize) {
+    out.truncate(slots);
+    for (slot, (at, group)) in out.iter_mut().enumerate() {
+        *at = slot;
+        group.clear();
+    }
+    let filled = out.len();
+    out.extend((filled..slots).map(|slot| (slot, Vec::new())));
+}
+
 /// Hashes every node passing `contends` into its
-/// [`SlotPlan::slot_for`] slot — one hash per node per frame, building the
-/// slot → nodes map the coordinator indexes (a per-slot re-hash of every
-/// node would cost O(nodes × slots) per frame with up to
-/// [`MAX_SLOTS_PER_FRAME`](crate::protocol::MAX_SLOTS_PER_FRAME) slots).
+/// [`SlotPlan::slot_for`] slot of `out` — one hash per node per frame (a
+/// per-slot re-hash of every node would cost O(nodes × slots) per frame
+/// with up to [`MAX_SLOTS_PER_FRAME`](crate::protocol::MAX_SLOTS_PER_FRAME)
+/// slots). Unoccupied slots keep empty groups.
 ///
 /// `contends` runs exactly once per node, in node order (a policy may
-/// count deferrals in it). Each group is allocated at its exact size from
-/// a per-slot count, so a frame allocates the schedule, one `Vec` per
-/// occupied slot and two temporaries.
+/// count deferrals in it), so every group is ascending.
 pub(crate) fn hash_into_slots(
     ctx: &MacContext<'_>,
     frame: usize,
     seed: u64,
     mut contends: impl FnMut(usize) -> bool,
-) -> FrameSchedule {
-    let slots = ctx.plan.slots_per_frame;
-    // Each node's slot; `slots` marks a node sitting the frame out.
-    let node_slot: Vec<usize> = (0..ctx.net.node_count())
-        .map(|node| {
-            if contends(node) {
-                ctx.plan.slot_for(node, frame, seed)
-            } else {
-                slots
+    out: &mut FrameSchedule,
+) {
+    clear_slots(out, ctx.plan.slots_per_frame);
+    for node in 0..ctx.net.node_count() {
+        if contends(node) {
+            // A 0-slot plan has no entry to land in: it schedules nobody.
+            if let Some((_, group)) = out.get_mut(ctx.plan.slot_for(node, frame, seed)) {
+                group.push(node);
             }
-        })
-        .collect();
-    let mut sizes = vec![0usize; slots + 1];
-    for &slot in &node_slot {
-        sizes[slot] += 1;
-    }
-    let mut schedule: FrameSchedule =
-        Vec::with_capacity(sizes[..slots].iter().filter(|&&n| n > 0).count());
-    // Each occupied slot's size becomes its position in the schedule.
-    for (slot, size) in sizes[..slots].iter_mut().enumerate() {
-        if *size > 0 {
-            schedule.push((slot, Vec::with_capacity(*size)));
-            *size = schedule.len() - 1;
         }
     }
-    for (node, &slot) in node_slot.iter().enumerate() {
-        if slot < slots {
-            schedule[sizes[slot]].1.push(node);
-        }
-    }
-    schedule
 }
 
 /// Classic slotted ALOHA behind the [`MacPolicy`] trait: every node
@@ -1569,8 +1745,8 @@ impl MacPolicy for SlottedAloha {
         "aloha"
     }
 
-    fn schedule_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> FrameSchedule {
-        hash_into_slots(ctx, frame, self.slot_seed, |_| true)
+    fn schedule_frame_into(&mut self, frame: usize, ctx: &MacContext<'_>, out: &mut FrameSchedule) {
+        hash_into_slots(ctx, frame, self.slot_seed, |_| true, out);
     }
 }
 
@@ -1635,9 +1811,9 @@ impl MacPolicy for BackoffAloha {
             .collect();
     }
 
-    fn schedule_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> FrameSchedule {
+    fn schedule_frame_into(&mut self, frame: usize, ctx: &MacContext<'_>, out: &mut FrameSchedule) {
         let nodes = &mut self.nodes;
-        hash_into_slots(ctx, frame, self.slot_seed, |idx| {
+        let contends = |idx: usize| {
             let st = &mut nodes[idx];
             if st.defer_frames > 0 {
                 st.defer_frames -= 1;
@@ -1645,7 +1821,8 @@ impl MacPolicy for BackoffAloha {
             } else {
                 true
             }
-        })
+        };
+        hash_into_slots(ctx, frame, self.slot_seed, contends, out);
     }
 
     fn on_slot_outcome(&mut self, _frame: usize, _slot: usize, group: &[usize], collided: bool) {
@@ -1716,15 +1893,18 @@ impl MacPolicy for RoundRobinPolling {
         "polling"
     }
 
-    fn schedule_frame(&mut self, _frame: usize, ctx: &MacContext<'_>) -> FrameSchedule {
+    fn schedule_frame_into(
+        &mut self,
+        _frame: usize,
+        ctx: &MacContext<'_>,
+        out: &mut FrameSchedule,
+    ) {
         let n = ctx.net.node_count();
-        (0..ctx.plan.slots_per_frame)
-            .map(|slot| {
-                let node = self.cursor;
-                self.cursor = (self.cursor + 1) % n;
-                (slot, vec![node])
-            })
-            .collect()
+        clear_slots(out, ctx.plan.slots_per_frame);
+        for (_, group) in out.iter_mut() {
+            group.push(self.cursor);
+            self.cursor = (self.cursor + 1) % n;
+        }
     }
 }
 
@@ -1762,11 +1942,16 @@ impl MacPolicy for SdmAwareAssignment {
     }
 
     fn begin(&mut self, ctx: &MacContext<'_>, _rng: &mut GaussianSource) {
+        // Each node's azimuth read once: the pair checks below are
+        // `Network::sdm_separable` on the same values.
+        let azimuth: Vec<f64> = (0..ctx.net.node_count())
+            .map(|idx| ctx.net.azimuth(idx))
+            .collect();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for node in 0..ctx.net.node_count() {
+        for (node, &az) in azimuth.iter().enumerate() {
             let fit = groups.iter_mut().find(|g| {
                 g.iter()
-                    .all(|&m| ctx.net.sdm_separable(node, m, ctx.sdm_threshold_db))
+                    .all(|&m| sdm_margin(az, azimuth[m]) >= ctx.sdm_threshold_db)
             });
             match fit {
                 Some(g) => g.push(node),
@@ -1776,17 +1961,16 @@ impl MacPolicy for SdmAwareAssignment {
         self.groups = groups;
     }
 
-    fn schedule_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> FrameSchedule {
-        if self.groups.is_empty() {
-            return Vec::new();
-        }
+    fn schedule_frame_into(&mut self, frame: usize, ctx: &MacContext<'_>, out: &mut FrameSchedule) {
         let slots = ctx.plan.slots_per_frame;
-        (0..slots)
-            .map(|slot| {
-                let g = (frame * slots + slot) % self.groups.len();
-                (slot, self.groups[g].clone())
-            })
-            .collect()
+        clear_slots(out, slots);
+        if self.groups.is_empty() {
+            return;
+        }
+        for (slot, group) in out.iter_mut() {
+            let g = (frame * slots + *slot) % self.groups.len();
+            group.extend_from_slice(&self.groups[g]);
+        }
     }
 
     fn record_frame(
@@ -1800,7 +1984,7 @@ impl MacPolicy for SdmAwareAssignment {
             return;
         }
         // The rotation this frame grants: same arithmetic as
-        // `schedule_frame`, re-derived read-only.
+        // `schedule_frame_into`, re-derived read-only.
         let slots = ctx.plan.slots_per_frame;
         for slot in 0..slots {
             let group_idx = (frame * slots + slot) % self.groups.len();
@@ -1895,13 +2079,15 @@ struct PolicyCoordinator<'a> {
     /// and relay configuration.
     spec: CampaignSpec<'a>,
     policy: Box<dyn MacPolicy>,
-    /// The current frame's schedule. Safe to hold per frame: every slot of
-    /// frame `f` fires strictly before `FrameStart { f + 1 }` (the last
-    /// slot starts one slot-width before the frame boundary). A slot's
-    /// group moves into its [`SlotJob`] when the slot fires (each slot
-    /// fires once), so a grant copies nothing and a backlogged pipeline
-    /// is unaffected by rollover.
-    schedule: FrameSchedule,
+    /// The current frame's schedule, held in the worker's
+    /// [`CampaignScratch`]. Safe to hold per frame: every slot of frame
+    /// `f` fires strictly before `FrameStart { f + 1 }` (the last slot
+    /// starts one slot-width before the frame boundary). A slot's group
+    /// moves into its [`SlotJob`] when the slot fires (each slot fires
+    /// once), so a grant copies nothing and a backlogged pipeline is
+    /// unaffected by rollover; the buffer comes back once the slot
+    /// resolves ([`recycle_group`](Self::recycle_group)).
+    schedule: &'a mut FrameSchedule,
     /// The current frame's granted relay chains, indexed by the
     /// [`SlotEvent::RelayFire`] events posted at the frame boundary.
     relay_schedule: Vec<RelayGrant>,
@@ -1911,7 +2097,7 @@ struct PolicyCoordinator<'a> {
     /// `None` when `jitter_ps == 0` (nothing was drawn).
     jitter_state: Option<u64>,
     /// Per-node "in this frame's schedule" flags, reused every frame.
-    scheduled: Vec<bool>,
+    scheduled: &'a mut Vec<bool>,
 }
 
 impl PolicyCoordinator<'_> {
@@ -2071,7 +2257,22 @@ impl PolicyCoordinator<'_> {
         m.probe.inc("ap_served", 1);
         self.policy
             .on_slot_outcome(job.frame, job.slot, &job.group, collided);
+        self.recycle_group(job.slot, job.group);
         Ok(())
+    }
+
+    /// Hands a resolved grant's group buffer back, cleared, to its slot's
+    /// schedule entry, so the policy refills it next frame instead of
+    /// allocating. An entry that meanwhile holds a later frame's
+    /// transmitters keeps them.
+    fn recycle_group(&mut self, slot: usize, mut group: Vec<usize>) {
+        if let Ok(idx) = self.schedule.binary_search_by_key(&slot, |e| e.0) {
+            let entry = &mut self.schedule[idx].1;
+            if entry.is_empty() {
+                group.clear();
+                *entry = group;
+            }
+        }
     }
 
     /// Serves the current frame's grants in schedule order, each at its
@@ -2184,7 +2385,7 @@ impl PolicyCoordinator<'_> {
         match event {
             SlotEvent::FrameStart { frame } => {
                 let ctx = MacContext::new(m.net, &self.spec);
-                self.schedule = self.policy.schedule_frame(frame, &ctx);
+                self.policy.schedule_frame_into(frame, &ctx, self.schedule);
                 m.probe.inc("frames", 1);
                 self.policy.record_frame(frame, now_ps, &ctx, &mut m.probe);
                 self.relay_schedule = self.policy.relay_frame(frame, &ctx);
@@ -2193,7 +2394,7 @@ impl PolicyCoordinator<'_> {
                     frame,
                     &self.spec.plan,
                     m.net.node_count(),
-                    &self.schedule,
+                    self.schedule,
                     &self.relay_schedule,
                 )?;
                 // An instantaneous pipeline cannot delay a grant, and a
@@ -2203,7 +2404,7 @@ impl PolicyCoordinator<'_> {
                 let one_pass =
                     self.spec.service.is_instantaneous() && self.relay_schedule.is_empty();
                 if !one_pass {
-                    for &(slot, ref group) in &self.schedule {
+                    for &(slot, ref group) in self.schedule.iter() {
                         if group.is_empty() {
                             continue;
                         }
@@ -2237,11 +2438,11 @@ impl PolicyCoordinator<'_> {
                 // offered packet reaches exactly one terminal outcome.
                 // Integer bookkeeping over the already-built schedules:
                 // no RNG, no clock.
-                let scheduled = &mut self.scheduled;
+                let scheduled = &mut *self.scheduled;
                 scheduled.clear();
                 scheduled.resize(m.net.node_count(), false);
                 let mut offered = self.relay_schedule.len() as u64;
-                for (_, group) in &self.schedule {
+                for (_, group) in self.schedule.iter() {
                     offered += group.len() as u64;
                     for &node in group {
                         scheduled[node] = true;
@@ -2613,6 +2814,26 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_aggregate_equals_a_new_one() {
+        let n = two_node_network(40.0);
+        let payload = [0x42u8; 16];
+        let spec = CampaignSpec::new(6, &payload, plan_for(&n, 4, &payload));
+        let mut rng = GaussianSource::new(0x5E7);
+        let r: SlottedRunReport = n
+            .run(
+                &spec,
+                Box::new(SlottedAloha::new(3)),
+                &mut rng,
+                &mut CampaignProbe::disabled(),
+            )
+            .unwrap();
+        let mut agg = CampaignAggregate::from_report(&r);
+        assert!(agg.delivered > 0 && agg.lifecycle.slot_wait_us.count > 0);
+        agg.reset();
+        assert_eq!(agg, CampaignAggregate::new());
+    }
+
+    #[test]
     fn slotted_run_is_deterministic() {
         use crate::protocol::SlotPlan;
         let run = || {
@@ -2840,8 +3061,13 @@ mod tests {
             "fixed"
         }
 
-        fn schedule_frame(&mut self, _frame: usize, _ctx: &MacContext<'_>) -> FrameSchedule {
-            self.0.clone()
+        fn schedule_frame_into(
+            &mut self,
+            _frame: usize,
+            _ctx: &MacContext<'_>,
+            out: &mut FrameSchedule,
+        ) {
+            out.clone_from(&self.0);
         }
 
         fn relay_frame(&mut self, _frame: usize, _ctx: &MacContext<'_>) -> Vec<RelayGrant> {

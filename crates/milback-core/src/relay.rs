@@ -298,12 +298,11 @@ impl MacPolicy for RelayAwareMac {
         self.routes = select_routes(&graph, &self.covered, self.config.max_hops, route_seed);
     }
 
-    fn schedule_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> FrameSchedule {
+    fn schedule_frame_into(&mut self, frame: usize, ctx: &MacContext<'_>, out: &mut FrameSchedule) {
         let covered = &self.covered;
         let routes = &self.routes;
-        hash_into_slots(ctx, frame, self.slot_seed, |idx| {
-            covered[idx] || routes[idx].is_none()
-        })
+        let contends = |idx: usize| covered[idx] || routes[idx].is_none();
+        hash_into_slots(ctx, frame, self.slot_seed, contends, out);
     }
 
     fn relay_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> Vec<RelayGrant> {

@@ -147,12 +147,12 @@ impl Network {
     /// pipeline, and relay routes never cross a cell boundary. The first
     /// cell error (in cell order) aborts the campaign.
     ///
-    /// Cells run in fixed blocks of 256: one
-    /// [`parallel::for_each_chunk_with`] call per block, with one
-    /// `CampaignScratch` per worker, so at most one block of finished cell
-    /// sinks waits for the fold at a time. Each cell's [`Network`] is built
-    /// inside its worker right before the cell runs and dropped right
-    /// after.
+    /// The campaign is checked once, up front. Cells run in fixed blocks
+    /// of 256: one [`parallel::for_each_chunk_with`] call per block, so at
+    /// most one block of finished cell sinks waits for the fold at a time.
+    /// Each worker keeps one cell [`Network`], refilled with each cell's
+    /// nodes, and one `CampaignScratch`, so a cell's set-up allocates
+    /// nothing but its policy.
     ///
     /// The result is bit-identical at any thread count. With
     /// `S = CampaignAggregate` no per-node `Vec` exists on this path, so
@@ -168,41 +168,55 @@ impl Network {
         campaign_seed: u64,
         policy_for_cell: impl Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
     ) -> Result<S::Cells> {
+        let airtime_s = self.campaign_airtime_s(spec)?;
         let cells = CellPartition::new(self.node_count(), n_cells);
         let mut total = S::Cells::default();
+        // A slot holds its cell's result until the block folds, then the
+        // sink the fold handed back, whose buffers the slot's cell in the
+        // next block refills.
         let mut block: Vec<Option<Result<S>>> = Vec::with_capacity(BLOCK_CELLS.min(cells.count));
         for first in (0..cells.count).step_by(BLOCK_CELLS) {
-            block.clear();
-            block.resize_with(BLOCK_CELLS.min(cells.count - first), || None);
+            let len = BLOCK_CELLS.min(cells.count - first);
+            block.truncate(len);
+            block.resize_with(len, || None);
             parallel::for_each_chunk_with(
                 &mut block,
                 1,
                 threads,
-                CampaignScratch::default,
-                |scratch, offset, out| {
-                    let idx = first + offset;
+                || {
                     let cell = Network {
                         config: self.config.clone(),
-                        scene: cell_scene(&self.scene, cells.range(idx)),
+                        scene: cell_scene(&self.scene, 0..0),
                     };
+                    (cell, CampaignScratch::default())
+                },
+                |(cell, scratch), offset, out| {
+                    let idx = first + offset;
+                    cell.scene.nodes.clear();
+                    cell.scene
+                        .nodes
+                        .extend_from_slice(&self.scene.nodes[cells.range(idx)]);
                     let seed = cell_seed(campaign_seed, idx);
-                    out[0] = Some(cell.run_in(
+                    let reuse = out[0].take().and_then(Result::ok);
+                    out[0] = Some(cell.run_cell(
                         spec,
+                        airtime_s,
                         policy_for_cell(idx, seed),
                         &mut GaussianSource::new(seed),
                         &mut CampaignProbe::disabled(),
                         scratch,
+                        reuse,
                     ));
                 },
             );
-            for (offset, out) in block.drain(..).enumerate() {
-                let cell = out.unwrap_or_else(|| {
+            for (offset, out) in block.iter_mut().enumerate() {
+                let cell = out.take().unwrap_or_else(|| {
                     Err(MilbackError::Engine(format!(
                         "cell {} was never run",
                         first + offset
                     )))
                 })?;
-                S::merge_cell(&mut total, cell);
+                *out = S::merge_cell(&mut total, cell).map(Ok);
             }
         }
         Ok(total)
@@ -411,12 +425,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "overrun"
             }
-            fn schedule_frame(
+            fn schedule_frame_into(
                 &mut self,
                 _frame: usize,
                 ctx: &crate::network::MacContext<'_>,
-            ) -> crate::network::FrameSchedule {
-                vec![(ctx.plan.slots_per_frame, vec![0])]
+                out: &mut crate::network::FrameSchedule,
+            ) {
+                *out = vec![(ctx.plan.slots_per_frame, vec![0])];
             }
         }
         let net = Network::new(SystemConfig::milback_default(), arc_scene(600)).unwrap();

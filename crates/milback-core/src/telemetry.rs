@@ -461,6 +461,14 @@ impl Histogram {
         }
     }
 
+    /// Empties the histogram in place, keeping its bounds and bucket
+    /// buffer: equal to `Histogram::new(self.bounds)` afterwards.
+    pub(crate) fn reset(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0.0;
+    }
+
     /// Folds another histogram's buckets into this one bucket-by-bucket
     /// (bounds must match).
     pub fn merge_from(&mut self, other: &Histogram) {

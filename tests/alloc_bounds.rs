@@ -11,26 +11,32 @@
 //!   allocation, reallocation or free — for payloads of any size up to its
 //!   buffers' high-water mark, whether it rebuilds its symbol plan
 //!   (alternating payloads) or reuses it (a repeated payload).
-//! - A 64-node slotted-ALOHA campaign allocates at most
-//!   [`MAX_ALLOCS_PER_FRAME`] times per frame once its budgets are warm.
+//! - A frame served in one pass (instantaneous AP, no relay grants)
+//!   allocates nothing once the campaign's buffers are warm, under every
+//!   MAC policy: the schedule's group buffers are refilled in place and
+//!   every budget comes from the row cache or the pose memo.
+//! - A steady-state sharded slotted-ALOHA cell allocates at most
+//!   [`MAX_ALLOCS_PER_SHARDED_CELL`] times: its policy's box, and nothing
+//!   for its network, scratch, ledger or sink.
 //! - A sharded campaign's live heap stays under [`MAX_SHARDED_PEAK_BYTES`]
 //!   above its entry level, however many cells it folds.
 
 use milback::core::link::UplinkScratch;
 use milback::core::protocol::{Packet, SlotPlan};
 use milback::core::{
-    CampaignAggregate, CampaignProbe, CampaignSpec, LinkSimulator, MacPolicy, Network, Scene,
-    SlottedAloha, SlottedRunReport, SystemConfig,
+    BackoffAloha, CampaignAggregate, CampaignProbe, CampaignSpec, FrameSchedule, LinkSimulator,
+    MacContext, MacPolicy, Network, RelayAwareMac, RelayConfig, RelayGrant, RoundRobinPolling,
+    Scene, SdmAwareAssignment, SlottedAloha, SlottedRunReport, SystemConfig, TimePs,
 };
 use milback::sigproc::random::GaussianSource;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-/// Allocations per frame a warm 64-node, 8-slot slotted-ALOHA campaign
-/// may make: the policy's per-frame schedule (one `Vec` per occupied
-/// slot, at most 8) plus 4 for the schedule itself and the slot hash's
-/// temporaries.
-const MAX_ALLOCS_PER_FRAME: f64 = 12.0;
+/// Allocations a steady-state sharded slotted-ALOHA cell may make: the
+/// `Box` its policy comes in, with room for the per-worker scratch each
+/// block of 256 cells builds.
+const MAX_ALLOCS_PER_SHARDED_CELL: f64 = 1.25;
 
 /// Live-heap high-water a 16 384-cell sharded aggregate campaign may reach
 /// above its entry level: one block of cell sinks, never one per cell.
@@ -182,8 +188,90 @@ fn uplink_kernel_is_allocation_free_past_warm_up() {
     );
 }
 
+/// One frame as [`FrameMarks`] saw it.
+#[derive(Clone, Copy)]
+struct FrameMark {
+    /// This thread's allocation count as the frame began.
+    allocs: u64,
+    /// Reallocations that growing the schedule's group buffers can
+    /// account for: the doubling steps from each buffer's capacity before
+    /// the frame's schedule to its capacity after.
+    grown: u64,
+}
+
+/// A policy wrapper marking every frame boundary: this thread's
+/// allocation count, and the growth of the schedule's group buffers. Its
+/// buffers are reserved up front, so marking allocates nothing.
+struct FrameMarks {
+    inner: Box<dyn MacPolicy>,
+    /// The group buffer capacities the frame's schedule arrived with.
+    capacities: Vec<usize>,
+    marks: Rc<RefCell<Vec<FrameMark>>>,
+}
+
+impl MacPolicy for FrameMarks {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn begin(&mut self, ctx: &MacContext<'_>, rng: &mut GaussianSource) {
+        self.inner.begin(ctx, rng);
+    }
+
+    fn schedule_frame_into(&mut self, frame: usize, ctx: &MacContext<'_>, out: &mut FrameSchedule) {
+        let allocs = ALLOCS.with(Cell::get);
+        self.capacities.clear();
+        self.capacities
+            .extend(out.iter().map(|(_, group)| group.capacity()));
+        self.inner.schedule_frame_into(frame, ctx, out);
+        let before = |k: usize| self.capacities.get(k).copied().unwrap_or(0);
+        let grown = out
+            .iter()
+            .enumerate()
+            .map(|(k, (_, group))| doubling_steps(before(k), group.capacity()))
+            .sum();
+        self.marks.borrow_mut().push(FrameMark { allocs, grown });
+    }
+
+    fn on_slot_outcome(&mut self, frame: usize, slot: usize, group: &[usize], collided: bool) {
+        self.inner.on_slot_outcome(frame, slot, group, collided);
+    }
+
+    fn record_frame(
+        &self,
+        frame: usize,
+        now_ps: TimePs,
+        ctx: &MacContext<'_>,
+        probe: &mut CampaignProbe,
+    ) {
+        self.inner.record_frame(frame, now_ps, ctx, probe);
+    }
+
+    fn relay_frame(&mut self, frame: usize, ctx: &MacContext<'_>) -> Vec<RelayGrant> {
+        self.inner.relay_frame(frame, ctx)
+    }
+}
+
+/// Doubling steps from a buffer capacity of `from` (0 is none) to `to`,
+/// starting at 4: at least as many as the reallocations growing a `Vec`
+/// that far takes, since each of those at least doubles.
+fn doubling_steps(from: usize, to: usize) -> u64 {
+    let (mut cap, mut steps) = (from, 0);
+    while cap < to {
+        cap = (2 * cap).max(4);
+        steps += 1;
+    }
+    steps
+}
+
+/// A warm frame served in one pass allocates only where its schedule
+/// puts more transmitters in a slot than that slot's buffer has ever
+/// held: each such buffer reallocates, at least doubling, so a slot grows
+/// at most log2(nodes) times in a whole campaign. Everything else a
+/// frame touches (rows, budgets, flags, the uplink kernel) is recycled,
+/// so most warm frames allocate nothing at all.
 #[test]
-fn slotted_campaign_allocations_per_frame_are_bounded() {
+fn one_pass_frames_allocate_nothing_past_warm_up() {
     let config = SystemConfig::milback_default();
     let net = Network::new(
         config.clone(),
@@ -192,25 +280,87 @@ fn slotted_campaign_allocations_per_frame_are_bounded() {
     .unwrap();
     let payload = [0x42u8; 8];
     let plan = slot_plan(&config, 8, &payload);
-    let allocs_for = |frames: usize| {
-        let spec = CampaignSpec::new(frames, &payload, plan);
-        let run = counted(|| {
-            net.run::<SlottedRunReport>(
+    // Warm-up: the frames over which the ledger, the budget memo and the
+    // uplink kernel's buffers are first filled.
+    let (warm_up, frames) = (8, 160);
+    let spec = CampaignSpec::new(frames, &payload, plan);
+    type Factory = fn() -> Box<dyn MacPolicy>;
+    let policies: [(&str, Factory); 5] = [
+        ("aloha", || Box::new(SlottedAloha::new(0xA110C))),
+        ("backoff", || {
+            Box::new(BackoffAloha::new(0xA110C, 4).unwrap())
+        }),
+        ("polling", || Box::new(RoundRobinPolling::new())),
+        ("sdm", || Box::new(SdmAwareAssignment::new())),
+        ("relay", || {
+            Box::new(RelayAwareMac::new(0xA110C, RelayConfig::disabled()))
+        }),
+    ];
+    for (name, policy) in policies {
+        let marks = Rc::new(RefCell::new(Vec::with_capacity(frames)));
+        let policy = Box::new(FrameMarks {
+            inner: policy(),
+            capacities: Vec::with_capacity(plan.slots_per_frame),
+            marks: Rc::clone(&marks),
+        });
+        let report: SlottedRunReport = net
+            .run(
                 &spec,
-                aloha(0, 0xA110C),
+                policy,
                 &mut GaussianSource::new(0xA110C),
                 &mut CampaignProbe::disabled(),
             )
-            .unwrap()
+            .unwrap();
+        assert!(report.nodes.iter().any(|r| r.attempts > 0), "{name}");
+        let marks = marks.borrow();
+        assert_eq!(marks.len(), frames, "{name}");
+        // Frame k spans from its mark to the next one.
+        let unexplained: Vec<(usize, u64)> = marks
+            .windows(2)
+            .enumerate()
+            .skip(warm_up)
+            .map(|(k, w)| (k, w[1].allocs - w[0].allocs))
+            .filter(|&(k, n)| n > marks[k].grown)
+            .collect();
+        assert!(
+            unexplained.is_empty(),
+            "{name}: (frame, allocations) beyond growing group buffers {unexplained:?}"
+        );
+        // Recycled buffers only ever grow: from none to 64 nodes is at most
+        // log2(64) = 6 doublings per slot over the whole campaign.
+        let grown: u64 = marks.iter().map(|m| m.grown).sum();
+        let bound = plan.slots_per_frame as u64 * u64::from(net.node_count().ilog2());
+        assert!(grown <= bound, "{name}: group buffers grew {grown} times");
+    }
+}
+
+#[test]
+fn sharded_aloha_cells_allocate_only_their_policy() {
+    let config = SystemConfig::milback_default();
+    let payload = [0x42u8; 8];
+    let spec = CampaignSpec::new(4, &payload, slot_plan(&config, 8, &payload));
+    // City-shaped cells: 32 nodes each, on a ±60° sector at 6 m.
+    let allocs_for = |cells: usize| {
+        let net = Network::new(
+            config.clone(),
+            Scene::arc(32 * cells, 6.0, 120f64.to_radians(), 12f64.to_radians()),
+        )
+        .unwrap();
+        let run = counted(|| {
+            net.run_sharded::<CampaignAggregate>(&spec, cells, 1, 0xC17E, aloha)
+                .unwrap()
         });
-        assert!(run.out.nodes.iter().any(|r| r.delivered > 0));
+        assert_eq!(run.out.cells, cells as u64);
+        assert!(run.out.delivered > 0);
         run.allocs
     };
-    let (short, long) = (allocs_for(24), allocs_for(48));
-    let per_frame = (long as f64 - short as f64) / 24.0;
+    // The difference of two campaigns leaves the steady state: what the
+    // first block's cells spend building their sinks cancels out.
+    let (short, long) = (allocs_for(320), allocs_for(640));
+    let per_cell = (long as f64 - short as f64) / 320.0;
     assert!(
-        per_frame <= MAX_ALLOCS_PER_FRAME,
-        "{per_frame:.1} allocations per frame ({short} at 24 frames, {long} at 48)"
+        per_cell <= MAX_ALLOCS_PER_SHARDED_CELL,
+        "{per_cell:.2} allocations per cell ({short} over 320 cells, {long} over 640)"
     );
 }
 

@@ -11,14 +11,20 @@
 //!
 //! Cache guard: a campaign builds each served node's budget once, not
 //! once per packet.
+//!
+//! Pose memo: a campaign shares one budget among the nodes whose steered
+//! poses match bit for bit, and every node's first service still equals
+//! `LinkSimulator::uplink` over its own view, bit for bit, on a scene
+//! where many nodes share a pose and on one where none do, through the
+//! plain and the sharded entry points at any thread count.
 
 use milback::ap::uplink_rx::{measure_channel_snr_db, symbol_ber, UplinkReceiver};
 use milback::ap::waveform::CarrierSet;
 use milback::core::link::{UplinkOutcome, UplinkScratch};
 use milback::core::protocol::{Packet, SlotPlan};
 use milback::core::{
-    CampaignProbe, CampaignSpec, LinkSimulator, MilbackError, Network, Scene, SdmAwareAssignment,
-    SlottedRunReport, SystemConfig,
+    cell_seed, CampaignProbe, CampaignSpec, LinkSimulator, MilbackError, Network,
+    RoundRobinPolling, Scene, SdmAwareAssignment, SlottedRunReport, SystemConfig,
 };
 use milback::node::mode::PortMode;
 use milback::node::uplink::UplinkModulator;
@@ -27,6 +33,7 @@ use milback::sigproc::random::GaussianSource;
 use milback::sigproc::stats::mean;
 use milback::sigproc::units::db_to_lin;
 use milback::sigproc::waveform::{bytes_to_symbols, symbols_to_bytes};
+use std::collections::BTreeSet;
 
 type Outcome = Result<UplinkOutcome, MilbackError>;
 
@@ -282,4 +289,130 @@ fn campaign_builds_each_budget_once() {
         "one budget per served node, not per uplink ({served} served)"
     );
     assert!(served_nodes <= net.node_count());
+}
+
+/// The bit patterns of node `idx`'s steered pose: the key the campaign's
+/// budget memo files its budget under.
+fn steered_pose(scene: &Scene, idx: usize) -> [u64; 3] {
+    let gt = scene.view_for_node(idx).unwrap().ground_truth(0);
+    [gt.range_m, gt.azimuth_rad, gt.incidence_rad].map(f64::to_bits)
+}
+
+/// Checks one cell's report of a one-frame polling campaign whose plan
+/// has a slot per node: node `k` is served alone in slot `k`, so its
+/// report holds exactly its first service, which must equal
+/// `LinkSimulator::uplink` over its view on the cell's stream.
+fn check_first_services(
+    what: &str,
+    config: &SystemConfig,
+    cell: &Scene,
+    payload: &[u8],
+    seed: u64,
+    report: &SlottedRunReport,
+) {
+    let mut rng = GaussianSource::new(seed);
+    assert_eq!(report.nodes.len(), cell.nodes.len(), "{what}");
+    for (idx, node) in report.nodes.iter().enumerate() {
+        let sim = LinkSimulator::new(config.clone(), cell.view_for_node(idx).unwrap()).unwrap();
+        let want = sim.uplink(payload, &mut rng).unwrap();
+        let intact = want.decoded == payload;
+        assert_eq!(node.attempts, 1, "{what}: node {idx}");
+        assert_eq!(node.delivered, usize::from(intact), "{what}: node {idx}");
+        assert_eq!(
+            node.mean_snr_db.map(f64::to_bits),
+            intact.then_some(want.snr_db.to_bits()),
+            "{what}: node {idx} snr"
+        );
+    }
+}
+
+/// 48 nodes at 4 m across ±60°, boards rotated 0°, 12° or 24° in turn:
+/// many nodes share one steered pose, and poses that share a range
+/// differ in incidence.
+fn shared_pose_scene() -> Scene {
+    let mut scene = Scene::arc(0, 4.0, 0.0, 0.0);
+    for k in 0..48 {
+        let azimuth = Scene::arc_azimuth_rad(k, 48, 120f64.to_radians());
+        scene = scene.with_node_at(4.0, azimuth, (12.0 * (k % 3) as f64).to_radians());
+    }
+    scene
+}
+
+/// 48 nodes across ±60° at radii jittered around 4 m: every steered pose
+/// is distinct, more of them than the memo holds.
+fn distinct_pose_scene() -> Scene {
+    let mut rng = GaussianSource::new(0x7177);
+    let mut scene = Scene::arc(0, 4.0, 0.0, 0.0);
+    for k in 0..48 {
+        let azimuth = Scene::arc_azimuth_rad(k, 48, 120f64.to_radians());
+        scene = scene.with_node_at(rng.uniform(3.5, 4.5), azimuth, 12f64.to_radians());
+    }
+    scene
+}
+
+#[test]
+fn pose_memo_keeps_every_first_service_bit_exact() {
+    let config = SystemConfig::milback_default();
+    let payload = GaussianSource::new(21).bytes(16);
+    let plan = |slots: usize| {
+        SlotPlan::for_packet(
+            slots,
+            &Packet::uplink(payload.clone()),
+            &config.fmcw,
+            config.uplink_symbol_rate_hz,
+            10e-6,
+        )
+        .unwrap()
+    };
+    let polling = |_: usize, _: u64| -> Box<dyn milback::core::MacPolicy> {
+        Box::new(RoundRobinPolling::new())
+    };
+    for (name, scene) in [
+        ("shared", shared_pose_scene()),
+        ("distinct", distinct_pose_scene()),
+    ] {
+        let n = scene.nodes.len();
+        let poses: BTreeSet<[u64; 3]> = (0..n).map(|k| steered_pose(&scene, k)).collect();
+        if name == "shared" {
+            assert!(poses.len() * 3 <= n, "{name}: {} poses", poses.len());
+        } else {
+            assert_eq!(poses.len(), n, "{name}");
+        }
+        let net = Network::new(config.clone(), scene.clone()).unwrap();
+
+        // The plain entry point: one slot per node.
+        let mut probe = CampaignProbe::with_metrics();
+        let report: SlottedRunReport = net
+            .run(
+                &CampaignSpec::new(1, &payload, plan(n)),
+                Box::new(RoundRobinPolling::new()),
+                &mut GaussianSource::new(0xF1),
+                &mut probe,
+            )
+            .unwrap();
+        check_first_services(name, &config, &scene, &payload, 0xF1, &report);
+        let served = report.nodes.iter().filter(|r| r.attempts > 0).count();
+        assert_eq!(
+            probe.take_metrics().unwrap().counter("link_budgets"),
+            served as u64,
+            "{name}: one first service per served node"
+        );
+
+        // The sharded entry point: four cells of twelve, a slot per node.
+        let spec = CampaignSpec::new(1, &payload, plan(n / 4));
+        for threads in [1, 4] {
+            let cells = net
+                .run_sharded::<SlottedRunReport>(&spec, 4, threads, 0xF2, polling)
+                .unwrap();
+            assert_eq!(cells.len(), 4);
+            for (c, report) in cells.iter().enumerate() {
+                let cell = Scene {
+                    nodes: scene.nodes[c * n / 4..(c + 1) * n / 4].to_vec(),
+                    ..scene.clone()
+                };
+                let what = format!("{name}, {threads} threads, cell {c}");
+                check_first_services(&what, &config, &cell, &payload, cell_seed(0xF2, c), report);
+            }
+        }
+    }
 }
